@@ -1,24 +1,10 @@
-"""Shared fixtures for the benchmark suite.
-
-Every benchmark compares algorithm Naive against algorithm Delta on one of
-the paper's workloads (Table 2) or exercises one of the analysis components
-(distributivity checks, algebra backend).  Document construction happens
-once per session and is excluded from the measured region.
-"""
+"""Pytest bootstrap for ``benchmarks/``: makes ``benchmarks`` importable as
+a root, so the ledger's self-tests can ``from ledger import …``
+(``python -m pytest benchmarks/ledger/tests``)."""
 
 from __future__ import annotations
 
 import os
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from repro.bench.harness import BenchmarkHarness  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def harness() -> BenchmarkHarness:
-    """A session-wide harness so workload documents are built only once."""
-    return BenchmarkHarness()

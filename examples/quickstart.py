@@ -130,14 +130,16 @@ def main() -> None:
     # [1], [last()], [position() < n] — filter whole candidate columns
     # through value inverted indexes instead of a per-candidate focus loop
     # (DESIGN.md §7).  The A/B escape hatch is use_pushdown=False (CLI
-    # --no-pushdown); profile=True (CLI --profile) shows which kernels ran.
+    # --no-pushdown); trace=True (CLI --trace) shows which kernels ran, as
+    # the kernel:* spans of the query's own trace.
     needle = 'doc("curriculum.xml")//course[@code = "c6"]/prerequisites/pre_code'
-    result = evaluate(needle, documents=documents, settings={"profile": True})
+    result = evaluate(needle, documents=documents, trace=True)
     print("  prerequisites of c6:", [item.string_value() for item in result])
-    for kernel, counters in (result.profile or {}).items():
-        print(f"  {kernel}: {counters['batch']} batch / "
-              f"{counters['fallback']} fallback")
-    slow = evaluate(needle, documents=documents, settings={"use_pushdown": False})
+    for span in result.trace.children:
+        if span.name.startswith("kernel:"):
+            print(f"  {span.name[len('kernel:'):]}: {span.attributes['batch']} batch / "
+                  f"{span.attributes['fallback']} fallback")
+    slow = evaluate(needle, documents=documents, use_pushdown=False)
     assert list(slow.items) == list(result.items)  # item-identical either way
 
     print("\n== Sessions and the query service (DESIGN.md §8) ==")

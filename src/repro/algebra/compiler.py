@@ -92,8 +92,9 @@ class AlgebraCompiler:
         documents:
             Resolver consulted by ``fn:doc``.
         document:
-            Default document used by ``fn:id`` (and by ``fn:doc`` when the
-            resolver does not know the URI in analysis mode).
+            Document ``fn:id`` searches when the call has neither a context
+            node nor a second argument (and the one ``fn:doc`` stands in
+            for an unknown URI with).
         functions:
             User-defined functions, inlined at their call sites.
         analysis_only:
@@ -514,9 +515,14 @@ class AlgebraCompiler:
             stringified = ScalarOp(inner, "item_s", ["item"], string_value_of_item, name="string")
             return self._with_pos(Project(stringified, [("iter", "iter"), ("item", "item_s")]))
         if name == "id" and len(expr.args) in (1, 2):
-            inner = self._compile(expr.args[0], context)
-            document = self._require_document()
-            return IdLookup(AtomizeValue([inner]), document)
+            values = AtomizeValue([self._compile(expr.args[0], context)])
+            # IDs resolve in the document of the node fn:id is evaluated
+            # against: the second argument, else the context item.
+            if len(expr.args) == 2:
+                return IdLookup(values, anchor=self._compile(expr.args[1], context))
+            if context.focus is not None:
+                return IdLookup(values, anchor=context.focus)
+            return IdLookup(values, document=self._require_document())
         if name == "doc" and len(expr.args) == 1:
             return self._compile_doc(expr.args[0], context)
         if name == "root" and len(expr.args) <= 1:
@@ -559,7 +565,8 @@ class AlgebraCompiler:
             return self.document
         if self.analysis_only:
             return DocumentNode()
-        raise AlgebraError("fn:id requires a default document (pass document= to the compiler)")
+        raise AlgebraError("fn:id needs a context node or a second argument to name "
+                           "the document its IDs live in")
 
     # ------------------------------------------------------------------ constructors
 

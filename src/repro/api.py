@@ -14,9 +14,10 @@ Since PR 6 the evaluation state (module/plan caches, document registry,
 per-worker SQLite stores) lives in :class:`repro.session.Session` objects;
 the functions here operate on one process-wide *default session*
 (:func:`repro.session.default_session`), so scripts keep working unchanged
-while services construct their own sessions.  The nine historical tuning
-keywords of :func:`evaluate` are deprecated in favor of a single frozen
-:class:`~repro.settings.EvalSettings` value passed as ``settings=``.
+while services construct their own sessions.  :func:`evaluate` and
+:func:`evaluate_query` forward ``settings=`` and ``**overrides`` (field
+names of the one settings type, :class:`~repro.settings.EvalSettings`) to
+that session exactly as :meth:`Session.evaluate` takes them.
 """
 
 from __future__ import annotations
@@ -37,15 +38,13 @@ from repro.session import (
     build_resolver,
     default_session,
 )
-from repro.settings import Engine, EvalSettings, merge_legacy_kwargs
+from repro.settings import Engine, EvalSettings
 from repro.xdm.node import DocumentNode, Node
 from repro.xmlio.parser import parse_xml_file
 from repro.xquery import ast
 from repro.xquery.context import DocumentResolver, DynamicContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_expression, parse_query
-
-_build_resolver = build_resolver  # pre-PR 6 private name, kept for callers
 
 
 def clear_query_caches() -> None:
@@ -72,18 +71,9 @@ def evaluate(query: str,
              documents: Mapping[str, DocumentNode | str] | DocumentResolver | None = None,
              variables: Mapping[str, Sequence[Any] | Any] | None = None,
              context_item: Any = None,
-             ifp_algorithm: str | None = None,
-             distributivity_checker: str | None = None,
-             engine: Engine | str | None = None,
-             backend: str | None = None,
-             optimize: bool | None = None,
-             use_index: bool | None = None,
-             use_pushdown: bool | None = None,
-             use_cache: bool | None = None,
-             profile: bool | None = None,
-             trace: bool | None = None,
              id_attributes: Iterable[str] = ("id", "xml:id"),
-             settings: EvalSettings | Mapping[str, Any] | None = None) -> QueryResult:
+             settings: EvalSettings | Mapping[str, Any] | None = None,
+             **overrides: Any) -> QueryResult:
     """Parse and evaluate an XQuery query on the default session.
 
     Parameters
@@ -98,37 +88,17 @@ def evaluate(query: str,
         External variable bindings (``declare variable $x external``).
     context_item:
         Initial context item (usually a document or element node).
-    settings:
-        An :class:`EvalSettings` value (or mapping of its fields) bundling
-        every tuning knob: engine, backend, IFP algorithm policy,
-        index/pushdown/cache usage, profiling.  This is the preferred
-        spelling; see :class:`EvalSettings` for the field semantics.
-    trace:
-        Record a per-query span tree (phases, fixpoint rounds, SQL
-        statements) on ``result.trace`` — see
-        :mod:`repro.observability.tracing`.  A first-class keyword (not
-        deprecated): equivalent to ``settings={"trace": True}``.
-    ifp_algorithm, distributivity_checker, engine, backend, optimize, \
-use_index, use_pushdown, use_cache, profile:
-        .. deprecated:: PR 6
-           The pre-``EvalSettings`` tuning keywords.  Still accepted (a
-           :class:`DeprecationWarning` is emitted) and applied on top of
-           ``settings``.
     id_attributes:
         Attribute names treated as IDs when XML text is parsed here.
+    settings:
+        An :class:`EvalSettings` value (or mapping of its fields); defaults
+        to the default session's settings.
+    **overrides:
+        :class:`EvalSettings` field names applied on top of ``settings`` —
+        ``evaluate(q, engine="sql", use_index=False, trace=True)`` — the
+        same spelling :meth:`Session.evaluate` takes.  An unknown name
+        raises :class:`TypeError`.
     """
-    settings = merge_legacy_kwargs(settings, {
-        "ifp_algorithm": ifp_algorithm,
-        "distributivity_checker": distributivity_checker,
-        "engine": engine,
-        "backend": backend,
-        "optimize": optimize,
-        "use_index": use_index,
-        "use_pushdown": use_pushdown,
-        "use_cache": use_cache,
-        "profile": profile,
-    })
-    overrides = {} if trace is None else {"trace": bool(trace)}
     return default_session().evaluate(
         query, documents=documents, variables=variables,
         context_item=context_item, settings=settings,
@@ -140,18 +110,9 @@ def evaluate_query(module: ast.Module,
                    documents: Mapping[str, DocumentNode | str] | DocumentResolver | None = None,
                    variables: Mapping[str, Sequence[Any] | Any] | None = None,
                    context_item: Any = None,
-                   ifp_algorithm: str | None = None,
-                   distributivity_checker: str | None = None,
-                   engine: Engine | str | None = None,
-                   backend: str | None = None,
-                   optimize: bool | None = None,
-                   use_index: bool | None = None,
-                   use_pushdown: bool | None = None,
-                   use_cache: bool | None = None,
-                   profile: bool | None = None,
-                   trace: bool | None = None,
                    id_attributes: Iterable[str] = ("id", "xml:id"),
-                   settings: EvalSettings | Mapping[str, Any] | None = None) -> QueryResult:
+                   settings: EvalSettings | Mapping[str, Any] | None = None,
+                   **overrides: Any) -> QueryResult:
     """Evaluate an already-parsed query module (see :func:`evaluate`).
 
     The plan cache keys on the module *object*, so repeated calls benefit
@@ -159,18 +120,6 @@ def evaluate_query(module: ast.Module,
     arranges via its module cache, and :meth:`repro.session.Session.prepare`
     exposes directly).
     """
-    settings = merge_legacy_kwargs(settings, {
-        "ifp_algorithm": ifp_algorithm,
-        "distributivity_checker": distributivity_checker,
-        "engine": engine,
-        "backend": backend,
-        "optimize": optimize,
-        "use_index": use_index,
-        "use_pushdown": use_pushdown,
-        "use_cache": use_cache,
-        "profile": profile,
-    })
-    overrides = {} if trace is None else {"trace": bool(trace)}
     return default_session().evaluate_query(
         module, documents=documents, variables=variables,
         context_item=context_item, settings=settings,

@@ -39,7 +39,7 @@ from repro.fixpoint.stats import StatisticsCollector
 from repro.observability import TraceContext, maybe_span, phase_summary
 from repro.xdm.items import is_node, string_value_of_item
 from repro.xdm.node import DocumentNode
-from repro.xquery.context import DocumentResolver, DynamicContext, EvaluationOptions, StaticContext
+from repro.xquery.context import DocumentResolver, DynamicContext, StaticContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.optimizer import optimize_module
 from repro.xquery.parser import parse_query
@@ -212,8 +212,7 @@ class BenchmarkHarness:
         module = self._module(prepared, ("ifp", algorithm, limit), query)
         statistics = StatisticsCollector()
         context = DynamicContext(
-            static=StaticContext(options=EvaluationOptions(collect_statistics=True,
-                                                           trace=trace)),
+            static=StaticContext(trace=trace),
             documents=prepared.resolver,
             statistics=statistics,
         )
@@ -244,7 +243,7 @@ class BenchmarkHarness:
         query = prepared.workload.udf_query(variant=variant, seed_limit=limit)
         module = self._module(prepared, ("udf", variant, limit), query)
         context = DynamicContext(
-            static=StaticContext(options=EvaluationOptions(trace=trace)),
+            static=StaticContext(trace=trace),
             documents=prepared.resolver)
         evaluator = Evaluator()
         started = time.perf_counter()
@@ -346,8 +345,7 @@ class BenchmarkHarness:
             prepared.sql_store = store
         statistics = StatisticsCollector()
         context = DynamicContext(
-            static=StaticContext(options=EvaluationOptions(collect_statistics=True,
-                                                           trace=trace)),
+            static=StaticContext(trace=trace),
             documents=prepared.resolver,
             statistics=statistics,
         )

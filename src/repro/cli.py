@@ -64,13 +64,11 @@ def main(argv: list[str] | None = None) -> int:
                              "(A/B escape hatch)")
     parser.add_argument("--no-plan-cache", action="store_true",
                         help="disable the parsed-module / compiled-plan caches")
-    parser.add_argument("--profile", action="store_true",
-                        help="print per-axis/per-kernel batch-vs-fallback hit "
-                             "and timing counters after evaluation")
     parser.add_argument("--trace", action="store_true",
                         help="print the query's span tree (parse/compile/execute "
                              "phases, per-fixpoint-round sizes, SQL statement "
-                             "timings) after evaluation")
+                             "timings, kernel:* batch-vs-fallback counters) "
+                             "after evaluation")
     parser.add_argument("--timeout-s", type=float, default=None, metavar="SECONDS",
                         help="wall-clock deadline for the evaluation; exceeding "
                              "it exits with a QueryTimeout (status 3)")
@@ -146,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         use_index=not arguments.no_index,
         use_pushdown=not arguments.no_pushdown,
         use_cache=not arguments.no_plan_cache,
-        profile=arguments.profile,
         trace=arguments.trace,
         limits=limits,
     )
@@ -171,11 +168,6 @@ def main(argv: list[str] | None = None) -> int:
             f"max recursion depth: {result.recursion_depth}",
             file=sys.stderr,
         )
-    if arguments.profile:
-        from repro.xquery.pushdown import format_profile
-
-        print("\n-- pushdown profile (batch vs fallback)", file=sys.stderr)
-        print(format_profile(result.profile or {}), file=sys.stderr)
     return 0
 
 

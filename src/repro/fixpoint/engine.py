@@ -41,13 +41,12 @@ class FixpointEngine:
     max_iterations:
         Iteration bound standing in for "the IFP is undefined"
         (Definition 2.1).
-    collect_statistics:
-        Whether to record the per-iteration measurements of Table 2.
+
+    Every run records the per-iteration measurements of Table 2.
     """
 
-    def __init__(self, max_iterations: int = 100_000, collect_statistics: bool = True):
+    def __init__(self, max_iterations: int = 100_000):
         self.max_iterations = max_iterations
-        self.collect_statistics = collect_statistics
 
     def run(self, body: Callable[[list], list], seed: Sequence,
             algorithm: str = "naive", seed_is_initial_result: bool = False,
@@ -66,7 +65,7 @@ class FixpointEngine:
         """
         if algorithm not in ALGORITHMS:
             raise FixpointError(f"unknown fixed point algorithm '{algorithm}'")
-        statistics = FixpointStatistics(algorithm=algorithm) if self.collect_statistics else None
+        statistics = FixpointStatistics(algorithm=algorithm)
         span = (trace.begin("fixpoint", algorithm=algorithm, seed=len(seed))
                 if trace is not None else None)
         try:
@@ -82,9 +81,8 @@ class FixpointEngine:
             if span is not None:
                 trace.end(span)
         if span is not None:
-            span.set(result_size=len(value),
-                     rounds=statistics.recursion_depth if statistics else None)
-        return FixpointResult(value=value, statistics=statistics or FixpointStatistics(algorithm=algorithm))
+            span.set(result_size=len(value), rounds=statistics.recursion_depth)
+        return FixpointResult(value=value, statistics=statistics)
 
     def run_both(self, body: Callable[[list], list], seed: Sequence,
                  seed_is_initial_result: bool = False) -> dict[str, FixpointResult]:

@@ -6,15 +6,14 @@ legally run for minutes.  This module provides the substrate that keeps
 such queries bounded:
 
 * :class:`ResourceLimits` — a frozen bundle of limits carried on
-  :class:`~repro.settings.EvalSettings` (and, like ``trace``, copied onto
-  :class:`~repro.xquery.context.EvaluationOptions`).
+  :class:`~repro.settings.EvalSettings` (``settings.limits``).
 * :class:`Deadline` — a monotonic wall-clock deadline.
 * :class:`CancelToken` — a thread-safe flag an outside party (service
   drain, client disconnect) sets to stop an in-flight query.
 * :class:`Governor` — the live per-evaluation object engines consult.  The
-  session builds one from the limits + token and swaps it into
-  ``options.limits`` before evaluation (exactly the ``trace`` pattern), so
-  engine sites normalize through :func:`active_governor`.
+  session builds one from the limits + token and hands it to the engines
+  in its own typed slot, ``StaticContext.governor`` (``None`` when the
+  evaluation is ungoverned) — engine sites read it directly.
 
 Engines check cooperatively:
 
@@ -42,15 +41,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import BudgetExceeded, QueryCancelled, QueryTimeout
 
 #: How many :meth:`Governor.checkpoint` calls elapse between full checks
 #: (cancel flag + clock).  The amortized call is three interpreter ops —
 #: increment, compare, return — so governed-but-untriggered evaluation
-#: stays within the <2% overhead budget (``benchmarks/
-#: check_limits_overhead.py`` guards this).  Round boundaries always run
+#: stays within the <2% overhead budget (``benchmarks/check_overhead.py``
+#: guards this).  Round boundaries always run
 #: the full check via :meth:`Governor.check_round`, so cancellation
 #: latency is bounded by one fixpoint round or one stride of steps,
 #: whichever comes first.
@@ -170,9 +168,8 @@ class Governor:
     """The live per-evaluation governance object engines consult.
 
     Built by the session from a :class:`ResourceLimits` (plus an optional
-    :class:`CancelToken`) at the start of each evaluation, then swapped
-    into ``options.limits`` the way the live ``TraceContext`` replaces the
-    ``trace`` boolean.  One governor serves one evaluation; it is consulted
+    :class:`CancelToken`) at the start of each evaluation and carried as
+    ``StaticContext.governor``.  One governor serves one evaluation; it is consulted
     from the evaluating thread only (the cancel token is what crosses
     threads).
     """
@@ -191,7 +188,7 @@ class Governor:
         #: Python frame — hot interpreter sites use it inline
         #: (``if governor is not None and governor.tick(): check_now()``)
         #: so governed-but-untriggered evaluation stays within the <2%
-        #: budget that ``benchmarks/check_limits_overhead.py`` enforces.
+        #: budget that ``benchmarks/check_overhead.py`` enforces.
         self.tick = itertools.cycle(
             (False,) * (stride - 1) + (True,)).__next__
         self._rss_start_kb = (_rss_kb()
@@ -278,19 +275,6 @@ class Governor:
         raise QueryTimeout(timeout_s=self.limits.timeout_s)
 
 
-def active_governor(value: Any) -> Governor | None:
-    """Normalize an ``options.limits`` field to a live governor or ``None``.
-
-    Mirrors ``active_trace``: :meth:`EvalSettings.to_options` seeds the
-    field with the frozen :class:`ResourceLimits` (or ``None``), and the
-    session swaps a live :class:`Governor` in before evaluation.  Engine
-    sites must treat anything that is not a governor as "ungoverned" —
-    a bare ``ResourceLimits`` reaching an engine means the caller bypassed
-    the session, where enforcement is best-effort by design.
-    """
-    return value if isinstance(value, Governor) else None
-
-
 @contextmanager
 def sqlite_guard(connection, governor: Governor | None,
                  stride: int = SQLITE_PROGRESS_STRIDE):
@@ -319,5 +303,4 @@ def sqlite_guard(connection, governor: Governor | None,
 
 
 __all__ = ["ResourceLimits", "Deadline", "CancelToken", "Governor",
-           "active_governor", "sqlite_guard", "CHECKPOINT_STRIDE",
-           "SQLITE_PROGRESS_STRIDE"]
+           "sqlite_guard", "CHECKPOINT_STRIDE", "SQLITE_PROGRESS_STRIDE"]

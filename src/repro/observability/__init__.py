@@ -29,7 +29,6 @@ from repro.observability.metrics import (
 from repro.observability.tracing import (
     Span,
     TraceContext,
-    active_trace,
     current_trace,
     format_span_tree,
     maybe_span,
@@ -45,7 +44,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "TraceContext",
-    "active_trace",
     "current_trace",
     "format_span_tree",
     "inject_label",

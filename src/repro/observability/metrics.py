@@ -97,6 +97,11 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to *value* if it is higher (high-water marks)."""
+        with self._lock:
+            self._value = max(self._value, float(value))
+
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount
@@ -192,6 +197,9 @@ class MetricFamily:
 
     def set(self, value: float) -> None:
         self._solo().set(value)
+
+    def set_max(self, value: float) -> None:
+        self._solo().set_max(value)
 
     def observe(self, value: float) -> None:
         self._solo().observe(value)

@@ -1,24 +1,25 @@
 """Per-query trace spans: what an evaluation spent its time on.
 
 A :class:`TraceContext` is created per traced query (``evaluate(...,
-trace=True)``) and threaded through the engines via
-:class:`~repro.xquery.context.EvaluationOptions`.  It builds one **span
-tree**: the root ``query`` span with phase children (``parse``,
+trace=True)``) and handed to the engines as
+:attr:`StaticContext.trace <repro.xquery.context.StaticContext>`.  It
+builds one **span tree**: the root ``query`` span with phase children (``parse``,
 ``compile``, ``execute``, ``decode``), engine-specific descendants —
 ``fixpoint`` spans with one ``round`` child per iteration carrying the
 frontier/delta/accumulator sizes of Figure 3's algorithms, ``sql`` spans
 with statement timings, ``index-build`` spans for lazy structural-index
-construction — and ``kernel:*`` summary spans absorbing the PR 4
-batch-vs-fallback profile counters.
+construction — and ``kernel:*`` summary spans carrying the query's own
+batch-vs-fallback pushdown counters (:meth:`TraceContext.record_kernel`:
+the counters live on the context of the query that produced them, so
+concurrent queries never see each other's kernel hits and traced queries
+never wait on one another).
 
 Design constraints:
 
 * **Zero-cost when off.**  Every instrumentation site guards on ``trace
-  is not None`` (or the falsy default that
-  :meth:`~repro.settings.EvalSettings.to_options` leaves in the options),
-  so the disabled path adds one attribute read and a branch —
-  ``benchmarks/check_trace_overhead.py`` holds this under 2 % on the
-  smoke workload.
+  is not None``, so the disabled path adds one attribute read and a
+  branch — the ledger watches it (``interpreter_ms`` on ``closure-delta``
+  parent vs change; ``trace.overhead_share`` for the enabled cost).
 * **Single-threaded trees.**  One query evaluates on one thread, so the
   context keeps a plain current-span stack; nested sites (a fixpoint
   round evaluating a body that builds an index) attach to the innermost
@@ -112,11 +113,12 @@ class TraceContext:
     children left open by an exception unwind cannot corrupt the stack.
     """
 
-    __slots__ = ("root", "_stack")
+    __slots__ = ("root", "_stack", "_kernels")
 
     def __init__(self, name: str = "query", **attributes: Any):
         self.root = Span(name, attributes)
         self._stack: list[Span] = [self.root]
+        self._kernels: dict[str, dict] = {}
 
     # -- span construction ---------------------------------------------------
 
@@ -149,10 +151,36 @@ class TraceContext:
     def current(self) -> Span:
         return self._stack[-1]
 
+    def record_kernel(self, name: str, batch: bool, seconds: float = 0.0) -> None:
+        """Count one pushdown-kernel application of this query.
+
+        *batch* tells whether the batch kernel answered or the per-item
+        fallback ran; :meth:`finish` ships the totals as one
+        ``kernel:<name>`` span each (``batch``/``fallback`` counts plus
+        cumulative ``*_seconds``).
+        """
+        entry = self._kernels.get(name)
+        if entry is None:
+            entry = self._kernels[name] = {
+                "batch": 0, "fallback": 0,
+                "batch_seconds": 0.0, "fallback_seconds": 0.0,
+            }
+        kind = "batch" if batch else "fallback"
+        entry[kind] += 1
+        entry[kind + "_seconds"] += seconds
+
     def finish(self) -> Span:
-        """Close every open span (the root last); returns the root."""
+        """Close every open span, append the ``kernel:*`` summaries to the
+        root and close it; returns the root."""
         while len(self._stack) > 1:
             self._stack.pop().finish()
+        for name, entry in sorted(self._kernels.items()):
+            summary = Span(f"kernel:{name}", {
+                key: round(value, 6) if isinstance(value, float) else value
+                for key, value in entry.items()})
+            summary.finish()
+            self.root.children.append(summary)
+        self._kernels = {}
         self.root.finish()
         return self.root
 
@@ -165,8 +193,8 @@ class TraceContext:
     def activate(self):
         """Install this context as the thread's current trace.
 
-        Instrumentation sites without a parameter path to the options —
-        the lazy structural-index builds of :mod:`repro.xdm.index` —
+        Instrumentation sites without a parameter path to the static
+        context — the lazy structural-index builds of :mod:`repro.xdm.index` —
         consult :func:`current_trace` instead; they only pay the
         thread-local read on cache misses.
         """
@@ -186,18 +214,6 @@ def current_trace() -> TraceContext | None:
     return getattr(_ACTIVE, "trace", None)
 
 
-def active_trace(value: Any) -> TraceContext | None:
-    """Normalize an options-carried trace value to a context or ``None``.
-
-    :meth:`EvalSettings.to_options` copies the *boolean* ``trace`` field
-    into the options (keeping the two dataclasses field-for-field in
-    sync); the session then swaps the live :class:`TraceContext` in.
-    Engine sites call this so a stray boolean can never be used as a
-    context.
-    """
-    return value if isinstance(value, TraceContext) else None
-
-
 def maybe_span(trace: TraceContext | None, name: str, **attributes: Any):
     """``trace.span(...)`` or a null context yielding ``None``."""
     if trace is None:
@@ -208,13 +224,6 @@ def maybe_span(trace: TraceContext | None, name: str, **attributes: Any):
 # ---------------------------------------------------------------------------
 # rendering & summarization
 # ---------------------------------------------------------------------------
-
-
-def _format_attributes(span: Span) -> str:
-    if not span.attributes:
-        return ""
-    parts = ", ".join(f"{key}={value}" for key, value in span.attributes.items())
-    return f" ({parts})"
 
 
 def format_span_tree(span: Span | dict, indent: str = "") -> str:
@@ -247,13 +256,16 @@ def phase_summary(span: Span | dict) -> dict[str, dict]:
     "fixpoint": {...}, "round": {"seconds": ..., "count": 7}}``.  Nested
     spans contribute to their own name *and* remain inside their parents'
     totals (phases overlap by construction: a ``round`` runs inside its
-    ``fixpoint`` which runs inside ``execute``).
+    ``fixpoint`` which runs inside ``execute``).  The ``kernel:*``
+    summaries are counters, not timed phases, and are left out.
     """
     if isinstance(span, Span):
         span = span.to_dict()
     summary: dict[str, dict] = {}
 
     def visit(node: dict, top: bool) -> None:
+        if node["name"].startswith("kernel:"):
+            return
         if not top:  # the root span is the whole run, not a phase
             entry = summary.setdefault(node["name"], {"seconds": 0.0, "count": 0})
             entry["seconds"] = round(entry["seconds"] + node["elapsed_ms"] / 1000.0, 6)
@@ -268,7 +280,6 @@ def phase_summary(span: Span | dict) -> dict[str, dict]:
 __all__ = [
     "Span",
     "TraceContext",
-    "active_trace",
     "current_trace",
     "format_span_tree",
     "maybe_span",

@@ -181,25 +181,19 @@ def serialize_items(items: list) -> list[str]:
 
 
 class ServiceStats:
-    """Request telemetry over a :class:`MetricsRegistry`.
+    """Request telemetry: named handles on a :class:`MetricsRegistry`.
 
-    Every mutation goes through the registry's single lock, so counter
-    reads are exact (N threads × M requests always shows N·M).  The
-    JSON shape of :meth:`snapshot` — what ``GET /stats`` serves — is
-    unchanged from the pre-registry implementation; ``GET /metrics``
-    renders the same families in Prometheus text format.
+    The registry is the only store.  Every mutation goes through its
+    single lock, so counter reads are exact (N threads × M requests always
+    shows N·M); :meth:`snapshot` — the ``service`` block of ``GET /stats``
+    — and ``GET /metrics`` are two renderings of the same families.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
         #: Monotonic start mark — wall-clock (``time.time``) jumps with NTP
         #: steps and would make uptime/drain arithmetic wrong.
         self.started_at = time.monotonic()
-        self.peak_in_flight = 0
-        self._requests_total = 0
-        self._errors_total = 0
-        self._max_seconds: dict[str, float] = {}
         self._requests = self.registry.counter(
             "repro_requests_total", "Queries handled, by engine.", ("engine",))
         self._errors = self.registry.counter(
@@ -209,6 +203,9 @@ class ServiceStats:
             ("engine",))
         self._in_flight = self.registry.gauge(
             "repro_requests_in_flight", "Queries currently evaluating.")
+        self._peak = self.registry.gauge(
+            "repro_peak_requests_in_flight",
+            "High-water mark of concurrent queries.")
         self._rounds = self.registry.histogram(
             "repro_fixpoint_rounds", "Recursion depth per IFP evaluation, by engine.",
             ("engine",), buckets=FIXPOINT_ROUND_BUCKETS)
@@ -242,23 +239,14 @@ class ServiceStats:
 
     def enter(self) -> None:
         self._in_flight.inc()
-        with self._lock:
-            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        self._peak.set_max(self._in_flight.value)
 
-    def exit(self, engine: str | None, seconds: float, error: bool) -> None:
+    def exit(self, engine: str, seconds: float, error: bool) -> None:
         self._in_flight.dec()
-        with self._lock:
-            self._requests_total += 1
-            if error:
-                self._errors_total += 1
-        if engine is not None:
-            self._requests.labels(engine=engine).inc()
-            if error:
-                self._errors.labels(engine=engine).inc()
-            self._latency.labels(engine=engine).observe(seconds)
-            with self._lock:
-                if seconds > self._max_seconds.get(engine, 0.0):
-                    self._max_seconds[engine] = seconds
+        self._requests.labels(engine=engine).inc()
+        if error:
+            self._errors.labels(engine=engine).inc()
+        self._latency.labels(engine=engine).observe(seconds)
 
     def observe_rounds(self, engine: str, rounds: int) -> None:
         """Record one IFP evaluation's recursion depth."""
@@ -297,25 +285,19 @@ class ServiceStats:
         engines = {}
         for (name,), child in self._requests.children().items():
             count = int(child.value)
-            latency = self._latency.labels(engine=name).snapshot()
-            with self._lock:
-                max_seconds = self._max_seconds.get(name, 0.0)
+            seconds = self._latency.labels(engine=name).snapshot()["sum"]
             engines[name] = {
                 "count": count,
                 "errors": int(self._errors.labels(engine=name).value),
-                "total_seconds": latency["sum"],
-                "max_seconds": max_seconds,
-                "mean_seconds": latency["sum"] / count if count else 0.0,
+                "total_seconds": seconds,
+                "mean_seconds": seconds / count if count else 0.0,
             }
-        with self._lock:
-            requests, errors = self._requests_total, self._errors_total
-            peak = self.peak_in_flight
         return {
             "uptime_seconds": time.monotonic() - self.started_at,
             "in_flight": self.in_flight,
-            "peak_in_flight": peak,
-            "requests": requests,
-            "errors": errors,
+            "peak_in_flight": int(self._peak.value),
+            "requests": sum(entry["count"] for entry in engines.values()),
+            "errors": sum(entry["errors"] for entry in engines.values()),
             "rejections": int(self._rejections.value),
             "engines": engines,
         }
@@ -593,8 +575,6 @@ class QueryService:
             "engine": engine,
             "elapsed_ms": elapsed_ms,
         }
-        if result.profile is not None:
-            response["profile"] = result.profile
         if trace_requested and result.trace is not None:
             response["trace"] = result.trace.to_dict()
         return response
@@ -725,9 +705,6 @@ class QueryService:
         registry.gauge("repro_documents",
                        "Documents registered in the session.").set(
             session_stats["documents"])
-        registry.gauge("repro_peak_requests_in_flight",
-                       "High-water mark of concurrent queries.").set(
-            self.stats.peak_in_flight)
 
         hits = registry.gauge("repro_cache_hits",
                               "Cumulative cache hits, by cache.", ("cache",))

@@ -20,7 +20,12 @@ A :class:`Session` owns all of it explicitly:
 * its **SQLite store pool** (:class:`repro.sqlbackend.pool.SqlStorePool`):
   one store per worker thread, shredded relations reused across requests;
 * its **default settings**, overridable per call
-  (``session.evaluate(query, engine="sql")``).
+  (``session.evaluate(query, engine="sql")``): one
+  :class:`~repro.settings.EvalSettings` value is resolved per evaluation
+  and handed to the engines unchanged on
+  :class:`~repro.xquery.context.StaticContext`, next to the run's live
+  :class:`~repro.observability.tracing.TraceContext` and
+  :class:`~repro.limits.Governor` (each ``None`` unless asked for).
 
 The module-level :func:`repro.api.evaluate` is a thin wrapper over one
 process-wide default session, so existing code keeps its behavior.
@@ -28,7 +33,8 @@ process-wide default session, so existing code keeps its behavior.
 Lock order (narrowest first, see DESIGN.md §8): an evaluation thread may
 take the session lock, then a cache lock, then the structural-index
 registry lock — never the reverse.  No lock is held while a query body
-actually evaluates.
+actually evaluates — traced runs included: the kernel counters of a
+traced query live on its own trace context, not behind a session lock.
 """
 
 from __future__ import annotations
@@ -64,11 +70,10 @@ class QueryResult:
 
     items: list
     statistics: StatisticsCollector = field(default_factory=StatisticsCollector)
-    #: Batch-vs-fallback kernel counters (``profile=True`` runs).
-    profile: dict | None = None
     #: Root :class:`~repro.observability.tracing.Span` of ``trace=True``
     #: runs (``None`` otherwise): the query span tree — parse, compile,
-    #: execute, decode phases with per-fixpoint-round children.
+    #: execute, decode phases with per-fixpoint-round children and the
+    #: ``kernel:*`` batch-vs-fallback counters of this query.
     trace: Span | None = None
     #: The static-analysis report of the compiled module
     #: (``settings.analyze`` runs, ``None`` otherwise): scope diagnostics,
@@ -116,10 +121,9 @@ class Session:
     documents:
         Initial corpus: mapping from URI to a parsed document or XML text
         (registered via :meth:`register_document`).
-    settings / options:
-        Default :class:`EvalSettings` of this session (``options`` is an
-        accepted alias; a mapping of field names also works).  Per-call
-        settings/overrides take precedence.
+    settings:
+        Default :class:`EvalSettings` of this session (a mapping of field
+        names also works).  Per-call settings/overrides take precedence.
     id_attributes:
         Attribute names treated as IDs when XML text is parsed here.
     module_cache_size / plan_cache_size:
@@ -141,7 +145,6 @@ class Session:
                  documents: Mapping[str, DocumentNode | str] | None = None,
                  *,
                  settings: EvalSettings | Mapping[str, Any] | None = None,
-                 options: EvalSettings | Mapping[str, Any] | None = None,
                  id_attributes: Iterable[str] = ("id", "xml:id"),
                  module_cache_size: int = 256,
                  plan_cache_size: int = 64,
@@ -150,9 +153,7 @@ class Session:
                  faults: "faults_module.FaultPlan | str | None" = None):
         from repro.sqlbackend.pool import SqlStorePool
 
-        if settings is not None and options is not None:
-            raise TypeError("pass either settings= or options=, not both")
-        self.settings = coerce_settings(settings if settings is not None else options)
+        self.settings = coerce_settings(settings)
         self.id_attributes = tuple(id_attributes)
         self._lock = threading.RLock()
         self._documents: dict[str, DocumentNode] = {}
@@ -162,11 +163,6 @@ class Session:
         self._plan_cache = plancache.LRUCache(plan_cache_size)
         self._analysis_cache = plancache.LRUCache(module_cache_size)
         self._sql_pool = SqlStorePool(mode=sql_store, directory=sql_store_dir)
-        #: Serializes ``profile=True`` runs: the pushdown profiler is a
-        #: process-global accumulator, so profiled evaluations must not
-        #: interleave with each other (concurrent unprofiled traffic still
-        #: runs, its kernel hits simply land in the active snapshot).
-        self._profile_lock = threading.Lock()
         self._closed = False
         self._fault_plan: faults_module.FaultPlan | None = None
         if faults is not None:
@@ -282,7 +278,7 @@ class Session:
         ``cancel_token`` lets another thread stop the evaluation
         cooperatively (:class:`~repro.limits.CancelToken`).
         """
-        settings = self._resolve_settings(settings, overrides)
+        settings = coerce_settings(settings, self.settings, **overrides)
         trace = (TraceContext("query", engine=str(settings.engine.value))
                  if settings.trace else None)
         module = self._module_for(query, settings, trace)
@@ -304,7 +300,7 @@ class Session:
         (the fresh object cannot be plan-cached); :meth:`prepare` is the
         parse-once path that keeps the plan cache effective.
         """
-        settings = self._resolve_settings(settings, overrides)
+        settings = coerce_settings(settings, self.settings, **overrides)
         return self._evaluate(module, documents, variables, context_item,
                               settings, id_attributes, pre_optimized=False,
                               cancel_token=cancel_token)
@@ -318,16 +314,10 @@ class Session:
         so repeated ``prepared(variables=...)`` calls skip lexing, parsing
         and (on the algebra engine, for cache-safe modules) compilation.
         """
-        settings = self._resolve_settings(settings, overrides)
+        settings = coerce_settings(settings, self.settings, **overrides)
         module = self._module_for(query, settings)
         return PreparedQuery(session=self, query=query, module=module,
                              settings=settings)
-
-    def _resolve_settings(self, settings, overrides: Mapping[str, Any]) -> EvalSettings:
-        resolved = coerce_settings(settings, self.settings)
-        if overrides:
-            resolved = resolved.replace(**overrides)
-        return resolved
 
     def _module_for(self, query: str, settings: EvalSettings,
                     trace: TraceContext | None = None) -> ast.Module:
@@ -359,43 +349,6 @@ class Session:
             # evaluate_query()/PreparedQuery.run() land here without a
             # context (no parse phase to cover) — open the root now.
             trace = TraceContext("query", engine=str(settings.engine.value))
-        if not settings.profile and trace is None:
-            return self._evaluate_inner(module, documents, variables, context_item,
-                                        settings, id_attributes, pre_optimized, None,
-                                        cancel_token=cancel_token)
-
-        from repro.xquery.pushdown import PROFILE
-
-        # Profiled *and* traced runs serialize here: the pushdown profiler
-        # is a process-global accumulator, so such evaluations must not
-        # interleave with each other (concurrent plain traffic still runs,
-        # its kernel hits simply land in the active snapshot).  Traced runs
-        # borrow the same window to absorb the kernel counters as spans.
-        with self._profile_lock:
-            PROFILE.reset()
-            PROFILE.enabled = True
-            try:
-                result = self._evaluate_inner(
-                    module, documents, variables, context_item,
-                    settings.replace(profile=False), id_attributes,
-                    pre_optimized, trace, cancel_token=cancel_token)
-            finally:
-                PROFILE.enabled = False
-            counters = PROFILE.snapshot()
-        if settings.profile:
-            result.profile = counters
-        if trace is not None:
-            for name, entry in counters.items():
-                attrs = {key: (round(value, 6) if isinstance(value, float) else value)
-                         for key, value in entry.items()}
-                trace.end(trace.begin(f"kernel:{name}", **attrs))
-            result.trace = trace.finish()
-        return result
-
-    def _evaluate_inner(self, module: ast.Module, documents, variables, context_item,
-                        settings: EvalSettings, id_attributes,
-                        pre_optimized: bool, trace: TraceContext | None,
-                        cancel_token: CancelToken | None = None) -> QueryResult:
         plan_cacheable = pre_optimized or not settings.optimize
         if settings.optimize and not pre_optimized:
             with maybe_span(trace, "optimize"):
@@ -421,21 +374,13 @@ class Session:
             analysis.raise_first()
 
         statistics = StatisticsCollector()
-        options = settings.to_options()
-        if trace is not None:
-            # Swap the live context in over the boolean that to_options()
-            # copied (see EvaluationOptions.trace).
-            options.trace = trace
         governor = None
         if settings.limits is not None or cancel_token is not None:
-            # Same swap pattern as trace: to_options() seeded the field
-            # with the frozen ResourceLimits; the live Governor (deadline
-            # started here, so compile time counts) replaces it.
+            # The deadline starts here, so compile time counts.
             governor = Governor(settings.limits or ResourceLimits(),
                                 token=cancel_token)
-            options.limits = governor
         context = DynamicContext(
-            static=StaticContext(options=options),
+            static=StaticContext(settings=settings, trace=trace, governor=governor),
             documents=resolver,
             statistics=statistics,
         )
@@ -461,10 +406,12 @@ class Session:
                 result = QueryResult(items=items, statistics=statistics)
             else:
                 result = self._evaluate_algebra(module, resolver, variables,
-                                                statistics, settings,
-                                                plan_cacheable, trace,
-                                                governor=governor)
+                                                context_item, statistics,
+                                                settings, plan_cacheable,
+                                                trace, governor)
         result.analysis = analysis
+        if trace is not None:
+            result.trace = trace.finish()
         return result
 
     def _analysis_for(self, module: ast.Module, variables,
@@ -494,10 +441,10 @@ class Session:
         return report
 
     def _evaluate_algebra(self, module: ast.Module, resolver: DocumentResolver,
-                          variables, statistics, settings: EvalSettings,
-                          plan_cacheable: bool,
-                          trace: TraceContext | None = None,
-                          governor: Governor | None = None) -> QueryResult:
+                          variables, context_item, statistics,
+                          settings: EvalSettings, plan_cacheable: bool,
+                          trace: TraceContext | None,
+                          governor: Governor | None) -> QueryResult:
         """Compile (or fetch) and run the algebra plan of *module*."""
         from repro.algebra.compiler import AlgebraCompiler
         from repro.algebra.evaluator import AlgebraEvaluator
@@ -515,26 +462,28 @@ class Session:
         # fresh per call: caching would only fill the LRU with entries that
         # can never hit, each pinning documents.  The settings component is
         # the normalized EvalSettings plan key — backend and pushdown shape
-        # the compiled plan, everything else is evaluation-time.
+        # the compiled plan, everything else is evaluation-time.  The
+        # context item is compiled in as the focus, so its identity keys
+        # the plan too (the cached plan keeps it alive).
         if settings.use_cache and plan_cacheable and plancache.module_cache_safe(module):
             plan_key = (
                 plancache.fingerprint([module]),
                 settings.plan_key(resolve_backend(settings.backend).backend_name),
                 plancache.documents_fingerprint(resolver),
+                None if context_item is None else id(context_item),
             )
             plan = self._plan_cache.get(plan_key)
             plan_cache_state = "hit" if plan is not None else "miss"
         if plan is None:
-            default_document = None
-            known = resolver.known_uris()
-            if known:
-                default_document = resolver.resolve(known[0])
-            compiler = AlgebraCompiler(documents=resolver, document=default_document,
+            compiler = AlgebraCompiler(documents=resolver,
                                        functions=module.function_map(),
                                        backend=settings.backend,
                                        push_predicates=settings.use_pushdown)
             evaluator = Evaluator()
             compile_context = compiler.initial_context()
+            if context_item is not None:
+                compile_context.focus = LiteralTable(compiler.storage(
+                    ("iter", "pos", "item"), [(1, 1, context_item)]))
             bound_variables = {name: list(value) if isinstance(value, (list, tuple)) else [value]
                                for name, value in (variables or {}).items()}
             for declaration in module.variables:
@@ -635,9 +584,7 @@ class PreparedQuery:
             settings: EvalSettings | Mapping[str, Any] | None = None,
             cancel_token: CancelToken | None = None,
             **overrides: Any) -> QueryResult:
-        resolved = coerce_settings(settings, self.settings)
-        if overrides:
-            resolved = resolved.replace(**overrides)
+        resolved = coerce_settings(settings, self.settings, **overrides)
         return self.session._evaluate(self.module, documents, variables,
                                       context_item, resolved, None,
                                       pre_optimized=True,

@@ -1,30 +1,29 @@
-"""Evaluation settings: one frozen object instead of nine tuning kwargs.
+"""Evaluation settings: the one settings type, from ``evaluate()`` to the engines.
 
-:func:`repro.api.evaluate` grew a knob per PR — engine, backend, algorithm
-policy, index/pushdown/cache escape hatches, profiling — and every layer
-that forwards a query (the CLI, the benchmark harness, the service) had to
-thread all of them through by hand.  :class:`EvalSettings` collapses them
-into a single immutable, hashable value:
+:class:`EvalSettings` is a single immutable, hashable value bundling every
+engine/tuning knob of an evaluation.  Every entry point —
+:func:`repro.api.evaluate`, :meth:`repro.session.Session.evaluate`,
+``prepare``/``run``, the CLI, the service — accepts ``settings=`` (a value
+or a mapping of its fields) plus ``**overrides`` named after its fields,
+validated by :meth:`EvalSettings.replace`; the engines read the very same
+value off :class:`~repro.xquery.context.StaticContext.settings`.
 
 * immutable, so a settings object can be shared between threads and stored
   inside cache keys without defensive copying;
 * hashable, so the compiled-plan cache keys on it directly
   (:meth:`EvalSettings.plan_key` normalizes away the fields that do not
-  change the compiled plan's shape);
-* convertible, so the engine-facing
-  :class:`~repro.xquery.context.EvaluationOptions` is derived from it in
-  exactly one place (:meth:`EvalSettings.to_options`) — the two cannot
-  drift apart silently (a test asserts the shared fields stay in sync).
+  change the compiled plan's shape).
 
-The legacy keyword arguments of ``evaluate()``/``evaluate_query()`` keep
-working through :func:`merge_legacy_kwargs`, which emits a
-:class:`DeprecationWarning` and folds them into a settings value.
+The two *live* per-run objects a settings value asks for — the
+:class:`~repro.observability.tracing.TraceContext` of ``trace=True`` and
+the :class:`~repro.limits.Governor` of ``limits=...`` — are built by the
+session and ride beside the settings in their own typed
+``StaticContext`` slots; they are never stored in a settings field.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Mapping
@@ -43,14 +42,6 @@ class Engine(str, Enum):
     #: The SQLite backend: documents shredded into pre/post tables and each
     #: fixpoint run as a recursive CTE (or the temp-table driver loop).
     SQL = "sql"
-
-
-#: The tuning knobs ``evaluate()`` historically took as keyword arguments,
-#: in their historical order — the deprecation shim accepts exactly these.
-LEGACY_TUNING_KWARGS = (
-    "ifp_algorithm", "distributivity_checker", "engine", "backend",
-    "optimize", "use_index", "use_pushdown", "use_cache", "profile",
-)
 
 
 @dataclass(frozen=True)
@@ -85,26 +76,22 @@ class EvalSettings:
         Route recognized predicate shapes through the batch kernels.
     use_cache:
         Serve parsed modules / compiled plans from the session caches.
-    profile:
-        Collect per-kernel batch-vs-fallback counters for this run.
     trace:
         Collect a per-query trace span tree
         (:mod:`repro.observability.tracing`): phase spans, per-fixpoint
-        round spans with delta sizes, kernel counters.  The session
-        builds the live :class:`~repro.observability.tracing.TraceContext`
-        and returns the tree as ``QueryResult.trace``.
+        round spans with delta sizes, ``kernel:*`` batch-vs-fallback
+        counters.  The session builds the live
+        :class:`~repro.observability.tracing.TraceContext` and returns the
+        tree as ``QueryResult.trace``.
     max_ifp_iterations / max_recursion_depth:
-        Safety bounds, forwarded to
-        :class:`~repro.xquery.context.EvaluationOptions`.
-    collect_statistics:
-        Record per-IFP iteration traces (nodes fed back, depth).
+        Safety bounds on fixpoint rounds and user-function recursion.
     limits:
         :class:`~repro.limits.ResourceLimits` governing the evaluation
         (wall-clock deadline, fixpoint round/frontier/result budgets) or
         ``None`` for unlimited.  The session builds the live
         :class:`~repro.limits.Governor` from it (plus any per-call
-        ``cancel_token``) and swaps it into ``options.limits`` — the same
-        pattern as ``trace``.
+        ``cancel_token``) and hands it to the engines as
+        ``StaticContext.governor``.
     """
 
     ifp_algorithm: str = "auto"
@@ -116,11 +103,9 @@ class EvalSettings:
     use_index: bool = True
     use_pushdown: bool = True
     use_cache: bool = True
-    profile: bool = False
     trace: bool = False
     max_ifp_iterations: int = 100_000
     max_recursion_depth: int = 500
-    collect_statistics: bool = True
     limits: ResourceLimits | None = None
 
     def __post_init__(self):
@@ -133,32 +118,12 @@ class EvalSettings:
         """A copy with *changes* applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
 
-    def to_options(self):
-        """The engine-facing :class:`EvaluationOptions` of these settings."""
-        from repro.xquery.context import EvaluationOptions
-
-        # ``trace`` is copied as the *boolean* here (keeping the two
-        # dataclasses field-for-field in sync); the session swaps the live
-        # TraceContext in before evaluation.  Engine sites normalize via
-        # :func:`repro.observability.tracing.active_trace`.
-        return EvaluationOptions(
-            ifp_algorithm=self.ifp_algorithm,
-            distributivity_checker=self.distributivity_checker,
-            max_ifp_iterations=self.max_ifp_iterations,
-            max_recursion_depth=self.max_recursion_depth,
-            use_index=self.use_index,
-            use_pushdown=self.use_pushdown,
-            collect_statistics=self.collect_statistics,
-            trace=self.trace,
-            limits=self.limits,
-        )
-
     def plan_key(self, resolved_backend: str) -> "EvalSettings":
         """These settings normalized down to what shapes a compiled plan.
 
         The algebra plan cache uses the returned value directly as the
         settings component of its key: fields that only steer *evaluation*
-        (algorithm policy, index usage, profiling) are reset to defaults so
+        (algorithm policy, index usage, tracing) are reset to defaults so
         equivalent plans share one entry, while fields baked into the plan
         (storage backend, predicate pushdown) survive.
         """
@@ -185,46 +150,23 @@ class EvalSettings:
 
 
 def coerce_settings(value: "EvalSettings | Mapping[str, Any] | None",
-                    base: "EvalSettings | None" = None) -> EvalSettings:
-    """Normalize *value* (settings, mapping of fields, or None) onto *base*."""
+                    base: "EvalSettings | None" = None,
+                    **overrides: Any) -> EvalSettings:
+    """Normalize *value* (settings, mapping of fields, or None) onto *base*,
+    then apply *overrides* (field names; unknown ones raise ``TypeError``)."""
     base = base if base is not None else EvalSettings()
     if value is None:
-        return base
-    if isinstance(value, EvalSettings):
-        return value
-    if isinstance(value, Mapping):
-        return base.replace(**dict(value))
-    raise TypeError(
-        f"settings must be an EvalSettings, a mapping of its fields or None "
-        f"(got {type(value).__name__})"
-    )
+        resolved = base
+    elif isinstance(value, EvalSettings):
+        resolved = value
+    elif isinstance(value, Mapping):
+        resolved = base.replace(**dict(value))
+    else:
+        raise TypeError(
+            f"settings must be an EvalSettings, a mapping of its fields or None "
+            f"(got {type(value).__name__})"
+        )
+    return resolved.replace(**overrides) if overrides else resolved
 
 
-def merge_legacy_kwargs(settings: "EvalSettings | Mapping[str, Any] | None",
-                        legacy: Mapping[str, Any],
-                        stacklevel: int = 3) -> EvalSettings:
-    """Fold the pre-``EvalSettings`` tuning kwargs into a settings value.
-
-    *legacy* maps kwarg name → value-or-None; only non-``None`` entries are
-    applied (the public functions default every legacy kwarg to ``None`` so
-    "not passed" is distinguishable).  Passing any of them emits a
-    :class:`DeprecationWarning` pointing at ``settings=``.
-    """
-    passed = {name: value for name, value in legacy.items() if value is not None}
-    unknown = set(passed) - set(LEGACY_TUNING_KWARGS)
-    if unknown:
-        raise TypeError(f"unknown tuning keyword(s): {sorted(unknown)}")
-    base = coerce_settings(settings)
-    if not passed:
-        return base
-    warnings.warn(
-        f"the tuning keyword(s) {sorted(passed)} are deprecated; pass "
-        f"settings=EvalSettings(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return base.replace(**passed)
-
-
-__all__ = ["Engine", "EvalSettings", "LEGACY_TUNING_KWARGS",
-           "coerce_settings", "merge_legacy_kwargs"]
+__all__ = ["Engine", "EvalSettings", "coerce_settings"]

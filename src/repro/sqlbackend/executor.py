@@ -36,8 +36,8 @@ from collections.abc import Callable
 from repro import faults
 from repro.errors import FixpointError, SqlBackendError
 from repro.fixpoint.engine import FixpointResult
-from repro.limits import active_governor, sqlite_guard
-from repro.observability import active_trace, maybe_span
+from repro.limits import sqlite_guard
+from repro.observability import maybe_span
 from repro.xdm.items import is_node
 from repro.xdm.node import AttributeNode
 from repro.fixpoint.stats import FixpointStatistics
@@ -48,7 +48,6 @@ from repro.xdm.sequence import ensure_node_sequence
 from repro.xquery import ast
 from repro.xquery.context import DynamicContext
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.pushdown import PROFILE
 
 
 def _abbreviate(statement: str, limit: int = 200) -> str:
@@ -93,7 +92,7 @@ class SqlFixpointExecutor:
         """Evaluate the fixpoint of *expr* seeded by *seed*.
 
         ``algorithm`` is the decision of the usual Naive/Delta procedure
-        (``using`` clause, engine options, distributivity analysis):
+        (``using`` clause, engine settings, distributivity analysis):
         ``"delta"`` selects the recursive CTE whenever the body is
         emittable, ``"naive"`` always iterates the driver loop.
         ``variables`` are the caller's in-scope bindings — the emitter
@@ -126,8 +125,8 @@ class SqlFixpointExecutor:
                 anchor_doc_id=self._anchor_resolver(anchor_document,
                                                     governor=governor))
         use_cte = emitted is not None and not self._guards_trip(emitted)
-        if PROFILE.enabled:
-            PROFILE.record("sql:fixpoint", use_cte)
+        if trace is not None:
+            trace.record_kernel("sql:fixpoint", use_cte)
         span = (trace.begin("fixpoint", algorithm=algorithm,
                             path="cte" if use_cte else "driver",
                             seed=len(seed_nodes))
@@ -366,13 +365,14 @@ class SQLEvaluator(Evaluator):
         anchor_document = None
         if context.focus.defined and is_node(context.focus.item):
             anchor_document = context.focus.item.document()
+        static = context.static
         result = self.executor.run(
             expr, seed, body, algorithm,
-            max_iterations=context.options.max_ifp_iterations,
+            max_iterations=static.settings.max_ifp_iterations,
             variables=context.variables,
-            push_predicates=context.options.use_pushdown,
-            trace=active_trace(context.options.trace),
-            governor=active_governor(context.options.limits),
+            push_predicates=static.settings.use_pushdown,
+            trace=static.trace,
+            governor=static.governor,
             anchor_document=anchor_document,
         )
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):

@@ -30,7 +30,7 @@ Modules
 
 from repro.xquery.parser import parse_query, parse_expression
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.context import DynamicContext, StaticContext, EvaluationOptions
+from repro.xquery.context import DynamicContext, StaticContext
 
 __all__ = [
     "parse_query",
@@ -38,5 +38,4 @@ __all__ = [
     "Evaluator",
     "DynamicContext",
     "StaticContext",
-    "EvaluationOptions",
 ]

@@ -1,9 +1,10 @@
 """Static and dynamic evaluation contexts.
 
 The split follows the XQuery processing model: the *static context* holds
-what is known after parsing (declared functions, options), the *dynamic
-context* holds what changes during evaluation (variable bindings, the focus,
-available documents) plus engine options and statistics hooks.
+what is fixed before evaluation starts (declared functions, the evaluation
+settings and the run's live trace/governor), the *dynamic context* holds
+what changes during evaluation (variable bindings, the focus, available
+documents) plus the statistics hook.
 """
 
 from __future__ import annotations
@@ -13,75 +14,47 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.errors import UndefinedVariableError, XQueryDynamicError
+from repro.limits import Governor
+from repro.observability.tracing import TraceContext
+from repro.settings import EvalSettings
 from repro.xquery.ast import FunctionDecl
 
 
 @dataclass
-class EvaluationOptions:
-    """Engine knobs.
+class StaticContext:
+    """What is fixed for one evaluation before it starts.
 
-    Attributes
-    ----------
-    ifp_algorithm:
-        Global policy for evaluating ``with … seeded by … recurse``:
-        ``"auto"`` (use Delta iff the distributivity analysis approves),
-        ``"naive"`` or ``"delta"`` (force an algorithm).  A per-expression
-        ``using`` clause overrides this.
-    distributivity_checker:
-        Which analysis the ``auto`` policy consults: ``"syntactic"``
-        (Figure 5 rules), ``"algebraic"`` (union push-up over the compiled
-        plan, Section 4) or ``"never"`` (always fall back to Naive).
-    max_ifp_iterations:
-        Safety bound standing in for "the IFP is undefined" — exceeded only
-        when the recursion body keeps generating fresh nodes
-        (Definition 2.1's caveat about node constructors).
-    max_recursion_depth:
-        Bound on user-defined function recursion depth.
-    use_index:
-        Answer axis steps from the per-document structural index
-        (:mod:`repro.xdm.index`) instead of walking node objects.  On by
-        default; the CLI's ``--no-index`` switches it off for A/B runs.
-    use_pushdown:
-        Route recognized predicate shapes (``[@a = "v"]``, ``[name = $v]``,
-        existence and positional predicates) through the batch predicate
-        kernels of :mod:`repro.xquery.pushdown` instead of the per-item
-        focus loop.  On by default; the CLI's ``--no-pushdown`` switches it
-        off for A/B runs.  With ``use_index`` off the kernels still apply,
-        probing nodes directly instead of the value inverted indexes.
-    trace:
+    Besides the declared functions this is where an evaluation's
+    configuration lives, in three typed slots the engines read directly:
+
+    ``settings``
+        The frozen :class:`~repro.settings.EvalSettings` of the run — the
+        same value the caller handed to ``evaluate()``.
+    ``trace``
         The live :class:`~repro.observability.tracing.TraceContext` of a
-        traced evaluation (``None``/``False`` otherwise).  The session
-        installs it; engines and fixpoint drivers attach phase and
-        per-round spans to it.  Sites must normalize through
-        :func:`repro.observability.tracing.active_trace`, since
-        :meth:`~repro.settings.EvalSettings.to_options` seeds the field
-        with the settings *boolean* before the session swaps the live
-        context in.
-    limits:
-        The live :class:`~repro.limits.Governor` of a governed evaluation
-        (``None`` or a frozen :class:`~repro.limits.ResourceLimits`
-        otherwise — same swap pattern as ``trace``).  Engines and fixpoint
-        drivers normalize through :func:`repro.limits.active_governor` and
-        call its cooperative checkpoints.
+        traced run, ``None`` otherwise.  Engines attach phase, per-round
+        and kernel-counter records to it behind one ``is not None`` test.
+    ``governor``
+        The live :class:`~repro.limits.Governor` of a governed run
+        (deadline, budgets, cancellation), ``None`` otherwise.
+
+    The session builds the two live objects from ``settings.trace`` /
+    ``settings.limits``; a bare boolean or
+    :class:`~repro.limits.ResourceLimits` is rejected here, so nothing but
+    the real object can reach an engine.
     """
 
-    ifp_algorithm: str = "auto"
-    distributivity_checker: str = "syntactic"
-    max_ifp_iterations: int = 100_000
-    max_recursion_depth: int = 500
-    collect_statistics: bool = True
-    use_index: bool = True
-    use_pushdown: bool = True
-    trace: Any = None
-    limits: Any = None
-
-
-@dataclass
-class StaticContext:
-    """What is known about a query before evaluation starts."""
-
     functions: dict[tuple[str, int], FunctionDecl] = field(default_factory=dict)
-    options: EvaluationOptions = field(default_factory=EvaluationOptions)
+    settings: EvalSettings = EvalSettings()
+    trace: TraceContext | None = None
+    governor: Governor | None = None
+
+    def __post_init__(self):
+        for slot, kind in (("trace", TraceContext), ("governor", Governor)):
+            value = getattr(self, slot)
+            if value is not None and not isinstance(value, kind):
+                raise TypeError(f"{slot} must be a {kind.__name__} or None "
+                                f"(got {type(value).__name__})")
 
     def lookup_function(self, name: str, arity: int) -> FunctionDecl | None:
         return self.functions.get((name, arity))
@@ -176,7 +149,7 @@ class DynamicContext:
 
     def enter_function(self) -> "DynamicContext":
         """Track user-defined function recursion depth."""
-        if self.depth + 1 > self.static.options.max_recursion_depth:
+        if self.depth + 1 > self.static.settings.max_recursion_depth:
             raise XQueryDynamicError(
                 "user-defined function recursion too deep", code="REPR0002"
             )
@@ -209,7 +182,3 @@ class DynamicContext:
         if not self.focus.defined:
             raise XQueryDynamicError("the context item is undefined", code="XPDY0002")
         return self.focus.item
-
-    @property
-    def options(self) -> EvaluationOptions:
-        return self.static.options

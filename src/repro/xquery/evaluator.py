@@ -8,7 +8,7 @@ identities.
 
 The ``with $x seeded by … recurse …`` form is delegated to
 :mod:`repro.fixpoint.engine`; which algorithm (Naive or Delta) is used
-depends on the expression's ``using`` clause, the engine options and the
+depends on the expression's ``using`` clause, the evaluation settings and the
 distributivity analysis — exactly the decision procedure Sections 3 and 4 of
 the paper describe.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from time import perf_counter
 from contextlib import contextmanager
 from collections.abc import Callable
 from typing import Any
@@ -27,7 +28,6 @@ from repro.errors import (
     XQueryStaticError,
     XQueryTypeError,
 )
-from repro.limits import active_governor
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
 from repro.xdm.index import batch_step, indexed_step
@@ -62,7 +62,7 @@ from repro.xquery import ast
 from repro.xquery import pushdown
 from repro.xquery.context import DynamicContext
 from repro.xquery.functions import lookup_builtin
-from repro.xquery.pushdown import PROFILE, PositionShape
+from repro.xquery.pushdown import PositionShape
 
 Sequence = list
 
@@ -359,7 +359,7 @@ class Evaluator:
 
     def _eval_for(self, expr: ast.ForExpr, context: DynamicContext) -> Sequence:
         sequence = self.evaluate(expr.sequence, context)
-        governor = active_governor(context.options.limits)
+        governor = context.static.governor
         result: Sequence = []
         for position, item in enumerate(sequence, start=1):
             # Inline amortized checkpoint: tick() is a C-level stride
@@ -406,21 +406,17 @@ class Evaluator:
 
     def _eval_with(self, expr: ast.WithExpr, context: DynamicContext) -> Sequence:
         from repro.fixpoint.engine import FixpointEngine
-        from repro.observability.tracing import active_trace
 
         seed = self.evaluate(expr.seed, context)
 
         def body(nodes: Sequence) -> Sequence:
             return self.evaluate(expr.body, context.bind(expr.var, nodes))
 
-        engine = FixpointEngine(
-            max_iterations=context.options.max_ifp_iterations,
-            collect_statistics=context.options.collect_statistics,
-        )
+        static = context.static
+        engine = FixpointEngine(max_iterations=static.settings.max_ifp_iterations)
         algorithm = self._choose_ifp_algorithm(expr, context)
         result = engine.run(body, seed, algorithm=algorithm,
-                            trace=active_trace(context.options.trace),
-                            governor=active_governor(context.options.limits))
+                            trace=static.trace, governor=static.governor)
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):
             context.statistics.record_ifp(result.statistics)
         return list(result.value)
@@ -428,10 +424,10 @@ class Evaluator:
     def _choose_ifp_algorithm(self, expr: ast.WithExpr, context: DynamicContext) -> str:
         if expr.algorithm in ("naive", "delta"):
             return expr.algorithm
-        options = context.options
-        if options.ifp_algorithm in ("naive", "delta"):
-            return options.ifp_algorithm
-        checker = options.distributivity_checker
+        settings = context.static.settings
+        if settings.ifp_algorithm in ("naive", "delta"):
+            return settings.ifp_algorithm
+        checker = settings.distributivity_checker
         if checker == "never":
             return "naive"
         if checker == "analysis":
@@ -464,7 +460,7 @@ class Evaluator:
         # Deliberately no governance checkpoint here: path evaluation is
         # bounded by document size, and this is the hottest dispatch in the
         # interpreter — a per-path-expression check costs ~3% on fixpoint
-        # workloads (benchmarks/check_limits_overhead.py).  Unbounded work
+        # workloads (benchmarks/check_overhead.py).  Unbounded work
         # always flows through a fixpoint round, a FLWOR iteration or a
         # user-function call, all of which do checkpoint.
         left = self.evaluate(expr.left, context)
@@ -477,29 +473,30 @@ class Evaluator:
         # (Positional shapes count per context node — the per-node loop
         # below still batch-slices them inside _eval_axis_step.)
         if (isinstance(expr.right, ast.AxisStep)
-                and context.static.options.use_index
+                and context.static.settings.use_index
                 and all(is_node(item) for item in left)):
             step = expr.right
             fusible = not step.predicates
-            if not fusible and context.static.options.use_pushdown:
+            if not fusible and context.static.settings.use_pushdown:
                 shapes = [pushdown.recognize_predicate(p) for p in step.predicates]
                 fusible = all(shape is not None
                               and not isinstance(shape, PositionShape)
                               for shape in shapes)
             if fusible:
-                timer = PROFILE.timer() if PROFILE.enabled else 0.0
+                trace = context.static.trace
+                timer = perf_counter() if trace is not None else 0.0
                 result = batch_step(left, step.axis, step.node_test.kind,
                                     step.node_test.name)
                 if result is not None:
                     if step.predicates:
                         result = self._apply_predicates(result, step.predicates,
                                                         context)
-                    if PROFILE.enabled:
-                        PROFILE.record(f"step:{step.axis}", True,
-                                       PROFILE.timer() - timer)
+                    if trace is not None:
+                        trace.record_kernel(f"step:{step.axis}", True,
+                                            perf_counter() - timer)
                     return result
-                if PROFILE.enabled:
-                    PROFILE.record(f"step:{step.axis}", False)
+                if trace is not None:
+                    trace.record_kernel(f"step:{step.axis}", False)
         results: Sequence = []
         size = len(left)
         for position, item in enumerate(left, start=1):
@@ -528,13 +525,14 @@ class Evaluator:
                 f"axis step '{expr.axis}::' requires a node context item", code="XPTY0020"
             )
         matched = None
-        timer = PROFILE.timer() if PROFILE.enabled else 0.0
-        if context.static.options.use_index:
+        trace = context.static.trace
+        timer = perf_counter() if trace is not None else 0.0
+        if context.static.settings.use_index:
             matched = indexed_step(node, expr.axis, expr.node_test.kind,
                                    expr.node_test.name)
-        if PROFILE.enabled:
-            PROFILE.record(f"axis:{expr.axis}", matched is not None,
-                           PROFILE.timer() - timer)
+        if trace is not None:
+            trace.record_kernel(f"axis:{expr.axis}", matched is not None,
+                                perf_counter() - timer)
         if matched is None:
             candidates = self._axis_nodes(node, expr.axis)
             matched = [candidate for candidate in candidates
@@ -601,7 +599,7 @@ class Evaluator:
     def _apply_predicates(self, items: Sequence, predicates: tuple[ast.Expr, ...],
                           context: DynamicContext) -> Sequence:
         current = list(items)
-        use_pushdown = context.static.options.use_pushdown
+        use_pushdown = context.static.settings.use_pushdown
         index_set = None
         for predicate in predicates:
             if use_pushdown and current:
@@ -612,14 +610,15 @@ class Evaluator:
                     continue
             retained: Sequence = []
             size = len(current)
-            timer = PROFILE.timer() if PROFILE.enabled else 0.0
+            trace = context.static.trace
+            timer = perf_counter() if trace is not None else 0.0
             for position, item in enumerate(current, start=1):
                 focused = context.with_focus(item, position, size)
                 value = self.evaluate(predicate, focused)
                 if self._predicate_holds(value, position):
                     retained.append(item)
-            if PROFILE.enabled:
-                PROFILE.record("pred:fallback", False, PROFILE.timer() - timer)
+            if trace is not None:
+                trace.record_kernel("pred:fallback", False, perf_counter() - timer)
             current = retained
         return current
 
@@ -635,11 +634,12 @@ class Evaluator:
         shape = pushdown.recognize_predicate(predicate)
         if shape is None:
             return None
-        timer = PROFILE.timer() if PROFILE.enabled else 0.0
+        trace = context.static.trace
+        timer = perf_counter() if trace is not None else 0.0
         if isinstance(shape, PositionShape):
             result = pushdown.positional_filter(list(items), shape)
-            if PROFILE.enabled:
-                PROFILE.record("pred:positional", True, PROFILE.timer() - timer)
+            if trace is not None:
+                trace.record_kernel("pred:positional", True, perf_counter() - timer)
             return result, index_set
         if not all(is_node(item) for item in items):
             return None  # the focus loop raises the proper type error
@@ -647,7 +647,7 @@ class Evaluator:
             shape, lambda name: context.variables.get(name))
         if values is None:
             return None  # non-string operands: numeric promotion semantics
-        use_index = context.static.options.use_index
+        use_index = context.static.settings.use_index
         if use_index and index_set is None:
             from repro.xdm.index import IndexSet
 
@@ -655,8 +655,8 @@ class Evaluator:
         result = pushdown.apply_value_shape(list(items), shape, values,
                                             use_index=use_index,
                                             index_set=index_set)
-        if PROFILE.enabled:
-            PROFILE.record(f"pred:{shape.kind}", True, PROFILE.timer() - timer)
+        if trace is not None:
+            trace.record_kernel(f"pred:{shape.kind}", True, perf_counter() - timer)
         return result, index_set
 
     def _predicate_holds(self, value: Sequence, position: int) -> bool:
@@ -683,7 +683,7 @@ class Evaluator:
 
     def _call_user_function(self, declaration: ast.FunctionDecl, args: list[Sequence],
                             context: DynamicContext) -> Sequence:
-        governor = active_governor(context.options.limits)
+        governor = context.static.governor
         if governor is not None and governor.tick():
             governor.check_now()
         call_context = context.enter_function().without_focus()

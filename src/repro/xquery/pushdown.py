@@ -24,7 +24,9 @@ compiler attaches recognized shapes to the step), and the SQL emitter
 reuses the recognizer to translate the same shapes into ``EXISTS`` probes
 against the shredded ``attr``/``node`` tables.  Anything the recognizer
 does not accept falls back to the engines' existing per-node paths, which
-keeps all engines item-identical with pushdown on or off.
+keeps all engines item-identical with pushdown on or off.  Traced runs
+count each batch-vs-fallback decision on the query's own
+:meth:`~repro.observability.tracing.TraceContext.record_kernel`.
 
 Semantics notes
 ---------------
@@ -43,7 +45,6 @@ Semantics notes
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
@@ -326,78 +327,12 @@ def apply_shapes(items: list, shapes: Iterable[Shape],
     return current
 
 
-# ---------------------------------------------------------------------------
-# kernel hit/fallback profiling (the CLI/api --profile surface)
-# ---------------------------------------------------------------------------
-
-
-class PushdownProfile:
-    """Process-wide batch-vs-fallback counters with cumulative timings.
-
-    Disabled (zero-overhead checks on the hot paths) unless the caller —
-    ``repro.api.evaluate(..., profile=True)`` or the CLI's ``--profile`` —
-    switches it on around an evaluation.
-    """
-
-    __slots__ = ("enabled", "_counters")
-
-    def __init__(self):
-        self.enabled = False
-        self._counters: dict[str, dict] = {}
-
-    def reset(self) -> None:
-        self._counters = {}
-
-    def record(self, key: str, batch: bool, seconds: float = 0.0) -> None:
-        entry = self._counters.get(key)
-        if entry is None:
-            entry = self._counters[key] = {
-                "batch": 0, "fallback": 0,
-                "batch_seconds": 0.0, "fallback_seconds": 0.0,
-            }
-        if batch:
-            entry["batch"] += 1
-            entry["batch_seconds"] += seconds
-        else:
-            entry["fallback"] += 1
-            entry["fallback_seconds"] += seconds
-
-    def snapshot(self) -> dict[str, dict]:
-        return {key: dict(entry) for key, entry in sorted(self._counters.items())}
-
-    def timer(self) -> float:
-        return time.perf_counter()
-
-
-#: The module-level profile all engines record into.
-PROFILE = PushdownProfile()
-
-
-def format_profile(snapshot: dict[str, dict]) -> str:
-    """Render a profile snapshot as an aligned text table."""
-    if not snapshot:
-        return "-- pushdown profile: no axis steps or predicates evaluated"
-    width = max(len(key) for key in snapshot) + 2
-    lines = [f"{'kernel':<{width}} {'batch':>8} {'fallback':>9} "
-             f"{'batch_s':>10} {'fallback_s':>11}"]
-    lines.append("-" * len(lines[0]))
-    for key, entry in snapshot.items():
-        lines.append(
-            f"{key:<{width}} {entry['batch']:>8} {entry['fallback']:>9} "
-            f"{entry['batch_seconds']:>10.4f} {entry['fallback_seconds']:>11.4f}"
-        )
-    return "\n".join(lines)
-
-
 __all__ = [
-    "PROFILE",
     "PositionShape",
-    "PushdownProfile",
     "Shape",
     "ValueShape",
     "apply_shapes",
     "apply_value_shape",
-    "format_profile",
     "positional_filter",
     "recognize_predicate",
     "resolve_rhs",

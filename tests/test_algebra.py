@@ -269,3 +269,48 @@ class TestCompilerAndFixpoint:
         plan = compiler.compile(module.body)
         table = AlgebraEvaluator().evaluate_plan(plan)
         assert course_codes(table.column_values("item")) == ["c2", "c3", "c4", "c5"]
+
+
+class TestIdResolvesInTheContextNodesDocument:
+    """``fn:id`` searches the document of the node it is evaluated against
+    — not whichever URI sorts first in the corpus (the ledger's formerly
+    known-wrong cell ``algebra/curriculum/four-document``)."""
+
+    #: Sorts before ``curriculum.xml`` and reuses its ID values, so a
+    #: lookup against the wrong document is visible either way.
+    DECOY_XML = '<decoys><course code="c2"/><course code="c4"/></decoys>'
+
+    @pytest.fixture()
+    def session(self):
+        from repro import Session
+        from tests.conftest import CURRICULUM_XML
+
+        with Session({"a.xml": self.DECOY_XML, "curriculum.xml": CURRICULUM_XML},
+                     id_attributes=("code",)) as session:
+            yield session
+
+    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
+    @pytest.mark.parametrize("algorithm", ["naive", "delta"])
+    def test_closure_over_a_two_document_corpus(self, session, engine, algorithm):
+        result = session.evaluate(
+            'with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"] '
+            f'recurse $x/id(./prerequisites/pre_code) using {algorithm}',
+            engine=engine)
+        assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
+        assert {node.document() for node in result.items} == {
+            session.snapshot().resolve("curriculum.xml")}
+
+    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
+    def test_second_argument_and_context_item_name_the_document(self, session, engine):
+        curriculum = session.snapshot().resolve("curriculum.xml")
+        by_argument = session.evaluate(
+            'id("c2 c4", doc("curriculum.xml"))', engine=engine)
+        by_context = session.evaluate('id("c2 c4")', context_item=curriculum,
+                                      engine=engine)
+        for result in (by_argument, by_context):
+            assert course_codes(result.items) == ["c2", "c4"]
+            assert all(node.document() is curriculum for node in result.items)
+
+    def test_no_context_node_is_a_typed_error_not_an_empty_answer(self, session):
+        with pytest.raises(AlgebraError, match="context node"):
+            session.evaluate('id("c2")', engine="algebra")

@@ -99,13 +99,6 @@ class TestAlgorithms:
         result = FixpointEngine().run(children_body, [], algorithm="delta")
         assert result.value == []
 
-    def test_statistics_can_be_disabled(self):
-        doc = make_chain(3)
-        result = FixpointEngine(collect_statistics=False).run(
-            children_body, [doc.document_element()], algorithm="naive"
-        )
-        assert result.statistics.iterations == []
-
 
 class TestStatistics:
     def test_iteration_records(self):

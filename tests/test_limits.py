@@ -30,7 +30,6 @@ from repro.limits import (
     Deadline,
     Governor,
     ResourceLimits,
-    active_governor,
 )
 from repro.session import Session
 from repro.settings import EvalSettings
@@ -145,12 +144,6 @@ class TestPrimitives:
         assert governor.tripped()
         with pytest.raises(QueryCancelled):
             governor.raise_tripped()
-
-    def test_active_governor_normalizes_non_governors_away(self):
-        governor = Governor(ResourceLimits())
-        assert active_governor(governor) is governor
-        assert active_governor(None) is None
-        assert active_governor(ResourceLimits(timeout_s=1.0)) is None
 
     def test_governance_errors_are_repro_errors(self):
         for kind in (QueryTimeout, BudgetExceeded("x"), QueryCancelled):
@@ -410,10 +403,8 @@ class TestCliGovernanceFlags:
 
 
 class TestSettingsPlumbing:
-    def test_limits_survive_to_options_and_plan_key_drops_them(self):
-        limits = ResourceLimits(timeout_s=1.0)
-        settings = EvalSettings(limits=limits)
-        assert settings.to_options().limits is limits
+    def test_plan_key_drops_limits(self):
+        settings = EvalSettings(limits=ResourceLimits(timeout_s=1.0))
         # Plan-cache keys must not fragment on governance knobs.
         assert settings.plan_key("row") == EvalSettings().plan_key("row")
 

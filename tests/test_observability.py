@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
+import threading
 
 import pytest
 
@@ -20,14 +22,12 @@ from repro.observability import (
     MetricsRegistry,
     Span,
     TraceContext,
-    active_trace,
     format_span_tree,
     maybe_span,
     phase_summary,
 )
 from repro.service import QueryService
 from repro.session import Session
-from repro.settings import EvalSettings
 from tests.conftest import CURRICULUM_XML, course_codes
 
 TC_QUERY = ('with $x seeded by doc("curriculum.xml")'
@@ -166,17 +166,12 @@ class TestTraceContext:
         # dict and Span renderings agree
         assert format_span_tree(trace.root) == text
 
-    def test_maybe_span_and_active_trace_normalization(self):
+    def test_maybe_span(self):
         with maybe_span(None, "anything") as span:
             assert span is None
         trace = TraceContext()
         with maybe_span(trace, "execute") as span:
             assert span is not None and span.name == "execute"
-        # EvalSettings.to_options copies the *boolean* trace field; engine
-        # sites must never mistake it for a context.
-        assert active_trace(True) is None
-        assert active_trace(None) is None
-        assert active_trace(trace) is trace
 
     def test_phase_summary_counts_and_excludes_root(self):
         trace = TraceContext("bench")
@@ -256,6 +251,82 @@ class TestTraceThroughEngines:
                 assert {"batch", "fallback"} <= set(span.attributes)
 
 
+def kernel_counts(result) -> dict[str, tuple[int, int]]:
+    return {span.name: (span.attributes["batch"], span.attributes["fallback"])
+            for span in result.trace.iter_spans() if span.name.startswith("kernel:")}
+
+
+class TestKernelCountersBelongToTheirQuery:
+    """The batch-vs-fallback counters ride the query's own TraceContext:
+    no process-global accumulator, no session-wide lock."""
+
+    #: Pushdown-heavy untraced traffic: value, existence and positional
+    #: predicate kernels plus batch axis steps on every evaluation.
+    NOISE_QUERY = ('doc("curriculum.xml")//course[@code = "c3"]'
+                   '/prerequisites[pre_code]/pre_code[1]')
+
+    def test_untraced_traffic_does_not_leak_into_a_traced_query(self):
+        with make_session() as session:
+            session.evaluate(TC_QUERY, trace=True)  # builds the indexes
+            alone = kernel_counts(session.evaluate(TC_QUERY, trace=True))
+            assert alone and alone == kernel_counts(
+                session.evaluate(TC_QUERY, trace=True))
+
+            stop = threading.Event()
+
+            def hammer():
+                while not stop.is_set():
+                    session.evaluate(self.NOISE_QUERY)
+
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave threads inside one query
+            try:
+                for thread in threads:
+                    thread.start()
+                crowded = [kernel_counts(session.evaluate(TC_QUERY, trace=True))
+                           for _ in range(40)]
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(counts == alone for counts in crowded)
+
+    def test_two_traced_queries_run_at_the_same_time(self, monkeypatch):
+        from repro.xquery.evaluator import Evaluator
+
+        both_inside = threading.Barrier(2, timeout=2.0)
+        original = Evaluator.evaluate_module
+
+        def rendezvous(self, module, context):
+            both_inside.wait()  # breaks unless two evaluations overlap
+            return original(self, module, context)
+
+        monkeypatch.setattr(Evaluator, "evaluate_module", rendezvous)
+        with make_session() as session:
+            outcomes: list = []
+
+            def traced():
+                try:
+                    outcomes.append(session.evaluate(TC_QUERY, trace=True))
+                except threading.BrokenBarrierError as error:
+                    outcomes.append(error)
+
+            threads = [threading.Thread(target=traced) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert len(outcomes) == 2
+        assert not any(isinstance(outcome, Exception) for outcome in outcomes), (
+            "traced evaluations serialized on a session-wide lock")
+        first, second = (outcome.trace for outcome in outcomes)
+        assert first.started_at < second.ended_at and second.started_at < first.ended_at
+        assert kernel_counts(outcomes[0]) == kernel_counts(outcomes[1])
+
+
 class TestServiceObservability:
     def test_metrics_text_exposes_required_families(self):
         with make_session() as session:
@@ -290,7 +361,7 @@ class TestServiceObservability:
             assert snapshot["requests"] == 1 and snapshot["errors"] == 0
             engine = snapshot["engines"]["interpreter"]
             assert set(engine) == {"count", "errors", "total_seconds",
-                                   "max_seconds", "mean_seconds"}
+                                   "mean_seconds"}
             assert snapshot["uptime_seconds"] >= 0.0
 
     def test_query_payload_trace_field(self):

@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import pytest
 
-from repro.api import evaluate
+from repro.api import evaluate, evaluate_query
+from repro.limits import Governor, ResourceLimits
+from repro.observability import TraceContext
 from repro.session import PreparedQuery, Session, default_session
-from repro.settings import (
-    LEGACY_TUNING_KWARGS,
-    Engine,
-    EvalSettings,
-    coerce_settings,
-    merge_legacy_kwargs,
-)
-from repro.xquery.context import EvaluationOptions
+from repro.settings import Engine, EvalSettings, coerce_settings
+from repro.xquery.context import StaticContext
+from repro.xquery.evaluator import Evaluator
+from repro.xquery.parser import parse_query
 from tests.conftest import CURRICULUM_XML, course_codes
 
 TC_QUERY = ('with $x seeded by doc("curriculum.xml")'
@@ -51,21 +50,15 @@ class TestEvalSettings:
         with pytest.raises(ValueError):
             EvalSettings(engine="cobol")
 
-    def test_stays_in_sync_with_evaluation_options(self):
-        """Every EvaluationOptions field must be derivable from settings."""
-        option_fields = {f.name for f in dataclasses.fields(EvaluationOptions)}
-        settings_fields = {f.name for f in dataclasses.fields(EvalSettings)}
-        assert option_fields <= settings_fields, (
-            "EvaluationOptions grew a field EvalSettings does not carry; "
-            "add it to EvalSettings and to_options()")
-        settings = EvalSettings(ifp_algorithm="naive", use_index=False,
-                                max_recursion_depth=7)
-        options = settings.to_options()
-        for name in option_fields:
-            assert getattr(options, name) == getattr(settings, name)
+    def test_one_settings_type_without_superseded_fields(self):
+        """Tracing superseded ``profile`` and ``collect_statistics``."""
+        names = {f.name for f in dataclasses.fields(EvalSettings)}
+        assert len(names) == 13
+        assert not names & {"profile", "collect_statistics"}
+        assert StaticContext().settings == EvalSettings()
 
     def test_plan_key_normalizes_evaluation_only_fields(self):
-        a = EvalSettings(engine="algebra", ifp_algorithm="naive", profile=True)
+        a = EvalSettings(engine="algebra", ifp_algorithm="naive", trace=True)
         b = EvalSettings(engine="interpreter", use_index=False)
         assert a.plan_key("columnar") == b.plan_key("columnar")
         assert a.plan_key("columnar") != a.plan_key("row")
@@ -80,22 +73,63 @@ class TestEvalSettings:
         with pytest.raises(TypeError):
             coerce_settings(42)
 
-    def test_merge_legacy_kwargs_warns_and_applies(self):
-        legacy = dict.fromkeys(LEGACY_TUNING_KWARGS)
-        legacy["engine"] = "sql"
-        legacy["use_pushdown"] = False
-        with pytest.warns(DeprecationWarning, match="engine"):
-            merged = merge_legacy_kwargs(None, legacy)
-        assert merged.engine is Engine.SQL and merged.use_pushdown is False
-        # Nothing passed → no warning, base returned untouched.
-        base = EvalSettings()
-        assert merge_legacy_kwargs(base, dict.fromkeys(LEGACY_TUNING_KWARGS)) is base
+    def test_coerce_settings_applies_overrides_last(self):
+        """base < settings= < field overrides."""
+        resolved = coerce_settings({"use_index": False}, EvalSettings(engine="sql"),
+                                   engine="interpreter")
+        assert resolved.engine is Engine.INTERPRETER
+        assert resolved.use_index is False
 
-    def test_evaluate_legacy_kwargs_warn_but_work(self, curriculum_resolver):
-        with pytest.warns(DeprecationWarning):
+    def test_evaluate_overrides_work_without_warning(self, curriculum_resolver):
+        """The module-level spelling is Session.evaluate's, not deprecated."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = evaluate(TC_QUERY, documents=curriculum_resolver,
-                              engine="interpreter", ifp_algorithm="naive")
+                              engine="sql", use_index=False)
+            parsed = evaluate_query(parse_query(TC_QUERY),
+                                    documents=curriculum_resolver,
+                                    engine="algebra", ifp_algorithm="naive")
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
+        assert course_codes(parsed.items) == ["c2", "c3", "c4", "c5"]
+
+    def test_unknown_override_name_is_a_type_error(self, curriculum_resolver, session):
+        with pytest.raises(TypeError, match="profile"):
+            evaluate("1", documents=curriculum_resolver, profile=True)
+        with pytest.raises(TypeError, match="no_such_knob"):
+            session.evaluate("1", no_such_knob=1)
+        with pytest.raises(TypeError):
+            session.prepare("1").run(settings={"collect_statistics": False})
+
+
+class TestTypedLiveSlots:
+    """``trace``/``governor`` reach the engines only as the live objects."""
+
+    def test_static_context_rejects_stand_ins(self):
+        with pytest.raises(TypeError, match="TraceContext"):
+            StaticContext(trace=True)
+        with pytest.raises(TypeError, match="Governor"):
+            StaticContext(governor=ResourceLimits(timeout_s=1.0))
+
+    @pytest.mark.parametrize("engine", ["interpreter", "sql"])
+    def test_session_installs_the_live_objects(self, session, monkeypatch, engine):
+        seen = []
+        original = Evaluator.evaluate_module
+
+        def spy(self, module, context):
+            seen.append(context.static)
+            return original(self, module, context)
+
+        monkeypatch.setattr(Evaluator, "evaluate_module", spy)
+        settings = EvalSettings(engine=engine, trace=True,
+                                limits=ResourceLimits(timeout_s=30.0))
+        session.evaluate("1 + 1", settings=settings)
+        session.evaluate("1 + 1", engine=engine)
+        governed, plain = seen
+        assert governed.settings is settings
+        assert isinstance(governed.trace, TraceContext)
+        assert isinstance(governed.governor, Governor)
+        assert governed.governor.limits is settings.limits
+        assert plain.trace is None and plain.governor is None
 
 
 class TestSessionEvaluate:
@@ -111,12 +145,12 @@ class TestSessionEvaluate:
     def test_settings_resolution_order(self, session):
         """session defaults < settings= < field overrides."""
         session.settings = EvalSettings(engine="sql")
-        result = session.evaluate("1 + 1")
-        assert result.items == [2]
-        resolved = session._resolve_settings({"use_index": False},
-                                             {"engine": "interpreter"})
-        assert resolved.engine is Engine.INTERPRETER
-        assert resolved.use_index is False
+        def engine_of(**kwargs):
+            return session.evaluate("1 + 1", trace=True, **kwargs).trace.attributes["engine"]
+
+        assert engine_of() == "sql"
+        assert engine_of(settings={"engine": "algebra"}) == "algebra"
+        assert engine_of(settings={"engine": "algebra"}, engine="interpreter") == "interpreter"
 
     def test_module_cache_serves_repeat_queries(self, session):
         session.evaluate(TC_QUERY)
@@ -256,10 +290,6 @@ class TestDefaultSession:
         before = session.cache_stats()["module"]["misses"]
         evaluate("2 + 2", documents=curriculum_resolver)
         assert session.cache_stats()["module"]["misses"] >= before
-
-    def test_settings_and_options_are_exclusive(self):
-        with pytest.raises(TypeError):
-            Session(settings=EvalSettings(), options=EvalSettings())
 
     def test_close_is_idempotent(self):
         session = Session()
