@@ -4,8 +4,7 @@ Each guard is one row of ``GUARDS`` — ``(name, settings A, settings B,
 tolerance, what to audit)`` — and asserts that the same prepared Table-2
 closure costs at most ``tolerance`` more CPU under A than under B::
 
-    PYTHONPATH=src python benchmarks/check_overhead.py            # every guard
-    PYTHONPATH=src python benchmarks/check_overhead.py --guard limits
+    PYTHONPATH=src python benchmarks/check_overhead.py
 
 ``limits``
     generous, never-tripping :class:`~repro.limits.ResourceLimits` (every
@@ -133,8 +132,6 @@ def check(guard: Guard, arguments: argparse.Namespace) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--guard", action="append", choices=[g.name for g in GUARDS],
-                        help="run only this guard (repeatable; default: all)")
     parser.add_argument("--estimates", type=int, default=5,
                         help="independent overhead estimates; the min is "
                              "the verdict (default 5)")
@@ -146,10 +143,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail if a baseline block total is below this "
                              "noise floor (default 20 ms); raise --inner instead")
     arguments = parser.parse_args(argv)
-    selected = [guard for guard in GUARDS
-                if not arguments.guard or guard.name in arguments.guard]
-    # No short-circuit: every selected guard reports before the exit status.
-    return 0 if all([check(guard, arguments) for guard in selected]) else 1
+    # No short-circuit: every guard reports before the exit status.
+    return 0 if all([check(guard, arguments) for guard in GUARDS]) else 1
 
 
 if __name__ == "__main__":

@@ -92,9 +92,10 @@ class AlgebraCompiler:
         documents:
             Resolver consulted by ``fn:doc``.
         document:
-            Document ``fn:id`` searches when the call has neither a context
-            node nor a second argument (and the one ``fn:doc`` stands in
-            for an unknown URI with).
+            The one document ``fn:id`` resolves IDs in (and the one
+            ``fn:doc`` stands in for an unknown URI with).  Callers pass it
+            only when it is unambiguous; without it ``fn:id`` is a typed
+            :class:`AlgebraError`, never a lookup in a guessed document.
         functions:
             User-defined functions, inlined at their call sites.
         analysis_only:
@@ -515,14 +516,9 @@ class AlgebraCompiler:
             stringified = ScalarOp(inner, "item_s", ["item"], string_value_of_item, name="string")
             return self._with_pos(Project(stringified, [("iter", "iter"), ("item", "item_s")]))
         if name == "id" and len(expr.args) in (1, 2):
-            values = AtomizeValue([self._compile(expr.args[0], context)])
-            # IDs resolve in the document of the node fn:id is evaluated
-            # against: the second argument, else the context item.
-            if len(expr.args) == 2:
-                return IdLookup(values, anchor=self._compile(expr.args[1], context))
-            if context.focus is not None:
-                return IdLookup(values, anchor=context.focus)
-            return IdLookup(values, document=self._require_document())
+            inner = self._compile(expr.args[0], context)
+            document = self._require_document()
+            return IdLookup(AtomizeValue([inner]), document)
         if name == "doc" and len(expr.args) == 1:
             return self._compile_doc(expr.args[0], context)
         if name == "root" and len(expr.args) <= 1:
@@ -565,8 +561,9 @@ class AlgebraCompiler:
             return self.document
         if self.analysis_only:
             return DocumentNode()
-        raise AlgebraError("fn:id needs a context node or a second argument to name "
-                           "the document its IDs live in")
+        raise AlgebraError("fn:id: the algebra engine resolves IDs in one compile-time "
+                           "document and the corpus does not name exactly one "
+                           "(use the interpreter or sql engine)")
 
     # ------------------------------------------------------------------ constructors
 

@@ -621,42 +621,29 @@ class StepJoin(Operator):
 
 
 class IdLookup(Operator):
-    """The ``fn:id`` macro: resolve ID strings to elements of a document.
-
-    The IDs of each iteration are looked up in the document containing that
-    iteration's *anchor* node — the context item of ``fn:id($values)`` or
-    the second argument of ``fn:id($values, $node)``, delivered by the
-    optional second child plan — exactly as the interpreter does.  Only
-    when the call site has no context node does the macro use the
-    compile-time ``document`` the compiler's caller named explicitly.
-    """
+    """The ``fn:id`` macro: resolve ID strings to elements of a document."""
 
     symbol = "id"
     union_pushable = True
 
-    def __init__(self, child: Operator, anchor: Operator | None = None,
-                 document: DocumentNode | None = None):
-        super().__init__([child] if anchor is None else [child, anchor])
+    def __init__(self, child: Operator, document: DocumentNode):
+        super().__init__([child])
         self.document = document
         self.template = "id"
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0])
-        anchors = inputs[1].items_by_iteration()[0] if len(inputs) > 1 else None
         iters: list = []
         positions: list = []
         items: list = []
         for iteration in order:
-            document = self._document_of(anchors, iteration)
-            if document is None:  # anchor in a document-less (constructed) tree
-                continue
             values = per_iteration[iteration]
             if len(values) == 1:
-                ordered = self._resolve_ddo(document, string_value_of_item(values[0]), engine)
+                ordered = self._resolve_ddo(string_value_of_item(values[0]), engine)
             else:
                 merged: list[Node] = []
                 for value in values:
-                    merged.extend(self._resolve_ddo(document, string_value_of_item(value), engine))
+                    merged.extend(self._resolve_ddo(string_value_of_item(value), engine))
                 ordered = ddo(merged)
             iters.extend([iteration] * len(ordered))
             positions.extend(range(1, len(ordered) + 1))
@@ -664,30 +651,21 @@ class IdLookup(Operator):
         return engine.make_table_from_columns(("iter", "pos", "item"),
                                               [iters, positions, items])
 
-    def _document_of(self, anchors: dict | None, iteration) -> DocumentNode | None:
-        """The document this iteration's IDs live in."""
-        if anchors is None:
-            return self.document
-        nodes = anchors.get(iteration)
-        if not nodes or not is_node(nodes[0]):
-            raise AlgebraError("fn:id has no context node to take the document from")
-        return nodes[0].document()
-
-    def _resolve_ddo(self, document: DocumentNode, text: str, engine) -> list[Node]:
+    def _resolve_ddo(self, text: str, engine) -> list[Node]:
         """Resolve one ID string, deduplicated and in document order,
         memoised per run (ID assignment is static during evaluation)."""
         cache = getattr(engine, "macro_cache", None)
-        key = (self.operator_id, id(document), text)
+        key = (self.operator_id, text)
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
                 return hit[1]
-        lookup = document.lookup_id
+        lookup = self.document.lookup_id
         resolved = [element for token in text.split()
                     if (element := lookup(token)) is not None]
         ordered = ddo(resolved)
         if cache is not None:
-            cache[key] = (document, ordered)
+            cache[key] = (text, ordered)
         return ordered
 
 

@@ -406,9 +406,8 @@ class Session:
                 result = QueryResult(items=items, statistics=statistics)
             else:
                 result = self._evaluate_algebra(module, resolver, variables,
-                                                context_item, statistics,
-                                                settings, plan_cacheable,
-                                                trace, governor)
+                                                statistics, settings,
+                                                plan_cacheable, trace, governor)
         result.analysis = analysis
         if trace is not None:
             result.trace = trace.finish()
@@ -441,8 +440,8 @@ class Session:
         return report
 
     def _evaluate_algebra(self, module: ast.Module, resolver: DocumentResolver,
-                          variables, context_item, statistics,
-                          settings: EvalSettings, plan_cacheable: bool,
+                          variables, statistics, settings: EvalSettings,
+                          plan_cacheable: bool,
                           trace: TraceContext | None,
                           governor: Governor | None) -> QueryResult:
         """Compile (or fetch) and run the algebra plan of *module*."""
@@ -462,28 +461,26 @@ class Session:
         # fresh per call: caching would only fill the LRU with entries that
         # can never hit, each pinning documents.  The settings component is
         # the normalized EvalSettings plan key — backend and pushdown shape
-        # the compiled plan, everything else is evaluation-time.  The
-        # context item is compiled in as the focus, so its identity keys
-        # the plan too (the cached plan keeps it alive).
+        # the compiled plan, everything else is evaluation-time.
         if settings.use_cache and plan_cacheable and plancache.module_cache_safe(module):
             plan_key = (
                 plancache.fingerprint([module]),
                 settings.plan_key(resolve_backend(settings.backend).backend_name),
                 plancache.documents_fingerprint(resolver),
-                None if context_item is None else id(context_item),
             )
             plan = self._plan_cache.get(plan_key)
             plan_cache_state = "hit" if plan is not None else "miss"
         if plan is None:
-            compiler = AlgebraCompiler(documents=resolver,
+            # fn:id resolves in one compile-time document; only a
+            # one-document corpus names it (else: typed AlgebraError).
+            known = resolver.known_uris()
+            default_document = resolver.resolve(known[0]) if len(known) == 1 else None
+            compiler = AlgebraCompiler(documents=resolver, document=default_document,
                                        functions=module.function_map(),
                                        backend=settings.backend,
                                        push_predicates=settings.use_pushdown)
             evaluator = Evaluator()
             compile_context = compiler.initial_context()
-            if context_item is not None:
-                compile_context.focus = LiteralTable(compiler.storage(
-                    ("iter", "pos", "item"), [(1, 1, context_item)]))
             bound_variables = {name: list(value) if isinstance(value, (list, tuple)) else [value]
                                for name, value in (variables or {}).items()}
             for declaration in module.variables:

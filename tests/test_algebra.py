@@ -271,14 +271,18 @@ class TestCompilerAndFixpoint:
         assert course_codes(table.column_values("item")) == ["c2", "c3", "c4", "c5"]
 
 
-class TestIdResolvesInTheContextNodesDocument:
-    """``fn:id`` searches the document of the node it is evaluated against
-    — not whichever URI sorts first in the corpus (the ledger's formerly
-    known-wrong cell ``algebra/curriculum/four-document``)."""
+class TestIdOverAMultiDocumentCorpus:
+    """``fn:id`` on the algebra engine resolves IDs in one compile-time
+    document.  A corpus of several documents does not name it, and the
+    engine says so with a typed error — it used to search whichever URI
+    sorts first and answer with nothing (the ledger's cell
+    ``algebra/curriculum/four-document``)."""
 
     #: Sorts before ``curriculum.xml`` and reuses its ID values, so a
     #: lookup against the wrong document is visible either way.
     DECOY_XML = '<decoys><course code="c2"/><course code="c4"/></decoys>'
+    CLOSURE = ('with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"] '
+               'recurse $x/id(./prerequisites/pre_code)')
 
     @pytest.fixture()
     def session(self):
@@ -289,28 +293,21 @@ class TestIdResolvesInTheContextNodesDocument:
                      id_attributes=("code",)) as session:
             yield session
 
-    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
-    @pytest.mark.parametrize("algorithm", ["naive", "delta"])
-    def test_closure_over_a_two_document_corpus(self, session, engine, algorithm):
-        result = session.evaluate(
-            'with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"] '
-            f'recurse $x/id(./prerequisites/pre_code) using {algorithm}',
-            engine=engine)
+    @pytest.mark.parametrize("engine", ["interpreter", "sql"])
+    def test_interpreter_and_sql_resolve_in_the_context_nodes_document(self, session, engine):
+        result = session.evaluate(self.CLOSURE, engine=engine)
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
         assert {node.document() for node in result.items} == {
             session.snapshot().resolve("curriculum.xml")}
 
-    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
-    def test_second_argument_and_context_item_name_the_document(self, session, engine):
-        curriculum = session.snapshot().resolve("curriculum.xml")
-        by_argument = session.evaluate(
-            'id("c2 c4", doc("curriculum.xml"))', engine=engine)
-        by_context = session.evaluate('id("c2 c4")', context_item=curriculum,
-                                      engine=engine)
-        for result in (by_argument, by_context):
-            assert course_codes(result.items) == ["c2", "c4"]
-            assert all(node.document() is curriculum for node in result.items)
+    def test_algebra_raises_a_typed_error_not_an_empty_answer(self, session):
+        with pytest.raises(AlgebraError, match="fn:id"):
+            session.evaluate(self.CLOSURE, engine="algebra")
 
-    def test_no_context_node_is_a_typed_error_not_an_empty_answer(self, session):
-        with pytest.raises(AlgebraError, match="context node"):
-            session.evaluate('id("c2")', engine="algebra")
+    def test_algebra_still_answers_over_the_one_document_corpus(self):
+        from repro import Session
+        from tests.conftest import CURRICULUM_XML
+
+        with Session({"curriculum.xml": CURRICULUM_XML}, id_attributes=("code",)) as session:
+            result = session.evaluate(self.CLOSURE, engine="algebra")
+        assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]

@@ -179,8 +179,10 @@ class TestTraceContext:
             for iteration in range(3):
                 with trace.span("round", iteration=iteration):
                     pass
+        trace.record_kernel("step:child", True, 0.001)
         summary = phase_summary(trace.finish())
         assert "bench" not in summary
+        assert not any(name.startswith("kernel:") for name in summary)
         assert summary["execute"]["count"] == 1
         assert summary["round"]["count"] == 3
         assert summary["round"]["seconds"] >= 0.0
