@@ -13,6 +13,16 @@ closure costs at most ``tolerance`` more CPU under A than under B::
     the static analyzer on (fingerprint + analysis-cache lookup per run)
     vs ``analyze=False``.
 
+``hoisting``
+    (not a settings pair) the optimizer's invariant-hoisting rule over a
+    query with nothing to hoist vs the whole of ``optimize_module`` on the
+    same query: at most 5 %, so ad-hoc query texts do not pay for the rule.
+    The query is the per-start-node closure the ledger's ``adhoc`` workload
+    sends; it declares no prolog variable, which is the property the rule's
+    early exit tests.  (A module that does declare one pays for the scoped
+    walk — about a third of ``optimize_module`` — whether or not it finds
+    anything.)
+
 Tracing has no row: its two settings points are watched where every other
 number is, in the ledger (``benchmarks/ledger/``) — the *disabled* cost as
 ``interpreter_ms`` on ``closure-delta`` (parent commit vs change), the
@@ -49,6 +59,8 @@ from repro.bench.queries import get_workload
 from repro.limits import ResourceLimits
 from repro.session import Session
 from repro.settings import EvalSettings
+from repro.xquery.optimizer import hoist_invariants, optimize_module
+from repro.xquery.parser import parse_query
 
 BASE = EvalSettings(engine="interpreter", ifp_algorithm="delta")
 
@@ -130,6 +142,45 @@ def check(guard: Guard, arguments: argparse.Namespace) -> bool:
     return passed
 
 
+#: Share of ``optimize_module`` the hoisting rule may cost on a query with
+#: nothing to hoist.
+HOISTING_TOLERANCE = 0.05
+
+
+#: The ledger's per-start-node curriculum closure.
+NOTHING_TO_HOIST = ('with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"] '
+                    "recurse $x/id(./prerequisites/pre_code)")
+
+
+def check_hoisting(arguments: argparse.Namespace) -> bool:
+    """The hoisting rule's cost on a query with nothing to hoist, as a
+    share of optimizing that query."""
+    module = parse_query(NOTHING_TO_HOIST)
+    optimized = optimize_module(module)
+    parts = (optimized.functions, optimized.variables, optimized.body)
+    repeats = arguments.inner * 50  # one optimize_module is ~50 us
+
+    def cpu(function, *operands) -> float:
+        started = time.process_time()
+        for _ in range(repeats):
+            function(*operands)
+        return time.process_time() - started
+
+    cpu(optimize_module, module)  # warm both call sites
+    cpu(hoist_invariants, *parts)
+    shares = sorted(cpu(hoist_invariants, *parts) / cpu(optimize_module, module)
+                    for _ in range(arguments.estimates))
+    passed = shares[0] <= HOISTING_TOLERANCE
+    print("hoisting: estimates " + " ".join(f"{share:.2%}" for share in shares))
+    print(f"hoisting: share of optimize_module (min of {arguments.estimates}) "
+          f"{shares[0]:.2%} (allowed ≤ {HOISTING_TOLERANCE:.0%}) — "
+          f"{'ok' if passed else 'FAILED'}")
+    if not passed:
+        print("\nhoisting overhead check FAILED: audit the early exit of "
+              "repro.xquery.optimizer.hoist_invariants", file=sys.stderr)
+    return passed
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--estimates", type=int, default=5,
@@ -144,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
                              "noise floor (default 20 ms); raise --inner instead")
     arguments = parser.parse_args(argv)
     # No short-circuit: every guard reports before the exit status.
-    return 0 if all([check(guard, arguments) for guard in GUARDS]) else 1
+    return 0 if all([*(check(guard, arguments) for guard in GUARDS),
+                     check_hoisting(arguments)]) else 1
 
 
 if __name__ == "__main__":

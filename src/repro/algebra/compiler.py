@@ -47,6 +47,7 @@ from repro.algebra.operators import (
     SelectComputed,
     StepJoin,
     UnionAll,
+    ValueEqualJoin,
 )
 from repro.algebra.storage import resolve_backend
 from repro.algebra.table import Table
@@ -283,7 +284,10 @@ class AlgebraCompiler:
                     values = string_values_or_none([shape.rhs.value])
                 elif isinstance(shape.rhs, ast.VarRef):
                     values = constant_values(shape.rhs.name)
-                else:  # pragma: no cover - recognizer only emits the above
+                else:
+                    # A computed right-hand side (``$b/@person``) has no
+                    # compile-time value: declined, the predicate plan's
+                    # value join (_value_join) answers it instead.
                     values = None
                 if values is None:
                     return tuple(pushed), tuple(predicates[position:])
@@ -360,11 +364,56 @@ class AlgebraCompiler:
             loop=inner_loop, environment=lifted_environment, focus=candidate_plan,
             loop_is_single=False,
         )
-        selected = self._selected_iterations(predicate, inner_context)
+        selected = self._value_join(predicate, tagged, inner_context, context)
+        if selected is None:
+            selected = self._selected_iterations(predicate, inner_context)
         # keep candidate rows whose inner iteration survived the predicate
         joined = Join(tagged, Project(selected, [("selected_iter", "iter")]),
                       [("inner", "selected_iter")])
         return Project(joined, [("iter", "iter"), ("pos", "pos"), ("item", "item")])
+
+    def _value_join(self, predicate: ast.Expr, tagged: Operator,
+                    inner_context: CompilationContext,
+                    context: CompilationContext) -> Operator | None:
+        """``[lhs = rhs]`` with a focus-free *rhs* as a value join.
+
+        Such a right-hand side (``$id``, ``$b/@person``) has one value per
+        *outer* iteration, so it is compiled there — once, not once per
+        candidate through the lifted environment — and joined with the
+        candidates' left-hand values on ``(outer iter, value)``.  To keep
+        it unevaluated wherever the classical plan never evaluates the
+        predicate, its loop and variables are restricted to the outer
+        iterations that have a candidate.  Returns the plan of the selected
+        inner iterations, or ``None`` (not that shape, or pushdown is off).
+        """
+        from repro.xquery.pushdown import focus_free
+
+        if not (self.push_predicates and isinstance(predicate, ast.GeneralComparison)
+                and predicate.op == "="):
+            return None
+        left_free, right_free = focus_free(predicate.left), focus_free(predicate.right)
+        if left_free == right_free:
+            return None
+        lhs, rhs = ((predicate.right, predicate.left) if left_free
+                    else (predicate.left, predicate.right))
+        live = Distinct([Project(tagged, [("iter", "iter")])])
+        live_r = Project(live, [("live", "iter")])
+        outer_context = CompilationContext(
+            loop=live,
+            environment={name: Project(Join(plan, live_r, [("iter", "live")]),
+                                       [(column, column) for column in SEQ_COLUMNS])
+                         for name, plan in context.environment.items()},
+            loop_is_single=context.loop_is_single,
+        )
+        right = Project(AtomizeValue([self._compile(rhs, outer_context)]),
+                        [("iter", "iter"), ("item_r", "item")])
+        left = Project(AtomizeValue([self._compile(lhs, inner_context)]),
+                       [("inner_l", "iter"), ("item", "item")])
+        left = Project(Join(left, Project(tagged, [("inner", "inner"), ("iter", "iter")]),
+                            [("inner_l", "inner")]),
+                       [("iter", "iter"), ("inner", "inner"), ("item", "item")])
+        joined = ValueEqualJoin(left, right, _general_equal)
+        return Distinct([Project(joined, [("iter", "inner")])])
 
     def _selected_iterations(self, condition: ast.Expr, context: CompilationContext) -> Operator:
         """Compile *condition* into a plan of the iterations it selects.
@@ -397,9 +446,8 @@ class AlgebraCompiler:
         right = AtomizeValue([self._compile(comparison.right, context)])
         left_p = Project(left, [("iter", "iter"), ("item", "item")])
         right_p = Project(right, [("iter", "iter"), ("item_r", "item")])
-        joined = Join(left_p, right_p, [("iter", "iter")])
-        selected = SelectComputed(joined, ["item", "item_r"], _general_equal, name="=")
-        return Distinct([Project(selected, [("iter", "iter")])])
+        joined = ValueEqualJoin(left_p, right_p, _general_equal)
+        return Distinct([Project(joined, [("iter", "iter")])])
 
     # ------------------------------------------------------------------ FLWOR, conditionals
 

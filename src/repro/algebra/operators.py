@@ -40,7 +40,7 @@ from repro.xdm.index import (
 from repro.xdm.items import is_node, string_value_of_item
 from repro.xdm.node import AttributeNode, CommentNode, DocumentNode, ElementNode, Node, TextNode
 from repro.xdm.sequence import ddo
-from repro.xquery.pushdown import PositionShape, apply_shapes
+from repro.xquery.pushdown import PositionShape, apply_shapes, probe_step
 
 _operator_ids = itertools.count(1)
 
@@ -299,6 +299,36 @@ class Join(Operator):
         return f"⋈_{{{condition}}}"
 
 
+class ValueEqualJoin(Operator):
+    """⋈= — the existential ``=`` of a general comparison, per iteration.
+
+    Inputs: ``iter|item`` and ``iter|item_r`` with atomized items; output:
+    the row pairs of one iteration whose items compare equal.  When every
+    item on both sides is a string (``xs:string``/``xs:untypedAtomic`` —
+    what atomized untyped documents deliver) general equality *is* string
+    equality, so the operator is one ``(iter, item)`` hash equi-join.  Any
+    other atomic type brings the promotion rules in (``"07" = 7``): then it
+    is the textbook ``iter`` join filtered by *comparison* over the
+    per-iteration cross product.
+    """
+
+    symbol = "⋈="
+    union_pushable = True
+
+    def __init__(self, left: Operator, right: Operator,
+                 comparison: Callable[[Any, Any], bool]):
+        super().__init__([left, right])
+        self.comparison = comparison
+
+    def compute(self, inputs, engine):
+        left, right = inputs
+        if (all(isinstance(value, str) for value in left.column_values("item"))
+                and all(isinstance(value, str) for value in right.column_values("item_r"))):
+            return left.hash_join(right, [("iter", "iter"), ("item", "item_r")])
+        return left.hash_join(right, [("iter", "iter")]).select_computed(
+            ["item", "item_r"], self.comparison)
+
+
 def _default_equality(left: Any, right: Any) -> bool:
     if is_node(left) or is_node(right):
         return left is right
@@ -507,6 +537,11 @@ class StepJoin(Operator):
         )
         self._pushed_positional = any(isinstance(shape, PositionShape)
                                       for shape in self.pushed)
+        #: The first pushed shape, when it is an equality the value index can
+        #: answer from its side (see ``_probe``).
+        self._probe_shape = (self.pushed[0] if self.pushed
+                             and not isinstance(self.pushed[0], PositionShape)
+                             and not self.pushed[0].existence else None)
         self.template = "step"
 
     def compute(self, inputs, engine):
@@ -534,15 +569,17 @@ class StepJoin(Operator):
                     # per-node results, because they skip the per-round
                     # O(m log m) ddo over the concatenation.  Pushed value
                     # shapes filter the merged column directly.
-                    result = batch_step(nodes, self.axis, self.node_test_kind,
-                                        self.node_test_name)
-                    if result is not None and self.pushed:
-                        if index_set is None:
-                            index_set = IndexSet()
-                        result = apply_shapes(result, self.pushed,
-                                              self._pushed_values,
-                                              use_index=True,
-                                              index_set=index_set)
+                    if self.pushed and index_set is None:
+                        index_set = IndexSet()
+                    result = self._probe(nodes, index_set, trace)
+                    if result is None:
+                        result = batch_step(nodes, self.axis, self.node_test_kind,
+                                            self.node_test_name)
+                        if result is not None and self.pushed:
+                            result = apply_shapes(result, self.pushed,
+                                                  self._pushed_values,
+                                                  use_index=True,
+                                                  index_set=index_set)
                 if result is None:
                     if use_index and index_set is None:
                         index_set = IndexSet()
@@ -559,6 +596,22 @@ class StepJoin(Operator):
         return engine.make_table_from_columns(("iter", "pos", "item"),
                                               [iters, positions, items])
 
+    def _probe(self, nodes: list[Node], index_set, trace=None) -> list[Node] | None:
+        """The step with *all* pushed shapes applied, its first (equality)
+        shape answered by index-side probing — or ``None`` to enumerate.
+        The probed nodes come in document order, which for the forward axes
+        probing covers is the axis order later positional shapes count in
+        (callers with several context nodes have none)."""
+        if self._probe_shape is None:
+            return None
+        result = probe_step(nodes, self.axis, self.node_test_kind,
+                            self.node_test_name, self._probe_shape,
+                            lambda: self._pushed_values[0], index_set, trace)
+        if result is None:
+            return None
+        return apply_shapes(result, self.pushed[1:], self._pushed_values[1:],
+                            use_index=True, index_set=index_set)
+
     def _step_ddo(self, node: Node, engine, index_set=None) -> list[Node]:
         """The step result for one context node — pushed shapes applied in
         axis order, then deduplicated and in document order — memoised per
@@ -567,23 +620,29 @@ class StepJoin(Operator):
         hit the cache every round)."""
         use_index = getattr(engine, "use_index", True)
         cache = getattr(engine, "macro_cache", None)
+        trace = getattr(engine, "trace", None)
         if cache is None:
-            return ddo(self._filtered_step(node, use_index, index_set))
+            return ddo(self._filtered_step(node, use_index, index_set, trace))
         key = (self.operator_id, id(node))
         hit = cache.get(key)
         if hit is not None and hit[0] is node:
             return hit[1]
-        result = ddo(self._filtered_step(node, use_index, index_set))
+        result = ddo(self._filtered_step(node, use_index, index_set, trace))
         cache[key] = (node, result)
         return result
 
-    def _filtered_step(self, node: Node, use_index: bool, index_set=None) -> list[Node]:
+    def _filtered_step(self, node: Node, use_index: bool, index_set=None,
+                       trace=None) -> list[Node]:
         """One node's raw step result with the pushed shapes applied.
 
         The raw result is in the axis's *natural* order (reverse axes
         nearest-first), which is exactly the order positional shapes count
         along; the caller applies the final ddo.
         """
+        if use_index:
+            result = self._probe([node], index_set, trace)
+            if result is not None:
+                return result
         result = self._step(node, use_index, index_set)
         if self.pushed:
             result = apply_shapes(result, self.pushed, self._pushed_values,

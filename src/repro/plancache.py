@@ -171,13 +171,18 @@ def documents_fingerprint(resolver) -> tuple:
     drops its index registry entry (see :mod:`repro.xdm.index`), so the
     rebuilt index is a different object and plans whose prolog-variable
     values were baked in against the old tree can never be served again.
+    A *value* mutation keeps the index object but bumps its
+    ``value_generation``, which is part of the key for the same reason: a
+    prolog variable — written by the user or synthesized by the optimizer's
+    hoisting rule — may hold the result of a value predicate.
     """
     from repro.xdm.index import index_for
 
     parts = []
     for uri in resolver.known_uris():
         doc = resolver.resolve(uri)
-        parts.append((uri, _Pinned(doc), _Pinned(index_for(doc))))
+        index = index_for(doc)
+        parts.append((uri, _Pinned(doc), _Pinned(index), index.value_generation))
     return tuple(parts)
 
 

@@ -481,18 +481,27 @@ class Session:
                                        push_predicates=settings.use_pushdown)
             evaluator = Evaluator()
             compile_context = compiler.initial_context()
-            bound_variables = {name: list(value) if isinstance(value, (list, tuple)) else [value]
-                               for name, value in (variables or {}).items()}
+            # Prolog variables are compile-time constants here: each
+            # initializer runs once, seeing the declarations before it (and
+            # the caller's bindings), exactly as Evaluator.evaluate_module
+            # binds them in order.
+            prolog = DynamicContext(
+                static=StaticContext(functions=module.function_map(), settings=settings,
+                                     trace=trace, governor=governor),
+                documents=resolver)
+            for name, value in (variables or {}).items():
+                prolog = prolog.bind(
+                    name, list(value) if isinstance(value, (list, tuple)) else [value])
             for declaration in module.variables:
                 if declaration.value is None:
                     # External declaration: inline the caller's binding (such
                     # modules are never plan-cached — see module_cache_safe).
-                    if not declaration.external or declaration.name not in bound_variables:
+                    if not declaration.external or declaration.name not in prolog.variables:
                         continue
-                    value = bound_variables[declaration.name]
+                    value = prolog.variables[declaration.name]
                 else:
-                    value = evaluator.evaluate(declaration.value,
-                                               DynamicContext(documents=resolver))
+                    value = evaluator.evaluate(declaration.value, prolog)
+                    prolog = prolog.bind(declaration.name, value)
                 rows = [(1, position, item) for position, item in enumerate(value, start=1)]
                 compile_context = compile_context.bind(
                     declaration.name,

@@ -308,6 +308,11 @@ class _Emitter:
     def _shape_values(self, shape: ValueShape):
         """Constant strings of the shape's right-hand side (``None`` for
         existence tests); non-string operands are not emittable."""
+        if shape.path:
+            # A relative-path shape (``seller/@person = …``) would need a
+            # join chain inside the probe: declined, the driver loop's
+            # interpreted body answers it from the path-value index.
+            raise _NotEmittable
         if shape.rhs is None:
             return None
         if isinstance(shape.rhs, ast.Literal):
@@ -316,7 +321,9 @@ class _Emitter:
             if shape.rhs.name not in self.variables:
                 raise _NotEmittable
             values = string_values_or_none(self.variables[shape.rhs.name])
-        else:  # pragma: no cover - recognizer only emits the above
+        else:
+            # A computed right-hand side has no value the SQL text could
+            # inline: declined (driver loop).
             values = None
         if values is None:
             raise _NotEmittable

@@ -15,7 +15,10 @@ On top of the plain arrays (``nodes``, ``post``, ``level``, ``parent_pre``,
 ``size``, ``sib_pos``) the index keeps a *name inverted index* — element
 name → sorted list of ``pre`` ranks — so a ``descendant::n`` step is two
 bisections into that list, and lazy per-node *child-by-name maps* so a
-``child::n`` step is a dict lookup.  The batch kernels
+``child::n`` step is a dict lookup, and lazy *value indexes* (attribute
+owners, the path-value index) that answer value predicates — from the
+candidate's side as a membership test, or from the index's side
+(:func:`batch_probe`) without enumerating candidates at all.  The batch kernels
 (:func:`batch_step`) take a whole column of context nodes at once: for the
 descendant axes the context intervals are merged (nested intervals are
 skipped, which is what makes the result duplicate-free *by construction*),
@@ -77,11 +80,10 @@ class StructuralIndex:
     attribute list directly.
     """
 
-    __slots__ = ("root", "generation", "nodes", "pre_of", "post", "level",
+    __slots__ = ("root", "generation", "value_generation", "nodes", "pre_of", "post", "level",
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
                  "kind_pres", "_child_by_name", "_attr_owner_sets",
-                 "_attr_value_sets", "_child_parent_sets", "_elem_value_sets",
-                 "_child_value_parent_sets")
+                 "_attr_value_sets", "_child_parent_sets", "_path_value_sets")
 
     def __init__(self, root: Node):
         self.root = root
@@ -89,6 +91,10 @@ class StructuralIndex:
         #: :func:`mutation_generation`); lets holders tell a fresh index
         #: from one built before the last structural change.
         self.generation = _MUTATION_GENERATION
+        #: Bumped whenever a value mutation drops the value indexes: holders
+        #: of anything computed from node *values* (the plan cache's baked-in
+        #: prolog variables) key on it beside the index object itself.
+        self.value_generation = 0
         nodes: list[Node] = []
         post: list[int] = []
         level: list[int] = []
@@ -163,13 +169,13 @@ class StructuralIndex:
         self._attr_value_sets: dict[str, dict[str, set[int]]] | None = None
         #: element name → set of parent pres (child-existence tests)
         self._child_parent_sets: dict[str, set[int]] = {}
-        #: element name → string value → set of element pres
-        self._elem_value_sets: dict[str, dict[str, set[int]]] = {}
-        #: (element name, string value) → set of parent pres
-        self._child_value_parent_sets: dict[tuple[str, str], set[int]] = {}
+        #: (child-step names, target, name) → value → set of owner pres
+        #: (see :meth:`path_value_owners`)
+        self._path_value_sets: dict[tuple, dict[str, set[int]]] = {}
 
     def clear_value_indexes(self) -> None:
         """Drop the lazy value indexes (after a value mutation)."""
+        self.value_generation += 1
         self._reset_value_indexes()
 
     def _build_attr_indexes(self) -> tuple[dict, dict]:
@@ -200,10 +206,7 @@ class StructuralIndex:
 
     def attr_value_owner_pres(self, name: str, value: str) -> set[int]:
         """Pres of elements carrying attribute *name* with exactly *value*."""
-        sets = self._attr_value_sets
-        if sets is None:
-            _, sets = self._build_attr_indexes()
-        return sets.get(name, _EMPTY_DICT).get(value, _EMPTY_SET)
+        return self.path_value_owners((), "attr", name).get(value, _EMPTY_SET)
 
     def child_name_parent_pres(self, name: str) -> set[int]:
         """Pres of nodes having an element child called *name*."""
@@ -215,28 +218,50 @@ class StructuralIndex:
             self._child_parent_sets[name] = parents
         return parents
 
-    def elem_value_pres(self, name: str, value: str) -> set[int]:
-        """Pres of elements called *name* whose string value equals *value*."""
-        by_value = self._elem_value_sets.get(name)
-        if by_value is None:
-            by_value = {}
-            nodes = self.nodes
-            for pre in self.name_pres.get(name, ()):
-                by_value.setdefault(nodes[pre].string_value(), set()).add(pre)
-            self._elem_value_sets[name] = by_value
-        return by_value.get(value, _EMPTY_SET)
-
     def child_value_parent_pres(self, name: str, value: str) -> set[int]:
         """Pres of nodes having a child element *name* with string value
         *value* — the membership set of ``[name = "value"]``."""
-        key = (name, value)
-        parents = self._child_value_parent_sets.get(key)
-        if parents is None:
-            parent_pre = self.parent_pre
-            parents = {parent_pre[p] for p in self.elem_value_pres(name, value)
-                       if parent_pre[p] >= 0}
-            self._child_value_parent_sets[key] = parents
-        return parents
+        return self.path_value_owners((), "child", name).get(value, _EMPTY_SET)
+
+    def path_value_owners(self, path: tuple[str, ...], target: str,
+                          name: str) -> dict[str, set[int]]:
+        """The path-value index of ``path…/target::name``: value → pres of
+        the nodes ``N`` for which ``N/child::p1/…/child::pk/@name`` (*target*
+        ``"attr"``) or ``…/child::name`` (``"child"``) has a node whose
+        string value is exactly that value — the membership sets of
+        ``[p1/…/pk/@name = "value"]``.
+
+        Built once per ``(path, target, name)`` for all values: the empty
+        path comes straight from the attribute/element values, a longer one
+        lifts the index of its tail through one more child step.  The
+        returned mapping is shared — callers must not mutate it.
+        """
+        key = (path, target, name)
+        cache = self._path_value_sets  # a concurrent clear swaps the dict:
+        owners = cache.get(key)        # what is built here then lands in the old one
+        if owners is not None:
+            return owners
+        parent_pre = self.parent_pre
+        if path:
+            step_pres = set(self.name_pres.get(path[0], ()))
+            owners = {}
+            for value, pres in self.path_value_owners(path[1:], target, name).items():
+                lifted = {parent_pre[p] for p in pres & step_pres if parent_pre[p] >= 0}
+                if lifted:
+                    owners[value] = lifted
+        elif target == "attr":
+            sets = self._attr_value_sets
+            if sets is None:
+                _, sets = self._build_attr_indexes()
+            owners = sets.get(name, _EMPTY_DICT)
+        else:
+            owners = {}
+            nodes = self.nodes
+            for pre in self.name_pres.get(name, ()):
+                if parent_pre[pre] >= 0:
+                    owners.setdefault(nodes[pre].string_value(), set()).add(parent_pre[pre])
+        cache[key] = owners
+        return owners
 
     # -- basic lookups --------------------------------------------------------
 
@@ -377,15 +402,18 @@ class StructuralIndex:
     def _children(self, pre: int, node: Node, kind: str,
                   name: str | None) -> list[Node]:
         if kind in ("name", "element") and name not in (None, "*"):
-            by_name = self._child_by_name.get(pre)
-            if by_name is None:
-                by_name = {}
-                for child in node.children:
-                    if isinstance(child, ElementNode):
-                        by_name.setdefault(child.name, []).append(child)
-                self._child_by_name[pre] = by_name
-            return list(by_name.get(name, ()))
+            return list(self._children_by_name(pre, node).get(name, ()))
         return [c for c in node.children if _matches(c, kind, name, "child")]
+
+    def _children_by_name(self, pre: int, node: Node) -> dict[str, list[Node]]:
+        by_name = self._child_by_name.get(pre)
+        if by_name is None:
+            by_name = {}
+            for child in node.children:
+                if isinstance(child, ElementNode):
+                    by_name.setdefault(child.name, []).append(child)
+            self._child_by_name[pre] = by_name
+        return by_name
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +745,91 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
 
     return _ddo_by_order_key(collected, already_unique=len(distinct) == 1
                              and axis not in _REVERSE_AXES)
+
+
+#: Axes :func:`batch_probe` can verify from the owner's side.
+PROBE_AXES = frozenset({"child", "descendant"})
+
+
+def batch_probe(nodes: list[Node], axis: str, name: str, owners_of,
+                index_set: "IndexSet | None" = None) -> list[Node] | None:
+    """``nodes/axis::name[value predicate]`` answered from the index side.
+
+    *owners_of* maps a :class:`StructuralIndex` to the pres of the nodes in
+    its tree that satisfy the predicate (a value-index lookup), or ``None``
+    when it cannot tell.  Instead of enumerating every ``axis::name``
+    candidate and testing it, the kernel enumerates those — typically few —
+    owners and keeps the elements called *name* that stand in the axis
+    relation to a context node: a parent lookup for ``child``, a bisection
+    into the merged context intervals for ``descendant``.  The result is
+    duplicate-free (owners are a set) and in document order (sorted pres).
+
+    The candidates are counted first (child-by-name maps, name-index
+    ranges) and *owners_of* is only asked when there is one: a step without
+    candidates never evaluates its predicate, so neither may this kernel.
+
+    Returns ``None`` — the caller enumerates as before — for other axes,
+    for context nodes the index does not cover, when *owners_of* does, and
+    when the owners outnumber the candidates, where enumerating is the
+    cheaper side.
+    """
+    if axis not in PROBE_AXES:
+        return None
+    if index_set is None:
+        index_set = IndexSet()
+    by_index: dict[int, tuple[StructuralIndex, list[int]]] = {}
+    for node in nodes:
+        if isinstance(node, AttributeNode):
+            continue  # attributes have neither children nor descendants
+        idx = index_set.for_node(node)
+        pre = idx.pre_of.get(id(node))
+        if pre is None:
+            return None
+        by_index.setdefault(id(idx), (idx, []))[1].append(pre)
+
+    trees: list[tuple[StructuralIndex, list[int], int]] = []
+    for idx, pres in by_index.values():
+        if axis == "child":
+            candidates = sum(len(idx._children_by_name(pre, idx.nodes[pre]).get(name, ()))
+                             for pre in pres)
+        else:
+            named = idx.name_pres.get(name, ())
+            candidates = sum(bisect_right(named, pre + idx.size[pre])
+                             - bisect_right(named, pre) for pre in pres)
+        if candidates:
+            trees.append((idx, pres, candidates))
+
+    per_tree: list[list[Node]] = []
+    for idx, pres, candidates in trees:
+        owners = owners_of(idx)
+        if owners is None or len(owners) > candidates:
+            return None
+        if axis == "child":
+            contexts = set(pres)
+            parent_pre = idx.parent_pre
+            matched = [p for p in owners if parent_pre[p] in contexts]
+        else:
+            # Maximal context intervals (lo, hi]: nested contexts add nothing.
+            starts: list[int] = []
+            ends: list[int] = []
+            for pre in sorted(pres):
+                if not ends or pre + idx.size[pre] > ends[-1]:
+                    starts.append(pre)
+                    ends.append(pre + idx.size[pre])
+            matched = []
+            for p in owners:
+                slot = bisect_left(starts, p) - 1
+                if slot >= 0 and p <= ends[slot]:
+                    matched.append(p)
+        matched.sort()
+        per_tree.append([node for node in map(idx.nodes.__getitem__, matched)
+                         if isinstance(node, ElementNode) and node.name == name])
+
+    if len(per_tree) == 1:
+        return per_tree[0]
+    merged = [node for matches in per_tree for node in matches]
+    merged.sort(key=lambda n: n.order_key)
+    return merged
 
 
 def _ddo_by_order_key(collected: list[Node], already_unique: bool) -> list[Node]:

@@ -30,7 +30,7 @@ from repro.errors import (
 )
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
-from repro.xdm.index import batch_step, indexed_step
+from repro.xdm.index import IndexSet, batch_step, indexed_step
 from repro.xdm.items import (
     UntypedAtomic,
     is_node,
@@ -111,10 +111,6 @@ def recursion_headroom(limit: int = PYTHON_RECURSION_LIMIT):
 
 class Evaluator:
     """Evaluates parsed queries against a dynamic context."""
-
-    #: Kept as a class attribute for backwards compatibility with callers
-    #: that read the old knob; the module-level constant is authoritative.
-    PYTHON_RECURSION_LIMIT = PYTHON_RECURSION_LIMIT
 
     def __init__(self):
         self._dispatch: dict[type, Callable[[Any, DynamicContext], Sequence]] = {
@@ -476,6 +472,7 @@ class Evaluator:
                 and context.static.settings.use_index
                 and all(is_node(item) for item in left)):
             step = expr.right
+            shapes: list = []
             fusible = not step.predicates
             if not fusible and context.static.settings.use_pushdown:
                 shapes = [pushdown.recognize_predicate(p) for p in step.predicates]
@@ -485,12 +482,24 @@ class Evaluator:
             if fusible:
                 trace = context.static.trace
                 timer = perf_counter() if trace is not None else 0.0
-                result = batch_step(left, step.axis, step.node_test.kind,
-                                    step.node_test.name)
+                result = None
+                predicates = step.predicates[1:]
+                if shapes:
+                    # Index-side probing: the first predicate's few owners
+                    # instead of every candidate of the step.
+                    first = shapes[0]
+                    result = pushdown.probe_step(
+                        left, step.axis, step.node_test.kind, step.node_test.name,
+                        first, lambda: pushdown.resolve_rhs(
+                            first, lambda rhs: self.evaluate(rhs, context)),
+                        trace=trace)
+                if result is None:
+                    result = batch_step(left, step.axis, step.node_test.kind,
+                                        step.node_test.name)
+                    predicates = step.predicates
                 if result is not None:
-                    if step.predicates:
-                        result = self._apply_predicates(result, step.predicates,
-                                                        context)
+                    if predicates:
+                        result = self._apply_predicates(result, predicates, context)
                     if trace is not None:
                         trace.record_kernel(f"step:{step.axis}", True,
                                             perf_counter() - timer)
@@ -644,13 +653,11 @@ class Evaluator:
         if not all(is_node(item) for item in items):
             return None  # the focus loop raises the proper type error
         values = pushdown.resolve_rhs(
-            shape, lambda name: context.variables.get(name))
+            shape, lambda rhs: self.evaluate(rhs, context))
         if values is None:
             return None  # non-string operands: numeric promotion semantics
         use_index = context.static.settings.use_index
         if use_index and index_set is None:
-            from repro.xdm.index import IndexSet
-
             index_set = IndexSet()
         result = pushdown.apply_value_shape(list(items), shape, values,
                                             use_index=use_index,

@@ -22,6 +22,31 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
 * **unused-function pruning** (:func:`optimize_module`) — declarations not
   reachable through the call graph from the query body, the variable
   initializers or another reachable function are dropped.
+* **invariant hoisting** (:func:`optimize_module`) — a maximal
+  sub-expression of a function, ``for`` or ``with … recurse`` body that is
+  evaluated again on every call, iteration or round although its value
+  cannot change is bound once, at the outermost scope that binds all its
+  free variables: a synthesized prolog variable when those are prolog
+  variables (or it starts from ``doc("literal")``), else a ``let`` around
+  the loop or fixpoint.  ``$doc//people`` inside a function that a
+  fixpoint calls every round becomes ``declare variable $hoisted#1 :=
+  $doc//people`` (``#`` keeps the name out of reach of any query text); the algebra engine then sees a compile-time constant
+  table, like every prolog variable.  Safety conditions — the expression
+  qualifies only if it
+
+  - mentions no ``for``/quantifier, recursion or parameter variable, and no
+    ``let`` variable whose value does (so it is invariant in *every*
+    enclosing loop, and a fixpoint body never gains a binding that depends
+    on its recursion variable — the distributivity verdict cannot move);
+  - reads no outer focus (``.``, ``/``, a bare step, ``position()``,
+    ``last()``) and constructs no node (fresh identity per evaluation);
+  - **cannot raise**: hoisting makes it eager — a ``for`` over ``()`` never
+    evaluated it — so only a small total fragment is accepted: paths and
+    filters over node-typed origins whose predicates compare node or
+    string values, set operators, ``count``/``exists``/``empty``/``data``.
+    ``doc("u")`` counts as total only behind a prolog variable whose
+    initializer starts from the same call (``$doc := doc("u")``, or a path
+    from it), and the synthesized variable is declared after that one.
 
 Every rewrite is verified item-identical across the interpreter, algebra
 and SQL engines by randomized property tests
@@ -31,14 +56,14 @@ and SQL engines by randomized property tests
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.xquery import ast
 
 
 def optimize(expr: ast.Expr) -> ast.Expr:
     """Return an optimized copy of *expr* (the input is never mutated)."""
-    rewritten = _rewrite_children(expr)
+    rewritten = _map_children(expr, optimize)
     rewritten = _fold_constants(rewritten)
     rewritten = _eliminate_dead_branch(rewritten)
     rewritten = _fuse_descendant_step(rewritten)
@@ -56,27 +81,37 @@ def optimize_module(module: ast.Module) -> ast.Module:
         for decl in module.variables
     )
     body = optimize(module.body)
+    functions, variables, body = hoist_invariants(functions, variables, body)
     functions = _prune_unused_functions(functions, variables, body)
     return ast.Module(functions=functions, variables=variables, body=body)
 
 
-def _rewrite_children(expr: ast.Expr) -> ast.Expr:
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _map_children(expr, function):
+    """*expr* with *function* applied to every child expression (fields
+    and tuples of them); the same object when nothing changed."""
+    kind = type(expr)
+    names = _FIELD_NAMES.get(kind)
+    if names is None:
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in fields(kind))
     updates = {}
-    for field_info in fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, field_info.name)
-        new_value = _rewrite_value(value)
+    for name in names:
+        value = getattr(expr, name)
+        new_value = _map_value(value, function)
         if new_value is not value:
-            updates[field_info.name] = new_value
+            updates[name] = new_value
     if not updates:
         return expr
     return replace(expr, **updates)  # type: ignore[type-var]
 
 
-def _rewrite_value(value):
+def _map_value(value, function):
     if isinstance(value, ast.Expr):
-        return optimize(value)
+        return function(value)
     if isinstance(value, tuple):
-        new_items = tuple(_rewrite_value(item) for item in value)
+        new_items = tuple(_map_value(item, function) for item in value)
         if all(new is old for new, old in zip(new_items, value)):
             return value
         return new_items
@@ -276,3 +311,313 @@ def _prune_unused_functions(functions: tuple[ast.FunctionDecl, ...],
             if (function.name, function.arity) == key:
                 worklist |= _called_keys(function.body)
     return tuple(f for f in functions if (f.name, f.arity) in reachable)
+
+
+# ---------------------------------------------------------------------------
+# invariant hoisting
+# ---------------------------------------------------------------------------
+
+#: What the hoisting rule knows about the value of a total expression: a
+#: node sequence, a sequence of strings/untyped atomics (and nodes), or
+#: nothing beyond "evaluating it cannot raise".
+_NODES, _STRINGS, _ANY = "nodes", "strings", "any"
+
+
+@dataclass(frozen=True)
+class _Binding:
+    """A variable in scope: the loop depth it is bound at, its static type,
+    and whether its value is the same in every enclosing loop."""
+
+    depth: int
+    type: str
+    stable: bool
+
+
+#: ``for``/quantifier/recursion/parameter variables: whatever mentions one
+#: stays where it is.
+_VARIANT = _Binding(0, _ANY, False)
+
+def _origin(expr: ast.Expr) -> ast.Expr:
+    """Where a path starts: the expression evaluated first, and always."""
+    while isinstance(expr, (ast.PathExpr, ast.FilterExpr)):
+        expr = expr.left if isinstance(expr, ast.PathExpr) else expr.primary
+    return expr
+
+
+def _local_name(call: ast.FunctionCall) -> str:
+    return call.name[3:] if call.name.startswith("fn:") else call.name
+
+
+def _doc_uri(expr: ast.Expr) -> str | None:
+    """The URI of a ``doc("literal")`` call, else ``None``."""
+    if (isinstance(expr, ast.FunctionCall) and _local_name(expr) == "doc"
+            and len(expr.args) == 1 and isinstance(expr.args[0], ast.Literal)
+            and isinstance(expr.args[0].value, str)):
+        return expr.args[0].value
+    return None
+
+
+def hoist_invariants(functions: tuple[ast.FunctionDecl, ...],
+                     variables: tuple[ast.VariableDecl, ...], body: ast.Expr):
+    """The invariant-hoisting rule over a module's (already optimized)
+    parts; returns the rewritten ``(functions, variables, body)``.
+
+    Everything hoistable bottoms out in a prolog variable — directly, or as
+    the proof that a ``doc()`` call succeeds — so a module without one has
+    nothing to look for and skips the walk (``benchmarks/check_overhead.py``
+    holds that to < 5 % of :func:`optimize_module`).
+    """
+    if not any(declaration.value is not None for declaration in variables):
+        return functions, variables, body
+    return _Hoister(functions, variables).run(body)
+
+
+class _Hoister:
+    """One run of the invariant-hoisting rule over a module."""
+
+    def __init__(self, functions: tuple[ast.FunctionDecl, ...],
+                 variables: tuple[ast.VariableDecl, ...]):
+        self.functions = functions
+        self.variables = variables
+        self.declared = {(function.name, function.arity) for function in functions}
+        #: prolog variable name → its index among the declarations
+        self.position: dict[str, int] = {}
+        #: doc URI → index of the first declaration that always evaluates it
+        self.proofs: dict[str, int] = {}
+        #: synthesized declarations, each with the index it goes behind
+        self.inserts: list[tuple[int, ast.VariableDecl]] = []
+        self.prolog_names: dict[ast.Expr, str] = {}
+        #: depth a loop opens → the lets to put around that loop
+        self.pending: dict[int, list[tuple[str, ast.Expr]]] = {}
+        self.synthesized = 0
+        self.repeated = False
+
+    def run(self, body: ast.Expr):
+        scope: dict[str, _Binding] = {}
+        for index, declaration in enumerate(self.variables):
+            kind = _ANY
+            if declaration.value is not None:
+                # ``$doc := doc("u")`` (or a path from it) proves the call.
+                uri = _doc_uri(_origin(declaration.value))
+                if uri is not None and ("doc", 1) not in self.declared:
+                    self.proofs.setdefault(uri, index)
+                kind = self._total_type(declaration.value, scope) or _ANY
+            scope[declaration.name] = _Binding(0, kind, True)
+            self.position[declaration.name] = index
+        # A function body runs once per call; the query body once.
+        self.repeated = True
+        functions = []
+        for function in self.functions:
+            inner = dict(scope)
+            inner.update((param.name, _VARIANT) for param in function.params)
+            functions.append(replace(function, body=self._walk(function.body, inner, 1)))
+        self.repeated = False
+        body = self._walk(body, scope, 1)
+        if not self.inserts:
+            return tuple(functions), self.variables, body
+        variables = [decl for position, decl in self.inserts if position < 0]
+        for index, declaration in enumerate(self.variables):
+            variables.append(declaration)
+            variables.extend(decl for position, decl in self.inserts if position == index)
+        return tuple(functions), tuple(variables), body
+
+    # -- the walk -------------------------------------------------------------
+
+    def _walk(self, expr: ast.Expr, scope: dict[str, _Binding], depth: int) -> ast.Expr:
+        kind = type(expr)
+        if kind in _LEAVES:
+            return expr
+        if kind in _CANDIDATES and (self.repeated or depth > 1):
+            if self._total_type(expr, scope) is not None and _has_step(expr):
+                target = max((scope[name].depth for name in expr.free_variables()),
+                             default=0)
+                if target < depth:
+                    return ast.VarRef(self._bind(expr, target))
+        if kind is ast.ForExpr:
+            inner = dict(scope)
+            inner[expr.var] = _VARIANT
+            if expr.position_var:
+                inner[expr.position_var] = _VARIANT
+            sequence = self._walk(expr.sequence, scope, depth)
+            return self._loop(expr, depth, {"sequence": sequence}, inner)
+        if kind is ast.WithExpr:
+            inner = dict(scope)
+            inner[expr.var] = _VARIANT
+            seed = self._walk(expr.seed, scope, depth)
+            return self._loop(expr, depth, {"seed": seed}, inner)
+        if kind is ast.LetExpr:
+            value_type = self._total_type(expr.value, scope)
+            inner = dict(scope)
+            inner[expr.var] = (_VARIANT if value_type is None
+                               else _Binding(depth, value_type, True))
+            return self._rebuilt(expr, {"value": self._walk(expr.value, scope, depth),
+                                        "body": self._walk(expr.body, inner, depth)})
+        if kind is ast.QuantifiedExpr:
+            inner = dict(scope)
+            inner[expr.var] = _VARIANT
+            return self._rebuilt(expr, {
+                "sequence": self._walk(expr.sequence, scope, depth),
+                "satisfies": self._walk(expr.satisfies, inner, depth)})
+        if kind is ast.TypeswitchCase and expr.var:
+            scope = {**scope, expr.var: _VARIANT}
+        elif kind is ast.TypeswitchExpr and expr.default_var:
+            # (shadows in the operand and the cases too: fewer hoists, no harm)
+            scope = {**scope, expr.default_var: _VARIANT}
+        return _map_children(expr, lambda child: self._walk(child, scope, depth))
+
+    @staticmethod
+    def _rebuilt(expr, updates: dict):
+        changed = {name: value for name, value in updates.items()
+                   if value is not getattr(expr, name)}
+        return replace(expr, **changed) if changed else expr
+
+    def _loop(self, expr, depth: int, updates: dict, inner: dict[str, _Binding]):
+        """Walk the body of a loop that opens *depth* + 1, then put the
+        lets collected for it around the loop."""
+        self.pending[depth + 1] = []
+        updates["body"] = self._walk(expr.body, inner, depth + 1)
+        result = self._rebuilt(expr, updates)
+        for name, value in reversed(self.pending.pop(depth + 1)):
+            result = ast.LetExpr(name, value, result)
+        return result
+
+    def _bind(self, expr: ast.Expr, target: int) -> str:
+        """The name *expr* is bound to at depth *target* (reusing an equal
+        expression's binding)."""
+        if target == 0:
+            name = self.prolog_names.get(expr)
+            if name is None:
+                name = self.prolog_names[expr] = self._fresh_name()
+                behind = [self.position[name_] for name_ in expr.free_variables()]
+                behind.extend(self.proofs[uri] for uri in
+                              map(_doc_uri, expr.iter_subexpressions()) if uri is not None)
+                self.inserts.append((max(behind, default=-1),
+                                     ast.VariableDecl(name, expr)))
+            return name
+        frame = self.pending[target + 1]
+        for name, value in frame:
+            if value == expr:
+                return name
+        name = self._fresh_name()
+        frame.append((name, expr))
+        return name
+
+    def _fresh_name(self) -> str:
+        # "#" cannot occur in a name the lexer produces: no clash possible.
+        self.synthesized += 1
+        return f"hoisted#{self.synthesized}"
+
+    # -- totality and static types ------------------------------------------
+
+    def _total_type(self, expr: ast.Expr, scope: dict[str, _Binding]) -> str | None:
+        """The static type of *expr* if evaluating it is invariant, reads no
+        outer focus and cannot raise — else ``None``."""
+        if isinstance(expr, ast.Literal):
+            return _STRINGS if isinstance(expr.value, str) else _ANY
+        if isinstance(expr, ast.EmptySequence):
+            return _NODES
+        if isinstance(expr, ast.VarRef):
+            binding = scope.get(expr.name)
+            return binding.type if binding is not None and binding.stable else None
+        if isinstance(expr, ast.PathExpr):
+            if (self._total_type(expr.left, scope) == _NODES
+                    and self._total_step(expr.right, scope)):
+                return _NODES
+            return None
+        if isinstance(expr, ast.FilterExpr):
+            if (self._total_type(expr.primary, scope) == _NODES
+                    and all(self._total_predicate(p, scope) for p in expr.predicates)):
+                return _NODES
+            return None
+        if isinstance(expr, (ast.UnionExpr, ast.IntersectExpr, ast.ExceptExpr)):
+            if (self._total_type(expr.left, scope) == _NODES
+                    and self._total_type(expr.right, scope) == _NODES):
+                return _NODES
+            return None
+        if isinstance(expr, ast.SequenceExpr):
+            kinds = {self._total_type(item, scope) for item in expr.items}
+            if None in kinds:
+                return None
+            if kinds <= {_NODES}:
+                return _NODES
+            return _STRINGS if kinds <= {_NODES, _STRINGS} else _ANY
+        if isinstance(expr, ast.FunctionCall):
+            if (expr.name, len(expr.args)) in self.declared:
+                return None
+            if _doc_uri(expr) in self.proofs:
+                return _NODES
+            if len(expr.args) == 1 and _local_name(expr) in ("count", "exists", "empty", "data"):
+                kind = self._total_type(expr.args[0], scope)
+                if kind is None:
+                    return None
+                return _STRINGS if _local_name(expr) == "data" and kind != _ANY else _ANY
+        return None
+
+    def _total_step(self, step: ast.Expr, scope: dict[str, _Binding]) -> bool:
+        return isinstance(step, ast.AxisStep) and all(
+            self._total_predicate(predicate, scope) for predicate in step.predicates)
+
+    def _relative_nodes(self, expr: ast.Expr, scope: dict[str, _Binding]) -> bool:
+        """A path of total steps from the (node) focus a predicate runs in."""
+        if isinstance(expr, ast.PathExpr):
+            return (self._relative_nodes(expr.left, scope)
+                    and self._total_step(expr.right, scope))
+        return self._total_step(expr, scope)
+
+    def _total_predicate(self, predicate: ast.Expr, scope: dict[str, _Binding]) -> bool:
+        """Can *predicate*, applied to a node, neither raise nor depend on
+        anything but that node and stable variables?"""
+        if isinstance(predicate, ast.Literal):
+            return True  # a position, or the EBV of one atomic
+        if isinstance(predicate, (ast.AndExpr, ast.OrExpr)):
+            return (self._total_predicate(predicate.left, scope)
+                    and self._total_predicate(predicate.right, scope))
+        if isinstance(predicate, ast.GeneralComparison):
+            sides = (predicate.left, predicate.right)
+            if all(self._string_valued(side, scope) for side in sides):
+                return True  # untyped/string comparison: no promotion can fail
+            return any(_is_call(a, "position") and _is_integer(b)
+                       for a, b in (sides, sides[::-1]))
+        if isinstance(predicate, ast.FunctionCall):
+            if (predicate.name, len(predicate.args)) in self.declared:
+                return False
+            local = _local_name(predicate)
+            if not predicate.args:
+                return local in ("last", "position", "true", "false")
+            if len(predicate.args) == 1:
+                argument = predicate.args[0]
+                if local == "not":
+                    return self._total_predicate(argument, scope)
+                if local in ("exists", "empty"):
+                    return (self._relative_nodes(argument, scope)
+                            or self._total_type(argument, scope) is not None)
+            return False
+        return self._relative_nodes(predicate, scope)
+
+    def _string_valued(self, expr: ast.Expr, scope: dict[str, _Binding]) -> bool:
+        """An operand of a predicate over nodes that atomizes to untyped or
+        string values (``.`` is the node the predicate is applied to)."""
+        return (isinstance(expr, ast.ContextItem)
+                or self._relative_nodes(expr, scope)
+                or self._total_type(expr, scope) in (_NODES, _STRINGS))
+
+
+_LEAVES = frozenset({ast.VarRef, ast.Literal, ast.NodeTest, ast.ContextItem,
+                     ast.EmptySequence, ast.RootExpr})
+
+#: Expression forms worth binding once (when they contain a step at all).
+_CANDIDATES = frozenset({ast.PathExpr, ast.FilterExpr, ast.UnionExpr, ast.IntersectExpr,
+                         ast.ExceptExpr, ast.SequenceExpr, ast.FunctionCall})
+
+
+def _has_step(expr: ast.Expr) -> bool:
+    return any(isinstance(sub, ast.AxisStep) for sub in expr.iter_subexpressions())
+
+
+def _is_call(expr: ast.Expr, local: str) -> bool:
+    return (isinstance(expr, ast.FunctionCall) and not expr.args
+            and _local_name(expr) == local)
+
+
+def _is_integer(expr: ast.Expr) -> bool:
+    return _numeric_literal(expr) is not None and isinstance(expr.value, int)

@@ -6,27 +6,42 @@ fixpoint bodies re-run those filters every µ/µ∆ round.  This module is the
 shared seam all three engines route such predicates through:
 
 * the **recognizer** (:func:`recognize_predicate`) classifies a predicate
-  AST into one of a handful of *shapes* — attribute/child-element value
-  comparisons against literals or variables, attribute/child existence
+  AST into one of a handful of *shapes* — value comparisons of an
+  attribute, a child element or a *relative child path* ending in one
+  (``@id``, ``name``, ``seller/@person``, ``a/b``) against any *focus-free*
+  expression (a literal, a variable, ``$b/@person`` — anything that reads
+  neither ``.`` nor ``position()``/``last()``), attribute/child existence
   tests, and positional predicates (``[1]``, ``[last()]``,
   ``[position() op N]``);
 * the **batch kernels** (:func:`apply_value_shape`,
-  :func:`positional_filter`) filter a whole candidate column at once: value
-  shapes become membership probes into the lazy value inverted indexes of
-  :class:`~repro.xdm.index.StructuralIndex` (one set lookup per candidate
+  :func:`positional_filter`) filter a whole candidate column at once: the
+  right-hand side is resolved *once per predicate application*
+  (:func:`resolve_rhs`), its values are looked up in the lazy path-value
+  index of :class:`~repro.xdm.index.StructuralIndex` and the candidates are
+  kept by membership in that owner set (one set lookup per candidate
   instead of a fresh focus + predicate evaluation), positional shapes
   become list-slice arithmetic on the axis-ordered candidate list (no
-  ``position()``/``last()`` focus loop at all).
+  ``position()``/``last()`` focus loop at all);
+* **index-side probing** (:func:`probe_step`) answers a child or
+  descendant name step followed by an equality shape without enumerating
+  the step's candidates at all: it walks the value index's few owners and
+  verifies the axis relation
+  (:func:`~repro.xdm.index.batch_probe`) — ``patient[@id = "p7"]`` over
+  1000 patients touches one node.
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
 compiler attaches recognized shapes to the step), and the SQL emitter
-reuses the recognizer to translate the same shapes into ``EXISTS`` probes
-against the shredded ``attr``/``node`` tables.  Anything the recognizer
-does not accept falls back to the engines' existing per-node paths, which
-keeps all engines item-identical with pushdown on or off.  Traced runs
-count each batch-vs-fallback decision on the query's own
-:meth:`~repro.observability.tracing.TraceContext.record_kernel`.
+reuses the recognizer to translate the single-step shapes with constant
+right-hand sides into ``EXISTS`` probes against the shredded
+``attr``/``node`` tables (it declines relative paths and computed
+right-hand sides: such fixpoints run through the driver loop, whose bodies
+are interpreted).  Anything the recognizer does not accept falls back to
+the engines' existing per-node paths, which keeps all engines
+item-identical with pushdown on or off.  Traced runs count each
+batch-vs-fallback decision on the query's own
+:meth:`~repro.observability.tracing.TraceContext.record_kernel`
+(``pred:path-eq``, ``step:probe``, … next to ``pred:fallback``).
 
 Semantics notes
 ---------------
@@ -36,6 +51,16 @@ Semantics notes
   hash probe.  A numeric operand would switch the XQuery general
   comparison to numeric promotion (``"07" = 7`` is true) — those fall
   back.
+* A focus-free right-hand side is resolved once per predicate
+  *application* — and only when the application has a candidate: a
+  predicate that is never evaluated must not raise.  The interpreter
+  resolves it where it applies the predicate; the algebra compiler
+  declines computed right-hand sides in ``_split_pushable`` (no
+  compile-time value) and joins them per outer iteration instead
+  (``AlgebraCompiler._value_join``).
+* The path-value index behind the relative-path shapes
+  (:meth:`~repro.xdm.index.StructuralIndex.path_value_owners`) is a value
+  index like the others: lazy, and dropped by the value-mutation hook.
 * Value and existence shapes depend only on the candidate node (plus
   variable bindings), never on the focus position/size, so they may be
   applied to a merged context column.  Positional shapes count along the
@@ -48,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
-from repro.xdm.index import IndexSet
+from repro.xdm.index import PROBE_AXES, IndexSet, batch_probe
 from repro.xdm.items import UntypedAtomic, is_node
 from repro.xdm.node import AttributeNode, ElementNode, Node
 from repro.xquery import ast
@@ -64,10 +89,12 @@ _FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 class ValueShape:
     """An attribute/child-element value or existence predicate.
 
-    ``target`` is ``"attr"`` (``[@name …]``) or ``"child"`` (``[name …]``).
-    ``rhs`` is the compared expression (``None`` for bare existence tests);
-    ``values`` optionally carries compile-time-resolved constant strings
-    (the algebra compiler and the SQL emitter resolve eagerly, the
+    ``target`` is ``"attr"`` (``[@name …]``) or ``"child"`` (``[name …]``);
+    ``path`` holds the child-step names in front of it (``("seller",)`` for
+    ``[seller/@person …]``, empty for the single-step shapes).
+    ``rhs`` is the compared focus-free expression (``None`` for bare
+    existence tests); ``values`` optionally carries compile-time-resolved
+    constant strings (the algebra compiler resolves eagerly, the
     interpreter resolves per application).
     """
 
@@ -75,11 +102,17 @@ class ValueShape:
     name: str
     rhs: ast.Expr | None = None
     values: tuple[str, ...] | None = None
+    path: tuple[str, ...] = ()
+
+    @property
+    def existence(self) -> bool:
+        return self.rhs is None and self.values is None
 
     @property
     def kind(self) -> str:
-        suffix = "exists" if self.rhs is None and self.values is None else "eq"
-        return f"{self.target}-{suffix}"
+        if self.path:
+            return "path-eq"
+        return f"{self.target}-{'exists' if self.existence else 'eq'}"
 
 
 @dataclass(frozen=True)
@@ -118,9 +151,74 @@ def _value_step_shape(expr: ast.Expr) -> tuple[str, str] | None:
     return None
 
 
-def _comparison_rhs(expr: ast.Expr) -> bool:
-    """Expressions the kernels can resolve to constant string values."""
-    return isinstance(expr, (ast.Literal, ast.VarRef))
+def _child_chain(expr: ast.Expr) -> tuple[str, ...] | None:
+    """``a/b/c`` (plain child name steps) → ("a", "b", "c"), or ``None``."""
+    step = _value_step_shape(expr)
+    if step is not None:
+        return (step[1],) if step[0] == "child" else None
+    if isinstance(expr, ast.PathExpr):
+        last = _value_step_shape(expr.right)
+        if last is not None and last[0] == "child":
+            front = _child_chain(expr.left)
+            if front is not None:
+                return front + (last[1],)
+    return None
+
+
+def _value_path_shape(expr: ast.Expr) -> tuple[str, str, tuple[str, ...]] | None:
+    """A value step, optionally behind child steps (``seller/@person``,
+    ``a/b``) → (target, name, leading child names), or ``None``."""
+    step = _value_step_shape(expr)
+    if step is not None:
+        return (*step, ())
+    if isinstance(expr, ast.PathExpr):
+        step = _value_step_shape(expr.right)
+        if step is not None:
+            front = _child_chain(expr.left)
+            if front is not None:
+                return (*step, front)
+    return None
+
+
+#: Built-ins that read the focus when called without arguments …
+_FOCUS_DEFAULTED = frozenset({"position", "last", "string", "string-length",
+                              "normalize-space", "number", "name",
+                              "local-name", "root"})
+#: … and those that may at any arity (``id``/``idref`` anchor at the context
+#: node) or whose evaluation count is observable (``trace``).
+_FOCUS_ALWAYS = frozenset({"id", "idref", "trace"})
+
+#: Operators that merely combine their operands' values.
+_TRANSPARENT = (ast.SequenceExpr, ast.RangeExpr, ast.UnionExpr, ast.IntersectExpr,
+                ast.ExceptExpr, ast.OrExpr, ast.AndExpr, ast.GeneralComparison,
+                ast.ValueComparison, ast.ArithmeticExpr, ast.UnaryExpr,
+                ast.IfExpr, ast.LetExpr, ast.ForExpr, ast.CastExpr)
+
+
+def focus_free(expr: ast.Expr) -> bool:
+    """Does *expr* provably evaluate the same under every focus?
+
+    True for literals, variables and operators over them; a path or filter
+    only needs a focus-free *origin*, its steps and predicates run under the
+    focus it establishes itself.  Function calls qualify unless the name is
+    a built-in that defaults to the context item (user-defined functions
+    start without a focus).  Everything else — ``.``, bare axis steps, ``/``,
+    constructors, nested fixpoints, typeswitch — does not.
+    """
+    if isinstance(expr, (ast.Literal, ast.EmptySequence, ast.VarRef)):
+        return True
+    if isinstance(expr, ast.PathExpr):
+        return focus_free(expr.left)
+    if isinstance(expr, ast.FilterExpr):
+        return focus_free(expr.primary)
+    if isinstance(expr, ast.FunctionCall):
+        local = expr.name[3:] if expr.name.startswith("fn:") else expr.name
+        if local in _FOCUS_ALWAYS or (not expr.args and local in _FOCUS_DEFAULTED):
+            return False
+        return all(focus_free(argument) for argument in expr.args)
+    if isinstance(expr, _TRANSPARENT):
+        return all(focus_free(child) for child in expr.child_expressions())
+    return False
 
 
 def _position_operand(expr: ast.Expr) -> bool:
@@ -160,15 +258,14 @@ def recognize_predicate(expr: ast.Expr) -> Shape | None:
                 n = _integer_literal(expr.left)
                 if n is not None:
                     return PositionShape(_FLIPPED[expr.op], n)
-        # [@a = rhs] / [name = rhs] (either spelling).  Only "=" — the
-        # existential semantics of "!=" do not reduce to set membership.
+        # [@a = rhs] / [name = rhs] / [a/b/@c = rhs] (either spelling).
+        # Only "=" — the existential semantics of "!=" do not reduce to set
+        # membership.
         if expr.op == "=":
-            step = _value_step_shape(expr.left)
-            if step is not None and _comparison_rhs(expr.right):
-                return ValueShape(step[0], step[1], rhs=expr.right)
-            step = _value_step_shape(expr.right)
-            if step is not None and _comparison_rhs(expr.left):
-                return ValueShape(step[0], step[1], rhs=expr.left)
+            for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
+                step = _value_path_shape(side)
+                if step is not None and focus_free(other):
+                    return ValueShape(step[0], step[1], rhs=other, path=step[2])
     return None
 
 
@@ -197,11 +294,12 @@ def string_values_or_none(values: Iterable) -> tuple[str, ...] | None:
 
 
 def resolve_rhs(shape: ValueShape,
-                lookup: Callable[[str], list | None]) -> tuple[str, ...] | None:
-    """The constant string values of *shape*'s right-hand side.
+                evaluate: Callable[[ast.Expr], list]) -> tuple[str, ...] | None:
+    """The string values of *shape*'s right-hand side, resolved once.
 
-    *lookup* maps a variable name to its bound value sequence (or ``None``
-    when unknown).  Returns ``None`` when the shape must fall back.
+    *evaluate* evaluates a (focus-free) expression in the scope the
+    predicate is applied in.  Returns ``None`` when the shape must fall
+    back: some value is numeric or boolean.
     """
     if shape.values is not None:
         return shape.values
@@ -210,12 +308,7 @@ def resolve_rhs(shape: ValueShape,
         return ()
     if isinstance(rhs, ast.Literal):
         return string_values_or_none([rhs.value])
-    if isinstance(rhs, ast.VarRef):
-        bound = lookup(rhs.name)
-        if bound is None:
-            return None
-        return string_values_or_none(bound)
-    return None
+    return string_values_or_none(evaluate(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +319,37 @@ def resolve_rhs(shape: ValueShape,
 def _node_passes_naive(node: Node, shape: ValueShape,
                        values: frozenset | None) -> bool:
     """Per-node value test without the index (small batches, --no-index)."""
-    if shape.target == "attr":
-        for attribute in node.attribute_axis():
-            if attribute.name == shape.name and (
-                    values is None or attribute.value in values):
-                return True
-        return False
-    for child in node.children:
-        if isinstance(child, ElementNode) and child.name == shape.name and (
-                values is None or child.string_value() in values):
-            return True
+    owners = [node]
+    for step in shape.path:
+        owners = [child for owner in owners for child in owner.children
+                  if isinstance(child, ElementNode) and child.name == step]
+    for owner in owners:
+        if shape.target == "attr":
+            for attribute in owner.attribute_axis():
+                if attribute.name == shape.name and (
+                        values is None or attribute.value in values):
+                    return True
+        else:
+            for child in owner.children:
+                if isinstance(child, ElementNode) and child.name == shape.name and (
+                        values is None or child.string_value() in values):
+                    return True
     return False
+
+
+def _owner_pres(idx, shape: ValueShape, values: tuple[str, ...]):
+    """Pres of the nodes of *idx*'s tree that satisfy *shape*."""
+    if shape.existence:
+        if shape.target == "attr":
+            return idx.attr_owner_pres(shape.name)
+        return idx.child_name_parent_pres(shape.name)
+    by_value = idx.path_value_owners(shape.path, shape.target, shape.name)
+    if len(values) == 1:
+        return by_value.get(values[0], ())
+    owners: set[int] = set()
+    for value in values:
+        owners.update(by_value.get(value, ()))
+    return owners
 
 
 def apply_value_shape(items: list, shape: ValueShape, values: tuple[str, ...],
@@ -245,43 +358,80 @@ def apply_value_shape(items: list, shape: ValueShape, values: tuple[str, ...],
     """Filter *items* by a resolved value shape (order-preserving).
 
     ``values`` is ``()`` for existence tests, otherwise the constant
-    strings the comparison may match.  All items must be nodes.
+    strings the comparison may match.  All items must be nodes.  With the
+    index the shape's owner set is looked up once per tree and each item
+    costs one membership test.
     """
-    existence = shape.rhs is None and shape.values is None
-    value_set = None if existence else frozenset(values)
-    if not existence and not value_set:
+    if not shape.existence and not values:
         return []
     if not use_index:
+        value_set = None if shape.existence else frozenset(values)
         return [item for item in items
                 if _node_passes_naive(item, shape, value_set)]
+    if not items:
+        return []
     if index_set is None:
         index_set = IndexSet()
+    # The common case is one tree: map the whole column to pres at once.
+    idx = index_set.for_node(items[0])
+    pres = list(map(idx.pre_of.get, map(id, items)))
+    if None not in pres:
+        owners = _owner_pres(idx, shape, values)
+        if not owners:
+            return []
+        return [item for item, pre in zip(items, pres) if pre in owners]
     kept: list = []
+    owners_of: dict[int, set[int]] = {}  # per tree
     for item in items:
         if isinstance(item, AttributeNode):
             continue  # attributes have neither attributes nor children
         idx = index_set.for_node(item)
         pre = idx.pre_of.get(id(item))
         if pre is None:  # pragma: no cover - defensive (detached mid-batch)
+            value_set = None if shape.existence else frozenset(values)
             if _node_passes_naive(item, shape, value_set):
                 kept.append(item)
             continue
-        if _pre_passes(idx, pre, shape, values, existence):
+        owners = owners_of.get(id(idx))
+        if owners is None:
+            owners = owners_of[id(idx)] = _owner_pres(idx, shape, values)
+        if pre in owners:
             kept.append(item)
     return kept
 
 
-def _pre_passes(idx, pre: int, shape: ValueShape, values: tuple[str, ...],
-                existence: bool) -> bool:
-    if shape.target == "attr":
-        if existence:
-            return pre in idx.attr_owner_pres(shape.name)
-        return any(pre in idx.attr_value_owner_pres(shape.name, value)
-                   for value in values)
-    if existence:
-        return pre in idx.child_name_parent_pres(shape.name)
-    return any(pre in idx.child_value_parent_pres(shape.name, value)
-               for value in values)
+def probe_step(nodes: list, axis: str, kind: str, name: str | None,
+               shape: ValueShape, resolve: Callable[[], tuple[str, ...] | None],
+               index_set: IndexSet | None = None, trace=None) -> list | None:
+    """``nodes/axis::name[shape]`` by index-side probing, or ``None``.
+
+    Applies to a child or descendant *name* step whose first predicate is
+    an equality shape: the value index names the few nodes satisfying the
+    predicate and the kernel keeps those the step reaches
+    (:func:`~repro.xdm.index.batch_probe`), in document order without
+    duplicates.  *resolve* delivers the right-hand string values (``None``:
+    not strings, fall back); it is called at most once, and only when the
+    step has a candidate — the predicate of a step without candidates is
+    never evaluated.  ``None`` means the caller should enumerate the step
+    and filter as before (wrong axis or node test, non-string values, or
+    the owners outnumber the candidates).  A *trace* counts every eligible
+    step as ``step:probe``, batch when probed and fallback when declined.
+    """
+    if (axis not in PROBE_AXES or kind != "name" or name in (None, "*")
+            or shape.existence):
+        return None
+    resolved: list = []
+
+    def owners_of(idx):
+        if not resolved:
+            resolved.append(resolve())
+        values = resolved[0]
+        return None if values is None else _owner_pres(idx, shape, values)
+
+    result = batch_probe(nodes, axis, name, owners_of, index_set)
+    if trace is not None:
+        trace.record_kernel("step:probe", result is not None)
+    return result
 
 
 def positional_filter(items: list, shape: PositionShape) -> list:
@@ -333,7 +483,9 @@ __all__ = [
     "ValueShape",
     "apply_shapes",
     "apply_value_shape",
+    "focus_free",
     "positional_filter",
+    "probe_step",
     "recognize_predicate",
     "resolve_rhs",
     "string_values_or_none",

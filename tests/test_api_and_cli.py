@@ -60,6 +60,38 @@ class TestEvaluateApi:
         )
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
 
+    @pytest.mark.parametrize("optimize_flag", [True, False])
+    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
+    def test_prolog_variables_see_earlier_declarations(self, documents, engine,
+                                                       optimize_flag):
+        """An initializer may read the variables declared before it, the
+        caller's bindings and the declared functions — on every engine (the
+        algebra engine used to evaluate each one in an empty context)."""
+        result = evaluate(
+            'declare variable $doc := doc("curriculum.xml"); '
+            "declare variable $wanted external; "
+            "declare function local:codes($c) { $c/@code }; "
+            "declare variable $courses := $doc//course; "
+            "declare variable $codes := local:codes($courses[@code = $wanted]); "
+            "(count($courses), data($codes))",
+            documents=documents, variables={"wanted": ["c1", "c3"]},
+            engine=engine, optimize=optimize_flag)
+        assert result.items == [7, "c1", "c3"]
+
+    def test_cached_plan_sees_value_mutations(self):
+        """A prolog variable (here: one the optimizer hoists out of the
+        loop) holds the result of a value predicate; the algebra plan cache
+        must not serve it after the value changed."""
+        from repro import Session
+
+        doc = parse_xml('<r><n k="x"/><n k="y"/><n k="x"/></r>')
+        query = ('declare variable $d := doc("r.xml"); '
+                 'for $i in (1, 2) return count($d//n[@k = "x"])')
+        with Session({"r.xml": doc}) as session:
+            assert session.evaluate(query, engine="algebra").items == [2, 2]
+            doc.document_element().children[0].get_attribute("k").set_value("y")
+            assert session.evaluate(query, engine="algebra").items == [1, 1]
+
     def test_parse_query_text(self):
         module = parse_query_text("declare variable $x := 1; $x")
         assert module.variables[0].name == "x"

@@ -158,6 +158,119 @@ class TestUnusedFunctionPruning:
         assert len(module.functions) == 1
 
 
+PROLOG = 'declare variable $d := doc("d.xml"); '
+
+
+def _hoisted(query: str) -> tuple[ast.Module, dict[str, ast.Expr]]:
+    """The optimized module and its synthesized prolog variables."""
+    module = optimize_module(parse_query(query))
+    return module, {decl.name: decl.value for decl in module.variables
+                    if decl.name.startswith("hoisted")}
+
+
+class TestInvariantHoisting:
+    def test_function_body_scan_becomes_a_prolog_variable(self):
+        module, hoisted = _hoisted(
+            PROLOG + "declare function local:f($in) "
+            "{ for $v in $in/@v return $d//item[@v = $v] }; "
+            "declare variable $late := 1; local:f($d//item)")
+        # ``$d//item[@v = $v]`` mentions the loop variable; nothing to hoist
+        assert not hoisted
+        module, hoisted = _hoisted(
+            PROLOG + "declare function local:f($in) "
+            "{ for $v in $in/@v return $d/root/item[@v = $v] }; "
+            "declare variable $late := 1; local:f($d//item)")
+        assert list(hoisted.values()) == [parse_expression("$d/root")]
+        # declared right behind the variable it reads, before later ones
+        assert [decl.name for decl in module.variables] == ["d", "hoisted#1", "late"]
+        body = module.functions[0].body.body
+        assert body.left == ast.VarRef("hoisted#1")
+
+    def test_equal_expressions_share_one_variable(self):
+        module, hoisted = _hoisted(
+            PROLOG + "for $i in (1, 2) return (count($d//sub) + $i, count($d//sub))")
+        assert list(hoisted.values()) == [optimize(parse_expression("count($d//sub)"))]
+        first, second = module.body.body.items
+        assert first.left == second == ast.VarRef("hoisted#1")
+
+    def test_the_maximal_expression_moves_whole(self):
+        _, hoisted = _hoisted(
+            PROLOG + "for $i in (1, 2) return (count($d//sub), $d//sub[. = '1'])")
+        assert list(hoisted.values()) == [
+            optimize(parse_expression("(count($d//sub), $d//sub[. = '1'])"))]
+
+    def test_let_around_the_loop_when_a_local_variable_is_read(self):
+        module, hoisted = _hoisted(
+            PROLOG + "let $k := $d//item return "
+            "for $i in (1, 2) return count($k/sub)")
+        assert not hoisted  # $k is not a prolog variable …
+        outer = module.body
+        assert isinstance(outer, ast.LetExpr) and outer.var == "k"
+        inner = outer.body  # … so the binding goes around the loop
+        assert isinstance(inner, ast.LetExpr) and inner.var == "hoisted#1"
+        assert inner.value == parse_expression("count($k/sub)")
+        assert isinstance(inner.body, ast.ForExpr)
+        assert inner.body.body == ast.VarRef("hoisted#1")
+
+    def test_fixpoint_body(self):
+        module, hoisted = _hoisted(
+            PROLOG + "declare variable $hoisted := 7; "
+            "with $x seeded by $d//item[@n = '0'] "
+            "recurse $x/following-sibling::item[@v = $d//item[@n = '0']/@v]")
+        # a user's own $hoisted cannot clash: no query text can spell "#"
+        assert [decl.name for decl in module.variables] == ["d", "hoisted#1", "hoisted"]
+        assert hoisted["hoisted#1"] == optimize(parse_expression("$d//item[@n = '0']/@v"))
+        # the seed runs once: it stays where it is
+        assert module.body.seed == optimize(parse_expression("$d//item[@n = '0']"))
+
+    def test_doc_call_needs_a_prolog_proof(self):
+        # no initializer evaluates doc("d.xml"): it could raise, it stays
+        _, hoisted = _hoisted('declare variable $one := 1; '
+                              'for $i in (1, 2) return doc("d.xml")//item')
+        assert not hoisted
+        module, hoisted = _hoisted(
+            'declare variable $early := 1; declare variable $r := doc("d.xml")/root; '
+            'for $i in (1, 2) return doc("d.xml")//item')
+        assert list(hoisted.values()) == [optimize(parse_expression('doc("d.xml")//item'))]
+        assert [decl.name for decl in module.variables] == ["early", "r", "hoisted#1"]
+
+    @pytest.mark.parametrize("body, moved", [
+        ("$d//item[@v = 1]", None),       # numeric comparison may raise FORG0001
+        ("$d//item[@v + 1]", None),       # arithmetic on untyped content
+        ("$d//item[position() = last()]", None),  # only position() op N is total
+        ("local:g($d)", None),            # user functions are opaque
+        ("$p//item", None),               # a parameter: may be atomic, varies
+        # only the invariant operand moves, not the expression around it:
+        ("($d//item, <e/>)", "$d//item"),         # a node per iteration
+        ("$d//item/string(.)", "$d//item"),       # not an axis step
+        ("$i/sub[. = $d//sub]", "$d//sub"),       # reads the loop variable
+    ])
+    def test_kept_in_place(self, body, moved):
+        _, hoisted = _hoisted(
+            PROLOG + "declare function local:g($p) { for $i in $p return " + body + " }; "
+            "local:g($d//item)")
+        expected = [] if moved is None else [optimize(parse_expression(moved))]
+        assert list(hoisted.values()) == expected
+
+    def test_outer_focus_is_not_hoisted(self):
+        module, hoisted = _hoisted(
+            PROLOG + "$d//item/(for $i in (1, 2) return (./sub, sub[last()], position()))")
+        assert not hoisted
+        assert module.body == optimize(parse_expression(
+            "$d//item/(for $i in (1, 2) return (./sub, sub[last()], position()))"))
+
+    def test_recursion_variable_through_a_parameter(self):
+        module, hoisted = _hoisted(
+            PROLOG + "declare function local:f($p) { $p/sub[. = '1'] }; "
+            "with $x seeded by $d//item recurse local:f($x)")
+        assert not hoisted
+        assert module.functions[0].body == parse_expression("$p/sub[. = '1']")
+
+    def test_nothing_to_look_for_without_prolog_variables(self):
+        module = parse_query('for $i in (1, 2) return doc("d.xml")//item')
+        assert optimize_module(module).body == optimize(module.body)
+
+
 # ---------------------------------------------------------------------------
 # property tests: rewrites on vs off, three engines, randomized documents
 # ---------------------------------------------------------------------------
@@ -194,6 +307,20 @@ PROPERTY_QUERIES = (
     'doc("d.xml")//item[@v = "3"]',
     '(if (1) then 10 else 20) + (-(2 + 3))',
     'for $s in doc("d.xml")//sub return string($s)',
+    # invariant hoisting: prolog variables, a let around the loop, a
+    # fixpoint body, a function a fixpoint calls, a prolog chain
+    PROLOG + 'for $i in $d//item return $d//item[@v = "3"]/@n',
+    PROLOG + 'let $k := $d//item return for $i in (1, 2) return count($k/sub)',
+    PROLOG + 'with $x seeded by $d//item[@n = "0"] '
+             'recurse $x/following-sibling::item[@v = $d//item[@n = "0"]/@v]',
+    PROLOG + 'declare function local:same($in) '
+             '{ for $v in $in/@v return $d/root/item[@v = $v] }; '
+             'with $x seeded by $d//item[@n = "1"] recurse local:same($x)',
+    PROLOG + 'declare variable $items := $d//item; '
+             'for $i in (1, 2) return count($items[sub = $items/@v])',
+    PROLOG + 'for $i in () return doc("missing.xml")//item[@v = 1 div 0]',
+    PROLOG + 'for $i in (1, 2) return <e>{count($d//sub)}</e>',
+    PROLOG + '$d//item/(for $i in (1, 2) return ./sub)',
 )
 
 
@@ -222,7 +349,11 @@ def test_rewrites_item_identical_across_engines(seed):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_errors_survive_optimization(engine):
     """Rewrites never mask an error the unoptimized query raises."""
-    for query in ("1 div 0", "let $u := $missing return 2"):
+    for query in ("1 div 0", "let $u := $missing return 2",
+                  # hoisting must not make a lazily failing operand eager,
+                  # nor hide the failure of one that is evaluated
+                  PROLOG + 'for $i in (1, 2) return doc("missing.xml")//item',
+                  PROLOG + 'for $i in (1, 2) return $d//item[@v = 1 div 0]'):
         for optimized in (True, False):
             with pytest.raises(XQueryError):
                 evaluate(query, settings=EvalSettings(

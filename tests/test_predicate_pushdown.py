@@ -80,6 +80,18 @@ PREDICATE_QUERIES = [
     '{d}//item/preceding-sibling::item[1]',
     '{d}//item[@n = 2]',          # numeric rhs: must fall back, still agree
     '{d}//item[@k = "v1"][count(sub) >= 0]',  # unrecognized tail predicate
+    # relative-path left-hand sides (the path-value index)
+    '{d}//wrap[item/@k = $v]',
+    '{d}//wrap[item/sub = "t1"]',
+    '{d}/root/item[item/item/@k = "v2"]',
+    '{d}//*[item/@k = $v]',       # wildcard step: filtered, not probed
+    '{d}//item[sub/@n = 2]',      # numeric rhs behind a path: falls back
+    # focus-free computed right-hand sides, multi-valued
+    '{d}//item[@k = {d}//sub/@k]',
+    '{d}//item[@k = ($v, "v3")]',
+    'for $w in {d}//wrap return {d}//item[@k = $w/item/@k]',
+    'for $w in {d}//wrap return {d}//item[sub/@m = $w/@m]/@n',
+    '{d}//item[@n = count({d}/root/wrap)]',   # computed numeric: falls back
 ]
 
 VARIABLES = {"v": ["v1", "t1"]}
@@ -115,6 +127,11 @@ class TestPropertyCrossEngine:
         expected = _evaluate(query, resolver, "interpreter",
                              use_pushdown=False, use_index=False)
         positional = _has_positional(query)
+        # The interpreter without the index (naive kernels) agrees too.
+        got = _evaluate(query, resolver, "interpreter", use_pushdown=True,
+                        use_index=False)
+        assert len(got) == len(expected) and all(
+            a is b for a, b in zip(got, expected)), "interpreter, no index"
         for engine in ENGINES:
             for use_pushdown in (True, False):
                 if engine == "algebra" and positional and not use_pushdown:
@@ -129,6 +146,78 @@ class TestPropertyCrossEngine:
                     f"{len(got)} items, expected {len(expected)}")
                 assert all(a is b for a, b in zip(got, expected)), (
                     f"{engine} pushdown={use_pushdown}: items differ")
+
+
+AUCTION = """
+declare variable $doc := doc("a.xml");
+declare function bidder ($in as node()*) as node()*
+{ for $id in $in/@id
+  let $b := $doc//open_auction[seller/@person = $id]/bidder/personref
+  return $doc//people/person[@id = $b/@person]
+};
+"""
+
+
+def auction_document(seed: int, people: int = 12, auctions: int = 18):
+    rng = random.Random(seed)
+    persons = "".join(f'<person id="p{i}"><name>n{i % 4}</name></person>'
+                      for i in range(people))
+    def auction(index: int) -> str:
+        bidders = "".join(
+            f'<bidder><personref person="p{rng.randrange(people)}"/></bidder>'
+            for _ in range(rng.randrange(1, 4)))
+        return (f'<open_auction id="a{index}"><seller person="p{index % people}"/>'
+                f'{bidders}</open_auction>')
+
+    body = "".join(auction(index) for index in range(auctions))
+    return parse_xml(f"<site><people>{persons}</people>"
+                     f"<open_auctions>{body}</open_auctions></site>")
+
+
+class TestJoinShapesCrossEngine:
+    """The bidder-network join body: ``seller/@person = $id`` (a relative
+    path on the left) and ``@id = $b/@person`` (a computed, multi-valued
+    right-hand side) — every engine, pushdown and index on and off."""
+
+    QUERIES = [
+        AUCTION + 'bidder($doc//person[@id = "p0"])',
+        AUCTION + 'with $x seeded by $doc//person[@id = "p1"] recurse bidder($x)',
+        AUCTION + 'with $x seeded by $doc//person[@id = "p2"] recurse bidder($x) using naive',
+        AUCTION + '$doc//open_auction[bidder/personref/@person = "p3"]/@id',
+        AUCTION + '$doc//person[name = $doc//person[@id = ("p1", "p6")]/name]',
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_item_identical(self, seed, query):
+        resolver = DocumentResolver()
+        resolver.register("a.xml", auction_document(seed))
+        run = lambda **settings: evaluate(  # noqa: E731
+            query, documents=resolver, use_cache=False, **settings).items
+        expected = run(engine="interpreter", use_pushdown=False, use_index=False,
+                       optimize=False)
+        assert expected, "the join found nothing to compare"
+        for engine in ENGINES:
+            for use_pushdown in (True, False):
+                for use_index in (True, False):
+                    got = run(engine=engine, use_pushdown=use_pushdown,
+                              use_index=use_index)
+                    assert len(got) == len(expected) and all(
+                        a is b for a, b in zip(got, expected)), (
+                        f"{engine} pushdown={use_pushdown} index={use_index}")
+
+    def test_join_body_leaves_no_fallbacks(self):
+        """Both predicates of the body ride batch kernels: no per-candidate
+        predicate evaluation, and the steps are probed from the index."""
+        resolver = DocumentResolver()
+        resolver.register("a.xml", auction_document(0))
+        result = evaluate(self.QUERIES[1], documents=resolver, use_cache=False,
+                          trace=True)
+        kernels = {span.name[len("kernel:"):]: span.attributes
+                   for span in result.trace.children if span.name.startswith("kernel:")}
+        assert "pred:fallback" not in kernels
+        assert kernels["step:probe"]["batch"] > 0
+        assert kernels["step:probe"]["fallback"] == 0
 
 
 FIXPOINT_QUERY = """
@@ -181,6 +270,31 @@ class TestRecognizer:
         shape = pushdown.recognize_predicate(parse_expression(source))
         assert isinstance(shape, pushdown.ValueShape) and shape.kind == kind
 
+    @pytest.mark.parametrize("source, target, name, path", [
+        ('a/b/@c = $v', "attr", "c", ("a", "b")),
+        ('a/b = "lit"', "child", "b", ("a",)),
+        ('$v = seller/@person', "attr", "person", ("seller",)),
+        ('@id = $b/@person', "attr", "id", ()),
+        ('@id = data($b)', "attr", "id", ()),
+        ('name = ($a, local:f($b))', "child", "name", ()),
+    ])
+    def test_path_and_computed_shapes(self, source, target, name, path):
+        shape = pushdown.recognize_predicate(parse_expression(source))
+        assert isinstance(shape, pushdown.ValueShape)
+        assert (shape.target, shape.name, shape.path) == (target, name, path)
+        assert shape.kind == ("path-eq" if path else f"{target}-eq")
+
+    @pytest.mark.parametrize("values, expected", [
+        (["a", "b"], ("a", "b")),
+        ([], ()),
+        ([1], None),          # numeric promotion: not a hash probe
+        (["a", 2.5], None),
+        ([True], None),       # boolean promotion neither
+    ])
+    def test_right_hand_side_resolution(self, values, expected):
+        shape = pushdown.recognize_predicate(parse_expression("a/@k = $v"))
+        assert pushdown.resolve_rhs(shape, lambda rhs: values) == expected
+
     @pytest.mark.parametrize("source, op, value", [
         ("3", "=", 3),
         ("last()", "=", None),
@@ -194,7 +308,13 @@ class TestRecognizer:
 
     @pytest.mark.parametrize("source", [
         '@a != "x"',            # existential != is not set membership
-        'a/b = "x"',            # nested path
+        '@a = string()',        # defaults to the context item
+        '@a = id("x")',         # anchors at the context node
+        '@a = <e>x</e>',        # constructs a node per evaluation
+        'a//b = "x"',           # not a child-step path
+        'a[1]/b = "x"',         # predicate inside the path
+        '@a = .',               # right-hand side reads the focus
+        '@a = position()',
         '@a = 1',               # recognized shape, numeric rhs resolved later
         "position() = last()",  # unsupported comparison operand
         ". = 'x'",              # context-item comparison

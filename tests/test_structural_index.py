@@ -23,6 +23,7 @@ from repro.xdm.document import _renumber_subtree, copy_node, document, element, 
 from repro.xdm.index import (
     IndexSet,
     StructuralIndex,
+    batch_probe,
     batch_step,
     cached_index,
     clear_index_registry,
@@ -149,6 +150,96 @@ class TestKernelsAgainstNaiveAxes:
             parent = index.parent_pre[pre]
             assert index.is_ancestor(index.nodes[parent], index.nodes[pre])
             assert index.level[pre] == index.level[parent] + 1
+
+
+class TestPathValueIndex:
+    """The lazy path-value index and the index-side probe kernel."""
+
+    XML = ('<r id="r">'
+           '<g id="g1"><n k="x"><t>alpha</t></n><n k="y"><t>beta</t></n></g>'
+           '<g id="g2"><n k="x"><t>beta</t></n><m k="x"/></g>'
+           '<n k="x"><t>alpha</t></n>'
+           '</r>')
+
+    def setup_method(self):
+        clear_index_registry()
+
+    def _ids(self, idx, pres):
+        return sorted(idx.nodes[p].get_attribute("id").value for p in pres)
+
+    def test_path_generalizes_the_single_step_sets(self):
+        doc = parse_xml(self.XML)
+        idx = index_for(doc)
+        # the empty path *is* the attribute / child value index
+        assert idx.path_value_owners((), "attr", "k")["x"] == idx.attr_value_owner_pres("k", "x")
+        assert (idx.path_value_owners((), "child", "t")["alpha"]
+                == idx.child_value_parent_pres("t", "alpha"))
+        # one child step in front lifts the owners to the grandparent
+        assert self._ids(idx, idx.path_value_owners(("n",), "attr", "k")["x"]) == ["g1", "g2", "r"]
+        assert self._ids(idx, idx.path_value_owners(("n",), "attr", "k")["y"]) == ["g1"]
+        assert self._ids(idx, idx.path_value_owners(("n",), "child", "t")["beta"]) == ["g1", "g2"]
+        # <m k="x"/> is not an n: only the step name given lifts
+        assert self._ids(idx, idx.path_value_owners(("m",), "attr", "k")["x"]) == ["g2"]
+        # two steps: r/g/n/@k, owned by the root element only
+        root = doc.document_element()
+        assert idx.path_value_owners(("g", "n"), "attr", "k")["x"] == {idx.pre(root)}
+        assert "z" not in idx.path_value_owners(("n",), "attr", "k")
+
+    def test_value_mutation_drops_the_path_index(self):
+        doc = parse_xml(self.XML)
+        idx = index_for(doc)
+        assert self._ids(idx, idx.path_value_owners(("n",), "attr", "k")["y"]) == ["g1"]
+        generation = idx.value_generation
+        g2_n = doc.document_element().children[1].children[0]
+        g2_n.get_attribute("k").set_value("y")
+        assert index_for(doc) is idx and idx.value_generation == generation + 1
+        assert self._ids(idx, idx.path_value_owners(("n",), "attr", "k")["y"]) == ["g1", "g2"]
+        g2_n.children[0].children[0].set_value("gamma")
+        assert self._ids(idx, idx.path_value_owners(("n",), "child", "t")["gamma"]) == ["g2"]
+        assert self._ids(idx, idx.path_value_owners(("n",), "child", "t")["beta"]) == ["g1"]
+
+    def test_probe_matches_enumeration_in_document_order(self):
+        """Descendant and child probes from overlapping, duplicated and
+        shuffled context nodes: same nodes, document order, no duplicates."""
+        rng = random.Random(5)
+        for _ in range(30):
+            doc = parse_xml(random_document_text(rng))
+            idx = index_for(doc)
+            elements = [n for n in doc.iter_tree() if n.children] or [doc]
+            contexts = [rng.choice(elements) for _ in range(rng.randint(1, 5))]
+            contexts += [doc] * rng.randint(0, 1)  # overlaps everything
+            rng.shuffle(contexts)
+            value = str(rng.randint(0, 3))
+            owners = idx.attr_value_owner_pres("x", value)
+            for axis in ("child", "descendant"):
+                for name in "abc":
+                    expected = [node for node in batch_step(contexts, axis, "name", name)
+                                if idx.pre(node) in owners]
+                    probed = batch_probe(contexts, axis, name, lambda _idx: owners)
+                    if probed is None:  # declined: owners outnumber candidates
+                        continue
+                    assert len(probed) == len(expected)
+                    assert all(a is b for a, b in zip(probed, expected))
+
+    def test_probe_declines_what_it_cannot_answer(self):
+        doc = parse_xml(self.XML)
+        idx = index_for(doc)
+        root = doc.document_element()
+        owners = idx.attr_value_owner_pres("k", "x")
+        assert batch_probe([root], "parent", "n", lambda _idx: owners) is None
+        # one candidate, three owners: enumerating is the cheaper side
+        g1 = root.children[0]
+        assert batch_probe([g1.children[0]], "child", "t", lambda _idx: owners) is None
+        # no candidate at all: answered without asking for the owners
+        def never(_idx):
+            raise AssertionError("owners resolved although the step is empty")
+        assert batch_probe([g1.children[0]], "descendant", "zzz", never) == []
+
+    def test_probe_across_two_documents(self):
+        one, two = parse_xml(self.XML), parse_xml(self.XML)
+        probed = batch_probe([two, one], "descendant", "n",
+                             lambda idx: idx.attr_value_owner_pres("k", "y"))
+        assert [node.root() for node in probed] == [one, two]
 
 
 class TestRegistryAndInvalidation:
