@@ -336,9 +336,16 @@ class AlgebraCompiler:
         return self._with_pos(Distinct([mapped]) if bind_variable is None else mapped)
 
     def _lift_plan(self, plan: Operator, tagged: Operator) -> Operator:
-        """Re-address an outer-loop plan to the inner loop created by *tagged*."""
+        """Re-address an outer-loop plan to the inner loop created by *tagged*.
+
+        The mapping is the join's left (outer) side: joins keep their left
+        input's row order, and row order is sequence order, so each inner
+        iteration receives the plan's items contiguously and in the plan's
+        order — a multi-item binding (``$k := (1, 2)``, a hoisted node
+        sequence) returned from a ``for`` stays ``1 2 1 2``, not ``1 1 2 2``.
+        """
         mapping = Project(tagged, [("outer_iter", "iter"), ("inner", "inner")])
-        joined = Join(plan, mapping, [("iter", "outer_iter")])
+        joined = Join(mapping, plan, [("outer_iter", "iter")])
         return Project(joined, [("iter", "inner"), ("pos", "pos"), ("item", "item")])
 
     # ------------------------------------------------------------------ predicates and filters

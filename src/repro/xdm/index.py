@@ -204,10 +204,6 @@ class StructuralIndex:
             sets, _ = self._build_attr_indexes()
         return sets.get(name, _EMPTY_SET)
 
-    def attr_value_owner_pres(self, name: str, value: str) -> set[int]:
-        """Pres of elements carrying attribute *name* with exactly *value*."""
-        return self.path_value_owners((), "attr", name).get(value, _EMPTY_SET)
-
     def child_name_parent_pres(self, name: str) -> set[int]:
         """Pres of nodes having an element child called *name*."""
         parents = self._child_parent_sets.get(name)
@@ -217,11 +213,6 @@ class StructuralIndex:
                        if parent_pre[p] >= 0}
             self._child_parent_sets[name] = parents
         return parents
-
-    def child_value_parent_pres(self, name: str, value: str) -> set[int]:
-        """Pres of nodes having a child element *name* with string value
-        *value* — the membership set of ``[name = "value"]``."""
-        return self.path_value_owners((), "child", name).get(value, _EMPTY_SET)
 
     def path_value_owners(self, path: tuple[str, ...], target: str,
                           name: str) -> dict[str, set[int]]:

@@ -30,9 +30,14 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
   variables (or it starts from ``doc("literal")``), else a ``let`` around
   the loop or fixpoint.  ``$doc//people`` inside a function that a
   fixpoint calls every round becomes ``declare variable $hoisted#1 :=
-  $doc//people`` (``#`` keeps the name out of reach of any query text); the algebra engine then sees a compile-time constant
-  table, like every prolog variable.  Safety conditions — the expression
-  qualifies only if it
+  $doc//people`` (``#`` keeps the name out of reach of any query text);
+  the algebra engine then sees a compile-time constant table, like every
+  prolog variable.  The rule runs after unused-function pruning (a helper
+  nothing calls must not cost an eager variable), and its walk runs only
+  when the optimizing pass itself saw a loop read a variable bound outside
+  it (:class:`_Scout`): other modules pay a few percent of
+  :func:`optimize_module` for the rule, modules without prolog variables
+  nothing.  Safety conditions — the expression qualifies only if it
 
   - mentions no ``for``/quantifier, recursion or parameter variable, and no
     ``let`` variable whose value does (so it is invariant in *every*
@@ -63,26 +68,54 @@ from repro.xquery import ast
 
 def optimize(expr: ast.Expr) -> ast.Expr:
     """Return an optimized copy of *expr* (the input is never mutated)."""
-    rewritten = _map_children(expr, optimize)
-    rewritten = _fold_constants(rewritten)
+    return _rewrite(_map_children(expr, optimize))
+
+
+def _rewrite(expr: ast.Expr) -> ast.Expr:
+    """The local rewrites at one node whose children are already optimized."""
+    rewritten = _fold_constants(expr)
     rewritten = _eliminate_dead_branch(rewritten)
     rewritten = _fuse_descendant_step(rewritten)
     return _prune_unused_let(rewritten)
 
 
-def optimize_module(module: ast.Module) -> ast.Module:
+def optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
     """Optimize every function body, variable initializer and the query body,
-    then drop function declarations the call graph cannot reach."""
+    drop function declarations the call graph cannot reach, then hoist the
+    invariants of what is left (*hoist* false leaves that rule out: the
+    baseline of the overhead guard in ``benchmarks/check_overhead.py``).
+
+    Pruning comes first: an invariant inside a function nothing calls must
+    not become a prolog variable every engine evaluates eagerly.  Hoisted
+    expressions never call a declared function, so hoisting cannot change
+    what is reachable.
+
+    Everything hoistable bottoms out in a prolog variable — directly, or as
+    the proof that a ``doc()`` call succeeds.  A module without one has
+    nothing to look for; one with prolog variables is optimized by a
+    :class:`_Scout`, which notes on the way whether the rule's own walk
+    could find anything."""
+    scout = None
+    visit = optimize
+    #: prolog variables with a value, each bound at loop depth 0
+    prolog = {decl.name: 0 for decl in module.variables if decl.value is not None}
+    if hoist and prolog:
+        scout = _Scout(prolog)
+        visit = scout.visit
+        scout.depth = 1  # a function body runs once per call: a loop body as a whole
     functions = tuple(
-        replace(function, body=optimize(function.body)) for function in module.functions
+        replace(function, body=visit(function.body)) for function in module.functions
     )
+    if scout is not None:
+        scout.depth = 0  # initializers and the query body run once
     variables = tuple(
-        replace(decl, value=optimize(decl.value)) if decl.value is not None else decl
+        replace(decl, value=visit(decl.value)) if decl.value is not None else decl
         for decl in module.variables
     )
-    body = optimize(module.body)
-    functions, variables, body = hoist_invariants(functions, variables, body)
+    body = visit(module.body)
     functions = _prune_unused_functions(functions, variables, body)
+    if scout is not None and scout.found:
+        functions, variables, body = _Hoister(functions, variables).run(body)
     return ast.Module(functions=functions, variables=variables, body=body)
 
 
@@ -357,19 +390,63 @@ def _doc_uri(expr: ast.Expr) -> str | None:
     return None
 
 
-def hoist_invariants(functions: tuple[ast.FunctionDecl, ...],
-                     variables: tuple[ast.VariableDecl, ...], body: ast.Expr):
-    """The invariant-hoisting rule over a module's (already optimized)
-    parts; returns the rewritten ``(functions, variables, body)``.
+#: Loop forms: the field evaluated once, the one evaluated per iteration or round.
+_LOOP_FIELDS = {ast.ForExpr: ("sequence", "body"), ast.WithExpr: ("seed", "body"),
+                ast.QuantifiedExpr: ("sequence", "satisfies")}
 
-    Everything hoistable bottoms out in a prolog variable — directly, or as
-    the proof that a ``doc()`` call succeeds — so a module without one has
-    nothing to look for and skips the walk (``benchmarks/check_overhead.py``
-    holds that to < 5 % of :func:`optimize_module`).
+
+class _Scout:
+    """:func:`optimize` over a module's function and query bodies that also
+    answers, without a walk of its own, whether the hoisting rule has
+    anything to look for — so that a module with prolog variables but no
+    invariant in any loop pays (almost) nothing for the rule.
+
+    A hoistable expression reads a variable bound outside the loop it sits
+    in (a prolog variable, or a ``let`` further out) or calls ``doc()``.  The
+    scout keeps the loop depth while it optimizes and sets :attr:`found` at
+    the first such read.  It over-approximates (it does not track shadowing
+    or types, and sees branches the rewrites then delete): a false alarm
+    costs the hoister's walk, a miss would only cost a hoist.
     """
-    if not any(declaration.value is not None for declaration in variables):
-        return functions, variables, body
-    return _Hoister(functions, variables).run(body)
+
+    __slots__ = ("bound", "depth", "found")
+
+    def __init__(self, bound: dict[str, int]):
+        #: variable name → the lowest loop depth it is bound at
+        self.bound = bound
+        self.depth = 0
+        self.found = False
+
+    def visit(self, expr: ast.Expr) -> ast.Expr:
+        """:func:`optimize` of *expr*, noting what is read at which depth."""
+        kind = type(expr)
+        if kind in _SCOUTED:
+            if kind is ast.VarRef:
+                depth = self.depth
+                if depth and depth > self.bound.get(expr.name, depth):
+                    self.found = True
+                return expr  # inspected, and no rewrite applies to it
+            if kind is ast.LetExpr:
+                self.bound[expr.var] = min(self.depth, self.bound.get(expr.var, self.depth))
+            elif kind is ast.FunctionCall:
+                if self.depth and _local_name(expr) == "doc":
+                    self.found = True
+            else:
+                # the sequence or seed runs once, at this depth; the body deeper
+                once, repeated = _LOOP_FIELDS[kind]
+                head, body = getattr(expr, once), getattr(expr, repeated)
+                new_head = self.visit(head)
+                self.depth += 1
+                new_body = self.visit(body)
+                self.depth -= 1
+                if new_head is not head or new_body is not body:
+                    expr = replace(expr, **{once: new_head, repeated: new_body})
+                return _rewrite(expr)
+        return _rewrite(_map_children(expr, self.visit))
+
+
+#: The expression forms a :class:`_Scout` looks at.
+_SCOUTED = frozenset({ast.VarRef, ast.LetExpr, ast.FunctionCall, *_LOOP_FIELDS})
 
 
 class _Hoister:

@@ -266,6 +266,41 @@ class TestInvariantHoisting:
         assert not hoisted
         assert module.functions[0].body == parse_expression("$p/sub[. = '1']")
 
+    def test_pruned_functions_are_not_hoisted_from(self):
+        # pruning runs first: a helper nothing calls (directly or through
+        # another unused helper) must not cost an eager prolog variable
+        module, hoisted = _hoisted(
+            PROLOG + "declare function local:unused($p) { $p[. = $d//sub] }; "
+            "declare function local:also($p) { local:unused($p)/$d//item }; "
+            "count($d//item)")
+        assert not hoisted and not module.functions
+        assert [decl.name for decl in module.variables] == ["d"]
+
+    def test_the_walk_runs_only_when_a_loop_reads_an_outer_variable(self, monkeypatch):
+        from repro.xquery import optimizer
+
+        def walked(self, body):
+            raise AssertionError("the hoister walked")
+
+        monkeypatch.setattr(optimizer._Hoister, "run", walked)
+        # $d only feeds a seed, a for sequence and a let outside every loop;
+        # the loops read their own variables — and are still optimized
+        for quiet in (
+                PROLOG + "declare function local:f($p) { for $i in $p/sub return $i/.. }; "
+                "with $x seeded by $d//item[@n = '0'] recurse local:f($x)",
+                PROLOG + "for $i in $d//item return if (1 = 1) then $i/@n else 1 + 1",
+                PROLOG + "let $k := $d//item return (some $i in $k satisfies $i/@v = '3')",
+                PROLOG + "$d//item[@v = '3']"):
+            module = parse_query(quiet)
+            assert optimize_module(module) == optimize_module(module, hoist=False)
+        for loud in (
+                PROLOG + "for $i in (1, 2) return $d",
+                PROLOG + "let $k := 1 return for $i in (1, 2) return $k",
+                PROLOG + "declare function local:f($p) { $p[. = $d] }; local:f(1)",
+                PROLOG + 'some $i in (1, 2) satisfies doc("e.xml")'):
+            with pytest.raises(AssertionError, match="the hoister walked"):
+                optimize_module(parse_query(loud))
+
     def test_nothing_to_look_for_without_prolog_variables(self):
         module = parse_query('for $i in (1, 2) return doc("d.xml")//item')
         assert optimize_module(module).body == optimize(module.body)
@@ -321,6 +356,14 @@ PROPERTY_QUERIES = (
     PROLOG + 'for $i in () return doc("missing.xml")//item[@v = 1 div 0]',
     PROLOG + 'for $i in (1, 2) return <e>{count($d//sub)}</e>',
     PROLOG + '$d//item/(for $i in (1, 2) return ./sub)',
+    # a hoisted (or plain prolog) multi-item value as the loop body's whole
+    # result: each iteration delivers it contiguously and in its own order
+    PROLOG + 'for $i in (1, 2) return $d//item/@n',
+    PROLOG + 'for $i in (1, 2) return data($d//item/@n)',
+    PROLOG + 'for $i in (1, 2) return $d//item[@v = data($d//item/@v)]/@n',
+    PROLOG + 'for $i in (1, 2) return for $j in (3, 4) return $d//item/@n',
+    'declare variable $k := (1, 2); for $i in (1, 2) return $k',
+    PROLOG + 'let $k := $d//item/@n return for $i in (1, 2) return $k',
 )
 
 

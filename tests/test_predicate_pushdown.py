@@ -395,13 +395,14 @@ class TestValueIndexInvalidation:
     def test_value_mutation_keeps_structural_arrays(self):
         doc = self.build()
         idx = xdm_index.index_for(doc)
-        assert idx.attr_value_owner_pres("k", "x")  # build the value index
+        assert idx.path_value_owners((), "attr", "k")["x"]  # build the value index
         first = doc.document_element().children[0]
         first.get_attribute("k").set_value("z")
         # Same index object (structure untouched), fresh value sets.
         assert xdm_index.index_for(doc) is idx
-        assert idx.attr_value_owner_pres("k", "z") == {idx.pre(first)}
-        assert idx.pre(first) not in idx.attr_value_owner_pres("k", "x")
+        k_owners = idx.path_value_owners((), "attr", "k")
+        assert k_owners["z"] == {idx.pre(first)}
+        assert idx.pre(first) not in k_owners["x"]
 
     def test_index_level_sets(self):
         doc = self.build()
@@ -410,13 +411,13 @@ class TestValueIndexInvalidation:
         n_pres = {idx.pre(child) for child in root_element.children}
         assert idx.attr_owner_pres("k") == n_pres
         assert idx.child_name_parent_pres("t") == n_pres
-        alpha_parents = idx.child_value_parent_pres("t", "alpha")
+        alpha_parents = idx.path_value_owners((), "child", "t")["alpha"]
         assert alpha_parents == {idx.pre(root_element.children[0]),
                                  idx.pre(root_element.children[2])}
 
     def test_structural_mutation_still_drops_whole_index(self):
         doc = self.build()
         idx = xdm_index.index_for(doc)
-        assert idx.attr_value_owner_pres("k", "x")
+        assert idx.path_value_owners((), "attr", "k")["x"]
         doc.document_element().append_child(ElementNode("n"))
         assert xdm_index.cached_index(doc) is None

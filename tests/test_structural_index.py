@@ -170,10 +170,13 @@ class TestPathValueIndex:
     def test_path_generalizes_the_single_step_sets(self):
         doc = parse_xml(self.XML)
         idx = index_for(doc)
-        # the empty path *is* the attribute / child value index
-        assert idx.path_value_owners((), "attr", "k")["x"] == idx.attr_value_owner_pres("k", "x")
-        assert (idx.path_value_owners((), "child", "t")["alpha"]
-                == idx.child_value_parent_pres("t", "alpha"))
+        # the empty path is the attribute / child value index: the owner
+        # elements of @k = "x", the parents of a <t>alpha</t>
+        x_owners = idx.path_value_owners((), "attr", "k")["x"]
+        assert ([idx.nodes[p].name for p in sorted(x_owners)] == ["n", "n", "m", "n"])
+        alpha_parents = idx.path_value_owners((), "child", "t")["alpha"]
+        assert ([idx.nodes[idx.parent_pre[p]].get_attribute("id").value
+                 for p in sorted(alpha_parents)] == ["g1", "r"])
         # one child step in front lifts the owners to the grandparent
         assert self._ids(idx, idx.path_value_owners(("n",), "attr", "k")["x"]) == ["g1", "g2", "r"]
         assert self._ids(idx, idx.path_value_owners(("n",), "attr", "k")["y"]) == ["g1"]
@@ -210,7 +213,7 @@ class TestPathValueIndex:
             contexts += [doc] * rng.randint(0, 1)  # overlaps everything
             rng.shuffle(contexts)
             value = str(rng.randint(0, 3))
-            owners = idx.attr_value_owner_pres("x", value)
+            owners = idx.path_value_owners((), "attr", "x").get(value, set())
             for axis in ("child", "descendant"):
                 for name in "abc":
                     expected = [node for node in batch_step(contexts, axis, "name", name)
@@ -225,7 +228,7 @@ class TestPathValueIndex:
         doc = parse_xml(self.XML)
         idx = index_for(doc)
         root = doc.document_element()
-        owners = idx.attr_value_owner_pres("k", "x")
+        owners = idx.path_value_owners((), "attr", "k")["x"]
         assert batch_probe([root], "parent", "n", lambda _idx: owners) is None
         # one candidate, three owners: enumerating is the cheaper side
         g1 = root.children[0]
@@ -238,7 +241,7 @@ class TestPathValueIndex:
     def test_probe_across_two_documents(self):
         one, two = parse_xml(self.XML), parse_xml(self.XML)
         probed = batch_probe([two, one], "descendant", "n",
-                             lambda idx: idx.attr_value_owner_pres("k", "y"))
+                             lambda idx: idx.path_value_owners((), "attr", "k")["y"])
         assert [node.root() for node in probed] == [one, two]
 
 
