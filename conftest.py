@@ -7,6 +7,7 @@ package wins and this is a no-op.
 """
 
 import os
+import sqlite3
 import sys
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
@@ -16,3 +17,9 @@ try:  # pragma: no cover - trivial bootstrap
 except ImportError:  # pragma: no cover
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
+
+
+def pytest_report_header(config):
+    """Name the SQLite planner: the plan-shape tests of the sql engine
+    (tests/test_sql_backend.py) assert on its ``EXPLAIN QUERY PLAN``."""
+    return f"sqlite {sqlite3.sqlite_version}"

@@ -36,6 +36,7 @@ from repro.algebra.operators import (
     DocumentRoot,
     Fixpoint,
     IdLookup,
+    IterationMerge,
     Join,
     LiteralTable,
     NodeConstructor,
@@ -201,7 +202,7 @@ class AlgebraCompiler:
         combined = plans[0]
         for plan in plans[1:]:
             combined = UnionAll([combined, plan])
-        return combined
+        return self._iteration_major(combined, context)
 
     def _compile_UnionExpr(self, expr: ast.UnionExpr, context: CompilationContext) -> Operator:
         left = self._compile(expr.left, context)
@@ -225,10 +226,22 @@ class AlgebraCompiler:
     # ------------------------------------------------------------------ paths
 
     def _compile_PathExpr(self, expr: ast.PathExpr, context: CompilationContext) -> Operator:
+        from repro.xquery.pushdown import recognize_id_step
+
         left = self._compile(expr.left, context)
         right = expr.right
         if isinstance(right, ast.AxisStep):
             return self._compile_step(left, right, context)
+        id_steps = recognize_id_step(right, self.functions)
+        if id_steps is not None:
+            # ``E/id(p)`` with a step chain p: steps distribute over the
+            # union of their contexts and the id macro orders its output,
+            # so the chain runs over each outer iteration's whole column —
+            # a handful of macros instead of the map's re-addressed plan.
+            values = left
+            for step in id_steps:
+                values = self._compile_step(values, step, context)
+            return IdLookup(AtomizeValue([values]), self._require_document())
         # General right operand: iterate the right expression once per node
         # delivered by the left operand (the loop-lifting "map" dance).
         return self._map_over(left, right, context)
@@ -486,7 +499,7 @@ class AlgebraCompiler:
             Join(else_plan, Project(unselected, [("sel_iter", "iter")]), [("iter", "sel_iter")]),
             [("iter", "iter"), ("pos", "pos"), ("item", "item")],
         )
-        return UnionAll([then_part, else_part])
+        return self._iteration_major(UnionAll([then_part, else_part]), context)
 
     def _compile_QuantifiedExpr(self, expr: ast.QuantifiedExpr, context: CompilationContext) -> Operator:
         raise AlgebraError("quantified expressions are not supported by the algebra backend")
@@ -678,6 +691,12 @@ class AlgebraCompiler:
 
     def _empty_sequence_plan(self, context: CompilationContext) -> Operator:
         return LiteralTable(self.storage(SEQ_COLUMNS))
+
+    def _iteration_major(self, union: Operator, context: CompilationContext) -> Operator:
+        """*union* with each iteration's rows contiguous: inside a loop a
+        ∪ is operand-major, and row order is sequence order.  The single
+        top-level iteration needs no merge."""
+        return union if context.loop_is_single else IterationMerge([union])
 
     def _with_pos(self, plan: Operator) -> Operator:
         """Attach a constant ``pos`` column and normalise the column order."""

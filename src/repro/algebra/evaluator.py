@@ -25,9 +25,10 @@ Two execution details worth knowing:
 
 Inside the fixpoint loop the accumulated result is maintained as an
 identity-keyed set plus insertion-ordered item list (a *delta-aware
-union*): each round only the genuinely new items are appended and fed back,
-and the document-order sort (``ddo``) happens once on the final result
-instead of once per round.
+union*, :class:`~repro.fixpoint.accumulator.ResultAccumulator` — shared
+with the interpreter's Naive and Delta drivers): each round only the
+genuinely new items are appended and fed back, and the document-order sort
+happens once on the final result instead of once per round.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from repro import faults
 from repro.errors import AlgebraError
 from repro.algebra.operators import AlgebraEngineProtocol, Fixpoint, Operator
 from repro.algebra.storage import TableStorage, resolve_backend
+from repro.fixpoint.accumulator import ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
-from repro.xdm.sequence import ddo
 
 SEQ_COLUMNS = ("iter", "pos", "item")
 
@@ -158,7 +159,7 @@ class _PlanRun(AlgebraEngineProtocol):
         trace = self.trace
         span = trace.begin("round", iteration=0) if trace is not None else None
         produced = self._apply_body(operator, seed)
-        accumulated = _ResultAccumulator()
+        accumulated = ResultAccumulator()
         accumulated.add_new(_items(produced))
         if span is not None:
             span.set(fed=len(seed), produced=len(produced),
@@ -185,14 +186,14 @@ class _PlanRun(AlgebraEngineProtocol):
             statistics.record(iteration, len(fed), len(produced),
                               len(new_items), len(accumulated))
             if not new_items:
-                return self._items_table(ddo(accumulated.items))
+                return self._items_table(accumulated.in_document_order())
 
     def _run_mu_delta(self, operator: Fixpoint, seed: TableStorage,
                       statistics: FixpointStatistics) -> TableStorage:
         trace = self.trace
         span = trace.begin("round", iteration=0) if trace is not None else None
         produced = self._apply_body(operator, seed)
-        accumulated = _ResultAccumulator()
+        accumulated = ResultAccumulator()
         delta = accumulated.add_new(_items(produced))
         if span is not None:
             span.set(fed=len(seed), produced=len(produced),
@@ -217,38 +218,13 @@ class _PlanRun(AlgebraEngineProtocol):
                          new=len(delta), result_size=len(accumulated))
                 trace.end(span)
             statistics.record(iteration, len(fed), len(produced), len(delta), len(accumulated))
-        return self._items_table(ddo(accumulated.items))
+        return self._items_table(accumulated.in_document_order())
 
     def _items_table(self, items: list) -> TableStorage:
         count = len(items)
         return self.make_table_from_columns(
             SEQ_COLUMNS, [[1] * count, list(range(1, count + 1)), list(items)]
         )
-
-
-class _ResultAccumulator:
-    """The accumulated fixpoint result: identity set + insertion-ordered list."""
-
-    __slots__ = ("items", "_seen")
-
-    def __init__(self):
-        self.items: list = []
-        self._seen: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def add_new(self, candidates: list) -> list:
-        """Append the not-yet-seen *candidates*; return them (the delta)."""
-        seen = self._seen
-        fresh = []
-        for item in candidates:
-            key = id(item)
-            if key not in seen:
-                seen.add(key)
-                fresh.append(item)
-        self.items.extend(fresh)
-        return fresh
 
 
 class AlgebraEvaluator:

@@ -32,8 +32,8 @@ from repro.errors import AlgebraError
 from repro.algebra.storage import TableStorage
 from repro.algebra.table import Table
 from repro.xdm.index import (
-    PLANE_AXES as _PLANE_AXES,
     IndexSet,
+    batch_id,
     batch_step,
     indexed_step,
 )
@@ -376,6 +376,25 @@ class UnionAll(Operator):
         return left.union_all(right)
 
 
+class IterationMerge(Operator):
+    """Stable merge by ``iter``: each iteration's rows contiguous, in the
+    order they already had.
+
+    ∪ appends its operands whole, so inside a loop a sequence expression or
+    an ``if … else`` comes out *operand-major* (every iteration's first
+    operand, then every iteration's second).  Row order is sequence order;
+    this operator restores it per iteration.  It changes order only, which
+    distributivity is defined up to (Section 4.1), so the checker skips it.
+    """
+
+    symbol = "⊎"
+    union_pushable = True
+    order_or_duplicates_only = True
+
+    def compute(self, inputs, engine):
+        return inputs[0].sort_by(("iter",))
+
+
 class Difference(Operator):
     """\\ — EXCEPT ALL.  Consumes both inputs entirely: not pushable."""
 
@@ -507,8 +526,9 @@ class StepJoin(Operator):
     descendant steps become merged pre-order interval slices into the name
     inverted index — duplicate-free and document-ordered by construction —
     and the remaining axes dedup once by identity and sort once by order
-    key.  Without the index the macro falls back to per-node axis walks
-    memoised in the engine's macro cache.
+    key.  Singleton iterations (the loop-lifted common case, re-fed every
+    round under µ), positional shapes and runs without the index take
+    per-node axis walks memoised in the engine's macro cache.
 
     ``pushed`` carries predicate *shapes* the compiler recognized and
     resolved at compile time (:mod:`repro.xquery.pushdown`): value and
@@ -562,13 +582,13 @@ class StepJoin(Operator):
                 # computation inside _step.
                 result = self._step_ddo(nodes[0], engine)
             else:
-                if (use_index and self.axis in _PLANE_AXES
-                        and not self._pushed_positional):
-                    # Whole-column contexts (fixpoint feedback) on the plane
-                    # axes: merged interval slices beat even memoised
-                    # per-node results, because they skip the per-round
-                    # O(m log m) ddo over the concatenation.  Pushed value
-                    # shapes filter the merged column directly.
+                if use_index and not self._pushed_positional:
+                    # Whole-column contexts (fixpoint feedback) take one
+                    # batch kernel on every axis: under µ∆ a node is fed
+                    # once, so a per-node memo never hits, and under µ the
+                    # kernel costs what the memo hits plus the ddo over
+                    # their concatenation would.  Pushed value shapes filter
+                    # the merged column directly.
                     if self.pushed and index_set is None:
                         index_set = IndexSet()
                     result = self._probe(nodes, index_set, trace)
@@ -680,7 +700,13 @@ class StepJoin(Operator):
 
 
 class IdLookup(Operator):
-    """The ``fn:id`` macro: resolve ID strings to elements of a document."""
+    """The ``fn:id`` macro: resolve ID strings to elements of a document.
+
+    Input: ``iter|pos|item`` with atomized items; each iteration's whole
+    column is tokenized and resolved in one pass
+    (:func:`~repro.xdm.index.batch_id`) and comes out duplicate-free in
+    document order.
+    """
 
     symbol = "id"
     union_pushable = True
@@ -696,36 +722,12 @@ class IdLookup(Operator):
         positions: list = []
         items: list = []
         for iteration in order:
-            values = per_iteration[iteration]
-            if len(values) == 1:
-                ordered = self._resolve_ddo(string_value_of_item(values[0]), engine)
-            else:
-                merged: list[Node] = []
-                for value in values:
-                    merged.extend(self._resolve_ddo(string_value_of_item(value), engine))
-                ordered = ddo(merged)
+            ordered = ddo(batch_id(self.document, per_iteration[iteration]))
             iters.extend([iteration] * len(ordered))
             positions.extend(range(1, len(ordered) + 1))
             items.extend(ordered)
         return engine.make_table_from_columns(("iter", "pos", "item"),
                                               [iters, positions, items])
-
-    def _resolve_ddo(self, text: str, engine) -> list[Node]:
-        """Resolve one ID string, deduplicated and in document order,
-        memoised per run (ID assignment is static during evaluation)."""
-        cache = getattr(engine, "macro_cache", None)
-        key = (self.operator_id, text)
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit[1]
-        lookup = self.document.lookup_id
-        resolved = [element for token in text.split()
-                    if (element := lookup(token)) is not None]
-        ordered = ddo(resolved)
-        if cache is not None:
-            cache[key] = (text, ordered)
-        return ordered
 
 
 class AtomizeValue(Operator):

@@ -15,6 +15,14 @@ Naive whenever the body is *distributive* for the recursion variable; for
 non-distributive bodies (Example 2.4 / Query Q2) the two algorithms may
 disagree, which is why the engine only switches to Delta after a
 distributivity check (or when explicitly forced).
+
+``res`` is kept as a *set* (:class:`~repro.fixpoint.accumulator.ResultAccumulator`),
+not as the sequence the pseudo-code suggests: ``except res`` is a membership
+probe per produced node and ``union res`` an append, so a round costs
+O(|e_rec(Δ)|) instead of re-validating and re-sorting everything found so
+far.  Δ itself is still handed to the body duplicate-free and in document
+order — exactly what ``except`` would deliver — and ``res`` is put in
+document order once, when the loop ends.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from collections.abc import Callable, Sequence
 
 from repro import faults
 from repro.errors import FixpointError
-from repro.xdm.sequence import ensure_node_sequence, node_except, node_union
+from repro.xdm.sequence import ensure_node_sequence
+from repro.fixpoint.accumulator import ResultAccumulator, document_order
 from repro.fixpoint.stats import FixpointStatistics
 
 
@@ -41,10 +50,10 @@ def delta_fixpoint(body: Callable[[list], list], seed: Sequence,
     ``round`` span per iteration carrying the frontier/delta sizes).
     """
     seed_nodes = ensure_node_sequence(list(seed), "inflationary fixed point seed")
+    result = ResultAccumulator()
 
     if seed_is_initial_result:
-        result = node_union(seed_nodes, [])
-        delta = list(result)
+        delta = document_order(result.add_new(seed_nodes))
         if statistics is not None:
             statistics.algorithm = "delta"
             statistics.record(0, 0, len(seed_nodes), len(result), len(result))
@@ -52,9 +61,7 @@ def delta_fixpoint(body: Callable[[list], list], seed: Sequence,
         fed = seed_nodes
         span = trace.begin("round", iteration=0) if trace is not None else None
         produced = body(list(fed))
-        ensure_node_sequence(produced, "inflationary fixed point body result")
-        result = node_union(produced, [])
-        delta = list(result)
+        delta = document_order(result.add_new(produced))
         if span is not None:
             span.set(fed=len(fed), produced=len(produced),
                      new=len(delta), result_size=len(result))
@@ -77,14 +84,11 @@ def delta_fixpoint(body: Callable[[list], list], seed: Sequence,
         faults.trigger("slow-span")
         span = trace.begin("round", iteration=iteration) if trace is not None else None
         produced = body(list(fed))
-        ensure_node_sequence(produced, "inflationary fixed point body result")
-        delta = node_except(produced, result)
-        combined = node_union(delta, result)
+        delta = document_order(result.add_new(produced))
         if span is not None:
             span.set(fed=len(fed), produced=len(produced),
-                     new=len(delta), result_size=len(combined))
+                     new=len(delta), result_size=len(result))
             trace.end(span)
         if statistics is not None:
-            statistics.record(iteration, len(fed), len(produced), len(delta), len(combined))
-        result = combined
-    return result
+            statistics.record(iteration, len(fed), len(produced), len(delta), len(result))
+    return result.in_document_order()

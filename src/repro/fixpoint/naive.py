@@ -18,35 +18,9 @@ from collections.abc import Callable, Sequence
 
 from repro import faults
 from repro.errors import FixpointError
-from repro.xdm.node import Node
 from repro.xdm.sequence import ensure_node_sequence
+from repro.fixpoint.accumulator import ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
-
-
-def _order_key(node: Node) -> int:
-    return node.order_key
-
-
-def _merge_new(result: list, seen: set, produced: Sequence) -> int:
-    """Fold *produced* into *result*, keeping it duplicate-free and in
-    document order; returns the number of genuinely new nodes.
-
-    ``seen`` is a set of order keys (globally unique per node, so key
-    membership == node identity), which replaces the old per-round
-    ``node_union`` — an O(total log total) re-sort plus identity-set
-    rebuild over the whole accumulated result every round — with O(new)
-    set probes and a near-linear Timsort append.
-    """
-    fresh = []
-    for node in produced:
-        key = node.order_key
-        if key not in seen:
-            seen.add(key)
-            fresh.append(node)
-    if fresh:
-        result.extend(fresh)
-        result.sort(key=_order_key)
-    return len(fresh)
 
 
 def naive_fixpoint(body: Callable[[list], list], seed: Sequence,
@@ -89,10 +63,12 @@ def naive_fixpoint(body: Callable[[list], list], seed: Sequence,
     """
     seed_nodes = ensure_node_sequence(list(seed), "inflationary fixed point seed")
 
-    result: list = []
-    seen: set = set()
+    # Naive feeds the whole result back, so it is put in document order
+    # after every round that grew it (the accumulator only appends).
+    result = ResultAccumulator()
     if seed_is_initial_result:
-        _merge_new(result, seen, seed_nodes)
+        result.add_new(seed_nodes)
+        result.in_document_order()
         if statistics is not None:
             statistics.algorithm = "naive"
             statistics.record(0, 0, len(seed_nodes), len(result), len(result))
@@ -100,8 +76,8 @@ def naive_fixpoint(body: Callable[[list], list], seed: Sequence,
         fed = seed_nodes
         span = trace.begin("round", iteration=0) if trace is not None else None
         produced = body(list(fed))
-        ensure_node_sequence(produced, "inflationary fixed point body result")
-        _merge_new(result, seen, produced)  # normalise: distinct, document order
+        result.add_new(produced)
+        result.in_document_order()
         if span is not None:
             span.set(fed=len(fed), produced=len(produced),
                      new=len(result), result_size=len(result))
@@ -123,9 +99,8 @@ def naive_fixpoint(body: Callable[[list], list], seed: Sequence,
                                  result_size=len(result))
         faults.trigger("slow-span")
         span = trace.begin("round", iteration=iteration) if trace is not None else None
-        produced = body(list(result))
-        ensure_node_sequence(produced, "inflationary fixed point body result")
-        new_nodes = _merge_new(result, seen, produced)
+        produced = body(list(result.items))
+        new_nodes = len(result.add_new(produced))
         if span is not None:
             span.set(fed=fed_count, produced=len(produced),
                      new=new_nodes, result_size=len(result))
@@ -133,4 +108,5 @@ def naive_fixpoint(body: Callable[[list], list], seed: Sequence,
         if statistics is not None:
             statistics.record(iteration, fed_count, len(produced), new_nodes, len(result))
         if new_nodes == 0:
-            return result
+            return result.items
+        result.in_document_order()

@@ -38,6 +38,12 @@ members, so the filter runs in SQLite every round instead of being
 re-evaluated in Python after decoding.  Variable right-hand sides are
 inlined from the caller's bindings when every bound value is a string.
 
+Every join and probe *names its access path* (``INDEXED BY`` / ``NOT
+INDEXED``, see ``_AXIS_JOINS``): the store keeps no planner statistics —
+with them SQLite >= 3.38 scans ``node`` into a Bloom filter in every
+recursive member (DESIGN.md §5.1) — so nothing about the plan is left to
+the planner's defaults or its version.
+
 Anything beyond such a chain — positional or unrecognized predicates,
 conditionals, aggregates, user-defined functions, sequence/union bodies —
 makes :func:`emit_fixpoint_sql` return ``None`` and the executor falls
@@ -55,6 +61,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sqlbackend.schema import (
+    ATTRIBUTE_INDEX,
+    CHILD_INDEX,
+    ID_INDEX,
+    NAME_INDEX,
+    RANGE_INDEX,
+)
 from repro.sqlgen.with_recursive import format_with_recursive
 from repro.xquery import ast
 from repro.xquery.pushdown import (
@@ -63,20 +76,39 @@ from repro.xquery.pushdown import (
     string_values_or_none,
 )
 
-#: Axis name → join condition template; ``{b}`` is the new alias, ``{a}``
-#: the context alias (a row of the ``node`` table).
-_AXIS_CONDITIONS: dict[str, str] = {
-    "child": "{b}.parent = {a}.pre",
-    "descendant": "{b}.doc_id = {a}.doc_id AND {b}.pre > {a}.pre AND {b}.post < {a}.post",
-    "descendant-or-self":
-        "{b}.doc_id = {a}.doc_id AND {b}.pre >= {a}.pre AND {b}.post <= {a}.post",
-    "self": "{b}.pre = {a}.pre",
-    "parent": "{b}.pre = {a}.parent",
-    "ancestor": "{b}.doc_id = {a}.doc_id AND {b}.pre < {a}.pre AND {b}.post > {a}.post",
-    "ancestor-or-self":
-        "{b}.doc_id = {a}.doc_id AND {b}.pre <= {a}.pre AND {b}.post >= {a}.post",
-    "following-sibling": "{b}.parent = {a}.parent AND {b}.pre > {a}.pre",
-    "preceding-sibling": "{b}.parent = {a}.parent AND {b}.pre < {a}.pre",
+#: Access path of a join on the ``pre`` rowid: SQLite's ``NOT INDEXED``
+#: rules every secondary index out and leaves the primary-key lookup/range.
+_BY_PRE = "NOT INDEXED"
+
+#: Axis name → (join condition template, pinned access path); ``{b}`` is the
+#: new alias, ``{a}`` the context alias (a row of the ``node`` table).  The
+#: store keeps no planner statistics (see :mod:`repro.sqlbackend.schema`), so
+#: every join names its access path instead of leaving it to the planner's
+#: defaults: child and sibling steps walk ``(parent, name)``, ``self`` and
+#: ``parent`` are ``pre`` lookups, the descendant axes are the ``pre`` range
+#: of the subtree — ``pre`` and ``post`` tick from one counter, so
+#: ``{a}.pre < pre < {a}.post`` bounds it on both sides — and the ancestor
+#: axes scan the context document's ``(doc_id, post)`` range.
+_AXIS_JOINS: dict[str, tuple[str, str]] = {
+    "child": ("{b}.parent = {a}.pre", f"INDEXED BY {CHILD_INDEX}"),
+    "descendant": (
+        "{b}.pre > {a}.pre AND {b}.pre < {a}.post "
+        "AND {b}.doc_id = {a}.doc_id AND {b}.post < {a}.post", _BY_PRE),
+    "descendant-or-self": (
+        "{b}.pre >= {a}.pre AND {b}.pre < {a}.post "
+        "AND {b}.doc_id = {a}.doc_id AND {b}.post <= {a}.post", _BY_PRE),
+    "self": ("{b}.pre = {a}.pre", _BY_PRE),
+    "parent": ("{b}.pre = {a}.parent", _BY_PRE),
+    "ancestor": (
+        "{b}.doc_id = {a}.doc_id AND {b}.post > {a}.post AND {b}.pre < {a}.pre",
+        f"INDEXED BY {RANGE_INDEX}"),
+    "ancestor-or-self": (
+        "{b}.doc_id = {a}.doc_id AND {b}.post >= {a}.post AND {b}.pre <= {a}.pre",
+        f"INDEXED BY {RANGE_INDEX}"),
+    "following-sibling": ("{b}.parent = {a}.parent AND {b}.pre > {a}.pre",
+                          f"INDEXED BY {CHILD_INDEX}"),
+    "preceding-sibling": ("{b}.parent = {a}.parent AND {b}.pre < {a}.pre",
+                          f"INDEXED BY {CHILD_INDEX}"),
 }
 
 #: Kind-test name → ``node.kind`` value (no extra filter for ``node()``).
@@ -193,21 +225,22 @@ class _Emitter:
         self._aliases += 1
         return alias
 
-    def _join(self, table: str, alias: str, condition: str) -> None:
+    def _join(self, table: str, alias: str, access: str, condition: str) -> None:
         # CROSS JOIN is SQLite's manual join-order override: the member must
         # stay frontier-driven (read s first, then walk the chain), and the
         # planner's cost model demonstrably inverts the order once pushed
         # EXISTS probes enter the picture — scanning all name-test matches
         # per round instead of the frontier.  Semantically identical to
-        # JOIN … ON in SQLite.
-        self.joins.append(f"CROSS JOIN {table} AS {alias} ON {condition}")
+        # JOIN … ON in SQLite.  *access* pins the access path the same way
+        # (``INDEXED BY …`` / ``NOT INDEXED``).
+        self.joins.append(f"CROSS JOIN {table} AS {alias} {access} ON {condition}")
 
     # -- entry point ---------------------------------------------------------
 
     def emit(self, body: ast.Expr) -> FixpointSql:
         # Anchor the chain: a node-table row for the current frontier pre.
         base = self._fresh()
-        self._join("node", base, f"{base}.pre = s.pre")
+        self._join("node", base, _BY_PRE, f"{base}.pre = s.pre")
         result = self._chain(body, base)
         lines = [f"SELECT {result}.pre", "  FROM {source} AS s"]
         lines.extend(f"  {join}" for join in self.joins)
@@ -262,15 +295,15 @@ class _Emitter:
         raise _NotEmittable
 
     def _axis_join(self, step: ast.AxisStep, context_alias: str) -> str:
-        condition = _AXIS_CONDITIONS.get(step.axis)
-        if condition is None:
+        if step.axis not in _AXIS_JOINS:
             raise _NotEmittable  # attribute/following/preceding: driver loop
+        condition, access = _AXIS_JOINS[step.axis]
         alias = self._fresh()
         clauses = [condition.format(a=context_alias, b=alias)]
         clauses.extend(self._node_test_clauses(step.node_test, alias))
         for predicate in step.predicates:
             clauses.append(self._predicate_clause(predicate, alias))
-        self._join("node", alias, " AND ".join(clauses))
+        self._join("node", alias, access, " AND ".join(clauses))
         self._tests[alias] = step.node_test
         return alias
 
@@ -289,11 +322,11 @@ class _Emitter:
         values = self._shape_values(shape)
         if shape.target == "attr":
             clauses = [f"p.owner = {alias}.pre", f"p.name = {_quote(shape.name)}"]
-            table = "attr"
+            source = f"attr AS p INDEXED BY {ATTRIBUTE_INDEX}"
         else:
             clauses = [f"p.parent = {alias}.pre", "p.kind = 'element'",
                        f"p.name = {_quote(shape.name)}"]
-            table = "node"
+            source = f"node AS p INDEXED BY {CHILD_INDEX}"
         if values is not None:
             if not values:
                 return "0"  # empty comparison sequence matches nothing
@@ -302,8 +335,7 @@ class _Emitter:
             else:
                 quoted = ", ".join(_quote(value) for value in values)
                 clauses.append(f"p.value IN ({quoted})")
-        return (f"EXISTS (SELECT 1 FROM {table} AS p "
-                f"WHERE {' AND '.join(clauses)})")
+        return f"EXISTS (SELECT 1 FROM {source} WHERE {' AND '.join(clauses)})"
 
     def _shape_values(self, shape: ValueShape):
         """Constant strings of the shape's right-hand side (``None`` for
@@ -368,13 +400,13 @@ class _Emitter:
         # token; the probe expression sits on the outer row, so the lookup
         # still drives the (doc_id, value) index.
         self._join(
-            "id_attr", alias,
+            "id_attr", alias, f"INDEXED BY {ID_INDEX}",
             f"{alias}.doc_id = {doc_scope} "
             f"AND {alias}.value = TRIM({value_alias}.value, ' ' || char(9, 10, 13))",
         )
         # id_attr.pre is an element pre; downstream steps need node columns.
         element = self._fresh()
-        self._join("node", element, f"{element}.pre = {alias}.pre")
+        self._join("node", element, _BY_PRE, f"{element}.pre = {alias}.pre")
         return element
 
     def _multi_token_guard(self, value_alias: str) -> str:
@@ -392,11 +424,16 @@ class _Emitter:
         test = self._tests.get(value_alias)
         clauses = (self._node_test_clauses(test, "n") if test is not None
                    else ["n.kind = 'element'"])
+        # A name test scans that name's index entries; anything else has to
+        # read the whole table.
+        access = (f" INDEXED BY {NAME_INDEX}"
+                  if any(clause.startswith("n.name = ") for clause in clauses) else "")
         clauses.append(
             "TRIM(n.value, ' ' || char(9, 10, 13)) "
             "GLOB ('*[' || char(9, 10, 13) || ' ]*')"
         )
-        return f"SELECT EXISTS(SELECT 1 FROM node AS n WHERE {' AND '.join(clauses)})"
+        return (f"SELECT EXISTS(SELECT 1 FROM node AS n{access} "
+                f"WHERE {' AND '.join(clauses)})")
 
 
 def _quote(text: str) -> str:

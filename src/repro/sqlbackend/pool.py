@@ -9,8 +9,8 @@ paid once per worker and then reused across requests.
 :class:`SqlStorePool` hands each *thread* its own store (SQLite connections
 are bound to their creating thread by default, and a private store per
 worker needs no statement-level locking at all).  A thread keeps its store
-— and therefore its shredded relations, indexes and ANALYZE statistics —
-across requests until one of two generations moves:
+— and therefore its shredded relations and indexes — across requests until
+one of two generations moves:
 
 * the **pool generation**, bumped by :meth:`invalidate` when the owning
   session re-registers documents (snapshot semantics: requests already

@@ -39,9 +39,16 @@ key), ``(doc_id, post)`` for descendant/ancestor ranges, ``(parent, name)``
 for child steps with name tests (the composite is what keeps the recursive
 CTE walking frontier→child instead of scanning all elements of a name and
 filtering upwards), ``name`` for name-only scans, ``(owner, name)`` on
-attributes and ``(doc_id, value)`` on the ID table.  The shredder runs
-``ANALYZE`` after each bulk load so the planner has real cardinalities when
-it chooses among them.
+attributes and ``(doc_id, value)`` on the ID table.
+
+The store keeps **no planner statistics** (no ``ANALYZE``): with
+``sqlite_stat1`` rows for ``node`` SQLite ≥ 3.38 builds a Bloom filter over
+the whole table in every recursive member (DESIGN.md §5.1 has the
+measurement), a per-statement O(store) price.  The access paths the
+statistics used to choose are instead *pinned* by the emitter (``INDEXED
+BY`` / ``NOT INDEXED``, :data:`CHILD_INDEX` and friends below), and
+:func:`create_schema` clears statistics a file written by an older version
+(or ``ANALYZE``d by hand) still carries.
 """
 
 from __future__ import annotations
@@ -50,6 +57,17 @@ import sqlite3
 
 #: Bump on incompatible schema changes.
 SCHEMA_VERSION = 1
+
+#: The indexes the emitter pins its joins to (``INDEXED BY``): child and
+#: sibling steps walk ``(parent, name)``, ancestor steps the context
+#: document's ``(doc_id, post)`` range, attribute probes ``(owner, name)``,
+#: ``fn:id`` joins ``(doc_id, value)``; the multi-token guard probes scan one
+#: element name.
+CHILD_INDEX = "idx_node_parent_name"
+RANGE_INDEX = "idx_node_post"
+NAME_INDEX = "idx_node_name"
+ATTRIBUTE_INDEX = "idx_attr_owner"
+ID_INDEX = "idx_id_attr_value"
 
 SCHEMA_STATEMENTS: tuple[str, ...] = (
     """
@@ -88,16 +106,26 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
         PRIMARY KEY (doc_id, value)
     )
     """,
-    "CREATE INDEX IF NOT EXISTS idx_node_post ON node(doc_id, post)",
-    "CREATE INDEX IF NOT EXISTS idx_node_parent_name ON node(parent, name)",
-    "CREATE INDEX IF NOT EXISTS idx_node_name ON node(name)",
-    "CREATE INDEX IF NOT EXISTS idx_attr_owner ON attr(owner, name)",
-    "CREATE INDEX IF NOT EXISTS idx_id_attr_value ON id_attr(doc_id, value)",
+    f"CREATE INDEX IF NOT EXISTS {RANGE_INDEX} ON node(doc_id, post)",
+    f"CREATE INDEX IF NOT EXISTS {CHILD_INDEX} ON node(parent, name)",
+    f"CREATE INDEX IF NOT EXISTS {NAME_INDEX} ON node(name)",
+    f"CREATE INDEX IF NOT EXISTS {ATTRIBUTE_INDEX} ON attr(owner, name)",
+    f"CREATE INDEX IF NOT EXISTS {ID_INDEX} ON id_attr(doc_id, value)",
 )
 
 
 def create_schema(connection: sqlite3.Connection) -> None:
-    """Create the shredding tables and their indexes (idempotent)."""
+    """Create the shredding tables and their indexes (idempotent), and make
+    the planner forget any statistics the database file carries."""
     for statement in SCHEMA_STATEMENTS:
         connection.execute(statement)
+    stale = [row[0] for row in connection.execute(
+        "SELECT name FROM sqlite_master WHERE name LIKE 'sqlite_stat_'")]
+    for table in stale:
+        connection.execute(f"DELETE FROM {table}")
+    if stale:
+        # Statistics are cached per connection when the schema loads;
+        # analysing the schema table alone makes SQLite re-read the (now
+        # empty) statistics tables without gathering new ones.
+        connection.execute("ANALYZE sqlite_master")
     connection.commit()

@@ -41,9 +41,6 @@ class SqlDocumentStore:
         (:mod:`repro.sqlbackend.pool`) turns this on.
     """
 
-    #: Minimum tree size (in nodes) for a post-shred ANALYZE.
-    ANALYZE_THRESHOLD = 64
-
     def __init__(self, path: str = ":memory:", wal: bool = False):
         self.path = path
         self.connection = sqlite3.connect(path)
@@ -139,14 +136,6 @@ class SqlDocumentStore:
         self._node_of.update(local_node)
         self._doc_of_root[id(root)] = doc_id
         self._version += 1
-        # Refresh planner statistics: without them SQLite may drive child
-        # steps through the name index (scanning every element of that name
-        # per recursive round) instead of the (parent, name) index.  Trees
-        # below the threshold skip the refresh — driver-loop bodies that
-        # construct small subtrees shred them every round, and a full-store
-        # ANALYZE per round would dwarf the actual work.
-        if len(node_rows) >= self.ANALYZE_THRESHOLD:
-            self.connection.execute("ANALYZE")
         return doc_id
 
     def _shred_walk(self, root: Node, doc_id: int,

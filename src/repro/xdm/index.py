@@ -19,7 +19,8 @@ bisections into that list, and lazy per-node *child-by-name maps* so a
 owners, the path-value index) that answer value predicates — from the
 candidate's side as a membership test, or from the index's side
 (:func:`batch_probe`) without enumerating candidates at all.  The batch kernels
-(:func:`batch_step`) take a whole column of context nodes at once: for the
+(:func:`batch_step`, and :func:`batch_id` for ``fn:id`` over a column of
+references) take a whole column of context nodes at once: for the
 descendant axes the context intervals are merged (nested intervals are
 skipped, which is what makes the result duplicate-free *by construction*),
 for every other axis results are deduplicated with an identity set and
@@ -39,11 +40,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from collections.abc import Iterable
 from threading import RLock
 
 from repro import faults
 from repro.observability.tracing import current_trace
 from repro.xdm import node as _node_module
+from repro.xdm.items import string_value_of_item
 from repro.xdm.node import (
     AttributeNode,
     CommentNode,
@@ -596,12 +599,6 @@ _node_module._value_change_hook = invalidate_value_indexes
 # step entry points used by the engines
 # ---------------------------------------------------------------------------
 
-#: Axes answered from the pre-order plane arrays, where the batch kernels
-#: are an *algorithmic* win (merged interval slices instead of per-node
-#: walks plus an O(m log m) ddo): re-fed fixpoint contexts should batch
-#: these even when a per-node memo is available.
-PLANE_AXES = frozenset({"descendant", "descendant-or-self", "following"})
-
 #: Axes where the index beats the naive axis methods for a *single* context
 #: node.  The pointer-chasing axes (child, parent, ancestor, attribute,
 #: self) are already answered optimally from the node objects; the indexed
@@ -736,6 +733,23 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
 
     return _ddo_by_order_key(collected, already_unique=len(distinct) == 1
                              and axis not in _REVERSE_AXES)
+
+
+def batch_id(document: DocumentNode, items: Iterable) -> list[Node]:
+    """``fn:id`` over a whole column: the elements of *document* whose ID is
+    a whitespace-separated token of some item's string value.
+
+    One tokenizing pass and one ID-map probe per *distinct* token — the
+    set-at-a-time counterpart of calling ``fn:id`` once per context node.
+    Dangling references resolve to nothing.  The elements come in no
+    particular order and may repeat (two IDs of one element); the caller
+    applies the ``fs:ddo`` its result needs anyway.
+    """
+    tokens: set[str] = set()
+    for item in items:
+        tokens.update(string_value_of_item(item).split())
+    lookup = document.lookup_id
+    return [element for token in tokens if (element := lookup(token)) is not None]
 
 
 #: Axes :func:`batch_probe` can verify from the owner's side.

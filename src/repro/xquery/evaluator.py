@@ -30,7 +30,7 @@ from repro.errors import (
 )
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
-from repro.xdm.index import IndexSet, batch_step, indexed_step
+from repro.xdm.index import IndexSet, batch_id, batch_step, indexed_step
 from repro.xdm.items import (
     UntypedAtomic,
     is_node,
@@ -506,6 +506,20 @@ class Evaluator:
                     return result
                 if trace is not None:
                     trace.record_kernel(f"step:{step.axis}", False)
+        elif (isinstance(expr.right, ast.FunctionCall)
+                and context.static.settings.use_index):
+            # The same for ``E/id(p)``: the chain *p* and the ID lookup run
+            # once over the whole column instead of once per node of E.
+            steps = pushdown.recognize_id_step(expr.right, context.static.functions)
+            if steps is not None:
+                trace = context.static.trace
+                timer = perf_counter() if trace is not None else 0.0
+                result = self._batch_id(left, steps, context)
+                if trace is not None:
+                    trace.record_kernel("step:id", result is not None,
+                                        perf_counter() - timer)
+                if result is not None:
+                    return result
         results: Sequence = []
         size = len(left)
         for position, item in enumerate(left, start=1):
@@ -520,6 +534,42 @@ class Evaluator:
                 "path result mixes nodes and atomic values", code="XPTY0018"
             )
         return results
+
+    def _batch_id(self, nodes: Sequence, steps: tuple[ast.AxisStep, ...],
+                  context: DynamicContext) -> Sequence | None:
+        """``nodes/id(steps)`` set-at-a-time, or ``None`` (per-item loop).
+
+        ``fn:id`` resolves in the document of its context node, so the
+        column is grouped by owning document (a corpus may reuse ID values
+        across documents); each group's chain is one batch step kernel per
+        step, its string values are tokenized and looked up in one pass
+        (:func:`~repro.xdm.index.batch_id`), and one ``fs:ddo`` orders the
+        union.  Declines when an item is not a node (the loop raises the
+        proper ``XPTY0019``), when a kernel cannot answer a step, and —
+        like the fused axis step above — when the chain has predicates and
+        pushdown is off.
+        """
+        if not context.static.settings.use_pushdown and any(
+                step.predicates for step in steps):
+            return None
+        by_document: dict[int, tuple[DocumentNode, list]] = {}
+        for node in nodes:
+            if not is_node(node):
+                return None
+            document = node.document()
+            if document is not None:  # no document, no IDs: contributes nothing
+                by_document.setdefault(id(document), (document, []))[1].append(node)
+        found: Sequence = []
+        for document, column in by_document.values():
+            for step in steps:
+                column = batch_step(column, step.axis, step.node_test.kind,
+                                    step.node_test.name)
+                if column is None:
+                    return None
+                if step.predicates:
+                    column = self._apply_predicates(column, step.predicates, context)
+            found.extend(batch_id(document, column))
+        return ddo(found)
 
     def _eval_root(self, expr: ast.RootExpr, context: DynamicContext) -> Sequence:
         node = context.context_item()

@@ -27,7 +27,11 @@ shared seam all three engines route such predicates through:
   the step's candidates at all: it walks the value index's few owners and
   verifies the axis relation
   (:func:`~repro.xdm.index.batch_probe`) — ``patient[@id = "p7"]`` over
-  1000 patients touches one node.
+  1000 patients touches one node;
+* the **``id`` step recognizer** (:func:`recognize_id_step`) names the
+  path shape ``E/id(p)`` whose right-hand side both engines answer for the
+  whole column of ``E`` at once (the interpreter's ``step:id`` kernel, the
+  algebra compiler's ``IdLookup`` over step joins).
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
@@ -71,7 +75,7 @@ Semantics notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable
 
 from repro.xdm.index import PROBE_AXES, IndexSet, batch_probe
 from repro.xdm.items import UntypedAtomic, is_node
@@ -267,6 +271,43 @@ def recognize_predicate(expr: ast.Expr) -> Shape | None:
                 if step is not None and focus_free(other):
                     return ValueShape(step[0], step[1], rhs=other, path=step[2])
     return None
+
+
+def recognize_id_step(expr: ast.Expr, functions: Container[tuple[str, int]]
+                      ) -> tuple[ast.AxisStep, ...] | None:
+    """The right-hand side of ``E/id(p)`` → the axis steps of *p*, or ``None``.
+
+    Recognized: a call of the built-in one-argument ``id``/``fn:id``
+    (*functions* holds the ``(name, arity)`` of the user-declared functions;
+    one of that name shadows the built-in) whose argument walks from the context
+    item by axis steps only — ``.`` (no steps), ``a/b``, ``./a/@b``,
+    ``.//a`` — each carrying at most non-positional recognized predicates.
+
+    This is the shape both engines answer set-at-a-time instead of once per
+    node of ``E``: axis steps and value predicates distribute over the union
+    of their context nodes and the enclosing path applies ``fs:ddo`` anyway,
+    so the chain may run over the whole column of ``E``, the ID lookup over
+    all of its string values.  ``fn:id`` resolves in the *context node's*
+    document, so a column is grouped by owning document first.  A
+    positional predicate counts per context node and is declined.
+    """
+    if not (isinstance(expr, ast.FunctionCall) and expr.name in ("id", "fn:id")
+            and len(expr.args) == 1 and (expr.name, 1) not in functions):
+        return None
+    steps: list[ast.AxisStep] = []
+    argument = expr.args[0]
+    while isinstance(argument, ast.PathExpr) and isinstance(argument.right, ast.AxisStep):
+        steps.append(argument.right)
+        argument = argument.left
+    if isinstance(argument, ast.AxisStep):
+        steps.append(argument)
+    elif not isinstance(argument, ast.ContextItem):
+        return None
+    for step in steps:
+        for predicate in step.predicates:
+            if not isinstance(recognize_predicate(predicate), ValueShape):
+                return None
+    return tuple(reversed(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +527,7 @@ __all__ = [
     "focus_free",
     "positional_filter",
     "probe_step",
+    "recognize_id_step",
     "recognize_predicate",
     "resolve_rhs",
     "string_values_or_none",

@@ -181,3 +181,142 @@ class TestSeedAsInitialResult:
         root = doc.document_element()
         result = FixpointEngine().run(children_body, [root], algorithm="naive")
         assert all(node is not root for node in result.value)
+
+
+# ---------------------------------------------------------------------------
+# the accumulating Delta driver: same numbers, same inputs, same trip points
+# ---------------------------------------------------------------------------
+
+
+def _prerequisites_body(doc, fed_log=None):
+    """``$x/id(./prerequisites/pre_code)`` as a Python body that returns its
+    nodes with duplicates and in *reverse* feed order, and logs what it is fed."""
+    def body(nodes):
+        if fed_log is not None:
+            fed_log.append([node.get_attribute("code").value for node in nodes])
+        found = []
+        for node in reversed(nodes):
+            for pre_code in node.children[0].children:
+                found.append(doc.lookup_id(pre_code.string_value()))
+        return found
+    return body
+
+
+#: Per-round (iteration, fed, produced, new, result_size) of Delta on the tiny
+#: curriculum seeded by (c36, c40), recorded at the commit *before* the driver
+#: kept ``res`` as a set: the rewrite may change what a round costs, never
+#: what it feeds or records.
+GOLDEN_ROUNDS = [(0, 2, 2, 2, 2), (1, 2, 6, 4, 6), (2, 4, 9, 6, 12), (3, 6, 11, 4, 16),
+                 (4, 4, 9, 4, 20), (5, 4, 8, 5, 25), (6, 5, 11, 4, 29), (7, 4, 0, 0, 29)]
+GOLDEN_FED = [["c36", "c40"], ["c32", "c35"], ["c26", "c27", "c29", "c30"],
+              ["c21", "c22", "c23", "c24", "c25", "c40"], ["c16", "c18", "c19", "c20"],
+              ["c12", "c13", "c14", "c15"], ["c6", "c7", "c8", "c9", "c10"],
+              ["c1", "c2", "c3", "c4"]]
+#: The same under ``seed_is_initial_result=True`` (round 0 is the seed itself
+#: and has no span; c40 is then already known when c25 names it).
+GOLDEN_ROUNDS_SEED_FIRST = [(0, 0, 2, 2, 2), (1, 2, 2, 2, 4), (2, 2, 6, 4, 8),
+                            (3, 4, 9, 5, 13), (4, 5, 10, 4, 17), (5, 4, 9, 4, 21),
+                            (6, 4, 8, 5, 26), (7, 5, 11, 4, 30), (8, 4, 0, 0, 30)]
+
+
+class TestDeltaDriver:
+    @pytest.fixture()
+    def curriculum(self):
+        from repro.datagen.curriculum import CurriculumConfig, generate_curriculum
+
+        return generate_curriculum(CurriculumConfig.tiny())
+
+    def _run(self, doc, **options):
+        from repro.observability.tracing import TraceContext
+
+        fed_log = []
+        trace = TraceContext("query")
+        seed = [doc.lookup_id("c36"), doc.lookup_id("c40")]
+        result = FixpointEngine().run(_prerequisites_body(doc, fed_log), seed,
+                                      algorithm="delta", trace=trace, **options)
+        spans = [span.attributes for span in trace.root.iter_spans()
+                 if span.name in ("fixpoint", "round")]
+        return result, spans, fed_log
+
+    def test_rounds_and_spans_match_the_golden_run(self, curriculum):
+        result, spans, fed_log = self._run(curriculum)
+        records = [(r.iteration, r.fed_back, r.produced, r.new_nodes, r.result_size)
+                   for r in result.statistics.iterations]
+        assert records == GOLDEN_ROUNDS
+        assert spans[0] == {"algorithm": "delta", "seed": 2, "result_size": 29, "rounds": 8}
+        assert spans[1:] == [
+            {"iteration": i, "fed": fed, "produced": produced, "new": new,
+             "result_size": size}
+            for i, fed, produced, new, size in GOLDEN_ROUNDS]
+        assert fed_log == GOLDEN_FED
+
+    def test_body_is_fed_in_document_order_without_duplicates(self, curriculum):
+        # The body returns duplicates in reverse order; what comes back as
+        # the next frontier is what ``e_rec(Δ) except res`` delivers.
+        fed = []
+
+        def body(nodes):
+            fed.append(list(nodes))
+            return _prerequisites_body(curriculum)(nodes)
+
+        result = delta_fixpoint(body, [curriculum.lookup_id("c36")])
+        for frontier in fed[1:]:
+            keys = [node.order_key for node in frontier]
+            assert keys == sorted(set(keys))
+        keys = [node.order_key for node in result]
+        assert keys == sorted(set(keys))
+
+    def test_seed_as_initial_result_is_unchanged(self, curriculum):
+        result, spans, fed_log = self._run(curriculum, seed_is_initial_result=True)
+        records = [(r.iteration, r.fed_back, r.produced, r.new_nodes, r.result_size)
+                   for r in result.statistics.iterations]
+        assert records == GOLDEN_ROUNDS_SEED_FIRST
+        assert [span["iteration"] for span in spans[1:]] == list(range(1, 9))
+        assert fed_log[3] == ["c21", "c22", "c23", "c24", "c25"]
+        codes = [node.get_attribute("code").value for node in result.value]
+        assert "c36" in codes and "c40" in codes and len(codes) == 30
+
+    @pytest.mark.parametrize("limits, budget, observed, body_calls", [
+        # the check of round N runs before its body: rounds 0..3 ran
+        ({"max_fixpoint_rounds": 3}, "max_fixpoint_rounds", 4, 4),
+        # round 3 would feed six nodes
+        ({"max_frontier_nodes": 5}, "max_frontier_nodes", 6, 3),
+        # 16 nodes are known when round 4 is about to start
+        ({"max_result_items": 15}, "max_result_items", 16, 4),
+    ])
+    def test_budgets_trip_in_the_same_round(self, curriculum, limits, budget,
+                                            observed, body_calls):
+        from repro.errors import BudgetExceeded
+        from repro.limits import Governor, ResourceLimits
+
+        fed_log = []
+        seed = [curriculum.lookup_id("c36"), curriculum.lookup_id("c40")]
+        with pytest.raises(BudgetExceeded) as caught:
+            delta_fixpoint(_prerequisites_body(curriculum, fed_log), seed,
+                           governor=Governor(ResourceLimits(**limits)))
+        assert caught.value.budget == budget
+        assert caught.value.observed == observed
+        assert len(fed_log) == body_calls
+
+    def test_atomic_body_result_is_a_type_error(self, curriculum):
+        from repro.errors import XQueryTypeError
+
+        seed = [curriculum.lookup_id("c36")]
+        with pytest.raises(XQueryTypeError):
+            delta_fixpoint(lambda nodes: [curriculum.lookup_id("c1"), "c2"], seed)
+
+    @pytest.mark.parametrize("name", ["curriculum", "hospital", "bidder-network", "dialogs"])
+    def test_naive_equals_delta_on_the_benchmark_bodies(self, name):
+        from repro import evaluate
+        from repro.bench.queries import get_workload
+        from repro.xmlio.serializer import serialize_sequence
+
+        workload = get_workload(name)
+        documents = {workload.document_uri: workload.size("tiny").build_document()}
+        answers = {
+            algorithm: serialize_sequence(evaluate(
+                workload.ifp_query(algorithm, seed_limit=12), documents=documents,
+                id_attributes=("id", "code")).items)
+            for algorithm in ("naive", "delta")
+        }
+        assert answers["naive"] == answers["delta"]

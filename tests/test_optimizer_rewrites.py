@@ -364,6 +364,11 @@ PROPERTY_QUERIES = (
     PROLOG + 'for $i in (1, 2) return for $j in (3, 4) return $d//item/@n',
     'declare variable $k := (1, 2); for $i in (1, 2) return $k',
     PROLOG + 'let $k := $d//item/@n return for $i in (1, 2) return $k',
+    # a sequence expression or an if/else inside a loop: the algebra's ∪ is
+    # operand-major, each iteration must still deliver its own items in turn
+    'for $p in (1, 2) return ($p, "x")',
+    'for $p in (1, 2, 3) return if ($p = 2) then "a" else "b"',
+    PROLOG + 'for $i in $d//item return (string($i/@n), if ($i/sub) then "s" else "-")',
 )
 
 

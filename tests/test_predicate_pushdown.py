@@ -254,6 +254,187 @@ class TestFixpointCrossEngine:
 
 
 # ---------------------------------------------------------------------------
+# batch ``id``: E/id(p) set-at-a-time vs the per-item focus loop
+# ---------------------------------------------------------------------------
+
+
+def idref_document(seed: int, prefix: str = "n", count: int = 14):
+    """A random link graph whose references exercise ``fn:id``'s tokenizer:
+    multi-token IDREFS, leading/trailing/tab/newline whitespace, dangling
+    references, references in attributes and behind a filtered child."""
+    rng = random.Random(seed)
+
+    def refs(limit: int) -> str:
+        tokens = [f"{prefix}{rng.randrange(count)}" for _ in range(rng.randrange(1, limit + 1))]
+        if rng.random() < 0.3:
+            tokens.append("dangling")
+        return rng.choice(["", " ", "\t", "\n "]) + rng.choice([" ", "\t", "  "]).join(tokens) \
+            + rng.choice(["", " ", "\t"])
+
+    nodes = []
+    for index in range(count):
+        groups = "".join(
+            f'<grp k="{rng.choice("ab")}"><to>{refs(2)}</to></grp>'
+            for _ in range(rng.randrange(1, 4)))
+        nexts = "".join(f"<next>{refs(3)}</next>" for _ in range(rng.randrange(1, 3)))
+        nodes.append(f'<n id="{prefix}{index}" kind="{"odd" if index % 2 else "even"}" '
+                     f'ref="{refs(2).replace(chr(10), " ")}">{nexts}{groups}</n>')
+    return parse_xml("<g>" + "".join(nodes) + "</g>", id_attributes=("id",))
+
+
+ID_PROLOG = 'declare variable $d := doc("g.xml");\n'
+
+#: Paths whose right-hand side is the recognized ``id`` shape (or, marked,
+#: a shape that must decline) over :func:`idref_document`.
+ID_QUERIES = [
+    '$d//n[@kind = "even"]/id(./next)',                 # multi-token IDREFS
+    '$d//n/id(next)',                                   # no leading "."
+    '$d//n/id(./@ref)',                                 # attribute argument
+    '$d//n/fn:id(./grp[@k = "a"]/to)',                  # predicate inside the chain
+    '$d//n/id(./grp[@k = $v]/to)',                      # … with a variable right-hand side
+    '$d//n/id(.//to)',                                  # descendant step
+    '$d//n[@kind = "odd"]/id(.)',                       # the context item itself
+    '$d//n/next/id(.)/id(./next)',                      # two hops
+    '$d//n/id(./next[1])',                              # positional: declined
+    '$d//n/id(./next[last()]/self::next)',              # positional: declined
+    'with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next)',
+    'with $x seeded by $d//n[@id = "n1"] recurse $x/id(./@ref) using naive',
+    'with $x seeded by $d//n[@id = "n2"] recurse $x/id(./grp[@k = "b"]/to) using delta',
+    # adhoc's q1-function: the path behind a prolog function …
+    'declare function local:pre($c as node()*) as node()* { $c/id(./next) };\n'
+    'with $x seeded by $d//n[@id = "n3"] recurse local:pre($x)',
+    # … and q2: under a test on the whole of $x (not distributive, Naive)
+    'with $x seeded by $d//n[@id = "n0"] recurse '
+    'if (count($x) < 4) then $x/id(./next) else ()',
+]
+
+
+def _same_items(got, expected) -> bool:
+    return len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
+
+class TestBatchIdCrossEngine:
+    @staticmethod
+    def _run(query, documents, **settings):
+        prolog = "declare variable $v external;\n" if "$v" in query else ""
+        return evaluate(prolog + ID_PROLOG + query, documents=documents,
+                        variables={"v": ["a"]}, use_cache=False, **settings).items
+
+    @pytest.mark.parametrize("doc_seed", range(4))
+    @pytest.mark.parametrize("query", ID_QUERIES)
+    def test_kernel_matches_the_per_item_loop(self, doc_seed, query):
+        documents = {"g.xml": idref_document(doc_seed)}
+        # Ground truth: the per-item focus loop around fn:id.
+        expected = self._run(query, documents, engine="interpreter",
+                             use_index=False, use_pushdown=False, optimize=False)
+        positional = "[1]" in query or "last()" in query
+        for engine in ENGINES:
+            if engine == "algebra" and positional:
+                # Declined shapes keep the algebra's general path map, which
+                # does not restore document order (ROADMAP "Small").
+                continue
+            for use_index in (True, False):
+                for use_pushdown in (True, False):
+                    got = self._run(query, documents, engine=engine,
+                                    use_index=use_index, use_pushdown=use_pushdown)
+                    assert _same_items(got, expected), (
+                        f"{engine} index={use_index} pushdown={use_pushdown}: "
+                        f"{len(got)} items, expected {len(expected)}")
+
+    def test_the_closures_are_not_trivial(self):
+        documents = {"g.xml": idref_document(0)}
+        sizes = [len(self._run(query, documents, engine="interpreter"))
+                 for query in ID_QUERIES]
+        assert min(sizes) >= 2, sizes
+
+    @pytest.mark.parametrize("engine", ["interpreter", "sql"])
+    @pytest.mark.parametrize("query", [
+        '(doc("a.xml")//n, doc("b.xml")//n)/id(./next)',
+        '(doc("b.xml")//n[@kind = "odd"], doc("a.xml")//n)/id(./@ref)',
+        'with $x seeded by (doc("a.xml")//n[@id = "n0"], doc("b.xml")//n[@id = "n1"]) '
+        'recurse $x/id(./next)',
+    ])
+    def test_colliding_ids_resolve_in_the_context_nodes_document(self, engine, query):
+        """Both documents use the IDs n0…n13: a left column mixing their
+        nodes must look each reference up in the referring node's document."""
+        documents = {"a.xml": idref_document(1), "b.xml": idref_document(2)}
+        run = lambda **settings: evaluate(  # noqa: E731
+            query, documents=documents, use_cache=False, **settings).items
+        expected = run(engine="interpreter", use_index=False, use_pushdown=False)
+        roots = {id(node.root()) for node in expected}
+        assert len(roots) == 2, "the answer should span both documents"
+        for use_index in (True, False):
+            assert _same_items(run(engine=engine, use_index=use_index), expected)
+
+    @pytest.mark.parametrize("engine", ["interpreter", "sql"])
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_atomic_left_item_is_a_type_error(self, engine, use_index):
+        from repro.errors import XQueryTypeError
+
+        documents = {"g.xml": idref_document(0)}
+        with pytest.raises(XQueryTypeError) as caught:
+            evaluate(ID_PROLOG + '($d//n, "n1")/id(.)', documents=documents,
+                     engine=engine, use_index=use_index, use_cache=False)
+        assert caught.value.code == "XPTY0019"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_user_function_called_id_shadows_the_kernel(self, engine):
+        documents = {"g.xml": idref_document(0)}
+        query = ('declare function id($v as node()*) as node()* { $v/parent::n };\n'
+                 + ID_PROLOG + '$d//n/id(./next)')
+        expected = evaluate(ID_PROLOG + '$d//n[next]', documents=documents,
+                            use_cache=False).items
+        for use_index in (True, False):
+            got = evaluate(query, documents=documents, engine=engine,
+                           use_index=use_index, use_cache=False).items
+            assert expected and _same_items(got, expected)
+
+    def test_the_kernel_is_counted(self):
+        """One ``step:id`` batch per path application; a recognized shape
+        the kernel declines counts as a fallback; an unrecognized one (a
+        positional predicate) is not the kernel's to count."""
+        documents = {"g.xml": idref_document(0)}
+
+        def kernels(query, **settings):
+            result = evaluate(ID_PROLOG + query, documents=documents,
+                              use_cache=False, trace=True, **settings)
+            return {span.name[len("kernel:"):]: span.attributes
+                    for span in result.trace.children if span.name.startswith("kernel:")}
+
+        counted = kernels('with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next)')
+        assert counted["step:id"]["batch"] >= 2 and counted["step:id"]["fallback"] == 0
+        assert "step:child" not in counted  # the chain runs inside the kernel
+        declined = kernels('$d//n/id(./grp[@k = "a"]/to)', use_pushdown=False)
+        assert declined["step:id"] == {**declined["step:id"], "batch": 0, "fallback": 1}
+        assert "step:id" not in kernels('$d//n/id(./next[1])')
+        assert "step:id" not in kernels('$d//n/id(./next)', use_index=False)
+
+
+class TestIdStepRecognizer:
+    @pytest.mark.parametrize("text, steps", [
+        ("id(.)", 0), ("id(a)", 1), ("fn:id(./a/@b)", 2), ("id(.//a)", 2),
+        ('id(./a[@k = "v"]/b[c])', 2), ("id(a[@k = $v])", 1),
+    ])
+    def test_recognized(self, text, steps):
+        chain = pushdown.recognize_id_step(parse_expression(text), {})
+        assert chain is not None and len(chain) == steps
+
+    @pytest.mark.parametrize("text", [
+        "id(a[1])", "id(a[last()]/b)", "id(a[position() < 3])",  # positional
+        "id(a[b/c > 1])",                                          # not a pushable shape
+        "id($x/a)", "id(doc('d')/a)", "id((a, b))", "id(a, .)",    # not a chain from "."
+        "idref(a)", "local:id(a)", "count(a)",
+    ])
+    def test_declined(self, text):
+        assert pushdown.recognize_id_step(parse_expression(text), {}) is None
+
+    def test_a_declared_function_shadows_the_builtin(self):
+        call = parse_expression("id(a)")
+        assert pushdown.recognize_id_step(call, {("id", 2): object()}) is not None
+        assert pushdown.recognize_id_step(call, {("id", 1): object()}) is None
+
+
+# ---------------------------------------------------------------------------
 # recognizer and positional kernel units
 # ---------------------------------------------------------------------------
 

@@ -42,6 +42,27 @@ recurse if (count($x/self::a)) then $x/* else ()
 """
 
 
+#: The axis/predicate matrix of bodies the emitter translates, plus the
+#: ledger's curriculum and hospital bodies.
+EMITTABLE_BODIES = [
+    "$x/parent",                       # hospital: child step, name test
+    "$x/child::*",                     # wildcard
+    "$x/descendant::a/child::b",       # descendant range join
+    "$x/ancestor::a",                  # ancestor range join
+    "$x/id(./pre_code)",               # id hop
+    "$x/child::a[@id = 'x']",          # pushed attribute comparison
+    "$x/descendant::a[name = 'v']",    # pushed child-value comparison
+    "$x/child::a[@id][b]",             # pushed existence tests
+    "$x/id(./prerequisites/pre_code)",             # curriculum
+    "$x/descendant-or-self::course/self::course",  # the remaining axes
+    "$x/ancestor-or-self::*/parent::node()",
+    "$x/following-sibling::course",
+    "$x/preceding-sibling::*[@code]",
+    "$x/child::text()",
+    "$x/id(./prerequisites/pre_code)/child::prerequisites[pre_code = 'c1']",
+]
+
+
 @pytest.fixture()
 def curriculum():
     return parse_xml(CURRICULUM_XML)
@@ -154,16 +175,7 @@ class TestEmitter:
         rows = store.connection.execute(emitted.statement(len(seed)), seed).fetchall()
         assert course_codes(store.decode([r[0] for r in rows])) == ["c6", "c7"]
 
-    @pytest.mark.parametrize("body", [
-        "$x/parent",                       # hospital: child step, name test
-        "$x/child::*",                     # wildcard
-        "$x/descendant::a/child::b",       # descendant range join
-        "$x/ancestor::a",                  # ancestor range join
-        "$x/id(./pre_code)",               # id hop
-        "$x/child::a[@id = 'x']",          # pushed attribute comparison
-        "$x/descendant::a[name = 'v']",    # pushed child-value comparison
-        "$x/child::a[@id][b]",             # pushed existence tests
-    ])
+    @pytest.mark.parametrize("body", EMITTABLE_BODIES)
     def test_linear_step_chains_are_emittable(self, body):
         assert emit_fixpoint_sql(parse_expression(body), "x") is not None
 
@@ -191,6 +203,81 @@ class TestEmitter:
         assert emitted is not None
         assert "IN ('k1', 'k2')" in emitted.member("seed")
         assert emit_fixpoint_sql(body, "x", variables={"v": [7]}) is None
+
+    # -- plan shape: the access paths are pinned, not left to statistics ------
+
+    @staticmethod
+    def _assert_plan_is_pinned(store, body):
+        import re
+
+        emitted = emit_fixpoint_sql(parse_expression(body), "x")
+        statement = emitted.statement(1)
+        plan = [row[3] for row in store.connection.execute(
+            "EXPLAIN QUERY PLAN " + statement, (1,))]
+        text = "\n".join(plan)
+        assert "BLOOM FILTER" not in text, text
+        assert "AUTOMATIC" not in text, text
+        for detail in plan:
+            # Only the seed, the fixpoint queue and constant rows are scanned;
+            # every node/attr/id_attr alias (c0…, p) is searched.
+            if detail.startswith("SCAN"):
+                assert not re.search(r"\b(c\d+|p|node|attr|id_attr)\b", detail), text
+        child_steps = re.findall(
+            r"node AS (c\d+) INDEXED BY idx_node_parent_name ON \1\.parent = c\d+\.pre",
+            statement)
+        for alias in set(child_steps):
+            searches = [detail for detail in plan
+                        if re.match(rf"SEARCH (TABLE node AS )?{alias} USING "
+                                    r"(COVERING )?INDEX idx_node_parent_name", detail)]
+            assert len(searches) == 2, text  # anchor member + recursive member
+        if "child::" in body or body in ("$x/parent", "$x/id(./prerequisites/pre_code)"):
+            assert child_steps, statement
+
+    @pytest.fixture(scope="class")
+    def big_curriculum(self):
+        from repro.datagen.curriculum import CurriculumConfig, generate_curriculum
+
+        document = generate_curriculum(CurriculumConfig(courses=300))
+        assert sum(1 for _ in document.iter_tree()) >= 1000
+        return document
+
+    @pytest.fixture(scope="class")
+    def big_store(self, big_curriculum):
+        store = SqlDocumentStore()
+        store.shred(big_curriculum)
+        yield store
+        store.close()
+
+    @pytest.mark.parametrize("body", EMITTABLE_BODIES)
+    def test_plan_is_pinned_as_shredded(self, big_store, body):
+        self._assert_plan_is_pinned(big_store, body)
+
+    def test_shredding_gathers_no_statistics(self, big_store):
+        tables = [row[0] for row in big_store.connection.execute(
+            "SELECT name FROM sqlite_master WHERE name LIKE 'sqlite_stat%'")]
+        assert tables == []
+
+    def test_plan_is_pinned_on_a_reopened_analyzed_store(self, big_curriculum, tmp_path):
+        """With ``node`` statistics present SQLite >= 3.38 puts a Bloom
+        filter over the whole table into every recursive member, whatever
+        the join names as its index — so opening a store clears them."""
+        path = str(tmp_path / "store.db")
+        store = SqlDocumentStore(path)
+        store.shred(big_curriculum)
+        store.connection.execute("ANALYZE")
+        store.connection.commit()
+        assert store.connection.execute(
+            "SELECT count(*) FROM sqlite_stat1").fetchone()[0] > 0
+        store.close()
+        reopened = SqlDocumentStore(path)
+        try:
+            assert reopened.node_count() >= 1000
+            assert reopened.connection.execute(
+                "SELECT count(*) FROM sqlite_stat1").fetchone()[0] == 0
+            for body in EMITTABLE_BODIES:
+                self._assert_plan_is_pinned(reopened, body)
+        finally:
+            reopened.close()
 
     def test_fixpoint_statements_lists_every_fixpoint(self, documents):
         pairs = fixpoint_statements(parse_query(QUERY_Q1))
