@@ -7,17 +7,18 @@ recursing into the record — a "computationally light" vertical recursion for
 which Delta still makes a measurable difference (Table 2: 99,381 vs 50,000
 nodes fed back at depth 5).
 
-Also shows the equivalent SQL:1999 WITH RECURSIVE formulation from Section 2
-running on the bundled mini relational engine.
+Also runs Section 2's SQL:1999 ``WITH RECURSIVE P(course_code)`` listing on
+``sqlite3``, over a four-row ``C(course, prerequisite)`` table.
 
 Run with:  python examples/hereditary_disease.py [--patients N]
 """
 
 import argparse
+import sqlite3
 
 from repro import evaluate
 from repro.datagen.hospital import HospitalConfig, generate_hospital
-from repro.sqlgen import Relation, curriculum_prerequisites
+from repro.sqlbackend.emitter import format_with_recursive
 
 QUERY = """
 declare variable $doc := doc("hospital.xml");
@@ -44,16 +45,21 @@ def main() -> None:
         print(f"{algorithm:>5}: {affected} of {len(result)} patients have diagnosed ancestors; "
               f"nodes fed back {result.nodes_fed_back}, recursion depth {result.recursion_depth}")
 
-    print("\n== The SQL:1999 sidebar of Section 2, on the mini relational engine ==")
-    courses = Relation("C", ("course", "prerequisite"), [
-        ("c1", "c2"), ("c1", "c3"), ("c2", "c4"), ("c4", "c5"),
-    ])
-    query = curriculum_prerequisites(courses, "c1")
-    for algorithm in ("naive", "delta"):
-        outcome = query.evaluate(algorithm=algorithm)
-        print(f"{algorithm:>5}: prerequisites of c1 = "
-              f"{sorted(row[0] for row in outcome.relation)}, "
-              f"tuples fed {outcome.tuples_fed}, iterations {outcome.iterations}")
+    print("\n== The SQL:1999 sidebar of Section 2, on sqlite3 ==")
+    listing = format_with_recursive(
+        "P", ("course_code",),
+        "SELECT prerequisite FROM C WHERE course = :course",
+        "SELECT C.prerequisite FROM P, C WHERE P.course_code = C.course")
+    print(listing)
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute("CREATE TABLE C (course TEXT, prerequisite TEXT)")
+        connection.executemany("INSERT INTO C VALUES (?, ?)", [
+            ("c1", "c2"), ("c1", "c3"), ("c2", "c4"), ("c4", "c5")])
+        rows = connection.execute(listing, {"course": "c1"}).fetchall()
+    finally:
+        connection.close()
+    print(f"prerequisites of c1 = {sorted(row[0] for row in rows)}")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Interpreted evaluation of algebra plans, including µ and µ∆.
 
 The engine evaluates a plan DAG bottom-up with memoisation (shared subplans
-are computed once).  Fixpoint operators are handled by the engine itself:
-the body plan is re-evaluated once per iteration with the
-:class:`~repro.algebra.operators.RecursionInput` leaf rebound — to the whole
-accumulated result for µ (algorithm Naive) or to the per-round delta for µ∆
-(algorithm Delta).  The engine counts the rows fed into the body per
-iteration, which is the algebraic counterpart of Table 2's "total number of
-nodes fed back".
+are computed once).  Fixpoint operators are handled by the engine itself,
+but not *iterated* by it: µ and µ∆ hand the shared driver
+(:meth:`repro.fixpoint.engine.FixpointEngine.run` — algorithm Naive for µ,
+Delta for µ∆) a body that wraps the fed nodes in an ``iter|pos|item`` table,
+re-evaluates the body plan with the
+:class:`~repro.algebra.operators.RecursionInput` leaf rebound to it and
+returns the ``item`` column.  Rounds, budgets, spans and typed errors are
+therefore the interpreter's by construction, and the rows fed into the body
+per iteration are Table 2's "total number of nodes fed back".
 
 Two execution details worth knowing:
 
@@ -22,13 +24,6 @@ Two execution details worth knowing:
   fixpoint bindings into each other.  ``AlgebraEvaluator.statistics``
   remains the cumulative view across runs (what the benchmark harness
   reads); ``last_run_statistics`` is the freshest single run.
-
-Inside the fixpoint loop the accumulated result is maintained as an
-identity-keyed set plus insertion-ordered item list (a *delta-aware
-union*, :class:`~repro.fixpoint.accumulator.ResultAccumulator` — shared
-with the interpreter's Naive and Delta drivers): each round only the
-genuinely new items are appended and fed back, and the document-order sort
-happens once on the final result instead of once per round.
 """
 
 from __future__ import annotations
@@ -36,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from repro import faults
 from repro.errors import AlgebraError
 from repro.algebra.operators import AlgebraEngineProtocol, Fixpoint, Operator
 from repro.algebra.storage import TableStorage, resolve_backend
-from repro.fixpoint.accumulator import ResultAccumulator
+from repro.fixpoint.engine import FixpointEngine
 from repro.fixpoint.stats import FixpointStatistics
 
 SEQ_COLUMNS = ("iter", "pos", "item")
@@ -121,25 +115,17 @@ class _PlanRun(AlgebraEngineProtocol):
 
     def _evaluate_fixpoint(self, operator: Fixpoint, cache: dict[int, TableStorage]) -> TableStorage:
         seed_table = self._evaluate(operator.seed_plan, cache)
-        statistics = FixpointStatistics(
-            algorithm="delta" if operator.variant == "mu_delta" else "naive"
-        )
-        trace = self.trace
-        span = (trace.begin("fixpoint", algorithm=statistics.algorithm,
-                            variant=operator.variant, seed=len(seed_table))
-                if trace is not None else None)
-        try:
-            if operator.variant == "mu_delta":
-                result = self._run_mu_delta(operator, seed_table, statistics)
-            else:
-                result = self._run_mu(operator, seed_table, statistics)
-        finally:
-            if span is not None:
-                trace.end(span)
-        if span is not None:
-            span.set(result_size=len(result), rounds=statistics.recursion_depth)
-        self.statistics.fixpoint_runs.append(statistics)
-        return result
+
+        def body(nodes: list) -> list:
+            return _items(self._apply_body(operator, self._items_table(nodes)))
+
+        result = FixpointEngine(self.max_iterations).run(
+            body, _items(seed_table),
+            algorithm="delta" if operator.variant == "mu_delta" else "naive",
+            trace=self.trace, governor=self.governor,
+            span_attributes={"variant": operator.variant})
+        self.statistics.fixpoint_runs.append(result.statistics)
+        return self._items_table(result.value)
 
     def _apply_body(self, operator: Fixpoint, input_table: TableStorage) -> TableStorage:
         """Evaluate the body plan with the recursion input bound to *input_table*."""
@@ -152,78 +138,12 @@ class _PlanRun(AlgebraEngineProtocol):
         finally:
             self._recursion_binding = previous
 
-    # -- fixpoint loops -----------------------------------------------------------
-
-    def _run_mu(self, operator: Fixpoint, seed: TableStorage,
-                statistics: FixpointStatistics) -> TableStorage:
-        trace = self.trace
-        span = trace.begin("round", iteration=0) if trace is not None else None
-        produced = self._apply_body(operator, seed)
-        accumulated = ResultAccumulator()
-        accumulated.add_new(_items(produced))
-        if span is not None:
-            span.set(fed=len(seed), produced=len(produced),
-                     new=len(accumulated), result_size=len(accumulated))
-            trace.end(span)
-        statistics.record(0, len(seed), len(produced), len(accumulated), len(accumulated))
-        iteration = 0
-        while True:
-            iteration += 1
-            if iteration > self.max_iterations:
-                raise AlgebraError("µ did not reach a fixed point within the iteration bound")
-            if self.governor is not None:
-                self.governor.check_round(iteration, frontier=len(accumulated),
-                                          result_size=len(accumulated))
-            faults.trigger("slow-span")
-            fed = self._items_table(accumulated.items)
-            span = trace.begin("round", iteration=iteration) if trace is not None else None
-            produced = self._apply_body(operator, fed)
-            new_items = accumulated.add_new(_items(produced))
-            if span is not None:
-                span.set(fed=len(fed), produced=len(produced),
-                         new=len(new_items), result_size=len(accumulated))
-                trace.end(span)
-            statistics.record(iteration, len(fed), len(produced),
-                              len(new_items), len(accumulated))
-            if not new_items:
-                return self._items_table(accumulated.in_document_order())
-
-    def _run_mu_delta(self, operator: Fixpoint, seed: TableStorage,
-                      statistics: FixpointStatistics) -> TableStorage:
-        trace = self.trace
-        span = trace.begin("round", iteration=0) if trace is not None else None
-        produced = self._apply_body(operator, seed)
-        accumulated = ResultAccumulator()
-        delta = accumulated.add_new(_items(produced))
-        if span is not None:
-            span.set(fed=len(seed), produced=len(produced),
-                     new=len(delta), result_size=len(accumulated))
-            trace.end(span)
-        statistics.record(0, len(seed), len(produced), len(delta), len(accumulated))
-        iteration = 0
-        while delta:
-            iteration += 1
-            if iteration > self.max_iterations:
-                raise AlgebraError("µ∆ did not reach a fixed point within the iteration bound")
-            if self.governor is not None:
-                self.governor.check_round(iteration, frontier=len(delta),
-                                          result_size=len(accumulated))
-            faults.trigger("slow-span")
-            fed = self._items_table(delta)
-            span = trace.begin("round", iteration=iteration) if trace is not None else None
-            produced = self._apply_body(operator, fed)
-            delta = accumulated.add_new(_items(produced))
-            if span is not None:
-                span.set(fed=len(fed), produced=len(produced),
-                         new=len(delta), result_size=len(accumulated))
-                trace.end(span)
-            statistics.record(iteration, len(fed), len(produced), len(delta), len(accumulated))
-        return self._items_table(accumulated.in_document_order())
-
     def _items_table(self, items: list) -> TableStorage:
+        """*items* as a one-iteration sequence table (the list is not copied:
+        the driver hands over lists nobody else holds)."""
         count = len(items)
         return self.make_table_from_columns(
-            SEQ_COLUMNS, [[1] * count, list(range(1, count + 1)), list(items)]
+            SEQ_COLUMNS, [[1] * count, list(range(1, count + 1)), items]
         )
 
 

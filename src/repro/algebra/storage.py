@@ -16,7 +16,7 @@ Two backends ship with the repository:
     joins and duplicate elimination are hash-based over key columns, and
     scalar maps touch only the columns they read.  This is the default
     execution backend and the seam for future physical backends (NumPy
-    columns, SQL pushdown via ``sqlgen/``).
+    columns; SQL execution is a separate engine, :mod:`repro.sqlbackend`).
 
 See DESIGN.md for the encoding and the protocol rationale.
 

@@ -22,7 +22,7 @@ Engines
     The SQLite backend: the workload document is shredded into pre/post
     tables once (cached per workload size, mirroring how the paper's RDBMS
     substrate loads documents ahead of querying) and each fixpoint runs as
-    a recursive CTE or through the temp-table driver loop
+    a recursive CTE or through the shared fixpoint driver
     (:mod:`repro.sqlbackend`).  CTE runs report no per-iteration counts —
     the iteration happens inside SQLite.
 """

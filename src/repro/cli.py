@@ -217,11 +217,11 @@ def _emit_sql(query: str, ifp_algorithm: str, push_predicates: bool = True) -> i
             print(emitted.display().rstrip() + ";")
         elif expr.algorithm == "naive" or (expr.algorithm == "auto"
                                            and ifp_algorithm == "naive"):
-            print("-- forced Naive: executed by the iterative driver loop "
-                  "over temp tables")
+            print("-- forced Naive: executed by the shared driver loop "
+                  "over the interpreter body")
         else:
-            print("-- not a linear step chain: executed by the iterative "
-                  "driver loop (naive/delta over temp tables)")
+            print("-- not a linear step chain: executed by the shared "
+                  "driver loop (naive/delta over the interpreter body)")
         if index < len(pairs):
             print()
     return 0

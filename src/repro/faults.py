@@ -7,12 +7,14 @@ wired into the riskiest spots of the stack:
 ==================  ========================================================
 point               where it fires
 ==================  ========================================================
-``sqlite-execute``  :mod:`repro.sqlbackend.executor`, before a fixpoint
-                    statement runs — raises ``sqlite3.OperationalError``
-                    (mapped to :class:`~repro.errors.SqlBackendError`)
-``slow-span``       inside every fixpoint round loop (interpreter naive /
-                    delta drivers, algebra µ/µ∆, SQL driver loop) — sleeps,
-                    turning a fast query into a deliberately slow one
+``sqlite-execute``  :mod:`repro.sqlbackend.executor`, before a fixpoint's
+                    ``WITH RECURSIVE`` statement runs — raises
+                    ``sqlite3.OperationalError`` (mapped to
+                    :class:`~repro.errors.SqlBackendError`)
+``slow-span``       :meth:`repro.fixpoint.engine.FixpointEngine.run`, before
+                    every round ≥ 1 — the one site all three engines iterate
+                    through — sleeps, turning a fast query into a
+                    deliberately slow one
 ``shredder-load``   :meth:`SqlDocumentStore.shred`, mid-document — raises,
                     exercising the store's cleanup/rollback path
 ``index-build``     :func:`repro.xdm.index.index_for`, before a structural

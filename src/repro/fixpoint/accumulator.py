@@ -4,11 +4,12 @@ Figure 3 writes the loop state as a sequence ``res`` that is re-united with
 the body's output every round.  Doing that literally — ``node_except`` then
 ``node_union`` over the whole accumulated result — makes a round cost
 O(|res| log |res|) no matter how few nodes it was fed, which is exactly the
-work Delta exists to avoid.  The three in-memory drivers (Naive, Delta and
-the algebra engine's µ/µ∆) therefore share this accumulator: an identity set
-for membership plus an insertion-ordered list, so folding a round's output
-in costs O(|produced|) and document order is restored once, when the fixed
-point is reached (Naive, which feeds the whole result back, re-sorts it per
+work Delta exists to avoid.  The driver
+(:meth:`~repro.fixpoint.engine.FixpointEngine.run`) therefore keeps this
+accumulator: an identity set for membership plus an insertion-ordered list,
+so folding a round's output in costs O(|produced|) and document order is
+restored once, when the fixed point is reached (Naive, which feeds the whole
+result back, re-sorts it per
 round — a near-linear Timsort over an already sorted prefix).
 """
 

@@ -23,9 +23,9 @@ Engines check cooperatively:
   every ``stride`` calls).  Path steps deliberately carry no checkpoint:
   they are bounded by document size, and unbounded work always flows
   through an iteration, a call or a fixpoint round;
-* the fixpoint drivers and the algebra µ/µ∆ loops call
-  :meth:`Governor.check_round` once per round, reusing the per-round
-  frontier/result sizes they already compute;
+* the fixpoint driver (:meth:`repro.fixpoint.engine.FixpointEngine.run`,
+  which every engine iterates through) calls :meth:`Governor.check_round`
+  once per round, reusing the fed/result sizes it already has;
 * the SQLite backend installs a :func:`sqlite_guard` progress handler so
   even one monster ``WITH RECURSIVE`` statement is interruptible.
 
@@ -74,8 +74,8 @@ class ResourceLimits:
         Wall-clock budget in seconds, measured from the moment the session
         starts evaluating (parse/compile time counts).
     max_fixpoint_rounds:
-        Upper bound on rounds of any single fixpoint evaluation, across
-        drivers (interpreter naive/delta, algebra µ/µ∆, SQL driver loop).
+        Upper bound on rounds of any single fixpoint evaluation — checked
+        by the one driver every engine iterates through.
         Unlike ``max_ifp_iterations`` (an engine-correctness bound that
         raises :class:`~repro.errors.FixpointError`), tripping this raises
         :class:`~repro.errors.BudgetExceeded` — a governance decision.
@@ -217,8 +217,8 @@ class Governor:
                     result_size: int = 0) -> None:
         """Round-boundary check: deadline, cancellation and size budgets.
 
-        Fixpoint drivers call this once per round with the sizes they
-        already compute — the frontier fed into the round and the
+        The fixpoint driver calls this once per round with the sizes it
+        already has — the nodes about to be fed into the round and the
         accumulated result — so the budgets cost nothing extra to enforce.
         """
         self.check_now()

@@ -513,7 +513,8 @@ class Session:
         if compile_span is not None:
             compile_span.set(plan_cache=plan_cache_state)
             trace.end(compile_span)
-        algebra_engine = AlgebraEvaluator(backend=settings.backend,
+        algebra_engine = AlgebraEvaluator(max_iterations=settings.max_ifp_iterations,
+                                          backend=settings.backend,
                                           use_index=settings.use_index,
                                           trace=trace, governor=governor)
         with maybe_span(trace, "execute"):

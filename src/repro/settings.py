@@ -40,7 +40,7 @@ class Engine(str, Enum):
     #: The Relational XQuery backend (compile to algebra, evaluate plans).
     ALGEBRA = "algebra"
     #: The SQLite backend: documents shredded into pre/post tables and each
-    #: fixpoint run as a recursive CTE (or the temp-table driver loop).
+    #: fixpoint run as a recursive CTE (or, failing that, the shared driver).
     SQL = "sql"
 
 

@@ -11,9 +11,10 @@ RDBMS):
   into SQLite and the pre↔node mapping;
 * :mod:`repro.sqlbackend.emitter` — recursion bodies to parameterized
   ``WITH RECURSIVE`` CTEs (linear step chains only);
-* :mod:`repro.sqlbackend.executor` — CTE execution and the iterative
-  Naive/Delta driver loop over temp tables; :class:`SQLEvaluator` wires it
-  into the XQuery evaluator (``engine="sql"``);
+* :mod:`repro.sqlbackend.executor` — CTE execution, with the shared
+  fixpoint driver over the interpreter body as the fallback;
+  :class:`SQLEvaluator` wires it into the XQuery evaluator
+  (``engine="sql"``);
 * :mod:`repro.sqlbackend.decode` — relational results back to XDM items.
 """
 

@@ -68,7 +68,6 @@ from repro.sqlbackend.schema import (
     NAME_INDEX,
     RANGE_INDEX,
 )
-from repro.sqlgen.with_recursive import format_with_recursive
 from repro.xquery import ast
 from repro.xquery.pushdown import (
     ValueShape,
@@ -124,6 +123,35 @@ _KIND_FILTERS: dict[str, str | None] = {
 
 class _NotEmittable(Exception):
     """Internal: the body is not a linear step chain."""
+
+
+def format_with_recursive(name: str, columns: tuple[str, ...],
+                          seed_sql: str, step_sql: str,
+                          union: str = "UNION ALL",
+                          final_select: str | None = None,
+                          preamble: tuple[tuple[str, str], ...] = ()) -> str:
+    """Pretty-print a standard ``WITH RECURSIVE`` statement.
+
+    ``preamble`` lists extra non-recursive CTEs (``(header, body)`` pairs)
+    placed before the recursive one — the parameterized seed table of the
+    emitted fixpoints.  ``union`` is ``UNION ALL`` in the standard's listing
+    style (Section 2's ``P(course_code)`` example prints with the defaults);
+    SQLite's deduplicating ``UNION`` is what actually gives the inflationary
+    set semantics (and termination on cycles), so the executable statements
+    of :class:`FixpointSql` use that.
+    """
+
+    def indent(sql: str) -> str:
+        return "\n".join(f"  {line}" for line in sql.strip().splitlines())
+
+    ctes = [f"{header} AS (\n{indent(body)}\n)" for header, body in preamble]
+    ctes.append(
+        f"{name}({', '.join(columns)}) AS (\n"
+        f"{indent(seed_sql)}\n  {union}\n{indent(step_sql)}\n)"
+    )
+    head = (f"WITH RECURSIVE {ctes[0]}" if len(ctes) == 1
+            else "WITH RECURSIVE\n" + ",\n".join(ctes))
+    return f"{head}\n{final_select or f'SELECT DISTINCT * FROM {name}'}"
 
 
 @dataclass(frozen=True)
@@ -441,4 +469,4 @@ def _quote(text: str) -> str:
     return f"'{escaped}'"
 
 
-__all__ = ["FixpointSql", "emit_fixpoint_sql"]
+__all__ = ["FixpointSql", "emit_fixpoint_sql", "format_with_recursive"]

@@ -1,26 +1,24 @@
-"""Fixpoint execution on SQLite: recursive CTEs plus the driver loop.
+"""Fixpoint execution on SQLite: the recursive CTE, or the shared driver.
 
-:class:`SqlFixpointExecutor` evaluates one ``with … recurse`` form against
-a :class:`~repro.sqlbackend.shredder.SqlDocumentStore` along one of two
-paths:
+:class:`SqlFixpointExecutor` evaluates one ``with … recurse`` form along one
+of two paths:
 
 **Recursive CTE** (the paper's SQL:1999 side).  When the chosen algorithm
 is Delta — i.e. the distributivity check passed or ``using delta`` forced
 it — and the body is a linear step chain the emitter can translate, the
-whole fixpoint executes as a *single* ``WITH RECURSIVE`` statement inside
-SQLite; its semi-naive queue evaluation plays the µ∆ role and the
-deduplicating ``UNION`` is the inflationary accumulation.  Iteration
-counts are not observable from outside the RDBMS, so such runs report an
-empty iteration trace under the algorithm label ``"cte"``.
+whole fixpoint executes as a *single* ``WITH RECURSIVE`` statement against
+the :class:`~repro.sqlbackend.shredder.SqlDocumentStore`; SQLite's
+semi-naive queue evaluation plays the µ∆ role and the deduplicating
+``UNION`` is the inflationary accumulation.  Iteration counts are not
+observable from outside the RDBMS, so such runs report an empty iteration
+trace under the algorithm label ``"cte"``.
 
-**Iterative driver loop** (the fallback).  Non-distributive or
-non-chain-shaped bodies iterate from Python, mirroring Figure 3's
-Naive/Delta algorithms, but with the accumulated result and the per-round
-delta kept in SQLite temp tables (``INSERT OR IGNORE`` / ``EXCEPT`` give
-the set semantics): each round decodes the feed ``pre`` ranks to XDM
-nodes, evaluates the body through the interpreter, encodes the produced
-nodes — shredding unseen trees on demand — and derives the new frontier
-relationally.  Per-iteration statistics match the in-memory engine's.
+**The shared driver** (the fallback).  Non-distributive or non-chain-shaped
+bodies have no SQL form, so their body is the interpreter's and the loop is
+:meth:`repro.fixpoint.engine.FixpointEngine.run` — the same rounds, budgets,
+spans and typed errors as on the other two engines.  Nothing is staged in
+SQLite and nothing is shredded for it: the store is only touched once a
+statement was emitted.
 
 :class:`SQLEvaluator` is the interpreter with ``with … recurse`` rerouted
 through this executor — the ``engine="sql"`` entry point of
@@ -34,8 +32,8 @@ import sqlite3
 from collections.abc import Callable
 
 from repro import faults
-from repro.errors import FixpointError, SqlBackendError
-from repro.fixpoint.engine import FixpointResult
+from repro.errors import SqlBackendError
+from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.limits import sqlite_guard
 from repro.observability import maybe_span
 from repro.xdm.items import is_node
@@ -94,66 +92,63 @@ class SqlFixpointExecutor:
         ``algorithm`` is the decision of the usual Naive/Delta procedure
         (``using`` clause, engine settings, distributivity analysis):
         ``"delta"`` selects the recursive CTE whenever the body is
-        emittable, ``"naive"`` always iterates the driver loop.
+        emittable, ``"naive"`` always iterates the shared driver.
         ``variables`` are the caller's in-scope bindings — the emitter
         inlines them into pushed predicate probes; ``push_predicates``
         mirrors the engine's ``use_pushdown`` option.  ``trace`` (a
         :class:`~repro.observability.tracing.TraceContext`) wraps the run
         in a ``fixpoint`` span whose ``path`` attribute records whether the
-        CTE or the driver loop executed it.  ``governor`` (a
+        CTE or the driver executed it.  ``governor`` (a
         :class:`~repro.limits.Governor`) makes the run interruptible: the
-        driver loop checks at round boundaries, and both paths install a
-        SQLite progress handler (:func:`repro.limits.sqlite_guard`) so a
-        single monster ``WITH RECURSIVE`` honours deadlines too.
+        driver checks at round boundaries, and the CTE runs under a SQLite
+        progress handler (:func:`repro.limits.sqlite_guard`) so a single
+        monster ``WITH RECURSIVE`` honours deadlines too.
         ``anchor_document`` is the context node's document (or ``None``):
         top-level ``id(...)`` bodies scope their ID lookups to it, so
-        without one they fall back to the driver loop.
+        without one they fall back to the driver.
         """
-        seed_nodes = ensure_node_sequence(list(seed), "inflationary fixed point seed")
-        # encode() may shred a large unseen document on demand; the
-        # governor makes that walk interruptible too.
-        seed_pres = self.store.encode(seed_nodes, governor=governor)
         emitted = None
         if algorithm == "delta" and not any(
-                isinstance(node, AttributeNode) for node in seed_nodes):
+                isinstance(node, AttributeNode) for node in seed):
             # Attribute seeds cannot enter the CTE: their pre ranks live in
             # the attr table, which the emitted chain never reads — the
-            # driver loop gives them the interpreter's semantics instead.
+            # driver gives them the interpreter's semantics instead.
             emitted = emit_fixpoint_sql(
                 expr.body, expr.var, variables=variables,
                 push_predicates=push_predicates,
                 anchor_doc_id=self._anchor_resolver(anchor_document,
                                                     governor=governor))
-        use_cte = emitted is not None and not self._guards_trip(emitted)
+        if emitted is not None:
+            # The guard probes must see the shredded documents, so the seed
+            # is encoded first.  encode() may shred a large unseen document
+            # on demand; the governor makes that walk interruptible too.
+            seed_pres = self.store.encode(
+                ensure_node_sequence(seed, "inflationary fixed point seed"),
+                governor=governor)
+            if self._guards_trip(emitted):
+                emitted = None
         if trace is not None:
-            trace.record_kernel("sql:fixpoint", use_cte)
-        span = (trace.begin("fixpoint", algorithm=algorithm,
-                            path="cte" if use_cte else "driver",
-                            seed=len(seed_nodes))
-                if trace is not None else None)
-        try:
+            trace.record_kernel("sql:fixpoint", emitted is not None)
+        if emitted is None:
+            return FixpointEngine(max_iterations).run(
+                body, seed, algorithm=algorithm, trace=trace,
+                governor=governor, span_attributes={"path": "driver"})
+        with maybe_span(trace, "fixpoint", algorithm=algorithm, path="cte",
+                        seed=len(seed)) as span:
             # sqlite_guard sits innermost so it can translate an interrupted
             # statement into the governor's typed error before the generic
             # sqlite3.Error → SqlBackendError mapping sees it.
             try:
                 faults.trigger("sqlite-execute")
                 with sqlite_guard(self.store.connection, governor):
-                    if use_cte:
-                        result = self._run_cte(emitted, seed_pres, trace=trace)
-                    else:
-                        result = self._run_driver_loop(
-                            seed_nodes, seed_pres, body, algorithm,
-                            max_iterations, trace=trace, governor=governor)
+                    result = self._run_cte(emitted, seed_pres, trace=trace)
             except sqlite3.Error as error:
                 raise SqlBackendError(
                     f"SQLite error during fixpoint execution: {error}"
                 ) from error
-        finally:
             if span is not None:
-                trace.end(span)
-        if span is not None:
-            span.set(result_size=len(result.value),
-                     rounds=result.statistics.recursion_depth)
+                span.set(result_size=len(result.value),
+                         rounds=result.statistics.recursion_depth)
         return result
 
     def _anchor_resolver(self, anchor_document, governor=None):
@@ -173,7 +168,7 @@ class SqlFixpointExecutor:
 
     def _guards_trip(self, emitted: FixpointSql) -> bool:
         """True when the store holds data the emitted chain would mishandle
-        (multi-token IDREFS content) — the driver loop takes over then.
+        (multi-token IDREFS content) — the shared driver takes over then.
 
         Verdicts are cached per store version: the probes only depend on
         shredded content, so they hold until the next shred.
@@ -229,113 +224,6 @@ class SqlFixpointExecutor:
         statistics = FixpointStatistics(algorithm="cte")
         return FixpointResult(value=nodes, statistics=statistics)
 
-    # -- the iterative driver loop ------------------------------------------
-
-    def _run_driver_loop(self, seed_nodes: list, seed_pres: list[int],
-                         body: Callable[[list], list],
-                         algorithm: str, max_iterations: int,
-                         trace=None, governor=None) -> FixpointResult:
-        connection = self.store.connection
-        run_id = next(self._run_ids)
-        result_table = f"fix_result_{run_id}"
-        produced_table = f"fix_produced_{run_id}"
-        connection.execute(f"CREATE TEMP TABLE {result_table} (pre INTEGER PRIMARY KEY)")
-        connection.execute(f"CREATE TEMP TABLE {produced_table} (pre INTEGER)")
-        statistics = FixpointStatistics(algorithm=algorithm)
-        try:
-            apply_body = self._body_application(body, produced_table,
-                                                governor=governor)
-
-            # Round 0: res_0 = e_rec(e_seed) (Definition 2.1).  The seed is
-            # fed in its original sequence order — the interpreter does the
-            # same, and order-sensitive bodies can observe the difference.
-            span = trace.begin("round", iteration=0) if trace is not None else None
-            produced_count = apply_body(seed_nodes)
-            delta_pres = self._new_pres(produced_table, result_table)
-            self._accumulate(produced_table, result_table)
-            result_size = self._count(result_table)
-            if span is not None:
-                span.set(fed=len(seed_pres), produced=produced_count,
-                         new=len(delta_pres), result_size=result_size)
-                trace.end(span)
-            statistics.record(0, len(seed_pres), produced_count,
-                              len(delta_pres), result_size)
-
-            iteration = 0
-            while True:
-                if algorithm == "delta" and not delta_pres:
-                    break
-                iteration += 1
-                if iteration > max_iterations:
-                    raise FixpointError(
-                        f"inflationary fixed point did not converge within "
-                        f"{max_iterations} iterations"
-                    )
-                if governor is not None:
-                    governor.check_round(iteration, frontier=len(delta_pres),
-                                         result_size=result_size)
-                faults.trigger("slow-span")
-                if algorithm == "delta":
-                    feed_pres = delta_pres
-                else:
-                    feed_pres = [row[0] for row in connection.execute(
-                        f"SELECT pre FROM {result_table} ORDER BY pre")]
-                span = trace.begin("round", iteration=iteration) if trace is not None else None
-                produced_count = apply_body(decode_pres(self.store, feed_pres))
-                delta_pres = self._new_pres(produced_table, result_table)
-                self._accumulate(produced_table, result_table)
-                result_size = self._count(result_table)
-                if span is not None:
-                    span.set(fed=len(feed_pres), produced=produced_count,
-                             new=len(delta_pres), result_size=result_size)
-                    trace.end(span)
-                statistics.record(iteration, len(feed_pres), produced_count,
-                                  len(delta_pres), result_size)
-                if algorithm == "naive" and not delta_pres:
-                    break
-            final_pres = [row[0] for row in connection.execute(
-                f"SELECT pre FROM {result_table}")]
-            with maybe_span(trace, "decode", rows=len(final_pres)):
-                value = decode_pres(self.store, final_pres)
-            return FixpointResult(value=value, statistics=statistics)
-        finally:
-            connection.execute(f"DROP TABLE IF EXISTS {result_table}")
-            connection.execute(f"DROP TABLE IF EXISTS {produced_table}")
-
-    def _body_application(self, body: Callable[[list], list],
-                          produced_table: str, governor=None):
-        """Build the round worker: body over nodes, produced rows into SQL."""
-
-        def apply_body(feed_nodes: list) -> int:
-            produced = body(list(feed_nodes))
-            produced_nodes = ensure_node_sequence(
-                produced, "inflationary fixed point body result")
-            produced_pres = self.store.encode(produced_nodes,
-                                              governor=governor)
-            connection = self.store.connection
-            connection.execute(f"DELETE FROM {produced_table}")
-            connection.executemany(
-                f"INSERT INTO {produced_table} (pre) VALUES (?)",
-                [(pre,) for pre in produced_pres])
-            return len(produced_nodes)
-
-        return apply_body
-
-    def _new_pres(self, produced_table: str, result_table: str) -> list[int]:
-        rows = self.store.connection.execute(
-            f"SELECT DISTINCT pre FROM {produced_table} "
-            f"EXCEPT SELECT pre FROM {result_table}").fetchall()
-        return sorted(row[0] for row in rows)
-
-    def _accumulate(self, produced_table: str, result_table: str) -> None:
-        self.store.connection.execute(
-            f"INSERT OR IGNORE INTO {result_table} (pre) "
-            f"SELECT pre FROM {produced_table}")
-
-    def _count(self, table: str) -> int:
-        return self.store.connection.execute(
-            f"SELECT count(*) FROM {table}").fetchone()[0]
-
 
 class SQLEvaluator(Evaluator):
     """The interpreter with ``with … recurse`` executed on SQLite.
@@ -343,8 +231,8 @@ class SQLEvaluator(Evaluator):
     Everything outside the IFP form behaves exactly like
     :class:`~repro.xquery.evaluator.Evaluator` (which is what makes the
     ``sql`` engine item-identical to the interpreter by construction);
-    every fixpoint is encoded into the store and evaluated as a recursive
-    CTE or through the temp-table driver loop.
+    every fixpoint runs as a recursive CTE over the store when its body can
+    be emitted, and through the interpreter's own driver otherwise.
     """
 
     def __init__(self, store: SqlDocumentStore | None = None):
@@ -355,18 +243,14 @@ class SQLEvaluator(Evaluator):
     def store(self) -> SqlDocumentStore:
         return self.executor.store
 
-    def _eval_with(self, expr: ast.WithExpr, context: DynamicContext) -> list:
-        seed = self.evaluate(expr.seed, context)
-
-        def body(nodes: list) -> list:
-            return self.evaluate(expr.body, context.bind(expr.var, nodes))
-
-        algorithm = self._choose_ifp_algorithm(expr, context)
+    def _run_fixpoint(self, expr: ast.WithExpr, context: DynamicContext,
+                      seed: list, body: Callable[[list], list],
+                      algorithm: str) -> FixpointResult:
         anchor_document = None
         if context.focus.defined and is_node(context.focus.item):
             anchor_document = context.focus.item.document()
         static = context.static
-        result = self.executor.run(
+        return self.executor.run(
             expr, seed, body, algorithm,
             max_iterations=static.settings.max_ifp_iterations,
             variables=context.variables,
@@ -375,9 +259,6 @@ class SQLEvaluator(Evaluator):
             governor=static.governor,
             anchor_document=anchor_document,
         )
-        if context.statistics is not None and hasattr(context.statistics, "record_ifp"):
-            context.statistics.record_ifp(result.statistics)
-        return list(result.value)
 
 
 def fixpoint_statements(module_or_expr, optimize: bool = True,

@@ -28,6 +28,7 @@ from repro.errors import (
     XQueryStaticError,
     XQueryTypeError,
 )
+from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
 from repro.xdm.index import IndexSet, batch_id, batch_step, indexed_step
@@ -401,21 +402,27 @@ class Evaluator:
     # ------------------------------------------------------------------ the IFP form
 
     def _eval_with(self, expr: ast.WithExpr, context: DynamicContext) -> Sequence:
-        from repro.fixpoint.engine import FixpointEngine
-
         seed = self.evaluate(expr.seed, context)
 
         def body(nodes: Sequence) -> Sequence:
             return self.evaluate(expr.body, context.bind(expr.var, nodes))
 
-        static = context.static
-        engine = FixpointEngine(max_iterations=static.settings.max_ifp_iterations)
-        algorithm = self._choose_ifp_algorithm(expr, context)
-        result = engine.run(body, seed, algorithm=algorithm,
-                            trace=static.trace, governor=static.governor)
+        result = self._run_fixpoint(expr, context, seed, body,
+                                    self._choose_ifp_algorithm(expr, context))
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):
             context.statistics.record_ifp(result.statistics)
         return list(result.value)
+
+    def _run_fixpoint(self, expr: ast.WithExpr, context: DynamicContext,
+                      seed: Sequence, body: Callable[[Sequence], Sequence],
+                      algorithm: str) -> FixpointResult:
+        """Iterate *body* from *seed* to its fixed point — the one step of the
+        IFP form an engine may replace (the SQL engine tries a recursive CTE
+        first)."""
+        static = context.static
+        engine = FixpointEngine(max_iterations=static.settings.max_ifp_iterations)
+        return engine.run(body, seed, algorithm=algorithm,
+                          trace=static.trace, governor=static.governor)
 
     def _choose_ifp_algorithm(self, expr: ast.WithExpr, context: DynamicContext) -> str:
         if expr.algorithm in ("naive", "delta"):
@@ -436,12 +443,12 @@ class Evaluator:
         elif checker == "algebraic":
             from repro.algebra.distributivity import is_distributive_algebraic
 
-            try:
-                distributive = is_distributive_algebraic(
-                    expr.body, expr.var, functions=context.static.functions
-                )
-            except Exception:
-                distributive = False
+            # strict=False: a body the algebra compiler rejects (AlgebraError)
+            # is "not inferred", hence Naive; any other exception is a bug.
+            distributive = is_distributive_algebraic(
+                expr.body, expr.var, functions=context.static.functions,
+                strict=False,
+            )
         else:
             from repro.distributivity.syntactic import is_distributivity_safe
 

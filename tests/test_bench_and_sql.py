@@ -1,5 +1,4 @@
-"""Tests for the benchmark layer (workload queries, harness, Table 2) and the
-SQL:1999 WITH RECURSIVE sidebar."""
+"""Tests for the benchmark layer (workload queries, harness, Table 2)."""
 
 import pytest
 
@@ -7,7 +6,6 @@ from repro.bench.harness import BenchmarkHarness
 from repro.bench.queries import WORKLOADS, get_workload
 from repro.bench.reporting import format_milliseconds, render_speedups, render_table2, results_to_csv
 from repro.bench.table2 import PRESETS, run_preset
-from repro.sqlgen import Relation, WithRecursive, curriculum_prerequisites
 
 
 @pytest.fixture(scope="module")
@@ -106,49 +104,3 @@ class TestReportingAndPresets:
         assert format_milliseconds(None) == "-"
         assert format_milliseconds(0.5).endswith("ms")
         assert "m" in format_milliseconds(75.0)
-
-
-class TestWithRecursive:
-    @pytest.fixture()
-    def courses(self):
-        return Relation("C", ("course", "prerequisite"), [
-            ("c1", "c2"), ("c1", "c3"), ("c2", "c4"), ("c4", "c5"), ("c6", "c6"),
-        ])
-
-    def test_curriculum_prerequisites_example(self, courses):
-        query = curriculum_prerequisites(courses, "c1")
-        for algorithm in ("naive", "delta"):
-            outcome = query.evaluate(algorithm=algorithm)
-            assert sorted(row[0] for row in outcome.relation) == ["c2", "c3", "c4", "c5"]
-
-    def test_delta_feeds_fewer_tuples(self, courses):
-        query = curriculum_prerequisites(courses, "c1")
-        naive = query.evaluate(algorithm="naive")
-        delta = query.evaluate(algorithm="delta")
-        assert delta.tuples_fed <= naive.tuples_fed
-        assert naive.relation == delta.relation
-
-    def test_cycles_terminate(self, courses):
-        outcome = curriculum_prerequisites(courses, "c6").evaluate()
-        assert sorted(row[0] for row in outcome.relation) == ["c6"]
-
-    def test_relation_operations(self, courses):
-        assert len(courses.select(lambda r: r["course"] == "c1")) == 2
-        projected = courses.project(("course",))
-        assert ("c1",) in projected.tuples
-        joined = courses.join(courses.rename("D"), "prerequisite", "course")
-        assert ("c1", "c2", "c2", "c4") in joined.tuples
-        with pytest.raises(ValueError):
-            Relation("X", ("a",), [(1, 2)])
-
-    def test_generic_with_recursive(self):
-        edges = Relation("E", ("src", "dst"), [(1, 2), (2, 3), (3, 4)])
-        seed = Relation("R", ("node",), [(1,)])
-
-        def step(reachable):
-            joined = reachable.join(edges, "node", "src")
-            return Relation("R", ("node",), {(row[2],) for row in joined.tuples})
-
-        query = WithRecursive("R", ("node",), seed, step)
-        outcome = query.evaluate()
-        assert sorted(row[0] for row in outcome.relation) == [1, 2, 3, 4]

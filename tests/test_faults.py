@@ -156,10 +156,13 @@ class TestInjectionPoints:
         if spec.point == "slow-span":
             # The algebra engine's µ loop hits slow-span; make it raise.
             spec = FaultSpec(point="slow-span")
+        # sqlite-execute fires before a WITH RECURSIVE statement; forced
+        # Naive runs no statement (the shared driver never touches SQLite).
+        algorithm = "auto" if engine == "sql" else "naive"
         with faults.inject(spec):
             try:
                 session.evaluate(CHAIN_QUERY, engine=engine,
-                                 ifp_algorithm="naive")
+                                 ifp_algorithm=algorithm)
             except ReproError:
                 pass  # typed — exactly what the robustness contract wants
             else:  # pragma: no cover - failure path

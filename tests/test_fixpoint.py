@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FixpointError
-from repro.fixpoint import FixpointEngine, delta_fixpoint, naive_fixpoint
-from repro.fixpoint.stats import FixpointStatistics, StatisticsCollector
+from repro.fixpoint import FixpointEngine
+from repro.fixpoint.stats import StatisticsCollector
 from repro.xdm import document, element, node_union
 
 
@@ -65,16 +65,17 @@ class TestAlgorithms:
         from repro.errors import XQueryTypeError
 
         with pytest.raises(XQueryTypeError):
-            naive_fixpoint(children_body, [1, 2])
+            FixpointEngine().run(children_body, [1, 2], algorithm="naive")
         with pytest.raises(XQueryTypeError):
-            delta_fixpoint(children_body, ["x"])
+            FixpointEngine().run(children_body, ["x"], algorithm="delta")
 
     def test_body_must_return_nodes(self):
         from repro.errors import XQueryTypeError
 
         doc = make_chain(2)
         with pytest.raises(XQueryTypeError):
-            naive_fixpoint(lambda nodes: [42], [doc.document_element()])
+            FixpointEngine().run(lambda nodes: [42], [doc.document_element()],
+                                 algorithm="naive")
 
     def test_unknown_algorithm_rejected(self):
         doc = make_chain(2)
@@ -103,8 +104,8 @@ class TestAlgorithms:
 class TestStatistics:
     def test_iteration_records(self):
         doc = make_chain(4)
-        statistics = FixpointStatistics()
-        naive_fixpoint(children_body, [doc.document_element()], statistics=statistics)
+        statistics = FixpointEngine().run(children_body, [doc.document_element()],
+                                          algorithm="naive").statistics
         assert statistics.algorithm == "naive"
         assert statistics.recursion_depth == len(statistics.iterations)
         assert statistics.total_nodes_fed_back == sum(r.fed_back for r in statistics.iterations)
@@ -114,9 +115,9 @@ class TestStatistics:
 
     def test_merge_concatenates_iterations(self):
         doc = make_chain(3)
-        first, second = FixpointStatistics(), FixpointStatistics()
-        naive_fixpoint(children_body, [doc.document_element()], statistics=first)
-        naive_fixpoint(children_body, [doc.document_element()], statistics=second)
+        first, second = (FixpointEngine().run(children_body, [doc.document_element()],
+                                              algorithm="naive").statistics
+                         for _ in range(2))
         total = first.total_nodes_fed_back + second.total_nodes_fed_back
         first.merge(second)
         assert first.total_nodes_fed_back == total
@@ -125,9 +126,8 @@ class TestStatistics:
         collector = StatisticsCollector()
         doc = make_chain(3)
         for _ in range(3):
-            statistics = FixpointStatistics()
-            delta_fixpoint(children_body, [doc.document_element()], statistics=statistics)
-            collector.record_ifp(statistics)
+            collector.record_ifp(FixpointEngine().run(
+                children_body, [doc.document_element()], algorithm="delta").statistics)
         assert collector.ifp_evaluations == 3
         assert collector.total_nodes_fed_back > 0
         assert collector.max_recursion_depth >= 1
@@ -259,7 +259,8 @@ class TestDeltaDriver:
             fed.append(list(nodes))
             return _prerequisites_body(curriculum)(nodes)
 
-        result = delta_fixpoint(body, [curriculum.lookup_id("c36")])
+        result = FixpointEngine().run(body, [curriculum.lookup_id("c36")],
+                                      algorithm="delta").value
         for frontier in fed[1:]:
             keys = [node.order_key for node in frontier]
             assert keys == sorted(set(keys))
@@ -292,8 +293,9 @@ class TestDeltaDriver:
         fed_log = []
         seed = [curriculum.lookup_id("c36"), curriculum.lookup_id("c40")]
         with pytest.raises(BudgetExceeded) as caught:
-            delta_fixpoint(_prerequisites_body(curriculum, fed_log), seed,
-                           governor=Governor(ResourceLimits(**limits)))
+            FixpointEngine().run(_prerequisites_body(curriculum, fed_log), seed,
+                                 algorithm="delta",
+                                 governor=Governor(ResourceLimits(**limits)))
         assert caught.value.budget == budget
         assert caught.value.observed == observed
         assert len(fed_log) == body_calls
@@ -303,7 +305,8 @@ class TestDeltaDriver:
 
         seed = [curriculum.lookup_id("c36")]
         with pytest.raises(XQueryTypeError):
-            delta_fixpoint(lambda nodes: [curriculum.lookup_id("c1"), "c2"], seed)
+            FixpointEngine().run(lambda nodes: [curriculum.lookup_id("c1"), "c2"],
+                                 seed, algorithm="delta")
 
     @pytest.mark.parametrize("name", ["curriculum", "hospital", "bidder-network", "dialogs"])
     def test_naive_equals_delta_on_the_benchmark_bodies(self, name):
@@ -320,3 +323,91 @@ class TestDeltaDriver:
             for algorithm in ("naive", "delta")
         }
         assert answers["naive"] == answers["delta"]
+
+    # -- the same driver under every engine ---------------------------------
+
+    @staticmethod
+    def _closure(workload, algorithm, body=None):
+        """One top-level fixpoint over the workload's first seeds (the algebra
+        engine compiles no fixpoint under a ``for``, and no ``subsequence``
+        outside the prolog)."""
+        return (f"{workload.prolog}\ndeclare variable $seeds := "
+                f"subsequence({workload.seeds_expression}, 1, 4);\n"
+                f"with $x seeded by $seeds "
+                f"recurse {body or workload.recursion_body} using {algorithm}")
+
+    @staticmethod
+    def _traced(session, query, engine):
+        """(items, fixpoint span attributes, per-round tuples, run labels)."""
+        result = session.evaluate(query, engine=engine, trace=True)
+        (span,) = result.trace.find_all("fixpoint")
+        rounds = [tuple(child.attributes[key] for key in
+                        ("iteration", "fed", "produced", "new", "result_size"))
+                  for child in span.children if child.name == "round"]
+        recorded = [[(r.iteration, r.fed_back, r.produced, r.new_nodes, r.result_size)
+                     for r in run.iterations] for run in result.statistics.runs]
+        assert recorded == [rounds]
+        return (result.items, span.attributes, rounds,
+                [run.algorithm for run in result.statistics.runs])
+
+    @pytest.mark.parametrize("algorithm", ["naive", "delta"])
+    @pytest.mark.parametrize("name", ["curriculum", "hospital", "bidder-network", "dialogs"])
+    def test_every_engine_runs_the_interpreters_rounds(self, name, algorithm):
+        from repro.bench.queries import get_workload
+        from repro.session import Session
+
+        workload = get_workload(name)
+        # A filter expression is no step chain, so the sql engine cannot emit
+        # it: its Delta runs take the fallback (and show their rounds) too.
+        bodies = {"interpreter": None, "algebra": None,
+                  "sql": f"({workload.recursion_body})[true()]" if algorithm == "delta" else None}
+        extra = {"interpreter": {},
+                 "algebra": {"variant": "mu_delta" if algorithm == "delta" else "mu"},
+                 "sql": {"path": "driver"}}
+        documents = {workload.document_uri: workload.size("tiny").build_document()}
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            runs = {engine: self._traced(session, self._closure(workload, algorithm, body), engine)
+                    for engine, body in bodies.items()}
+        items, _, rounds, _ = runs["interpreter"]
+        assert items and len(rounds) > 1
+        # what is fed: all of res under Naive, the last round's new nodes under Delta
+        previous = {"naive": 4, "delta": 3}[algorithm]
+        assert [fed for _, fed, *_ in rounds[1:]] == [r[previous] for r in rounds[:-1]]
+        for engine, (engine_items, attributes, engine_rounds, labels) in runs.items():
+            assert engine_rounds == rounds, engine
+            assert list(map(id, engine_items)) == list(map(id, items)), engine
+            assert labels == [algorithm], engine
+            assert attributes == {"algorithm": algorithm, "seed": 4,
+                                  "result_size": len(items), "rounds": len(rounds),
+                                  **extra[engine]}, engine
+
+    @pytest.mark.parametrize("name", ["curriculum", "hospital"])
+    def test_an_emittable_delta_body_still_runs_as_one_cte(self, name):
+        from repro.bench.queries import get_workload
+        from repro.session import Session
+
+        workload = get_workload(name)
+        query = self._closure(workload, "delta")
+        documents = {workload.document_uri: workload.size("tiny").build_document()}
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            items = session.evaluate(query).items
+            sql_items, attributes, rounds, labels = self._traced(session, query, "sql")
+        assert list(map(id, sql_items)) == list(map(id, items))
+        assert rounds == [] and labels == ["cte"]
+        assert attributes == {"algorithm": "delta", "path": "cte", "seed": 4,
+                              "result_size": len(items), "rounds": 0}
+
+    def test_the_sql_fallback_never_touches_the_store(self, curriculum):
+        from repro.sqlbackend import SQLEvaluator
+        from repro.xquery.context import DocumentResolver, DynamicContext
+        from repro.xquery.parser import parse_query
+
+        resolver = DocumentResolver()
+        resolver.register("curriculum.xml", curriculum)
+        evaluator = SQLEvaluator()
+        query = ('with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c36"] '
+                 "recurse $x/id(./prerequisites/pre_code) using naive")
+        items = evaluator.evaluate_module(parse_query(query), DynamicContext(documents=resolver))
+        assert len(items) == 29
+        assert evaluator.executor.executed_statements == []
+        assert evaluator.store.version == 0 and evaluator.store.node_count() == 0

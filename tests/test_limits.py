@@ -19,6 +19,7 @@ import pytest
 from repro import faults
 from repro.errors import (
     BudgetExceeded,
+    FixpointError,
     GovernanceError,
     QueryCancelled,
     QueryTimeout,
@@ -64,6 +65,14 @@ def ring_xml(n: int) -> str:
 def ring_query(uri: str = "ring.xml") -> str:
     return (f'with $x seeded by doc("{uri}")/curriculum/course[@code="c0"] '
             f"recurse $x/id(./prerequisites/pre_code)")
+
+
+def fallback_ring_query(algorithm: str, uri: str = "ring.xml") -> str:
+    """:func:`ring_query` with the body written as a ``for``, so the SQL
+    engine cannot emit a CTE and takes its fallback under Delta as well as
+    under Naive (one new node per round either way)."""
+    return (f'with $x seeded by doc("{uri}")/curriculum/course[@code="c0"] recurse '
+            f"(for $y in $x return $y/id(./prerequisites/pre_code)) using {algorithm}")
 
 
 @pytest.fixture()
@@ -268,6 +277,50 @@ class TestBudgets:
                                   max_result_items=10_000))
         result = session.evaluate(CHAIN_QUERY, settings=settings)
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
+
+
+class TestOneDriverOnEveryEngine:
+    """All three engines iterate through the one fixpoint driver, so a
+    budget trips in the same round with the same numbers everywhere and
+    non-convergence is the same typed error."""
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("algorithm, limits, tripped", [
+        # Naive feeds the whole result: six nodes in round 6
+        ("naive", {"max_frontier_nodes": 5}, ("max_frontier_nodes", 5, 6)),
+        # Delta feeds one new node per round on the ring: never more than 5
+        ("delta", {"max_frontier_nodes": 5}, None),
+        ("naive", {"max_fixpoint_rounds": 4}, ("max_fixpoint_rounds", 4, 5)),
+        ("delta", {"max_fixpoint_rounds": 4}, ("max_fixpoint_rounds", 4, 5)),
+        ("naive", {"max_result_items": 8}, ("max_result_items", 8, 9)),
+        ("delta", {"max_result_items": 8}, ("max_result_items", 8, 9)),
+    ])
+    def test_budgets_trip_identically(self, engine, algorithm, limits, tripped):
+        query = fallback_ring_query(algorithm)
+        with Session(documents={"ring.xml": ring_xml(31)}) as session:
+            if engine == "sql":
+                # the case must not drift onto the CTE, where budgets do not apply
+                trace = session.evaluate(query, engine="sql", trace=True).trace
+                assert [span.attributes["path"]
+                        for span in trace.find_all("fixpoint")] == ["driver"]
+            settings = EvalSettings(engine=engine, limits=ResourceLimits(**limits))
+            if tripped is None:
+                assert len(session.evaluate(query, settings=settings).items) == 31
+                return
+            with pytest.raises(BudgetExceeded) as info:
+                session.evaluate(query, settings=settings)
+            error = info.value
+            assert (error.budget, error.limit, error.observed) == tripped
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("algorithm", ["naive", "delta"])
+    def test_non_convergence_is_a_fixpoint_error(self, engine, algorithm):
+        query = fallback_ring_query(algorithm)
+        with Session(documents={"ring.xml": ring_xml(10)}) as session:
+            with pytest.raises(FixpointError):
+                session.evaluate(query, engine=engine, max_ifp_iterations=3)
+            # the session is intact: the same closure, unbounded, answers
+            assert len(session.evaluate(query, engine=engine).items) == 10
 
 
 class TestCancellation:

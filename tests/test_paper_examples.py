@@ -89,6 +89,27 @@ class TestExample11AndQueryQ1:
         result = evaluate(QUERY_Q1, documents=documents, distributivity_checker="algebraic")
         assert all(run.algorithm == "delta" for run in result.statistics.runs)
 
+    def test_algebraic_checker_runs_naive_on_a_body_the_compiler_rejects(self, documents):
+        from repro import is_distributive_algebraic
+        from repro.errors import AlgebraError
+
+        body = "$x/id (./prerequisites/pre_code)[some $c in . satisfies true()]"
+        with pytest.raises(AlgebraError):  # no quantifiers in the algebra compiler
+            is_distributive_algebraic(body, strict=True)
+        query = QUERY_Q1.replace("$x/id (./prerequisites/pre_code)", body)
+        assert query != QUERY_Q1
+        result = evaluate(query, documents=documents, distributivity_checker="algebraic")
+        assert [run.algorithm for run in result.statistics.runs] == ["naive"]
+        assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
+
+    def test_a_bug_in_the_algebraic_checker_is_not_swallowed(self, documents, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setattr("repro.algebra.distributivity.analyze_plan_distributivity", broken)
+        with pytest.raises(RuntimeError, match="checker bug"):
+            evaluate(QUERY_Q1, documents=documents, distributivity_checker="algebraic")
+
 
 class TestExample24QueryQ2:
     """The Naive/Delta divergence table of Example 2.4."""

@@ -11,7 +11,7 @@ import pytest
 from repro import Engine, evaluate, parse_xml
 from repro.bench.harness import BenchmarkHarness
 from repro.cli import main as cli_main
-from repro.errors import AlgebraError, FixpointError, SqlBackendError
+from repro.errors import AlgebraError, SqlBackendError
 from repro.sqlbackend import (
     ResultTable,
     SQLEvaluator,
@@ -20,7 +20,6 @@ from repro.sqlbackend import (
     emit_fixpoint_sql,
     fixpoint_statements,
 )
-from repro.sqlgen import Relation, curriculum_prerequisites
 from repro.xquery.context import DocumentResolver, DynamicContext
 from repro.xquery.parser import parse_expression, parse_query
 from tests.conftest import CURRICULUM_XML, course_codes
@@ -559,7 +558,7 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# shared result decoding and the sqlgen satellites
+# shared result decoding and the Section 2 listing
 # ---------------------------------------------------------------------------
 
 
@@ -579,15 +578,18 @@ class TestDecodeResultTable:
         assert decode_result_table(table) == [42]
 
 
-class TestSqlgenSatellites:
-    @pytest.fixture()
-    def courses(self):
-        return Relation("C", ("course", "prerequisite"), [
-            ("c1", "c2"), ("c1", "c3"), ("c2", "c4"), ("c4", "c5"),
-        ])
+class TestSectionTwoListing:
+    """Section 2's SQL:1999 example, printed by the emitter's formatter."""
 
-    def test_to_sql_prints_the_section2_listing(self, courses):
-        text = curriculum_prerequisites(courses, "c1").to_sql()
+    def test_formatter_prints_the_listing_and_sqlite_runs_it(self):
+        import sqlite3
+
+        from repro.sqlbackend.emitter import format_with_recursive
+
+        text = format_with_recursive(
+            "P", ("course_code",),
+            "SELECT prerequisite FROM C WHERE course = :course",
+            "SELECT C.prerequisite FROM P, C WHERE P.course_code = C.course")
         assert text == (
             "WITH RECURSIVE P(course_code) AS (\n"
             "  SELECT prerequisite FROM C WHERE course = :course\n"
@@ -596,20 +598,13 @@ class TestSqlgenSatellites:
             ")\n"
             "SELECT DISTINCT * FROM P"
         )
+        connection = sqlite3.connect(":memory:")
+        try:
+            connection.execute("CREATE TABLE C (course TEXT, prerequisite TEXT)")
+            connection.executemany("INSERT INTO C VALUES (?, ?)", [
+                ("c1", "c2"), ("c1", "c3"), ("c2", "c4"), ("c4", "c5")])
+            rows = connection.execute(text, {"course": "c1"}).fetchall()
+        finally:
+            connection.close()
+        assert sorted(row[0] for row in rows) == ["c2", "c3", "c4", "c5"]
 
-    def test_to_sql_without_sql_text_raises(self, courses):
-        from repro.sqlgen import WithRecursive
-
-        query = WithRecursive("P", ("c",), courses.project(("course",)),
-                              lambda relation: relation)
-        with pytest.raises(FixpointError):
-            query.to_sql()
-
-    def test_hash_join_matches_nested_loop_semantics(self, courses):
-        joined = courses.join(courses.rename("D"), "prerequisite", "course")
-        assert ("c1", "c2", "c2", "c4") in joined.tuples
-        assert ("c2", "c4", "c4", "c5") in joined.tuples
-        assert len(joined) == 2
-        # joining on a key with no matches yields the empty relation
-        empty = courses.join(Relation("E", ("k", "v")), "course", "k")
-        assert len(empty) == 0
