@@ -19,8 +19,27 @@ axis steps, predicates that are comparisons or boolean function calls,
 ``count``/``empty``/``exists``/``not``/``data``/``string``/``id``/``doc``/
 ``root``, user-defined function inlining, node constructors (compile-time
 only — they mark the plan non-distributive) and the ``with … recurse`` form
-(compiled to µ/µ∆).  Positional predicates, ``order by`` and nested
+(compiled to µ/µ∆).  ``order by``, quantifiers, ``typeswitch`` and nested
 fixpoints under iteration raise :class:`~repro.errors.AlgebraError`.
+
+Step predicates
+---------------
+The longest prefix of a step's predicates that
+:mod:`repro.xquery.pushdown` recognizes moves *into* the
+:class:`~repro.algebra.operators.StepJoin` macro (``_split_pushable``):
+value and existence shapes, and positional ones — the macro is the only
+place positions exist, so a positional predicate that is not pushed (on a
+filter expression, behind an unrecognized predicate, or with
+``push_predicates=False``) is an :class:`~repro.errors.AlgebraError`.  A
+value shape compared with a compile-time constant carries the constant;
+one compared with a *computed* side that cannot raise (``_value_input``:
+a variable, or predicate-free steps from a node-valued one) makes that
+side's plan — compiled in the step's own loop — an extra input of the
+macro, which then joins by value per iteration.  Every other predicate
+compiles to the generic plan (``_apply_predicate``): tag the candidates,
+evaluate the predicate per candidate, keep the survivors; its ``=``
+conditions with a focus-free side run as a value join per outer iteration
+(``_value_join``).
 """
 
 from __future__ import annotations
@@ -41,6 +60,7 @@ from repro.algebra.operators import (
     LiteralTable,
     NodeConstructor,
     Operator,
+    PathResult,
     Project,
     RecursionInput,
     RowTag,
@@ -259,13 +279,21 @@ class AlgebraCompiler:
         everything after it keep the generic materialize-then-filter plan,
         preserving order-sensitive (positional) semantics.
         """
-        pushed, rest = self._split_pushable(step.predicates, context)
+        pushed, values, rest = self._split_pushable(step.predicates, context)
         plan = StepJoin(source, step.axis, step.node_test.kind,
-                        step.node_test.name, pushed=pushed)
+                        step.node_test.name, pushed=pushed, values=values,
+                        comparison=_general_equal)
         return self._apply_predicates(plan, rest, context)
 
     def _split_pushable(self, predicates: tuple[ast.Expr, ...],
                         context: CompilationContext):
+        """``(pushed shapes, value input plans, remaining predicates)``.
+
+        A value shape's right-hand side is resolved here when it is a
+        compile-time constant (a string literal, a top-level constant
+        binding); otherwise it becomes an *input* of the macro
+        (:meth:`_value_input`), one plan per such shape, in shape order.
+        """
         from repro.xquery.pushdown import (
             PositionShape,
             recognize_predicate,
@@ -273,7 +301,7 @@ class AlgebraCompiler:
         )
 
         if not self.push_predicates or not predicates:
-            return (), tuple(predicates)
+            return (), (), tuple(predicates)
 
         def constant_values(name: str):
             """Compile-time variable resolution: only top-level constant
@@ -287,26 +315,63 @@ class AlgebraCompiler:
                 return None  # node content may mutate after compilation
             return string_values_or_none(items)
 
-        pushed = []
+        pushed: list = []
+        inputs: list[Operator] = []
+
+        def split(position: int):
+            return tuple(pushed), tuple(inputs), tuple(predicates[position:])
+
         for position, predicate in enumerate(predicates):
             shape = recognize_predicate(predicate)
             if shape is None:
-                return tuple(pushed), tuple(predicates[position:])
+                return split(position)
             if not isinstance(shape, PositionShape) and shape.rhs is not None:
+                values = None
                 if isinstance(shape.rhs, ast.Literal):
                     values = string_values_or_none([shape.rhs.value])
                 elif isinstance(shape.rhs, ast.VarRef):
                     values = constant_values(shape.rhs.name)
+                if values is not None:
+                    shape = replace(shape, rhs=None, values=values)
                 else:
-                    # A computed right-hand side (``$b/@person``) has no
-                    # compile-time value: declined, the predicate plan's
-                    # value join (_value_join) answers it instead.
-                    values = None
-                if values is None:
-                    return tuple(pushed), tuple(predicates[position:])
-                shape = replace(shape, rhs=None, values=values)
+                    # A positional shape in front ends the pushed prefix:
+                    # its step stays in the per-node memo (value inputs opt
+                    # out of it, and nothing could be probed behind a
+                    # position anyway) and the value join filters the few
+                    # survivors.  One *behind* is pushed: it slices, per
+                    # context node, what this iteration's values kept.
+                    positional = any(isinstance(s, PositionShape) for s in pushed)
+                    plan = None if positional else self._value_input(shape.rhs, context)
+                    if plan is None:
+                        return split(position)
+                    inputs.append(plan)  # the shape keeps its rhs: computed
             pushed.append(shape)
-        return tuple(pushed), ()
+        return split(len(predicates))
+
+    def _value_input(self, rhs: ast.Expr, context: CompilationContext) -> Operator | None:
+        """A computed right-hand side as an input of the step macro: its
+        atomized values per iteration of the step's own loop — or ``None``
+        (declined: the predicate plan's value join answers it).
+
+        The input is evaluated for *every* iteration, also one whose step
+        has no candidate, where the predicate is never evaluated and so must
+        not raise.  Accepted is therefore only what cannot: a variable
+        (already a value wherever it is in scope), optionally behind
+        predicate-free axis steps when its plan delivers nodes by
+        construction.  A literal number, arithmetic, a function call, a step
+        from a variable that may hold atomics — all keep :meth:`_value_join`,
+        which evaluates them only where a candidate exists.
+        """
+        origin, steps = rhs, 0
+        while (isinstance(origin, ast.PathExpr) and isinstance(origin.right, ast.AxisStep)
+               and not origin.right.predicates):
+            origin, steps = origin.left, steps + 1
+        if not isinstance(origin, ast.VarRef):
+            return None
+        if steps and not getattr(context.environment.get(origin.name),
+                                 "node_valued", False):
+            return None
+        return AtomizeValue([self._compile(rhs, context)])
 
     def _compile_FilterExpr(self, expr: ast.FilterExpr, context: CompilationContext) -> Operator:
         primary = self._compile(expr.primary, context)
@@ -323,6 +388,7 @@ class AlgebraCompiler:
         tagged = RowTag(source, "inner")
         inner_loop = Project(tagged, [("iter", "inner")])
         item_plan = self._with_pos(Project(tagged, [("iter", "inner"), ("item", "item")]))
+        item_plan.node_valued = source.node_valued
 
         lifted_environment = {
             name: self._lift_plan(plan, tagged)
@@ -346,7 +412,7 @@ class AlgebraCompiler:
         mapping = Project(tagged, [("inner2", "inner"), ("outer", "iter")])
         joined = Join(inner_result, mapping, [("iter", "inner2")])
         mapped = Project(joined, [("iter", "outer"), ("item", "item")])
-        return self._with_pos(Distinct([mapped]) if bind_variable is None else mapped)
+        return PathResult([mapped]) if bind_variable is None else self._with_pos(mapped)
 
     def _lift_plan(self, plan: Operator, tagged: Operator) -> Operator:
         """Re-address an outer-loop plan to the inner loop created by *tagged*.
@@ -359,7 +425,9 @@ class AlgebraCompiler:
         """
         mapping = Project(tagged, [("outer_iter", "iter"), ("inner", "inner")])
         joined = Join(mapping, plan, [("outer_iter", "iter")])
-        return Project(joined, [("iter", "inner"), ("pos", "pos"), ("item", "item")])
+        lifted = Project(joined, [("iter", "inner"), ("pos", "pos"), ("item", "item")])
+        lifted.node_valued = plan.node_valued
+        return lifted
 
     # ------------------------------------------------------------------ predicates and filters
 

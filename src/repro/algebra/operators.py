@@ -28,7 +28,7 @@ from time import perf_counter
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.errors import AlgebraError
+from repro.errors import AlgebraError, XQueryTypeError
 from repro.algebra.storage import TableStorage
 from repro.algebra.table import Table
 from repro.xdm.index import (
@@ -40,7 +40,14 @@ from repro.xdm.index import (
 from repro.xdm.items import is_node, string_value_of_item
 from repro.xdm.node import AttributeNode, CommentNode, DocumentNode, ElementNode, Node, TextNode
 from repro.xdm.sequence import ddo
-from repro.xquery.pushdown import PositionShape, apply_shapes, probe_step
+from repro.xquery.pushdown import (
+    PositionShape,
+    ValueShape,
+    apply_shapes,
+    positional_filter,
+    probe_step,
+    string_values_or_none,
+)
 
 _operator_ids = itertools.count(1)
 
@@ -70,6 +77,11 @@ class Operator:
     #: True for operators the checker may skip when duplicates/order are
     #: irrelevant (Section 4.1): duplicate elimination and row numbering.
     order_or_duplicates_only: bool = False
+    #: True when the ``item`` column holds nodes *by construction* (steps,
+    #: ``fn:id``, ``fn:doc``, the recursion input; the compiler copies the
+    #: flag onto re-addressed copies of such plans): an axis step over it
+    #: cannot raise, whichever iterations it is evaluated for.
+    node_valued: bool = False
 
     def __init__(self, children: Sequence["Operator"] = ()):  # noqa: D401
         self.children: tuple[Operator, ...] = tuple(children)
@@ -166,6 +178,7 @@ class DocumentRoot(Operator):
 
     symbol = "doc"
     union_pushable = True
+    node_valued = True
 
     def __init__(self, loop: Operator, document: DocumentNode):
         super().__init__([loop])
@@ -190,6 +203,7 @@ class RecursionInput(Operator):
 
     symbol = "$x"
     union_pushable = True
+    node_valued = True
 
     def __init__(self, variable: str):
         super().__init__()
@@ -513,6 +527,20 @@ def _group_items_by_iteration(table: TableStorage,
     return per_iteration, order
 
 
+def _sequence_table(engine, results: list[tuple[Any, list]]) -> TableStorage:
+    """``(iteration, items)`` pairs as an ``iter|pos|item`` table, positions
+    counting each iteration's items from 1."""
+    iters: list = []
+    positions: list = []
+    items: list = []
+    for iteration, result in results:
+        iters.extend([iteration] * len(result))
+        positions.extend(range(1, len(result) + 1))
+        items.extend(result)
+    return engine.make_table_from_columns(("iter", "pos", "item"),
+                                          [iters, positions, items])
+
+
 class StepJoin(Operator):
     """ — the XPath location-step macro (axis ``α``, node test ``n``).
 
@@ -530,31 +558,57 @@ class StepJoin(Operator):
     round under µ), positional shapes and runs without the index take
     per-node axis walks memoised in the engine's macro cache.
 
-    ``pushed`` carries predicate *shapes* the compiler recognized and
-    resolved at compile time (:mod:`repro.xquery.pushdown`): value and
-    existence tests filter through the value inverted indexes; positional
-    shapes slice the axis-ordered per-node result — which is also how the
-    macro gains positional predicate support, something the generic
-    materialize-then-filter predicate plan cannot express.  Value-only
-    shapes commute with the per-iteration union, so they are applied to
-    the merged batch column; any positional shape forces per-context-node
-    application (XQuery counts positions per context node).
+    ``pushed`` carries the predicate *shapes* the compiler recognized
+    (:mod:`repro.xquery.pushdown`): value and existence tests filter through
+    the value inverted indexes; positional shapes slice the axis-ordered
+    per-node result — which is also how the macro gains positional predicate
+    support, something the generic materialize-then-filter predicate plan
+    cannot express.  Value-only shapes commute with the per-iteration union,
+    so they are applied to the merged batch column; any positional shape
+    forces per-context-node application (XQuery counts positions per context
+    node).
+
+    A value shape's right-hand side is either resolved at compile time
+    (``shape.values``: constant strings) or *computed*: the shape keeps its
+    ``rhs`` and the macro takes one more input per such shape, in shape
+    order — ``values``, each an ``iter|pos|item`` plan of atomized items in
+    the step's own loop.  The macro is then a join by value: an iteration
+    filters with the values its own ``iter`` delivers (none: it selects
+    nothing), through the same kernels — index-side probing first — so it
+    costs the value index's owners, not candidates × iterations.  No value
+    is kept on the operator; a cached plan reads them afresh every run.  An
+    iteration with a value that is not a string enumerates its step and
+    compares per candidate with *comparison* (general-comparison promotion,
+    errors included).  Whichever input the recursion variable reaches the
+    macro through, it is the ``step`` template for the ∪ push-up check.
     """
 
     symbol = "step"
     union_pushable = True
+    node_valued = True
 
     def __init__(self, child: Operator, axis: str, node_test_kind: str,
-                 node_test_name: str | None = None, pushed: tuple = ()):
-        super().__init__([child])
+                 node_test_name: str | None = None, pushed: tuple = (),
+                 values: Sequence[Operator] = (),
+                 comparison: Callable[[Any, Any], bool] | None = None):
+        super().__init__([child, *values])
         self.axis = axis
         self.node_test_kind = node_test_kind
         self.node_test_name = node_test_name
         self.pushed = tuple(pushed)
+        self.comparison = comparison
+        #: Per shape: its constant strings; ``None`` for a positional shape
+        #: and as the placeholder of a computed one.
         self._pushed_values = tuple(
-            (None if isinstance(shape, PositionShape) else (shape.values or ()))
-            for shape in self.pushed
+            (shape.values or ()) if isinstance(shape, ValueShape) and shape.rhs is None
+            else None for shape in self.pushed
         )
+        #: The slots of ``pushed`` whose values arrive as inputs 1, 2, ….
+        self._computed = tuple(slot for slot, shape in enumerate(self.pushed)
+                               if isinstance(shape, ValueShape) and shape.rhs is not None)
+        if len(self._computed) != len(values) or (values and comparison is None):
+            raise AlgebraError("step join: one value input per computed shape, "
+                               "and a comparison for them")
         self._pushed_positional = any(isinstance(shape, PositionShape)
                                       for shape in self.pushed)
         #: The first pushed shape, when it is an equality the value index can
@@ -566,22 +620,29 @@ class StepJoin(Operator):
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0], require_nodes=True)
+        value_groups = [table.items_by_iteration()[0] for table in inputs[1:]]
         use_index = getattr(engine, "use_index", True)
-        index_set = None  # built lazily, shared by all iterations of this call
+        # shared by all iterations of this call; without value inputs it is
+        # built lazily, by the first iteration that needs it
+        index_set = IndexSet() if value_groups and use_index else None
         trace = engine.trace if self.pushed else None
         timer = perf_counter() if trace is not None else 0.0
-        iters: list = []
-        positions: list = []
-        items: list = []
+        values = self._pushed_values
+        results: list = []
         for iteration in order:
             nodes = per_iteration[iteration]
-            result = None
-            if len(nodes) == 1:
+            if value_groups:
+                values = self._iteration_values(iteration, value_groups)
+            if values is None:
+                result = self._general_step(nodes, iteration, value_groups,
+                                            use_index, index_set)
+            elif len(nodes) == 1:
                 # Singleton iterations (the loop-lifted common case) hit the
                 # per-run macro cache; the index accelerates the first
                 # computation inside _step.
-                result = self._step_ddo(nodes[0], engine)
+                result = self._step_ddo(nodes[0], engine, values, index_set)
             else:
+                result = None
                 if use_index and not self._pushed_positional:
                     # Whole-column contexts (fixpoint feedback) take one
                     # batch kernel on every axis: under µ∆ a node is fed
@@ -591,13 +652,12 @@ class StepJoin(Operator):
                     # the merged column directly.
                     if self.pushed and index_set is None:
                         index_set = IndexSet()
-                    result = self._probe(nodes, index_set, trace)
+                    result = self._probe(nodes, values, index_set, trace)
                     if result is None:
                         result = batch_step(nodes, self.axis, self.node_test_kind,
                                             self.node_test_name)
                         if result is not None and self.pushed:
-                            result = apply_shapes(result, self.pushed,
-                                                  self._pushed_values,
+                            result = apply_shapes(result, self.pushed, values,
                                                   use_index=True,
                                                   index_set=index_set)
                 if result is None:
@@ -605,18 +665,72 @@ class StepJoin(Operator):
                         index_set = IndexSet()
                     merged: list[Node] = []
                     for node in nodes:
-                        merged.extend(self._step_ddo(node, engine, index_set))
+                        merged.extend(self._step_ddo(node, engine, values, index_set))
                     result = ddo(merged)
-            iters.extend([iteration] * len(result))
-            positions.extend(range(1, len(result) + 1))
-            items.extend(result)
+            results.append((iteration, result))
         if trace is not None:
             trace.record_kernel(f"algebra-step:{self.axis}", True,
                                 perf_counter() - timer)
-        return engine.make_table_from_columns(("iter", "pos", "item"),
-                                              [iters, positions, items])
+        return _sequence_table(engine, results)
 
-    def _probe(self, nodes: list[Node], index_set, trace=None) -> list[Node] | None:
+    def _iteration_values(self, iteration, value_groups: list[dict]) -> tuple | None:
+        """The resolved values per pushed shape for one iteration: the
+        constants plus what the value inputs deliver for it — or ``None``
+        when one of those is not a string (see ``_general_step``)."""
+        resolved = list(self._pushed_values)
+        for slot, group in zip(self._computed, value_groups):
+            strings = string_values_or_none(group.get(iteration, ()))
+            if strings is None:
+                return None
+            resolved[slot] = strings
+        return tuple(resolved)
+
+    def _general_step(self, nodes: list[Node], iteration, value_groups: list[dict],
+                      use_index: bool, index_set) -> list[Node]:
+        """One iteration whose right-hand values are not all strings: a
+        numeric or boolean operand switches the general comparison to
+        promotion per operand pair (``"07" = 7``, ``FORG0001`` on ``"x" = 7``),
+        which no hash probe answers.  The step is enumerated per context
+        node and every shape applied in order, the computed ones by
+        comparing each candidate's operand values with the iteration's."""
+        given = dict(zip(self._computed,
+                         (group.get(iteration, ()) for group in value_groups)))
+        merged: list[Node] = []
+        for node in nodes:
+            current = self._step(node, use_index, index_set)
+            for slot, shape in enumerate(self.pushed):
+                if not current:
+                    break
+                if isinstance(shape, PositionShape):
+                    current = positional_filter(current, shape)
+                elif slot in given:
+                    current = [candidate for candidate in current
+                               if self._holds(candidate, shape, given[slot])]
+                else:
+                    current = apply_shapes(current, [shape], [self._pushed_values[slot]],
+                                           use_index=use_index, index_set=index_set)
+            merged.extend(current)
+        return ddo(merged)
+
+    def _holds(self, candidate: Node, shape: ValueShape, values: list) -> bool:
+        """``candidate[shape's left-hand side = values]``, existentially."""
+        owners = [candidate]
+        for name in shape.path:
+            owners = [child for owner in owners for child in owner.children
+                      if isinstance(child, ElementNode) and child.name == name]
+        for owner in owners:
+            operands = (owner.attribute_axis() if shape.target == "attr"
+                        else [child for child in owner.children
+                              if isinstance(child, ElementNode)])
+            for operand in operands:
+                if operand.name == shape.name:
+                    left = operand.typed_value()
+                    if any(self.comparison(left, right) for right in values):
+                        return True
+        return False
+
+    def _probe(self, nodes: list[Node], values: tuple, index_set,
+               trace=None) -> list[Node] | None:
         """The step with *all* pushed shapes applied, its first (equality)
         shape answered by index-side probing — or ``None`` to enumerate.
         The probed nodes come in document order, which for the forward axes
@@ -626,33 +740,35 @@ class StepJoin(Operator):
             return None
         result = probe_step(nodes, self.axis, self.node_test_kind,
                             self.node_test_name, self._probe_shape,
-                            lambda: self._pushed_values[0], index_set, trace)
+                            lambda: values[0], index_set, trace)
         if result is None:
             return None
-        return apply_shapes(result, self.pushed[1:], self._pushed_values[1:],
+        return apply_shapes(result, self.pushed[1:], values[1:],
                             use_index=True, index_set=index_set)
 
-    def _step_ddo(self, node: Node, engine, index_set=None) -> list[Node]:
+    def _step_ddo(self, node: Node, engine, values: tuple, index_set=None) -> list[Node]:
         """The step result for one context node — pushed shapes applied in
         axis order, then deduplicated and in document order — memoised per
         run (the step relation and the pushed constants of a static document
         do not change between fixpoint rounds, so re-fed fixpoint contexts
-        hit the cache every round)."""
+        hit the cache every round).  The memo is keyed (operator, node): an
+        operator with value inputs answers differently per iteration and
+        stays out of it."""
         use_index = getattr(engine, "use_index", True)
-        cache = getattr(engine, "macro_cache", None)
+        cache = None if self._computed else getattr(engine, "macro_cache", None)
         trace = getattr(engine, "trace", None)
         if cache is None:
-            return ddo(self._filtered_step(node, use_index, index_set, trace))
+            return ddo(self._filtered_step(node, values, use_index, index_set, trace))
         key = (self.operator_id, id(node))
         hit = cache.get(key)
         if hit is not None and hit[0] is node:
             return hit[1]
-        result = ddo(self._filtered_step(node, use_index, index_set, trace))
+        result = ddo(self._filtered_step(node, values, use_index, index_set, trace))
         cache[key] = (node, result)
         return result
 
-    def _filtered_step(self, node: Node, use_index: bool, index_set=None,
-                       trace=None) -> list[Node]:
+    def _filtered_step(self, node: Node, values: tuple, use_index: bool,
+                       index_set=None, trace=None) -> list[Node]:
         """One node's raw step result with the pushed shapes applied.
 
         The raw result is in the axis's *natural* order (reverse axes
@@ -660,12 +776,12 @@ class StepJoin(Operator):
         along; the caller applies the final ddo.
         """
         if use_index:
-            result = self._probe([node], index_set, trace)
+            result = self._probe([node], values, index_set, trace)
             if result is not None:
                 return result
         result = self._step(node, use_index, index_set)
         if self.pushed:
-            result = apply_shapes(result, self.pushed, self._pushed_values,
+            result = apply_shapes(result, self.pushed, values,
                                   use_index=use_index, index_set=index_set)
         return result
 
@@ -696,7 +812,8 @@ class StepJoin(Operator):
         else:
             test = f"{self.node_test_kind}({self.node_test_name or ''})"
         pushed = f"[{len(self.pushed)} pushed]" if self.pushed else ""
-        return f"{self.axis}::{test}{pushed}"
+        joined = f"⋈{len(self._computed)}" if self._computed else ""
+        return f"{self.axis}::{test}{pushed}{joined}"
 
 
 class IdLookup(Operator):
@@ -710,6 +827,7 @@ class IdLookup(Operator):
 
     symbol = "id"
     union_pushable = True
+    node_valued = True
 
     def __init__(self, child: Operator, document: DocumentNode):
         super().__init__([child])
@@ -718,16 +836,41 @@ class IdLookup(Operator):
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0])
-        iters: list = []
-        positions: list = []
-        items: list = []
+        return _sequence_table(engine, [
+            (iteration, ddo(batch_id(self.document, per_iteration[iteration])))
+            for iteration in order])
+
+
+class PathResult(Operator):
+    """The result rule of ``E1/E2`` for a general right-hand side, per
+    iteration: all nodes → duplicate-free in document order (``fs:ddo``);
+    all atomic values → kept as they are, in iteration order; a mix is the
+    type error ``XPTY0018``.
+
+    Input: ``iter|item`` — the mapped results of *E2*.  On nodes it changes
+    order and duplicates only (which distributivity is defined up to,
+    Section 4.1), on atomic values nothing: the checker skips it exactly as
+    it skipped the δ that used to stand here — and that sorted nothing and
+    dropped equal atomic values.
+    """
+
+    symbol = "ddo"
+    union_pushable = False
+    order_or_duplicates_only = True
+
+    def compute(self, inputs, engine):
+        per_iteration, order = _group_items_by_iteration(inputs[0])
+        results: list = []
         for iteration in order:
-            ordered = ddo(batch_id(self.document, per_iteration[iteration]))
-            iters.extend([iteration] * len(ordered))
-            positions.extend(range(1, len(ordered) + 1))
-            items.extend(ordered)
-        return engine.make_table_from_columns(("iter", "pos", "item"),
-                                              [iters, positions, items])
+            result = per_iteration[iteration]
+            nodes = sum(1 for item in result if is_node(item))
+            if nodes == len(result):
+                result = ddo(result)
+            elif nodes:
+                raise XQueryTypeError("path result mixes nodes and atomic values",
+                                      code="XPTY0018")
+            results.append((iteration, result))
+        return _sequence_table(engine, results)
 
 
 class AtomizeValue(Operator):

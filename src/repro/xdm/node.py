@@ -347,6 +347,9 @@ class ElementNode(Node):
         return None
 
     def string_value(self) -> str:
+        children = self._children
+        if len(children) == 1 and isinstance(children[0], TextNode):
+            return children[0].content  # a leaf: no subtree to walk
         parts: list[str] = []
         for node in self.descendant_or_self_axis():
             if isinstance(node, TextNode):

@@ -110,44 +110,62 @@ def recursion_headroom(limit: int = PYTHON_RECURSION_LIMIT):
                 _RECURSION_SAVED = None
 
 
+#: Expression type → name of the ``Evaluator`` method that evaluates it.
+_HANDLERS: dict[type, str] = {
+    ast.Literal: "_eval_literal",
+    ast.EmptySequence: "_eval_empty_sequence",
+    ast.VarRef: "_eval_var_ref",
+    ast.ContextItem: "_eval_context_item",
+    ast.SequenceExpr: "_eval_sequence",
+    ast.RangeExpr: "_eval_range",
+    ast.UnionExpr: "_eval_union",
+    ast.IntersectExpr: "_eval_intersect",
+    ast.ExceptExpr: "_eval_except",
+    ast.OrExpr: "_eval_or",
+    ast.AndExpr: "_eval_and",
+    ast.GeneralComparison: "_eval_general_comparison",
+    ast.ValueComparison: "_eval_value_comparison",
+    ast.NodeComparison: "_eval_node_comparison",
+    ast.ArithmeticExpr: "_eval_arithmetic",
+    ast.UnaryExpr: "_eval_unary",
+    ast.ForExpr: "_eval_for",
+    ast.LetExpr: "_eval_let",
+    ast.IfExpr: "_eval_if",
+    ast.QuantifiedExpr: "_eval_quantified",
+    ast.TypeswitchExpr: "_eval_typeswitch",
+    ast.WithExpr: "_eval_with",
+    ast.PathExpr: "_eval_path",
+    ast.RootExpr: "_eval_root",
+    ast.AxisStep: "_eval_axis_step",
+    ast.FilterExpr: "_eval_filter",
+    ast.FunctionCall: "_eval_function_call",
+    ast.DirectElementConstructor: "_eval_direct_element",
+    ast.ComputedConstructor: "_eval_computed_constructor",
+    ast.OrderedExpr: "_eval_ordered",
+    ast.CastExpr: "_eval_cast",
+    ast.InstanceOfExpr: "_eval_instance_of",
+}
+
+
 class Evaluator:
     """Evaluates parsed queries against a dynamic context."""
 
-    def __init__(self):
-        self._dispatch: dict[type, Callable[[Any, DynamicContext], Sequence]] = {
-            ast.Literal: self._eval_literal,
-            ast.EmptySequence: lambda e, c: [],
-            ast.VarRef: self._eval_var_ref,
-            ast.ContextItem: self._eval_context_item,
-            ast.SequenceExpr: self._eval_sequence,
-            ast.RangeExpr: self._eval_range,
-            ast.UnionExpr: self._eval_union,
-            ast.IntersectExpr: self._eval_intersect,
-            ast.ExceptExpr: self._eval_except,
-            ast.OrExpr: self._eval_or,
-            ast.AndExpr: self._eval_and,
-            ast.GeneralComparison: self._eval_general_comparison,
-            ast.ValueComparison: self._eval_value_comparison,
-            ast.NodeComparison: self._eval_node_comparison,
-            ast.ArithmeticExpr: self._eval_arithmetic,
-            ast.UnaryExpr: self._eval_unary,
-            ast.ForExpr: self._eval_for,
-            ast.LetExpr: self._eval_let,
-            ast.IfExpr: self._eval_if,
-            ast.QuantifiedExpr: self._eval_quantified,
-            ast.TypeswitchExpr: self._eval_typeswitch,
-            ast.WithExpr: self._eval_with,
-            ast.PathExpr: self._eval_path,
-            ast.RootExpr: self._eval_root,
-            ast.AxisStep: self._eval_axis_step,
-            ast.FilterExpr: self._eval_filter,
-            ast.FunctionCall: self._eval_function_call,
-            ast.DirectElementConstructor: self._eval_direct_element,
-            ast.ComputedConstructor: self._eval_computed_constructor,
-            ast.OrderedExpr: self._eval_ordered,
-            ast.CastExpr: self._eval_cast,
-            ast.InstanceOfExpr: self._eval_instance_of,
-        }
+    #: Expression type → handler, resolved once per *class* as plain
+    #: functions (called ``handler(self, expr, context)``).  A dict of bound
+    #: methods per instance would make every evaluator a reference cycle —
+    #: one per query, freed only by a full garbage collection.
+    _dispatch: dict[type, Callable[["Evaluator", Any, DynamicContext], Sequence]]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._resolve_dispatch()
+
+    @classmethod
+    def _resolve_dispatch(cls) -> None:
+        """Look the handlers up on *cls*, so that a subclass overriding any
+        ``_eval_*`` method gets a table that calls its override."""
+        cls._dispatch = {expr_type: getattr(cls, name)
+                         for expr_type, name in _HANDLERS.items()}
 
     # ------------------------------------------------------------------ entry points
 
@@ -174,12 +192,15 @@ class Evaluator:
         handler = self._dispatch.get(type(expr))
         if handler is None:
             raise XQueryStaticError(f"unsupported expression type {type(expr).__name__}")
-        return handler(expr, context)
+        return handler(self, expr, context)
 
     # ------------------------------------------------------------------ leaves
 
     def _eval_literal(self, expr: ast.Literal, context: DynamicContext) -> Sequence:
         return [expr.value]
+
+    def _eval_empty_sequence(self, expr: ast.EmptySequence, context: DynamicContext) -> Sequence:
+        return []
 
     def _eval_var_ref(self, expr: ast.VarRef, context: DynamicContext) -> Sequence:
         return list(context.variable(expr.name))
@@ -855,6 +876,9 @@ class Evaluator:
     def _eval_instance_of(self, expr: ast.InstanceOfExpr, context: DynamicContext) -> Sequence:
         value = self.evaluate(expr.operand, context)
         return [matches_sequence_type(value, expr.sequence_type)]
+
+
+Evaluator._resolve_dispatch()  # __init_subclass__ covers only subclasses
 
 
 # ---------------------------------------------------------------------------

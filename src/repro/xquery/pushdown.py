@@ -35,7 +35,8 @@ shared seam all three engines route such predicates through:
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
-compiler attaches recognized shapes to the step), and the SQL emitter
+compiler attaches recognized shapes to the step, and the plans of their
+computed right-hand sides as value inputs), and the SQL emitter
 reuses the recognizer to translate the single-step shapes with constant
 right-hand sides into ``EXISTS`` probes against the shredded
 ``attr``/``node`` tables (it declines relative paths and computed
@@ -58,10 +59,20 @@ Semantics notes
 * A focus-free right-hand side is resolved once per predicate
   *application* — and only when the application has a candidate: a
   predicate that is never evaluated must not raise.  The interpreter
-  resolves it where it applies the predicate; the algebra compiler
-  declines computed right-hand sides in ``_split_pushable`` (no
-  compile-time value) and joins them per outer iteration instead
+  resolves it where it applies the predicate.  The algebra engine has no
+  such moment — a plan input is evaluated for every iteration — so its
+  compiler (``AlgebraCompiler._value_input``) makes a computed side an
+  input of the step macro only when it *cannot* raise: a variable,
+  optionally behind predicate-free axis steps from a plan that is
+  node-valued by construction.  The macro then resolves per iteration,
+  with the values that iteration's ``iter`` delivers.  Every other
+  computed side is joined per outer iteration that has a candidate
   (``AlgebraCompiler._value_join``).
+* A shape with ``values`` carries constants; one that still has its
+  ``rhs`` is *computed* — the interpreter evaluates the expression, the
+  algebra's step macro reads a value input.  No resolved value is ever
+  stored on a computed shape, so nothing value-dependent enters a cached
+  plan.
 * The path-value index behind the relative-path shapes
   (:meth:`~repro.xdm.index.StructuralIndex.path_value_owners`) is a value
   index like the others: lazy, and dropped by the value-mutation hook.
@@ -98,8 +109,9 @@ class ValueShape:
     ``[seller/@person …]``, empty for the single-step shapes).
     ``rhs`` is the compared focus-free expression (``None`` for bare
     existence tests); ``values`` optionally carries compile-time-resolved
-    constant strings (the algebra compiler resolves eagerly, the
-    interpreter resolves per application).
+    constant strings (the algebra compiler resolves constants eagerly and
+    then drops ``rhs``; a computed side keeps it and is resolved per
+    application by the interpreter, per iteration by the step macro).
     """
 
     target: str

@@ -117,6 +117,25 @@ class TestValues:
         assert a.string_value() == "alpha"
         assert tree.document_element().string_value() == "alpha"
 
+    @pytest.mark.parametrize("content, expected", [
+        ([text("only")], "only"),                                   # the leaf fast path
+        ([], ""),
+        ([text("one"), text("two")], "onetwo"),
+        ([text("a"), element("x", text("b"), element("y", text("c"))), text("d")], "abcd"),
+        ([element("x", text("deep"))], "deep"),                     # one child, not text
+        ([comment("no"), text("yes"), processing_instruction("t", "no")], "yes"),
+        ([comment("no")], ""),
+    ])
+    def test_string_value_of_element_shapes(self, content, expected):
+        assert element("e", *content).string_value() == expected
+
+    def test_string_value_sees_a_text_rewrite(self):
+        leaf = element("e", text("before"))
+        assert leaf.string_value() == "before"
+        leaf.children[0].set_value("after")
+        assert leaf.string_value() == "after"
+        assert leaf.typed_value() == "after"
+
     def test_typed_value_is_untyped_atomic(self, tree):
         from repro.xdm.items import UntypedAtomic
 

@@ -211,3 +211,61 @@ class TestFunctionsAndVariables:
 
     def test_prolog_variables_visible_in_body(self):
         assert run('declare variable $two := 2; $two * 3') == [6]
+
+
+class TestNoCyclicGarbage:
+    """An evaluator is made per query: it must be freed by reference
+    counting alone, not wait for a full garbage collection."""
+
+    @pytest.fixture()
+    def no_gc(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            yield gc
+        finally:
+            gc.enable()
+
+    def test_an_evaluator_is_not_a_reference_cycle(self, no_gc):
+        import weakref
+
+        from repro.sqlbackend.executor import SQLEvaluator
+        from repro.xquery.evaluator import Evaluator
+
+        for factory in (Evaluator, SQLEvaluator):
+            evaluator = factory()
+            reference = weakref.ref(evaluator)
+            del evaluator
+            assert reference() is None, factory.__name__
+
+    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
+    def test_queries_leave_nothing_for_the_collector(self, engine, no_gc):
+        from repro import Session
+
+        session = Session(documents={"lib.xml": DOC})
+        queries = ['doc("lib.xml")//book[@year = "2001"]/title',
+                   'for $b in doc("lib.xml")//book return doc("lib.xml")//*[@year = $b/@year]',
+                   'with $x seeded by doc("lib.xml")//title recurse $x/parent::*']
+        for query in queries:  # warm-up: caches, indexes, the SQLite shred
+            session.evaluate(query, engine=engine)
+        no_gc.collect()
+        for _ in range(7):
+            for query in queries:
+                session.evaluate(query, engine=engine)
+        assert no_gc.collect() == 0
+        session.close()
+
+    def test_a_subclass_override_is_dispatched_to(self):
+        from repro.xquery.context import DynamicContext
+        from repro.xquery.evaluator import Evaluator
+        from repro.xquery.parser import parse_expression
+
+        class Shouting(Evaluator):
+            def _eval_literal(self, expr, context):
+                return [str(expr.value).upper()]
+
+        expr = parse_expression('("a", "b")')
+        assert Shouting().evaluate(expr, DynamicContext()) == ["A", "B"]
+        assert Evaluator().evaluate(expr, DynamicContext()) == ["a", "b"]
