@@ -35,7 +35,9 @@ value shape compared with a compile-time constant carries the constant;
 one compared with a *computed* side that cannot raise (``_value_input``:
 a variable, or predicate-free steps from a node-valued one) makes that
 side's plan — compiled in the step's own loop — an extra input of the
-macro, which then joins by value per iteration.  Every other predicate
+macro, which then joins by value per iteration (a positional shape behind
+such a side slices what the iteration's whole value *set* kept: that macro
+blocks the ∪ push-up, see :class:`StepJoin`).  Every other predicate
 compiles to the generic plan (``_apply_predicate``): tag the candidates,
 evaluate the predicate per candidate, keep the survivors; its ``=``
 conditions with a focus-free side run as a value join per outer iteration
@@ -339,7 +341,9 @@ class AlgebraCompiler:
                     # out of it, and nothing could be probed behind a
                     # position anyway) and the value join filters the few
                     # survivors.  One *behind* is pushed: it slices, per
-                    # context node, what this iteration's values kept.
+                    # context node, what this iteration's values kept (and
+                    # the macro stops being a ``step`` template: a slice of
+                    # what a value set kept does not distribute over it).
                     positional = any(isinstance(s, PositionShape) for s in pushed)
                     plan = None if positional else self._value_input(shape.rhs, context)
                     if plan is None:
@@ -387,8 +391,8 @@ class AlgebraCompiler:
         """
         tagged = RowTag(source, "inner")
         inner_loop = Project(tagged, [("iter", "inner")])
-        item_plan = self._with_pos(Project(tagged, [("iter", "inner"), ("item", "item")]))
-        item_plan.node_valued = source.node_valued
+        item_plan = _same_items(source, self._with_pos(
+            Project(tagged, [("iter", "inner"), ("item", "item")])))
 
         lifted_environment = {
             name: self._lift_plan(plan, tagged)
@@ -425,9 +429,8 @@ class AlgebraCompiler:
         """
         mapping = Project(tagged, [("outer_iter", "iter"), ("inner", "inner")])
         joined = Join(mapping, plan, [("outer_iter", "iter")])
-        lifted = Project(joined, [("iter", "inner"), ("pos", "pos"), ("item", "item")])
-        lifted.node_valued = plan.node_valued
-        return lifted
+        return _same_items(plan, Project(
+            joined, [("iter", "inner"), ("pos", "pos"), ("item", "item")]))
 
     # ------------------------------------------------------------------ predicates and filters
 
@@ -458,7 +461,8 @@ class AlgebraCompiler:
         # keep candidate rows whose inner iteration survived the predicate
         joined = Join(tagged, Project(selected, [("selected_iter", "iter")]),
                       [("inner", "selected_iter")])
-        return Project(joined, [("iter", "iter"), ("pos", "pos"), ("item", "item")])
+        return _same_items(candidates, Project(
+            joined, [("iter", "iter"), ("pos", "pos"), ("item", "item")]))
 
     def _value_join(self, predicate: ast.Expr, tagged: Operator,
                     inner_context: CompilationContext,
@@ -774,6 +778,17 @@ class AlgebraCompiler:
     def _uses_context_item(self, expr: ast.Expr) -> bool:
         return any(isinstance(sub, (ast.ContextItem, ast.RootExpr))
                    for sub in expr.iter_subexpressions())
+
+
+def _same_items(source: Operator, plan: Operator) -> Operator:
+    """*plan* re-addresses or selects the items of *source* and adds none
+    (a loop lift, a ``for``/path item plan, a predicate's survivors), so it
+    delivers nodes by construction wherever *source* does.  The one place
+    the compiler hands :attr:`Operator.node_valued` on — what
+    :meth:`AlgebraCompiler._value_input` may step from without being able
+    to raise."""
+    plan.node_valued = source.node_valued
+    return plan
 
 
 # ---------------------------------------------------------------------------

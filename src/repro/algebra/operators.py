@@ -44,7 +44,6 @@ from repro.xquery.pushdown import (
     PositionShape,
     ValueShape,
     apply_shapes,
-    positional_filter,
     probe_step,
     string_values_or_none,
 )
@@ -78,8 +77,9 @@ class Operator:
     #: irrelevant (Section 4.1): duplicate elimination and row numbering.
     order_or_duplicates_only: bool = False
     #: True when the ``item`` column holds nodes *by construction* (steps,
-    #: ``fn:id``, ``fn:doc``, the recursion input; the compiler copies the
-    #: flag onto re-addressed copies of such plans): an axis step over it
+    #: ``fn:id``, ``fn:doc``, the recursion input; the compiler hands the
+    #: flag on to plans that re-address or select such a plan's items, in
+    #: ``compiler._same_items`` and nowhere else): an axis step over it
     #: cannot raise, whichever iterations it is evaluated for.
     node_valued: bool = False
 
@@ -577,10 +577,19 @@ class StepJoin(Operator):
     nothing), through the same kernels — index-side probing first — so it
     costs the value index's owners, not candidates × iterations.  No value
     is kept on the operator; a cached plan reads them afresh every run.  An
-    iteration with a value that is not a string enumerates its step and
-    compares per candidate with *comparison* (general-comparison promotion,
-    errors included).  Whichever input the recursion variable reaches the
-    macro through, it is the ``step`` template for the ∪ push-up check.
+    input that delivers an iteration a value that is not a string is
+    answered by enumerating the step and comparing per candidate with
+    *comparison* (general-comparison promotion, errors included).
+
+    The macro distributes over its context input, and — a candidate is kept
+    when *some* value matches — over its value inputs, so whichever input
+    the recursion variable reaches it through it is the ``step`` template
+    of the ∪ push-up check.  The exception is a positional shape *behind* a
+    computed one: it slices what all of an iteration's values kept, and
+    ``first(A ∪ B) ≠ first(A) ∪ first(B)``.  Such a macro is no template
+    and blocks the ∪ (``union_pushable`` false: the fixpoint runs µ) —
+    also when the recursion variable arrives through the context input
+    only, where Delta would be safe: the check does not tell inputs apart.
     """
 
     symbol = "step"
@@ -609,14 +618,18 @@ class StepJoin(Operator):
         if len(self._computed) != len(values) or (values and comparison is None):
             raise AlgebraError("step join: one value input per computed shape, "
                                "and a comparison for them")
-        self._pushed_positional = any(isinstance(shape, PositionShape)
-                                      for shape in self.pushed)
+        positional = [slot for slot, shape in enumerate(self.pushed)
+                      if isinstance(shape, PositionShape)]
+        self._pushed_positional = bool(positional)
+        if self._computed and positional and positional[-1] > self._computed[0]:
+            self.union_pushable = False  # slices what a value *set* kept
+        else:
+            self.template = "step"
         #: The first pushed shape, when it is an equality the value index can
         #: answer from its side (see ``_probe``).
         self._probe_shape = (self.pushed[0] if self.pushed
                              and not isinstance(self.pushed[0], PositionShape)
                              and not self.pushed[0].existence else None)
-        self.template = "step"
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0], require_nodes=True)
@@ -633,10 +646,7 @@ class StepJoin(Operator):
             nodes = per_iteration[iteration]
             if value_groups:
                 values = self._iteration_values(iteration, value_groups)
-            if values is None:
-                result = self._general_step(nodes, iteration, value_groups,
-                                            use_index, index_set)
-            elif len(nodes) == 1:
+            if len(nodes) == 1:
                 # Singleton iterations (the loop-lifted common case) hit the
                 # per-run macro cache; the index accelerates the first
                 # computation inside _step.
@@ -673,61 +683,30 @@ class StepJoin(Operator):
                                 perf_counter() - timer)
         return _sequence_table(engine, results)
 
-    def _iteration_values(self, iteration, value_groups: list[dict]) -> tuple | None:
+    def _iteration_values(self, iteration, value_groups: list[dict]) -> tuple:
         """The resolved values per pushed shape for one iteration: the
-        constants plus what the value inputs deliver for it — or ``None``
-        when one of those is not a string (see ``_general_step``)."""
+        constants plus what the value inputs deliver for it.  Strings go to
+        the hash kernels as they are.  A numeric or boolean value switches
+        the general comparison to promotion per operand pair (``"07" = 7``,
+        ``FORG0001`` on ``"x" = 7``), which no hash probe answers: that
+        slot gets a predicate comparing a candidate's operand node with the
+        iteration's values, for :func:`apply_shapes` to ask per candidate."""
         resolved = list(self._pushed_values)
         for slot, group in zip(self._computed, value_groups):
-            strings = string_values_or_none(group.get(iteration, ()))
-            if strings is None:
-                return None
-            resolved[slot] = strings
+            given = group.get(iteration, ())
+            strings = string_values_or_none(given)
+            resolved[slot] = self._matcher(given) if strings is None else strings
         return tuple(resolved)
 
-    def _general_step(self, nodes: list[Node], iteration, value_groups: list[dict],
-                      use_index: bool, index_set) -> list[Node]:
-        """One iteration whose right-hand values are not all strings: a
-        numeric or boolean operand switches the general comparison to
-        promotion per operand pair (``"07" = 7``, ``FORG0001`` on ``"x" = 7``),
-        which no hash probe answers.  The step is enumerated per context
-        node and every shape applied in order, the computed ones by
-        comparing each candidate's operand values with the iteration's."""
-        given = dict(zip(self._computed,
-                         (group.get(iteration, ()) for group in value_groups)))
-        merged: list[Node] = []
-        for node in nodes:
-            current = self._step(node, use_index, index_set)
-            for slot, shape in enumerate(self.pushed):
-                if not current:
-                    break
-                if isinstance(shape, PositionShape):
-                    current = positional_filter(current, shape)
-                elif slot in given:
-                    current = [candidate for candidate in current
-                               if self._holds(candidate, shape, given[slot])]
-                else:
-                    current = apply_shapes(current, [shape], [self._pushed_values[slot]],
-                                           use_index=use_index, index_set=index_set)
-            merged.extend(current)
-        return ddo(merged)
+    def _matcher(self, given: list) -> Callable[[Node], bool]:
+        """``operand = given`` as a general comparison, existentially."""
+        comparison = self.comparison
 
-    def _holds(self, candidate: Node, shape: ValueShape, values: list) -> bool:
-        """``candidate[shape's left-hand side = values]``, existentially."""
-        owners = [candidate]
-        for name in shape.path:
-            owners = [child for owner in owners for child in owner.children
-                      if isinstance(child, ElementNode) and child.name == name]
-        for owner in owners:
-            operands = (owner.attribute_axis() if shape.target == "attr"
-                        else [child for child in owner.children
-                              if isinstance(child, ElementNode)])
-            for operand in operands:
-                if operand.name == shape.name:
-                    left = operand.typed_value()
-                    if any(self.comparison(left, right) for right in values):
-                        return True
-        return False
+        def matches(operand: Node) -> bool:
+            left = operand.typed_value()
+            return any(comparison(left, right) for right in given)
+
+        return matches
 
     def _probe(self, nodes: list[Node], values: tuple, index_set,
                trace=None) -> list[Node] | None:
@@ -736,7 +715,7 @@ class StepJoin(Operator):
         The probed nodes come in document order, which for the forward axes
         probing covers is the axis order later positional shapes count in
         (callers with several context nodes have none)."""
-        if self._probe_shape is None:
+        if self._probe_shape is None or callable(values[0]):
             return None
         result = probe_step(nodes, self.axis, self.node_test_kind,
                             self.node_test_name, self._probe_shape,

@@ -55,7 +55,9 @@ Semantics notes
   compared against a string is plain string equality, which is exactly a
   hash probe.  A numeric operand would switch the XQuery general
   comparison to numeric promotion (``"07" = 7`` is true) — those fall
-  back.
+  back: the interpreter to its focus loop; the algebra's step macro hands
+  :func:`apply_shapes` a predicate over the operand node in place of the
+  strings, asked per candidate.
 * A focus-free right-hand side is resolved once per predicate
   *application* — and only when the application has a candidate: a
   predicate that is never evaluated must not raise.  The interpreter
@@ -86,7 +88,7 @@ Semantics notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Container, Iterable, Iterator
 
 from repro.xdm.index import PROBE_AXES, IndexSet, batch_probe
 from repro.xdm.items import UntypedAtomic, is_node
@@ -369,9 +371,10 @@ def resolve_rhs(shape: ValueShape,
 # ---------------------------------------------------------------------------
 
 
-def _node_passes_naive(node: Node, shape: ValueShape,
-                       values: frozenset | None) -> bool:
-    """Per-node value test without the index (small batches, --no-index)."""
+def _shape_operands(node: Node, shape: ValueShape) -> Iterator[Node]:
+    """The nodes *shape*'s left-hand side selects from *node*: the
+    attributes or child elements called ``shape.name``, behind the child
+    steps of ``shape.path`` — in document order."""
     owners = [node]
     for step in shape.path:
         owners = [child for owner in owners for child in owner.children
@@ -379,15 +382,19 @@ def _node_passes_naive(node: Node, shape: ValueShape,
     for owner in owners:
         if shape.target == "attr":
             for attribute in owner.attribute_axis():
-                if attribute.name == shape.name and (
-                        values is None or attribute.value in values):
-                    return True
+                if attribute.name == shape.name:
+                    yield attribute
         else:
             for child in owner.children:
-                if isinstance(child, ElementNode) and child.name == shape.name and (
-                        values is None or child.string_value() in values):
-                    return True
-    return False
+                if isinstance(child, ElementNode) and child.name == shape.name:
+                    yield child
+
+
+def _node_passes_naive(node: Node, shape: ValueShape,
+                       values: frozenset | None) -> bool:
+    """Per-node value test without the index (small batches, --no-index)."""
+    return any(values is None or operand.string_value() in values
+               for operand in _shape_operands(node, shape))
 
 
 def _owner_pres(idx, shape: ValueShape, values: tuple[str, ...]):
@@ -514,16 +521,26 @@ def positional_filter(items: list, shape: PositionShape) -> list:
 
 
 def apply_shapes(items: list, shapes: Iterable[Shape],
-                 resolved: Iterable[tuple[str, ...] | None],
+                 resolved: Iterable[tuple[str, ...] | Callable[[Node], bool] | None],
                  use_index: bool = True,
                  index_set: IndexSet | None = None) -> list:
-    """Apply a sequence of shapes (with pre-resolved values) in order."""
+    """Apply a sequence of shapes (with pre-resolved values) in order.
+
+    A value shape's entry in *resolved* is its strings — or, for a
+    comparison string membership does not answer (a numeric operand
+    promotes per operand pair, and may raise), a predicate over the operand
+    node: an item is kept when one of the nodes its left-hand side selects
+    satisfies it, asked in document order.
+    """
     current = list(items)
     for shape, values in zip(shapes, resolved):
         if not current:
             break
         if isinstance(shape, PositionShape):
             current = positional_filter(current, shape)
+        elif callable(values):
+            current = [item for item in current
+                       if any(map(values, _shape_operands(item, shape)))]
         else:
             current = apply_value_shape(current, shape, values or (),
                                         use_index=use_index, index_set=index_set)

@@ -277,6 +277,7 @@ COMPUTED_RHS_QUERIES = [
     'for $c in {d}//wrap return {d}//item/sub[@k = $c/@k]',       # several context nodes
     'for $c in {d}//wrap return {d}//item/ancestor::wrap[@k = $c/@k]',  # an axis nothing probes
     '{d}//wrap/(for $c in item return ../*[@k = $c/@k])',         # inside a general path map
+    'for $c in {d}//wrap[count(item) >= 1] return {d}//item[@k = $c/@k]',  # a filtered variable
 ]
 
 
@@ -321,7 +322,8 @@ class TestComputedRhsJoin:
 
     # -- (c) values that are not strings keep general-comparison semantics
 
-    NUMBERS = '<r><a n="07"/><a n="8"/><a n="7.0"><c>7</c><c>x</c></a><a n="9"/></r>'
+    NUMBERS = ('<r><a n="07" t="u"/><a n="8" t="w"/><a n="7.0"><c>7</c><c>x</c></a>'
+               '<a n="9"/></r>')
 
     @pytest.mark.parametrize("query, expected", [
         ('for $k in (7, 8) return {d}//a[@n = $k]/@n', ["07", "7.0", "8"]),
@@ -329,6 +331,9 @@ class TestComputedRhsJoin:
         ('for $k in (7, 7.0) return {d}//a[c = $k]/@n', ["7.0", "7.0"]),  # "7" = 7 before "x" = 7
         ('for $k in (7, 8) return {d}//a[@n = $k][1]/@n', ["07", "8"]),
         ('for $k in (7, 8) return {d}//none[@n = $k]', []),
+        # one input numeric (compared per candidate), one strings (hashed)
+        ('for $k in (7, 8) return for $s in ("u", "w") return {d}//a[@n = $k][@t = $s]/@n',
+         ["07", "8"]),
     ])
     def test_numeric_values_promote_like_the_interpreter(self, query, expected):
         documents = {"n.xml": self.NUMBERS}
@@ -379,6 +384,20 @@ class TestComputedRhsJoin:
         assert any(isinstance(op, ValueEqualJoin) for op in plan.iter_operators())
         assert all(len(op.children) == 1 for op in plan.iter_operators()
                    if isinstance(op, StepJoin))
+
+    def test_a_filtered_node_variable_still_steps_into_an_input(self):
+        """Node-ness is handed on by every plan that re-addresses or selects
+        a node-valued plan's items — loop lifts, ``for`` item plans, a
+        generic predicate's survivors — so a step from such a variable is
+        accepted, not sent back to the value join."""
+        documents = {"r.xml": random_document(0)}
+        (plan,) = _compiled_plans(
+            'let $d := doc("r.xml") for $c in $d//wrap[count(item) >= 1] '
+            'return for $i in (1, 2) return $d//item[@k = $c/@k]', documents)
+        (step,) = [op for op in plan.iter_operators()
+                   if isinstance(op, StepJoin) and op.node_test_name == "item" and op.pushed]
+        assert len(step.children) == 2
+        assert not any(isinstance(op, ValueEqualJoin) for op in plan.iter_operators())
 
     # -- (d) positional shapes around a computed one
 
@@ -484,6 +503,77 @@ class TestComputedRhsJoin:
         interpreted = evaluate(query, documents=resolver, use_cache=False, trace=True)
         assert len(rounds(result.trace)) > 2
         assert rounds(result.trace) == rounds(interpreted.trace)
+
+    # -- (g) … except behind a position: first(A ∪ B) ≠ first(A) ∪ first(B)
+
+    @staticmethod
+    def chain_document(seed: int, count: int = 7):
+        """``n`` elements linked by ``@next`` along a random permutation, so
+        following the links visits them out of document order."""
+        order = list(range(1, count))
+        random.Random(seed).shuffle(order)
+        successor = dict(zip([0] + order, order))
+        return parse_xml("<r>" + "".join(
+            f'<n id="n{i}"' + (f' next="n{successor[i]}"' if i in successor else "") + "/>"
+            for i in range(count)) + "</r>")
+
+    SLICED = ('declare variable $d := doc("c.xml"); '
+              'with $x seeded by $d//n[@id = "n0"] recurse {body}{using}')
+
+    @pytest.mark.parametrize("body", ['$d//n[@id = $x/@next][1]',
+                                      '$d//n[@id = $x/@next][last()]/self::n'])
+    def test_a_position_behind_a_value_input_blocks_delta(self, body):
+        """``$d//n[@id = $x/@next][1]`` keeps the first of what *all* of
+        ``$x`` links to: not distributive in the value input, so the macro
+        is no ``step`` template there and the algebra engine runs µ — like
+        the interpreter, whose syntactic check sees ``$x`` in a predicate."""
+        for seed in range(6):
+            resolver = DocumentResolver()
+            resolver.register("c.xml", self.chain_document(seed))
+            for using in ("", " using naive", " using delta"):
+                query = self.SLICED.format(body=body, using=using)
+                run = lambda **settings: evaluate(  # noqa: E731
+                    query, documents=resolver, use_cache=False, **settings)
+                expected = run(engine="interpreter", use_pushdown=False,
+                               use_index=False).items
+                for engine, backend in ENGINE_BACKENDS:
+                    for use_index in (True, False):
+                        got = run(engine=engine, backend=backend, use_index=use_index,
+                                  trace=True)
+                        assert _same_items(got.items, expected), (seed, using, engine, backend)
+                        if engine == "algebra":
+                            (span,) = got.trace.find_all("fixpoint")
+                            assert span.attributes["variant"] == (
+                                "mu_delta" if "delta" in using else "mu")
+                with pytest.raises(AlgebraError):  # as ever without pushdown
+                    run(engine="algebra", use_pushdown=False)
+        # the counterexample is one: Delta, when forced, answers differently
+        naive, delta = (evaluate(self.SLICED.format(body=body, using=using),
+                                 documents=resolver, use_cache=False).items
+                        for using in (" using naive", " using delta"))
+        assert len(delta) > len(naive)
+
+    def test_only_a_position_behind_a_computed_shape_stops_the_template(self):
+        document = parse_xml("<r/>")
+        from repro.algebra.operators import LiteralTable
+        from repro.algebra.table import Table
+
+        table = LiteralTable(Table(("iter", "pos", "item"), [(1, 1, document)]))
+        computed = pushdown.recognize_predicate(parse_expression("@k = $v"))
+        constant = pushdown.ValueShape("attr", "k", values=("x",))
+        first = pushdown.PositionShape("=", 1)
+
+        def macro(*pushed):
+            inputs = [table] * sum(shape is computed for shape in pushed)
+            return StepJoin(table, "child", "name", "a", pushed=pushed, values=inputs,
+                            comparison=lambda a, b: a == b)
+
+        for pushed in ((), (first,), (constant, first), (computed,), (computed, constant),
+                       (first, computed)):
+            assert macro(*pushed).template == "step" and macro(*pushed).union_pushable
+        for pushed in ((computed, first), (constant, computed, constant, first),
+                       (first, computed, first)):
+            assert macro(*pushed).template is None and not macro(*pushed).union_pushable
 
     def test_without_pushdown_the_plan_is_the_classical_one(self):
         documents = {"a.xml": auction_document(0)}
@@ -851,6 +941,27 @@ class TestRecognizer:
                 assert pushdown.positional_filter(items, shape) == expected
         assert pushdown.positional_filter(items, pushdown.PositionShape("=", None)) == [7]
         assert pushdown.positional_filter([], pushdown.PositionShape("=", None)) == []
+
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_a_shape_takes_an_operand_predicate_in_place_of_strings(self, use_index):
+        """What string membership cannot answer is asked per candidate: of
+        the nodes the shape's left-hand side selects, in document order,
+        until one holds — between the other shapes, in their order."""
+        root = parse_xml('<r><a m="1"><b k="3"/><b k="8"/></a><a><b k="9"/></a>'
+                         '<a m="1"><b k="2"/></a><a m="1"><b k="7"/></a></r>').document_element()
+        shapes = [pushdown.ValueShape("attr", "m"),
+                  pushdown.ValueShape("attr", "k", rhs=parse_expression("$v"), path=("b",)),
+                  pushdown.PositionShape("=", 2)]
+        asked: list[str] = []
+
+        def above_five(operand) -> bool:
+            asked.append(operand.value)
+            return int(operand.value) > 5
+
+        kept = pushdown.apply_shapes(root.children, shapes, [(), above_five, None],
+                                     use_index=use_index)
+        assert kept == [root.children[3]]
+        assert asked == ["3", "8", "2", "7"]  # the element without @m is never asked
 
 
 def _holds(op: str, position: int, n: int) -> bool:

@@ -383,6 +383,12 @@ class TestPreforkFleet:
         else:
             raise AssertionError("breaker never tripped:\n"
                                  + "".join(fleet.stderr_lines))
+        # /ready turns degraded when the crash is recorded; the line is
+        # printed after that, and read here by another thread
+        deadline = time.monotonic() + 5
+        while (not any("breaker TRIPPED" in line for line in fleet.stderr_lines)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
         assert any("breaker TRIPPED" in line for line in fleet.stderr_lines)
         metrics = _http_text(fleet.control_url + "/metrics")
         assert "repro_fleet_degraded 1" in metrics
