@@ -1,8 +1,8 @@
 """CI guard: features that promise to be ~free must stay ~free.
 
-Each guard is one row of ``GUARDS`` — ``(name, settings A, settings B,
-tolerance, what to audit)`` — and asserts that the same prepared Table-2
-closure costs at most ``tolerance`` more CPU under A than under B::
+Each settings guard is one row of ``GUARDS`` — ``(name, settings A,
+settings B, tolerance, what to audit)`` — and asserts that the same prepared
+Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
 
     PYTHONPATH=src python benchmarks/check_overhead.py
 
@@ -23,6 +23,15 @@ closure costs at most ``tolerance`` more CPU under A than under B::
     run.  A module without prolog variables takes neither; a module whose
     loops do read an outer variable pays for the walk (about a third of
     ``optimize_module``) and, nearly always, gets the rewrite.
+
+``reply``
+    (not a settings pair) the service's ``serialize_items`` on the answers
+    of 24 medium-curriculum closures (210–399 ``course`` elements each) vs
+    evaluating those closures on the interpreter: serializing an answer
+    may cost at most 75 % of computing it, i.e. read −25 % or lower.  At
+    PR 19 it cost ~135 % (reads +28 % to +52 %) and was the largest item
+    of a curriculum read over HTTP; the single walker of
+    ``repro.xmlio.serializer`` costs ~55 % (reads −42 % to −49 %).
 
 Tracing has no row: its two settings points are watched where every other
 number is, in the ledger (``benchmarks/ledger/``) — the *disabled* cost as
@@ -58,6 +67,7 @@ from typing import NamedTuple
 
 from repro.bench.queries import get_workload
 from repro.limits import ResourceLimits
+from repro.service.server import serialize_items
 from repro.session import Session
 from repro.settings import EvalSettings
 from repro.xquery.optimizer import optimize_module
@@ -150,8 +160,8 @@ def verdict(name: str, results: list[tuple[float, float]], tolerance: float, aud
     print(f"{name}: overhead (min of {arguments.estimates}) {overheads[0]:+.2%} "
           f"(allowed ≤ {tolerance:.0%}) — {'ok' if passed else 'FAILED'}")
     if not passed:
-        print(f"\n{name} overhead check FAILED: costs more than "
-              f"{tolerance:.0%} even in the most favourable estimate — "
+        print(f"\n{name} overhead check FAILED: A costs more than "
+              f"{1.0 + tolerance:.0%} of B even in the most favourable estimate — "
               f"audit {audit}", file=sys.stderr)
     return passed
 
@@ -195,6 +205,42 @@ def check_hoisting(arguments: argparse.Namespace) -> bool:
                    "it sends this module into the hoister's walk)", arguments)
 
 
+#: What serializing an answer may cost, relative to computing it: at most
+#: 75 % of it.
+REPLY_TOLERANCE = -0.25
+
+#: Start nodes of the reply guard: the back of the medium catalogue, whose
+#: prerequisite closures are the deep ones.
+REPLY_STARTS = range(777, 801)
+
+
+def check_reply(arguments: argparse.Namespace) -> bool:
+    """``serialize_items`` on the answers of curriculum closures vs
+    evaluating those closures."""
+    workload = get_workload("curriculum")
+    session = Session()
+    session.register_document(workload.document_uri,
+                              workload.size("medium").build_document())
+    closures = [session.prepare(
+        f'with $x seeded by doc("{workload.document_uri}")/curriculum/'
+        f'course[@code="c{start}"] recurse {workload.recursion_body}',
+        settings=BASE) for start in REPLY_STARTS]
+    answers = [closure.run().items for closure in closures]
+    if min(len(answer) for answer in answers) < 200:
+        print("reply check INVALID: every closure must answer with at least "
+              "200 course elements", file=sys.stderr)
+        return False
+    inner = max(1, arguments.inner // 10)  # one run is 24 closures, ~50 ms
+    results = alternate(
+        timed_block(lambda: [serialize_items(answer) for answer in answers], inner),
+        timed_block(lambda: [closure.run() for closure in closures], inner),
+        arguments.estimates, arguments.pairs)
+    session.close()
+    return verdict("reply", results, REPLY_TOLERANCE,
+                   "repro.xmlio.serializer._write (its per-node work) and "
+                   "repro.service.server.serialize_items", arguments)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--estimates", type=int, default=5,
@@ -210,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
     # No short-circuit: every guard reports before the exit status.
     return 0 if all([*(check(guard, arguments) for guard in GUARDS),
-                     check_hoisting(arguments)]) else 1
+                     check_hoisting(arguments), check_reply(arguments)]) else 1
 
 
 if __name__ == "__main__":

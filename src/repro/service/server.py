@@ -61,8 +61,20 @@ of queueing; requests may carry ``timeout_s`` (clamped by
 query evaluates under a :class:`~repro.limits.CancelToken`: a client
 that disconnects mid-query gets its evaluation cancelled (the worker is
 reclaimed), and graceful drain cancels whatever outlives
-``--drain-timeout``.  ``REPRO_FAULTS`` arms the fault-injection plan of
-:mod:`repro.faults` at startup for chaos drills.
+``--drain-timeout``.  No thread watches for the disconnect: the token of
+an HTTP request (:class:`_ConnectionToken`) is asked by the evaluation's
+own checkpoints and looks at the request socket itself, at most once per
+50 ms of evaluation — a read that finishes sooner costs no syscall.
+``REPRO_FAULTS`` arms the fault-injection plan of :mod:`repro.faults` at
+startup for chaos drills.
+
+The reply path is meant to cost less than the query it answers: result
+nodes go through the one walker of :mod:`repro.xmlio.serializer`, and head
+and body of a reply leave in one write (a buffered ``wfile``, flushed once
+per request).  ``Content-Length`` is a claim, not a fact: anything but
+digits answers ``400``, more than 64 MiB ``413``, and — like an unknown
+``POST`` path — the connection closes after the reply, because the unread
+body would otherwise be parsed as the next request.
 
 Graceful shutdown: SIGINT/SIGTERM stop the accept loop, then the server
 waits (bounded by ``--drain-timeout``) for in-flight requests to drain,
@@ -785,49 +797,88 @@ class QueryService:
         return settings
 
 
-def _watch_disconnect(connection, token: CancelToken, stop: threading.Event,
-                      interval: float = 0.05) -> None:
-    """Cancel *token* when the client hangs up mid-evaluation.
+class _ConnectionToken(CancelToken):
+    """The cancel token of one HTTP request: it also trips when the client
+    hangs up.
 
-    Polls the request socket: readable with a zero-byte peek means the
-    peer closed, so the evaluation's result has no recipient and the
-    worker should be reclaimed.  Readable with pending bytes is a
-    pipelined request on the keep-alive connection — not a disconnect —
-    so the watcher stands down (it cannot keep distinguishing a later
-    hang-up without consuming those bytes).
+    Nothing watches the socket from outside.  The evaluation's own
+    checkpoints ask :meth:`cancelled` (every fixpoint round, every
+    :data:`~repro.limits.CHECKPOINT_STRIDE` interpreter steps, SQLite's
+    progress handler), and at most once per :attr:`POLL_INTERVAL_S` of
+    evaluation the answer includes a zero-timeout look at the request
+    socket: readable with a zero-byte peek means the peer closed, so the
+    result has no recipient and the worker should be reclaimed.  Readable
+    with pending bytes is a pipelined request on the keep-alive connection
+    — not a disconnect — and the token stops looking (it cannot tell a
+    later hang-up apart without consuming those bytes).  A request that
+    finishes within the first interval never touches the socket.
     """
-    while not stop.wait(interval):
+
+    __slots__ = ("_connection", "_next_look")
+
+    #: Seconds of evaluation between two looks at the socket.
+    POLL_INTERVAL_S = 0.05
+
+    def __init__(self, connection):
+        super().__init__()
+        self._connection = connection
+        self._next_look = time.monotonic() + self.POLL_INTERVAL_S
+
+    def cancelled(self) -> bool:
+        if super().cancelled():
+            return True
+        now = time.monotonic()
+        if self._connection is None or now < self._next_look:
+            return False
+        self._next_look = now + self.POLL_INTERVAL_S
         try:
-            readable, _, _ = select.select([connection], [], [], 0)
+            readable, _, _ = select.select([self._connection], [], [], 0)
             if not readable:
-                continue
-            data = connection.recv(1, socket.MSG_PEEK)
+                return False
+            hung_up = self._connection.recv(1, socket.MSG_PEEK) == b""
         except (OSError, ValueError):
-            token.cancel("client disconnected")
-            return
-        if data == b"":
-            token.cancel("client disconnected")
-            return
-        return  # pipelined bytes: leave them to the handler loop
+            hung_up = True
+        if hung_up:
+            self.cancel("client disconnected")
+        else:
+            self._connection = None  # pipelined bytes: leave them to the handler loop
+        return hung_up
 
 
 class _Handler(BaseHTTPRequestHandler):
     """JSON-over-HTTP plumbing; all logic lives in :class:`QueryService`."""
 
     protocol_version = "HTTP/1.1"
-    #: Headers and body flush as separate small sends; without TCP_NODELAY,
-    #: Nagle + delayed ACK stalls every keep-alive response by ~40ms.
+    #: Head and body of a reply collect in a buffered ``wfile`` and leave in
+    #: one write when ``handle_one_request`` flushes it; only a body larger
+    #: than the buffer follows its head in a second write.
+    wbufsize = 64 * 1024
+    #: For those two-write replies: without TCP_NODELAY, Nagle + delayed ACK
+    #: stalls a keep-alive response by ~40ms.
     disable_nagle_algorithm = True
     #: Maximum accepted request body (a corpus re-registration can be big).
     MAX_BODY = 64 * 1024 * 1024
+    #: ``POST`` path → the :class:`QueryService` method that answers it.
+    POST_ROUTES = {
+        "/query": "handle_query",
+        "/batch": "handle_batch",
+        "/analyze": "handle_analyze",
+        "/documents": "handle_register",
+    }
 
     @property
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def handle_expect_100(self):
+        handled = super().handle_expect_100()
+        self.wfile.flush()  # the client holds its body back until it reads this
+        return handled
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # stdlib plumbing messages (expect-100, socket errors): DEBUG only.
-        LOGGER.debug("%s - %s", self.address_string(), format % args)
+        if LOGGER.isEnabledFor(logging.DEBUG):
+            LOGGER.debug("%s - %s", self.address_string(), format % args)
 
     def _log_request(self, status: int, started: float,
                      engine: str | None = None) -> None:
@@ -867,43 +918,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         started = time.monotonic()
-        routes = {
-            "/query": self.service.handle_query,
-            "/batch": self.service.handle_batch,
-            "/analyze": self.service.handle_analyze,
-            "/documents": self.service.handle_register,
-        }
-        handler = routes.get(self.path)
-        if handler is None:
+        method = self.POST_ROUTES.get(self.path)
+        if method is None:
+            self.close_connection = True  # the body stays unread
             self._respond(404, {"ok": False, "error": f"unknown path {self.path}"})
             self._log_request(404, started)
             return
+        handler = getattr(self.service, method)
         status = 500
         engine = None
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            if length > self.MAX_BODY:
-                raise ServiceError("request body too large", status=413)
-            body = self.rfile.read(length) if length else b""
+            body = self._read_body()
             try:
                 payload = json.loads(body or b"{}")
             except json.JSONDecodeError as exc:
                 raise ServiceError(f"invalid JSON body: {exc}")
             if self.path in ("/query", "/batch"):
-                # Watch the socket while evaluating: a client that hangs
-                # up mid-query gets its evaluation cancelled instead of
-                # holding a worker until the deadline.
-                token = CancelToken()
-                stop = threading.Event()
-                watcher = threading.Thread(
-                    target=_watch_disconnect,
-                    args=(self.connection, token, stop),
-                    name="repro-serve-disconnect", daemon=True)
-                watcher.start()
-                try:
-                    response = handler(payload, cancel_token=token)
-                finally:
-                    stop.set()
+                # A client that hangs up mid-query gets its evaluation
+                # cancelled instead of holding a worker until the deadline.
+                response = handler(payload,
+                                   cancel_token=_ConnectionToken(self.connection))
             else:
                 response = handler(payload)
             status = 200
@@ -919,6 +953,27 @@ class _Handler(BaseHTTPRequestHandler):
                                 "error": f"internal error: {type(exc).__name__}: {exc}"})
         finally:
             self._log_request(status, started, engine)
+
+    def _read_body(self) -> bytes:
+        """The request body, as long as a checked ``Content-Length`` says.
+
+        The header is the peer's claim: anything but ASCII digits (``-1``
+        would make ``read`` wait for the peer to hang up) is a 400, more
+        than :attr:`MAX_BODY` a 413.  Either way the body stays unread, so
+        the connection closes after the reply — what follows on it would
+        be parsed as the next request.
+        """
+        claimed = self.headers.get("Content-Length", "0").strip()
+        if not (claimed.isascii() and claimed.isdigit()):
+            self.close_connection = True
+            raise ServiceError("Content-Length must be a non-negative integer")
+        # More digits than the limit has is over it (and can be more than
+        # int() converts).
+        if (len(claimed.lstrip("0")) > len(str(self.MAX_BODY))
+                or int(claimed) > self.MAX_BODY):
+            self.close_connection = True
+            raise ServiceError("request body too large", status=413)
+        return self.rfile.read(int(claimed))
 
     def _respond(self, status: int, payload: dict,
                  headers: Mapping[str, str] | None = None) -> None:

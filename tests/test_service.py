@@ -521,3 +521,379 @@ class TestReadinessAndJournal:
             text = service.metrics_text()
             assert "repro_journal_records_total 1" in text
             assert "repro_journal_offset_bytes" in text
+
+
+# -- raw-socket helpers (PR 20: the reply path and hostile framing) -----------
+
+
+def raw_request(path: str, body: bytes = b"", content_length: str | None = None) -> bytes:
+    """One HTTP/1.1 ``POST`` as bytes; *content_length* overrides the header."""
+    if content_length is None:
+        content_length = str(len(body))
+    return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n").encode("ascii") + body
+
+
+def query_bytes(query: str, path: str = "/query", **fields) -> bytes:
+    return raw_request(path, json.dumps({"query": query, **fields}).encode())
+
+
+def address_of(client: ServiceClient) -> tuple[str, int]:
+    host, port = client.base_url.removeprefix("http://").split(":")
+    return host, int(port)
+
+
+def read_reply(stream) -> tuple[int, dict]:
+    """The next reply on *stream* (``socket.makefile("rb")``): status, JSON."""
+    status_line = stream.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    length = 0
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    return int(status_line.split()[1]), json.loads(stream.read(length))
+
+
+class CountingConnection:
+    """The request socket, counting the calls a look at it makes
+    (``select`` asks for ``fileno``, the peek is a ``recv``)."""
+
+    def __init__(self, connection, looks: list[str]):
+        self._connection = connection
+        self._looks = looks
+
+    def fileno(self):
+        self._looks.append("fileno")
+        return self._connection.fileno()
+
+    def recv(self, *args):
+        self._looks.append("recv")
+        return self._connection.recv(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def count_socket_looks(server) -> list[str]:
+    """Make *server*'s handlers see their connection through a
+    :class:`CountingConnection`; returns the shared list of looks."""
+    from repro.service.server import _Handler
+
+    looks: list[str] = []
+
+    class CountingHandler(_Handler):
+        def setup(self):
+            super().setup()  # rfile and wfile keep the real socket
+            self.connection = CountingConnection(self.connection, looks)
+
+    server.RequestHandlerClass = CountingHandler
+    return looks
+
+
+class TestHostileContentLength:
+    """``Content-Length`` is the peer's claim: a bad one gets a JSON error
+    within 2 s and the connection is closed, never a parked thread."""
+
+    DEADLINE_S = 2.0
+
+    def _exchange(self, client, request: bytes) -> tuple[int, dict, bytes]:
+        with socket.create_connection(address_of(client), timeout=self.DEADLINE_S) as raw:
+            raw.sendall(request)
+            with raw.makefile("rb") as stream:
+                status, body = read_reply(stream)
+                rest = stream.read()  # returns at EOF: the server closed
+        return status, body, rest
+
+    @pytest.mark.parametrize("claimed", ["-1", "abc", "", "1_0", "+5", "1.5"])
+    def test_a_length_that_is_no_number_is_400(self, client, claimed):
+        status, body, rest = self._exchange(
+            client, raw_request("/query", content_length=claimed))
+        assert status == 400
+        assert body == {"ok": False,
+                        "error": "Content-Length must be a non-negative integer"}
+        assert rest == b""
+
+    @pytest.mark.parametrize("claimed", [str(64 * 1024 * 1024 + 1), "9" * 5000],
+                             ids=["one-over", "more-digits-than-int-converts"])
+    def test_a_length_over_the_limit_is_413(self, client, claimed):
+        status, body, rest = self._exchange(
+            client, raw_request("/query", content_length=claimed))
+        assert status == 413
+        assert body == {"ok": False, "error": "request body too large"}
+        assert rest == b""
+
+    def test_an_unknown_post_path_closes_too(self, client):
+        status, body, rest = self._exchange(
+            client, raw_request("/nowhere", b'{"query": "1"}'))
+        assert status == 404 and "unknown path" in body["error"]
+        assert rest == b""
+
+    def test_leading_zeros_and_keep_alive_still_work(self, client):
+        payload = json.dumps({"query": "1 + 1"}).encode()
+        with socket.create_connection(address_of(client), timeout=self.DEADLINE_S) as raw, \
+                raw.makefile("rb") as stream:
+            for claimed in (f"000{len(payload)}", str(len(payload))):
+                raw.sendall(raw_request("/query", payload, content_length=claimed))
+                status, body = read_reply(stream)
+                assert status == 200 and body["items"] == ["2"]
+
+
+class TestBufferedReply:
+    """Head and body leave in one write; nothing a client waits for may sit
+    in the buffer."""
+
+    def test_expect_100_continue_is_answered_before_the_body_is_read(self, client):
+        payload = json.dumps({"query": "1 + 1"}).encode()
+        head = (f"POST /query HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+                f"Content-Length: {len(payload)}\r\n\r\n").encode("ascii")
+        with socket.create_connection(address_of(client), timeout=2) as raw, \
+                raw.makefile("rb") as stream:
+            raw.sendall(head)  # the body waits for the interim reply
+            assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert stream.readline() == b"\r\n"
+            raw.sendall(payload)
+            status, body = read_reply(stream)
+        assert status == 200 and body["items"] == ["2"]
+
+    def test_head_and_body_arrive_in_one_segment(self, client):
+        with socket.create_connection(address_of(client), timeout=2) as raw:
+            raw.sendall(query_bytes(TC_QUERY))
+            first = raw.recv(65536)
+        head, _, body = first.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert json.loads(body)["count"] == 4  # the whole body came with the head
+
+
+class TestNoThreadPerRequest:
+    """The disconnect watch is a polling cancel token, not a thread: same
+    cancellation, no per-request thread, no syscall for a short read."""
+
+    def _serve(self, session):
+        service = QueryService(session=session)
+        server = create_server(service)
+        serve(server)
+        return service, server
+
+    def _cancellations(self, service, engine="interpreter"):
+        return service.stats.registry.value(
+            "repro_query_cancellations_total", engine=engine) or 0
+
+    def test_keep_alive_requests_start_no_threads(self, service_session, monkeypatch):
+        service, server = self._serve(service_session)
+        started: list[str] = []
+        original_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        try:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=10) as raw, \
+                    raw.makefile("rb") as stream:
+                raw.sendall(query_bytes(TC_QUERY))
+                assert read_reply(stream)[0] == 200
+                before = threading.active_count()  # the connection's thread is up
+                monkeypatch.setattr(threading.Thread, "start", recording_start)
+                for _ in range(50):
+                    raw.sendall(query_bytes(TC_QUERY))
+                    status, body = read_reply(stream)
+                    assert status == 200 and body["count"] == 4
+                    assert not any(thread.name == "repro-serve-disconnect"
+                                   for thread in threading.enumerate())
+                monkeypatch.undo()
+                assert threading.active_count() == before
+            assert started == []
+        finally:
+            server.graceful_shutdown(timeout=5)
+
+    def test_a_short_query_never_looks_at_the_socket(self, service_session):
+        service, server = self._serve(service_session)
+        looks = count_socket_looks(server)
+        try:
+            host, port = server.server_address[:2]
+            slowest = 0.0
+            with socket.create_connection((host, port), timeout=10) as raw, \
+                    raw.makefile("rb") as stream:
+                for index, engine in enumerate(ALL_ENGINES * 6):
+                    if index == len(ALL_ENGINES):
+                        looks.clear()  # the first pass warmed caches and stores
+                        slowest = 0.0
+                    raw.sendall(query_bytes(TC_QUERY, engine=engine))
+                    status, body = read_reply(stream)
+                    assert status == 200 and body["count"] == 4
+                    slowest = max(slowest, body["elapsed_ms"])
+            if slowest >= 25:  # not far inside the first interval
+                pytest.skip(f"a warm read took {slowest} ms: too slow a box to tell")
+            assert looks == []
+        finally:
+            server.graceful_shutdown(timeout=5)
+
+    def test_a_long_query_looks_about_every_50_ms(self, service_session):
+        service, server = self._serve(service_session)
+        looks = count_socket_looks(server)
+        try:
+            host, port = server.server_address[:2]
+            with faults.inject(faults.FaultSpec(point="slow-span", sleep_s=0.03)), \
+                    socket.create_connection((host, port), timeout=10) as raw, \
+                    raw.makefile("rb") as stream:
+                raw.sendall(query_bytes(TC_QUERY, settings={"ifp_algorithm": "naive"}))
+                status, body = read_reply(stream)
+            assert status == 200 and body["count"] == 4
+            # the client neither hung up nor sent more: select only, no peek
+            assert looks and set(looks) == {"fileno"}
+            assert len(looks) <= (body["elapsed_ms"] + 1.0) / 50.0
+            assert self._cancellations(service) == 0
+        finally:
+            server.graceful_shutdown(timeout=5)
+
+    def test_a_pipelined_request_is_not_a_hang_up(self, service_session):
+        service, server = self._serve(service_session)
+        looks = count_socket_looks(server)
+        try:
+            host, port = server.server_address[:2]
+            with faults.inject(faults.FaultSpec(point="slow-span", sleep_s=0.04)), \
+                    socket.create_connection((host, port), timeout=10) as raw, \
+                    raw.makefile("rb") as stream:
+                slow = {"ifp_algorithm": "naive"}
+                raw.sendall(query_bytes(TC_QUERY, settings=slow))
+                time.sleep(0.02)  # the first request is evaluating now
+                # written before the first reply is read: pending bytes
+                raw.sendall(query_bytes(TC_QUERY, settings=slow, engine="sql"))
+                first = read_reply(stream)
+                looks_after_first = list(looks)
+                second = read_reply(stream)
+            assert first[0] == 200 and first[1]["count"] == 4
+            assert first[1]["engine"] == "interpreter"
+            assert second[0] == 200 and second[1]["count"] == 4
+            assert second[1]["engine"] == "sql"
+            # the first token saw the pending bytes once and stood down
+            assert first[1]["elapsed_ms"] > 100
+            assert looks_after_first == ["fileno", "recv"]
+            assert self._cancellations(service) == 0
+            assert self._cancellations(service, "sql") == 0
+        finally:
+            server.graceful_shutdown(timeout=5)
+
+    def test_batch_shares_one_token_and_a_disconnect_cancels_it(self, service_session):
+        from repro.service.server import _ConnectionToken
+        from tests.test_limits import ring_query, ring_xml
+
+        service_session.register_document("ring.xml", ring_xml(60))
+        service, server = self._serve(service_session)
+        tokens = []
+        evaluate = service_session.evaluate
+
+        def recording_evaluate(*args, **kwargs):
+            tokens.append(kwargs["cancel_token"])
+            return evaluate(*args, **kwargs)
+
+        service_session.evaluate = recording_evaluate
+        try:
+            host, port = server.server_address[:2]
+            payload = json.dumps({"queries": [
+                {"query": "1 + 1"},
+                {"query": TC_QUERY, "engine": "sql"},
+                {"query": ring_query(), "settings": {"ifp_algorithm": "naive"}},
+            ]}).encode()
+            with faults.inject(faults.FaultSpec(point="slow-span", sleep_s=0.05)):
+                raw = socket.create_connection((host, port), timeout=5)
+                raw.sendall(raw_request("/batch", payload))
+                time.sleep(0.3)   # the third query is mid-fixpoint
+                raw.close()       # hang up without reading the response
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and not self._cancellations(service):
+                    time.sleep(0.05)
+            assert self._cancellations(service) == 1
+            assert self._cancellations(service, "sql") == 0
+            assert service.stats.in_flight == 0
+            assert len(tokens) == 3 and len({id(token) for token in tokens}) == 1
+            assert isinstance(tokens[0], _ConnectionToken)
+            assert tokens[0].cancelled() and tokens[0].reason == "client disconnected"
+        finally:
+            del service_session.evaluate
+            server.graceful_shutdown(timeout=5)
+
+
+class TestConnectionToken:
+    """The token alone, looking at one end of a socket pair on every call."""
+
+    @pytest.fixture()
+    def pair(self, monkeypatch):
+        from repro.service.server import _ConnectionToken
+
+        monkeypatch.setattr(_ConnectionToken, "POLL_INTERVAL_S", 0.0)
+        ours, peer = socket.socketpair()
+        yield _ConnectionToken(ours), ours, peer
+        ours.close()
+        peer.close()
+
+    def test_an_open_quiet_peer_is_not_cancelled(self, pair):
+        token, _, _ = pair
+        assert token.cancelled() is False and token.cancelled() is False
+        assert token.reason is None
+
+    def test_a_hang_up_trips_once_and_stays(self, pair):
+        token, ours, peer = pair
+        peer.close()
+        assert token.cancelled() is True
+        assert token.reason == "client disconnected"
+        ours.close()  # nothing looks at the socket any more
+        assert token.cancelled() is True
+        assert token.reason == "client disconnected"
+
+    def test_pending_bytes_make_the_token_stand_down(self, pair):
+        token, ours, peer = pair
+        peer.sendall(b"POST /query HTTP/1.1\r\n")
+        assert token.cancelled() is False
+        peer.close()  # a later hang-up is the handler loop's to find
+        assert token.cancelled() is False
+        assert ours.recv(4) == b"POST"  # the peek consumed nothing
+
+    def test_a_closed_socket_counts_as_a_hang_up(self, pair):
+        token, ours, _ = pair
+        ours.close()  # select() raises ValueError on fileno() == -1
+        assert token.cancelled() is True
+        assert token.reason == "client disconnected"
+
+    def test_a_socket_error_counts_as_a_hang_up(self, pair):
+        from repro.service.server import _ConnectionToken
+
+        _, ours, peer = pair
+        peer.sendall(b"x")  # readable, so the peek runs
+
+        class Resetting:
+            def fileno(self):
+                return ours.fileno()
+
+            def recv(self, *args):
+                raise ConnectionResetError("reset by peer")
+
+        token = _ConnectionToken(Resetting())
+        assert token.cancelled() is True
+        assert token.reason == "client disconnected"
+
+    def test_an_outside_cancel_wins_and_keeps_its_reason(self, pair):
+        token, _, peer = pair
+        token.cancel("server draining")
+        peer.close()
+        assert token.cancelled() is True
+        assert token.reason == "server draining"
+
+    def test_no_look_inside_the_first_interval(self):
+        from repro.service.server import _ConnectionToken
+
+        assert _ConnectionToken.POLL_INTERVAL_S == 0.05
+
+        class Untouchable:
+            def fileno(self):
+                raise AssertionError("looked at the socket")
+
+        token = _ConnectionToken(Untouchable())
+        for _ in range(1000):
+            assert token.cancelled() is False
