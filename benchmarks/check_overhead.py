@@ -33,6 +33,20 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     of a curriculum read over HTTP; the single walker of
     ``repro.xmlio.serializer`` costs ~55 % (reads −42 % to −49 %).
 
+``write``
+    (not a settings pair) over the ledger's ``service`` corpus in one
+    ``Session(sql_store="wal")``: the *first* read after
+    ``register_document("notes.xml", …)`` — a document no read touches —
+    vs the same read warm, for the ``hospital`` and ``curriculum`` closures
+    on ``engine="sql"`` and the ``bidder`` closure on ``engine="algebra"``:
+    at most 3× (reads about +50 % on the quarter-millisecond hospital
+    closure — a new snapshot, the store pool's retention rule, the collector
+    after a parse — and within noise of 0 on the other two), and in the end
+    the pool has built one store and dropped no tree, the plan cache has
+    missed once.  While a write dropped every connection thread's SQLite
+    store and every compiled plan (before PR 21) the two SQL reads cost
+    ~55× and ~10×, and the algebra read a recompile each time.
+
 Tracing has no row: its two settings points are watched where every other
 number is, in the ledger (``benchmarks/ledger/``) — the *disabled* cost as
 ``interpreter_ms`` on ``closure-delta`` (parent commit vs change), the
@@ -61,6 +75,8 @@ fast machines — raise ``--inner`` in that case.
 from __future__ import annotations
 
 import argparse
+import itertools
+import random
 import sys
 import time
 from typing import NamedTuple
@@ -127,6 +143,22 @@ def timed_block(run, inner: int):
         for _ in range(inner):
             run()
         return time.process_time() - started
+    return block
+
+
+def timed_block_behind(before, run, inner: int):
+    """Like :func:`timed_block`, but every timed call of *run* stands behind
+    an untimed call of *before*."""
+    def block() -> float:
+        for _ in range(BLOCK_WARMUP):
+            run()
+        total = 0.0
+        for _ in range(inner):
+            before()
+            started = time.process_time()
+            run()
+            total += time.process_time() - started
+        return total
     return block
 
 
@@ -241,6 +273,55 @@ def check_reply(arguments: argparse.Namespace) -> bool:
                    "repro.service.server.serialize_items", arguments)
 
 
+#: What the first read after an unrelated write may cost: 3× the read warm.
+WRITE_TOLERANCE = 2.0
+
+#: The guarded reads — (ledger op class, engine, multiple of ``--inner``: a
+#: warm hospital closure is a quarter of a millisecond).
+WRITE_READS = (("hospital", "sql", 4), ("curriculum", "sql", 1), ("bidder", "algebra", 1))
+
+
+def check_write(arguments: argparse.Namespace) -> bool:
+    """The first read after a write to a document it does not touch vs the
+    same read warm."""
+    from ledger import corpus, ops  # the service workload's own documents and reads
+
+    documents, _ = corpus.build("service")
+    scenarios = ops.Scenarios(documents)
+    rng = random.Random(0)
+    versions = itertools.count(1)
+    session = Session(documents, id_attributes=corpus.ID_ATTRIBUTES, sql_store="wal")
+
+    def write() -> None:
+        session.register_document("notes.xml", corpus.notes_xml(rng, next(versions)))
+
+    passed = []
+    for cls, engine, scale in WRITE_READS:
+        text = ops.closure_text(cls, scenarios.start_nodes(cls, rng)[0])
+
+        def read(text=text, engine=engine):
+            return session.evaluate(text, engine=engine)
+
+        results = alternate(
+            timed_block_behind(write, read, arguments.inner * scale),
+            timed_block_behind(lambda: None, read, arguments.inner * scale),
+            arguments.estimates, arguments.pairs)
+        passed.append(verdict(
+            f"write:{cls}/{engine}", results, WRITE_TOLERANCE,
+            "repro.sqlbackend.pool.SqlStorePool.store (a store must survive a "
+            "write), repro.plancache.CachedPlan.serves (a plan depends on the "
+            "documents it read) and Session.register_document (it touches "
+            "neither cache)", arguments))
+    stats = session.stats()
+    session.close()
+    pool, plans = stats["sql_pool"], stats["plan"]
+    if (pool["created"], pool["trees_dropped"], plans["misses"]) != (1, 0, 1):
+        print(f"write check FAILED: the writes cost a store, a shredded tree or a "
+              f"compiled plan — sql_pool {pool}, plan cache {plans}", file=sys.stderr)
+        passed.append(False)
+    return all(passed)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--estimates", type=int, default=5,
@@ -256,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
     # No short-circuit: every guard reports before the exit status.
     return 0 if all([*(check(guard, arguments) for guard in GUARDS),
-                     check_hoisting(arguments), check_reply(arguments)]) else 1
+                     check_hoisting(arguments), check_reply(arguments),
+                     check_write(arguments)]) else 1
 
 
 if __name__ == "__main__":

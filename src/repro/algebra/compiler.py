@@ -117,9 +117,11 @@ class AlgebraCompiler:
             Resolver consulted by ``fn:doc``.
         document:
             The one document ``fn:id`` resolves IDs in (and the one
-            ``fn:doc`` stands in for an unknown URI with).  Callers pass it
-            only when it is unambiguous; without it ``fn:id`` is a typed
-            :class:`AlgebraError`, never a lookup in a guessed document.
+            ``fn:doc`` stands in for an unknown URI with).  Without it the
+            only document of a one-document corpus is taken, when a
+            construct first needs it; a corpus that does not name exactly
+            one makes ``fn:id`` a typed :class:`AlgebraError`, never a
+            lookup in a guessed document.
         functions:
             User-defined functions, inlined at their call sites.
         analysis_only:
@@ -691,14 +693,29 @@ class AlgebraCompiler:
         try:
             document = self.documents.resolve(uri_expr.value)
         except Exception:
-            if not self.analysis_only and self.document is None:
-                raise
-            document = self.document or DocumentNode()
+            document = self._default_document()
+            if document is None:
+                if not self.analysis_only:
+                    raise
+                document = DocumentNode()
         return DocumentRoot(context.loop, document)
 
+    def _default_document(self) -> DocumentNode | None:
+        """The caller's ``document``, else the only document of the corpus.
+
+        Looked for only when a construct needs it: naming it enumerates the
+        corpus, and a cached plan then depends on the corpus as a whole.
+        """
+        if self.document is None:
+            known = self.documents.known_uris()
+            if len(known) == 1:
+                self.document = self.documents.resolve(known[0])
+        return self.document
+
     def _require_document(self) -> DocumentNode:
-        if self.document is not None:
-            return self.document
+        document = self._default_document()
+        if document is not None:
+            return document
         if self.analysis_only:
             return DocumentNode()
         raise AlgebraError("fn:id: the algebra engine resolves IDs in one compile-time "

@@ -7,17 +7,25 @@ LRU caches:
 * the **module cache** — query text → parsed (and optionally optimized)
   :class:`~repro.xquery.ast.Module`, shared by every engine: a warm hit
   skips lexing, parsing and the AST rewrites entirely;
-* the **plan cache** — ``(query, engine knobs, document identities)`` →
-  compiled algebra plan, so the algebra engine also skips compilation and
-  prolog-variable evaluation.
+* the **plan cache** — ``(module, engine knobs)`` → compiled algebra plan,
+  so the algebra engine also skips compilation and prolog-variable
+  evaluation.
 
-Plan entries pin the document nodes they were compiled against (strong
-references in the key object) and are only served when the caller's
-documents are *the same objects*, which both prevents cross-corpus mixups
-and makes ``id()`` reuse after garbage collection harmless.  Plans whose
-prolog variables construct nodes are never cached: re-running such a
-declaration must mint fresh node identities (see
-:func:`contains_constructor`).
+A plan bakes in the documents its compilation resolved — the
+``DocumentRoot`` of every literal ``doc("…")``, the values of prolog and
+hoisted variables — and can observe no other.  So an entry
+(:class:`CachedPlan`) carries exactly those, recorded by the resolver the
+compilation was handed (:class:`DocumentsRead`), each as ``(uri, document,
+structural index, value generation)``, pinned by strong reference (``id()``
+reuse after garbage collection is harmless), and is served only to a
+resolver under which every one of them is still *the same object,
+unmutated*: replacing or mutating a document costs the plans that read it
+and no other.  A compilation that could not name its documents — it
+enumerated the corpus (the one-document ``fn:id`` default), asked for a URI
+the resolver did not hold (absent, or loaded on demand) — depends on the
+whole corpus: the URI set and every document in it.  Plans whose prolog
+variables construct nodes are never cached: re-running such a declaration
+must mint fresh node identities (see :func:`contains_constructor`).
 
 The AST and plans are immutable once built (evaluation state lives in the
 per-run engine objects), which is what makes sharing across calls sound —
@@ -29,9 +37,10 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from threading import Lock
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from typing import Any
 
+from repro.xdm.index import cached_index, index_for
 from repro.xquery import ast
 
 
@@ -44,38 +53,31 @@ class LRUCache:
     locked ``get``/``put`` but read counters and size unlocked, which let
     ``query_cache_stats()`` race with eviction).
 
-    Entries carry a *generation* stamped at :meth:`put` time.  Bumping the
-    cache generation (:meth:`bump_generation`) makes every existing entry
-    stale without touching it: a stale entry is reported as a miss and
-    evicted lazily on the next ``get``.  :class:`~repro.session.Session`
-    uses this for snapshot semantics — re-registering a document bumps the
-    plan-cache generation, in-flight evaluations keep the plan objects they
-    already fetched, and new requests rebuild lazily.
+    :meth:`get` takes an optional *valid* predicate for entries whose
+    validity depends on the caller (a :class:`CachedPlan` and the caller's
+    documents): a found value it rejects is dropped and counted as a miss,
+    so the hit ratio keeps meaning "served from the cache".
     """
 
-    __slots__ = ("capacity", "_entries", "_lock", "hits", "misses",
-                 "generation")
+    __slots__ = ("capacity", "_entries", "_lock", "hits", "misses")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        #: key → (value, generation at put time)
-        self._entries: "OrderedDict[Hashable, tuple[Any, int]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = Lock()
         self.hits = 0
         self.misses = 0
-        self.generation = 0
 
-    def get(self, key: Hashable) -> Any | None:
+    def get(self, key: Hashable,
+            valid: Callable[[Any], bool] | None = None) -> Any | None:
         with self._lock:
-            try:
-                value, generation = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            if generation != self.generation:
+            value = self._entries.get(key)
+            if value is not None and valid is not None and not valid(value):
                 del self._entries[key]
+                value = None
+            if value is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -84,16 +86,10 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
-            self._entries[key] = (value, self.generation)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def bump_generation(self) -> int:
-        """Invalidate every current entry; return the new generation."""
-        with self._lock:
-            self.generation += 1
-            return self.generation
 
     def clear(self) -> None:
         with self._lock:
@@ -112,7 +108,6 @@ class LRUCache:
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
-                "generation": self.generation,
             }
 
 
@@ -161,29 +156,82 @@ def module_cache_safe(module: ast.Module) -> bool:
     )
 
 
-def documents_fingerprint(resolver) -> tuple:
-    """A hashable identity key over a resolver's registered documents.
+class DocumentsRead:
+    """The resolver a plan's compilation is handed: a view of the caller's
+    that notes which documents were asked for.
 
-    The returned tuple holds the document objects themselves (hashed by
-    identity), so a cache entry keyed by it can never outlive a mismatch:
-    equal keys imply the very same document nodes.  Each document's
-    *structural index* object is part of the key too: mutating a tree
-    drops its index registry entry (see :mod:`repro.xdm.index`), so the
-    rebuilt index is a different object and plans whose prolog-variable
-    values were baked in against the old tree can never be served again.
-    A *value* mutation keeps the index object but bumps its
-    ``value_generation``, which is part of the key for the same reason: a
-    prolog variable — written by the user or synthesized by the optimizer's
-    hoisting rule — may hold the result of a value predicate.
+    Each document is stamped when it is first handed out — before anything
+    is computed from it — with the object itself, its *structural index*
+    object and that index's ``value_generation``: mutating a tree drops its
+    index registry entry (see :mod:`repro.xdm.index`), so the rebuilt index
+    is a different object; a *value* mutation keeps the index but bumps the
+    generation, and a prolog variable — written by the user or synthesized
+    by the optimizer's hoisting rule — may hold the result of a value
+    predicate.
+
+    A URI the caller's resolver does not hold (absent, or about to be loaded
+    on demand) and any enumeration (:meth:`known_uris`) make the compilation
+    depend on the corpus as a whole: its URI set is noted and every document
+    in it stamped, at that moment.
     """
-    from repro.xdm.index import index_for
 
-    parts = []
-    for uri in resolver.known_uris():
-        doc = resolver.resolve(uri)
-        index = index_for(doc)
-        parts.append((uri, _Pinned(doc), _Pinned(index), index.value_generation))
-    return tuple(parts)
+    def __init__(self, resolver):
+        self._resolver = resolver
+        self._stamps: dict[str, tuple] = {}
+        self._corpus: tuple[str, ...] | None = None
+
+    def resolve(self, uri: str) -> Any:
+        document = self._resolver.loaded(uri)
+        if document is None:
+            self.known_uris()
+            document = self._resolver.resolve(uri)
+        self._stamp(uri, document)
+        return document
+
+    def known_uris(self) -> list[str]:
+        uris = self._resolver.known_uris()
+        if self._corpus is None:
+            self._corpus = tuple(uris)
+            for uri in uris:
+                self._stamp(uri, self._resolver.loaded(uri))
+        return uris
+
+    def _stamp(self, uri: str, document: Any) -> None:
+        if uri not in self._stamps:
+            index = index_for(document)
+            self._stamps[uri] = (uri, document, index, index.value_generation)
+
+    def cached(self, plan: Any) -> "CachedPlan":
+        """*plan* as a cache entry depending on what was read through here."""
+        return CachedPlan(plan, tuple(self._stamps.values()), self._corpus)
+
+
+class CachedPlan:
+    """A compiled plan plus the documents its compilation resolved."""
+
+    __slots__ = ("plan", "stamps", "corpus")
+
+    def __init__(self, plan: Any, stamps: tuple[tuple, ...],
+                 corpus: tuple[str, ...] | None):
+        self.plan = plan
+        #: (uri, document, structural index, value generation) per document
+        self.stamps = stamps
+        #: the URI set, if the compilation depended on the corpus as a whole
+        self.corpus = corpus
+
+    def serves(self, resolver) -> bool:
+        """Would a compilation against *resolver* read the very same,
+        unmutated documents?  Asks for nothing the resolver does not already
+        hold and builds no index (an evicted one is a mismatch: the next
+        compilation stamps the rebuilt one)."""
+        if self.corpus is not None and tuple(resolver.known_uris()) != self.corpus:
+            return False
+        for uri, document, index, value_generation in self.stamps:
+            if (resolver.loaded(uri) is not document
+                    or cached_index(document) is not index
+                    or index.value_generation != value_generation):
+                return False
+        return True
 
 
 class _Pinned:

@@ -10,7 +10,8 @@ thread-safe machinery PR 6 built):
 * every request resolves a corpus *snapshot* up front, so a concurrent
   ``POST /documents`` re-registration never changes the documents under a
   running evaluation (it bumps the session generation; later requests see
-  the new corpus and rebuild indexes/shreds lazily);
+  the new corpus, and rebuild the plans and the shred of the document that
+  was rewritten — of no other);
 * ``POST /batch`` captures one snapshot for the whole list of queries,
   amortizing capture and cache traffic across the batch;
 * :class:`ServiceStats` records every request into a
@@ -750,12 +751,13 @@ class QueryService:
         registry.gauge("repro_sql_pool_live_stores",
                        "Per-worker SQLite stores currently pooled.").set(
             pool["live_stores"])
+        registry.gauge("repro_sql_pool_trees_dropped_total",
+                       "Shredded trees the stores forgot (replaced, removed or "
+                       "mutated documents, trees no request can name).").set(
+            pool["trees_dropped"])
         registry.gauge("repro_sql_pool_created_total",
-                       "SQLite stores built since start (rebuilds included).").set(
+                       "SQLite stores built since start (one per worker thread).").set(
             pool["created"])
-        registry.gauge("repro_sql_pool_invalidated_total",
-                       "Pool invalidations (corpus mutations).").set(
-            pool["invalidated"])
         return registry.render()
 
     def _govern(self, settings: EvalSettings,

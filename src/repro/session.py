@@ -10,15 +10,22 @@ and cannot keep the SQL shred warm across requests.
 A :class:`Session` owns all of it explicitly:
 
 * its **document registry** (URI → document) with *snapshot semantics*:
-  :meth:`Session.register_document` bumps a generation and invalidates the
-  plan cache and SQLite pool; evaluations in flight finish against the
-  snapshot resolver they captured, new requests see the new corpus and
-  rebuild indexes/shreds lazily;
+  :meth:`Session.register_document` bumps a generation and starts a new
+  snapshot resolver — nothing else.  Evaluations in flight finish against
+  the snapshot they captured; new requests see the new corpus, and what
+  they find cached is checked against it *per document*, so a write costs
+  the plans and the shred of the document it wrote and nothing of any
+  other;
 * its **module and plan caches** (:class:`repro.plancache.LRUCache`,
-  fully lock-protected), keyed by query text and by the normalized
-  :class:`~repro.settings.EvalSettings` plan key respectively;
+  fully lock-protected), keyed by query text and by (module, normalized
+  :class:`~repro.settings.EvalSettings` plan key) respectively; a plan
+  entry carries the documents its compilation resolved and is served only
+  to a resolver that still resolves them to the same objects
+  (:class:`repro.plancache.CachedPlan`);
 * its **SQLite store pool** (:class:`repro.sqlbackend.pool.SqlStorePool`):
-  one store per worker thread, shredded relations reused across requests;
+  one store per worker thread for the life of the session; at each
+  acquisition it keeps the shredded trees the evaluation can name and that
+  have not changed, and forgets the rest;
 * its **default settings**, overridable per call
   (``session.evaluate(query, engine="sql")``): one
   :class:`~repro.settings.EvalSettings` value is resolved per evaluation
@@ -32,7 +39,9 @@ process-wide default session, so existing code keeps its behavior.
 
 Lock order (narrowest first, see DESIGN.md §8): an evaluation thread may
 take the session lock, then a cache lock, then the structural-index
-registry lock — never the reverse.  No lock is held while a query body
+registry lock (under which the change tokens of shredded trees live too)
+— never the reverse; a plan entry is validated under the cache lock and
+looks into the registry from there.  No lock is held while a query body
 actually evaluates — traced runs included: the kernel counters of a
 traced query live on its own trace context, not behind a session lock.
 """
@@ -188,9 +197,9 @@ class Session:
         generation.
 
         Replacing a document is the service's mutation model: queries in
-        flight finish on the snapshot they captured, the compiled-plan
-        cache and the SQLite store pool are invalidated, and the next
-        request rebuilds lazily against the new corpus.
+        flight finish on the snapshot they captured; the next request
+        captures a new one, against which the compiled-plan cache and the
+        SQLite store pool check what they hold document by document.
         """
         if isinstance(document, str):
             document = parse_xml(
@@ -200,8 +209,6 @@ class Session:
             self._documents[uri] = document
             self._generation += 1
             self._snapshot = None
-            self._plan_cache.bump_generation()
-            self._sql_pool.invalidate()
             return self._generation
 
     def apply_journal_record(self, record: Mapping[str, Any]) -> int:
@@ -210,7 +217,7 @@ class Session:
         The journal-driven registration hook of the prefork service: every
         worker's tailer funnels ``register``/``replace``/``remove`` records
         through here, so a replicated mutation takes exactly the same path
-        — generation bump, plan-cache invalidation, SQL-pool invalidation —
+        — generation bump, new snapshot —
         as a direct :meth:`register_document` call, and all workers
         converge on an identical corpus snapshot.  Returns the new
         generation.
@@ -234,8 +241,6 @@ class Session:
             self._documents.pop(uri, None)
             self._generation += 1
             self._snapshot = None
-            self._plan_cache.bump_generation()
-            self._sql_pool.invalidate()
             return self._generation
 
     def document_uris(self) -> list[str]:
@@ -400,7 +405,7 @@ class Session:
             elif settings.engine is Engine.SQL:
                 from repro.sqlbackend.executor import SQLEvaluator
 
-                evaluator = SQLEvaluator(store=self._sql_pool.store())
+                evaluator = SQLEvaluator(store=self._sql_pool.store(resolver))
                 with maybe_span(trace, "execute"):
                     items = evaluator.evaluate_module(module, context)
                 result = QueryResult(items=items, statistics=statistics)
@@ -461,21 +466,25 @@ class Session:
         # fresh per call: caching would only fill the LRU with entries that
         # can never hit, each pinning documents.  The settings component is
         # the normalized EvalSettings plan key — backend and pushdown shape
-        # the compiled plan, everything else is evaluation-time.
+        # the compiled plan, everything else is evaluation-time.  Whether
+        # the entry found fits *these* documents is the entry's to say.
         if settings.use_cache and plan_cacheable and plancache.module_cache_safe(module):
             plan_key = (
                 plancache.fingerprint([module]),
                 settings.plan_key(resolve_backend(settings.backend).backend_name),
-                plancache.documents_fingerprint(resolver),
             )
-            plan = self._plan_cache.get(plan_key)
-            plan_cache_state = "hit" if plan is not None else "miss"
+            entry = self._plan_cache.get(plan_key, lambda entry: entry.serves(resolver))
+            plan_cache_state = "miss"
+            if entry is not None:
+                plan = entry.plan
+                plan_cache_state = "hit"
         if plan is None:
-            # fn:id resolves in one compile-time document; only a
-            # one-document corpus names it (else: typed AlgebraError).
-            known = resolver.known_uris()
-            default_document = resolver.resolve(known[0]) if len(known) == 1 else None
-            compiler = AlgebraCompiler(documents=resolver, document=default_document,
+            # Everything the compilation learns about documents — fn:doc in
+            # the body, the prolog and hoisted variables evaluated below,
+            # the one-document default of fn:id — it asks of this view,
+            # which is what the cached plan will then depend on.
+            read = plancache.DocumentsRead(resolver)
+            compiler = AlgebraCompiler(documents=read,
                                        functions=module.function_map(),
                                        backend=settings.backend,
                                        push_predicates=settings.use_pushdown)
@@ -488,7 +497,7 @@ class Session:
             prolog = DynamicContext(
                 static=StaticContext(functions=module.function_map(), settings=settings,
                                      trace=trace, governor=governor),
-                documents=resolver)
+                documents=read)
             for name, value in (variables or {}).items():
                 prolog = prolog.bind(
                     name, list(value) if isinstance(value, (list, tuple)) else [value])
@@ -509,7 +518,7 @@ class Session:
                 )
             plan = compiler.compile(module.body, compile_context)
             if plan_key is not None:
-                self._plan_cache.put(plan_key, plan)
+                self._plan_cache.put(plan_key, read.cached(plan))
         if compile_span is not None:
             compile_span.set(plan_cache=plan_cache_state)
             trace.end(compile_span)

@@ -8,18 +8,30 @@ paid once per worker and then reused across requests.
 
 :class:`SqlStorePool` hands each *thread* its own store (SQLite connections
 are bound to their creating thread by default, and a private store per
-worker needs no statement-level locking at all).  A thread keeps its store
-— and therefore its shredded relations and indexes — across requests until
-one of two generations moves:
+worker needs no statement-level locking at all), built once and kept for
+the life of the pool.  What changes over that life is which *trees* the
+store holds, and the unit of that is the document.  :meth:`SqlStorePool.store`
+takes the resolver of the evaluation about to run and, whenever anything
+moved since this thread last asked, applies one rule:
 
-* the **pool generation**, bumped by :meth:`invalidate` when the owning
-  session re-registers documents (snapshot semantics: requests already
-  holding a store finish on it; the next acquisition rebuilds); or
-* the **global mutation generation** of :mod:`repro.xdm.index`, bumped by
-  every structural/value mutation hook — if *any* live tree changed, a
-  pooled shred of it would be stale, so the store is dropped and the next
-  request re-shreds lazily.  Constructor-free query traffic (the serving
-  common case) never moves this counter, so stores stay warm.
+    keep exactly the shredded trees that evaluation can name — the roots
+    of its resolver — and that have not changed since they were shredded;
+    forget the rest.
+
+So a replaced or removed document, an in-place mutation, a caller-supplied
+``documents=`` corpus that is gone and the constructed trees a query shreds
+on demand each cost their own rows and nothing else; a write to a document
+no query reads costs nothing.  "Anything moved" is two O(1) tests — the
+resolver is not the object last seen (the session makes a new snapshot per
+registry change), or the global mutation generation of
+:mod:`repro.xdm.index` moved (some tree somewhere was built or mutated) —
+so constructor-free traffic over a stable corpus takes the fast path on
+every request.  *Which* trees changed is read off their change tokens.
+
+The rule runs on the owning thread, at acquisition: a request in flight
+finishes on the store as it was handed out (snapshot semantics), and a
+connection thread that has not served a request since a write still holds
+the replaced tree until its next one.
 
 In ``"wal"`` mode stores are file-backed databases in write-ahead-log mode
 under a pool-owned temporary directory; ``"memory"`` (the default, used by
@@ -28,18 +40,17 @@ the in-process default session) keeps them in ``:memory:``.
 
 from __future__ import annotations
 
-import itertools
 import os
 import shutil
 import tempfile
 import threading
 
 from repro.sqlbackend.shredder import SqlDocumentStore
-from repro.xdm import index as _index_module
+from repro.xdm.index import mutation_generation
 
 
 class SqlStorePool:
-    """Thread-local :class:`SqlDocumentStore` instances with invalidation.
+    """Thread-local :class:`SqlDocumentStore` instances, one per worker.
 
     Parameters
     ----------
@@ -57,36 +68,28 @@ class SqlStorePool:
         self.mode = mode
         self._directory = directory
         self._own_directory: str | None = None
+        #: Per thread: (store, mutation generation, resolver) as of its last
+        #: acquisition.
         self._local = threading.local()
         self._lock = threading.Lock()
         #: All live stores, for close()/stats() (thread-local access only
         #: ever touches the calling thread's own store).
-        self._stores: dict[int, SqlDocumentStore] = {}
-        self._sequence = itertools.count(1)
-        self._generation = 0
+        self._stores: list[SqlDocumentStore] = []
         self._created = 0
-        self._invalidated = 0
+        self._trees_dropped = 0
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Make every pooled store stale (documents changed).
-
-        In-flight evaluations keep the store object they already acquired
-        and finish on that snapshot; the next :meth:`store` call on each
-        worker builds a fresh one.
-        """
-        with self._lock:
-            self._generation += 1
 
     def close(self) -> None:
         """Close every pooled store and remove the pool's scratch files."""
         with self._lock:
             self._closed = True
-            stores = list(self._stores.values())
-            self._stores.clear()
+            stores, self._stores = self._stores, []
             own_directory, self._own_directory = self._own_directory, None
+        # Every thread's entry goes with the old thread-local object, and
+        # with it the last resolver (its documents) each of them had seen.
+        self._local = threading.local()
         for store in stores:
             try:
                 store.close()
@@ -97,41 +100,37 @@ class SqlStorePool:
 
     # -- acquisition ---------------------------------------------------------
 
-    def store(self) -> SqlDocumentStore:
-        """This thread's store, rebuilt if any generation moved."""
+    def store(self, resolver) -> SqlDocumentStore:
+        """This thread's store, for an evaluation over *resolver*'s documents
+        (the retention rule of the module docstring is applied here)."""
         if self._closed:
             raise RuntimeError("store pool is closed")
-        mutation_generation = _index_module.mutation_generation()
+        # Read before the rule runs: a mutation racing it is seen next time.
+        generation = mutation_generation()
         entry = getattr(self._local, "entry", None)
-        if (entry is not None
-                and entry[1] == self._generation
-                and entry[2] == mutation_generation):
-            return entry[0]
-        return self._rebuild(entry, mutation_generation)
+        if entry is None:
+            store = self._create()
+        else:
+            store, seen_generation, seen_resolver = entry
+            if seen_generation == generation and seen_resolver is resolver:
+                return store
+            dropped = store.retain(
+                resolver.resolve(uri) for uri in resolver.known_uris())
+            if dropped:
+                with self._lock:
+                    self._trees_dropped += dropped
+        self._local.entry = (store, generation, resolver)
+        return store
 
-    def _rebuild(self, entry, mutation_generation: int) -> SqlDocumentStore:
+    def _create(self) -> SqlDocumentStore:
         with self._lock:
-            pool_generation = self._generation
-            sequence = next(self._sequence)
-            if entry is not None:
-                self._stores.pop(id(entry[0]), None)
-                self._invalidated += 1
-            if self.mode == "wal":
-                directory = self._directory
-                if directory is None:
-                    if self._own_directory is None:
-                        self._own_directory = tempfile.mkdtemp(prefix="repro-sqlpool-")
-                    directory = self._own_directory
-        if entry is not None:
-            old_store = entry[0]
-            old_path = getattr(old_store, "path", ":memory:")
-            old_store.close()
-            if old_path != ":memory:":
-                for suffix in ("", "-wal", "-shm"):
-                    try:
-                        os.unlink(old_path + suffix)
-                    except OSError:
-                        pass
+            self._created += 1
+            sequence = self._created
+            directory = self._directory
+            if self.mode == "wal" and directory is None:
+                if self._own_directory is None:
+                    self._own_directory = tempfile.mkdtemp(prefix="repro-sqlpool-")
+                directory = self._own_directory
         if self.mode == "wal":
             path = os.path.join(
                 directory, f"store-{threading.get_ident()}-{sequence}.db")
@@ -139,9 +138,7 @@ class SqlStorePool:
         else:
             store = SqlDocumentStore()
         with self._lock:
-            self._stores[id(store)] = store
-            self._created += 1
-        self._local.entry = (store, pool_generation, mutation_generation)
+            self._stores.append(store)
         return store
 
     # -- introspection -------------------------------------------------------
@@ -152,14 +149,8 @@ class SqlStorePool:
                 "mode": self.mode,
                 "live_stores": len(self._stores),
                 "created": self._created,
-                "invalidated": self._invalidated,
-                "generation": self._generation,
+                "trees_dropped": self._trees_dropped,
             }
-
-    def journal_mode(self) -> str | None:
-        """The journal mode of this thread's store (for tests/stats)."""
-        row = self.store().connection.execute("PRAGMA journal_mode").fetchone()
-        return row[0] if row else None
 
 
 __all__ = ["SqlStorePool"]

@@ -11,18 +11,40 @@ The store shreds *any* rooted tree, not only parsed documents: the fixpoint
 executor encodes seed and body-result nodes on demand, so constructed
 subtrees (e.g. the Example 2.4 seed ``(<a/>, <b><c><d/></c></b>)``) are
 shredded lazily the first time they participate in a recursion.
+
+A store outlives the trees it holds: :meth:`SqlDocumentStore.retain` forgets
+the ones that are no longer wanted or were mutated since they were shredded
+— rows, mappings and all — and keeps the rest.  "Mutated" is read off the
+per-tree change tokens of :mod:`repro.xdm.index`, which the store takes at
+shred time and hands back when it forgets the tree, is closed or is simply
+garbage collected.
 """
 
 from __future__ import annotations
 
 import itertools
 import sqlite3
+import weakref
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from repro import faults
 from repro.errors import SqlBackendError
 from repro.sqlbackend.schema import create_schema
+from repro.xdm import index as _index
 from repro.xdm.node import DocumentNode, ElementNode, Node, TextNode
+
+
+class _ShreddedTree(NamedTuple):
+    """One shredded tree.  A single counter hands out pre and post ranks
+    (attributes included), so the tree's rows are exactly the ranks in
+    ``[first, last]`` — the root's pre and post."""
+
+    doc_id: int
+    first: int
+    last: int
+    #: the tree's change count (:func:`repro.xdm.index.watch_tree`) at shred time
+    changes: int
 
 
 class SqlDocumentStore:
@@ -52,12 +74,19 @@ class SqlDocumentStore:
         self._counter = itertools.count(1)
         self._pre_of: dict[int, int] = {}
         self._node_of: dict[int, Node] = {}
-        self._doc_of_root: dict[int, int] = {}
+        #: id(root) → what was shredded from it (the mapped nodes pin the root)
+        self._trees: dict[int, _ShreddedTree] = {}
         self._version = 0
+        # The change tokens go back on close() or, for a store that is
+        # simply dropped, when it is collected — before the nodes it pins.
+        # The callback holds the table of trees, never the store.
+        self._release_tokens = weakref.finalize(self, _index.unwatch_trees, self._trees)
+        self._release_tokens.atexit = False
 
     @property
     def version(self) -> int:
-        """Bumped on every successful shred.
+        """Bumped whenever the store's content changes (a shred, a forgotten
+        tree).
 
         Data-dependent verdicts derived from the store's content (the
         executor's EXISTS guard probes) stay valid exactly while this
@@ -77,14 +106,17 @@ class SqlDocumentStore:
         shred mid-walk; the failure path below rolls the store back to
         its pre-shred state.
         """
-        existing = self._doc_of_root.get(id(root))
+        existing = self._trees.get(id(root))
         if existing is not None:
-            return existing
+            return existing.doc_id
         if root.parent is not None:
             raise SqlBackendError("shred() expects the root of a tree "
                                   f"(got a node with a parent: {root!r})")
         cursor = self.connection.execute("INSERT INTO doc (uri) VALUES (?)", (uri,))
         doc_id = cursor.lastrowid
+        # Watched from before the walk: a mutation racing it counts as a
+        # change to the shred, not as part of it.
+        changes = _index.watch_tree(root)
 
         # The node↔pre mappings are staged locally and merged into the
         # store's dicts only after the bulk insert commits: a failure
@@ -131,10 +163,12 @@ class SqlDocumentStore:
             # failures happen before the `with self.connection` block, whose
             # own rollback only covers the bulk inserts).
             self.connection.rollback()
+            _index.unwatch_trees((id(root),))
             raise
         self._pre_of.update(local_pre)
         self._node_of.update(local_node)
-        self._doc_of_root[id(root)] = doc_id
+        root_pre, root_post = node_rows[0][:2]
+        self._trees[id(root)] = _ShreddedTree(doc_id, root_pre, root_post, changes)
         self._version += 1
         return doc_id
 
@@ -183,11 +217,49 @@ class SqlDocumentStore:
             for child in reversed(node.children):
                 stack.append(("enter", child, pre, level + 1))
 
+    # -- forgetting ----------------------------------------------------------
+
+    def retain(self, roots: Iterable[Node]) -> int:
+        """Forget every shredded tree that is not rooted at one of *roots*,
+        or that was mutated since it was shredded; returns how many went.
+
+        What stays is exactly what an evaluation over *roots* may read as it
+        is.  A forgotten tree loses its rows (by its contiguous rank range
+        and its ``doc_id`` — primary-key deletes), its node↔pre mappings and
+        its change token, and is shredded afresh should a query reach it
+        again.  A failure leaves the store as it was.
+        """
+        wanted = {id(root) for root in roots}
+        stale = [root_id for root_id, tree in self._trees.items()
+                 if root_id not in wanted
+                 or _index.tree_changes(root_id) != tree.changes]
+        if not stale:
+            return 0
+        with self.connection:
+            for root_id in stale:
+                tree = self._trees[root_id]
+                ranks = (tree.first, tree.last)
+                self.connection.execute("DELETE FROM node WHERE pre BETWEEN ? AND ?", ranks)
+                self.connection.execute("DELETE FROM attr WHERE pre BETWEEN ? AND ?", ranks)
+                self.connection.execute("DELETE FROM id_attr WHERE doc_id = ?", (tree.doc_id,))
+                self.connection.execute("DELETE FROM doc WHERE doc_id = ?", (tree.doc_id,))
+        _index.unwatch_trees(stale)
+        for root_id in stale:
+            tree = self._trees.pop(root_id)
+            for rank in range(tree.first, tree.last + 1):
+                node = self._node_of.pop(rank, None)
+                # A node moved into another tree since may be mapped there.
+                if node is not None and self._pre_of.get(id(node)) == rank:
+                    del self._pre_of[id(node)]
+        self._version += 1
+        return len(stale)
+
     # -- encode / decode -----------------------------------------------------
 
     def doc_id_of(self, root: Node) -> int | None:
         """The ``doc_id`` of a shredded tree's root (``None`` if unseen)."""
-        return self._doc_of_root.get(id(root))
+        tree = self._trees.get(id(root))
+        return None if tree is None else tree.doc_id
 
     def encode(self, nodes: Iterable[Node],
                governor=None) -> list[int]:
@@ -224,6 +296,12 @@ class SqlDocumentStore:
         return self.connection.execute("SELECT count(*) FROM node").fetchone()[0]
 
     def close(self) -> None:
+        """Release the change tokens and the pinned nodes (from any thread),
+        then close the connection (which only its own thread may)."""
+        self._release_tokens()
+        self._trees.clear()
+        self._pre_of.clear()
+        self._node_of.clear()
         self.connection.close()
 
 

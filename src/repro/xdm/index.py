@@ -33,7 +33,9 @@ small registry keeps the most recently used indexes; structural mutations
 (``append_child``, ``add_attribute``, the builders' ``_renumber_subtree``)
 invalidate the affected tree's entry through the hook this module installs
 into :mod:`repro.xdm.node` on import — before that import no index exists,
-so node construction pays nothing.
+so node construction pays nothing.  The same hooks keep a *change token*
+per tree a SQLite store has shredded (:func:`watch_tree`), which is how a
+store learns that one of its trees, and not some other, was mutated.
 """
 
 from __future__ import annotations
@@ -83,17 +85,13 @@ class StructuralIndex:
     attribute list directly.
     """
 
-    __slots__ = ("root", "generation", "value_generation", "nodes", "pre_of", "post", "level",
+    __slots__ = ("root", "value_generation", "nodes", "pre_of", "post", "level",
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
                  "kind_pres", "_child_by_name", "_attr_owner_sets",
                  "_attr_value_sets", "_child_parent_sets", "_path_value_sets")
 
     def __init__(self, root: Node):
         self.root = root
-        #: The global mutation generation this index was built at (see
-        #: :func:`mutation_generation`); lets holders tell a fresh index
-        #: from one built before the last structural change.
-        self.generation = _MUTATION_GENERATION
         #: Bumped whenever a value mutation drops the value indexes: holders
         #: of anything computed from node *values* (the plan cache's baked-in
         #: prolog variables) key on it beside the index object itself.
@@ -487,10 +485,20 @@ _REGISTRY: "OrderedDict[int, tuple[Node, StructuralIndex]]" = OrderedDict()
 _REGISTRY_LOCK = RLock()
 
 #: Monotonic counter bumped on every structural or value mutation that
-#: reaches the hooks below.  Snapshot holders (the per-worker SQLite store
-#: pool, service stats) compare it against the generation they captured to
-#: detect that *any* indexed/shredded tree changed underneath them.
+#: reaches the hooks below.  It says only that *something, somewhere* moved
+#: — parsing a new document and constructing a node count — so it is the
+#: O(1) "nothing moved since I last looked" test of the SQLite store pool
+#: and nothing more; *which* tree changed is what the tokens below record.
 _MUTATION_GENERATION = 0
+
+#: Change tokens of the trees some SQLite store has shredded: ``id(root)`` →
+#: ``[changes, watchers]``.  The hooks count a mutation against the token of
+#: the tree it happened in; a store remembers the count it shredded at.  The
+#: table holds no reference to the tree — a watching store pins the nodes it
+#: maps, and lets go of the token (:func:`unwatch_trees`) before it lets go
+#: of them — so an entry can neither keep a document alive nor outlive the
+#: ``id`` it is filed under.  Guarded by the registry lock.
+_TREE_TOKENS: dict[int, list[int]] = {}
 
 #: Bound on live indexes (evaluation constructs many small transient trees;
 #: their indexes must not accumulate).
@@ -555,9 +563,11 @@ def invalidate_index(node: Node) -> None:
     global _MUTATION_GENERATION
     with _REGISTRY_LOCK:
         _MUTATION_GENERATION += 1
-        if not _REGISTRY:
+        if not _REGISTRY and not _TREE_TOKENS:
             return
-        _REGISTRY.pop(id(_root_of(node)), None)
+        root_id = id(_root_of(node))
+        _REGISTRY.pop(root_id, None)
+        _trip(root_id)
 
 
 def invalidate_value_indexes(node: Node) -> None:
@@ -571,11 +581,54 @@ def invalidate_value_indexes(node: Node) -> None:
     global _MUTATION_GENERATION
     with _REGISTRY_LOCK:
         _MUTATION_GENERATION += 1
-        if not _REGISTRY:
+        if not _REGISTRY and not _TREE_TOKENS:
             return
-        entry = _REGISTRY.get(id(_root_of(node)))
+        root_id = id(_root_of(node))
+        entry = _REGISTRY.get(root_id)
         if entry is not None:
             entry[1].clear_value_indexes()
+        _trip(root_id)
+
+
+def _trip(root_id: int) -> None:
+    token = _TREE_TOKENS.get(root_id)
+    if token is not None:
+        token[0] += 1
+
+
+def watch_tree(root: Node) -> int:
+    """Start counting the mutations of the tree under *root*; returns its
+    change count so far.  The caller must keep *root* alive until it calls
+    :func:`unwatch_trees` — the token is filed under ``id(root)``."""
+    with _REGISTRY_LOCK:
+        token = _TREE_TOKENS.setdefault(id(root), [0, 0])
+        token[1] += 1
+        return token[0]
+
+
+def tree_changes(root_id: int) -> int:
+    """The change count of a watched tree.  Taken under the registry lock: a
+    caller that saw :func:`mutation_generation` move waits here for the hook
+    that moved it to finish."""
+    with _REGISTRY_LOCK:
+        return _TREE_TOKENS[root_id][0]
+
+
+def unwatch_trees(root_ids: Iterable[int]) -> None:
+    """Let go of one :func:`watch_tree` per id; the last watcher of a tree
+    takes its token out of the table."""
+    with _REGISTRY_LOCK:
+        for root_id in root_ids:
+            token = _TREE_TOKENS[root_id]
+            token[1] -= 1
+            if not token[1]:
+                del _TREE_TOKENS[root_id]
+
+
+def watched_trees() -> int:
+    """Number of trees with a change token (tests: nothing is left behind)."""
+    with _REGISTRY_LOCK:
+        return len(_TREE_TOKENS)
 
 
 def clear_index_registry() -> None:

@@ -87,6 +87,11 @@ class DocumentResolver:
                 return document
         raise XQueryDynamicError(f"document '{uri}' is not available", code="FODC0002")
 
+    def loaded(self, uri: str) -> Any:
+        """The document already held under *uri*, or ``None`` — never asks
+        the loader (cache validation must not fetch anything)."""
+        return self._documents.get(uri)
+
     def known_uris(self) -> list[str]:
         return sorted(self._documents)
 

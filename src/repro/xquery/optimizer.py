@@ -9,7 +9,12 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
 
 * ``e/descendant-or-self::node()/child::t``  →  ``e/descendant::t``
   (the standard ``//`` abbreviation fusion), including the variant where a
-  predicate list sits on the final step.
+  predicate list sits on the final step — provided no predicate can be
+  positional: ``//t[1]`` is the first ``t`` *of each parent*,
+  ``/descendant::t[1]`` the first of the document.  The step fuses only
+  when every predicate is statically boolean- or node-valued and reads
+  neither ``position()`` nor ``last()`` of its own focus
+  (:func:`_position_free`).
 * **constant folding** — arithmetic, unary minus and comparisons over
   literal operands, skipping anything that could raise (division by zero,
   mixed-type comparisons).
@@ -161,14 +166,56 @@ def _fuse_descendant_step(expr: ast.Expr) -> ast.Expr:
         isinstance(right, ast.AxisStep)
         and right.axis == "child"
         and isinstance(left, ast.PathExpr)
-        and isinstance(left.right, ast.AxisStep)
-        and left.right.axis == "descendant-or-self"
-        and left.right.node_test.kind == "node"
-        and not left.right.predicates
+        and _is_all_nodes_step(left.right)
+        and all(_position_free(predicate) for predicate in right.predicates)
     ):
         fused_step = ast.AxisStep("descendant", right.node_test, right.predicates)
         return ast.PathExpr(left.left, fused_step)
     return expr
+
+
+def _is_all_nodes_step(step: ast.Expr) -> bool:
+    """``descendant-or-self::node()``, the step ``//`` abbreviates."""
+    return (isinstance(step, ast.AxisStep) and step.axis == "descendant-or-self"
+            and step.node_test.kind == "node" and not step.predicates)
+
+
+def _position_free(predicate: ast.Expr) -> bool:
+    """Does *predicate* keep the same nodes whether they are counted per
+    parent or per document?  Yes when it is statically boolean- or
+    node-valued (so never compared with the position) and does not read
+    ``position()``/``last()`` itself: comparisons, ``and``/``or``,
+    ``not``/``exists``/``empty`` and paths ending in an axis step — which
+    covers every value and existence shape of the pushdown recognizer
+    (``[@k]``, ``[seller/@person = $id]``).  Everything else — a number,
+    arithmetic, a bare variable, a call of unknown type — may be a position
+    and blocks the fusion.  (Like dead-branch elimination, this takes the
+    three function names for the built-ins.)"""
+    if isinstance(predicate, ast.AxisStep):
+        return True  # its own predicates count along its own axis
+    if isinstance(predicate, ast.PathExpr):
+        return isinstance(predicate.right, ast.AxisStep) and not _reads_position(predicate.left)
+    if isinstance(predicate, (ast.GeneralComparison, ast.ValueComparison,
+                              ast.NodeComparison, ast.AndExpr, ast.OrExpr)):
+        return not (_reads_position(predicate.left) or _reads_position(predicate.right))
+    if isinstance(predicate, ast.FunctionCall) and len(predicate.args) == 1:
+        return (_local_name(predicate) in ("not", "exists", "empty")
+                and not _reads_position(predicate.args[0]))
+    return False
+
+
+def _reads_position(expr: ast.Expr) -> bool:
+    """Does *expr* call ``position()``/``last()`` under the focus it is
+    evaluated in (not one that a step or filter inside it establishes)?"""
+    if isinstance(expr, ast.FunctionCall) and not expr.args:
+        return _local_name(expr) in ("position", "last")
+    if isinstance(expr, ast.AxisStep):
+        return False
+    if isinstance(expr, ast.PathExpr):
+        return _reads_position(expr.left)
+    if isinstance(expr, ast.FilterExpr):
+        return _reads_position(expr.primary)
+    return any(_reads_position(child) for child in expr.child_expressions())
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +552,11 @@ class _Hoister:
         if kind in _LEAVES:
             return expr
         if kind in _CANDIDATES and (self.repeated or depth > 1):
-            if self._total_type(expr, scope) is not None and _has_step(expr):
+            # (Not the first half of a ``//`` the fusion left alone: every
+            # node of a document in a variable — in every cached plan — to
+            # save one slice per iteration.)
+            if (self._total_type(expr, scope) is not None and _has_step(expr)
+                    and not (kind is ast.PathExpr and _is_all_nodes_step(expr.right))):
                 target = max((scope[name].depth for name in expr.free_variables()),
                              default=0)
                 if target < depth:

@@ -86,19 +86,109 @@ class TestLRUCacheHammer:
         _run_in_threads(worker)
         assert len(cache) <= 8
 
-    def test_generation_bump_invalidates_between_threads(self):
+    def test_rejected_entry_is_a_miss_and_is_dropped(self):
         cache = LRUCache(8)
         cache.put("plan", "old")
+        assert cache.get("plan", lambda value: value == "old") == "old"
+        assert cache.get("plan", lambda value: value == "new") is None
+        assert cache.get("plan") is None  # the rejected entry is gone
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 2, 0)
+
+
+class TestPlanValidationBetweenThreads:
+    """A cached plan bakes in the documents its compilation resolved.  One
+    thread replaces the document while seven read it through the plan
+    cache: whatever a reader is served — hit or fresh compilation — answers
+    from the document *its* resolver holds, never from one replaced since."""
+
+    QUERY = 'doc("d.xml")//item'
+    VERSIONS = ['<r><item n="0"/></r>',
+                '<r><item n="1"/><item n="1"/></r>',
+                '<r><item n="2"/><item n="2"/><item n="2"/></r>']
+
+    def test_a_plan_is_never_served_for_a_replaced_document(self):
+        with Session(documents={"d.xml": self.VERSIONS[0]}) as session:
+            session.evaluate(self.QUERY, engine="algebra")  # warm: one entry
+
+            def worker(index: int) -> None:
+                for round_number in range(ROUNDS):
+                    if index == 0:
+                        session.register_document(
+                            "d.xml", self.VERSIONS[round_number % len(self.VERSIONS)])
+                        continue
+                    snapshot = session.snapshot()
+                    result = session.evaluate(self.QUERY, engine="algebra",
+                                              documents=snapshot)
+                    document = snapshot.resolve("d.xml")
+                    assert result.items, "an empty answer would pass vacuously"
+                    assert all(item.document() is document for item in result.items)
+                    assert len(result.items) == len(document.document_element().children)
+
+            _run_in_threads(worker)
+            # After the last write every thread converges on the last document.
+            final = session.snapshot().resolve("d.xml")
+            result = session.evaluate(self.QUERY, engine="algebra")
+            assert all(item.document() is final for item in result.items)
+            plan = session.cache_stats()["plan"]
+            assert plan["size"] == 1  # one entry per (module, settings), replaced in place
+            assert plan["hits"] + plan["misses"] == (THREADS - 1) * ROUNDS + 2
+
+
+class TestChangeTokensUnderLoad:
+    """Stores on eight threads take and hand back the change tokens of two
+    shared trees while a ninth thread keeps mutating one of them, under a
+    shortened switch interval.  A lost update to a token's watcher count
+    would leave an entry behind (or remove one still watched: a KeyError);
+    a lost change would let a store keep a stale tree."""
+
+    def test_tokens_balance_and_no_store_keeps_a_mutated_tree(self):
+        import sys
+
+        from repro.sqlbackend.shredder import SqlDocumentStore
+        from repro.xdm.index import watched_trees
+        from repro.xmlio.parser import parse_xml
+
+        stable = parse_xml("<s><a/><b/></s>")
+        edited = parse_xml('<e><a k="0"/></e>')
+        attribute = edited.document_element().children[0].get_attribute("k")
+        tokens = watched_trees()
+        stop = threading.Event()
 
         def worker(index: int) -> None:
-            if index == 0:
-                cache.bump_generation()
-            else:
-                value = cache.get("plan")
-                assert value in ("old", None)
+            if index == THREADS:  # the mutator
+                value = 0
+                while not stop.is_set():
+                    value += 1
+                    attribute.set_value(str(value))
+                return
+            try:
+                store = SqlDocumentStore()  # connections stay on their thread
+                for round_number in range(ROUNDS):
+                    store.shred(stable)
+                    store.shred(edited)
+                    shredded_at = int(store.connection.execute(
+                        "SELECT value FROM attr").fetchone()[0])
+                    attribute.set_value(str(shredded_at + 1_000_000))
+                    # Mutated since: whatever else happened, `edited` must go.
+                    assert store.retain([stable, edited]) == 1
+                    assert store.doc_id_of(edited) is None
+                    assert store.doc_id_of(stable) is not None
+                    if round_number % 3 == 0:
+                        assert store.retain([]) == 1
+                store.close()
+            finally:
+                if index == 0:
+                    stop.set()
 
-        _run_in_threads(worker)
-        assert cache.get("plan") is None  # stale entry never outlives the bump
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_in_threads(worker, THREADS + 1)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert watched_trees() == tokens
 
 
 class TestConcurrentEvaluate:

@@ -132,6 +132,29 @@ class TestInjectionPoints:
             'count(doc("curriculum.xml")//course)', engine="sql")
         assert count.items == [7]
 
+    def test_shredder_fault_releases_the_change_token_it_took(self):
+        from repro.sqlbackend.shredder import SqlDocumentStore
+        from repro.xdm.index import watched_trees
+        from repro.xmlio.parser import parse_xml
+
+        store = SqlDocumentStore()
+        kept = parse_xml("<kept><a/><b/></kept>")
+        store.shred(kept)
+        tokens, version = watched_trees(), store.version
+        state = (store.node_count(), dict(store._pre_of), dict(store._trees))
+        document = parse_xml(CURRICULUM_XML)
+        with faults.inject(FaultSpec(point="shredder-load", after=5, limit=1)):
+            with pytest.raises(InjectedFault):
+                store.shred(document)
+        # Mid-shred failure: rows, mappings, version and token table as before.
+        assert (store.node_count(), store._pre_of, store._trees) == state
+        assert (watched_trees(), store.version) == (tokens, version)
+        assert store.doc_id_of(document) is None
+        store.shred(document)
+        assert watched_trees() == tokens + 1
+        store.close()
+        assert watched_trees() == tokens - 1
+
     def test_index_build_fault_leaves_registry_clean(self, session):
         with faults.inject(FaultSpec(point="index-build")):
             with pytest.raises(InjectedFault):

@@ -342,7 +342,8 @@ class TestServiceObservability:
                            "repro_generation", "repro_documents",
                            "repro_cache_hits", "repro_cache_misses",
                            "repro_cache_hit_ratio", "repro_cache_size",
-                           "repro_sql_pool_live_stores"):
+                           "repro_sql_pool_live_stores",
+                           "repro_sql_pool_trees_dropped_total"):
                 assert f"# TYPE {family} " in text, family
             for engine in ALL_ENGINES:
                 assert f'repro_requests_total{{engine="{engine}"}} 1' in text

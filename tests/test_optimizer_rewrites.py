@@ -126,6 +126,55 @@ class TestDescendantFusion:
         assert isinstance(result.right, ast.AxisStep)
         assert result.right.axis == "descendant"
 
+    #: ``//item[1]`` is the first item *of each parent*: two here.  Fused to
+    #: ``/descendant::item[1]`` it was the first of the document (answer 1,
+    #: on every engine, with default settings).
+    PER_PARENT_XML = '<r><p><item k="a"/><item k="a"/></p><p><item k="a"/></p></r>'
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("predicates", ['[1]', '[@k = "a"][1]', '[last()]'])
+    def test_positions_count_per_parent(self, engine, predicates):
+        query = f'count(doc("d.xml")//item{predicates})'
+        documents = {"d.xml": parse_xml(self.PER_PARENT_XML)}
+        assert evaluate(query, documents=documents, engine=engine).items == [2]
+        assert evaluate(query, documents=documents, engine=engine,
+                        optimize=False).items == [2]
+
+    @staticmethod
+    def _fused(expression: str) -> bool:
+        result = _opt(expression)
+        assert isinstance(result, ast.PathExpr)
+        fused = result.right.axis == "descendant"
+        assert fused or (result.right.axis == "child"
+                         and result.left.right.axis == "descendant-or-self")
+        return fused
+
+    @pytest.mark.parametrize("expression", [
+        # the ledger's bidder steps: fusion is what lets them probe the index
+        "$doc//open_auction[seller/@person = $id]",
+        "$doc//people",
+        # boolean- or node-valued, and blind to the position
+        "$d//item[@k]", "$d//item[sub]", '$d//item[@k = "a"][sub = $v]',
+        "$d//item[sub/leaf]", "$d//item[.//leaf]", "$d//item[not(sub)]",
+        "$d//item[exists(sub) and empty(@m)]", "$d//item[@n = 1 or sub != 'x']",
+        "$d//item[count(sub) = 1]", "$d//item[@n + 1 = 2]", "$d//item[. is $n]",
+        '$d//item[sub[1] = "x"]', "$d//item[sub[last()]]",  # a position one focus down
+    ])
+    def test_position_free_predicates_still_fuse(self, expression):
+        assert self._fused(expression)
+
+    @pytest.mark.parametrize("expression", [
+        "$d//item[1]", "$d//item[last()]", '$d//item[@k = "a"][1]', "$d//item[2][@k]",
+        "$d//item[position() < 3]", "$d//item[@k and position() = 2]",
+        "$d//item[not(position() = last())]", "$d//item[last() - 1]",
+        # may be a number, hence a position: a variable, arithmetic, unknown calls
+        "$d//item[$n]", "$d//item[@n + 1]", "$d//item[count(sub)]",
+        "$d//item[local:f(.)]", "$d//item[(sub, 1)[1]]", "$d//item[sub/count(leaf)]",
+        "$d//item[if (@k) then 1 else 2]",
+    ])
+    def test_a_predicate_that_may_be_positional_blocks_the_fusion(self, expression):
+        assert not self._fused(expression)
+
 
 class TestUnusedFunctionPruning:
     def test_unreachable_function_dropped(self):

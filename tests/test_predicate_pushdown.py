@@ -115,12 +115,12 @@ def _has_positional(query: str) -> bool:
 
 
 def _evaluate(query: str, resolver, engine: str, use_pushdown: bool,
-              use_index: bool = True):
+              use_index: bool = True, optimize: bool = True):
     prolog = "declare variable $v external;\n" if "$v" in query else ""
     return evaluate(prolog + query.format(d='doc("r.xml")'),
                     documents=resolver, variables=VARIABLES, engine=engine,
                     use_pushdown=use_pushdown, use_index=use_index,
-                    use_cache=False).items
+                    optimize=optimize, use_cache=False).items
 
 
 class TestPropertyCrossEngine:
@@ -129,9 +129,10 @@ class TestPropertyCrossEngine:
     def test_all_engines_match_naive_interpreter(self, doc_seed, query):
         resolver = DocumentResolver()
         resolver.register("r.xml", random_document(doc_seed))
-        # Ground truth: per-item focus loops over naive axis walks.
+        # Ground truth: per-item focus loops over naive axis walks of the
+        # query as written (no rewrite).
         expected = _evaluate(query, resolver, "interpreter",
-                             use_pushdown=False, use_index=False)
+                             use_pushdown=False, use_index=False, optimize=False)
         positional = _has_positional(query)
         # The interpreter without the index (naive kernels) agrees too.
         got = _evaluate(query, resolver, "interpreter", use_pushdown=True,
@@ -294,10 +295,8 @@ class TestComputedRhsJoin:
         run = lambda **settings: evaluate(  # noqa: E731
             query.format(d='doc("r.xml")'), documents=resolver, use_cache=False,
             **settings).items
-        # (the optimizer stays on, as in TestPropertyCrossEngine: its ``//``
-        # fusion moves ``//item[…][1]`` from per-parent to per-document
-        # positions — ROADMAP "Small" — and every engine runs behind it)
-        expected = run(engine="interpreter", use_pushdown=False, use_index=False)
+        expected = run(engine="interpreter", use_pushdown=False, use_index=False,
+                       optimize=False)
         positional = _has_positional(query)
         for engine, backend in ENGINE_BACKENDS:
             for use_pushdown in (True, False):

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import itertools
+import random
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,6 +16,11 @@ from repro.limits import Governor, ResourceLimits
 from repro.observability import TraceContext
 from repro.session import PreparedQuery, Session, default_session
 from repro.settings import Engine, EvalSettings, coerce_settings
+from repro.sqlbackend.shredder import SqlDocumentStore
+from repro.xdm.index import clear_index_registry, watched_trees
+from repro.xdm.node import AttributeNode, ElementNode
+from repro.xmlio.parser import parse_xml
+from repro.xmlio.serializer import serialize
 from repro.xquery.context import StaticContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_query
@@ -226,16 +235,21 @@ class TestSnapshotSemantics:
         assert new_generation == generation + 1
         assert session.generation == new_generation
 
-    def test_in_flight_snapshot_survives_mutation(self, session):
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_in_flight_snapshot_survives_mutation(self, session, engine):
         old_snapshot = session.snapshot()
+        session.evaluate(TC_QUERY, engine=engine)  # plan cached, tree shredded
         session.register_document("curriculum.xml", MUTATED_XML,
                                   id_attributes=("code",))
         # A query pinned to the captured snapshot still sees the old corpus…
-        old = session.evaluate(TC_QUERY, documents=old_snapshot)
+        old = session.evaluate(TC_QUERY, documents=old_snapshot, engine=engine)
         assert course_codes(old.items) == ["c2", "c3", "c4", "c5"]
-        # …while an unpinned query sees the new one.
-        new = session.evaluate(TC_QUERY)
+        # …while an unpinned query sees the new one…
+        new = session.evaluate(TC_QUERY, engine=engine)
         assert course_codes(new.items) == ["c2", "c3"]
+        # …and the old snapshot keeps answering from the old document.
+        old = session.evaluate(TC_QUERY, documents=old_snapshot, engine=engine)
+        assert course_codes(old.items) == ["c2", "c3", "c4", "c5"]
 
     def test_mutation_invalidates_plan_cache(self, session):
         session.evaluate(TC_QUERY, engine="algebra")
@@ -261,14 +275,18 @@ class TestSqlStorePool:
         session.evaluate(TC_QUERY, engine="sql")
         assert session.stats()["sql_pool"]["created"] == created
 
-    def test_mutation_rebuilds_the_store(self, session):
+    def test_mutation_forgets_the_replaced_tree(self, session):
+        # The next SQL read sees the new document; the store itself stays
+        # and forgets exactly the replaced tree.
         session.evaluate(TC_QUERY, engine="sql")
-        created = session.stats()["sql_pool"]["created"]
+        before = session.stats()["sql_pool"]
         session.register_document("curriculum.xml", MUTATED_XML,
                                   id_attributes=("code",))
         result = session.evaluate(TC_QUERY, engine="sql")
         assert course_codes(result.items) == ["c2", "c3"]
-        assert session.stats()["sql_pool"]["created"] == created + 1
+        after = session.stats()["sql_pool"]
+        assert after["created"] == before["created"]
+        assert after["trees_dropped"] == before["trees_dropped"] + 1
 
     def test_wal_mode_stores(self, tmp_path):
         with Session(documents={"curriculum.xml": CURRICULUM_XML},
@@ -280,6 +298,208 @@ class TestSqlStorePool:
             assert pool["mode"] == "wal" and pool["live_stores"] == 1
             assert any(path.name.startswith("store-")
                        for path in tmp_path.iterdir())
+
+
+def _graph_xml(rng: random.Random, label: str, size: int = 7) -> str:
+    """A small linked, nested document: ``n`` elements with ``id``/``next``
+    (a value-join graph), a ``k`` value and ``n`` children one level down."""
+    def node(index: int, nested: bool) -> str:
+        inner = "".join(f'<n id="{label}{index}.{j}" k="v{rng.randrange(3)}"/>'
+                        for j in range(rng.randrange(3))) if nested else ""
+        return (f'<n id="{label}{index}" next="{label}{rng.randrange(size)}" '
+                f'k="v{rng.randrange(3)}">{inner}<item>{rng.randrange(4)}</item></n>')
+    return f"<g>{''.join(node(index, True) for index in range(size))}</g>"
+
+
+#: A handful of closure / count / ``//`` queries over a.xml, b.xml, c.xml;
+#: every one answers with atomics, so two sessions can be compared.  The
+#: first bakes a prolog variable into its algebra plan, the third is a
+#: step chain the sql engine runs as a recursive CTE over its shred.
+INVARIANCE_QUERIES = [
+    'declare variable $d := doc("a.xml"); '
+    'data((with $x seeded by $d/g/n[1] recurse $d//n[@id = $x/@next])/@id)',
+    'count(doc("b.xml")//n)',
+    'data((with $x seeded by doc("c.xml")/g/n recurse $x/n)[@k = "v1"]/@id)',
+    'data(doc("c.xml")//n[@k = "v1"][1]/@id)',
+    'count(doc("a.xml")//item) + count(doc("c.xml")//n[item = "1"])',
+]
+
+
+class TestReRegistrationInvariance:
+    """Whatever happened to the corpus — registrations, replacements,
+    removals, in-place value and structure mutations — every engine answers
+    like a fresh session over the current documents (ROADMAP item 3's
+    relation), and a write costs only what it wrote."""
+
+    @staticmethod
+    def _answers(session, engine, **settings):
+        return [session.evaluate(query, engine=engine, **settings).items
+                for query in INVARIANCE_QUERIES]
+
+    @pytest.mark.parametrize("sql_store", ["memory", "wal"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_engine_answers_like_a_fresh_session(self, sql_store, seed):
+        rng = random.Random(seed)
+        serial = itertools.count()
+        with Session({uri: _graph_xml(rng, uri[0]) for uri in ("a.xml", "b.xml", "c.xml")},
+                     sql_store=sql_store) as session:
+            def register_new():
+                session.register_document(f"extra{next(serial)}.xml", _graph_xml(rng, "e"))
+
+            def replace_a():
+                session.register_document("a.xml", _graph_xml(rng, "a"))
+
+            def remove_and_re_add_b():
+                session.remove_document("b.xml")
+                session.register_document("b.xml", _graph_xml(rng, "b"))
+
+            def set_value_in_c():
+                nodes = session.evaluate('doc("c.xml")//n').items
+                rng.choice(nodes).get_attribute("k").set_value(f"v{rng.randrange(3)}")
+
+            def append_child_under_c():
+                nodes = session.evaluate('doc("c.xml")/g/n').items
+                child = ElementNode("n")
+                child.add_attribute(AttributeNode("id", f"new{next(serial)}"))
+                child.add_attribute(AttributeNode("k", "v1"))
+                # (at the very end of the document: order keys are handed out
+                # at creation, so only there is creation order document order)
+                nodes[-1].append_child(child)
+
+            def only_read():
+                pass
+
+            steps = [register_new, replace_a, remove_and_re_add_b, set_value_in_c,
+                     append_child_under_c, only_read]
+            for _ in range(24):
+                rng.choice(steps)()
+                snapshot = session.snapshot()
+                current = {uri: serialize(snapshot.resolve(uri))
+                           for uri in snapshot.known_uris()}
+                with Session(current) as fresh:
+                    expected = self._answers(fresh, "interpreter", use_cache=False)
+                for engine in ALL_ENGINES:
+                    assert self._answers(session, engine) == expected, engine
+
+    def test_a_write_costs_only_what_it_wrote(self):
+        rng = random.Random(7)
+        read_a, read_b = INVARIANCE_QUERIES[0], INVARIANCE_QUERIES[1]
+        with Session({uri: _graph_xml(rng, uri[0]) for uri in ("a.xml", "b.xml")},
+                     sql_store="wal") as session:
+            shred_b = 'count(with $x seeded by doc("b.xml")/g/n recurse $x/n)'
+            shred_a = shred_b.replace("b.xml", "a.xml")
+            for query in (read_a, read_b):
+                session.evaluate(query, engine="algebra")
+            session.evaluate(shred_b, engine="sql")
+            before = session.stats()
+            # A was never shredded: replacing it drops no tree.
+            session.register_document("a.xml", _graph_xml(rng, "a"))
+            session.evaluate(shred_b, engine="sql")
+            session.evaluate(shred_a, engine="sql")
+            after = session.stats()
+            assert after["sql_pool"]["created"] == before["sql_pool"]["created"] == 1
+            assert after["sql_pool"]["trees_dropped"] == before["sql_pool"]["trees_dropped"]
+            # Now it is: the next write to A drops A's tree and nothing else.
+            session.register_document("a.xml", _graph_xml(rng, "a"))
+            session.evaluate(shred_b, engine="sql")
+            dropped = session.stats()["sql_pool"]["trees_dropped"]
+            assert dropped == after["sql_pool"]["trees_dropped"] + 1
+            session.evaluate(shred_a, engine="sql")
+            assert session.stats()["sql_pool"]["trees_dropped"] == dropped
+            assert session.stats()["sql_pool"]["created"] == 1
+            # The plan that reads only B is served; the one that reads A is not.
+            plans = session.cache_stats()["plan"]
+            session.evaluate(read_b, engine="algebra")
+            assert session.cache_stats()["plan"]["hits"] == plans["hits"] + 1
+            session.evaluate(read_a, engine="algebra")
+            assert session.cache_stats()["plan"]["misses"] == plans["misses"] + 1
+            session.evaluate(read_a, engine="algebra")
+            assert session.cache_stats()["plan"]["hits"] == plans["hits"] + 2
+
+    def test_a_plan_that_enumerated_the_corpus_depends_on_all_of_it(self):
+        # fn:id on algebra resolves in the only document of a one-document
+        # corpus: a plan compiled that way cannot name what it depends on.
+        with Session({"curriculum.xml": CURRICULUM_XML}, id_attributes=("code",)) as session:
+            session.evaluate(TC_QUERY, engine="algebra")
+            session.evaluate(TC_QUERY, engine="algebra")
+            assert session.cache_stats()["plan"]["hits"] == 1
+            session.register_document("notes.xml", "<notes/>")
+            from repro.errors import AlgebraError
+            with pytest.raises(AlgebraError, match="fn:id"):  # two documents now
+                session.evaluate(TC_QUERY, engine="algebra")
+            assert session.cache_stats()["plan"]["hits"] == 1
+
+    def test_constructed_trees_do_not_accumulate_in_the_store(self):
+        query = "count(with $x seeded by (<a/>, <b><c/></b>) recurse $x/*)"
+        with Session({"curriculum.xml": CURRICULUM_XML}, id_attributes=("code",)) as session:
+            session.evaluate(TC_QUERY, engine="sql")
+            snapshot = session.snapshot()
+            store = session._sql_pool.store(snapshot)
+            rows, mapped = store.node_count(), len(store._pre_of)
+            for round_number in range(200):
+                assert session.evaluate(query, engine="sql").items == [1]
+                # One acquisition later the two seed trees are gone again.
+                assert session._sql_pool.store(snapshot) is store
+                assert (store.node_count(), len(store._pre_of)) == (rows, mapped)
+            pool = session.stats()["sql_pool"]
+            assert pool["trees_dropped"] == 400 and pool["created"] == 1
+
+    def test_a_second_thread_converges_on_its_next_read(self):
+        with Session({"curriculum.xml": CURRICULUM_XML}, id_attributes=("code",)) as session, \
+                ThreadPoolExecutor(max_workers=1) as other:
+            read = lambda: course_codes(  # noqa: E731
+                session.evaluate(TC_QUERY, engine="sql").items)
+            assert other.submit(read).result() == ["c2", "c3", "c4", "c5"]
+            assert read() == ["c2", "c3", "c4", "c5"]
+            session.register_document("curriculum.xml", MUTATED_XML,
+                                      id_attributes=("code",))
+            assert read() == ["c2", "c3"]
+            # Each thread's store forgets the replaced tree at its own next
+            # acquisition, on its own thread — not before.
+            assert session.stats()["sql_pool"]["trees_dropped"] == 1
+            assert other.submit(read).result() == ["c2", "c3"]
+            pool = session.stats()["sql_pool"]
+            assert (pool["trees_dropped"], pool["created"], pool["live_stores"]) == (2, 2, 2)
+
+
+def _live_elements() -> int:
+    # Node has no __weakref__ slot: count instances through the collector.
+    return sum(1 for candidate in gc.get_objects() if type(candidate) is ElementNode)
+
+
+class TestNothingIsPinned:
+    """The change tokens extend no tree's lifetime, and go when their store
+    goes — closed, or just dropped."""
+
+    BIG_XML = "<big>" + "".join(f'<e id="e{i}"><f/></e>' for i in range(500)) + "</big>"
+    CHAIN = 'count(with $x seeded by doc("big.xml")/big recurse $x/*)'
+
+    def test_after_close_the_documents_are_collectable(self):
+        gc.collect()
+        tokens, elements = watched_trees(), _live_elements()
+        session = Session({"big.xml": self.BIG_XML}, sql_store="wal")
+        for engine in ALL_ENGINES:
+            assert session.evaluate(self.CHAIN, engine=engine).items == [1000]
+        assert watched_trees() == tokens + 1
+        assert _live_elements() >= elements + 1001
+        session.close()
+        del session
+        clear_index_registry()  # the (global, bounded) index registry pins its roots
+        gc.collect()
+        assert watched_trees() == tokens
+        assert _live_elements() <= elements
+
+    def test_a_dropped_store_lets_go_of_its_tokens(self):
+        gc.collect()
+        tokens, elements = watched_trees(), _live_elements()
+        document = parse_xml(self.BIG_XML)
+        store = SqlDocumentStore()  # never pooled, never closed
+        store.shred(document)
+        assert watched_trees() == tokens + 1
+        del store, document
+        gc.collect()
+        assert watched_trees() == tokens
+        assert _live_elements() <= elements
 
 
 class TestDefaultSession:

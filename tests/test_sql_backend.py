@@ -137,6 +137,50 @@ class TestShredder:
         with pytest.raises(SqlBackendError):
             store.decode([42])
 
+    @staticmethod
+    def _row_counts(store):
+        return tuple(store.connection.execute(f"SELECT count(*) FROM {table}").fetchone()[0]
+                     for table in ("doc", "node", "attr", "id_attr"))
+
+    def test_retain_forgets_what_is_not_wanted_and_only_that(self, curriculum):
+        other = parse_xml('<o><p id="x" k="1"/><p id="y"/></o>')
+        store = SqlDocumentStore()
+        store.shred(other)
+        alone = self._row_counts(store)
+        store.shred(curriculum)
+        version = store.version
+        assert store.retain([curriculum, other]) == 0 and store.version == version
+        assert store.retain([other]) == 1 and store.version == version + 1
+        # The curriculum's rows went by its rank range and doc_id; the other
+        # tree's rows, mappings and ranks are untouched.
+        assert self._row_counts(store) == alone
+        assert store.doc_id_of(curriculum) is None and store.doc_id_of(other) is not None
+        with pytest.raises(SqlBackendError):
+            store.decode([max(store._node_of) + 1])
+        assert _identical(store.decode(store.encode(list(other.iter_tree()))),
+                          list(other.iter_tree()))
+        # Reached again, the forgotten tree is shredded afresh.
+        courses = [n for n in curriculum.iter_tree() if n.name == "course"]
+        assert _identical(store.decode(store.encode(courses)), courses)
+        assert self._row_counts(store)[0] == 2
+
+    def test_retain_forgets_a_tree_mutated_since_it_was_shredded(self, curriculum):
+        other = parse_xml("<o><p/></o>")
+        store = SqlDocumentStore()
+        store.shred(curriculum)
+        store.shred(other)
+        assert store.retain([curriculum, other]) == 0
+        course = next(n for n in curriculum.iter_tree() if n.name == "course")
+        course.get_attribute("code").set_value("renamed")          # a value …
+        assert store.retain([curriculum, other]) == 1
+        assert store.doc_id_of(curriculum) is None and store.doc_id_of(other) is not None
+        store.shred(curriculum)
+        assert store.connection.execute(
+            "SELECT count(*) FROM attr WHERE value = 'renamed'").fetchone()[0] == 1
+        other.document_element().append_child(parse_xml("<q/>").document_element())
+        assert store.retain([curriculum, other]) == 1               # … or the structure
+        assert store.doc_id_of(other) is None and store.doc_id_of(curriculum) is not None
+
 
 # ---------------------------------------------------------------------------
 # the WITH RECURSIVE emitter
