@@ -105,8 +105,9 @@ def main() -> None:
     from repro.sqlbackend import fixpoint_statements
     from repro.xquery.parser import parse_query
 
-    (_, emitted), = fixpoint_statements(parse_query(QUERY_Q1))
-    print("the statement SQLite executes:\n")
+    (_, decision, emitted), = fixpoint_statements(parse_query(QUERY_Q1))
+    print(f"{decision.algorithm} ({decision.checker} checker, rule {decision.rule}); "
+          "the statement SQLite executes:\n")
     print(emitted.display())
 
     print("\n== The serving path: structural index + plan cache ==")

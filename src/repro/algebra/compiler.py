@@ -47,6 +47,7 @@ conditions with a focus-free side run as a value join per outer iteration
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import AlgebraError, XQueryDynamicError
 from repro.algebra.operators import (
@@ -74,12 +75,17 @@ from repro.algebra.operators import (
 )
 from repro.algebra.storage import resolve_backend
 from repro.algebra.table import Table
+from repro.fixpoint.decision import decide_fixpoint
+from repro.settings import EvalSettings
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.items import UntypedAtomic, is_node, string_value_of_item, xs_double
 from repro.xdm.node import DocumentNode
 from repro.xquery import ast
 from repro.xquery.context import DocumentResolver
 
+
+if TYPE_CHECKING:
+    from repro.analysis.report import AnalysisReport
 
 SEQ_COLUMNS = ("iter", "pos", "item")
 
@@ -108,7 +114,9 @@ class AlgebraCompiler:
                  functions: dict[tuple[str, int], ast.FunctionDecl] | None = None,
                  analysis_only: bool = False,
                  backend: "str | type | None" = None,
-                 push_predicates: bool = True):
+                 push_predicates: bool = True,
+                 settings: EvalSettings = EvalSettings(),
+                 analysis: AnalysisReport | None = None):
         """Create a compiler.
 
         Parameters
@@ -140,6 +148,11 @@ class AlgebraCompiler:
             indexed lookups instead of compiling the materialize-then-filter
             predicate plan.  On by default; ``evaluate(...,
             use_pushdown=False)`` compiles the classical plans for A/B runs.
+        settings / analysis:
+            What decides each fixpoint's µ or µ∆
+            (:func:`repro.fixpoint.decision.decide_fixpoint`): the run's
+            ``ifp_algorithm`` and ``distributivity_checker``, and the
+            module's analysis report, when there is one, for its verdicts.
         """
         self.documents = documents or DocumentResolver()
         self.document = document
@@ -147,6 +160,8 @@ class AlgebraCompiler:
         self.analysis_only = analysis_only
         self.storage = Table if backend is None else resolve_backend(backend)
         self.push_predicates = push_predicates
+        self.settings = settings
+        self.analysis = analysis
         self._inline_stack: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------ entry points
@@ -758,18 +773,12 @@ class AlgebraCompiler:
         recursion_input = RecursionInput(expr.var)
         body_context = context.bind(expr.var, recursion_input)
         body_plan = self._compile(expr.body, body_context)
-        variant = self._fixpoint_variant(expr, body_plan, recursion_input)
-        return Fixpoint(seed, body_plan, recursion_input, variant=variant)
-
-    def _fixpoint_variant(self, expr: ast.WithExpr, body_plan: Operator,
-                          recursion_input: RecursionInput) -> str:
-        if expr.algorithm == "naive":
-            return "mu"
-        if expr.algorithm == "delta":
-            return "mu_delta"
-        from repro.algebra.distributivity import plan_allows_union_pushup
-
-        return "mu_delta" if plan_allows_union_pushup(body_plan, recursion_input) else "mu"
+        decision = decide_fixpoint(
+            expr, self.settings, self.functions,
+            fact=self.analysis.fact_for(expr) if self.analysis is not None else None,
+            body_plan=(body_plan, recursion_input))
+        return Fixpoint(seed, body_plan, recursion_input,
+                        variant="mu_delta" if decision.algorithm == "delta" else "mu")
 
     # ------------------------------------------------------------------ helpers
 

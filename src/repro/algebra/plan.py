@@ -1,8 +1,7 @@
 """Plan-level utilities: traversal, rendering and simple statistics.
 
 Plans are DAGs of :class:`~repro.algebra.operators.Operator`; these helpers
-render them in the style of Figure 9 (indented text or Graphviz ``dot``) and
-compute the ancestor relation the distributivity check is based on.
+render them in the style of Figure 9 (indented text or Graphviz ``dot``).
 """
 
 from __future__ import annotations
@@ -25,30 +24,6 @@ def plan_size(root: Operator) -> int:
 def find_recursion_inputs(root: Operator) -> list[RecursionInput]:
     """All recursion-input leaves contained in the plan."""
     return [op for op in iter_plan(root) if isinstance(op, RecursionInput)]
-
-
-def ancestors_of(root: Operator, target: Operator) -> list[Operator]:
-    """All operators on some path from *target* (exclusive) up to *root*.
-
-    This is the set of operators a ∪ introduced at *target* has to be pushed
-    through to reach the top of the plan (Figure 7).
-    """
-    ancestors: dict[int, Operator] = {}
-
-    def visit(operator: Operator) -> bool:
-        """Return True if *operator*'s subtree contains the target."""
-        if operator is target:
-            return True
-        contains = False
-        for child in operator.children:
-            if visit(child):
-                contains = True
-        if contains and operator is not target:
-            ancestors[id(operator)] = operator
-        return contains
-
-    visit(root)
-    return list(ancestors.values())
 
 
 def render_plan(root: Operator, indent: str = "  ") -> str:

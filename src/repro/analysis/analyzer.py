@@ -10,9 +10,11 @@ Pass order (each pass consumes the previous one's facts):
    declarations see earlier bounds) and the module body.
 3. **distributivity** (:mod:`repro.analysis.distributivity`) — for every
    ``with … recurse`` site, the Figure-5 verdict and the strengthened
-   cardinality-assisted proof; rejected bodies surface as named-rule
-   warnings so ``--check`` can explain *why* a fixpoint falls back to the
-   Naive algorithm.
+   cardinality-assisted proof.  Which of them (or the plan-based check)
+   decides Naive or Delta is the run's settings' to say, so the report
+   derives that, and the named-rule warning that lets ``--check`` explain
+   *why* a fixpoint falls back to the Naive algorithm, when it is read
+   (:mod:`repro.analysis.report`).
 
 The analyzer is pure (AST in, report out): the session runs it once per
 compiled module and caches the report alongside the plan; engines read the
@@ -28,11 +30,7 @@ from repro.xquery.parser import parse_query
 
 from repro.analysis import cardinality as card
 from repro.analysis.distributivity import analyze_distributivity_static
-from repro.analysis.report import (
-    AnalysisDiagnostic,
-    AnalysisReport,
-    FixpointFact,
-)
+from repro.analysis.report import AnalysisReport, FixpointFact
 from repro.analysis.scopes import check_scopes
 
 
@@ -45,7 +43,7 @@ def analyze_module(module: ast.Module,
     exactly as the runtime binds them before the prolog runs.
     """
     bound = frozenset(bound_variables)
-    diagnostics = list(check_scopes(module, bound))
+    findings = check_scopes(module, bound)
 
     environment: dict[str, card.Cardinality] = {name: card.STAR for name in bound}
     for declaration in module.variables:
@@ -63,7 +61,8 @@ def analyze_module(module: ast.Module,
             site.body, site.var, functions=functions, seed=site.seed, env=env)
         line, column = _position(site)
         seed_cardinality = card.infer_cardinality(site.seed, env)
-        fact = FixpointFact(
+        figure5 = judgment.syntactic.deciding()
+        fixpoints.append(FixpointFact(
             variable=site.var,
             declared_algorithm=site.algorithm,
             seed_cardinality=seed_cardinality.indicator,
@@ -71,22 +70,17 @@ def analyze_module(module: ast.Module,
             safe=judgment.safe,
             rule=judgment.rule,
             detail=judgment.detail,
+            site=site,
+            functions=functions,
+            syntactic_rule=figure5.rule,
+            syntactic_detail=figure5.detail,
             facts=judgment.facts,
             line=line,
             column=column,
-        )
-        fixpoints.append(fact)
-        if not judgment.safe and site.algorithm == "auto":
-            diagnostics.append(AnalysisDiagnostic(
-                severity="warning", code="REPR0002",
-                rule=f"rejected-distributivity:{judgment.rule}",
-                message=(f"fixpoint body of ${site.var} is not provably "
-                         f"distributive ({judgment.rule}): {judgment.detail}; "
-                         "auto mode falls back to the Naive algorithm"),
-                line=line, column=column))
+        ))
 
     return AnalysisReport(
-        diagnostics=tuple(diagnostics),
+        findings=findings,
         fixpoints=tuple(fixpoints),
         body_cardinality=body_cardinality.indicator,
     )

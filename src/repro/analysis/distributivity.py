@@ -110,11 +110,9 @@ def analyze_distributivity_static(
         rewritten, variable, functions,
         trusted_builtins=TRUSTED_DISTRIBUTIVE_BUILTINS)
     if not strengthened.safe:
-        failures = strengthened.failures()
-        rule = failures[0].rule if failures else strengthened.rule
-        detail = failures[0].detail if failures else strengthened.detail
+        failure = strengthened.deciding()
         return StaticDistributivityJudgment(
-            safe=False, rule=rule, detail=detail, facts=tuple(facts),
+            safe=False, rule=failure.rule, detail=failure.detail, facts=tuple(facts),
             syntactic=base, strengthened=strengthened)
 
     if not facts:

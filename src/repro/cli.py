@@ -7,6 +7,7 @@ Installed as ``repro-xquery``::
                      recurse $x/id(./prerequisites/pre_code)' --doc c.xml=c.xml
     repro-xquery --check-distributivity '$x/id(./prerequisites/pre_code)'
     repro-xquery --engine sql --doc c.xml=c.xml query.xq   # fixpoints on SQLite
+    repro-xquery --engine algebra --algorithm naive query.xq   # µ, on any engine
     repro-xquery --emit-sql query.xq                       # print the CTE, don't run
 """
 
@@ -15,13 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import evaluate, is_distributive_algebraic, is_distributive_syntactic
+from repro.api import evaluate
 from repro.errors import GovernanceError
+from repro.fixpoint.decision import ALGORITHM_POLICIES, CHECKERS, decide_fixpoint
 from repro.limits import ResourceLimits
 from repro.settings import EvalSettings
 from repro.xmlio.parser import parse_xml_file
 from repro.xmlio.serializer import serialize_sequence
+from repro.xquery import ast
 from repro.xquery.context import DocumentResolver
+from repro.xquery.parser import parse_expression
 
 
 def _parse_doc_argument(argument: str) -> tuple[str, str]:
@@ -45,11 +49,11 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="URI=PATH", help="register a document for fn:doc")
     parser.add_argument("--id-attribute", action="append", default=["id", "xml:id"],
                         help="attribute names to treat as IDs (repeatable)")
-    parser.add_argument("--algorithm", choices=["auto", "naive", "delta"], default="auto",
-                        help="global IFP evaluation policy")
-    parser.add_argument("--checker",
-                        choices=["syntactic", "algebraic", "analysis", "never"],
-                        default="syntactic", help="distributivity checker used by 'auto'")
+    parser.add_argument("--algorithm", choices=ALGORITHM_POLICIES, default="auto",
+                        help="IFP evaluation policy of every engine (a 'using' "
+                             "clause in the query text overrides it)")
+    parser.add_argument("--checker", choices=list(CHECKERS), default="syntactic",
+                        help="distributivity checker 'auto' asks, on every engine")
     parser.add_argument("--engine", choices=["interpreter", "algebra", "sql"],
                         default="interpreter")
     parser.add_argument("--backend", choices=["row", "columnar"], default=None,
@@ -100,15 +104,15 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if arguments.check_distributivity is not None:
-        body = arguments.check_distributivity
-        syntactic = is_distributive_syntactic(body, "x")
-        algebraic = is_distributive_algebraic(body, "x", strict=False)
-        judgment = _static_judgment(body)
-        print(f"syntactic (Figure 5):   {'distributive' if syntactic else 'not inferred'}")
-        print(f"algebraic (Section 4):  {'distributive' if algebraic else 'not inferred'}")
-        print(f"static analysis:        "
-              f"{'distributive' if judgment.safe else 'not inferred'} "
-              f"[{judgment.rule}]")
+        site = ast.WithExpr("x", ast.EmptySequence(),
+                            parse_expression(arguments.check_distributivity))
+        for label, checker in (("syntactic (Figure 5): ", "syntactic"),
+                               ("algebraic (Section 4):", "algebraic"),
+                               ("static analysis:      ", "analysis")):
+            decision = decide_fixpoint(site, EvalSettings(distributivity_checker=checker))
+            print(f"{label}  "
+                  f"{'distributive' if decision.algorithm == 'delta' else 'not inferred'} "
+                  f"[{decision.rule}]")
         return 0
 
     if arguments.expression:
@@ -122,14 +126,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if arguments.check:
         return _check_query(query)
-
-    if arguments.emit_sql:
-        return _emit_sql(query, arguments.algorithm,
-                         push_predicates=not arguments.no_pushdown)
-
-    resolver = DocumentResolver()
-    for uri, path in arguments.doc:
-        resolver.register(uri, parse_xml_file(path, id_attributes=arguments.id_attribute))
 
     limits = None
     if arguments.timeout_s is not None or arguments.max_fixpoint_rounds is not None:
@@ -147,6 +143,12 @@ def main(argv: list[str] | None = None) -> int:
         trace=arguments.trace,
         limits=limits,
     )
+    if arguments.emit_sql:
+        return _emit_sql(query, settings)
+
+    resolver = DocumentResolver()
+    for uri, path in arguments.doc:
+        resolver.register(uri, parse_xml_file(path, id_attributes=arguments.id_attribute))
     try:
         result = evaluate(query, documents=resolver, settings=settings)
     except GovernanceError as exc:
@@ -171,16 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _static_judgment(body: str):
-    """The strengthened static distributivity judgment for a ``$x`` body."""
-    from repro.analysis import analyze_distributivity_static
-    from repro.xquery.parser import parse_expression
-
-    return analyze_distributivity_static(
-        parse_expression(body), "x", functions=None, seed=None, env=None
-    )
-
-
 def _check_query(query: str) -> int:
     """``--check``: lint the query statically, never evaluate it."""
     from repro.analysis import analyze_query
@@ -200,29 +192,31 @@ def _check_query(query: str) -> int:
     return 0
 
 
-def _emit_sql(query: str, ifp_algorithm: str, push_predicates: bool = True) -> int:
+def _emit_sql(query: str, settings: EvalSettings) -> int:
     """Print the SQL the sql engine would run for each fixpoint in *query*."""
     from repro.sqlbackend.executor import fixpoint_statements
     from repro.xquery.parser import parse_query
 
-    pairs = fixpoint_statements(parse_query(query), ifp_algorithm=ifp_algorithm,
-                                push_predicates=push_predicates)
-    if not pairs:
+    triples = fixpoint_statements(parse_query(query), settings)
+    if not triples:
         print("-- the query contains no with … recurse fixpoints")
         return 0
-    for index, (expr, emitted) in enumerate(pairs, start=1):
+    for index, (expr, decision, emitted) in enumerate(triples, start=1):
         algorithm = f" using {expr.algorithm}" if expr.algorithm != "auto" else ""
         print(f"-- fixpoint {index}: with ${expr.var} seeded by … recurse …{algorithm}")
         if emitted is not None:
             print(emitted.display().rstrip() + ";")
-        elif expr.algorithm == "naive" or (expr.algorithm == "auto"
-                                           and ifp_algorithm == "naive"):
-            print("-- forced Naive: executed by the shared driver loop "
-                  "over the interpreter body")
+        elif decision.rejected:
+            print(f"-- not proved distributive ({decision.checker}: {decision.rule}): "
+                  "Naive, executed by the shared driver loop over the "
+                  "interpreter body")
+        elif decision.algorithm == "naive":
+            print(f"-- forced Naive ({decision.reason}): executed by the shared "
+                  "driver loop over the interpreter body")
         else:
             print("-- not a linear step chain: executed by the shared "
-                  "driver loop (naive/delta over the interpreter body)")
-        if index < len(pairs):
+                  "driver loop (delta over the interpreter body)")
+        if index < len(triples):
             print()
     return 0
 

@@ -49,6 +49,11 @@ class DistributivityJudgment:
         leaf_failures = [child_failure for child in self.children for child_failure in child.failures()]
         return leaf_failures or [self]
 
+    def deciding(self) -> "DistributivityJudgment":
+        """The judgment to quote for the verdict: this one when safe, the
+        first failing leaf when not."""
+        return self if self.safe else self.failures()[0]
+
     def format(self, indent: int = 0) -> str:
         """A human-readable rendering of the derivation tree."""
         marker = "✓" if self.safe else "✗"
@@ -91,16 +96,49 @@ def analyze_distributivity(expr: ast.Expr, variable: str,
         in every argument (the paper notes that e.g. ``fn:id`` would need
         its own rule); empty by default to stay faithful to Figure 5.
     """
-    checker = _SyntacticChecker(_normalize_functions(functions), trusted_builtins)
+    checker = _SyntacticChecker(normalize_functions(functions), trusted_builtins)
     return checker.check(expr, variable)
 
 
-def _normalize_functions(functions) -> dict[tuple[str, int], ast.FunctionDecl]:
+def normalize_functions(functions: FunctionMap | Iterable[ast.FunctionDecl] | None
+                        ) -> dict[tuple[str, int], ast.FunctionDecl]:
+    """Declarations by ``(name, arity)``, however the caller holds them."""
     if functions is None:
         return {}
     if isinstance(functions, Mapping):
         return dict(functions)
     return {(decl.name, decl.arity): decl for decl in functions}
+
+
+_ARITHMETIC = ("ARITHMETIC", "arithmetic atomizes the whole sequence")
+_LOGICAL = ("LOGICAL", "boolean connectives reduce the sequence to a single truth value")
+_CONSTRUCTOR = ("NODE-CONSTRUCTOR", "node constructors create fresh node identities")
+
+#: Forms Figure 5 has no rule for once the recursion variable (``{var}``)
+#: occurs free in them: expression class → (rule, why).
+_NO_RULE: dict[type, tuple[str, str]] = {
+    ast.FilterExpr: ("FILTER", "predicates may inspect position or cardinality of the "
+                               "sequence bound to ${var} (e.g. $x[1] is not distributive)"),
+    ast.AxisStep: ("STEP-PREDICATE", "${var} occurs free inside a step predicate"),
+    ast.GeneralComparison: ("COMPARISON", "general comparisons quantify existentially over "
+                                          "the whole sequence bound to ${var} (e.g. $x = 10)"),
+    ast.ValueComparison: ("COMPARISON", "value comparisons require the whole (singleton) sequence"),
+    ast.NodeComparison: ("COMPARISON", "node comparisons require the whole (singleton) sequence"),
+    ast.ArithmeticExpr: _ARITHMETIC,
+    ast.UnaryExpr: _ARITHMETIC,
+    ast.RangeExpr: ("RANGE", "range expressions atomize the whole sequence"),
+    ast.OrExpr: _LOGICAL,
+    ast.AndExpr: _LOGICAL,
+    ast.QuantifiedExpr: ("QUANTIFIER", "quantifiers reduce the sequence to a single truth value"),
+    ast.IntersectExpr: ("INTERSECT", "intersect needs both operands in full"),
+    ast.ExceptExpr: ("EXCEPT", "except needs both operands in full"),
+    ast.WithExpr: ("NESTED-IFP", "nested fixed points over the outer recursion variable "
+                                 "are not analysed"),
+    ast.DirectElementConstructor: _CONSTRUCTOR,
+    ast.ComputedConstructor: _CONSTRUCTOR,
+    ast.CastExpr: ("CAST", "casts atomize the whole (singleton) sequence"),
+    ast.InstanceOfExpr: ("INSTANCE-OF", "instance of inspects the cardinality of the whole sequence"),
+}
 
 
 class _SyntacticChecker:
@@ -139,7 +177,11 @@ class _SyntacticChecker:
             return self._judge(expr, variable, True, "INDEPENDENT",
                                "recursion variable does not occur free")
 
-        # $x occurs free: dispatch on the expression form.
+        # $x occurs free: a form Figure 5 has no rule for, or dispatch.
+        no_rule = _NO_RULE.get(type(expr))
+        if no_rule is not None:
+            return self._judge(expr, variable, False, no_rule[0],
+                               no_rule[1].format(var=variable))
         handler = getattr(self, f"_check_{type(expr).__name__}", None)
         if handler is None:
             return self._judge(
@@ -284,90 +326,6 @@ class _SyntacticChecker:
         finally:
             self._in_progress.discard(key)
 
-    # -- forms with no rule when $x occurs free -------------------------------------------
-
-    def _check_FilterExpr(self, expr: ast.FilterExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(
-            expr, variable, False, "FILTER",
-            f"predicates may inspect position or cardinality of the sequence bound to ${variable} "
-            "(e.g. $x[1] is not distributive)",
-        )
-
-    def _check_AxisStep(self, expr: ast.AxisStep, variable: str) -> DistributivityJudgment:
-        return self._judge(
-            expr, variable, False, "STEP-PREDICATE",
-            f"${variable} occurs free inside a step predicate",
-        )
-
-    def _check_GeneralComparison(self, expr: ast.GeneralComparison, variable: str) -> DistributivityJudgment:
-        return self._judge(
-            expr, variable, False, "COMPARISON",
-            "general comparisons quantify existentially over the whole sequence "
-            f"bound to ${variable} (e.g. $x = 10)",
-        )
-
-    def _check_ValueComparison(self, expr: ast.ValueComparison, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "COMPARISON",
-                           "value comparisons require the whole (singleton) sequence")
-
-    def _check_NodeComparison(self, expr: ast.NodeComparison, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "COMPARISON",
-                           "node comparisons require the whole (singleton) sequence")
-
-    def _check_ArithmeticExpr(self, expr: ast.ArithmeticExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "ARITHMETIC",
-                           "arithmetic atomizes the whole sequence")
-
-    def _check_UnaryExpr(self, expr: ast.UnaryExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "ARITHMETIC",
-                           "arithmetic atomizes the whole sequence")
-
-    def _check_RangeExpr(self, expr: ast.RangeExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "RANGE",
-                           "range expressions atomize the whole sequence")
-
-    def _check_OrExpr(self, expr: ast.OrExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "LOGICAL",
-                           "boolean connectives reduce the sequence to a single truth value")
-
-    def _check_AndExpr(self, expr: ast.AndExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "LOGICAL",
-                           "boolean connectives reduce the sequence to a single truth value")
-
-    def _check_QuantifiedExpr(self, expr: ast.QuantifiedExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "QUANTIFIER",
-                           "quantifiers reduce the sequence to a single truth value")
-
-    def _check_IntersectExpr(self, expr: ast.IntersectExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "INTERSECT",
-                           "intersect needs both operands in full")
-
-    def _check_ExceptExpr(self, expr: ast.ExceptExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "EXCEPT",
-                           "except needs both operands in full")
-
-    def _check_WithExpr(self, expr: ast.WithExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "NESTED-IFP",
-                           "nested fixed points over the outer recursion variable are not analysed")
-
-    def _check_DirectElementConstructor(self, expr: ast.DirectElementConstructor,
-                                        variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "NODE-CONSTRUCTOR",
-                           "node constructors create fresh node identities")
-
-    def _check_ComputedConstructor(self, expr: ast.ComputedConstructor,
-                                   variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "NODE-CONSTRUCTOR",
-                           "node constructors create fresh node identities")
-
     def _check_OrderedExpr(self, expr: ast.OrderedExpr, variable: str) -> DistributivityJudgment:
         child = self.check(expr.body, variable)
         return self._judge(expr, variable, child.safe, "ORDERED", children=[child])
-
-    def _check_CastExpr(self, expr: ast.CastExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "CAST",
-                           "casts atomize the whole (singleton) sequence")
-
-    def _check_InstanceOfExpr(self, expr: ast.InstanceOfExpr, variable: str) -> DistributivityJudgment:
-        return self._judge(expr, variable, False, "INSTANCE-OF",
-                           "instance of inspects the cardinality of the whole sequence")

@@ -11,15 +11,20 @@ fallback hand it their body and get identical rounds, budgets and typed
 errors by construction.  The engine enforces the iteration bound that
 stands in for "the IFP is undefined" and collects the per-iteration
 statistics that the paper's Table 2 reports (total number of nodes fed
-back, recursion depth).
+back, recursion depth).  *Which* of the two strategies a ``with … recurse``
+site gets is decided next door, once, for every engine:
+:func:`repro.fixpoint.decision.decide_fixpoint`.
 """
 
+from repro.fixpoint.decision import FixpointDecision, decide_fixpoint
 from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.fixpoint.stats import FixpointStatistics, IterationRecord
 
 __all__ = [
+    "FixpointDecision",
     "FixpointEngine",
     "FixpointResult",
     "FixpointStatistics",
     "IterationRecord",
+    "decide_fixpoint",
 ]

@@ -372,7 +372,8 @@ class Session:
             # interpreter, algebra and SQL paths — and the report rides
             # along on the result.
             with maybe_span(trace, "analyze") as span:
-                analysis = self._analysis_for(module, variables, settings, span)
+                analysis = self._analysis_for(module, variables, settings,
+                                              span).under(settings)
                 if span is not None:
                     span.set(diagnostics=len(analysis.diagnostics),
                              fixpoints=len(analysis.fixpoints))
@@ -385,7 +386,8 @@ class Session:
             governor = Governor(settings.limits or ResourceLimits(),
                                 token=cancel_token)
         context = DynamicContext(
-            static=StaticContext(settings=settings, trace=trace, governor=governor),
+            static=StaticContext(settings=settings, trace=trace, governor=governor,
+                                 analysis=analysis),
             documents=resolver,
             statistics=statistics,
         )
@@ -412,7 +414,8 @@ class Session:
             else:
                 result = self._evaluate_algebra(module, resolver, variables,
                                                 statistics, settings,
-                                                plan_cacheable, trace, governor)
+                                                plan_cacheable, trace, governor,
+                                                analysis)
         result.analysis = analysis
         if trace is not None:
             result.trace = trace.finish()
@@ -448,7 +451,8 @@ class Session:
                           variables, statistics, settings: EvalSettings,
                           plan_cacheable: bool,
                           trace: TraceContext | None,
-                          governor: Governor | None) -> QueryResult:
+                          governor: Governor | None,
+                          analysis: AnalysisReport | None) -> QueryResult:
         """Compile (or fetch) and run the algebra plan of *module*."""
         from repro.algebra.compiler import AlgebraCompiler
         from repro.algebra.evaluator import AlgebraEvaluator
@@ -465,9 +469,10 @@ class Session:
         # arrange via the module cache).  A module this call just rewrote is
         # fresh per call: caching would only fill the LRU with entries that
         # can never hit, each pinning documents.  The settings component is
-        # the normalized EvalSettings plan key — backend and pushdown shape
-        # the compiled plan, everything else is evaluation-time.  Whether
-        # the entry found fits *these* documents is the entry's to say.
+        # the normalized EvalSettings plan key — backend, pushdown and what
+        # decides µ or µ∆ shape the compiled plan, everything else is
+        # evaluation-time.  Whether the entry found fits *these* documents
+        # is the entry's to say.
         if settings.use_cache and plan_cacheable and plancache.module_cache_safe(module):
             plan_key = (
                 plancache.fingerprint([module]),
@@ -487,7 +492,8 @@ class Session:
             compiler = AlgebraCompiler(documents=read,
                                        functions=module.function_map(),
                                        backend=settings.backend,
-                                       push_predicates=settings.use_pushdown)
+                                       push_predicates=settings.use_pushdown,
+                                       settings=settings, analysis=analysis)
             evaluator = Evaluator()
             compile_context = compiler.initial_context()
             # Prolog variables are compile-time constants here: each
@@ -496,7 +502,7 @@ class Session:
             # binds them in order.
             prolog = DynamicContext(
                 static=StaticContext(functions=module.function_map(), settings=settings,
-                                     trace=trace, governor=governor),
+                                     trace=trace, governor=governor, analysis=analysis),
                 documents=read)
             for name, value in (variables or {}).items():
                 prolog = prolog.bind(

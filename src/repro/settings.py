@@ -29,6 +29,7 @@ from enum import Enum
 from collections.abc import Mapping
 from typing import Any
 
+from repro.fixpoint.decision import ALGORITHM_POLICIES, CHECKERS
 from repro.limits import ResourceLimits
 
 
@@ -52,11 +53,15 @@ class EvalSettings:
     ----------
     ifp_algorithm:
         ``"auto"`` (choose Delta when the distributivity check allows),
-        ``"naive"`` or ``"delta"``.
+        ``"naive"`` or ``"delta"`` — on every engine; only a ``using``
+        clause in the query text overrides it.
     distributivity_checker:
-        ``"syntactic"`` (Figure 5), ``"algebraic"`` (Section 4),
+        Who ``"auto"`` asks, on every engine: ``"syntactic"`` (Figure 5),
+        ``"algebraic"`` (Section 4's ∪ push-up over the compiled body),
         ``"analysis"`` (the strengthened cardinality-assisted proof of
-        :mod:`repro.analysis.distributivity`) or ``"never"``.
+        :mod:`repro.analysis.distributivity`) or ``"never"``.  Both fields
+        are read by :func:`repro.fixpoint.decision.decide_fixpoint` and
+        nowhere else; a name it does not know is a ``ValueError`` here.
     engine:
         :class:`Engine` member (strings are coerced).
     backend:
@@ -113,6 +118,12 @@ class EvalSettings:
         # of settings values never depends on how the caller spelled it.
         if not isinstance(self.engine, Engine):
             object.__setattr__(self, "engine", Engine(self.engine))
+        # A misspelt name must not pick an algorithm silently.
+        for name, allowed in (("ifp_algorithm", ALGORITHM_POLICIES),
+                              ("distributivity_checker", CHECKERS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)} "
+                                 f"(got {getattr(self, name)!r})")
 
     def replace(self, **changes: Any) -> "EvalSettings":
         """A copy with *changes* applied (``dataclasses.replace``)."""
@@ -123,11 +134,15 @@ class EvalSettings:
 
         The algebra plan cache uses the returned value directly as the
         settings component of its key: fields that only steer *evaluation*
-        (algorithm policy, index usage, tracing) are reset to defaults so
-        equivalent plans share one entry, while fields baked into the plan
-        (storage backend, predicate pushdown) survive.
+        (index usage, tracing, budgets) are reset to defaults so equivalent
+        plans share one entry, while fields baked into the plan survive —
+        storage backend, predicate pushdown, and the two that decide each
+        fixpoint's µ or µ∆ (``ifp_algorithm``, ``distributivity_checker``;
+        ``analyze`` says whether the decision read the cached report).
         """
         return EvalSettings(
+            ifp_algorithm=self.ifp_algorithm,
+            distributivity_checker=self.distributivity_checker,
             engine=Engine.ALGEBRA,
             backend=resolved_backend,
             use_pushdown=self.use_pushdown,

@@ -3,11 +3,13 @@
 :class:`SqlFixpointExecutor` evaluates one ``with … recurse`` form along one
 of two paths:
 
-**Recursive CTE** (the paper's SQL:1999 side).  When the chosen algorithm
-is Delta — i.e. the distributivity check passed or ``using delta`` forced
-it — and the body is a linear step chain the emitter can translate, the
-whole fixpoint executes as a *single* ``WITH RECURSIVE`` statement against
-the :class:`~repro.sqlbackend.shredder.SqlDocumentStore`; SQLite's
+**Recursive CTE** (the paper's SQL:1999 side).  When
+:func:`repro.fixpoint.decision.decide_fixpoint` — the same call, under the
+same settings, as on the other two engines — says Delta, and the body is a
+linear step chain the emitter can translate (the executor's own half of the
+precondition), the whole fixpoint executes as a *single* ``WITH RECURSIVE``
+statement against the
+:class:`~repro.sqlbackend.shredder.SqlDocumentStore`; SQLite's
 semi-naive queue evaluation plays the µ∆ role and the deduplicating
 ``UNION`` is the inflationary accumulation.  Iteration counts are not
 observable from outside the RDBMS, so such runs report an empty iteration
@@ -33,9 +35,11 @@ from collections.abc import Callable
 
 from repro import faults
 from repro.errors import SqlBackendError
+from repro.fixpoint.decision import FixpointDecision
 from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.limits import sqlite_guard
 from repro.observability import maybe_span
+from repro.settings import EvalSettings
 from repro.xdm.items import is_node
 from repro.xdm.node import AttributeNode
 from repro.fixpoint.stats import FixpointStatistics
@@ -89,8 +93,8 @@ class SqlFixpointExecutor:
             anchor_document=None) -> FixpointResult:
         """Evaluate the fixpoint of *expr* seeded by *seed*.
 
-        ``algorithm`` is the decision of the usual Naive/Delta procedure
-        (``using`` clause, engine settings, distributivity analysis):
+        ``algorithm`` is :func:`~repro.fixpoint.decision.decide_fixpoint`'s
+        (``using`` clause, engine settings, the configured checker):
         ``"delta"`` selects the recursive CTE whenever the body is
         emittable, ``"naive"`` always iterates the shared driver.
         ``variables`` are the caller's in-scope bindings — the emitter
@@ -261,45 +265,35 @@ class SQLEvaluator(Evaluator):
         )
 
 
-def fixpoint_statements(module_or_expr, optimize: bool = True,
-                        ifp_algorithm: str = "auto",
-                        push_predicates: bool = True) -> list[tuple[ast.WithExpr, FixpointSql | None]]:
-    """All ``with … recurse`` forms of a query plus their emitted SQL.
+def fixpoint_statements(module_or_expr, settings: EvalSettings = EvalSettings()
+                        ) -> list[tuple[ast.WithExpr, FixpointDecision, FixpointSql | None]]:
+    """All ``with … recurse`` forms of a query, what *settings* decide for
+    each, and their emitted SQL.
 
-    Returns ``(expr, emitted)`` pairs where ``emitted`` is ``None`` for
-    fixpoints the sql engine would run through the driver loop — bodies
-    that are not a linear step chain, and fixpoints forced to Naive (a
-    ``using naive`` clause, or *ifp_algorithm* = ``"naive"`` mirroring the
-    engine-level option).  Used by the CLI's ``--emit-sql``.  Variable
-    right-hand sides of pushed predicates are unknown here, so such bodies
-    display as driver-loop fallbacks even though the engine may still
-    inline the runtime bindings.
+    Returns ``(expr, decision, emitted)`` triples — the module optimized
+    and analyzed as the engine would under *settings* — where ``emitted``
+    is ``None`` for fixpoints the sql engine runs through the driver loop:
+    those the decision makes Naive (``decision`` says who did) and bodies
+    that are not a linear step chain.  Used by the CLI's ``--emit-sql``.
+    Variable right-hand sides of pushed predicates are unknown here, so
+    such bodies display as driver-loop fallbacks even though the engine may
+    still inline the runtime bindings.
     """
+    from repro.analysis import analyze_module
     from repro.xquery.optimizer import optimize_module
 
-    expressions: list[ast.Expr] = []
-    if isinstance(module_or_expr, ast.Module):
-        module = optimize_module(module_or_expr) if optimize else module_or_expr
-        for declaration in module.variables:
-            if declaration.value is not None:
-                expressions.append(declaration.value)
-        for function in module.functions:
-            expressions.append(function.body)
-        expressions.append(module.body)
-    else:
-        expressions.append(module_or_expr)
-
-    pairs: list[tuple[ast.WithExpr, FixpointSql | None]] = []
-    for expression in expressions:
-        for sub in expression.iter_subexpressions():
-            if isinstance(sub, ast.WithExpr):
-                effective = (sub.algorithm if sub.algorithm in ("naive", "delta")
-                             else ifp_algorithm)
-                emitted = (emit_fixpoint_sql(sub.body, sub.var,
-                                             push_predicates=push_predicates)
-                           if effective != "naive" else None)
-                pairs.append((sub, emitted))
-    return pairs
+    module = (module_or_expr if isinstance(module_or_expr, ast.Module)
+              else ast.Module(body=module_or_expr))
+    if settings.optimize:
+        module = optimize_module(module)
+    triples = []
+    for fact in analyze_module(module).under(settings).fixpoints:
+        decision = fact.decision
+        emitted = (emit_fixpoint_sql(fact.site.body, fact.site.var,
+                                     push_predicates=settings.use_pushdown)
+                   if decision.algorithm == "delta" else None)
+        triples.append((fact.site, decision, emitted))
+    return triples
 
 
 __all__ = ["SqlFixpointExecutor", "SQLEvaluator", "fixpoint_statements"]

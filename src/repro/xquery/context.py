@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import Any
+from typing import Any, TYPE_CHECKING
 
 from repro.errors import UndefinedVariableError, XQueryDynamicError
 from repro.limits import Governor
 from repro.observability.tracing import TraceContext
 from repro.settings import EvalSettings
 from repro.xquery.ast import FunctionDecl
+
+if TYPE_CHECKING:
+    from repro.analysis.report import AnalysisReport
 
 
 @dataclass
@@ -37,6 +40,10 @@ class StaticContext:
     ``governor``
         The live :class:`~repro.limits.Governor` of a governed run
         (deadline, budgets, cancellation), ``None`` otherwise.
+    ``analysis``
+        The module's :class:`~repro.analysis.report.AnalysisReport` of an
+        analyzed run, ``None`` otherwise: its fixpoint facts hold the
+        distributivity verdicts the Naive/Delta decision reads.
 
     The session builds the two live objects from ``settings.trace`` /
     ``settings.limits``; a bare boolean or
@@ -48,6 +55,7 @@ class StaticContext:
     settings: EvalSettings = EvalSettings()
     trace: TraceContext | None = None
     governor: Governor | None = None
+    analysis: AnalysisReport | None = None
 
     def __post_init__(self):
         for slot, kind in (("trace", TraceContext), ("governor", Governor)):

@@ -9,8 +9,8 @@ identities.
 The ``with $x seeded by … recurse …`` form is delegated to
 :mod:`repro.fixpoint.engine`; which algorithm (Naive or Delta) is used
 depends on the expression's ``using`` clause, the evaluation settings and the
-distributivity analysis — exactly the decision procedure Sections 3 and 4 of
-the paper describe.
+distributivity analysis — the decision procedure Sections 3 and 4 of the
+paper describe, taken by :func:`repro.fixpoint.decision.decide_fixpoint`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.errors import (
     XQueryStaticError,
     XQueryTypeError,
 )
+from repro.fixpoint.decision import decide_fixpoint
 from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
@@ -428,8 +429,11 @@ class Evaluator:
         def body(nodes: Sequence) -> Sequence:
             return self.evaluate(expr.body, context.bind(expr.var, nodes))
 
-        result = self._run_fixpoint(expr, context, seed, body,
-                                    self._choose_ifp_algorithm(expr, context))
+        static = context.static
+        decision = decide_fixpoint(
+            expr, static.settings, static.functions,
+            fact=static.analysis.fact_for(expr) if static.analysis is not None else None)
+        result = self._run_fixpoint(expr, context, seed, body, decision.algorithm)
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):
             context.statistics.record_ifp(result.statistics)
         return list(result.value)
@@ -444,39 +448,6 @@ class Evaluator:
         engine = FixpointEngine(max_iterations=static.settings.max_ifp_iterations)
         return engine.run(body, seed, algorithm=algorithm,
                           trace=static.trace, governor=static.governor)
-
-    def _choose_ifp_algorithm(self, expr: ast.WithExpr, context: DynamicContext) -> str:
-        if expr.algorithm in ("naive", "delta"):
-            return expr.algorithm
-        settings = context.static.settings
-        if settings.ifp_algorithm in ("naive", "delta"):
-            return settings.ifp_algorithm
-        checker = settings.distributivity_checker
-        if checker == "never":
-            return "naive"
-        if checker == "analysis":
-            from repro.analysis.distributivity import is_distributive_static
-
-            distributive = is_distributive_static(
-                expr.body, expr.var, functions=context.static.functions,
-                seed=expr.seed,
-            )
-        elif checker == "algebraic":
-            from repro.algebra.distributivity import is_distributive_algebraic
-
-            # strict=False: a body the algebra compiler rejects (AlgebraError)
-            # is "not inferred", hence Naive; any other exception is a bug.
-            distributive = is_distributive_algebraic(
-                expr.body, expr.var, functions=context.static.functions,
-                strict=False,
-            )
-        else:
-            from repro.distributivity.syntactic import is_distributivity_safe
-
-            distributive = is_distributivity_safe(
-                expr.body, expr.var, functions=context.static.functions
-            )
-        return "delta" if distributive else "naive"
 
     # ------------------------------------------------------------------ paths
 

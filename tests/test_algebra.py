@@ -3,6 +3,7 @@ plan evaluation (µ/µ∆) and the algebraic distributivity check."""
 
 import pytest
 
+from repro import EvalSettings
 from repro.errors import AlgebraError
 from repro.algebra.compiler import AlgebraCompiler, compile_recursion_body
 from repro.algebra.distributivity import (
@@ -25,7 +26,7 @@ from repro.algebra.operators import (
     StepJoin,
     UnionAll,
 )
-from repro.algebra.plan import ancestors_of, find_recursion_inputs, plan_size, render_dot, render_plan
+from repro.algebra.plan import find_recursion_inputs, plan_size, render_dot, render_plan
 from repro.algebra.table import Table
 from repro.xquery.context import DocumentResolver
 from repro.xquery.parser import parse_expression, parse_query
@@ -107,7 +108,6 @@ class TestOperators:
         plan = Project(step, [("iter", "iter"), ("item", "item")])
         assert plan_size(plan) == 3
         assert find_recursion_inputs(plan) == [recursion]
-        assert set(ancestors_of(plan, recursion)) == {step, plan}
         assert "child::a" in render_plan(plan)
         assert "digraph" in render_dot(plan)
 
@@ -191,10 +191,11 @@ class TestAlgebraicDistributivity:
 
 
 class TestCompilerAndFixpoint:
-    def _compile(self, text, curriculum_document, algorithm):
+    def _compile(self, text, curriculum_document, algorithm, **settings):
         resolver = DocumentResolver()
         resolver.register("curriculum.xml", curriculum_document)
-        compiler = AlgebraCompiler(documents=resolver, document=curriculum_document)
+        compiler = AlgebraCompiler(documents=resolver, document=curriculum_document,
+                                   settings=EvalSettings(**settings))
         query = (
             f'with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"] '
             f"recurse {text} using {algorithm}"
@@ -221,11 +222,22 @@ class TestCompilerAndFixpoint:
             naive_engine.statistics.total_rows_fed_back
 
     def test_auto_variant_uses_pushup_check(self, curriculum_document):
-        distributive = self._compile("$x/id (./prerequisites/pre_code)", curriculum_document, "auto")
+        pushup = {"distributivity_checker": "algebraic"}
+        distributive = self._compile("$x/id (./prerequisites/pre_code)", curriculum_document,
+                                     "auto", **pushup)
         assert distributive.variant == "mu_delta"
         blocked = self._compile("if (count($x/self::a)) then $x/* else ()",
-                                curriculum_document, "auto")
+                                curriculum_document, "auto", **pushup)
         assert blocked.variant == "mu"
+        # a body only the plan proves: µ∆ under the plan-based checker, µ
+        # under the default one (Figure 5) — and what the settings force
+        plan_only = "id($x/prerequisites/pre_code)"
+        assert self._compile(plan_only, curriculum_document, "auto", **pushup).variant == "mu_delta"
+        assert self._compile(plan_only, curriculum_document, "auto").variant == "mu"
+        assert self._compile(plan_only, curriculum_document, "auto",
+                             ifp_algorithm="delta").variant == "mu_delta"
+        assert self._compile("$x/id (./prerequisites/pre_code)", curriculum_document, "auto",
+                             ifp_algorithm="naive", **pushup).variant == "mu"
 
     def test_compile_recursion_body_returns_input_leaf(self, curriculum_document):
         plan, recursion_input = compile_recursion_body(

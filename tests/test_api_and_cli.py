@@ -97,6 +97,66 @@ class TestEvaluateApi:
         assert module.variables[0].name == "x"
 
 
+#: Names that used to pick an algorithm silently: asked for Naive, got Delta;
+#: asked for the plan-based checker (twice), got Figure 5.
+MISSPELT = [{"ifp_algorithm": "nave"}, {"distributivity_checker": "algebric"},
+            {"distributivity_checker": "algebra"}]
+
+
+class TestDecisionSettingsAreValidated:
+    """An unknown ``ifp_algorithm`` / ``distributivity_checker`` is an error
+    where the settings are built — before any evaluation, on every entry."""
+
+    @pytest.mark.parametrize("misspelt", MISSPELT)
+    def test_construction_and_replace(self, misspelt):
+        from repro import EvalSettings
+        from repro.settings import coerce_settings
+
+        (name, value), = misspelt.items()
+        for build in (lambda: EvalSettings(**misspelt),
+                      lambda: EvalSettings().replace(**misspelt),
+                      lambda: coerce_settings(misspelt),
+                      lambda: coerce_settings(None, **misspelt)):
+            with pytest.raises(ValueError, match=f"{name} must be one of .*{value!r}"):
+                build()
+
+    @pytest.mark.parametrize("misspelt", MISSPELT)
+    def test_every_entry_point_refuses_before_evaluating(self, misspelt, documents,
+                                                         monkeypatch):
+        from repro import Session
+        from repro.xquery.evaluator import Evaluator
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated under settings that name nothing")
+
+        monkeypatch.setattr(Evaluator, "evaluate_module", evaluated)
+        with pytest.raises(ValueError):
+            evaluate("1 + 1", documents=documents, **misspelt)
+        with pytest.raises(ValueError):
+            evaluate("1 + 1", documents=documents, settings=misspelt)
+        with pytest.raises(ValueError):
+            Session(settings=misspelt)
+        with Session(documents=documents) as session:
+            with pytest.raises(ValueError):
+                session.evaluate("1 + 1", **misspelt)
+            with pytest.raises(ValueError):
+                session.prepare("1 + 1", settings=misspelt)
+            with pytest.raises(ValueError):
+                session.prepare("1 + 1").run(**misspelt)
+
+    def test_the_cli_restricts_the_choices(self, capsys):
+        for arguments in (["--algorithm", "nave"], ["--checker", "algebric"]):
+            with pytest.raises(SystemExit):
+                cli_main(["-e", "1 + 1", *arguments])
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_the_names_are_the_decisions(self):
+        from repro.fixpoint.decision import ALGORITHM_POLICIES, CHECKERS
+
+        assert ALGORITHM_POLICIES == ("auto", "naive", "delta")
+        assert list(CHECKERS) == ["syntactic", "analysis", "algebraic", "never"]
+
+
 class TestIfpAndClosureApi:
     def test_ifp_with_xquery_body(self, documents):
         doc = documents["curriculum.xml"]

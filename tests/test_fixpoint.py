@@ -411,3 +411,292 @@ class TestDeltaDriver:
         assert len(items) == 29
         assert evaluator.executor.executed_statements == []
         assert evaluator.store.version == 0 and evaluator.store.node_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# one decision: Naive or Delta is decide_fixpoint's answer, on every engine
+# ---------------------------------------------------------------------------
+
+
+ENGINES = ("interpreter", "algebra", "sql")
+CHECKERS = ("syntactic", "analysis", "algebraic", "never")
+
+
+def linked_document(seed, count=8):
+    """*count* flat ``n`` elements with join attributes from a three-letter
+    pool and one ``next`` link each (parsed XML; ``id`` is the ID attribute)."""
+    import random
+
+    from repro import parse_xml
+
+    rng = random.Random(seed)
+    return parse_xml("<r>" + "".join(
+        f'<n id="n{i}" a="{rng.choice("uvw")}" b="{rng.choice("uvw")}" '
+        f'p="{rng.choice("uvw")}" q="{rng.choice("uvw")}" '
+        f'next="n{rng.randrange(count)}"><c k="{rng.choice("uvw")}"/></n>'
+        for i in range(count)) + "</r>")
+
+
+def _same_nodes(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+def _decisions(query, **settings):
+    """What :func:`decide_fixpoint` says of each ``with`` of *query* when it
+    has only the query text to go by (no report, no plan)."""
+    from repro import EvalSettings
+    from repro.fixpoint import decide_fixpoint
+    from repro.xquery import ast
+    from repro.xquery.optimizer import optimize_module
+    from repro.xquery.parser import parse_query
+
+    module = optimize_module(parse_query(query))
+    roots = [f.body for f in module.functions] + [module.body]
+    sites = [sub for root in roots for sub in root.iter_subexpressions()
+             if isinstance(sub, ast.WithExpr)]
+    return [decide_fixpoint(site, EvalSettings(**settings), module.function_map())
+            for site in sites]
+
+
+def _cases():
+    """The five bodies of the decision table: (name, documents, prolog + seed,
+    body).  Figure 5 proves the first and the third, the ∪ push-up the first,
+    second and fourth, the strengthened rules the first three; nothing the
+    last."""
+    from repro.bench.queries import get_workload
+    from tests.test_predicate_pushdown import auction_document
+
+    curriculum = get_workload("curriculum")
+    dialogs = get_workload("dialogs")
+    tiny = lambda workload: {  # noqa: E731
+        workload.document_uri: workload.size("tiny").build_document()}
+    return [
+        ("child", {"g.xml": linked_document(0)},
+         'declare variable $d := doc("g.xml"); with $x seeded by $d/r', "$x/child::*"),
+        ("id", tiny(curriculum),
+         'with $x seeded by doc("curriculum.xml")/curriculum/course[@code = "c36"]',
+         'id($x/prerequisites/pre_code, doc("curriculum.xml"))'),
+        ("dialogs", tiny(dialogs),
+         f'{dialogs.prolog} declare variable $s := subsequence($doc//SPEECH, 2, 1); '
+         'with $x seeded by $s', dialogs.recursion_body),
+        ("value-join", {"a.xml": auction_document(1)},
+         'declare variable $doc := doc("a.xml"); with $x seeded by $doc//person[@id = "p1"]',
+         'let $b := $doc//open_auction[seller/@person = $x/@id]/bidder/personref '
+         'return $doc//person[@id = $b/@person]'),
+        ("q2", {"q.xml": "<r><a><e/></a><b><c><d/></c></b></r>"},
+         'with $x seeded by doc("q.xml")/r/*', "if (count($x/self::a)) then $x/* else ()"),
+    ]
+
+
+class TestOneDecision:
+    @pytest.mark.parametrize("case", _cases(), ids=lambda case: case[0])
+    def test_every_engine_runs_what_the_decision_says(self, case):
+        """using clause × ifp_algorithm × checker × engine: the ``fixpoint``
+        span, the report on the result and ``decide_fixpoint`` say the same
+        thing, and the three engines agree with each other."""
+        from repro.session import Session
+
+        _, documents, head, body = case
+        disagreements = []
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            for using in ("", " using naive", " using delta"):
+                query = f"{head} recurse {body}{using}"
+                for policy in ("auto", "naive", "delta"):
+                    for checker in CHECKERS:
+                        settings = {"ifp_algorithm": policy,
+                                    "distributivity_checker": checker}
+                        (expected,) = _decisions(query, **settings)
+                        if using:
+                            assert (expected.algorithm, expected.checker) == (
+                                using.split()[-1], "using")
+                        elif policy != "auto":
+                            assert (expected.algorithm, expected.checker) == (
+                                policy, "ifp_algorithm")
+                        else:
+                            assert expected.checker == checker
+                        for engine in ENGINES:
+                            result = session.evaluate(query, engine=engine, trace=True,
+                                                      **settings)
+                            (span,) = result.trace.find_all("fixpoint")
+                            (fact,) = result.analysis.fixpoints
+                            ran = span.attributes["algorithm"]
+                            if (ran, fact.algorithm_hint) != (expected.algorithm,) * 2:
+                                disagreements.append(
+                                    (using, policy, checker, engine, ran,
+                                     fact.algorithm_hint, expected.algorithm))
+                            assert fact.decision.checker == expected.checker
+                            if engine == "algebra":
+                                assert span.attributes["variant"] == (
+                                    "mu_delta" if ran == "delta" else "mu")
+                            if engine == "sql":
+                                assert span.attributes["path"] in (
+                                    ("cte", "driver") if ran == "delta" else ("driver",))
+        assert not disagreements, disagreements
+
+    def test_the_checkers_are_incomparable_and_the_table_shows_it(self):
+        """What each checker proves of the five bodies (the default settings'
+        answer is the ``syntactic`` row, on every engine)."""
+        proved = {checker: [name for name, _, head, body in _cases()
+                            if _decisions(f"{head} recurse {body}",
+                                          distributivity_checker=checker)[0].algorithm == "delta"]
+                  for checker in CHECKERS}
+        assert proved == {"syntactic": ["child", "dialogs"],
+                          "analysis": ["child", "id", "dialogs"],
+                          "algebraic": ["child", "id", "value-join"],
+                          "never": []}
+
+    def test_the_plan_cache_keys_on_what_decides_the_variant(self):
+        """A cached µ∆ plan is not served to ``ifp_algorithm="naive"``."""
+        from repro.session import Session
+
+        _, documents, head, body = _cases()[0]
+        query = f"{head} recurse {body}"
+        with Session(documents=documents) as session:
+            seen = []
+            for overrides in ({}, {"ifp_algorithm": "naive"}, {}):
+                result = session.evaluate(query, engine="algebra", trace=True, **overrides)
+                (span,) = result.trace.find_all("fixpoint")
+                (compiled,) = result.trace.find_all("compile")
+                seen.append((span.attributes["variant"], compiled.attributes["plan_cache"]))
+            assert seen == [("mu_delta", "miss"), ("mu", "miss"), ("mu_delta", "hit")]
+            assert session.cache_stats()["plan"]["size"] == 2
+
+    TWO_SITES = """
+declare variable $d := doc("g.xml");
+declare function local:below($n as node()*) as node()*
+{ with $y seeded by $n recurse $y/child::* };
+with $x seeded by local:below($d/r/n[1])
+recurse if (count($x) < 3) then $d//n[@id = $x/../@next] else ()
+"""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_each_site_finds_its_own_fact(self, engine, monkeypatch):
+        """Two fixpoints in one query (one inside a prolog function), the
+        module evicted and parsed again in between: every decision reads the
+        verdict of *its* site off the report — no checker runs at evaluation
+        time — and the two sites get the two different answers."""
+        import repro.distributivity.syntactic as figure5
+        from repro.session import Session
+
+        def decided_without_the_fact(*args, **kwargs):
+            raise AssertionError("the decision derived a verdict the report holds")
+
+        with Session(documents={"g.xml": linked_document(3)}, module_cache_size=1) as session:
+            reference = session.evaluate(self.TWO_SITES, optimize=False,
+                                         ifp_algorithm="naive").items
+            # from here on only the analyzer's own reference to Figure 5 works
+            monkeypatch.setattr(figure5, "analyze_distributivity", decided_without_the_fact)
+            for _ in range(2):
+                result = session.evaluate(self.TWO_SITES, engine=engine, trace=True)
+                assert _same_nodes(result.items, reference)
+                assert sorted(span.attributes["algorithm"]
+                              for span in result.trace.find_all("fixpoint")) == [
+                    "delta", "naive"]
+                assert {fact.variable: fact.algorithm_hint
+                        for fact in result.analysis.fixpoints} == {"y": "delta", "x": "naive"}
+                session.evaluate("1 + 1")  # evicts the module: parsed anew next time
+            assert session.cache_stats()["module"]["hits"] == 0
+
+    def test_without_a_report_the_verdict_is_derived_on_the_spot(self):
+        from repro import evaluate
+
+        _, documents, head, body = _cases()[1]  # id($x/…): only the strengthened rules
+        for checker, expected in (("syntactic", "naive"), ("analysis", "delta")):
+            result = evaluate(f"{head} recurse {body}", documents=documents,
+                              id_attributes=("code",), analyze=False, trace=True,
+                              distributivity_checker=checker)
+            assert result.analysis is None
+            (span,) = result.trace.find_all("fixpoint")
+            assert span.attributes["algorithm"] == expected
+
+    # -- soundness: whenever a checker says distributive, Naive ≡ Delta ------
+
+    #: Recursion bodies over :func:`linked_document` (``$d`` is its root).
+    SHAPES = [
+        "$x/child::*",
+        "$x/id(./@next)",
+        "id($x/@next, $d)",
+        "$x/c/..",
+        "$d//n[@a = $x/@p]",                         # one value input
+        "$d//n[@a = $x/@p][@b = $x/@q]",             # two of them: not linear
+        "$x/../n[@a = $x/@p]",                       # context and value input
+        "$d//n[@id = $x/@next][1]",                  # a position behind a value input
+        "$d//n[@a = data($x/@p)][@b = data($x/@q)]",  # the same through value joins
+        "for $y in $x return $d//n[@a = $y/@p][@b = $y/@q]",   # linear: per $y
+        "for $y in $x return $d//n[@a = $y/@p][@b = $x/@q]",
+        "for $e in $d//c return $e/..[@a = $x/@p][@b = $x/@q]",
+        "if ($x/c[@k = 'u']) then $d//n[@a = $x/@p] else ()",
+        "$d//n[@a = $x/@p] intersect $d//n[@b = $x/@q]",
+        "if (count($x) >= 1) then $x/id(./@next) else ()",
+        "let $b := $d//n[@a = $x/@p] return $d//n[@id = $b/@next]",
+    ]
+
+    @pytest.mark.parametrize("checker", ["syntactic", "analysis", "algebraic"])
+    def test_a_body_judged_distributive_runs_the_same_under_both_algorithms(self, checker):
+        from repro.session import Session
+
+        head = ('declare variable $d := doc("g.xml"); '
+                'with $x seeded by ($d//n[@id = "n0"] | $d//n[@id = "n1"])')
+        trusted = [body for body in self.SHAPES
+                   if _decisions(f"{head} recurse {body}",
+                                 distributivity_checker=checker)[0].algorithm == "delta"]
+        assert "$x/child::*" in trusted and "$d//n[@a = $x/@p][@b = $x/@q]" not in trusted
+        if checker == "algebraic":  # what only the plan proves stays proved
+            assert {"$d//n[@a = $x/@p]", "id($x/@next, $d)",
+                    "for $y in $x return $d//n[@a = $y/@p][@b = $y/@q]",
+                    "let $b := $d//n[@a = $x/@p] return $d//n[@id = $b/@next]"} <= set(trusted)
+        for seed in range(10):
+            with Session(documents={"g.xml": linked_document(seed)}) as session:
+                for body in trusted:
+                    naive = session.evaluate(f"{head} recurse {body} using naive",
+                                             optimize=False).items
+                    for engine in ENGINES:
+                        delta = session.evaluate(f"{head} recurse {body} using delta",
+                                                 engine=engine).items
+                        assert _same_nodes(delta, naive), (checker, seed, body, engine)
+
+    # -- ROADMAP 1(b): the ∪ push-up's linearity condition --------------------
+
+    NOT_LINEAR = ('declare variable $d := doc("g.xml"); '
+                  'with $x seeded by ($d//n[@id = "n0"] | $d//n[@id = "n1"]) '
+                  'recurse $d//n[@a = $x/@p][@b = $x/@q]')
+
+    @pytest.mark.parametrize("engine, checker",
+                             [(engine, "algebraic") for engine in ENGINES]
+                             + [("algebra", "syntactic")])
+    def test_two_value_inputs_are_not_linear(self, engine, checker):
+        """``(A ∪ B) ⋈ (A ∪ B) ≠ (A ⋈ A) ∪ (B ⋈ B)``: Delta loses the nodes
+        only a pair from different rounds selects.  Wrong on 7 of these 40
+        documents before the push-up had the condition (under the plan-based
+        checker) and before the algebra engine read the configured one (on
+        default settings)."""
+        from repro import evaluate
+
+        lost = 0
+        for seed in range(40):
+            documents = {"g.xml": linked_document(seed)}
+            run = lambda **settings: evaluate(  # noqa: E731
+                self.NOT_LINEAR, documents=documents, use_cache=False, **settings).items
+            expected = run(optimize=False)
+            assert _same_nodes(run(engine=engine, distributivity_checker=checker), expected), seed
+            lost += len(run(ifp_algorithm="delta")) < len(expected)
+        assert lost >= 5, "the documents no longer tell Naive from Delta"
+
+    def test_the_pushup_names_the_operator_that_is_not_linear(self):
+        from repro.algebra.distributivity import analyze_plan_distributivity
+        from repro.xquery.parser import parse_expression
+
+        def report(body):
+            return analyze_plan_distributivity(parse_expression(body), "x")
+
+        blocked = report("$d//n[@a = $x/@p][@b = $x/@q]")
+        assert not blocked.distributive
+        (label,) = blocked.blocking_labels()
+        assert label.endswith("::n[2 pushed]⋈2")  # the step macro, two value inputs
+        assert not report("$x/n[@a = $x/@p]").distributive        # context + value input
+        assert not report("if ($x/a) then $x/b else ()").distributive
+        assert not report("for $y in $x return $x/a").distributive
+        for linear in ("$d//n[@a = $x/@p]", "$x/n[@a = $v]", "$x/a | $x/b",
+                       "for $y in $x return if ($y/a) then $y/b else ()",
+                       "for $y in $x/.. return $d//n[@a = $y/@p][@b = $y/@q]"):
+            assert report(linear).distributive, linear

@@ -118,6 +118,46 @@ class TestEndpoints:
         status, body = client.query("1", context="unregistered.xml")
         assert status == 400 and "not registered" in body["error"]
 
+    @pytest.mark.parametrize("misspelt", [{"ifp_algorithm": "nave"},
+                                          {"distributivity_checker": "algebric"},
+                                          {"distributivity_checker": "algebra"}])
+    def test_misspelt_decision_settings_are_bad_settings(self, client, misspelt):
+        """Through the bad-settings 4xx path, never a 500 — and never a
+        silent default (``nave`` ran Delta, ``algebric`` ran Figure 5)."""
+        (name, value), = misspelt.items()
+        status, body = client.query(TC_QUERY, settings=misspelt)
+        assert status == 400 and body["ok"] is False
+        assert "bad settings" in body["error"] and name in body["error"]
+        # a batch isolates it per entry, as it does every bad request
+        status, body = client.batch([{"query": "1 + 1", "settings": misspelt},
+                                     {"query": "1 + 1"}])
+        assert status == 200
+        assert [entry["ok"] for entry in body["results"]] == [False, True]
+        failed = body["results"][0]
+        assert failed["status"] == 400 and "bad settings" in failed["error"]
+        assert value in failed["error"]
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_the_decision_settings_steer_every_engine(self, client, engine):
+        """``ifp_algorithm`` over HTTP: µ on the algebra engine too, also
+        right after the other variant of the same module was plan-cached."""
+        for algorithm in ("delta", "naive", "delta"):
+            status, body = client.query(TC_QUERY, engine=engine, trace=True,
+                                        settings={"ifp_algorithm": algorithm})
+            assert status == 200 and body["count"] == 4
+
+            def spans(span):
+                yield span
+                for child in span.get("children", ()):
+                    yield from spans(child)
+
+            (fixpoint,) = [span for span in spans(body["trace"])
+                           if span["name"] == "fixpoint"]
+            assert fixpoint["attributes"]["algorithm"] == algorithm
+            if engine == "algebra":
+                assert fixpoint["attributes"]["variant"] == (
+                    "mu_delta" if algorithm == "delta" else "mu")
+
     def test_health_and_stats(self, client):
         client.query("1 + 1")
         status, health = client.request("/health")

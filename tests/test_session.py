@@ -66,12 +66,17 @@ class TestEvalSettings:
         assert StaticContext().settings == EvalSettings()
 
     def test_plan_key_normalizes_evaluation_only_fields(self):
-        a = EvalSettings(engine="algebra", ifp_algorithm="naive", trace=True)
+        a = EvalSettings(engine="algebra", max_ifp_iterations=7, trace=True)
         b = EvalSettings(engine="interpreter", use_index=False)
         assert a.plan_key("columnar") == b.plan_key("columnar")
         assert a.plan_key("columnar") != a.plan_key("row")
         assert (a.plan_key("columnar")
                 != a.replace(use_pushdown=False).plan_key("columnar"))
+        # what decides µ or µ∆ is baked into the plan
+        assert (a.plan_key("columnar")
+                != a.replace(ifp_algorithm="naive").plan_key("columnar"))
+        assert (a.plan_key("columnar")
+                != a.replace(distributivity_checker="algebraic").plan_key("columnar"))
 
     def test_coerce_settings_accepts_mappings(self):
         base = EvalSettings(engine="sql")

@@ -8,7 +8,7 @@ flags, and the shared result-table decoding helper.
 
 import pytest
 
-from repro import Engine, evaluate, parse_xml
+from repro import Engine, EvalSettings, evaluate, parse_xml
 from repro.bench.harness import BenchmarkHarness
 from repro.cli import main as cli_main
 from repro.errors import AlgebraError, SqlBackendError
@@ -323,12 +323,18 @@ class TestEmitter:
             reopened.close()
 
     def test_fixpoint_statements_lists_every_fixpoint(self, documents):
-        pairs = fixpoint_statements(parse_query(QUERY_Q1))
-        assert len(pairs) == 1
-        expr, emitted = pairs[0]
+        triples = fixpoint_statements(parse_query(QUERY_Q1))
+        assert len(triples) == 1
+        expr, decision, emitted = triples[0]
         assert expr.var == "x" and emitted is not None
-        pairs = fixpoint_statements(parse_query(QUERY_Q2))
-        assert len(pairs) == 1 and pairs[0][1] is None
+        assert (decision.algorithm, decision.checker) == ("delta", "syntactic")
+        triples = fixpoint_statements(parse_query(QUERY_Q2))
+        assert len(triples) == 1 and triples[0][2] is None
+        assert triples[0][1].rejected
+        # the checker decides here as it does in the engine
+        (_, decision, emitted), = fixpoint_statements(
+            parse_query(QUERY_Q1), EvalSettings(distributivity_checker="never"))
+        assert decision.algorithm == "naive" and emitted is None
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,10 @@ class TestAnalyzeEndpoint:
             {"query": 'with $x seeded by doc("c.xml")//a recurse id($x/b)'})
         (fact,) = response["analysis"]["fixpoints"]
         assert fact["rule"] == "TRUSTED-BUILTIN"
-        assert fact["algorithm"] == "delta"
+        # the lint speaks for default settings, where Figure 5 decides and
+        # has no rule for id(): every engine runs this site Naive
+        assert fact["safe"] and not fact["syntactic_safe"]
+        assert fact["algorithm"] == "naive"
 
     def test_analyze_accepts_variable_names(self):
         service = QueryService(session=Session())
