@@ -28,10 +28,12 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     (not a settings pair) the service's ``serialize_items`` on the answers
     of 24 medium-curriculum closures (210–399 ``course`` elements each) vs
     evaluating those closures on the interpreter: serializing an answer
-    may cost at most 75 % of computing it, i.e. read −25 % or lower.  At
-    PR 19 it cost ~135 % (reads +28 % to +52 %) and was the largest item
-    of a curriculum read over HTTP; the single walker of
-    ``repro.xmlio.serializer`` costs ~55 % (reads −42 % to −49 %).
+    may cost at most 2.5× computing it, i.e. read +150 % or lower.  The
+    denominator is what moved: the single walker of
+    ``repro.xmlio.serializer`` took ~55 % of an evaluation until the
+    evaluation ran in pre-space (PR 23, a third of the time), and reads
+    +55 % to +95 % since; the per-node serializer it replaced cost 2.4× as
+    much and would read about +350 %.
 
 ``write``
     (not a settings pair) over the ledger's ``service`` corpus in one
@@ -46,6 +48,15 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     missed once.  While a write dropped every connection thread's SQLite
     store and every compiled plan (before PR 21) the two SQL reads cost
     ~55× and ~10×, and the algebra read a recompile each time.
+
+``fed-node``
+    (not a settings pair, and a floor, not a ceiling) two medium-curriculum
+    closures under ``using naive`` with the index on vs ``use_index=False``:
+    the index side may cost at most an eighth.  A fed-back node costs three
+    dict probes in pre-space (``repro.xdm.index.batch_id_path``) and reads
+    about −96 % (23×); the kernel's failure mode is to decline quietly —
+    every answer stays right and the step-by-step path behind it reads
+    −71 % (3.4×, which is what the commit before the kernel measured).
 
 Tracing has no row: its two settings points are watched where every other
 number is, in the ledger (``benchmarks/ledger/``) — the *disabled* cost as
@@ -238,8 +249,8 @@ def check_hoisting(arguments: argparse.Namespace) -> bool:
 
 
 #: What serializing an answer may cost, relative to computing it: at most
-#: 75 % of it.
-REPLY_TOLERANCE = -0.25
+#: 2.5× as much.
+REPLY_TOLERANCE = 1.5
 
 #: Start nodes of the reply guard: the back of the medium catalogue, whose
 #: prerequisite closures are the deep ones.
@@ -271,6 +282,34 @@ def check_reply(arguments: argparse.Namespace) -> bool:
     return verdict("reply", results, REPLY_TOLERANCE,
                    "repro.xmlio.serializer._write (its per-node work) and "
                    "repro.service.server.serialize_items", arguments)
+
+
+#: What the index side of a Naive curriculum closure may cost: an eighth of
+#: the per-item reference.
+FED_NODE_TOLERANCE = -0.875
+
+
+def check_fed_node(arguments: argparse.Namespace) -> bool:
+    """Curriculum closures under ``using naive``: index on vs off."""
+    workload = get_workload("curriculum")
+    session = Session()
+    session.register_document(workload.document_uri,
+                              workload.size("medium").build_document())
+    closures = [session.prepare(
+        f'with $x seeded by doc("{workload.document_uri}")/curriculum/'
+        f'course[@code="c{start}"] recurse {workload.recursion_body} using naive',
+        settings=BASE) for start in REPLY_STARTS[:2]]
+    reference = BASE.replace(use_index=False)
+    inner = max(1, arguments.inner // 10)  # a reference run is ~80 ms
+    results = alternate(
+        timed_block(lambda: [closure.run() for closure in closures], inner),
+        timed_block(lambda: [closure.run(settings=reference) for closure in closures], inner),
+        arguments.estimates, arguments.pairs)
+    session.close()
+    return verdict("fed-node", results, FED_NODE_TOLERANCE,
+                   "repro.xdm.index.batch_id_path and idref_targets (a decline "
+                   "is silent: trace the closure and look for kernel:step:id "
+                   "fallbacks) and Evaluator._batch_id", arguments)
 
 
 #: What the first read after an unrelated write may cost: 3× the read warm.
@@ -338,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     # No short-circuit: every guard reports before the exit status.
     return 0 if all([*(check(guard, arguments) for guard in GUARDS),
                      check_hoisting(arguments), check_reply(arguments),
-                     check_write(arguments)]) else 1
+                     check_fed_node(arguments), check_write(arguments)]) else 1
 
 
 if __name__ == "__main__":

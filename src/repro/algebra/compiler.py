@@ -265,7 +265,7 @@ class AlgebraCompiler:
     # ------------------------------------------------------------------ paths
 
     def _compile_PathExpr(self, expr: ast.PathExpr, context: CompilationContext) -> Operator:
-        from repro.xquery.pushdown import recognize_id_step
+        from repro.xquery.pushdown import child_chain_names, recognize_id_step
 
         left = self._compile(expr.left, context)
         right = expr.right
@@ -276,7 +276,11 @@ class AlgebraCompiler:
             # ``E/id(p)`` with a step chain p: steps distribute over the
             # union of their contexts and the id macro orders its output,
             # so the chain runs over each outer iteration's whole column —
-            # a handful of macros instead of the map's re-addressed plan.
+            # a handful of macros instead of the map's re-addressed plan
+            # (one, in pre-space, for a plain chain of named child steps).
+            names = child_chain_names(id_steps)
+            if names is not None:
+                return IdLookup(left, self._require_document(), path=names)
             values = left
             for step in id_steps:
                 values = self._compile_step(values, step, context)
@@ -673,9 +677,10 @@ class AlgebraCompiler:
             stringified = ScalarOp(inner, "item_s", ["item"], string_value_of_item, name="string")
             return self._with_pos(Project(stringified, [("iter", "iter"), ("item", "item_s")]))
         if name == "id" and len(expr.args) in (1, 2):
-            inner = self._compile(expr.args[0], context)
-            document = self._require_document()
-            return IdLookup(AtomizeValue([inner]), document)
+            values = AtomizeValue([self._compile(expr.args[0], context)])
+            if len(expr.args) == 2:
+                return IdLookup(values, None, anchor=self._compile(expr.args[1], context))
+            return IdLookup(values, self._require_document())
         if name == "doc" and len(expr.args) == 1:
             return self._compile_doc(expr.args[0], context)
         if name == "root" and len(expr.args) <= 1:

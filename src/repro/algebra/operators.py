@@ -34,6 +34,7 @@ from repro.algebra.table import Table
 from repro.xdm.index import (
     IndexSet,
     batch_id,
+    batch_id_path,
     batch_step,
     indexed_step,
 )
@@ -802,22 +803,74 @@ class IdLookup(Operator):
     column is tokenized and resolved in one pass
     (:func:`~repro.xdm.index.batch_id`) and comes out duplicate-free in
     document order.
+
+    With *path* — the names of a predicate-free ``child::`` chain — the
+    macro is ``id(n1/…/nk)`` from its input's *nodes*: the chain, the
+    atomization and the lookup in one
+    (:func:`~repro.xdm.index.batch_id_path` when the engine uses the index
+    and the context nodes lie in the macro's document; else the chain is
+    walked on the node objects).  Steps and ``fn:id`` distribute over the
+    union of their contexts, so the whole is as ∪-pushable as its parts.
+
+    With *anchor* — the plan of ``fn:id``'s second argument — an iteration
+    resolves in the document of the one node that plan delivers it (none
+    where that node has no document), not in *document*.  ``fn:id`` does
+    not distribute over that argument: an anchor that reads a recursion
+    variable blocks the ∪.
     """
 
     symbol = "id"
     union_pushable = True
     node_valued = True
 
-    def __init__(self, child: Operator, document: DocumentNode):
-        super().__init__([child])
+    def __init__(self, child: Operator, document: DocumentNode | None,
+                 path: tuple[str, ...] = (), anchor: Operator | None = None):
+        super().__init__([child] if anchor is None else [child, anchor])
         self.document = document
-        self.template = "id"
+        self.path = path
+        if anchor is not None and any(isinstance(operator, RecursionInput)
+                                      for operator in anchor.iter_operators()):
+            self.union_pushable = False
+        else:
+            self.template = "id"
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0])
-        return _sequence_table(engine, [
-            (iteration, ddo(batch_id(self.document, per_iteration[iteration])))
-            for iteration in order])
+        anchors = inputs[1].items_by_iteration()[0] if len(inputs) > 1 else None
+        use_index = bool(self.path) and getattr(engine, "use_index", True)
+        results: list = []
+        for iteration in order:
+            column = per_iteration[iteration]
+            document = (self.document if anchors is None
+                        else _anchor_document(anchors.get(iteration, ())))
+            if document is None:
+                found = []
+            else:
+                found = batch_id_path(column, self.path, document) if use_index else None
+                if found is None:
+                    found = ddo(batch_id(document, self._chain(column)))
+            results.append((iteration, found))
+        return _sequence_table(engine, results)
+
+    def _chain(self, column: list) -> list:
+        """*column* through the *path* steps, on the node objects."""
+        if self.path and not all(map(is_node, column)):
+            raise AlgebraError("step join applied to a non-node item")
+        for name in self.path:
+            column = [child for node in column for child in node.children
+                      if isinstance(child, ElementNode) and child.name == name]
+        return column
+
+    def label(self):
+        return f"id[{'/'.join(self.path)}]" if self.path else self.symbol
+
+
+def _anchor_document(anchor: Sequence) -> DocumentNode | None:
+    """The document ``fn:id`` searches, given its second argument."""
+    if len(anchor) != 1 or not is_node(anchor[0]):
+        raise AlgebraError("fn:id: the second argument must be exactly one node "
+                           "(use the interpreter or sql engine)")
+    return anchor[0].document()
 
 
 class PathResult(Operator):

@@ -19,17 +19,7 @@ from collections.abc import Iterable
 
 from repro.errors import XQueryTypeError
 from repro.xdm.node import Node
-
-
-def _order_key(node: Node) -> int:
-    return node.order_key
-
-
-def document_order(nodes: list) -> list:
-    """Sort duplicate-free *nodes* into document order, in place."""
-    if len(nodes) > 1:  # shallow closures feed one node per round
-        nodes.sort(key=_order_key)
-    return nodes
+from repro.xdm.sequence import doc_order
 
 
 class ResultAccumulator:
@@ -68,4 +58,4 @@ class ResultAccumulator:
 
     def in_document_order(self) -> list:
         """The accumulated nodes, put in document order (in place)."""
-        return document_order(self.items)
+        return doc_order(self.items, distinct=True)

@@ -51,10 +51,10 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro import faults
 from repro.errors import FixpointError
-from repro.fixpoint.accumulator import ResultAccumulator, document_order
+from repro.fixpoint.accumulator import ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
 from repro.observability import maybe_span
-from repro.xdm.sequence import ensure_node_sequence
+from repro.xdm.sequence import doc_order, ensure_node_sequence
 
 #: Algorithms the engine knows about.
 ALGORITHMS = ("naive", "delta")
@@ -164,7 +164,7 @@ class FixpointEngine:
             while feed_everything or new:
                 # (a copy under Naive: the accumulator's own list grows)
                 fed = (list(result.in_document_order()) if feed_everything
-                       else document_order(new))
+                       else doc_order(new, distinct=True))
                 iteration += 1
                 if iteration > self.max_iterations:
                     raise FixpointError(

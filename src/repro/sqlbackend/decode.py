@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.xdm.node import Node
+from repro.xdm.sequence import doc_order
 
 
 @dataclass
@@ -54,9 +55,7 @@ def decode_result_table(table) -> list:
 
 def decode_pres(store, pres: Iterable[int]) -> list[Node]:
     """Decode ``pre`` ranks from *store* into nodes in document order."""
-    nodes = store.decode(pres)
-    nodes.sort(key=lambda node: node.order_key)
-    return nodes
+    return doc_order(store.decode(pres), distinct=True)
 
 
 __all__ = ["ResultTable", "decode_result_table", "decode_pres"]

@@ -14,18 +14,29 @@ walk assigns every tree node a ``pre`` rank (entry tick) and ``post`` rank
 On top of the plain arrays (``nodes``, ``post``, ``level``, ``parent_pre``,
 ``size``, ``sib_pos``) the index keeps a *name inverted index* — element
 name → sorted list of ``pre`` ranks — so a ``descendant::n`` step is two
-bisections into that list, and lazy per-node *child-by-name maps* so a
-``child::n`` step is a dict lookup, and lazy *value indexes* (attribute
+bisections into that list, lazy *child-by-name maps*, one per element name
+(parent pre → ascending child pres), so a ``child::n`` step is a dict
+lookup that stays in pre-space, and lazy *value indexes* (attribute
 owners, the path-value index) that answer value predicates — from the
 candidate's side as a membership test, or from the index's side
-(:func:`batch_probe`) without enumerating candidates at all.  The batch kernels
-(:func:`batch_step`, and :func:`batch_id` for ``fn:id`` over a column of
-references) take a whole column of context nodes at once: for the
-descendant axes the context intervals are merged (nested intervals are
-skipped, which is what makes the result duplicate-free *by construction*),
-for every other axis results are deduplicated with an identity set and
-sorted once by ``order_key`` — never the quadratic per-node filtering the
-naive axis methods would add up to.
+(:func:`batch_probe`) without enumerating candidates at all — among them
+the *ID-reference index* (:meth:`StructuralIndex.idref_targets`): parent
+pre → pres of the elements its ``name`` children's ID references resolve
+to.  The value indexes hold integers only and pin no node; a text or
+attribute edit and a newly registered ID drop them.
+
+The batch kernels (:func:`batch_step`; :func:`batch_id` for ``fn:id`` over
+a column of references; :func:`batch_id_path` for ``id(n1/…/nk)`` over a
+column of context nodes) take a whole column at once.  For the descendant
+axes the context intervals are merged (nested intervals are skipped, which
+is what makes the result duplicate-free *by construction*).  The downward
+named steps — ``child::n``, and a chain of them under ``fn:id`` — are
+integer work: pres in, dict probes, ``sorted`` pres out, node objects
+gathered once at the end.  Intermediate columns need neither dedup nor
+sort, because the children of distinct parents are distinct and document
+order is ascending pre.  For every other axis results are deduplicated by
+identity and sorted once by ``order_key`` — never the quadratic per-node
+filtering the naive axis methods would add up to.
 
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
@@ -41,8 +52,9 @@ store learns that one of its trees, and not some other, was mutated.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, KeysView
 from threading import RLock
 
 from repro import faults
@@ -58,6 +70,7 @@ from repro.xdm.node import (
     ProcessingInstructionNode,
     TextNode,
 )
+from repro.xdm.sequence import doc_order
 
 #: Axes whose natural order is reverse document order (mirrors the
 #: evaluator's REVERSE_AXES; kept here so the index has no xquery import).
@@ -87,8 +100,8 @@ class StructuralIndex:
 
     __slots__ = ("root", "value_generation", "nodes", "pre_of", "post", "level",
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
-                 "kind_pres", "_child_by_name", "_attr_owner_sets",
-                 "_attr_value_sets", "_child_parent_sets", "_path_value_sets")
+                 "kind_pres", "_child_pres", "_attr_owner_sets",
+                 "_attr_value_sets", "_path_value_sets", "_idref_targets")
 
     def __init__(self, root: Node):
         self.root = root
@@ -154,7 +167,9 @@ class StructuralIndex:
         self.name_pres = name_pres
         self.elem_pres = elem_pres
         self.kind_pres = kind_pres
-        self._child_by_name: dict[int, dict[str, list[Node]]] = {}
+        #: element name → parent pre → ascending pres of its children of
+        #: that name (see :meth:`child_pres_named`)
+        self._child_pres: dict[str, dict[int, list[int]]] = {}
         self._reset_value_indexes()
 
     # -- value inverted indexes ----------------------------------------------
@@ -168,11 +183,12 @@ class StructuralIndex:
         self._attr_owner_sets: dict[str, set[int]] | None = None
         #: attribute name → value → set of owner-element pres
         self._attr_value_sets: dict[str, dict[str, set[int]]] | None = None
-        #: element name → set of parent pres (child-existence tests)
-        self._child_parent_sets: dict[str, set[int]] = {}
         #: (child-step names, target, name) → value → set of owner pres
         #: (see :meth:`path_value_owners`)
         self._path_value_sets: dict[tuple, dict[str, set[int]]] = {}
+        #: element name → parent pre → target pres, or ``None``
+        #: (see :meth:`idref_targets`)
+        self._idref_targets: dict[str, dict[int, list[int]] | None] = {}
 
     def clear_value_indexes(self) -> None:
         """Drop the lazy value indexes (after a value mutation)."""
@@ -205,15 +221,49 @@ class StructuralIndex:
             sets, _ = self._build_attr_indexes()
         return sets.get(name, _EMPTY_SET)
 
-    def child_name_parent_pres(self, name: str) -> set[int]:
-        """Pres of nodes having an element child called *name*."""
-        parents = self._child_parent_sets.get(name)
-        if parents is None:
-            parent_pre = self.parent_pre
-            parents = {parent_pre[p] for p in self.name_pres.get(name, ())
-                       if parent_pre[p] >= 0}
-            self._child_parent_sets[name] = parents
-        return parents
+    def idref_targets(self, name: str) -> dict[int, list[int]] | None:
+        """The ID-reference index of ``child::name``: parent pre → pres of
+        the elements that the whitespace-separated tokens of its *name*
+        children's string values resolve to through
+        :meth:`DocumentNode.lookup_id` — ``fn:id(child::name)`` for every
+        parent at once.  Dangling tokens resolve to nothing, the first
+        bearer of an ID wins, every token of a multi-token value counts; a
+        target may repeat.  Empty when the tree is not document-rooted (no
+        document, no IDs).
+
+        ``None`` when some ID resolves to an element outside this tree,
+        which pres cannot name.  A value index like the others: a text edit
+        drops it, and so does a newly registered ID
+        (:meth:`DocumentNode.register_id` reports one as a value change).
+        The returned mapping is shared — callers must not mutate it.
+        """
+        root = self.root
+        if not isinstance(root, DocumentNode):
+            return _EMPTY_DICT
+        cache = self._idref_targets  # see path_value_owners on a concurrent clear
+        if name not in cache:
+            cache[name] = self._resolve_idrefs(name, root)
+        return cache[name]
+
+    def _resolve_idrefs(self, name: str,
+                        root: DocumentNode) -> dict[int, list[int]] | None:
+        nodes = self.nodes
+        parent_pre = self.parent_pre
+        pre_of = self.pre_of
+        lookup = root.lookup_id
+        targets: dict[int, list[int]] = {}
+        for pre in self.name_pres.get(name, ()):
+            parent = parent_pre[pre]
+            if parent < 0:
+                continue
+            for token in nodes[pre].string_value().split():
+                element = lookup(token)
+                if element is not None:
+                    target = pre_of.get(id(element))
+                    if target is None:
+                        return None
+                    targets.setdefault(parent, []).append(target)
+        return targets
 
     def path_value_owners(self, path: tuple[str, ...], target: str,
                           name: str) -> dict[str, set[int]]:
@@ -297,7 +347,7 @@ class StructuralIndex:
         if axis == "descendant-or-self":
             return self._range_matches(pre, pre + self.size[pre], kind, name)
         if axis == "child":
-            return self._children(pre, node, kind, name)
+            return self._children(pre, kind, name)
         if axis == "parent":
             parent = self.parent_pre[pre]
             if parent < 0:
@@ -391,27 +441,41 @@ class StructuralIndex:
             return None  # needs a per-node target check
         return self.kind_pres.get(cls, [])
 
-    def _children(self, pre: int, node: Node, kind: str,
-                  name: str | None) -> list[Node]:
-        if kind in ("name", "element") and name not in (None, "*"):
-            return list(self._children_by_name(pre, node).get(name, ()))
-        return [c for c in node.children if _matches(c, kind, name, "child")]
+    def child_pres_named(self, name: str) -> dict[int, list[int]]:
+        """The child-by-name map of *name*: parent pre → ascending pres of
+        its element children called *name* (parents without one are absent).
+        Built once per name, in one pass over the name's inverted list; the
+        returned mapping is shared — callers must not mutate it."""
+        children = self._child_pres.get(name)
+        if children is None:
+            children = {}
+            parent_pre = self.parent_pre
+            for pre in self.name_pres.get(name, ()):
+                if parent_pre[pre] >= 0:
+                    children.setdefault(parent_pre[pre], []).append(pre)
+            self._child_pres[name] = children
+        return children
 
-    def _children_by_name(self, pre: int, node: Node) -> dict[str, list[Node]]:
-        by_name = self._child_by_name.get(pre)
-        if by_name is None:
-            by_name = {}
-            for child in node.children:
-                if isinstance(child, ElementNode):
-                    by_name.setdefault(child.name, []).append(child)
-            self._child_by_name[pre] = by_name
-        return by_name
+    def child_name_parent_pres(self, name: str) -> KeysView[int]:
+        """Pres of nodes having an element child called *name*."""
+        return self.child_pres_named(name).keys()
+
+    def _children(self, pre: int, kind: str, name: str | None) -> list[Node]:
+        nodes = self.nodes
+        if named_element_test(kind, name):
+            return [nodes[child] for child in self.child_pres_named(name).get(pre, ())]
+        return [c for c in nodes[pre].children if _matches(c, kind, name, "child")]
 
 
 # ---------------------------------------------------------------------------
 # node tests (mirrors Evaluator._node_test; cross-checked by the property
 # test suite in tests/test_structural_index.py)
 # ---------------------------------------------------------------------------
+
+
+def named_element_test(kind: str, name: str | None) -> bool:
+    """A test for elements of one given name (``n``, ``element(n)``)."""
+    return kind in ("name", "element") and name not in (None, "*")
 
 
 def _matches(node: Node, kind: str, name: str | None, axis: str) -> bool:
@@ -721,20 +785,21 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
     The descendant axes use pre-order interval merging: context intervals
     are visited in ascending ``pre`` and nested intervals contribute nothing
     new, so the concatenated slice lookups are duplicate-free and sorted by
-    construction.  ``following`` unions to a single suffix slice.  The
+    construction.  ``following`` unions to a single suffix slice.
+    ``child::name`` over a column in one tree is integer work on the
+    child-by-name map (:func:`_child_named_in_one_tree`).  The other
     pointer-chasing axes stay on the node objects; everything is
     deduplicated once by identity and sorted once by ``order_key``.
     """
     if not nodes:
         return []
+    if axis == "child" and named_element_test(kind, name):
+        result = _child_named_in_one_tree(nodes, name)
+        if result is not None:
+            return result
     distinct = nodes
     if len(nodes) > 1:
-        seen: set[int] = set()
-        distinct = []
-        for node in nodes:
-            if id(node) not in seen:
-                seen.add(id(node))
-                distinct.append(node)
+        distinct = list({id(node): node for node in nodes}.values())
 
     if axis in ("descendant", "descendant-or-self", "following"):
         return _batch_plane(distinct, axis, kind, name)
@@ -766,7 +831,7 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
             pre = idx.pre_of.get(id(node))
             if pre is None:
                 return None
-            collected.extend(idx._children(pre, node, kind, name))
+            collected.extend(idx._children(pre, kind, name))
     elif axis in ("following-sibling", "preceding-sibling", "preceding"):
         indexes = IndexSet()
         for node in distinct:
@@ -784,8 +849,40 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
     else:
         return None
 
-    return _ddo_by_order_key(collected, already_unique=len(distinct) == 1
-                             and axis not in _REVERSE_AXES)
+    if len(distinct) == 1 and axis not in _REVERSE_AXES:
+        return collected  # one node's forward axis: distinct and in order
+    return doc_order(collected)
+
+
+def _child_named_in_one_tree(nodes: list[Node], name: str) -> list[Node] | None:
+    """``nodes/child::name`` in pre-space, for a column that lies in one
+    tree: pres in, the child-by-name map, sorted pres out, one gather.
+    Children of distinct parents are distinct, so once the input's repeats
+    are gone nothing needs an identity set, and integers sort without a key.
+    ``None`` — the general path — for a column with an attribute or nodes
+    of a second tree."""
+    first = nodes[0]
+    if isinstance(first, AttributeNode):
+        return None
+    idx = index_for(first)
+    pres = list(map(idx.pre_of.get, map(id, nodes)))
+    if None in pres:
+        return None
+    tree_nodes = idx.nodes
+    return [tree_nodes[child] for child in sorted(
+        _mapped(idx.child_pres_named(name), dict.fromkeys(pres)))]
+
+
+def _merged(per_tree: list[list[Node]]) -> list[Node]:
+    """Per-tree results, each distinct and in document order, as one."""
+    if len(per_tree) == 1:
+        return per_tree[0]
+    return doc_order([node for matches in per_tree for node in matches], distinct=True)
+
+
+def _mapped(mapping: dict[int, list[int]], pres: Iterable[int]) -> Iterable[int]:
+    """The concatenation of ``mapping[pre]`` over the *pres* it has."""
+    return chain.from_iterable(filter(None, map(mapping.get, pres)))
 
 
 def batch_id(document: DocumentNode, items: Iterable) -> list[Node]:
@@ -803,6 +900,63 @@ def batch_id(document: DocumentNode, items: Iterable) -> list[Node]:
         tokens.update(string_value_of_item(item).split())
     lookup = document.lookup_id
     return [element for token in tokens if (element := lookup(token)) is not None]
+
+
+def batch_id_path(nodes: Iterable, names: tuple[str, ...],
+                  document: DocumentNode | None = None) -> list[Node] | None:
+    """``nodes/id(child::n1/…/child::nk)`` (``k ≥ 1``, no predicates) in
+    pre-space: the elements, duplicate-free and in document order, that the
+    ID references under the *names* chain of some context node resolve to —
+    each in the document of its context node, or only in *document* when
+    one is given.
+
+    The column is split by covering index through ``pre_of`` membership
+    (the index's root *is* the document: no per-node root walk), the chain
+    but for its last step walks the child-by-name maps, the last step and
+    the dereference are one probe of the ID-reference index
+    (:meth:`StructuralIndex.idref_targets`), and nodes are gathered once,
+    from the sorted set of target pres.  The intermediate columns need
+    neither dedup nor sort: children of distinct parents are distinct, a
+    repeated context node only repeats work, and the final set orders all.
+
+    Returns ``None`` — the caller walks the chain step by step — when an
+    item is not a node, a node is covered by no index, an ID resolves
+    outside its tree, or (with *document*) a context node lies outside it.
+    """
+    # One pass per tree, each a C-level map of the column through ``pre_of``.
+    groups: list[tuple[StructuralIndex, list[int]]] = []
+    rest = nodes if isinstance(nodes, list) else list(nodes)
+    while rest:
+        first = rest[0]
+        if isinstance(first, AttributeNode):  # no children, so no references
+            rest = [node for node in rest if not isinstance(node, AttributeNode)]
+            continue
+        if not isinstance(first, Node):
+            return None
+        idx = index_for(first)
+        if document is not None and idx.root is not document:
+            return None
+        pres = list(map(idx.pre_of.get, map(id, rest)))
+        if None in pres:
+            if pres[0] is None:
+                return None
+            rest = [node for node, pre in zip(rest, pres) if pre is None]
+            pres = [pre for pre in pres if pre is not None]
+        else:
+            rest = []
+        groups.append((idx, pres))
+
+    per_tree: list[list[Node]] = []
+    for idx, pres in groups:
+        targets = idx.idref_targets(names[-1])
+        if targets is None:
+            return None
+        for name in names[:-1]:
+            pres = _mapped(idx.child_pres_named(name), pres)
+        tree_nodes = idx.nodes
+        per_tree.append([tree_nodes[pre] for pre in sorted(set(_mapped(targets, pres)))])
+
+    return _merged(per_tree)
 
 
 #: Axes :func:`batch_probe` can verify from the owner's side.
@@ -848,8 +1002,8 @@ def batch_probe(nodes: list[Node], axis: str, name: str, owners_of,
     trees: list[tuple[StructuralIndex, list[int], int]] = []
     for idx, pres in by_index.values():
         if axis == "child":
-            candidates = sum(len(idx._children_by_name(pre, idx.nodes[pre]).get(name, ()))
-                             for pre in pres)
+            children = idx.child_pres_named(name)
+            candidates = sum(len(children.get(pre, ())) for pre in pres)
         else:
             named = idx.name_pres.get(name, ())
             candidates = sum(bisect_right(named, pre + idx.size[pre])
@@ -883,24 +1037,7 @@ def batch_probe(nodes: list[Node], axis: str, name: str, owners_of,
         per_tree.append([node for node in map(idx.nodes.__getitem__, matched)
                          if isinstance(node, ElementNode) and node.name == name])
 
-    if len(per_tree) == 1:
-        return per_tree[0]
-    merged = [node for matches in per_tree for node in matches]
-    merged.sort(key=lambda n: n.order_key)
-    return merged
-
-
-def _ddo_by_order_key(collected: list[Node], already_unique: bool) -> list[Node]:
-    if already_unique:
-        return collected
-    seen: set[int] = set()
-    unique: list[Node] = []
-    for item in collected:
-        if id(item) not in seen:
-            seen.add(id(item))
-            unique.append(item)
-    unique.sort(key=lambda n: n.order_key)
-    return unique
+    return _merged(per_tree)
 
 
 def _batch_plane(distinct: list[Node], axis: str, kind: str,
@@ -950,8 +1087,4 @@ def _batch_plane(distinct: list[Node], axis: str, kind: str,
             covered_hi = hi
         per_tree.append(matches)
 
-    if len(per_tree) == 1:
-        return per_tree[0]
-    merged = [node for matches in per_tree for node in matches]
-    merged.sort(key=lambda n: n.order_key)
-    return merged
+    return _merged(per_tree)

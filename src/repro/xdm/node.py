@@ -57,7 +57,8 @@ def reset_node_counter() -> None:
 #: no index can exist before then, so construction pays nothing.
 _structure_change_hook = None
 
-#: Companion hook for *value* mutations (attribute rewrites, text edits):
+#: Companion hook for *value* mutations (attribute rewrites, text edits,
+#: newly registered IDs):
 #: the pre/post plane of a cached structural index stays valid, but its
 #: lazily built value inverted indexes must be dropped.  Also ``None``
 #: until :mod:`repro.xdm.index` is imported.
@@ -285,8 +286,14 @@ class DocumentNode(Node):
     # -- ID handling (fn:id) -----------------------------------------------
 
     def register_id(self, value: str, element: "ElementNode") -> None:
-        """Register *element* as the bearer of ID *value* (first one wins)."""
-        self._id_map.setdefault(value, element)
+        """Register *element* as the bearer of ID *value* (first one wins).
+
+        A new ID changes what ``fn:id`` answers, which is a *value* change
+        of the tree: the ID-reference index and a store's shredded ID table
+        are built from the map."""
+        if value not in self._id_map:
+            self._id_map[value] = element
+            _notify_value_change(self)
 
     def lookup_id(self, value: str) -> "ElementNode" | None:
         """Return the element carrying ID *value*, or ``None``."""

@@ -4,7 +4,8 @@ The functions in this module are the vocabulary the paper's definitions are
 written in:
 
 * :func:`ddo` — ``fs:distinct-doc-order``, the duplicate-eliminating,
-  document-order-restoring function applied after every path step.
+  document-order-restoring function applied after every path step
+  (:func:`doc_order` is its unchecked core, for callers that hold nodes).
 * :func:`node_union`, :func:`node_except`, :func:`node_intersect` — the
   ``union``/``except``/``intersect`` operators on node sequences.
 * :func:`set_equal` — the paper's relaxed set-equality ``s=`` that ignores
@@ -17,6 +18,7 @@ written in:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 from typing import Any
 
 from repro.errors import XQueryTypeError
@@ -45,20 +47,33 @@ def ensure_node_sequence(sequence: Sequence[Any], operation: str) -> list[Node]:
     return items
 
 
+_ORDER_KEY = attrgetter("order_key")
+
+
+def doc_order(nodes: list[Node], distinct: bool = False) -> list[Node]:
+    """*nodes* without repeated identities, in document order.
+
+    The one spelling of dedup-then-sort: :func:`ddo`, the batch kernels
+    and the fixpoint driver all end here.  A caller that knows its nodes
+    *distinct* skips the dedup and has its list sorted in place; otherwise
+    the result is a new list.
+    """
+    if not distinct:
+        nodes = list({id(node): node for node in nodes}.values())
+    if len(nodes) > 1:
+        nodes.sort(key=_ORDER_KEY)
+    return nodes
+
+
 def ddo(sequence: Iterable[Any]) -> list[Node]:
     """``fs:distinct-doc-order``: deduplicate by identity, sort by doc order."""
-    seen: set[int] = set()
-    unique: list[Node] = []
-    for item in sequence:
+    items = sequence if isinstance(sequence, list) else list(sequence)
+    for item in items:
         if not is_node(item):
             raise XQueryTypeError(
                 f"fs:ddo requires nodes, got {type(item).__name__}"
             )
-        if id(item) not in seen:
-            seen.add(id(item))
-            unique.append(item)
-    unique.sort(key=lambda node: node.order_key)
-    return unique
+    return doc_order(items)
 
 
 def node_union(left: Sequence[Any], right: Sequence[Any]) -> list[Node]:

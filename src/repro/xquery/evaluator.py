@@ -32,7 +32,7 @@ from repro.fixpoint.decision import decide_fixpoint
 from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
-from repro.xdm.index import IndexSet, batch_id, batch_step, indexed_step
+from repro.xdm.index import IndexSet, batch_id, batch_id_path, batch_step, indexed_step
 from repro.xdm.items import (
     UntypedAtomic,
     is_node,
@@ -538,16 +538,24 @@ class Evaluator:
                   context: DynamicContext) -> Sequence | None:
         """``nodes/id(steps)`` set-at-a-time, or ``None`` (per-item loop).
 
-        ``fn:id`` resolves in the document of its context node, so the
-        column is grouped by owning document (a corpus may reuse ID values
-        across documents); each group's chain is one batch step kernel per
-        step, its string values are tokenized and looked up in one pass
-        (:func:`~repro.xdm.index.batch_id`), and one ``fs:ddo`` orders the
-        union.  Declines when an item is not a node (the loop raises the
-        proper ``XPTY0019``), when a kernel cannot answer a step, and —
-        like the fused axis step above — when the chain has predicates and
-        pushdown is off.
+        A chain of predicate-free named child steps (``prerequisites/
+        pre_code``) runs in pre-space on the ID-reference index
+        (:func:`~repro.xdm.index.batch_id_path`).  Every other chain, and
+        what that kernel declines: ``fn:id`` resolves in the document of
+        its context node, so the column is grouped by owning document (a
+        corpus may reuse ID values across documents); each group's chain is
+        one batch step kernel per step, its string values are tokenized and
+        looked up in one pass (:func:`~repro.xdm.index.batch_id`), and one
+        ``fs:ddo`` orders the union.  Declines when an item is not a node
+        (the loop raises the proper ``XPTY0019``), when a kernel cannot
+        answer a step, and — like the fused axis step above — when the
+        chain has predicates and pushdown is off.
         """
+        names = pushdown.child_chain_names(steps)
+        if names is not None:
+            result = batch_id_path(nodes, names)
+            if result is not None:
+                return result
         if not context.static.settings.use_pushdown and any(
                 step.predicates for step in steps):
             return None

@@ -31,7 +31,9 @@ shared seam all three engines route such predicates through:
 * the **``id`` step recognizer** (:func:`recognize_id_step`) names the
   path shape ``E/id(p)`` whose right-hand side both engines answer for the
   whole column of ``E`` at once (the interpreter's ``step:id`` kernel, the
-  algebra compiler's ``IdLookup`` over step joins).
+  algebra compiler's ``IdLookup``); :func:`child_chain_names` picks out
+  the chains that run in pre-space on the ID-reference index
+  (:func:`~repro.xdm.index.batch_id_path`).
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
@@ -90,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Container, Iterable, Iterator
 
-from repro.xdm.index import PROBE_AXES, IndexSet, batch_probe
+from repro.xdm.index import PROBE_AXES, IndexSet, batch_probe, named_element_test
 from repro.xdm.items import UntypedAtomic, is_node
 from repro.xdm.node import AttributeNode, ElementNode, Node
 from repro.xquery import ast
@@ -324,6 +326,20 @@ def recognize_id_step(expr: ast.Expr, functions: Container[tuple[str, int]]
     return tuple(reversed(steps))
 
 
+def child_chain_names(steps: tuple[ast.AxisStep, ...]) -> tuple[str, ...] | None:
+    """The element names of *steps* when they are a non-empty chain of
+    predicate-free ``child::name`` steps (``prerequisites/pre_code``), else
+    ``None`` — the part of :func:`recognize_id_step`'s shape that
+    :func:`~repro.xdm.index.batch_id_path` answers."""
+    if not steps:
+        return None
+    for step in steps:
+        if (step.axis != "child" or step.predicates
+                or not named_element_test(step.node_test.kind, step.node_test.name)):
+            return None
+    return tuple(step.node_test.name for step in steps)
+
+
 # ---------------------------------------------------------------------------
 # right-hand-side resolution
 # ---------------------------------------------------------------------------
@@ -553,6 +569,7 @@ __all__ = [
     "ValueShape",
     "apply_shapes",
     "apply_value_shape",
+    "child_chain_names",
     "focus_free",
     "positional_filter",
     "probe_step",

@@ -14,6 +14,7 @@ from repro.algebra.distributivity import (
 from repro.algebra.evaluator import AlgebraEvaluator
 from repro.algebra.operators import (
     Aggregate,
+    AtomizeValue,
     Distinct,
     Fixpoint,
     Join,
@@ -323,3 +324,60 @@ class TestIdOverAMultiDocumentCorpus:
         with Session({"curriculum.xml": CURRICULUM_XML}, id_attributes=("code",)) as session:
             result = session.evaluate(self.CLOSURE, engine="algebra")
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
+
+
+class TestIdStepPlanAndSecondArgument:
+    DOCUMENTS = {"c.xml": '<r><c code="c1"><p><q>c2</q></p></c><c code="c2"/></r>',
+                 "d.xml": '<r><d code="c1"/></r>'}
+
+    def test_a_child_chain_compiles_to_one_id_macro(self, curriculum_document):
+        """``E/id(a/b)`` is one ``IdLookup`` over the node column — no step
+        joins, no atomization — and still a distributive template; a chain
+        the pre-space kernel does not take keeps its step joins."""
+        compiler = AlgebraCompiler(document=curriculum_document)
+        body, recursion_input = compile_recursion_body(
+            parse_expression("$x/id(./prerequisites/pre_code)"), "x",
+            document=curriculum_document)
+        assert render_plan(body).splitlines()[0].strip().startswith(
+            "id[prerequisites/pre_code]")
+        assert not any(isinstance(operator, (StepJoin, AtomizeValue))
+                       for operator in body.iter_operators())
+        assert body.template == "id" and body.children == (recursion_input,)
+        assert analyze_plan_pushup(body, recursion_input).distributive
+        general = compiler.compile(parse_expression(
+            'doc("curriculum.xml")//course/id(./prerequisites/@none)'))
+        assert any(isinstance(operator, StepJoin) for operator in general.iter_operators())
+
+    @pytest.mark.parametrize("engine", ["interpreter", "sql", "algebra"])
+    def test_the_second_argument_names_the_document(self, engine):
+        """``fn:id($values, $node)`` searches ``$node``'s document.  The
+        algebra engine used to drop the argument and search its compile-time
+        document: ``count(id("c1", <a>x</a>))`` was 1."""
+        from repro import Session
+
+        def run(query, documents):
+            with Session(documents, id_attributes=("code",)) as session:
+                return session.evaluate(query, engine=engine).items
+
+        one = {"c.xml": self.DOCUMENTS["c.xml"]}
+        assert run('count(id("c1", <a>x</a>))', one) == [0]
+        assert run('count(id("c1 c2", doc("c.xml")))', one) == [2]
+        # per iteration, and over a corpus that names no single document
+        assert run('for $d in (doc("c.xml"), doc("d.xml")) '
+                   'return count(id("c1", $d)/self::c)', self.DOCUMENTS) == [1, 0]
+        try:  # the issue's spelling: an empty constructor is no node on algebra
+            assert run('count(id("c1", <a/>))', one) == [0]
+        except AlgebraError as error:
+            assert engine == "algebra" and "second argument" in str(error)
+
+    def test_an_anchor_that_reads_the_recursion_variable_blocks_the_union(
+            self, curriculum_document):
+        """``fn:id`` does not distribute over its second argument (it wants
+        exactly one node there)."""
+        body, recursion_input = compile_recursion_body(
+            parse_expression('id("c1", $x)'), "x", document=curriculum_document)
+        assert not analyze_plan_pushup(body, recursion_input).distributive
+        body, recursion_input = compile_recursion_body(
+            parse_expression('id($x/prerequisites/pre_code, doc("curriculum.xml"))'),
+            "x", document=curriculum_document)
+        assert analyze_plan_pushup(body, recursion_input).distributive

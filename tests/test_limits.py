@@ -194,8 +194,9 @@ class TestEngineTimeouts:
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
 
     def test_ring_closure_times_out_without_faults(self, session):
-        """A genuinely long fixpoint (no injected sleeps) is bounded too."""
-        session.register_document("ring.xml", ring_xml(400))
+        """A genuinely long fixpoint (no injected sleeps) is bounded too
+        (1600 Naive rounds, about half a second unbounded)."""
+        session.register_document("ring.xml", ring_xml(1600))
         settings = EvalSettings(limits=ResourceLimits(timeout_s=0.05),
                                 ifp_algorithm="naive")
         started = time.monotonic()

@@ -17,7 +17,7 @@ from repro.observability import TraceContext
 from repro.session import PreparedQuery, Session, default_session
 from repro.settings import Engine, EvalSettings, coerce_settings
 from repro.sqlbackend.shredder import SqlDocumentStore
-from repro.xdm.index import clear_index_registry, watched_trees
+from repro.xdm.index import clear_index_registry, index_for, watched_trees
 from repro.xdm.node import AttributeNode, ElementNode
 from repro.xmlio.parser import parse_xml
 from repro.xmlio.serializer import serialize
@@ -472,12 +472,28 @@ def _live_elements() -> int:
     return sum(1 for candidate in gc.get_objects() if type(candidate) is ElementNode)
 
 
+def _leaves(value):
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield key
+            yield from _leaves(inner)
+    elif isinstance(value, (list, tuple, set)):
+        for inner in value:
+            yield from _leaves(inner)
+    else:
+        yield value
+
+
 class TestNothingIsPinned:
     """The change tokens extend no tree's lifetime, and go when their store
-    goes — closed, or just dropped."""
+    goes — closed, or just dropped; the index's pre-space maps name nodes
+    by rank and hold none."""
 
-    BIG_XML = "<big>" + "".join(f'<e id="e{i}"><f/></e>' for i in range(500)) + "</big>"
+    BIG_XML = "<big>" + "".join(f'<e id="e{i}"><f>e{i + 1}</f></e>'
+                                for i in range(500)) + "</big>"
     CHAIN = 'count(with $x seeded by doc("big.xml")/big recurse $x/*)'
+    REFERENCES = ('count(with $x seeded by doc("big.xml")/big/e[@id = "e0"] '
+                  'recurse $x/id(./f))')
 
     def test_after_close_the_documents_are_collectable(self):
         gc.collect()
@@ -485,6 +501,12 @@ class TestNothingIsPinned:
         session = Session({"big.xml": self.BIG_XML}, sql_store="wal")
         for engine in ALL_ENGINES:
             assert session.evaluate(self.CHAIN, engine=engine).items == [1000]
+            assert session.evaluate(self.REFERENCES, engine=engine).items == [499]
+        index = index_for(session.snapshot().resolve("big.xml"))
+        maps = {"children": index._child_pres, "references": index._idref_targets}
+        assert len(index.child_pres_named("f")) == len(index.idref_targets("f")) + 1 == 500
+        assert {type(leaf) for leaf in _leaves(maps)} == {str, int}
+        del index, maps
         assert watched_trees() == tokens + 1
         assert _live_elements() >= elements + 1001
         session.close()

@@ -8,21 +8,32 @@ never drift from.  On top: cache-invalidation behaviour around the
 mutators (``append_child``, ``copy_node``, ``_renumber_subtree``), the
 deep-document regression for the iterative traversals, and cross-engine
 equivalence with the index switched on and off.
+
+The pre-space kernels (``child::name`` on the child-by-name map,
+:func:`~repro.xdm.index.batch_id_path` on the ID-reference index) are
+checked against the node-object composition they replaced, kept verbatim
+below as the oracle, and against everything that must invalidate them.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import evaluate
+from repro.errors import AlgebraError
+from repro.session import Session
 from repro.xdm import index as xdm_index
 from repro.xdm.document import _renumber_subtree, copy_node, document, element, text
 from repro.xdm.index import (
     IndexSet,
     StructuralIndex,
+    batch_id_path,
     batch_probe,
     batch_step,
     cached_index,
@@ -30,6 +41,8 @@ from repro.xdm.index import (
     index_for,
     indexed_step,
 )
+from repro.xdm.items import string_value_of_item
+from repro.xdm.node import AttributeNode, ElementNode
 from repro.xdm.sequence import ddo
 from repro.xmlio.parser import parse_xml
 from repro.xquery import ast
@@ -350,3 +363,260 @@ class TestEngineEquivalenceWithIndex:
                     reference = snapshot
                 else:
                     assert snapshot == reference, engine
+
+
+# ---------------------------------------------------------------------------
+# the pre-space kernels against the composition they replaced
+# ---------------------------------------------------------------------------
+#
+# The oracle is the code of the commit before the kernels moved to pre-space,
+# kept verbatim but for what it called on the index object (the per-node
+# child-by-name maps, here computed from ``node.children`` on every call):
+# ``batch_step``'s preamble, child case and final ddo, ``batch_id``, ``ddo``
+# and the document grouping of ``Evaluator._batch_id``.
+
+
+def oracle_ddo(sequence):
+    seen = set()
+    unique = []
+    for item in sequence:
+        if id(item) not in seen:
+            seen.add(id(item))
+            unique.append(item)
+    unique.sort(key=lambda node: node.order_key)
+    return unique
+
+
+def oracle_batch_child_step(nodes, name):
+    """The former ``batch_step(nodes, "child", "name" | "element", name)``."""
+    if not nodes:
+        return []
+    distinct = nodes
+    if len(nodes) > 1:
+        seen = set()
+        distinct = []
+        for node in nodes:
+            if id(node) not in seen:
+                seen.add(id(node))
+                distinct.append(node)
+    collected = []
+    indexes = IndexSet()
+    for node in distinct:
+        if isinstance(node, AttributeNode):
+            continue
+        idx = indexes.for_node(node)
+        pre = idx.pre_of.get(id(node))
+        if pre is None:
+            return None
+        by_name = {}
+        for child in node.children:
+            if isinstance(child, ElementNode):
+                by_name.setdefault(child.name, []).append(child)
+        collected.extend(list(by_name.get(name, ())))
+    if len(distinct) == 1:
+        return collected
+    return oracle_ddo(collected)
+
+
+def oracle_batch_id(document, items):
+    tokens = set()
+    for item in items:
+        tokens.update(string_value_of_item(item).split())
+    lookup = document.lookup_id
+    return [element for token in tokens if (element := lookup(token)) is not None]
+
+
+def oracle_id_chain(nodes, names):
+    """The former ``Evaluator._batch_id`` for a predicate-free child chain."""
+    by_document = {}
+    for node in nodes:
+        if not hasattr(node, "node_kind"):
+            return None
+        document = node.document()
+        if document is not None:
+            by_document.setdefault(id(document), (document, []))[1].append(node)
+    found = []
+    for document, column in by_document.values():
+        for name in names:
+            column = oracle_batch_child_step(column, name)
+            if column is None:
+                return None
+        found.extend(oracle_batch_id(document, column))
+    return oracle_ddo(found)
+
+
+IDS = ["i0", "i1", "i2", "i3"]
+NAMES = ["course", "prerequisites", "pre_code", "x"]
+
+_references = st.lists(st.sampled_from(IDS + ["dangling"]), max_size=3).map(" ".join)
+_pre_code = st.one_of(
+    _references,
+    # mixed content: the string value runs across the inner element
+    st.builds(lambda a, b, c: f"{a}<em>{b}</em> {c}", _references, _references,
+              _references),
+).map(lambda content: f"<pre_code>{content}</pre_code>")
+
+
+def _element(name, code, children):
+    attribute = f' code="{code}"' if code else ""
+    return f"<{name}{attribute}>{''.join(children)}</{name}>"
+
+
+#: Random trees over the curriculum's names: IDs repeat (the first bearer
+#: wins), references are multi-token and sometimes dangling, ``pre_code``
+#: turns up at every level and nests.
+_tree = st.recursive(
+    _pre_code,
+    lambda children: st.builds(_element, st.sampled_from(NAMES),
+                               st.sampled_from(IDS + [""]),
+                               st.lists(children, max_size=4)),
+    max_leaves=20)
+_corpus = st.lists(_tree.map(lambda body: f"<root>{body}</root>"), min_size=1, max_size=3)
+_chain = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3).map(tuple)
+
+
+def _identities(nodes):
+    return None if nodes is None else [id(node) for node in nodes]
+
+
+class TestPreSpaceKernelsAgainstTheOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(_corpus, _chain, st.lists(st.integers(0, 10_000), max_size=12), st.booleans())
+    def test_same_nodes_same_order_same_declines(self, texts, names, picks, atomic):
+        documents = [parse_xml(text, id_attributes=("code",)) for text in texts]
+        population = [node for document in documents
+                      for node in all_nodes_and_attributes(document)]
+        # contexts repeat, nest, mix documents and include attributes
+        contexts = [population[pick % len(population)] for pick in picks]
+        for name in names:
+            for kind in ("name", "element"):
+                assert _identities(batch_step(contexts, "child", kind, name)) == \
+                    _identities(oracle_batch_child_step(contexts, name)), name
+        if atomic:
+            contexts.insert(len(contexts) // 2, "i0")  # both decline: not a node
+        assert _identities(batch_id_path(contexts, names)) == \
+            _identities(oracle_id_chain(contexts, names))
+        if atomic:
+            assert batch_id_path(contexts, names) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(_corpus, st.lists(st.sampled_from(NAMES), max_size=3))
+    def test_the_engines_agree_with_the_reference(self, texts, names):
+        """``E/id(chain)`` for chains of length 0–3: every engine, index on
+        and off, item-identical to the interpreter without the index (the
+        algebra engine's ``fn:id`` wants a corpus of one document)."""
+        documents = {f"d{position}.xml": text for position, text in enumerate(texts)}
+        everything = ", ".join(f'doc("{uri}")//*' for uri in documents)
+        query = f"({everything})/id({'/'.join(names) or '.'})"
+        with Session(documents, id_attributes=("code",)) as session:
+            expected = _identities(session.evaluate(
+                query, engine="interpreter", use_index=False).items)
+            for engine in ("interpreter", "algebra", "sql"):
+                for use_index in (True, False):
+                    try:
+                        got = session.evaluate(query, engine=engine,
+                                               use_index=use_index).items
+                    except AlgebraError:
+                        assert engine == "algebra" and len(documents) > 1
+                        continue
+                    assert _identities(got) == expected, (engine, use_index)
+
+    def test_an_id_outside_the_tree_declines(self):
+        """An ID map may name an element of another tree; pres cannot, so
+        the kernel hands the chain back — and never answers stale."""
+        document = parse_xml('<r><c code="a"><p>b</p></c><c code="b"/></r>',
+                             id_attributes=("code",))
+        contexts = list(document.document_element().children)
+        assert [node.get_attribute("code").value
+                for node in batch_id_path(contexts, ("p",))] == ["b"]
+        stranger = element("stranger")
+        document.register_id("s", stranger)
+        contexts[0].children[0].children[0].set_value("b s")
+        assert batch_id_path(contexts, ("p",)) is None
+        assert oracle_id_chain(contexts, ("p",))[-1] is stranger
+
+    def test_a_tree_without_a_document_has_no_ids(self):
+        tree = element("r", element("p", "a"), attrs={"code": "a"})
+        assert batch_id_path([tree], ("p",)) == []
+        assert oracle_id_chain([tree], ("p",)) == []
+
+
+CURRICULUM = (
+    '<curriculum>'
+    '<course code="c1"><prerequisites><pre_code>c2</pre_code></prerequisites></course>'
+    '<course code="c2"><prerequisites/></course>'
+    '<course code="c3"><prerequisites><pre_code>late</pre_code></prerequisites></course>'
+    '<course code="c4"><prerequisites/></course>'
+    '</curriculum>')
+
+#: The chain as a path step and inside both fixpoint algorithms.
+REFERENCED = [
+    'data(doc("c.xml")//course/id(./prerequisites/pre_code)/@code)',
+    'data((with $x seeded by doc("c.xml")//course[@code = ("c1", "c3")] '
+    'recurse $x/id(./prerequisites/pre_code))/@code)',
+    'data((with $x seeded by doc("c.xml")//course[@code = ("c1", "c3")] '
+    'recurse $x/id(./prerequisites/pre_code) using naive)/@code)',
+]
+
+
+class TestWhatInvalidatesTheIdReferenceIndex:
+    """Each of the four ways a reference can change changes the next
+    answer, on every engine, with the maps already built."""
+
+    @staticmethod
+    def answers(session):
+        found = {tuple(sorted(str(item) for item in
+                              session.evaluate(query, engine=engine).items))
+                 for query in REFERENCED for engine in ("interpreter", "algebra", "sql")}
+        assert len(found) == 1, found
+        return found.pop()
+
+    @pytest.fixture()
+    def session(self):
+        document = parse_xml(CURRICULUM, id_attributes=("code",))
+        with Session({"c.xml": document}, id_attributes=("code",)) as session:
+            assert self.answers(session) == ("c2",)
+            assert index_for(document).idref_targets("pre_code")  # built, and used
+            yield session, document
+
+    def test_a_text_edit(self, session):
+        session, document = session
+        pre_code = document.document_element().children[0].children[0].children[0]
+        pre_code.children[0].set_value("c4 c1")
+        assert self.answers(session) == ("c1", "c4")
+
+    def test_a_new_reference(self, session):
+        session, document = session
+        prerequisites = document.document_element().children[1].children[0]
+        prerequisites.append_child(element("pre_code", "c4 c1"))
+        assert self.answers(session) == ("c1", "c2", "c4")
+
+    def test_a_late_id(self, session):
+        session, document = session
+        document.register_id("late", document.document_element().children[3])
+        assert self.answers(session) == ("c2", "c4")
+
+    def test_a_document_registered_again(self, session):
+        session, _ = session
+        session.register_document("c.xml", CURRICULUM.replace(">c2<", ">c3 c4<"))
+        assert self.answers(session) == ("c3", "c4")
+
+
+def test_the_ledgers_curriculum_closure_is_answered_by_the_kernel(monkeypatch):
+    """A kernel that quietly declines still answers right, only slowly:
+    the benchmark's own curriculum text must count ``step:id`` hits and no
+    fallback, under both algorithms, on the engines that interpret the body."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from ledger import corpus, ops
+
+    documents, _ = corpus.build("tiny")
+    start = ops.Scenarios(documents).start_nodes("curriculum", random.Random(7))[0]
+    with Session(documents, id_attributes=corpus.ID_ATTRIBUTES) as session:
+        for engine, naive in (("interpreter", False), ("interpreter", True), ("sql", True)):
+            result = session.evaluate(ops.closure_text("curriculum", start, naive=naive),
+                                      engine=engine, trace=True)
+            (kernel,) = [span for span in result.trace.children
+                         if span.name == "kernel:step:id"]
+            rounds = len(result.trace.find_all("round"))
+            assert rounds > 1 and kernel.attributes["batch"] == rounds, (engine, naive)
+            assert kernel.attributes["fallback"] == 0, (engine, naive)
