@@ -17,12 +17,19 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     (not a settings pair) ``optimize_module`` with the invariant-hoisting
     rule vs the same pass without it (``hoist=False``), on a module that
     declares a prolog variable, a function, a ``for``, a ``let`` and a
-    fixpoint and has nothing to hoist: at most 5 %.  This is what the rule
+    fixpoint and has nothing to hoist: at most 20 %.  This is what the rule
     costs a query it cannot help — the loop-depth bookkeeping of the
     optimizing pass (``optimizer._Scout``); the rule's own walk must not
     run.  A module without prolog variables takes neither; a module whose
-    loops do read an outer variable pays for the walk (about a third of
-    ``optimize_module``) and, nearly always, gets the rewrite.
+    loops do read an outer variable pays for the walk (as much again as
+    ``optimize_module`` without it) and, nearly always, gets the rewrite.
+    The denominator is what moved: the bookkeeping is the 6 µs it always
+    was, and read +2 % (bound 5 %) while the pass took 136 µs on this
+    module and ran its four rewrites on every leaf — a cost the scout
+    skipped for variable references, which hid half of its own.  Since the
+    pass takes 60 µs (one rule per node class, leaves returned as they
+    are) it reads +10 % (median of twelve estimates: +2 % to +14 %), and
+    +100 % (was +55 %) when the walk runs.
 
 ``reply``
     (not a settings pair) the service's ``serialize_items`` on the answers
@@ -215,8 +222,8 @@ def check(guard: Guard, arguments: argparse.Namespace) -> bool:
 
 
 #: What the hoisting rule may add to ``optimize_module`` on a module with
-#: nothing to hoist.
-HOISTING_TOLERANCE = 0.05
+#: nothing to hoist (reads about +10 %; +100 % when the hoister's walk runs).
+HOISTING_TOLERANCE = 0.20
 
 #: The ledger's bidder closure with a function that reads only its
 #: parameter: ``$doc`` feeds the seed, which runs once.

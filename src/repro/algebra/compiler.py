@@ -752,7 +752,7 @@ class AlgebraCompiler:
         combined = content_plans[0]
         for plan in content_plans[1:]:
             combined = UnionAll([combined, plan])
-        return NodeConstructor(combined, "element", expr.name)
+        return NodeConstructor(combined, context.loop, "element", expr.name)
 
     def _compile_ComputedConstructor(self, expr: ast.ComputedConstructor,
                                      context: CompilationContext) -> Operator:
@@ -761,7 +761,7 @@ class AlgebraCompiler:
         name = None
         if isinstance(expr.name, ast.Literal):
             name = str(expr.name.value)
-        return NodeConstructor(content, expr.kind, name)
+        return NodeConstructor(content, context.loop, expr.kind, name)
 
     def _compile_OrderedExpr(self, expr: ast.OrderedExpr, context: CompilationContext) -> Operator:
         return self._compile(expr.body, context)

@@ -918,24 +918,30 @@ class AtomizeValue(Operator):
 
 
 class NodeConstructor(Operator):
-    """ε — node construction; creates fresh identities, never pushable."""
+    """ε — node construction; creates fresh identities, never pushable.
+
+    One node per iteration of ``loop`` (the second child), whether or not
+    the content plan has a row for it: ``<a/>`` is a node.
+    """
 
     symbol = "ε"
     union_pushable = False
 
-    def __init__(self, child: Operator, kind: str, name: str | None = None):
-        super().__init__([child])
+    def __init__(self, child: Operator, loop: Operator, kind: str, name: str | None = None):
+        super().__init__([child, loop])
         self.kind = kind
         self.name = name
 
     def compute(self, inputs, engine):
-        per_iteration, order = _group_items_by_iteration(inputs[0])
-        constructed = [self._construct(per_iteration[iteration]) for iteration in order]
+        per_iteration, _ = _group_items_by_iteration(inputs[0])
+        order = inputs[1].column_values("iter")
+        constructed = [self._construct(per_iteration.get(iteration, ()))
+                       for iteration in order]
         return engine.make_table_from_columns(
             ("iter", "pos", "item"), [order, [1] * len(order), constructed]
         )
 
-    def _construct(self, items: list):
+    def _construct(self, items: Sequence):
         text = " ".join(string_value_of_item(item) for item in items)
         if self.kind == "text":
             return TextNode(text)

@@ -14,12 +14,21 @@ to Naive otherwise.
 Modules
 -------
 ``tokens``/``lexer``
-    Streaming tokenizer (needed because direct element constructors switch
-    the lexer into character mode).
+    Pull-based tokenizer — one compiled pattern per token, character-level
+    scanners for what it declines — that the parser drives a token at a
+    time (direct element constructors switch it into character mode).
 ``ast``
-    Expression AST with free-variable computation and child traversal.
+    Expression AST with free-variable computation, child traversal and the
+    per-class child plan (``CHILD_FIELDS``) of the rebuilding walks.
 ``parser``
-    Recursive-descent parser producing :class:`~repro.xquery.ast.Module`.
+    Recursive-descent parser producing :class:`~repro.xquery.ast.Module`:
+    one precedence-climbing loop over one operator table for the binary
+    operators, keyword dispatch for everything else.
+``optimizer``
+    AST rewrites before evaluation: one local rule per node class, function
+    pruning, invariant hoisting.
+``pushdown``
+    Predicate shape recognition and the batch filter kernels behind it.
 ``context``
     Static and dynamic evaluation contexts.
 ``functions``

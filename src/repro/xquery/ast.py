@@ -15,6 +15,7 @@ the evaluation algorithm.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 
@@ -618,6 +619,29 @@ class Module:
 # ---------------------------------------------------------------------------
 # helpers used across the analyses
 # ---------------------------------------------------------------------------
+
+
+def _child_fields(kind: type[Expr]) -> tuple[tuple[str, bool], ...]:
+    """The fields of the node class *kind* that hold expressions, in
+    declaration order, each with whether it holds a tuple of them — read off
+    the resolved field types: an :class:`Expr` class, an optional one, or a
+    ``tuple[…, ...]`` of one."""
+    plan = []
+    for name, hint in typing.get_type_hints(kind).items():
+        is_tuple = typing.get_origin(hint) is tuple
+        alternatives = typing.get_args(hint)[:1] if is_tuple else typing.get_args(hint) or (hint,)
+        if any(isinstance(item, type) and issubclass(item, Expr) for item in alternatives):
+            plan.append((name, is_tuple))
+    return tuple(plan)
+
+
+#: Node class → its child plan (:func:`_child_fields`): where a generic
+#: rebuilding walk finds the children without reflecting over every field.
+#: Unlike :meth:`Expr.children` it includes an axis step's node test — a
+#: class with an empty plan is a leaf.
+CHILD_FIELDS: dict[type[Expr], tuple[tuple[str, bool], ...]] = {
+    kind: _child_fields(kind) for kind in Expr.__subclasses__()
+}
 
 
 def set_position(node: object, line: int, column: int) -> None:

@@ -3,14 +3,32 @@
 The lexer is *streaming* (pull-based) rather than batch because XQuery's
 grammar is not context free at the lexical level: a ``<`` can start either a
 comparison or a direct element constructor, and inside a constructor the
-input is character data, not tokens.  The parser therefore drives the lexer,
-and for direct constructors it temporarily takes over at the character level
-(via :attr:`Lexer.pos`) before resuming token mode.
+input is character data, not tokens — ``<a>it's #1</a>`` is a query, in which
+a tokenizer run up front would find an unterminated string.  The parser
+therefore drives the lexer one token at a time, and for direct constructors
+it temporarily takes over at the character level (via :attr:`Lexer.pos`)
+before resuming token mode.
 
-XQuery comments ``(: ... :)`` nest and are skipped as whitespace.
+:meth:`Lexer.next_token` matches one compiled alternation (:data:`_TOKEN`)
+at :attr:`Lexer.pos` — blanks, then a QName, a number, a quote-to-quote
+string, a symbol, the ``(:`` of a comment or the end of the text — and the
+name of the group that matched is the token's kind.  The pattern knows
+ASCII and no hard case.  Everything else goes to the character-level
+scanners, which are the specification and write every error message:
+
+* strings with an entity reference or a doubled quote, or without an end;
+* comments, which nest (the pattern only finds where one starts);
+* a token that starts with a non-ASCII character or, in a text that has
+  any, ends within three characters of one — the scanners classify with
+  ``str.isalpha``/``isalnum``/``isdigit``, so ``café`` is one name and
+  ``1e+٣`` one double, the longest such look-ahead;
+* every character no token starts with: a non-match is a hand-over, never
+  an error of its own.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import XQuerySyntaxError
 from repro.xquery.tokens import MULTI_CHAR_SYMBOLS, SINGLE_CHAR_SYMBOLS, Token, TokenKind
@@ -22,6 +40,35 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
     "apos": "'",
 }
+
+_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+
+#: One token behind optional blanks; a string's group is the text between
+#: its quotes.  ``prefix:local`` wants a name start right behind the colon,
+#: which keeps ``::`` and ``:=`` out of a name.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    rf"(?P<name>{_NAME_PATTERN}(?::{_NAME_PATTERN})?)"
+    r"|(?P<double>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)[eE][+-]?[0-9]+)"
+    r"|(?P<decimal>[0-9]*\.[0-9]+)"
+    r"|(?P<integer>[0-9]+)"
+    r"""|"(?P<string>[^"&]*)"(?!")|'(?P<apostrophized>[^'&]*)'(?!')"""
+    r"|(?P<comment>\(:)"
+    rf"|(?P<symbol>{'|'.join(map(re.escape, MULTI_CHAR_SYMBOLS))}"
+    rf"|[{''.join(map(re.escape, sorted(SINGLE_CHAR_SYMBOLS)))}])"
+    r"|(?P<eof>\Z))"
+).match
+
+_STRING = TokenKind.STRING
+#: Group of :data:`_TOKEN` → the kind of token (none for a comment).
+_KIND_OF_GROUP = {**{kind.value: kind for kind in TokenKind},
+                  "apostrophized": _STRING, "comment": None}
+
+#: ``#65`` / ``#x41`` (``int`` alone would take "-5", " 5", "6_5" and "x0x41").
+_CHARACTER_REFERENCE = re.compile(r"#(?:[xX]([0-9a-fA-F]+)|([0-9]+))").fullmatch
+
+#: ``Token(*fields)`` without the Python-level ``__new__`` of a NamedTuple.
+_new_token = tuple.__new__
 
 
 def _is_name_start(char: str) -> bool:
@@ -38,6 +85,7 @@ class Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._ascii = text.isascii()
 
     # -- character-level helpers (also used by the parser for constructors) --
 
@@ -90,6 +138,25 @@ class Lexer:
 
     def next_token(self) -> Token:
         """Scan and return the next token (EOF token at end of input)."""
+        text = self.text
+        while True:
+            match = _TOKEN(text, self.pos)
+            if match is None or not (
+                    self._ascii or text[match.end():match.end() + 3].isascii()):
+                return self._scan_token()
+            kind = _KIND_OF_GROUP[match.lastgroup]
+            start, end = match.span(match.lastindex)
+            if kind is _STRING:
+                self.pos = end + 1
+                return _new_token(Token, (kind, text[start:end], start - 1, end + 1))
+            if kind is not None:
+                self.pos = end
+                return _new_token(Token, (kind, text[start:end], start, end))
+            self.pos = start
+            self._skip_comment()
+
+    def _scan_token(self) -> Token:
+        """The next token, a character at a time: what :data:`_TOKEN` declines."""
         self.skip_ignorable()
         if self.at_end():
             return Token(TokenKind.EOF, "", self.pos, self.pos)
@@ -127,25 +194,33 @@ class Lexer:
                 self.pos += 1
                 return Token(TokenKind.STRING, "".join(parts), start, self.pos)
             if char == "&":
-                parts.append(self._scan_entity_reference())
+                parts.append(self.scan_entity_reference())
                 continue
             parts.append(char)
             self.pos += 1
 
-    def _scan_entity_reference(self) -> str:
+    def scan_entity_reference(self, where: str = "") -> str:
+        """Decode the ``&…;`` reference at :attr:`pos` — in a string literal
+        or, for the parser (*where* = ``" in constructor"``), in an attribute
+        value or element content — and step past it."""
         start = self.pos
-        end = self.text.find(";", self.pos)
+        end = self.text.find(";", start)
         if end < 0:
-            raise self.error("unterminated entity reference", start)
-        entity = self.text[self.pos + 1:end]
+            raise self.error(f"unterminated entity reference{where}", start)
+        entity = self.text[start + 1:end]
         self.pos = end + 1
-        if entity.startswith("#x") or entity.startswith("#X"):
-            return chr(int(entity[2:], 16))
         if entity.startswith("#"):
-            return chr(int(entity[1:]))
+            reference = _CHARACTER_REFERENCE(entity)
+            if reference is not None:
+                hexadecimal, decimal = reference.groups()
+                try:
+                    return chr(int(hexadecimal, 16) if hexadecimal else int(decimal))
+                except (ValueError, OverflowError):
+                    pass  # beyond U+10FFFF, or more digits than int() takes
+            raise self.error(f"invalid character reference '&{entity};'{where}", start)
         if entity in _PREDEFINED_ENTITIES:
             return _PREDEFINED_ENTITIES[entity]
-        raise self.error(f"unknown entity reference '&{entity};'", start)
+        raise self.error(f"unknown entity reference '&{entity};'{where}", start)
 
     def _scan_number(self) -> Token:
         start = self.pos

@@ -40,7 +40,7 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
   prolog variable.  The rule runs after unused-function pruning (a helper
   nothing calls must not cost an eager variable), and its walk runs only
   when the optimizing pass itself saw a loop read a variable bound outside
-  it (:class:`_Scout`): other modules pay a few percent of
+  it (:class:`_Scout`): other modules pay about a tenth of
   :func:`optimize_module` for the rule, modules without prolog variables
   nothing.  Safety conditions — the expression qualifies only if it
 
@@ -58,6 +58,10 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
     initializer starts from the same call (``$doc := doc("u")``, or a path
     from it), and the synthesized variable is declared after that one.
 
+The four local rewrites are one table (:data:`_RULES`): a node class has at
+most one rule, :func:`optimize` applies it once to a node whose children are
+optimized, and leaves are returned as they are.
+
 Every rewrite is verified item-identical across the interpreter, algebra
 and SQL engines by randomized property tests
 (``tests/test_optimizer_rewrites.py``), rewrites on versus off.
@@ -66,22 +70,20 @@ and SQL engines by randomized property tests
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from repro.xquery import ast
 
 
 def optimize(expr: ast.Expr) -> ast.Expr:
     """Return an optimized copy of *expr* (the input is never mutated)."""
-    return _rewrite(_map_children(expr, optimize))
-
-
-def _rewrite(expr: ast.Expr) -> ast.Expr:
-    """The local rewrites at one node whose children are already optimized."""
-    rewritten = _fold_constants(expr)
-    rewritten = _eliminate_dead_branch(rewritten)
-    rewritten = _fuse_descendant_step(rewritten)
-    return _prune_unused_let(rewritten)
+    kind = type(expr)
+    if kind in _LEAVES:
+        return expr
+    expr = _map_children(expr, optimize)
+    rule = _RULES.get(kind)
+    return expr if rule is None else rule(expr)
 
 
 def optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
@@ -124,42 +126,32 @@ def optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
     return ast.Module(functions=functions, variables=variables, body=body)
 
 
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
 def _map_children(expr, function):
-    """*expr* with *function* applied to every child expression (fields
-    and tuples of them); the same object when nothing changed."""
-    kind = type(expr)
-    names = _FIELD_NAMES.get(kind)
-    if names is None:
-        names = _FIELD_NAMES[kind] = tuple(f.name for f in fields(kind))
+    """*expr* with *function* applied to every child expression (the fields
+    of its class's child plan, ``ast.CHILD_FIELDS``); the same object when
+    nothing changed."""
     updates = {}
-    for name in names:
+    for name, is_tuple in ast.CHILD_FIELDS[type(expr)]:
         value = getattr(expr, name)
-        new_value = _map_value(value, function)
+        if is_tuple:
+            new_value = value
+            for index, item in enumerate(value):
+                new_item = function(item)
+                if new_item is not item:
+                    new_value = (*new_value[:index], new_item, *new_value[index + 1:])
+        elif value is None:
+            continue
+        else:
+            new_value = function(value)
         if new_value is not value:
             updates[name] = new_value
     if not updates:
         return expr
-    return replace(expr, **updates)  # type: ignore[type-var]
+    return replace(expr, **updates)
 
 
-def _map_value(value, function):
-    if isinstance(value, ast.Expr):
-        return function(value)
-    if isinstance(value, tuple):
-        new_items = tuple(_map_value(item, function) for item in value)
-        if all(new is old for new, old in zip(new_items, value)):
-            return value
-        return new_items
-    return value
-
-
-def _fuse_descendant_step(expr: ast.Expr) -> ast.Expr:
+def _fuse_descendant_step(expr: ast.PathExpr) -> ast.Expr:
     """Fuse the two steps produced by the ``//`` abbreviation into one."""
-    if not isinstance(expr, ast.PathExpr):
-        return expr
     right = expr.right
     left = expr.left
     if (
@@ -231,38 +223,36 @@ def _numeric_literal(expr: ast.Expr) -> int | float | None:
     return None
 
 
-def _fold_constants(expr: ast.Expr) -> ast.Expr:
-    if isinstance(expr, ast.UnaryExpr):
-        value = _numeric_literal(expr.operand)
-        if value is not None:
-            return ast.Literal(-value if expr.op == "-" else +value)
+def _fold_unary(expr: ast.UnaryExpr) -> ast.Expr:
+    value = _numeric_literal(expr.operand)
+    if value is not None:
+        return ast.Literal(-value if expr.op == "-" else +value)
+    return expr
+
+
+def _fold_arithmetic(expr: ast.ArithmeticExpr) -> ast.Expr:
+    left = _numeric_literal(expr.left)
+    right = _numeric_literal(expr.right)
+    if left is None or right is None:
         return expr
-    if isinstance(expr, ast.ArithmeticExpr):
-        left = _numeric_literal(expr.left)
-        right = _numeric_literal(expr.right)
-        if left is None or right is None:
-            return expr
-        if expr.op == "+":
-            return ast.Literal(left + right)
-        if expr.op == "-":
-            return ast.Literal(left - right)
-        if expr.op == "*":
-            return ast.Literal(left * right)
-        # division family: only with a provably non-zero divisor, and only
-        # matching the evaluator's semantics exactly
-        if right == 0 or (isinstance(right, float) and math.isnan(right)):
-            return expr
-        if expr.op == "div":
-            return ast.Literal(left / right)
-        if expr.op == "idiv" and isinstance(left, int) and isinstance(right, int):
-            quotient = abs(left) // abs(right)
-            return ast.Literal(quotient if (left >= 0) == (right >= 0) else -quotient)
-        if expr.op == "mod" and isinstance(left, int) and isinstance(right, int):
-            remainder = abs(left) % abs(right)
-            return ast.Literal(remainder if left >= 0 else -remainder)
+    if expr.op == "+":
+        return ast.Literal(left + right)
+    if expr.op == "-":
+        return ast.Literal(left - right)
+    if expr.op == "*":
+        return ast.Literal(left * right)
+    # division family: only with a provably non-zero divisor, and only
+    # matching the evaluator's semantics exactly
+    if right == 0 or (isinstance(right, float) and math.isnan(right)):
         return expr
-    if isinstance(expr, (ast.ValueComparison, ast.GeneralComparison)):
-        return _fold_comparison(expr)
+    if expr.op == "div":
+        return ast.Literal(left / right)
+    if expr.op == "idiv" and isinstance(left, int) and isinstance(right, int):
+        quotient = abs(left) // abs(right)
+        return ast.Literal(quotient if (left >= 0) == (right >= 0) else -quotient)
+    if expr.op == "mod" and isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return ast.Literal(remainder if left >= 0 else -remainder)
     return expr
 
 
@@ -272,7 +262,9 @@ _COMPARISON_OPS = {
 }
 
 
-def _fold_comparison(expr: ast.Expr) -> ast.Expr:
+def _fold_comparison(expr: ast.GeneralComparison | ast.ValueComparison) -> ast.Expr:
+    if type(expr.left) is not ast.Literal or type(expr.right) is not ast.Literal:
+        return expr
     op = _COMPARISON_OPS.get(expr.op)
     if op is None:
         return expr
@@ -320,9 +312,7 @@ def _static_ebv(condition: ast.Expr) -> bool | None:
     return None
 
 
-def _eliminate_dead_branch(expr: ast.Expr) -> ast.Expr:
-    if not isinstance(expr, ast.IfExpr):
-        return expr
+def _eliminate_dead_branch(expr: ast.IfExpr) -> ast.Expr:
     verdict = _static_ebv(expr.condition)
     if verdict is None:
         return expr
@@ -348,12 +338,10 @@ def _provably_error_free(expr: ast.Expr) -> bool:
     return False
 
 
-def _prune_unused_let(expr: ast.Expr) -> ast.Expr:
-    if not isinstance(expr, ast.LetExpr):
+def _prune_unused_let(expr: ast.LetExpr) -> ast.Expr:
+    if not _provably_error_free(expr.value):
         return expr
     if expr.var in expr.body.free_variables():
-        return expr
-    if not _provably_error_free(expr.value):
         return expr
     return expr.body
 
@@ -365,9 +353,12 @@ def _prune_unused_let(expr: ast.Expr) -> ast.Expr:
 
 def _called_keys(expr: ast.Expr) -> set[tuple[str, int]]:
     keys: set[tuple[str, int]] = set()
-    for node in expr.iter_subexpressions():
-        if isinstance(node, ast.FunctionCall):
+    pending = [expr]  # (a flat walk: the generator costs a frame per level and node)
+    while pending:
+        node = pending.pop()
+        if type(node) is ast.FunctionCall:
             keys.add((node.name, len(node.args)))
+        pending.extend(node.child_expressions())
     return keys
 
 
@@ -467,33 +458,37 @@ class _Scout:
     def visit(self, expr: ast.Expr) -> ast.Expr:
         """:func:`optimize` of *expr*, noting what is read at which depth."""
         kind = type(expr)
-        if kind in _SCOUTED:
+        if kind in _LEAVES:
             if kind is ast.VarRef:
                 depth = self.depth
                 if depth and depth > self.bound.get(expr.name, depth):
                     self.found = True
-                return expr  # inspected, and no rewrite applies to it
-            if kind is ast.LetExpr:
-                self.bound[expr.var] = min(self.depth, self.bound.get(expr.var, self.depth))
-            elif kind is ast.FunctionCall:
-                if self.depth and _local_name(expr) == "doc":
-                    self.found = True
-            else:
-                # the sequence or seed runs once, at this depth; the body deeper
-                once, repeated = _LOOP_FIELDS[kind]
-                head, body = getattr(expr, once), getattr(expr, repeated)
-                new_head = self.visit(head)
-                self.depth += 1
-                new_body = self.visit(body)
-                self.depth -= 1
-                if new_head is not head or new_body is not body:
-                    expr = replace(expr, **{once: new_head, repeated: new_body})
-                return _rewrite(expr)
-        return _rewrite(_map_children(expr, self.visit))
+            return expr
+        if kind not in _SCOUTED:
+            expr = _map_children(expr, self.visit)
+        elif kind is ast.LetExpr:
+            self.bound[expr.var] = min(self.depth, self.bound.get(expr.var, self.depth))
+            expr = _map_children(expr, self.visit)
+        elif kind is ast.FunctionCall:
+            if self.depth and _local_name(expr) == "doc":
+                self.found = True
+            expr = _map_children(expr, self.visit)
+        else:
+            # the sequence or seed runs once, at this depth; the body deeper
+            once, repeated = _LOOP_FIELDS[kind]
+            head, body = getattr(expr, once), getattr(expr, repeated)
+            new_head = self.visit(head)
+            self.depth += 1
+            new_body = self.visit(body)
+            self.depth -= 1
+            if new_head is not head or new_body is not body:
+                expr = replace(expr, **{once: new_head, repeated: new_body})
+        rule = _RULES.get(kind)
+        return expr if rule is None else rule(expr)
 
 
-#: The expression forms a :class:`_Scout` looks at.
-_SCOUTED = frozenset({ast.VarRef, ast.LetExpr, ast.FunctionCall, *_LOOP_FIELDS})
+#: The inner nodes a :class:`_Scout` looks at.
+_SCOUTED = frozenset({ast.LetExpr, ast.FunctionCall, *_LOOP_FIELDS})
 
 
 class _Hoister:
@@ -730,8 +725,19 @@ class _Hoister:
                 or self._total_type(expr, scope) in (_NODES, _STRINGS))
 
 
-_LEAVES = frozenset({ast.VarRef, ast.Literal, ast.NodeTest, ast.ContextItem,
-                     ast.EmptySequence, ast.RootExpr})
+_LEAVES = frozenset(kind for kind, plan in ast.CHILD_FIELDS.items() if not plan)
+
+#: The local rewrites, one per node class it can apply to: the rule sees a
+#: node whose children are optimized already, and what it returns is final.
+_RULES: dict[type[ast.Expr], Callable[..., ast.Expr]] = {
+    ast.UnaryExpr: _fold_unary,
+    ast.ArithmeticExpr: _fold_arithmetic,
+    ast.GeneralComparison: _fold_comparison,
+    ast.ValueComparison: _fold_comparison,
+    ast.IfExpr: _eliminate_dead_branch,
+    ast.PathExpr: _fuse_descendant_step,
+    ast.LetExpr: _prune_unused_let,
+}
 
 #: Expression forms worth binding once (when they contain a step at all).
 _CANDIDATES = frozenset({ast.PathExpr, ast.FilterExpr, ast.UnionExpr, ast.IntersectExpr,

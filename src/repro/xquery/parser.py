@@ -18,7 +18,6 @@ character content interleaved with ``{ enclosed expressions }``.
 
 from __future__ import annotations
 
-
 from repro.errors import XQuerySyntaxError
 from repro.xquery import ast
 from repro.xquery.lexer import Lexer
@@ -40,7 +39,45 @@ KIND_TESTS = {
 #: Names that may not be used as (unprefixed) function names.
 RESERVED_FUNCTION_NAMES = KIND_TESTS | {"if", "typeswitch", "item", "empty-sequence"}
 
-_PREDEFINED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+#: Computed-constructor keywords (constructors only in front of a ``{``).
+CONSTRUCTOR_KEYWORDS = {"element", "attribute", "text", "comment", "document",
+                        "ordered", "unordered"}
+
+_NAME, _STRING, _SYMBOL, _EOF = (TokenKind.NAME, TokenKind.STRING, TokenKind.SYMBOL,
+                                 TokenKind.EOF)
+
+#: Precedence levels of the binary operators and the two postfix type
+#: operators, loosest first (XQuery 1.0, A.4).
+(_OR, _AND, _COMPARISON, _RANGE, _ADDITIVE, _MULTIPLICATIVE, _UNION, _INTERSECT,
+ _INSTANCE_OF, _CAST) = range(1, 11)
+
+#: ``1 = 2 = 3``, ``1 to 2 to 3``, ``… instance of T instance of U`` and
+#: ``… cast as T cast as U`` are syntax errors: behind one of these, only
+#: looser operators may follow.
+_NON_ASSOCIATIVE = frozenset({_COMPARISON, _RANGE, _INSTANCE_OF, _CAST})
+
+#: The one operator table: token value → (level, AST class, whether the
+#: class takes the operator as its first field).  ``instance``/``cast`` are
+#: operators only in front of ``of``/``as`` and build their nodes themselves.
+_OPERATORS: dict[str, tuple[int, type[ast.Expr] | None, bool]] = {
+    "or": (_OR, ast.OrExpr, False),
+    "and": (_AND, ast.AndExpr, False),
+    **{op: (_COMPARISON, ast.GeneralComparison, True)
+       for op in ("=", "!=", "<", "<=", ">", ">=")},
+    **{op: (_COMPARISON, ast.ValueComparison, True)
+       for op in ("eq", "ne", "lt", "le", "gt", "ge")},
+    **{op: (_COMPARISON, ast.NodeComparison, True) for op in ("is", "<<", ">>")},
+    "to": (_RANGE, ast.RangeExpr, False),
+    "+": (_ADDITIVE, ast.ArithmeticExpr, True),
+    "-": (_ADDITIVE, ast.ArithmeticExpr, True),
+    **{op: (_MULTIPLICATIVE, ast.ArithmeticExpr, True) for op in ("*", "div", "idiv", "mod")},
+    "union": (_UNION, ast.UnionExpr, False),
+    "|": (_UNION, ast.UnionExpr, False),
+    "intersect": (_INTERSECT, ast.IntersectExpr, False),
+    "except": (_INTERSECT, ast.ExceptExpr, False),
+    "instance": (_INSTANCE_OF, None, False),
+    "cast": (_CAST, None, False),
+}
 
 
 class Parser:
@@ -48,25 +85,31 @@ class Parser:
 
     def __init__(self, text: str):
         self.lexer = Lexer(text)
-        self._buffer: list[Token] = []
+        #: The tokens lexed so far and the cursor into them.  The list is
+        #: filled on demand (see :mod:`repro.xquery.lexer` for why not up
+        #: front); what lies at or after the cursor is look-ahead.
+        self._tokens: list[Token] = []
+        self._index = 0
 
     # ------------------------------------------------------------------ token plumbing
 
     def _peek(self, offset: int = 0) -> Token:
-        while len(self._buffer) <= offset:
-            self._buffer.append(self.lexer.next_token())
-        return self._buffer[offset]
+        index = self._index + offset
+        tokens = self._tokens
+        while index >= len(tokens):
+            tokens.append(self.lexer.next_token())
+        return tokens[index]
 
     def _advance(self) -> Token:
         token = self._peek()
-        self._buffer.pop(0)
+        self._index += 1
         return token
 
     def _error(self, message: str, token: Token | None = None) -> XQuerySyntaxError:
         position = token.start if token is not None else self._peek().start
         return self.lexer.error(message, position)
 
-    def _stamp(self, node: ast.Expr, token: Token) -> ast.Expr:
+    def _stamp(self, node, token: Token):
         """Record *token*'s source position on *node* (see ast.set_position).
 
         The static analyzer (:mod:`repro.analysis`) reads these stamps to
@@ -78,32 +121,36 @@ class Parser:
 
     def _expect_symbol(self, symbol: str) -> Token:
         token = self._peek()
-        if not token.is_symbol(symbol):
+        if token.kind is not _SYMBOL or token.value != symbol:
             raise self._error(f"expected '{symbol}', found {token.value!r}", token)
-        return self._advance()
+        self._index += 1
+        return token
 
     def _expect_name(self, *names: str) -> Token:
         token = self._peek()
-        if not token.is_name(*names):
+        if token.kind is not _NAME or (names and token.value not in names):
             expected = " or ".join(repr(n) for n in names) if names else "a name"
             raise self._error(f"expected {expected}, found {token.value!r}", token)
-        return self._advance()
+        self._index += 1
+        return token
 
     def _accept_symbol(self, symbol: str) -> bool:
-        if self._peek().is_symbol(symbol):
-            self._advance()
+        token = self._peek()
+        if token.kind is _SYMBOL and token.value == symbol:
+            self._index += 1
             return True
         return False
 
-    def _accept_name(self, *names: str) -> bool:
-        if self._peek().is_name(*names):
-            self._advance()
+    def _accept_name(self, name: str) -> bool:
+        token = self._peek()
+        if token.kind is _NAME and token.value == name:
+            self._index += 1
             return True
         return False
 
     def _enter_char_mode(self, position: int) -> None:
         """Discard pending lookahead and continue scanning at *position*."""
-        self._buffer.clear()
+        del self._tokens[self._index:]
         self.lexer.pos = position
 
     # ------------------------------------------------------------------ module / prolog
@@ -152,11 +199,8 @@ class Parser:
         body = self.parse_expr()
         self._expect_symbol("}")
         self._expect_symbol(";")
-        declaration = ast.FunctionDecl(name=name, params=tuple(params), body=body,
-                                       return_type=return_type)
-        line, column = self.lexer.line_column(name_token.start)
-        ast.set_position(declaration, line, column)
-        return declaration
+        return self._stamp(ast.FunctionDecl(name=name, params=tuple(params), body=body,
+                                            return_type=return_type), name_token)
 
     def _parse_variable_decl(self) -> ast.VariableDecl:
         self._expect_name("declare")
@@ -176,9 +220,7 @@ class Parser:
             value = self.parse_expr_single()
             self._expect_symbol(";")
             declaration = ast.VariableDecl(name=name, value=value, declared_type=declared_type)
-        line, column = self.lexer.line_column(name_token.start)
-        ast.set_position(declaration, line, column)
-        return declaration
+        return self._stamp(declaration, name_token)
 
     def _parse_sequence_type(self) -> ast.SequenceType:
         token = self._expect_name()
@@ -190,78 +232,65 @@ class Parser:
         name: str | None = None
         if type_name in KIND_TESTS or type_name == "item":
             self._expect_symbol("(")
-            if not self._peek().is_symbol(")"):
-                inner = self._peek()
-                if inner.is_symbol("*"):
-                    self._advance()
-                    name = None
-                else:
-                    name = self._expect_name().value
-            self._expect_symbol(")")
+            name = self._parse_kind_test_name()
         occurrence = ""
-        nxt = self._peek()
-        if nxt.is_symbol("?", "*", "+"):
+        if self._peek().is_symbol("?", "*", "+"):
             occurrence = self._advance().value
         return ast.SequenceType(type_name, occurrence, name)
+
+    def _parse_kind_test_name(self) -> str | None:
+        """Behind the ``(`` of a kind test: ``)``, ``*)`` or ``name)``."""
+        name = None
+        if not self._accept_symbol(")"):
+            if not self._accept_symbol("*"):
+                name = self._expect_name().value
+            self._expect_symbol(")")
+        return name
 
     # ------------------------------------------------------------------ expressions
 
     def parse_expr(self) -> ast.Expr:
-        items = [self.parse_expr_single()]
+        first = self.parse_expr_single()
+        if not self._peek().is_symbol(","):
+            return first
+        items = [first]
         while self._accept_symbol(","):
             items.append(self.parse_expr_single())
-        if len(items) == 1:
-            return items[0]
         return ast.SequenceExpr(tuple(items))
 
     def parse_expr_single(self) -> ast.Expr:
         token = self._peek()
-        if token.is_name("for", "let") and self._peek(1).is_symbol("$"):
-            return self._parse_flwor()
-        if token.is_name("some", "every") and self._peek(1).is_symbol("$"):
-            return self._parse_quantified()
-        if token.is_name("typeswitch") and self._peek(1).is_symbol("("):
-            return self._parse_typeswitch()
-        if token.is_name("if") and self._peek(1).is_symbol("("):
-            return self._parse_if()
-        if token.is_name("with") and self._peek(1).is_symbol("$"):
-            return self._parse_with()
-        return self._parse_or()
+        if token.kind is _NAME and token.value in _KEYWORD_EXPRESSIONS:
+            # a keyword only in front of its symbol: ``for`` is also an element name
+            symbol, parse = _KEYWORD_EXPRESSIONS[token.value]
+            follower = self._peek(1)
+            if follower.kind is _SYMBOL and follower.value == symbol:
+                return parse(self)
+        return self._parse_binary(_OR, token)
 
     # -- FLWOR ------------------------------------------------------------------
 
     def _parse_flwor(self) -> ast.Expr:
         clauses: list[tuple] = []
         while True:
-            token = self._peek()
-            if token.is_name("for") and self._peek(1).is_symbol("$"):
-                self._advance()
-                while True:
-                    self._expect_symbol("$")
-                    var_token = self._expect_name()
-                    var = var_token.value
-                    position_var = None
+            keyword = self._peek()
+            if not (keyword.is_name("for", "let") and self._peek(1).is_symbol("$")):
+                break
+            self._advance()
+            while True:
+                self._expect_symbol("$")
+                var_token = self._expect_name()
+                position_var = None
+                if keyword.value == "let":
+                    self._expect_symbol(":=")
+                else:
                     if self._accept_name("at"):
                         self._expect_symbol("$")
                         position_var = self._expect_name().value
                     self._expect_name("in")
-                    sequence = self.parse_expr_single()
-                    clauses.append(("for", var, position_var, sequence, var_token))
-                    if not self._accept_symbol(","):
-                        break
-            elif token.is_name("let") and self._peek(1).is_symbol("$"):
-                self._advance()
-                while True:
-                    self._expect_symbol("$")
-                    var_token = self._expect_name()
-                    var = var_token.value
-                    self._expect_symbol(":=")
-                    value = self.parse_expr_single()
-                    clauses.append(("let", var, None, value, var_token))
-                    if not self._accept_symbol(","):
-                        break
-            else:
-                break
+                clauses.append((keyword.value, var_token, position_var, self.parse_expr_single()))
+                if not self._accept_symbol(","):
+                    break
         where: ast.Expr | None = None
         if self._accept_name("where"):
             where = self.parse_expr_single()
@@ -271,11 +300,12 @@ class Parser:
         body = self.parse_expr_single()
         if where is not None:
             body = ast.IfExpr(where, body, ast.EmptySequence())
-        for kind, var, position_var, expr, var_token in reversed(clauses):
+        for kind, var_token, position_var, expr in reversed(clauses):
             if kind == "for":
-                body = ast.ForExpr(var=var, sequence=expr, body=body, position_var=position_var)
+                body = ast.ForExpr(var=var_token.value, sequence=expr, body=body,
+                                   position_var=position_var)
             else:
-                body = ast.LetExpr(var=var, value=expr, body=body)
+                body = ast.LetExpr(var=var_token.value, value=expr, body=body)
             self._stamp(body, var_token)
         return body
 
@@ -352,250 +382,186 @@ class Parser:
         return self._stamp(
             ast.WithExpr(var=var, seed=seed, body=body, algorithm=algorithm), with_token)
 
-    # -- operator precedence chain ------------------------------------------------
+    # -- operator precedence ---------------------------------------------------------
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._peek().is_name("or"):
-            self._advance()
-            left = ast.OrExpr(left, self._parse_and())
-        return left
+    def _parse_binary(self, floor: int, token: Token) -> ast.Expr:
+        """An operand and every operator behind it that binds at least as
+        tightly as *floor* — precedence climbing over :data:`_OPERATORS`.
+        (Here and down to :meth:`_parse_primary`, *token* is the next token,
+        which the caller has looked at already.)
 
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_comparison()
-        while self._peek().is_name("and"):
-            self._advance()
-            left = ast.AndExpr(left, self._parse_comparison())
-        return left
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_range()
-        token = self._peek()
-        if token.is_symbol("=", "!=", "<", "<=", ">", ">="):
-            op = self._advance().value
-            return ast.GeneralComparison(op, left, self._parse_range())
-        if token.is_name("eq", "ne", "lt", "le", "gt", "ge"):
-            op = self._advance().value
-            return ast.ValueComparison(op, left, self._parse_range())
-        if token.is_name("is") or token.is_symbol("<<", ">>"):
-            op = self._advance().value
-            return ast.NodeComparison(op, left, self._parse_range())
-        return left
-
-    def _parse_range(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self._peek().is_name("to"):
-            self._advance()
-            return ast.RangeExpr(left, self._parse_additive())
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().is_symbol("+", "-"):
-            op = self._advance().value
-            left = ast.ArithmeticExpr(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_union()
+        The right operand of a level-``n`` operator is parsed with floor
+        ``n + 1``, so what comes back to this loop can only be followed by
+        level ``n`` or looser: the *ceiling*.  A non-associative operator
+        lowers it to ``n - 1``, and its second occurrence is then nobody's
+        to take — it is left for the caller to reject as trailing content.
+        """
+        left = self._parse_unary(token)
+        ceiling = _CAST
         while True:
             token = self._peek()
-            if token.is_symbol("*") or token.is_name("div", "idiv", "mod"):
-                op = self._advance().value
-                left = ast.ArithmeticExpr(op, left, self._parse_union())
-            else:
+            value = token.value
+            if value not in _OPERATORS or token.kind is _STRING:
                 return left
-
-    def _parse_union(self) -> ast.Expr:
-        left = self._parse_intersect_except()
-        while self._peek().is_name("union") or self._peek().is_symbol("|"):
-            self._advance()
-            left = ast.UnionExpr(left, self._parse_intersect_except())
-        return left
-
-    def _parse_intersect_except(self) -> ast.Expr:
-        left = self._parse_instance_of()
-        while self._peek().is_name("intersect", "except"):
-            op = self._advance().value
-            right = self._parse_instance_of()
-            if op == "intersect":
-                left = ast.IntersectExpr(left, right)
+            level, node, takes_operator = _OPERATORS[value]
+            if level < floor or level > ceiling:
+                return left
+            if node is not None:
+                self._index += 1
+                right = self._parse_binary(level + 1, self._peek())
+                left = node(value, left, right) if takes_operator else node(left, right)
+            elif level == _INSTANCE_OF:
+                if not self._peek(1).is_name("of"):
+                    return left
+                self._index += 2
+                left = ast.InstanceOfExpr(left, self._parse_sequence_type())
             else:
-                left = ast.ExceptExpr(left, right)
-        return left
+                if not self._peek(1).is_name("as"):
+                    return left
+                self._index += 2
+                target = self._expect_name().value
+                left = ast.CastExpr(left, target, self._accept_symbol("?"))
+            ceiling = level - 1 if level in _NON_ASSOCIATIVE else level
 
-    def _parse_instance_of(self) -> ast.Expr:
-        left = self._parse_cast()
-        if self._peek().is_name("instance") and self._peek(1).is_name("of"):
-            self._advance()
-            self._advance()
-            sequence_type = self._parse_sequence_type()
-            return ast.InstanceOfExpr(left, sequence_type)
-        return left
-
-    def _parse_cast(self) -> ast.Expr:
-        left = self._parse_unary()
-        if self._peek().is_name("cast") and self._peek(1).is_name("as"):
-            self._advance()
-            self._advance()
-            target = self._expect_name().value
-            optional = self._accept_symbol("?")
-            return ast.CastExpr(left, target, optional)
-        return left
-
-    def _parse_unary(self) -> ast.Expr:
-        if self._peek().is_symbol("-", "+"):
-            op = self._advance().value
-            return ast.UnaryExpr(op, self._parse_unary())
-        return self._parse_path()
+    def _parse_unary(self, token: Token) -> ast.Expr:
+        """Signs, then a path: an operand of :meth:`_parse_binary`."""
+        if token.kind is _SYMBOL:
+            value = token.value
+            if value == "-" or value == "+":
+                self._index += 1
+                return ast.UnaryExpr(value, self._parse_unary(self._peek()))
+            if value == "//":
+                self._index += 1
+                return self._parse_relative_path(ast.PathExpr(
+                    ast.RootExpr(),
+                    ast.AxisStep("descendant-or-self", ast.NodeTest("node")),
+                ), self._peek())
+            if value == "/":
+                self._index += 1
+                token = self._peek()
+                if _starts_step(token):
+                    return self._parse_relative_path(ast.RootExpr(), token)
+                return ast.RootExpr()
+        return self._parse_relative_path(None, token)
 
     # -- paths ---------------------------------------------------------------------
 
-    def _parse_path(self) -> ast.Expr:
-        token = self._peek()
-        if token.is_symbol("//"):
-            self._advance()
-            left = ast.PathExpr(
-                ast.RootExpr(),
-                ast.AxisStep("descendant-or-self", ast.NodeTest("node")),
-            )
-            return self._parse_relative_path(left)
-        if token.is_symbol("/"):
-            self._advance()
-            if self._starts_step():
-                return self._parse_relative_path(ast.RootExpr())
-            return ast.RootExpr()
-        return self._parse_relative_path(None)
-
-    def _starts_step(self) -> bool:
-        token = self._peek()
-        if token.kind in (TokenKind.NAME, TokenKind.STRING, TokenKind.INTEGER,
-                          TokenKind.DECIMAL, TokenKind.DOUBLE):
-            return True
-        return token.is_symbol("$", "(", ".", "..", "@", "*", "<")
-
-    def _parse_relative_path(self, left: ast.Expr | None) -> ast.Expr:
-        expr = self._parse_step() if left is None else ast.PathExpr(left, self._parse_step())
+    def _parse_relative_path(self, left: ast.Expr | None, token: Token) -> ast.Expr:
+        expr = self._parse_step(token)
+        if left is not None:
+            expr = ast.PathExpr(left, expr)
         while True:
-            if self._peek().is_symbol("/"):
-                self._advance()
-                expr = ast.PathExpr(expr, self._parse_step())
-            elif self._peek().is_symbol("//"):
-                self._advance()
+            token = self._peek()
+            if token.kind is not _SYMBOL:
+                return expr
+            if token.value == "/":
+                self._index += 1
+                expr = ast.PathExpr(expr, self._parse_step(self._peek()))
+            elif token.value == "//":
+                self._index += 1
                 expr = ast.PathExpr(
                     expr, ast.AxisStep("descendant-or-self", ast.NodeTest("node"))
                 )
-                expr = ast.PathExpr(expr, self._parse_step())
+                expr = ast.PathExpr(expr, self._parse_step(self._peek()))
             else:
                 return expr
 
-    def _parse_step(self) -> ast.Expr:
-        token = self._peek()
-        if token.is_symbol(".."):
-            self._advance()
-            return ast.AxisStep("parent", ast.NodeTest("node"), tuple(self._parse_predicates()))
-        if token.is_symbol("@"):
-            self._advance()
-            node_test = self._parse_node_test(default_kind="attribute-name")
-            return ast.AxisStep("attribute", node_test, tuple(self._parse_predicates()))
-        if token.kind == TokenKind.NAME and self._peek(1).is_symbol("::"):
-            axis = token.value
-            if axis not in AXES:
-                raise self._error(f"unknown axis '{axis}'", token)
-            self._advance()
-            self._advance()
-            node_test = self._parse_node_test()
-            return ast.AxisStep(axis, node_test, tuple(self._parse_predicates()))
-        if token.is_symbol("*"):
-            self._advance()
-            return ast.AxisStep("child", ast.NodeTest("name", "*"), tuple(self._parse_predicates()))
-        if token.kind == TokenKind.NAME:
+    def _parse_step(self, token: Token) -> ast.Expr:
+        if token.kind is _NAME:
             name = token.value
-            follows_paren = self._peek(1).is_symbol("(")
-            if follows_paren and name in KIND_TESTS:
-                node_test = self._parse_node_test()
-                return ast.AxisStep("child", node_test, tuple(self._parse_predicates()))
-            if not follows_paren and not self._is_constructor_keyword(token):
-                self._advance()
-                return ast.AxisStep("child", ast.NodeTest("name", name), tuple(self._parse_predicates()))
-        primary = self._parse_primary()
+            follower = self._peek(1)
+            follower_symbol = follower.value if follower.kind is _SYMBOL else None
+            if follower_symbol == "::":
+                if name not in AXES:
+                    raise self._error(f"unknown axis '{name}'", token)
+                self._index += 2
+                return ast.AxisStep(name, self._parse_node_test(), self._parse_predicates())
+            if follower_symbol == "(":
+                if name in KIND_TESTS:
+                    return ast.AxisStep("child", self._parse_node_test(), self._parse_predicates())
+            elif not (name in CONSTRUCTOR_KEYWORDS and self._is_constructor_keyword(token)):
+                self._index += 1
+                return ast.AxisStep("child", ast.NodeTest("name", name), self._parse_predicates())
+        elif token.kind is _SYMBOL:
+            symbol = token.value
+            if symbol == "..":
+                self._index += 1
+                return ast.AxisStep("parent", ast.NodeTest("node"), self._parse_predicates())
+            if symbol == "@":
+                self._index += 1
+                return ast.AxisStep("attribute", self._parse_node_test(), self._parse_predicates())
+            if symbol == "*":
+                self._index += 1
+                return ast.AxisStep("child", ast.NodeTest("name", "*"), self._parse_predicates())
+        primary = self._parse_primary(token)
         predicates = self._parse_predicates()
         if predicates:
-            return ast.FilterExpr(primary, tuple(predicates))
+            return ast.FilterExpr(primary, predicates)
         return primary
 
     def _is_constructor_keyword(self, token: Token) -> bool:
-        """Computed-constructor keywords used *as* constructors (not as names)."""
-        if token.value not in ("element", "attribute", "text", "comment", "document", "ordered", "unordered"):
-            return False
-        nxt = self._peek(1)
-        if nxt.is_symbol("{"):
-            return True
-        if token.value in ("element", "attribute") and nxt.kind == TokenKind.NAME and self._peek(2).is_symbol("{"):
-            return True
-        return False
+        """Is *token*, one of :data:`CONSTRUCTOR_KEYWORDS`, used *as* a
+        constructor (in front of a ``{``), not as an element name?"""
+        follower = self._peek(1)
+        if follower.kind is _SYMBOL:
+            return follower.value == "{"
+        return (token.value in ("element", "attribute") and follower.kind is _NAME
+                and self._peek(2).is_symbol("{"))
 
-    def _parse_node_test(self, default_kind: str = "name") -> ast.NodeTest:
+    def _parse_node_test(self) -> ast.NodeTest:
         token = self._peek()
         if token.is_symbol("*"):
-            self._advance()
+            self._index += 1
             return ast.NodeTest("name", "*")
-        name_token = self._expect_name()
-        name = name_token.value
-        if self._peek().is_symbol("(") and name in KIND_TESTS:
-            self._advance()
-            inner: str | None = None
-            if not self._peek().is_symbol(")"):
-                if self._peek().is_symbol("*"):
-                    self._advance()
-                else:
-                    inner = self._expect_name().value
-            self._expect_symbol(")")
-            return ast.NodeTest(name, inner)
+        name = self._expect_name().value
+        if name in KIND_TESTS and self._accept_symbol("("):
+            return ast.NodeTest(name, self._parse_kind_test_name())
         return ast.NodeTest("name", name)
 
-    def _parse_predicates(self) -> list[ast.Expr]:
+    def _parse_predicates(self) -> tuple[ast.Expr, ...]:
         predicates: list[ast.Expr] = []
-        while self._peek().is_symbol("["):
-            self._advance()
+        while True:
+            token = self._peek()
+            if token.kind is not _SYMBOL or token.value != "[":
+                return tuple(predicates) if predicates else ()
+            self._index += 1
             predicates.append(self.parse_expr())
             self._expect_symbol("]")
-        return predicates
 
     # -- primary expressions ---------------------------------------------------------
 
-    def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind == TokenKind.STRING:
-            self._advance()
-            return ast.Literal(token.value)
-        if token.kind == TokenKind.INTEGER:
-            self._advance()
-            return ast.Literal(int(token.value))
-        if token.kind in (TokenKind.DECIMAL, TokenKind.DOUBLE):
-            self._advance()
-            return ast.Literal(float(token.value))
-        if token.is_symbol("$"):
-            self._advance()
-            name = self._expect_name().value
-            return self._stamp(ast.VarRef(name), token)
-        if token.is_symbol("("):
-            self._advance()
-            if self._accept_symbol(")"):
-                return ast.EmptySequence()
-            expr = self.parse_expr()
-            self._expect_symbol(")")
-            return expr
-        if token.is_symbol("."):
-            self._advance()
-            return ast.ContextItem()
-        if token.is_symbol("<"):
-            return self._parse_direct_constructor()
-        if token.kind == TokenKind.NAME:
-            if self._is_constructor_keyword(token):
+    def _parse_primary(self, token: Token) -> ast.Expr:
+        """The primary expression that starts with *token*, the next one."""
+        kind = token.kind
+        if kind is _SYMBOL:
+            symbol = token.value
+            if symbol == "$":
+                self._index += 1
+                return self._stamp(ast.VarRef(self._expect_name().value), token)
+            if symbol == "(":
+                self._index += 1
+                if self._accept_symbol(")"):
+                    return ast.EmptySequence()
+                expr = self.parse_expr()
+                self._expect_symbol(")")
+                return expr
+            if symbol == ".":
+                self._index += 1
+                return ast.ContextItem()
+            if symbol == "<":
+                return self._parse_direct_constructor()
+        elif kind is _NAME:
+            if token.value in CONSTRUCTOR_KEYWORDS and self._is_constructor_keyword(token):
                 return self._parse_computed_constructor()
-            if self._peek(1).is_symbol("("):
+            follower = self._peek(1)
+            if follower.kind is _SYMBOL and follower.value == "(":
                 return self._parse_function_call()
+        elif kind is not _EOF:
+            self._index += 1
+            if kind is _STRING:
+                return ast.Literal(token.value)
+            return ast.Literal(int(token.value) if kind is TokenKind.INTEGER
+                               else float(token.value))
         raise self._error(f"unexpected token {token.value!r}", token)
 
     def _parse_function_call(self) -> ast.Expr:
@@ -638,10 +604,8 @@ class Parser:
     # -- direct element constructors (character mode) ----------------------------------
 
     def _parse_direct_constructor(self) -> ast.Expr:
-        open_token = self._expect_symbol("<")
-        self._enter_char_mode(open_token.end)
-        element = self._parse_direct_element()
-        return element
+        self._enter_char_mode(self._expect_symbol("<").end)
+        return self._parse_direct_element()
 
     def _char(self, offset: int = 0) -> str:
         return self.lexer.peek_char(offset)
@@ -684,25 +648,14 @@ class Parser:
             if char == quote:
                 self.lexer.pos += 1
                 break
-            if char == "{":
-                if self._char(1) == "{":
-                    buffer.append("{")
-                    self.lexer.pos += 2
-                    continue
-                if buffer:
-                    parts.append(ast.Literal("".join(buffer)))
-                    buffer = []
-                parts.append(self._parse_enclosed_expr())
+            text = self._scan_constructor_text(char)
+            if text is not None:
+                buffer.append(text)
                 continue
-            if char == "}" and self._char(1) == "}":
-                buffer.append("}")
-                self.lexer.pos += 2
-                continue
-            if char == "&":
-                buffer.append(self._scan_xml_entity())
-                continue
-            buffer.append(char)
-            self.lexer.pos += 1
+            if buffer:
+                parts.append(ast.Literal("".join(buffer)))
+                buffer = []
+            parts.append(self._parse_enclosed_expr())
         if buffer:
             parts.append(ast.Literal("".join(buffer)))
         return ast.AttributeConstructor(name, tuple(parts))
@@ -747,28 +700,30 @@ class Parser:
                 self.lexer.pos += 1
                 content.append(self._parse_direct_element())
                 continue
-            if char == "{":
-                if self._char(1) == "{":
-                    buffer.append("{")
-                    self.lexer.pos += 2
-                    continue
-                flush()
-                content.append(self._parse_enclosed_expr())
+            text = self._scan_constructor_text(char)
+            if text is not None:
+                buffer.append(text)
                 continue
-            if char == "}" and self._char(1) == "}":
-                buffer.append("}")
-                self.lexer.pos += 2
-                continue
-            if char == "&":
-                buffer.append(self._scan_xml_entity())
-                continue
-            buffer.append(char)
+            flush()
+            content.append(self._parse_enclosed_expr())
+
+    def _scan_constructor_text(self, char: str) -> str | None:
+        """The text that *char*, the next character of an attribute value or
+        of element content, stands for — itself, ``{{``/``}}`` for a brace,
+        an entity reference — or ``None`` at the ``{`` of an enclosed expression."""
+        if char in "{}" and self._char(1) == char:
+            self.lexer.pos += 2
+        elif char == "{":
+            return None
+        elif char == "&":
+            return self.lexer.scan_entity_reference(" in constructor")
+        else:
             self.lexer.pos += 1
+        return char
 
     def _parse_enclosed_expr(self) -> ast.Expr:
         # positioned at '{': switch to token mode for the enclosed expression
-        self.lexer.pos += 1
-        self._buffer.clear()
+        self._enter_char_mode(self.lexer.pos + 1)
         expr = self.parse_expr()
         closing = self._expect_symbol("}")
         self._enter_char_mode(closing.end)
@@ -784,23 +739,25 @@ class Parser:
             self.lexer.pos += 1
         return self.lexer.text[start:self.lexer.pos]
 
-    def _scan_xml_entity(self) -> str:
-        end = self.lexer.text.find(";", self.lexer.pos)
-        if end < 0:
-            raise self.lexer.error("unterminated entity reference in constructor")
-        entity = self.lexer.text[self.lexer.pos + 1:end]
-        self.lexer.pos = end + 1
-        if entity.startswith("#x") or entity.startswith("#X"):
-            return chr(int(entity[2:], 16))
-        if entity.startswith("#"):
-            return chr(int(entity[1:]))
-        if entity in _PREDEFINED_ENTITIES:
-            return _PREDEFINED_ENTITIES[entity]
-        raise self.lexer.error(f"unknown entity '&{entity};' in constructor")
-
     def _skip_xml_space(self) -> None:
         while self._char() in " \t\r\n" and self._char():
             self.lexer.pos += 1
+
+
+#: Expression keywords → the symbol that must follow, and the method to call.
+_KEYWORD_EXPRESSIONS = {
+    "for": ("$", Parser._parse_flwor), "let": ("$", Parser._parse_flwor),
+    "some": ("$", Parser._parse_quantified), "every": ("$", Parser._parse_quantified),
+    "typeswitch": ("(", Parser._parse_typeswitch), "if": ("(", Parser._parse_if),
+    "with": ("$", Parser._parse_with),
+}
+
+
+def _starts_step(token: Token) -> bool:
+    """Can a step start with *token* (else a ``/`` in front of it stands alone)?"""
+    if token.kind is _SYMBOL:
+        return token.value in ("$", "(", ".", "..", "@", "*", "<")
+    return token.kind is not _EOF
 
 
 # ---------------------------------------------------------------------------

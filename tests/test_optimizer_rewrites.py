@@ -4,7 +4,9 @@ engines, rewrites on versus off."""
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -13,9 +15,24 @@ from repro.errors import XQueryError
 from repro.settings import EvalSettings
 from repro.xmlio.parser import parse_xml
 from repro.xmlio.serializer import serialize_sequence
-from repro.xquery import ast
-from repro.xquery.optimizer import optimize, optimize_module
+from repro.errors import XQuerySyntaxError
+from repro.xquery import ast, optimizer
+from repro.xquery.optimizer import (
+    _COMPARISON_OPS,
+    _LOOP_FIELDS,
+    _Hoister,
+    _is_all_nodes_step,
+    _local_name,
+    _numeric_literal,
+    _position_free,
+    _provably_error_free,
+    _prune_unused_functions,
+    _static_ebv,
+    optimize,
+    optimize_module,
+)
 from repro.xquery.parser import parse_expression, parse_query
+from tests.conftest import front_end_corpus
 
 ENGINES = ("interpreter", "algebra", "sql")
 
@@ -485,3 +502,303 @@ def test_fixpoint_queries_unchanged_by_rewrites(curriculum_resolver,
                               settings=settings)
             outcomes.add(serialize_sequence(result.items))
     assert len(outcomes) == 1
+
+
+# ---------------------------------------------------------------------------
+# The rewrite table against the four-call chain it replaced
+# ---------------------------------------------------------------------------
+#
+# Below, verbatim, the previous optimizing pass: ``_map_children`` reflecting
+# over every dataclass field, the chain of four rewrites run on every node
+# (leaves included), each behind its own ``isinstance`` guard, and the scout
+# built on them.  Pruning and the hoister are the module's own on both sides.
+
+def oracle_optimize(expr: ast.Expr) -> ast.Expr:
+    """Return an optimized copy of *expr* (the input is never mutated)."""
+    return _rewrite(_map_children(expr, oracle_optimize))
+
+
+def _rewrite(expr: ast.Expr) -> ast.Expr:
+    """The local rewrites at one node whose children are already optimized."""
+    rewritten = _fold_constants(expr)
+    rewritten = _eliminate_dead_branch(rewritten)
+    rewritten = _fuse_descendant_step(rewritten)
+    return _prune_unused_let(rewritten)
+
+
+
+def oracle_optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
+    """Optimize every function body, variable initializer and the query body,
+    drop function declarations the call graph cannot reach, then hoist the
+    invariants of what is left (*hoist* false leaves that rule out: the
+    baseline of the overhead guard in ``benchmarks/check_overhead.py``).
+
+    Pruning comes first: an invariant inside a function nothing calls must
+    not become a prolog variable every engine evaluates eagerly.  Hoisted
+    expressions never call a declared function, so hoisting cannot change
+    what is reachable.
+
+    Everything hoistable bottoms out in a prolog variable — directly, or as
+    the proof that a ``doc()`` call succeeds.  A module without one has
+    nothing to look for; one with prolog variables is optimized by a
+    :class:`_Scout`, which notes on the way whether the rule's own walk
+    could find anything."""
+    scout = None
+    visit = oracle_optimize
+    #: prolog variables with a value, each bound at loop depth 0
+    prolog = {decl.name: 0 for decl in module.variables if decl.value is not None}
+    if hoist and prolog:
+        scout = _OracleScout(prolog)
+        visit = scout.visit
+        scout.depth = 1  # a function body runs once per call: a loop body as a whole
+    functions = tuple(
+        replace(function, body=visit(function.body)) for function in module.functions
+    )
+    if scout is not None:
+        scout.depth = 0  # initializers and the query body run once
+    variables = tuple(
+        replace(decl, value=visit(decl.value)) if decl.value is not None else decl
+        for decl in module.variables
+    )
+    body = visit(module.body)
+    functions = _prune_unused_functions(functions, variables, body)
+    if scout is not None and scout.found:
+        functions, variables, body = _Hoister(functions, variables).run(body)
+    return ast.Module(functions=functions, variables=variables, body=body)
+
+
+
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _map_children(expr, function):
+    """*expr* with *function* applied to every child expression (fields
+    and tuples of them); the same object when nothing changed."""
+    kind = type(expr)
+    names = _FIELD_NAMES.get(kind)
+    if names is None:
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in fields(kind))
+    updates = {}
+    for name in names:
+        value = getattr(expr, name)
+        new_value = _map_value(value, function)
+        if new_value is not value:
+            updates[name] = new_value
+    if not updates:
+        return expr
+    return replace(expr, **updates)  # type: ignore[type-var]
+
+
+def _map_value(value, function):
+    if isinstance(value, ast.Expr):
+        return function(value)
+    if isinstance(value, tuple):
+        new_items = tuple(_map_value(item, function) for item in value)
+        if all(new is old for new, old in zip(new_items, value)):
+            return value
+        return new_items
+    return value
+
+
+
+def _fuse_descendant_step(expr: ast.Expr) -> ast.Expr:
+    """Fuse the two steps produced by the ``//`` abbreviation into one."""
+    if not isinstance(expr, ast.PathExpr):
+        return expr
+    right = expr.right
+    left = expr.left
+    if (
+        isinstance(right, ast.AxisStep)
+        and right.axis == "child"
+        and isinstance(left, ast.PathExpr)
+        and _is_all_nodes_step(left.right)
+        and all(_position_free(predicate) for predicate in right.predicates)
+    ):
+        fused_step = ast.AxisStep("descendant", right.node_test, right.predicates)
+        return ast.PathExpr(left.left, fused_step)
+    return expr
+
+
+
+def _fold_constants(expr: ast.Expr) -> ast.Expr:
+    if isinstance(expr, ast.UnaryExpr):
+        value = _numeric_literal(expr.operand)
+        if value is not None:
+            return ast.Literal(-value if expr.op == "-" else +value)
+        return expr
+    if isinstance(expr, ast.ArithmeticExpr):
+        left = _numeric_literal(expr.left)
+        right = _numeric_literal(expr.right)
+        if left is None or right is None:
+            return expr
+        if expr.op == "+":
+            return ast.Literal(left + right)
+        if expr.op == "-":
+            return ast.Literal(left - right)
+        if expr.op == "*":
+            return ast.Literal(left * right)
+        # division family: only with a provably non-zero divisor, and only
+        # matching the evaluator's semantics exactly
+        if right == 0 or (isinstance(right, float) and math.isnan(right)):
+            return expr
+        if expr.op == "div":
+            return ast.Literal(left / right)
+        if expr.op == "idiv" and isinstance(left, int) and isinstance(right, int):
+            quotient = abs(left) // abs(right)
+            return ast.Literal(quotient if (left >= 0) == (right >= 0) else -quotient)
+        if expr.op == "mod" and isinstance(left, int) and isinstance(right, int):
+            remainder = abs(left) % abs(right)
+            return ast.Literal(remainder if left >= 0 else -remainder)
+        return expr
+    if isinstance(expr, (ast.ValueComparison, ast.GeneralComparison)):
+        return _fold_comparison(expr)
+    return expr
+
+
+
+def _fold_comparison(expr: ast.Expr) -> ast.Expr:
+    op = _COMPARISON_OPS.get(expr.op)
+    if op is None:
+        return expr
+    left = _numeric_literal(expr.left)
+    right = _numeric_literal(expr.right)
+    if left is None or right is None:
+        # same-type string comparison folds too; anything else is left
+        # alone (mixed-type comparisons raise at runtime)
+        if not (isinstance(expr.left, ast.Literal) and isinstance(expr.right, ast.Literal)
+                and isinstance(expr.left.value, str) and isinstance(expr.right.value, str)):
+            return expr
+        left, right = expr.left.value, expr.right.value
+    result = {
+        "==": left == right, "!=": left != right,
+        "<": left < right, "<=": left <= right,
+        ">": left > right, ">=": left >= right,
+    }[op]
+    return ast.Literal(result)
+
+
+
+def _eliminate_dead_branch(expr: ast.Expr) -> ast.Expr:
+    if not isinstance(expr, ast.IfExpr):
+        return expr
+    verdict = _static_ebv(expr.condition)
+    if verdict is None:
+        return expr
+    return expr.then_branch if verdict else expr.else_branch
+
+
+
+def _prune_unused_let(expr: ast.Expr) -> ast.Expr:
+    if not isinstance(expr, ast.LetExpr):
+        return expr
+    if expr.var in expr.body.free_variables():
+        return expr
+    if not _provably_error_free(expr.value):
+        return expr
+    return expr.body
+
+
+
+_SCOUTED = frozenset({ast.VarRef, ast.LetExpr, ast.FunctionCall, *_LOOP_FIELDS})
+
+
+class _OracleScout(optimizer._Scout):
+    __slots__ = ()
+
+    def visit(self, expr: ast.Expr) -> ast.Expr:
+        """:func:`optimize` of *expr*, noting what is read at which depth."""
+        kind = type(expr)
+        if kind in _SCOUTED:
+            if kind is ast.VarRef:
+                depth = self.depth
+                if depth and depth > self.bound.get(expr.name, depth):
+                    self.found = True
+                return expr  # inspected, and no rewrite applies to it
+            if kind is ast.LetExpr:
+                self.bound[expr.var] = min(self.depth, self.bound.get(expr.var, self.depth))
+            elif kind is ast.FunctionCall:
+                if self.depth and _local_name(expr) == "doc":
+                    self.found = True
+            else:
+                # the sequence or seed runs once, at this depth; the body deeper
+                once, repeated = _LOOP_FIELDS[kind]
+                head, body = getattr(expr, once), getattr(expr, repeated)
+                new_head = self.visit(head)
+                self.depth += 1
+                new_body = self.visit(body)
+                self.depth -= 1
+                if new_head is not head or new_body is not body:
+                    expr = replace(expr, **{once: new_head, repeated: new_body})
+                return _rewrite(expr)
+        return _rewrite(_map_children(expr, self.visit))
+
+
+
+def oracle(module: ast.Module, hoist: bool, monkeypatch) -> ast.Module:
+    with monkeypatch.context() as patched:  # the hoister's walk maps children too
+        patched.setattr(optimizer, "_map_children", _map_children)
+        return oracle_optimize_module(module, hoist)
+
+
+#: The expression forms no repository query uses, with something to rewrite
+#: inside each.
+OTHER_FORMS = (
+    "typeswitch (1 + 1) case $n as xs:integer return -(2) case node() return //a "
+    "default $o return (1 to 2 * 3)",
+    "some $q in //a satisfies every $r in $q//b satisfies $r is $q",
+    "<a b='{1 + 1}' c=\"x\">t{ //a/b }<c/></a>",
+    "element e { attribute {concat('a', 'b')} { 1 = 1 }, text { if (1) then 2 else 3 } }",
+    "ordered { (//a intersect //b) except //c } | unordered { . }",
+    "(1 cast as xs:string?, //a instance of node()*, - //a/@n, let $u := 1 return 2)",
+    "//a[1][b = 'x' and (1 eq 1 or c)]/..[@k << /]/descendant::text()",
+)
+
+
+def _modules() -> list[ast.Module]:
+    """The repository's own query texts, the hoisting tests' queries and the
+    rewrite generators above, as modules — plus every rewrite target wrapped
+    so that it sits in a loop, in a prolog variable and in a function."""
+    texts = [*front_end_corpus(), *PROPERTY_QUERIES, *OTHER_FORMS]
+    texts += [f"{PROLOG}for $i in $d//item return ({query}, $d//item[@k = $i/@k])"
+              for query in PROPERTY_QUERIES]
+    texts += [f"declare variable $g := {query}; declare function f($p) {{ {query} }}; "
+              f"declare function unused() {{ 1 }}; (f(1), $g)"
+              for query in PROPERTY_QUERIES]
+    modules = []
+    for text in texts:
+        try:
+            modules.append(parse_query(text))
+        except XQuerySyntaxError:
+            continue  # prose and documents from examples/
+    return modules
+
+
+def test_the_rule_table_is_the_four_call_chain(monkeypatch):
+    modules = _modules()
+    assert len(modules) > 700
+    for module in modules:
+        for hoist in (True, False):
+            assert optimize_module(module, hoist) == oracle(module, hoist, monkeypatch)
+        assert optimize(module.body) == oracle_optimize(module.body)
+
+
+def test_the_child_plan_finds_every_child():
+    """``ast.CHILD_FIELDS`` names the fields the reflection walk found: all
+    of ``children()``, and an axis step's node test."""
+    seen = set()
+    for module in _modules():
+        for node in module.body.iter_subexpressions():
+            seen.add(type(node))
+            planned = []
+            for name, is_tuple in ast.CHILD_FIELDS[type(node)]:
+                value = getattr(node, name)
+                planned.extend(value if is_tuple else [value] if value is not None else [])
+            reflected = []
+            for field in fields(node):
+                value = getattr(node, field.name)
+                reflected.extend(item for item in (value if isinstance(value, tuple) else [value])
+                                 if isinstance(item, ast.Expr))
+            assert [id(child) for child in planned] == [id(child) for child in reflected]
+            assert [child for child in planned if not isinstance(child, ast.NodeTest)] \
+                == node.child_expressions()
+    assert seen | {ast.NodeTest} == set(ast.CHILD_FIELDS) == set(ast.Expr.__subclasses__())

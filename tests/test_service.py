@@ -207,6 +207,19 @@ class TestEndpoints:
         assert "repro_uptime_seconds" in text
         assert 'repro_cache_hit_ratio{cache="module"}' in text
 
+    def test_a_malformed_character_reference_is_unprocessable(self, service_session):
+        """A typed syntax error — it was a ``ValueError``/``OverflowError`` out
+        of the parser, which the handler answers with 500 "internal error" —
+        and the in-flight slot is released."""
+        service = QueryService(session=service_session)
+        for query in ('"&#xZZ;"', '"&#;"', '"&#x110000;"', '"&#-5;"',
+                      '<a b="&#99999999999;"/>', "<a>&#xZZ;</a>"):
+            with pytest.raises(ServiceError, match="invalid character reference") as error:
+                service.handle_query({"query": query})
+            assert error.value.status == 422
+            assert service.stats.in_flight == 0
+        assert service.handle_query({"query": "1 + 1"})["items"] == ["2"]
+
     def test_handle_query_rejects_non_object(self, service_session):
         service = QueryService(session=service_session)
         with pytest.raises(ServiceError):
