@@ -10,11 +10,9 @@ Run with:  python examples/bidder_network.py [--size tiny|small|medium] [--perso
 """
 
 import argparse
-import time
 
-from repro.bench.harness import BenchmarkHarness
 from repro.bench.queries import get_workload
-from repro.bench.reporting import format_milliseconds
+from repro.bench.table2 import run_row
 from repro.datagen.xmark import XMarkConfig, generate_auction_site, seller_to_bidder_edges
 
 
@@ -38,20 +36,14 @@ def main() -> None:
     print(f"document: {config.persons} persons, "
           f"{sum(len(v) for v in edges.values())} seller→bidder edges\n")
 
-    harness = BenchmarkHarness()
-    results = {}
-    for algorithm in ("naive", "delta"):
-        started = time.perf_counter()
-        run = harness.run("bidder-network", arguments.size, engine="ifp",
-                          algorithm=algorithm, seed_limit=arguments.persons)
-        results[algorithm] = run
-        print(f"{algorithm:>5}: {format_milliseconds(run.seconds):>12}   "
+    naive, delta = run_row("bidder-network", arguments.size, engines=("interpreter",),
+                           seed_limit=arguments.persons)
+    for run in (naive, delta):
+        print(f"{run.algorithm:>5}: {run.seconds * 1e3:>10.1f} ms   "
               f"nodes fed back {run.nodes_fed_back:>8,}   "
               f"max recursion depth {run.recursion_depth}")
-        del started
 
-    naive, delta = results["naive"], results["delta"]
-    assert naive.result_digest == delta.result_digest, "Naive and Delta must agree (distributive body)"
+    assert naive.answers == delta.answers, "Naive and Delta must agree (distributive body)"
     print(f"\nDelta speed-up: {naive.seconds / delta.seconds:.2f}x, "
           f"node-feed reduction: {naive.nodes_fed_back / delta.nodes_fed_back:.2f}x")
     print("(the paper reports 2.2-3.3x time and up to ~9x node-feed reduction on its testbed)")

@@ -4,8 +4,8 @@ The package bundles a small but complete XQuery engine (data model, XML
 parser, XQuery parser, interpreter), the paper's inflationary fixed point
 operator with Naive and Delta evaluation, syntactic and algebraic
 distributivity analyses, a Pathfinder-style relational algebra backend,
-Regular XPath, workload generators and the benchmark harness that
-regenerates the paper's Table 2.
+Regular XPath, workload generators and the ``repro-table2`` script that
+regenerates the paper's Table 2 through :class:`Session`.
 
 Quick start::
 

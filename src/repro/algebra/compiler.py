@@ -746,22 +746,22 @@ class AlgebraCompiler:
 
     def _compile_DirectElementConstructor(self, expr: ast.DirectElementConstructor,
                                           context: CompilationContext) -> Operator:
-        content_plans = [self._compile(part, context) for part in expr.content] or [
-            self._empty_sequence_plan(context)
+        attributes = [
+            NodeConstructor(context.loop,
+                            [self._compile(part, context) for part in attribute.value_parts],
+                            "attribute", attribute.name)
+            for attribute in expr.attributes
         ]
-        combined = content_plans[0]
-        for plan in content_plans[1:]:
-            combined = UnionAll([combined, plan])
-        return NodeConstructor(combined, context.loop, "element", expr.name)
+        content = [self._compile(part, context) for part in expr.content]
+        return NodeConstructor(context.loop, attributes + content, "element", expr.name)
 
     def _compile_ComputedConstructor(self, expr: ast.ComputedConstructor,
                                      context: CompilationContext) -> Operator:
-        content = (self._compile(expr.content, context) if expr.content is not None
-                   else self._empty_sequence_plan(context))
+        content = [self._compile(expr.content, context)] if expr.content is not None else []
         name = None
         if isinstance(expr.name, ast.Literal):
             name = str(expr.name.value)
-        return NodeConstructor(content, context.loop, expr.kind, name)
+        return NodeConstructor(context.loop, content, expr.kind, name)
 
     def _compile_OrderedExpr(self, expr: ast.OrderedExpr, context: CompilationContext) -> Operator:
         return self._compile(expr.body, context)

@@ -22,8 +22,8 @@ Two execution details worth knowing:
   runs in a fresh :class:`_PlanRun` with its own memo cache, recursion
   binding and statistics, so nested or repeated evaluations cannot leak
   fixpoint bindings into each other.  ``AlgebraEvaluator.statistics``
-  remains the cumulative view across runs (what the benchmark harness
-  reads); ``last_run_statistics`` is the freshest single run.
+  remains the cumulative view across runs (what a session reports for
+  one query); ``last_run_statistics`` is the freshest single run.
 """
 
 from __future__ import annotations

@@ -920,46 +920,59 @@ class AtomizeValue(Operator):
 class NodeConstructor(Operator):
     """ε — node construction; creates fresh identities, never pushable.
 
-    One node per iteration of ``loop`` (the second child), whether or not
-    the content plan has a row for it: ``<a/>`` is a node.
+    ``children[0]`` is ``loop``: one node per iteration of it, whether or
+    not any content plan has a row for it (``<a/>`` is a node).  The other
+    children are the content parts in document order — the attribute
+    constructors and enclosed expressions of a direct constructor, the one
+    body of a computed one.  Atomics are space-joined within a part and
+    concatenated across parts, so ``<a>{1, 2}{3}</a>`` reads ``1 23``.
     """
 
     symbol = "ε"
     union_pushable = False
 
-    def __init__(self, child: Operator, loop: Operator, kind: str, name: str | None = None):
-        super().__init__([child, loop])
+    def __init__(self, loop: Operator, parts: Sequence[Operator], kind: str,
+                 name: str | None = None):
+        super().__init__([loop, *parts])
         self.kind = kind
         self.name = name
 
     def compute(self, inputs, engine):
-        per_iteration, _ = _group_items_by_iteration(inputs[0])
-        order = inputs[1].column_values("iter")
-        constructed = [self._construct(per_iteration.get(iteration, ()))
+        order = inputs[0].column_values("iter")
+        parts = [part.items_by_iteration()[0] for part in inputs[1:]]
+        constructed = [self._construct([part.get(iteration, ()) for part in parts])
                        for iteration in order]
         return engine.make_table_from_columns(
             ("iter", "pos", "item"), [order, [1] * len(order), constructed]
         )
 
-    def _construct(self, items: Sequence):
-        text = " ".join(string_value_of_item(item) for item in items)
-        if self.kind == "text":
-            return TextNode(text)
-        if self.kind == "comment":
-            return CommentNode(text)
-        if self.kind == "attribute":
+    def _construct(self, parts: list[Sequence]):
+        if self.kind != "element":
+            text = "".join(" ".join(string_value_of_item(item) for item in part)
+                           for part in parts)
+            if self.kind == "text":
+                return TextNode(text)
+            if self.kind == "comment":
+                return CommentNode(text)
             return AttributeNode(self.name or "value", text)
-        element = ElementNode(self.name or "element")
-        for item in items:
-            if is_node(item):
-                from repro.xdm.document import copy_node
+        from repro.xdm.document import copy_node
 
+        element = ElementNode(self.name or "element")
+        for part in parts:
+            atomics: list[str] = []
+            for item in part:
+                if not is_node(item):
+                    atomics.append(string_value_of_item(item))
+                    continue
+                if atomics:
+                    element.append_child(TextNode(" ".join(atomics)))
+                    atomics = []
                 if isinstance(item, AttributeNode):
                     element.add_attribute(AttributeNode(item.name, item.value))
                 else:
                     element.append_child(copy_node(item))
-            else:
-                element.append_child(TextNode(string_value_of_item(item)))
+            if atomics:
+                element.append_child(TextNode(" ".join(atomics)))
         return element
 
     def label(self):

@@ -1,15 +1,12 @@
-"""Benchmark library: the paper's four workloads and the Table 2 harness.
+"""Benchmark library: the paper's four workloads and Table 2.
 
-* :mod:`repro.bench.queries`  — the workload definitions: document builders
+* :mod:`repro.bench.queries` — the workload definitions: document builders
   and query texts (IFP form and source-level ``fix``/``delta`` UDF form).
-* :mod:`repro.bench.harness`  — runs a workload under a chosen engine and
-  algorithm, measuring wall-clock time, nodes fed back and recursion depth.
-* :mod:`repro.bench.table2`   — regenerates the paper's Table 2 (also
-  installed as the ``repro-table2`` console script).
-* :mod:`repro.bench.reporting` — plain-text/CSV rendering of results.
+* :mod:`repro.bench.table2`  — regenerates the paper's Table 2 through
+  :class:`repro.Session` (also installed as the ``repro-table2`` console
+  script).
 """
 
 from repro.bench.queries import WORKLOADS, Workload, get_workload
-from repro.bench.harness import BenchmarkHarness, RunResult
 
-__all__ = ["WORKLOADS", "Workload", "get_workload", "BenchmarkHarness", "RunResult"]
+__all__ = ["WORKLOADS", "Workload", "get_workload"]

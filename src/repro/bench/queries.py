@@ -10,7 +10,7 @@ and how to phrase its query in two equivalent formulations:
   processor can apply — the Saxon role).
 
 Two small corrections relative to the paper's listings are applied and
-documented in EXPERIMENTS.md: the termination test of ``fix`` uses
+documented in DESIGN.md ("Reproducing Table 2"): the termination test of ``fix`` uses
 ``empty($res except $x)`` (the printed operand order never terminates on
 acyclic data), and the initial call of ``delta`` passes ``rec($seed)`` for
 both parameters (the printed ``delta(rec($seed), ())`` would drop the first
@@ -35,7 +35,7 @@ class WorkloadSize:
 
     label: str
     build_document: Callable[[], DocumentNode]
-    #: Default number of seeds the harness iterates (None = all).  The paper
+    #: Default number of seeds Table 2 iterates (None = all).  The paper
     #: ran full documents on compiled engines; the pure-Python default keeps
     #: run times reasonable while preserving the Naive/Delta ratios.
     default_seed_limit: int | None = None
@@ -68,20 +68,29 @@ class Workload:
 
     def ifp_query(self, algorithm: str = "auto", seed_limit: int | None = None) -> str:
         """The workload query in IFP form."""
-        return "\n".join(
-            part for part in (
-                self.prolog.strip(),
-                self._main(self.closure_expression(algorithm), seed_limit),
-            ) if part
-        )
+        return self._text(self._main(self.closure_expression(algorithm), seed_limit))
 
     def udf_query(self, variant: str = "fix", seed_limit: int | None = None) -> str:
         """The workload query in source-level ``fix``/``delta`` UDF form."""
-        if variant not in ("fix", "delta"):
-            raise ValueError(f"unknown UDF variant {variant!r}")
-        call = ("fix (rec ($s))" if variant == "fix"
-                else "delta (rec ($s), rec ($s))")
-        declarations = f"""
+        return self._text(self._udf_declarations(),
+                          self._main(_udf_call(variant), seed_limit))
+
+    def seed_query(self, algorithm: str, udf: bool = False) -> str:
+        """One seed's answer, the seed bound to ``declare variable $s external``.
+
+        ``algorithm`` is ``naive`` or ``delta``: the ``using`` clause of the
+        IFP closure or, with ``udf``, the ``fix``/``delta`` function called.
+        """
+        if udf:
+            declarations = self._udf_declarations()
+            closure = _udf_call("delta" if algorithm == "delta" else "fix")
+        else:
+            declarations, closure = "", self.closure_expression(algorithm)
+        return self._text(declarations, "declare variable $s external;",
+                          self.result_template.replace("{closure}", closure))
+
+    def _udf_declarations(self) -> str:
+        return f"""
 declare function rec ($x) as node()*
 {{ {self.recursion_body}
 }};
@@ -98,13 +107,9 @@ declare function delta ($x, $res) as node()*
          else delta ($delta, $delta union $res)
 }};
 """
-        return "\n".join(
-            part for part in (
-                self.prolog.strip(),
-                declarations.strip(),
-                self._main(f"({call})", seed_limit),
-            ) if part
-        )
+
+    def _text(self, *parts: str) -> str:
+        return "\n".join(part.strip() for part in (self.prolog, *parts) if part.strip())
 
     def _main(self, closure: str, seed_limit: int | None) -> str:
         seeds = self.seeds_expression
@@ -123,6 +128,12 @@ declare function delta ($x, $res) as node()*
                 f"workload '{self.name}' has no size '{label}' "
                 f"(available: {', '.join(sorted(self.sizes))})"
             ) from None
+
+
+def _udf_call(variant: str) -> str:
+    if variant not in ("fix", "delta"):
+        raise ValueError(f"unknown UDF variant {variant!r}")
+    return "(fix (rec ($s)))" if variant == "fix" else "(delta (rec ($s), rec ($s)))"
 
 
 # ---------------------------------------------------------------------------

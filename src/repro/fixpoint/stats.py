@@ -66,20 +66,6 @@ class FixpointStatistics:
     def result_size(self) -> int:
         return self.iterations[-1].result_size if self.iterations else 0
 
-    def merge(self, other: "FixpointStatistics") -> None:
-        """Accumulate another run's statistics (used per-seed in benchmarks)."""
-        offset = len(self.iterations)
-        for record in other.iterations:
-            self.iterations.append(
-                IterationRecord(
-                    iteration=offset + record.iteration,
-                    fed_back=record.fed_back,
-                    produced=record.produced,
-                    new_nodes=record.new_nodes,
-                    result_size=record.result_size,
-                )
-            )
-
     def summary(self) -> dict:
         """A plain-dict summary convenient for reports and JSON output."""
         return {

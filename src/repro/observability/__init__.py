@@ -32,7 +32,6 @@ from repro.observability.tracing import (
     current_trace,
     format_span_tree,
     maybe_span,
-    phase_summary,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "inject_label",
     "maybe_span",
     "merge_expositions",
-    "phase_summary",
 ]

@@ -248,40 +248,10 @@ def format_span_tree(span: Span | dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def phase_summary(span: Span | dict) -> dict[str, dict]:
-    """Aggregate a span tree by span name: total seconds and count.
-
-    The benchmark harness attaches this as the ``phases`` breakdown of a
-    ``RunResult`` — e.g. ``{"execute": {"seconds": ..., "count": 1},
-    "fixpoint": {...}, "round": {"seconds": ..., "count": 7}}``.  Nested
-    spans contribute to their own name *and* remain inside their parents'
-    totals (phases overlap by construction: a ``round`` runs inside its
-    ``fixpoint`` which runs inside ``execute``).  The ``kernel:*``
-    summaries are counters, not timed phases, and are left out.
-    """
-    if isinstance(span, Span):
-        span = span.to_dict()
-    summary: dict[str, dict] = {}
-
-    def visit(node: dict, top: bool) -> None:
-        if node["name"].startswith("kernel:"):
-            return
-        if not top:  # the root span is the whole run, not a phase
-            entry = summary.setdefault(node["name"], {"seconds": 0.0, "count": 0})
-            entry["seconds"] = round(entry["seconds"] + node["elapsed_ms"] / 1000.0, 6)
-            entry["count"] += 1
-        for child in node.get("children") or []:
-            visit(child, False)
-
-    visit(span, True)
-    return summary
-
-
 __all__ = [
     "Span",
     "TraceContext",
     "current_trace",
     "format_span_tree",
     "maybe_span",
-    "phase_summary",
 ]

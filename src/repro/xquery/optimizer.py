@@ -1,9 +1,9 @@
 """Small AST-level rewrites applied before evaluation.
 
 These are classic, semantics-preserving simplifications; the engine applies
-them in the convenience API and the benchmark harness so that the
-interpreter spends its time on the recursion behaviour under study rather
-than on avoidable axis work.
+them to every query a :class:`~repro.session.Session` evaluates (unless
+``optimize=False``), so that the interpreter spends its time on the
+recursion behaviour under study rather than on avoidable axis work.
 
 Currently implemented (the rewrite catalog, see DESIGN.md §11):
 

@@ -316,6 +316,27 @@ class TestNodeConstructionPerIteration:
         assert [item.string_value() for item in mixed] == ["", "", "3"]
 
 
+class TestConstructorContent:
+    """Atomics are space-joined within one enclosed expression only, and
+    attribute constructors are inputs of ``ε``: the algebra engine used to
+    read ``<a>{1, 2}{3}</a>`` as ``123`` and drop ``<a b="x"/>/@b``."""
+
+    @pytest.mark.parametrize("engine", ["interpreter", "sql", "algebra"])
+    @pytest.mark.parametrize("query, expected", [
+        ("<a>{1, 2}{3}</a>", ["<a>1 23</a>"]),
+        ("<a>{1}{2}</a>", ["<a>12</a>"]),
+        ("<a>x{1}</a>", ["<a>x1</a>"]),
+        ("count(<a b=\"x\"/>/@b)", ["1"]),
+        ("<p>{ attribute id {\"x\"} }{ (\"a\",\"b\") }</p>", ['<p id="x">a b</p>']),
+    ])
+    def test_enclosed_expression_boundaries(self, engine, query, expected):
+        from repro import evaluate
+        from repro.xmlio.serializer import serialize_sequence
+
+        items = evaluate(query, engine=engine).items
+        assert [serialize_sequence([item]) for item in items] == expected
+
+
 class TestIdOverAMultiDocumentCorpus:
     """``fn:id`` on the algebra engine resolves IDs in one compile-time
     document.  A corpus of several documents does not name it, and the

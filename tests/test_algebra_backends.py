@@ -5,8 +5,9 @@ backend computes identical relations.  These tests hold the row and
 columnar backends to that promise three ways:
 
 * property-style kernel tests over randomly generated tables,
-* end-to-end runs of the benchmark workloads the algebra engine supports,
-  asserting DDO-normalised results (digests) and fixpoint statistics agree,
+* end-to-end runs of the four benchmark workloads' answer templates
+  (:mod:`repro.bench.table2`), asserting answers and fixpoint statistics
+  agree with each other and with the interpreter,
 * regression tests for the per-run evaluation state (fresh memo cache,
   recursion binding and statistics per ``evaluate_plan`` call).
 """
@@ -30,16 +31,14 @@ from repro.algebra.operators import (
 )
 from repro.algebra.storage import available_backends, resolve_backend
 from repro.algebra.table import Table
-from repro.bench.harness import BenchmarkHarness
+from repro.bench.queries import WORKLOADS, get_workload
+from repro.bench.table2 import run_cell, seeds_of
+from repro.session import Session
 from repro.xmlio.parser import parse_xml
 from repro.xquery.context import DocumentResolver
 from repro.xquery.parser import parse_expression
 
 BACKENDS = ("row", "columnar")
-
-#: Workloads of bench/queries.py the algebra compiler supports end-to-end
-#: (dialogs uses positional predicates, which the compiler rejects).
-ALGEBRA_WORKLOADS = ("curriculum", "hospital", "bidder-network")
 
 
 # ---------------------------------------------------------------------------
@@ -163,52 +162,52 @@ class TestKernelEquivalence:
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return BenchmarkHarness()
+def tiny_sessions():
+    """Per workload: its tiny document in one session per backend, 4 seeds."""
+    result = {}
+    for name in WORKLOADS:
+        workload = get_workload(name)
+        document = workload.size("tiny").build_document()
+        sessions = {backend: Session({workload.document_uri: document},
+                                     settings={"backend": backend})
+                    for backend in BACKENDS}
+        result[name] = (workload, sessions, seeds_of(sessions["row"], workload, 4))
+    yield result
+    for _, sessions, _ in result.values():
+        for session in sessions.values():
+            session.close()
 
 
 class TestWorkloadEquivalence:
-    @pytest.mark.parametrize("workload", ALGEBRA_WORKLOADS)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("algorithm", ["naive", "delta"])
-    def test_backends_agree_on_workloads(self, harness, workload, algorithm):
-        runs = {
-            backend: harness.run(workload, "tiny", engine="algebra",
-                                 algorithm=algorithm, seed_limit=4, backend=backend)
-            for backend in BACKENDS
-        }
-        row, columnar = runs["row"], runs["columnar"]
-        assert row.result_digest == columnar.result_digest
-        assert row.item_count == columnar.item_count
+    def test_backends_agree_on_workloads(self, tiny_sessions, workload, algorithm):
+        spec, sessions, seeds = tiny_sessions[workload]
+        row, columnar = (run_cell(sessions[backend], spec, seeds, "algebra", algorithm)
+                         for backend in BACKENDS)
+        assert row.answers == columnar.answers
         assert row.nodes_fed_back == columnar.nodes_fed_back
         assert row.recursion_depth == columnar.recursion_depth
-        assert columnar.backend == "columnar" and row.backend == "row"
 
-    @pytest.mark.parametrize("workload", ALGEBRA_WORKLOADS)
-    def test_columnar_backend_matches_interpreter(self, harness, workload):
-        algebra = harness.run(workload, "tiny", engine="algebra",
-                              algorithm="delta", seed_limit=4, backend="columnar")
-        # The harness digests are computed over per-seed closures for the
-        # algebra engine but over the workload's result template for ifp, so
-        # compare the delta run against the naive run instead (same engine,
-        # different algorithm — Proposition 3.3 says they must agree).
-        naive = harness.run(workload, "tiny", engine="algebra",
-                            algorithm="naive", seed_limit=4, backend="columnar")
-        assert algebra.result_digest == naive.result_digest
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("algorithm", ["naive", "delta"])
+    def test_algebra_matches_the_interpreter(self, tiny_sessions, workload, algorithm):
+        spec, sessions, seeds = tiny_sessions[workload]
+        algebra = run_cell(sessions["columnar"], spec, seeds, "algebra", algorithm)
+        interpreter = run_cell(sessions["columnar"], spec, seeds, "interpreter", algorithm)
+        assert algebra.answers == interpreter.answers
+        assert algebra.nodes_fed_back == interpreter.nodes_fed_back
+        assert algebra.recursion_depth == interpreter.recursion_depth
 
-    def test_dialogs_runs_via_positional_pushdown(self, harness):
+    def test_dialogs_runs_via_positional_pushdown(self, tiny_sessions):
         # The dialogs body carries positional predicates, which the classic
         # materialize-then-filter plan rejects; since predicate pushdown the
         # compiler attaches them to the step macro, so the workload runs —
         # and both backends/algorithms agree.
-        runs = {
-            (backend, algorithm): harness.run(
-                "dialogs", "tiny", engine="algebra", algorithm=algorithm,
-                seed_limit=2, backend=backend)
-            for backend in BACKENDS
-            for algorithm in ("naive", "delta")
-        }
-        digests = {run.result_digest for run in runs.values()}
-        assert len(digests) == 1
+        spec, sessions, seeds = tiny_sessions["dialogs"]
+        answers = {tuple(run_cell(sessions[backend], spec, seeds, "algebra", algorithm).answers)
+                   for backend in BACKENDS for algorithm in ("naive", "delta")}
+        assert len(answers) == 1
 
     def test_dialogs_still_rejected_without_pushdown(self):
         from repro.algebra.compiler import AlgebraCompiler
@@ -299,7 +298,7 @@ class TestPerRunState:
         second = engine.evaluate_plan(plan)
         assert first == second
         # The latest run reports exactly its own fixpoint, while the
-        # cumulative view (what the harness accumulates per seed) has both.
+        # cumulative view has both.
         assert len(engine.last_run_statistics.fixpoint_runs) == 1
         assert len(engine.statistics.fixpoint_runs) == 2
 

@@ -268,11 +268,18 @@ class TestCli:
 class TestTable2Cli:
     def test_quick_preset_single_workload(self, capsys):
         exit_code = table2_main([
-            "--preset", "quick", "--workloads", "hospital", "--engines", "ifp",
-            "--seed-limit", "3", "--csv", "--report",
+            "--preset", "quick", "--workloads", "hospital",
+            "--engines", "interpreter", "sql", "--seed-limit", "3",
         ])
         assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "IFP Naive" in output
-        assert "hospital" in output
-        assert "workload,size,engine" in output
+        lines = capsys.readouterr().out.splitlines()
+        assert "ratio" in lines[0] and "naive fed" in lines[0]
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["hospital", "tiny", "interpreter", "3"], ["hospital", "tiny", "sql", "3"]]
+        # SQL's Delta run is one recursive CTE: its count is not observable.
+        assert lines[2].split()[8] == "-"
+
+    def test_removed_flags_are_rejected(self):
+        for flag in ("--repeat", "--warmup", "--csv", "--report", "--json"):
+            with pytest.raises(SystemExit):
+                table2_main(["--workloads", "hospital", flag])

@@ -1,16 +1,21 @@
-"""Tests for the benchmark layer (workload queries, harness, Table 2)."""
+"""Tests for the benchmark layer (workload queries, Table 2)."""
 
 import pytest
 
-from repro.bench.harness import BenchmarkHarness
 from repro.bench.queries import WORKLOADS, get_workload
-from repro.bench.reporting import format_milliseconds, render_speedups, render_table2, results_to_csv
-from repro.bench.table2 import PRESETS, run_preset
+from repro.bench.table2 import ENGINES, PRESETS, render, run_preset, run_row
+
+#: Nodes fed back under (Naive, Delta) on the tiny documents, first 5 seeds.
+TINY_FED_BACK = {"bidder-network": (38, 24), "dialogs": (25, 15),
+                 "curriculum": (479, 145), "hospital": (182, 99)}
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return BenchmarkHarness()
+def tiny_rows():
+    """Every engine × algorithm on each workload's tiny row, 5 seeds."""
+    return {name: {(cell.engine, cell.algorithm): cell
+                   for cell in run_row(name, "tiny", seed_limit=5)}
+            for name in WORKLOADS}
 
 
 class TestWorkloadDefinitions:
@@ -46,50 +51,58 @@ class TestWorkloadDefinitions:
             get_workload("curriculum").udf_query(variant="bogus")
 
 
-class TestHarness:
+class TestTable2Rows:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_naive_and_delta_agree_on_every_workload(self, harness, workload):
-        naive = harness.run(workload, "tiny", engine="ifp", algorithm="naive")
-        delta = harness.run(workload, "tiny", engine="ifp", algorithm="delta")
-        assert naive.result_digest == delta.result_digest
+    def test_naive_and_delta_agree_on_every_workload(self, tiny_rows, workload):
+        for engine in ENGINES:
+            naive = tiny_rows[workload][engine, "naive"]
+            delta = tiny_rows[workload][engine, "delta"]
+            assert naive.answers == delta.answers, engine
+            assert len(naive.answers) == 5
+        naive = tiny_rows[workload]["interpreter", "naive"]
+        delta = tiny_rows[workload]["interpreter", "delta"]
         assert delta.nodes_fed_back <= naive.nodes_fed_back
         assert naive.recursion_depth == delta.recursion_depth
 
-    def test_udf_engine_matches_ifp_engine(self, harness):
-        ifp = harness.run("curriculum", "tiny", engine="ifp", algorithm="delta")
-        udf = harness.run("curriculum", "tiny", engine="udf", algorithm="delta")
-        assert ifp.result_digest == udf.result_digest
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_engine_gives_the_interpreter_answers(self, tiny_rows, workload):
+        reference = tiny_rows[workload]["interpreter", "naive"].answers
+        for cell in tiny_rows[workload].values():
+            assert cell.answers == reference, (cell.engine, cell.algorithm)
 
-    def test_algebra_engine_runs_curriculum(self, harness):
-        naive = harness.run("curriculum", "tiny", engine="algebra", algorithm="naive")
-        delta = harness.run("curriculum", "tiny", engine="algebra", algorithm="delta")
-        assert naive.result_digest == delta.result_digest
-        assert delta.nodes_fed_back <= naive.nodes_fed_back
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_fed_back_counts_are_the_same_on_every_engine(self, tiny_rows, workload):
+        naive, delta = TINY_FED_BACK[workload]
+        for engine in ("interpreter", "algebra", "sql"):
+            assert tiny_rows[workload][engine, "naive"].nodes_fed_back == naive, engine
+            # SQL under Delta is a CTE (counts None) unless the body has no SQL form.
+            assert tiny_rows[workload][engine, "delta"].nodes_fed_back in (delta, None), engine
+        assert tiny_rows[workload]["algebra", "delta"].nodes_fed_back == delta
 
-    def test_seed_limit_is_honoured(self, harness):
-        limited = harness.run("hospital", "tiny", engine="ifp", algorithm="delta", seed_limit=3)
-        assert limited.item_count == 3
+    def test_udf_reports_no_counts(self, tiny_rows):
+        udf = tiny_rows["curriculum"]["udf", "delta"]
+        assert udf.nodes_fed_back is None and udf.recursion_depth is None
 
-    def test_unknown_engine_rejected(self, harness):
-        from repro.errors import ReproError
+    def test_seed_limit_is_honoured(self):
+        cells = run_row("hospital", "tiny", engines=("interpreter",), seed_limit=3)
+        assert [len(cell.answers) for cell in cells] == [3, 3]
 
-        with pytest.raises(ReproError):
-            harness.run("curriculum", "tiny", engine="mystery")
+    def test_unknown_engine_or_workload_rejected(self):
+        with pytest.raises(ValueError):
+            run_row("curriculum", "tiny", engines=("mystery",))
+        with pytest.raises(KeyError):
+            run_preset("quick", workloads=["nope"])
 
 
-class TestReportingAndPresets:
-    def test_quick_preset_and_rendering(self, harness):
-        results = [
-            harness.run("curriculum", "tiny", engine="ifp", algorithm="naive"),
-            harness.run("curriculum", "tiny", engine="ifp", algorithm="delta"),
-            harness.run("curriculum", "tiny", engine="udf", algorithm="delta"),
-        ]
-        table = render_table2(results)
-        assert "IFP Naive" in table and "curriculum" in table
-        speedups = render_speedups(results)
-        assert "curriculum" in speedups
-        csv_text = results_to_csv(results)
-        assert csv_text.count("\n") == 4  # header + three rows
+class TestRenderingAndPresets:
+    def test_render_pairs_naive_and_delta(self, tiny_rows):
+        cells = [tiny_rows["curriculum"][engine, algorithm]
+                 for engine in ("interpreter", "sql") for algorithm in ("naive", "delta")]
+        header, interpreter, sql = render(cells).splitlines()
+        assert "ratio" in header
+        assert interpreter.split()[:4] == ["curriculum", "tiny", "interpreter", "5"]
+        assert interpreter.split()[-3:] == ["479", "145", "8"]
+        assert sql.split()[-3:] == ["479", "-", "8"]
 
     def test_presets_reference_known_workloads(self):
         for rows in PRESETS.values():
@@ -97,10 +110,5 @@ class TestReportingAndPresets:
                 get_workload(workload).size(size)
 
     def test_run_preset_filters_workloads(self):
-        results = run_preset("quick", engines=("ifp",), workloads=["hospital"], seed_limit=3)
-        assert results and all(r.workload == "hospital" for r in results)
-
-    def test_format_milliseconds(self):
-        assert format_milliseconds(None) == "-"
-        assert format_milliseconds(0.5).endswith("ms")
-        assert "m" in format_milliseconds(75.0)
+        cells = run_preset("quick", engines=("interpreter",), workloads=["hospital"], seed_limit=3)
+        assert cells and all(cell.workload == "hospital" for cell in cells)

@@ -113,15 +113,6 @@ class TestStatistics:
         summary = statistics.summary()
         assert summary["algorithm"] == "naive" and summary["result_size"] == 4
 
-    def test_merge_concatenates_iterations(self):
-        doc = make_chain(3)
-        first, second = (FixpointEngine().run(children_body, [doc.document_element()],
-                                              algorithm="naive").statistics
-                         for _ in range(2))
-        total = first.total_nodes_fed_back + second.total_nodes_fed_back
-        first.merge(second)
-        assert first.total_nodes_fed_back == total
-
     def test_collector_aggregates_runs(self):
         collector = StatisticsCollector()
         doc = make_chain(3)

@@ -24,7 +24,6 @@ from repro.observability import (
     TraceContext,
     format_span_tree,
     maybe_span,
-    phase_summary,
 )
 from repro.service import QueryService
 from repro.session import Session
@@ -172,21 +171,6 @@ class TestTraceContext:
         trace = TraceContext()
         with maybe_span(trace, "execute") as span:
             assert span is not None and span.name == "execute"
-
-    def test_phase_summary_counts_and_excludes_root(self):
-        trace = TraceContext("bench")
-        with trace.span("execute"):
-            for iteration in range(3):
-                with trace.span("round", iteration=iteration):
-                    pass
-        trace.record_kernel("step:child", True, 0.001)
-        summary = phase_summary(trace.finish())
-        assert "bench" not in summary
-        assert not any(name.startswith("kernel:") for name in summary)
-        assert summary["execute"]["count"] == 1
-        assert summary["round"]["count"] == 3
-        assert summary["round"]["seconds"] >= 0.0
-
 
 class TestTraceThroughEngines:
     @pytest.mark.parametrize("engine", ALL_ENGINES)

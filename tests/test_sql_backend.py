@@ -9,7 +9,7 @@ flags, and the shared result-table decoding helper.
 import pytest
 
 from repro import Engine, EvalSettings, evaluate, parse_xml
-from repro.bench.harness import BenchmarkHarness
+from repro.bench.table2 import run_row
 from repro.cli import main as cli_main
 from repro.errors import AlgebraError, SqlBackendError
 from repro.sqlbackend import (
@@ -507,27 +507,26 @@ class TestPaperExampleEquivalence:
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return BenchmarkHarness()
+def tiny_cells():
+    """Interpreter and sql cells of every workload's tiny Table 2 row."""
+    return {(cell.workload, cell.engine, cell.algorithm): cell
+            for workload in ("curriculum", "hospital", "bidder-network", "dialogs")
+            for cell in run_row(workload, "tiny", engines=("interpreter", "sql"))}
 
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("workload", ["curriculum", "hospital",
                                           "bidder-network", "dialogs"])
     @pytest.mark.parametrize("algorithm", ["naive", "delta"])
-    def test_sql_engine_matches_the_interpreter(self, harness, workload, algorithm):
-        ifp = harness.run(workload, "tiny", engine="ifp", algorithm=algorithm)
-        sql = harness.run(workload, "tiny", engine="sql", algorithm=algorithm)
-        assert sql.result_digest == ifp.result_digest
-        assert sql.item_count == ifp.item_count
+    def test_sql_engine_matches_the_interpreter(self, tiny_cells, workload, algorithm):
+        sql = tiny_cells[workload, "sql", algorithm]
+        interpreter = tiny_cells[workload, "interpreter", algorithm]
+        assert sql.answers == interpreter.answers
+        if sql.nodes_fed_back is not None:
+            assert sql.nodes_fed_back == interpreter.nodes_fed_back
 
     def test_sql_engine_matches_the_algebra_engine(self):
-        """Whole-catalogue closure on the generated curriculum, all engines.
-
-        (The harness' algebra runs digest the raw per-seed closures rather
-        than the workload's result template, so this compares engines on
-        the same whole-catalogue fixpoint through the API instead.)
-        """
+        """Whole-catalogue closure on the generated curriculum, all engines."""
         from repro.datagen.curriculum import CurriculumConfig, generate_curriculum
 
         documents = {"curriculum.xml": generate_curriculum(CurriculumConfig.tiny())}
@@ -538,10 +537,10 @@ class TestWorkloadEquivalence:
             items = evaluate(query, documents=documents, engine=engine).items
             assert _identical(reference, items), engine
 
-    def test_run_result_records_the_sql_engine(self, harness):
-        result = harness.run("curriculum", "tiny", engine="sql", algorithm="delta")
-        assert result.engine == "sql"
-        assert result.ifp_evaluations > 0
+    def test_cte_cells_report_no_counts(self):
+        naive, delta = run_row("curriculum", "tiny", engines=("sql",), seed_limit=3)
+        assert naive.nodes_fed_back > 0
+        assert delta.nodes_fed_back is None and delta.recursion_depth is None
 
 
 # ---------------------------------------------------------------------------
