@@ -14,26 +14,43 @@ tables:
         VALUES (?), (?)
       ),
       fixpoint(pre) AS (
-        SELECT i.pre FROM seed AS s JOIN node AS c0 ON c0.pre = s.pre ...
+        SELECT c3.pre
+          FROM seed AS s
+          CROSS JOIN node AS c1 INDEXED BY … ON c1.parent = s.pre AND …
+          CROSS JOIN node AS c2 INDEXED BY … ON c2.parent = c1.pre AND …
+          CROSS JOIN id_attr AS c3 INDEXED BY … ON c3.doc_id = c2.doc_id
+                                                AND c3.value = TRIM(c2.value, …)
         UNION
-        SELECT i.pre FROM fixpoint AS s JOIN node AS c0 ON c0.pre = s.pre ...
+        SELECT c3.pre
+          FROM fixpoint AS s
+          CROSS JOIN … (the same chain)
       )
     SELECT pre FROM fixpoint
 
-The anchor member applies the step chain to the seed (``res_0 =
-e_rec(e_seed)`` of Definition 2.1), the recursive member re-applies it to
-newly discovered rows, and SQLite's deduplicating ``UNION`` *is* the
-inflationary accumulation — it also guarantees termination on cyclic data,
-where ``UNION ALL`` would loop forever.  Because a pure step chain is
-distributive in the recursion variable (they are exactly the STEP rules of
-the Figure 5 analysis), handing the iteration to the RDBMS's semi-naive
-CTE evaluator is always sound here.
+(the member of ``$x/id(./prerequisites/pre_code)``).  The anchor member
+applies the step chain to the seed (``res_0 = e_rec(e_seed)`` of
+Definition 2.1), the recursive member re-applies it to newly discovered
+rows, and SQLite's deduplicating ``UNION`` *is* the inflationary
+accumulation — it also guarantees termination on cyclic data, where ``UNION
+ALL`` would loop forever.  Because a pure step chain is distributive in the
+recursion variable (they are exactly the STEP rules of the Figure 5
+analysis), handing the iteration to the RDBMS's semi-naive CTE evaluator is
+always sound here.
+
+A member joins only the rows its clauses read.  Child and ``self`` steps
+and ``fn:id`` hops need nothing of their context but its ``pre``, which the
+frontier (``s.pre``) and an ``id_attr`` hop already hold; a ``node`` row for
+such a ``pre`` is joined only when a later clause reads another of its
+columns (``parent``, sibling, descendant and ancestor steps, an ``fn:id``
+argument's value).  With the covering ``(parent, name, kind)`` and
+``(doc_id, value, pre)`` indexes, the chain above never reads a ``node``
+row for ``c1`` nor any row of ``id_attr``.
 
 Steps may carry *recognized predicate shapes* (the pushdown fragment of
 :mod:`repro.xquery.pushdown`): ``[@a = "v"]``, ``[name = $v]`` and the
 existence tests ``[@a]`` / ``[name]`` become ``EXISTS`` probes against the
 shredded ``attr``/``node`` tables — riding the ``(owner, name)`` attribute
-index and the ``(parent, name)`` child index — *inside* the recursive
+index and the ``(parent, name, kind)`` child index — *inside* the recursive
 members, so the filter runs in SQLite every round instead of being
 re-evaluated in Python after decoding.  Variable right-hand sides are
 inlined from the caller's bindings when every bound value is a string.
@@ -53,8 +70,9 @@ Known simplification: the ``fn:id`` join matches a *single* ID token per
 argument node — the string value with surrounding whitespace trimmed —
 whereas XQuery tokenizes multi-token IDREFS lists on internal whitespace.
 Single-token references (the curriculum encoding, padded or not) behave
-identically; bodies reading multi-token IDREFS content should be evaluated
-through the driver loop (force ``using naive``) or the interpreter.
+identically; for multi-token IDREFS content every emitted ``fn:id`` hop
+carries a guard probe (:attr:`FixpointSql.guards`), and a store where one
+finds such content runs the fixpoint through the driver loop instead.
 """
 
 from __future__ import annotations
@@ -80,35 +98,39 @@ from repro.xquery.pushdown import (
 _BY_PRE = "NOT INDEXED"
 
 #: Axis name → (join condition template, pinned access path); ``{b}`` is the
-#: new alias, ``{a}`` the context alias (a row of the ``node`` table).  The
-#: store keeps no planner statistics (see :mod:`repro.sqlbackend.schema`), so
-#: every join names its access path instead of leaving it to the planner's
-#: defaults: child and sibling steps walk ``(parent, name)``, ``self`` and
-#: ``parent`` are ``pre`` lookups, the descendant axes are the ``pre`` range
-#: of the subtree — ``pre`` and ``post`` tick from one counter, so
-#: ``{a}.pre < pre < {a}.post`` bounds it on both sides — and the ancestor
+#: new alias, ``{a}`` the context rows (a :class:`_Rows`: ``{a.pre}`` costs
+#: nothing, any other column joins the context's ``node`` row).  The store
+#: keeps no planner statistics (see :mod:`repro.sqlbackend.schema`), so every
+#: join names its access path instead of leaving it to the planner's
+#: defaults: child and sibling steps walk ``(parent, name, kind)``, ``self``
+#: and ``parent`` are ``pre`` lookups, the descendant axes are the ``pre``
+#: range of the subtree — ``pre`` and ``post`` tick from one counter, so
+#: ``{a.pre} < pre < {a.post}`` bounds it on both sides — and the ancestor
 #: axes scan the context document's ``(doc_id, post)`` range.
 _AXIS_JOINS: dict[str, tuple[str, str]] = {
-    "child": ("{b}.parent = {a}.pre", f"INDEXED BY {CHILD_INDEX}"),
+    "child": ("{b}.parent = {a.pre}", f"INDEXED BY {CHILD_INDEX}"),
     "descendant": (
-        "{b}.pre > {a}.pre AND {b}.pre < {a}.post "
-        "AND {b}.doc_id = {a}.doc_id AND {b}.post < {a}.post", _BY_PRE),
+        "{b}.pre > {a.pre} AND {b}.pre < {a.post} "
+        "AND {b}.doc_id = {a.doc_id} AND {b}.post < {a.post}", _BY_PRE),
     "descendant-or-self": (
-        "{b}.pre >= {a}.pre AND {b}.pre < {a}.post "
-        "AND {b}.doc_id = {a}.doc_id AND {b}.post <= {a}.post", _BY_PRE),
-    "self": ("{b}.pre = {a}.pre", _BY_PRE),
-    "parent": ("{b}.pre = {a}.parent", _BY_PRE),
+        "{b}.pre >= {a.pre} AND {b}.pre < {a.post} "
+        "AND {b}.doc_id = {a.doc_id} AND {b}.post <= {a.post}", _BY_PRE),
+    "self": ("{b}.pre = {a.pre}", _BY_PRE),
+    "parent": ("{b}.pre = {a.parent}", _BY_PRE),
     "ancestor": (
-        "{b}.doc_id = {a}.doc_id AND {b}.post > {a}.post AND {b}.pre < {a}.pre",
+        "{b}.doc_id = {a.doc_id} AND {b}.post > {a.post} AND {b}.pre < {a.pre}",
         f"INDEXED BY {RANGE_INDEX}"),
     "ancestor-or-self": (
-        "{b}.doc_id = {a}.doc_id AND {b}.post >= {a}.post AND {b}.pre <= {a}.pre",
+        "{b}.doc_id = {a.doc_id} AND {b}.post >= {a.post} AND {b}.pre <= {a.pre}",
         f"INDEXED BY {RANGE_INDEX}"),
-    "following-sibling": ("{b}.parent = {a}.parent AND {b}.pre > {a}.pre",
+    "following-sibling": ("{b}.parent = {a.parent} AND {b}.pre > {a.pre}",
                           f"INDEXED BY {CHILD_INDEX}"),
-    "preceding-sibling": ("{b}.parent = {a}.parent AND {b}.pre < {a}.pre",
+    "preceding-sibling": ("{b}.parent = {a.parent} AND {b}.pre < {a.pre}",
                           f"INDEXED BY {CHILD_INDEX}"),
 }
+
+#: The ``node`` columns other than ``pre`` a clause may read off a context.
+_NODE_COLUMNS = frozenset(("post", "doc_id", "parent", "level", "kind", "name", "value"))
 
 #: Kind-test name → ``node.kind`` value (no extra filter for ``node()``).
 _KIND_FILTERS: dict[str, str | None] = {
@@ -123,6 +145,49 @@ _KIND_FILTERS: dict[str, str | None] = {
 
 class _NotEmittable(Exception):
     """Internal: the body is not a linear step chain."""
+
+
+def _cross_join(table: str, alias: str, access: str, condition: str) -> str:
+    # CROSS JOIN is SQLite's manual join-order override: the member must
+    # stay frontier-driven (read s first, then walk the chain), and the
+    # planner's cost model demonstrably inverts the order once pushed
+    # EXISTS probes enter the picture — scanning all name-test matches
+    # per round instead of the frontier.  Semantically identical to
+    # JOIN … ON in SQLite.  *access* pins the access path the same way
+    # (``INDEXED BY …`` / ``NOT INDEXED``).
+    return f"CROSS JOIN {table} AS {alias} {access} ON {condition}"
+
+
+class _Rows:
+    """A step's result as the member sees it.
+
+    ``pre`` is what the member already holds: ``s.pre`` for the frontier, an
+    axis step's ``alias.pre``, an ``fn:id`` hop's ``id_attr`` ``pre``.  Any
+    other ``node`` column (``rows.post``, ``rows.doc_id``, …) is read off
+    ``alias``; for rows that are not a ``node`` alias yet, the first such
+    read fills the join slot reserved right after the rows were produced
+    with ``node AS alias ON alias.pre = <pre>`` — so the member joins a row
+    exactly when a later clause reads it.
+    """
+
+    def __init__(self, alias: str, pre: str, joins: list[str | None] | None = None):
+        self.alias = alias
+        self.pre = pre
+        #: the emitter's join list and the slot reserved in it, for rows whose
+        #: ``node`` row is not joined yet
+        self._joins = joins
+        self._slot = -1
+        if joins is not None:
+            self._slot = len(joins)
+            joins.append(None)
+
+    def __getattr__(self, column: str) -> str:
+        if column not in _NODE_COLUMNS:
+            raise AttributeError(column)
+        if self._joins is not None and self._joins[self._slot] is None:
+            self._joins[self._slot] = _cross_join(
+                "node", self.alias, _BY_PRE, f"{self.alias}.pre = {self.pre}")
+        return f"{self.alias}.{column}"
 
 
 def format_with_recursive(name: str, columns: tuple[str, ...],
@@ -164,23 +229,29 @@ class FixpointSql:
     (:meth:`statement_from_table`).
     """
 
-    #: The step chain as one SQL member, with ``{source}`` standing for the
-    #: relation the chain reads its context rows from.
-    member_template: str
+    #: The column the member selects: the ``pre`` of the chain's result.
+    result: str
+    #: The step chain's ``CROSS JOIN`` clauses, in order, starting from the
+    #: context rows ``s``.
+    joins: tuple[str, ...]
     #: ``SELECT EXISTS(…)`` probes that detect data the chain would handle
     #: incorrectly (multi-token IDREFS content); any probe returning 1 means
     #: the executor must fall back to the driver loop.
     guards: tuple[str, ...] = ()
 
     def member(self, source: str) -> str:
-        return self.member_template.format(source=source)
+        """The chain as one SQL member reading its context rows from *source*."""
+        return "\n".join([f"SELECT {self.result}", f"  FROM {source} AS s",
+                          *(f"  {join}" for join in self.joins)])
 
     def _statement(self, seed_body: str) -> str:
         return format_with_recursive(
             "fixpoint", ("pre",),
             self.member("seed"), self.member("fixpoint"),
             union="UNION",
-            final_select="SELECT pre FROM fixpoint ORDER BY pre",
+            # No ORDER BY: decode_pres puts the nodes in document order,
+            # which across trees is order_key's, not pre's.
+            final_select="SELECT pre FROM fixpoint",
             preamble=(("seed(pre)", seed_body),),
         )
 
@@ -233,7 +304,9 @@ class _Emitter:
         self.variables = variables or {}
         self.push_predicates = push_predicates
         self.anchor_doc_id = anchor_doc_id
-        self.joins: list[str] = []
+        #: ``CROSS JOIN`` clauses in chain order; ``None`` is a node row
+        #: reserved by a :class:`_Rows` and never read
+        self.joins: list[str | None] = []
         self.guards: list[str] = []
         self._tests: dict[str, ast.NodeTest] = {}
         self._aliases = 0
@@ -254,32 +327,30 @@ class _Emitter:
         return alias
 
     def _join(self, table: str, alias: str, access: str, condition: str) -> None:
-        # CROSS JOIN is SQLite's manual join-order override: the member must
-        # stay frontier-driven (read s first, then walk the chain), and the
-        # planner's cost model demonstrably inverts the order once pushed
-        # EXISTS probes enter the picture — scanning all name-test matches
-        # per round instead of the frontier.  Semantically identical to
-        # JOIN … ON in SQLite.  *access* pins the access path the same way
-        # (``INDEXED BY …`` / ``NOT INDEXED``).
-        self.joins.append(f"CROSS JOIN {table} AS {alias} {access} ON {condition}")
+        self.joins.append(_cross_join(table, alias, access, condition))
+
+    def _unjoined(self, pre: str) -> _Rows:
+        """Rows known by their ``pre`` alone (the node row joins on demand)."""
+        return _Rows(self._fresh(), pre, self.joins)
 
     # -- entry point ---------------------------------------------------------
 
     def emit(self, body: ast.Expr) -> FixpointSql:
-        # Anchor the chain: a node-table row for the current frontier pre.
-        base = self._fresh()
-        self._join("node", base, _BY_PRE, f"{base}.pre = s.pre")
-        result = self._chain(body, base)
-        lines = [f"SELECT {result}.pre", "  FROM {source} AS s"]
-        lines.extend(f"  {join}" for join in self.joins)
-        return FixpointSql(member_template="\n".join(lines),
+        frontier = self._unjoined("s.pre")
+        result = self._chain(body, frontier)
+        if result is frontier:
+            # ``recurse $x``: no step would reject the executor's ``-1``
+            # placeholder seed — and there is nothing to iterate.
+            raise _NotEmittable
+        return FixpointSql(result=result.pre,
+                           joins=tuple(join for join in self.joins if join is not None),
                            guards=tuple(self.guards))
 
     # -- translation ---------------------------------------------------------
 
-    def _chain(self, expr: ast.Expr, context_alias: str,
-               in_id_argument: bool = False) -> str:
-        """Translate *expr* into joins; return the alias of its result.
+    def _chain(self, expr: ast.Expr, context_alias: _Rows,
+               in_id_argument: bool = False) -> _Rows:
+        """Translate *expr* into joins; return its result rows.
 
         At the top level the chain must start from the recursion variable
         (``.`` in the body denotes the *outer* context item, which the
@@ -314,7 +385,7 @@ class _Emitter:
             return self._apply_step(expr, context_alias)
         raise _NotEmittable
 
-    def _apply_step(self, step: ast.Expr, context_alias: str) -> str:
+    def _apply_step(self, step: ast.Expr, context_alias: _Rows) -> _Rows:
         if isinstance(step, ast.AxisStep):
             return self._axis_join(step, context_alias)
         if isinstance(step, ast.FunctionCall) and step.name in ("id", "fn:id") \
@@ -322,7 +393,7 @@ class _Emitter:
             return self._id_join(step.args[0], context_alias)
         raise _NotEmittable
 
-    def _axis_join(self, step: ast.AxisStep, context_alias: str) -> str:
+    def _axis_join(self, step: ast.AxisStep, context_alias: _Rows) -> _Rows:
         if step.axis not in _AXIS_JOINS:
             raise _NotEmittable  # attribute/following/preceding: driver loop
         condition, access = _AXIS_JOINS[step.axis]
@@ -333,7 +404,7 @@ class _Emitter:
             clauses.append(self._predicate_clause(predicate, alias))
         self._join("node", alias, access, " AND ".join(clauses))
         self._tests[alias] = step.node_test
-        return alias
+        return _Rows(alias, f"{alias}.pre")
 
     def _predicate_clause(self, predicate: ast.Expr, alias: str) -> str:
         """A recognized value/existence predicate as an ``EXISTS`` probe.
@@ -403,41 +474,41 @@ class _Emitter:
             return clauses
         raise _NotEmittable
 
-    def _id_join(self, argument: ast.Expr, context_alias: str,
-                 from_variable: bool = False) -> str:
+    def _id_join(self, argument: ast.Expr, context_alias: _Rows,
+                 from_variable: bool = False) -> _Rows:
         """``fn:id(arg)``: join the ID table on the argument's string value.
 
         In step position (``…/id(./chain)``) the argument walks from the
-        context item and the lookup is scoped to the context node's
-        document.  In top-level position (``id(chain-from-$var)``,
-        *from_variable*) the argument walks from the recursion variable and
-        the lookup is scoped to the anchor document the executor supplies —
-        ``fn:id`` anchors at the evaluation's context node, which the SQL
-        cannot otherwise see.  Either way the string values come straight
-        from the materialised ``value`` column.
+        context item and the lookup is scoped to the argument node's
+        document — the context node's, since the chain stays in its tree.
+        In top-level position (``id(chain-from-$var)``, *from_variable*) the
+        argument walks from the recursion variable and the lookup is scoped
+        to the anchor document the executor supplies — ``fn:id`` anchors at
+        the evaluation's context node, which the SQL cannot otherwise see.
+        Either way the string values come straight from the materialised
+        ``value`` column.
         """
         value_alias = self._chain(argument, context_alias,
                                   in_id_argument=not from_variable)
-        if value_alias == context_alias:
+        if value_alias is context_alias:
             raise _NotEmittable  # id(.) / id($x) — outside the fragment
         doc_scope = (str(self._resolve_anchor()) if from_variable
-                     else f"{context_alias}.doc_id")
+                     else value_alias.doc_id)
         self.guards.append(self._multi_token_guard(value_alias))
         alias = self._fresh()
         # TRIM matches the interpreter's whitespace handling for a single ID
         # token; the probe expression sits on the outer row, so the lookup
-        # still drives the (doc_id, value) index.
+        # still drives the (doc_id, value, pre) index.
         self._join(
             "id_attr", alias, f"INDEXED BY {ID_INDEX}",
             f"{alias}.doc_id = {doc_scope} "
-            f"AND {alias}.value = TRIM({value_alias}.value, ' ' || char(9, 10, 13))",
+            f"AND {alias}.value = TRIM({value_alias.value}, ' ' || char(9, 10, 13))",
         )
-        # id_attr.pre is an element pre; downstream steps need node columns.
-        element = self._fresh()
-        self._join("node", element, _BY_PRE, f"{element}.pre = {alias}.pre")
-        return element
+        # id_attr.pre is an element pre: its node row joins only if a later
+        # step reads one of its columns.
+        return self._unjoined(f"{alias}.pre")
 
-    def _multi_token_guard(self, value_alias: str) -> str:
+    def _multi_token_guard(self, value_alias: _Rows) -> str:
         """An ``EXISTS`` probe for multi-token IDREFS content.
 
         The TRIM-normalized equality join resolves exactly one ID token per
@@ -449,7 +520,7 @@ class _Emitter:
         trading a one-time indexed scan for never returning a silently
         wrong CTE result.
         """
-        test = self._tests.get(value_alias)
+        test = self._tests.get(value_alias.alias)
         clauses = (self._node_test_clauses(test, "n") if test is not None
                    else ["n.kind = 'element'"])
         # A name test scans that name's index entries; anything else has to

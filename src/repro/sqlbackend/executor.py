@@ -73,11 +73,6 @@ class SqlFixpointExecutor:
         #: only the last :attr:`MAX_RECORDED_STATEMENTS` are retained.
         self.executed_statements: list[str] = []
         self._run_ids = itertools.count(1)
-        #: Guard-probe verdicts keyed on (guard SQL, store version): the
-        #: multi-token IDREFS probes are data-dependent EXISTS scans, so a
-        #: hot executor (service pool, repeated fixpoints in one query)
-        #: re-proves them only after the store actually changes.
-        self._guard_verdicts: dict[tuple[tuple[str, ...], int], bool] = {}
 
     def _record_statement(self, statement: str) -> None:
         self.executed_statements.append(statement)
@@ -102,11 +97,13 @@ class SqlFixpointExecutor:
         mirrors the engine's ``use_pushdown`` option.  ``trace`` (a
         :class:`~repro.observability.tracing.TraceContext`) wraps the run
         in a ``fixpoint`` span whose ``path`` attribute records whether the
-        CTE or the driver executed it.  ``governor`` (a
-        :class:`~repro.limits.Governor`) makes the run interruptible: the
-        driver checks at round boundaries, and the CTE runs under a SQLite
-        progress handler (:func:`repro.limits.sqlite_guard`) so a single
-        monster ``WITH RECURSIVE`` honours deadlines too.
+        CTE or the driver executed it; a CTE's span also says in ``guards``
+        how its multi-token guards were decided (:meth:`_check_guards`).
+        ``governor`` (a :class:`~repro.limits.Governor`) makes the run
+        interruptible: the driver checks at round boundaries, and the CTE
+        runs under a SQLite progress handler
+        (:func:`repro.limits.sqlite_guard`) so a single monster ``WITH
+        RECURSIVE`` honours deadlines too.
         ``anchor_document`` is the context node's document (or ``None``):
         top-level ``id(...)`` bodies scope their ID lookups to it, so
         without one they fall back to the driver.
@@ -129,7 +126,8 @@ class SqlFixpointExecutor:
             seed_pres = self.store.encode(
                 ensure_node_sequence(seed, "inflationary fixed point seed"),
                 governor=governor)
-            if self._guards_trip(emitted):
+            tripped, guards = self._check_guards(emitted, trace)
+            if tripped:
                 emitted = None
         if trace is not None:
             trace.record_kernel("sql:fixpoint", emitted is not None)
@@ -138,7 +136,7 @@ class SqlFixpointExecutor:
                 body, seed, algorithm=algorithm, trace=trace,
                 governor=governor, span_attributes={"path": "driver"})
         with maybe_span(trace, "fixpoint", algorithm=algorithm, path="cte",
-                        seed=len(seed)) as span:
+                        seed=len(seed), guards=guards) as span:
             # sqlite_guard sits innermost so it can translate an interrupted
             # statement into the governor's typed error before the generic
             # sqlite3.Error → SqlBackendError mapping sees it.
@@ -170,26 +168,30 @@ class SqlFixpointExecutor:
 
         return resolve
 
-    def _guards_trip(self, emitted: FixpointSql) -> bool:
-        """True when the store holds data the emitted chain would mishandle
-        (multi-token IDREFS content) — the shared driver takes over then.
+    def _check_guards(self, emitted: FixpointSql, trace=None) -> tuple[bool, str]:
+        """Whether the store holds data the emitted chain would mishandle
+        (multi-token IDREFS content) — the shared driver takes over then —
+        and how that was known: ``"none"`` (no guard), ``"cached"`` or
+        ``"probed"``.
 
-        Verdicts are cached per store version: the probes only depend on
-        shredded content, so they hold until the next shred.
+        The verdicts live on the store (:meth:`SqlDocumentStore.verdict`),
+        once per probe and store version, so the probes run only after the
+        store's content changed; each one that runs gets a ``sql`` span
+        with ``probe="multi-token"``.
         """
-        guards = tuple(emitted.guards)
-        if not guards:
-            return False
-        key = (guards, self.store.version)
-        verdict = self._guard_verdicts.get(key)
-        if verdict is None:
-            connection = self.store.connection
-            verdict = any(connection.execute(guard).fetchone()[0]
-                          for guard in guards)
-            if len(self._guard_verdicts) > 256:
-                self._guard_verdicts.clear()
-            self._guard_verdicts[key] = verdict
-        return verdict
+        if not emitted.guards:
+            return False, "none"
+        probed = False
+
+        def probe(statement: str) -> bool:
+            nonlocal probed
+            probed = True
+            with maybe_span(trace, "sql", probe="multi-token",
+                            statement=_abbreviate(statement)):
+                return bool(self.store.connection.execute(statement).fetchone()[0])
+
+        tripped = any(self.store.verdict(guard, probe) for guard in emitted.guards)
+        return tripped, "probed" if probed else "cached"
 
     # -- the recursive CTE path ---------------------------------------------
 
@@ -218,7 +220,8 @@ class SqlFixpointExecutor:
         else:
             statement = emitted.statement(len(seed_pres))
             self._record_statement(statement)
-            parameters = seed_pres or [-1]  # VALUES needs a row; -1 matches nothing
+            # VALUES needs a row; -1 matches no step (every member takes one)
+            parameters = seed_pres or [-1]
             with maybe_span(trace, "sql", statement=_abbreviate(statement)) as span:
                 rows = connection.execute(statement, parameters).fetchall()
                 if span is not None:

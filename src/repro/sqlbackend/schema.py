@@ -35,11 +35,13 @@ Tables
     ``DocumentNode._id_map`` and the join target of ``fn:id``.
 
 Indexes cover the access paths of the emitted step joins: ``pre`` (primary
-key), ``(doc_id, post)`` for descendant/ancestor ranges, ``(parent, name)``
-for child steps with name tests (the composite is what keeps the recursive
-CTE walking frontier→child instead of scanning all elements of a name and
-filtering upwards), ``name`` for name-only scans, ``(owner, name)`` on
-attributes and ``(doc_id, value)`` on the ID table.
+key), ``(doc_id, post)`` for descendant/ancestor ranges, ``(parent, name,
+kind)`` for child steps with name tests (the composite is what keeps the
+recursive CTE walking frontier→child instead of scanning all elements of a
+name and filtering upwards; with ``kind`` in it a child step whose row is
+read no further never touches the table), ``name`` for name-only scans,
+``(owner, name)`` on attributes and ``(doc_id, value, pre)`` on the ID table
+(covering: an ``fn:id`` hop reads the index alone).
 
 The store keeps **no planner statistics** (no ``ANALYZE``): with
 ``sqlite_stat1`` rows for ``node`` SQLite ≥ 3.38 builds a Bloom filter over
@@ -59,15 +61,17 @@ import sqlite3
 SCHEMA_VERSION = 1
 
 #: The indexes the emitter pins its joins to (``INDEXED BY``): child and
-#: sibling steps walk ``(parent, name)``, ancestor steps the context
+#: sibling steps walk ``(parent, name, kind)``, ancestor steps the context
 #: document's ``(doc_id, post)`` range, attribute probes ``(owner, name)``,
-#: ``fn:id`` joins ``(doc_id, value)``; the multi-token guard probes scan one
-#: element name.
-CHILD_INDEX = "idx_node_parent_name"
+#: ``fn:id`` joins ``(doc_id, value, pre)``; the multi-token guard probes scan
+#: one element name.  The two covering shapes are named apart from the
+#: narrower indexes they replace, so a pinned ``INDEXED BY`` never meets an
+#: older file's index (``create_schema`` adds the new ones on open).
+CHILD_INDEX = "idx_node_parent_name_kind"
 RANGE_INDEX = "idx_node_post"
 NAME_INDEX = "idx_node_name"
 ATTRIBUTE_INDEX = "idx_attr_owner"
-ID_INDEX = "idx_id_attr_value"
+ID_INDEX = "idx_id_attr_value_pre"
 
 SCHEMA_STATEMENTS: tuple[str, ...] = (
     """
@@ -107,10 +111,10 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
     )
     """,
     f"CREATE INDEX IF NOT EXISTS {RANGE_INDEX} ON node(doc_id, post)",
-    f"CREATE INDEX IF NOT EXISTS {CHILD_INDEX} ON node(parent, name)",
+    f"CREATE INDEX IF NOT EXISTS {CHILD_INDEX} ON node(parent, name, kind)",
     f"CREATE INDEX IF NOT EXISTS {NAME_INDEX} ON node(name)",
     f"CREATE INDEX IF NOT EXISTS {ATTRIBUTE_INDEX} ON attr(owner, name)",
-    f"CREATE INDEX IF NOT EXISTS {ID_INDEX} ON id_attr(doc_id, value)",
+    f"CREATE INDEX IF NOT EXISTS {ID_INDEX} ON id_attr(doc_id, value, pre)",
 )
 
 

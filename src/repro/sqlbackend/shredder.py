@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import weakref
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from repro import faults
@@ -77,6 +77,8 @@ class SqlDocumentStore:
         #: id(root) → what was shredded from it (the mapped nodes pin the root)
         self._trees: dict[int, _ShreddedTree] = {}
         self._version = 0
+        #: (version, probe SQL → verdict), see verdict()
+        self._verdicts: tuple[int, dict[str, bool]] = (0, {})
         # The change tokens go back on close() or, for a store that is
         # simply dropped, when it is collected — before the nodes it pins.
         # The callback holds the table of trees, never the store.
@@ -90,9 +92,27 @@ class SqlDocumentStore:
 
         Data-dependent verdicts derived from the store's content (the
         executor's EXISTS guard probes) stay valid exactly while this
-        number is unchanged, so they key their caches on it.
+        number is unchanged: :meth:`verdict` keys them on it.
         """
         return self._version
+
+    def verdict(self, probe: str, run: Callable[[str], bool]) -> bool:
+        """The answer *run* gives for the data-dependent check *probe* (a
+        ``SELECT EXISTS(…)`` over the store), memoised per store version.
+
+        *run* is called once per probe text and :attr:`version`, so a hot
+        store — one per thread in :mod:`repro.sqlbackend.pool` — proves a
+        check once and re-proves it after the next shred or forgotten tree.
+        Only the current version's verdicts are kept.
+        """
+        version, verdicts = self._verdicts
+        if version != self._version:
+            verdicts = {}
+            self._verdicts = (self._version, verdicts)
+        verdict = verdicts.get(probe)
+        if verdict is None:
+            verdict = verdicts[probe] = run(probe)
+        return verdict
 
     # -- shredding -----------------------------------------------------------
 

@@ -6,9 +6,11 @@ algebra vs. sql) on the paper examples and the datagen workloads, the CLI
 flags, and the shared result-table decoding helper.
 """
 
+import re
+
 import pytest
 
-from repro import Engine, EvalSettings, evaluate, parse_xml
+from repro import Engine, EvalSettings, Session, evaluate, parse_xml
 from repro.bench.table2 import run_row
 from repro.cli import main as cli_main
 from repro.errors import AlgebraError, SqlBackendError
@@ -20,6 +22,7 @@ from repro.sqlbackend import (
     emit_fixpoint_sql,
     fixpoint_statements,
 )
+from repro.sqlbackend.schema import CHILD_INDEX, ID_INDEX
 from repro.xquery.context import DocumentResolver, DynamicContext
 from repro.xquery.parser import parse_expression, parse_query
 from tests.conftest import CURRICULUM_XML, course_codes
@@ -231,6 +234,7 @@ class TestEmitter:
         "($x/a, $x/b)",                                  # sequence body
         "count($x)",                                     # aggregate
         "$y/child::a",                                   # wrong variable
+        "$x",                                            # no step: nothing to iterate
     ])
     def test_non_chain_bodies_fall_back(self, body):
         assert emit_fixpoint_sql(parse_expression(body), "x") is None
@@ -238,6 +242,13 @@ class TestEmitter:
     def test_predicates_not_pushed_without_pushdown(self):
         body = parse_expression("$x/child::a[@id = 'x']")
         assert emit_fixpoint_sql(body, "x", push_predicates=False) is None
+
+    def test_braces_in_literals_stay_literal(self):
+        documents = {"d.xml": parse_xml('<r><a k="{x}"><a k="{x}"/><a k="y"/></a></r>')}
+        query = 'with $x seeded by doc("d.xml")/r recurse $x/child::a[@k = "{x}"]'
+        reference = evaluate(query, documents=documents).items
+        items = evaluate(query, documents=documents, engine=Engine.SQL).items
+        assert len(reference) == 2 and _identical(reference, items)
 
     def test_variable_rhs_inlined_from_bindings(self):
         body = parse_expression("$x/child::a[@id = $v]")
@@ -250,13 +261,15 @@ class TestEmitter:
     # -- plan shape: the access paths are pinned, not left to statistics ------
 
     @staticmethod
-    def _assert_plan_is_pinned(store, body):
-        import re
-
-        emitted = emit_fixpoint_sql(parse_expression(body), "x")
-        statement = emitted.statement(1)
-        plan = [row[3] for row in store.connection.execute(
+    def _plan(store, body):
+        """The emitted statement for *body* and its query plan lines."""
+        statement = emit_fixpoint_sql(parse_expression(body), "x").statement(1)
+        return statement, [row[3] for row in store.connection.execute(
             "EXPLAIN QUERY PLAN " + statement, (1,))]
+
+    @classmethod
+    def _assert_plan_is_pinned(cls, store, body):
+        statement, plan = cls._plan(store, body)
         text = "\n".join(plan)
         assert "BLOOM FILTER" not in text, text
         assert "AUTOMATIC" not in text, text
@@ -265,13 +278,14 @@ class TestEmitter:
             # every node/attr/id_attr alias (c0…, p) is searched.
             if detail.startswith("SCAN"):
                 assert not re.search(r"\b(c\d+|p|node|attr|id_attr)\b", detail), text
+        # A child step reads the frontier's pre (s.pre) or a step's.
         child_steps = re.findall(
-            r"node AS (c\d+) INDEXED BY idx_node_parent_name ON \1\.parent = c\d+\.pre",
+            rf"node AS (c\d+) INDEXED BY {CHILD_INDEX} ON \1\.parent = (?:c\d+|s)\.pre",
             statement)
         for alias in set(child_steps):
             searches = [detail for detail in plan
                         if re.match(rf"SEARCH (TABLE node AS )?{alias} USING "
-                                    r"(COVERING )?INDEX idx_node_parent_name", detail)]
+                                    rf"(COVERING )?INDEX {CHILD_INDEX} ", detail)]
             assert len(searches) == 2, text  # anchor member + recursive member
         if "child::" in body or body in ("$x/parent", "$x/id(./prerequisites/pre_code)"):
             assert child_steps, statement
@@ -321,6 +335,40 @@ class TestEmitter:
                 self._assert_plan_is_pinned(reopened, body)
         finally:
             reopened.close()
+
+    def test_q1_member_reads_index_entries_and_the_argument_row_only(self, big_store):
+        """Q1's member: a covering search for the ``prerequisites`` child, an
+        index search for ``pre_code`` (whose value and document the ID join
+        reads), a covering ``id_attr`` search — and no ``pre`` lookup of
+        ``node``, neither for the frontier nor for the ID's target."""
+        _, plan = self._plan(big_store, "$x/id(./prerequisites/pre_code)")
+        searches = [re.sub(r"^SEARCH TABLE \w+ AS ", "SEARCH ", detail)
+                    for detail in plan if detail.startswith("SEARCH")]
+        member = [
+            f"SEARCH c1 USING COVERING INDEX {CHILD_INDEX} (parent=? AND name=? AND kind=?)",
+            f"SEARCH c2 USING INDEX {CHILD_INDEX} (parent=? AND name=? AND kind=?)",
+            f"SEARCH c3 USING COVERING INDEX {ID_INDEX} (doc_id=? AND value=?)",
+        ]
+        assert searches == member * 2, "\n".join(plan)  # anchor + recursive member
+
+    @pytest.mark.parametrize("body, row", [
+        ("$x/parent", None),                      # a child step named parent
+        ("$x/parent::*", "c0.pre = s.pre"),       # reads the frontier's parent
+        ("$x/descendant::*", "c0.pre = s.pre"),   # … its post and document
+        ("$x/following-sibling::*", "c0.pre = s.pre"),
+        ("$x/id(./prerequisites/pre_code)/child::prerequisites", None),
+        ("$x/id(./prerequisites/pre_code)/descendant::pre_code", "c4.pre = c3.pre"),
+    ])
+    def test_a_node_row_is_joined_only_when_a_clause_reads_it(self, big_store, body, row):
+        statement, plan = self._plan(big_store, body)
+        rows = re.findall(r"NOT INDEXED ON (c\d+\.pre = (?:s|c\d+)\.pre)$", statement, re.M)
+        assert rows == ([row] * 2 if row else []), statement  # both members
+        if row:
+            alias = row.split(".")[0]
+            lookups = [detail for detail in plan if re.match(
+                rf"SEARCH (TABLE node AS )?{alias} USING INTEGER PRIMARY KEY \(rowid=\?\)",
+                detail)]
+            assert len(lookups) == 2, "\n".join(plan)
 
     def test_fixpoint_statements_lists_every_fixpoint(self, documents):
         triples = fixpoint_statements(parse_query(QUERY_Q1))
@@ -381,6 +429,76 @@ class TestExecutionPaths:
     def test_cte_runs_report_the_cte_algorithm(self, documents):
         result = evaluate(QUERY_Q1, documents=documents, engine=Engine.SQL)
         assert [run.algorithm for run in result.statistics.runs] == ["cte"]
+
+
+class TestGuardVerdictsLiveWithTheData:
+    """The multi-token probes run once per store version: a session builds
+    a new evaluator per query, but its thread's pooled store keeps the
+    verdicts until a shred or a forgotten tree changes what it holds."""
+
+    @staticmethod
+    def _statements(session):
+        """Every statement this thread's pooled store runs from now on."""
+        statements = []
+        store = session._sql_pool.store(session.snapshot())
+        store.connection.set_trace_callback(statements.append)
+        return statements
+
+    @staticmethod
+    def _probes(statements):
+        return [text for text in statements if text.startswith("SELECT EXISTS(")]
+
+    @staticmethod
+    def _ctes(statements):
+        return [text for text in statements if text.lstrip().startswith("WITH RECURSIVE")]
+
+    def test_ten_evaluations_probe_once(self, documents):
+        with Session(documents) as session:
+            statements = self._statements(session)
+            first = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+            for _ in range(8):
+                session.evaluate(QUERY_Q1, engine="sql")
+            last = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+        assert len(self._probes(statements)) == 1
+        assert len(self._ctes(statements)) == 10
+        assert course_codes(first.items) == ["c2", "c3", "c4", "c5"]
+        assert _identical(first.items, last.items)
+        # The probe is its own span, and the CTE's span says how it was decided.
+        (probe,) = [span for span in first.trace.find_all("sql")
+                    if span.attributes.get("probe") == "multi-token"]
+        assert "GLOB" in probe.attributes["statement"]
+        assert first.trace.find("fixpoint").attributes["guards"] == "probed"
+        assert last.trace.find("fixpoint").attributes["guards"] == "cached"
+        assert not any("probe" in span.attributes for span in last.trace.find_all("sql"))
+
+    def test_a_shred_or_a_forgotten_tree_probes_again(self):
+        query = ('with $x seeded by doc("{uri}")/r/a[@id="{start}"] '
+                 "recurse $x/id(./ref) using delta")
+        single = query.format(uri="a.xml", start="y1")
+        multi = query.format(uri="d.xml", start="x1")
+        with Session({"a.xml": '<r><a id="y1"><ref>y2</ref></a><a id="y2"><ref/></a></r>'}
+                     ) as session:
+            statements = self._statements(session)
+            session.evaluate(single, engine="sql")
+            session.evaluate(single, engine="sql")
+            assert (len(self._probes(statements)), len(self._ctes(statements))) == (1, 2)
+            # Shredding d.xml changes the store: the same probe runs again,
+            # finds the multi-token IDREFS and hands the fixpoint to the driver.
+            session.register_document(
+                "d.xml", '<r><a id="x1"><ref>x1 x3</ref></a><a id="x2"><ref/></a>'
+                         '<a id="x3"><ref>x2</ref></a></r>')
+            driven = session.evaluate(multi, engine="sql", trace=True)
+            reference = session.evaluate(multi, engine="interpreter")
+            assert (len(self._probes(statements)), len(self._ctes(statements))) == (2, 2)
+            assert driven.trace.find("fixpoint").attributes["path"] == "driver"
+            assert [a.get_attribute("id").value for a in reference.items] == ["x1", "x2", "x3"]
+            assert _identical(reference.items, driven.items)
+            # Forgetting d.xml changes it again: re-probed, and the CTE is back.
+            session.remove_document("d.xml")
+            result = session.evaluate(single, engine="sql", trace=True)
+            assert (len(self._probes(statements)), len(self._ctes(statements))) == (3, 3)
+            assert result.trace.find("fixpoint").attributes["guards"] == "probed"
+            assert session.stats()["sql_pool"]["trees_dropped"] == 1
 
 
 # ---------------------------------------------------------------------------
