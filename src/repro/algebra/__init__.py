@@ -20,10 +20,11 @@ paths/steps, ``fn:id``, value joins, ``count``/``empty``, conditionals,
 sequence/union/except, literals and the ``with … recurse`` form.  Like the
 paper, it treats the XPath step join and the ``id()`` lookup as macro
 operators ("micro plans") rather than expanding them to textbook joins.
+
+Every table is a :class:`~repro.algebra.columnar.ColumnarTable`: one list
+per column, shared between derived tables and never mutated.
 """
 
-from repro.algebra.storage import TableStorage, available_backends, resolve_backend
-from repro.algebra.table import Table, Column
 from repro.algebra.columnar import ColumnarTable
 from repro.algebra.operators import Operator
 from repro.algebra.compiler import AlgebraCompiler, compile_expression, compile_recursion_body
@@ -35,17 +36,12 @@ from repro.algebra.distributivity import (
 )
 
 __all__ = [
-    "Table",
     "ColumnarTable",
-    "TableStorage",
-    "Column",
     "Operator",
     "AlgebraCompiler",
     "compile_expression",
     "compile_recursion_body",
     "AlgebraEvaluator",
-    "available_backends",
-    "resolve_backend",
     "is_distributive_algebraic",
     "analyze_plan_distributivity",
     "PushUpReport",

@@ -1,9 +1,10 @@
-"""Column-at-a-time storage backend for the algebra.
+"""The algebra's table: ``iter|pos|item`` relations stored column by column.
 
-:class:`ColumnarTable` stores each column of an ``iter|pos|item`` table as
-one contiguous Python list.  Column lists are immutable by convention and
-shared, never copied, between derived tables, which makes the operators the
-loop-lifting compiler emits in bulk nearly free:
+:class:`ColumnarTable` is the one table type of the algebra engine.  It
+stores each column as one contiguous Python list; column lists are never
+mutated after construction and are shared, never copied, between derived
+tables, which makes the operators the loop-lifting compiler emits in bulk
+nearly free:
 
 * **projection/renaming** re-labels column references — O(number of columns),
   independent of row count;
@@ -14,10 +15,11 @@ loop-lifting compiler emits in bulk nearly free:
 * **duplicate elimination, difference and aggregation** hash the relevant
   columns without materialising row tuples.
 
-Node references are hashed by identity (see
-:func:`repro.algebra.storage.hashable`), mirroring the row backend, so both
-backends agree on equality semantics — the equivalence test suite in
-``tests/test_algebra_backends.py`` holds them to identical results.
+The no-mutation rule is also what lets a cached plan's literal leaves hand
+the *same* column lists to every evaluation and every thread.  Node
+references are hashed by identity (:func:`hashable`).  The row-at-a-time
+reference kernels these are checked against live in
+``tests/test_algebra_backends.py``.
 """
 
 from __future__ import annotations
@@ -27,16 +29,9 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
 from repro.errors import AlgebraError
-from repro.algebra.storage import (
-    TableStorage,
-    apply_aggregate,
-    hashable,
-    register_backend,
-    sort_key,
-)
 
 
-class ColumnarTable(TableStorage):
+class ColumnarTable:
     """A relational table stored as one list per column."""
 
     __slots__ = ("columns", "_data", "_length")
@@ -58,15 +53,9 @@ class ColumnarTable(TableStorage):
         self._data = data
         self._length = length
 
-    # -- construction ---------------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, columns: Sequence[str], rows: Iterable[Sequence[Any]] = ()) -> "ColumnarTable":
-        return cls(columns, rows)
-
     @classmethod
     def from_columns(cls, columns: Sequence[str], data: Sequence[list]) -> "ColumnarTable":
-        """Wrap existing column lists without copying (internal fast path)."""
+        """Wrap existing column lists without copying."""
         table = cls.__new__(cls)
         table.columns = tuple(columns)
         table._data = tuple(data)
@@ -83,21 +72,35 @@ class ColumnarTable(TableStorage):
 
     @property
     def rows(self) -> tuple[tuple[Any, ...], ...]:
+        """A materialised row-tuple view (for inspection)."""
         return tuple(self.iter_rows())
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnarTable):
+            return NotImplemented
+        return (self.columns == other.columns
+                and sorted(map(repr, self.iter_rows())) == sorted(map(repr, other.iter_rows())))
+
+    def __hash__(self) -> int:  # identity hashing only
+        return id(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({'|'.join(self.columns)}, {len(self)} rows)"
+
+    def column_index(self, name: str) -> int:
+        try:
+            return self.columns.index(name)
+        except ValueError:
+            raise AlgebraError(f"unknown column '{name}' in schema {self.columns!r}") from None
+
     def column_values(self, name: str) -> list[Any]:
+        """A copy of column *name* (the caller may keep or change it)."""
         return list(self._data[self.column_index(name)])
 
-    def column(self, name: str) -> list:
-        """The raw (shared, do-not-mutate) column list."""
-        return self._data[self.column_index(name)]
-
-    def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.iter_rows()]
-
-    # -- columnar kernels -----------------------------------------------------------
+    # -- kernels ------------------------------------------------------------------------
 
     def project(self, mapping: Sequence[tuple[str, str]]) -> "ColumnarTable":
+        """π — projection/renaming: *mapping* is (new_name, old_name) pairs."""
         data = [self._data[self.column_index(old)] for _new, old in mapping]
         table = ColumnarTable.__new__(ColumnarTable)
         table.columns = tuple(new for new, _old in mapping)
@@ -105,11 +108,8 @@ class ColumnarTable(TableStorage):
         table._length = self._length
         return table
 
-    def select(self, predicate: Callable[[dict], bool]) -> "ColumnarTable":
-        keep = [i for i, row in enumerate(self.as_dicts()) if predicate(row)]
-        return self._gather(keep)
-
     def select_flag(self, column: str) -> "ColumnarTable":
+        """σ — keep rows whose *column* holds a truthy value."""
         flags = self._data[self.column_index(column)]
         keep = [i for i, flag in enumerate(flags) if flag]
         if len(keep) == self._length:
@@ -118,8 +118,8 @@ class ColumnarTable(TableStorage):
 
     def select_computed(self, sources: Sequence[str],
                         function: Callable[..., Any]) -> "ColumnarTable":
-        """Fused σ∘⊚ over the raw source columns — one map over the column
-        lists, no flag column, no intermediate table."""
+        """σ∘⊚ — keep rows where ``function(*sources)`` is truthy: one map
+        over the raw source columns, no flag column, no intermediate table."""
         if sources:
             source_columns = [self._data[self.column_index(c)] for c in sources]
             keep = [i for i, flag in enumerate(map(function, *source_columns))
@@ -130,12 +130,9 @@ class ColumnarTable(TableStorage):
             return self
         return self._gather(keep)
 
-    def extend(self, column: str, func: Callable[[dict], Any]) -> "ColumnarTable":
-        new_column = [func(row) for row in self.as_dicts()]
-        return self._with_extra_column(column, new_column)
-
     def extend_computed(self, result: str, sources: Sequence[str],
                         function: Callable[..., Any]) -> "ColumnarTable":
+        """⊚ — append a column computed from *sources* via *function*."""
         if sources:
             source_columns = [self._data[self.column_index(c)] for c in sources]
             new_column = list(map(function, *source_columns))
@@ -144,12 +141,14 @@ class ColumnarTable(TableStorage):
         return self._with_extra_column(result, new_column)
 
     def map_column(self, column: str, function: Callable[[Any], Any]) -> "ColumnarTable":
+        """Replace *column* by ``function`` applied value-wise."""
         index = self.column_index(column)
         data = list(self._data)
         data[index] = [function(value) for value in data[index]]
         return ColumnarTable.from_columns(self.columns, data)
 
     def tag_rows(self, result: str, tag_base: int) -> "ColumnarTable":
+        """# — append a unique row identifier column."""
         return self._with_extra_column(result, list(range(tag_base, tag_base + self._length)))
 
     def distinct(self) -> "ColumnarTable":
@@ -164,9 +163,8 @@ class ColumnarTable(TableStorage):
             return self
         return self._gather(keep)
 
-    def union_all(self, other: TableStorage) -> "ColumnarTable":
+    def union_all(self, other: "ColumnarTable") -> "ColumnarTable":
         self._check_union_compatible(other)
-        other = _as_columnar(other)
         if other._length == 0:
             return self
         if self._length == 0:
@@ -174,9 +172,9 @@ class ColumnarTable(TableStorage):
         data = [mine + theirs for mine, theirs in zip(self._data, other._data)]
         return ColumnarTable.from_columns(self.columns, data)
 
-    def difference(self, other: TableStorage) -> "ColumnarTable":
+    def difference(self, other: "ColumnarTable") -> "ColumnarTable":
+        """EXCEPT ALL-style difference (removes one occurrence per match)."""
         self._check_union_compatible(other, verb="difference")
-        other = _as_columnar(other)
         all_indices = range(len(self.columns))
         remove = Counter(other._key_iter(all_indices))
         keep = []
@@ -197,9 +195,9 @@ class ColumnarTable(TableStorage):
 
     # -- joins -----------------------------------------------------------------------
 
-    def hash_join(self, other: TableStorage,
+    def hash_join(self, other: "ColumnarTable",
                   conditions: Sequence[tuple[str, str]]) -> "ColumnarTable":
-        other = _as_columnar(other)
+        """⋈ — equi-join on (left, right) column pairs, keys hashed by identity."""
         out_columns, right_keep = self._join_layout(other)
         left_keys = [self._data[self.column_index(l)] for l, _r in conditions]
         right_keys = [other._data[other.column_index(r)] for _l, r in conditions]
@@ -233,9 +231,9 @@ class ColumnarTable(TableStorage):
         data.extend([other._data[j][i] for i in right_take] for j in right_keep)
         return ColumnarTable.from_columns(out_columns, data)
 
-    def theta_join(self, other: TableStorage, conditions: Sequence[tuple[str, str]],
+    def theta_join(self, other: "ColumnarTable", conditions: Sequence[tuple[str, str]],
                    compare: Callable[[Any, Any], bool]) -> "ColumnarTable":
-        other = _as_columnar(other)
+        """⋈ — nested-loop join with a custom comparison per condition pair."""
         out_columns, right_keep = self._join_layout(other)
         left_keys = [self._data[self.column_index(l)] for l, _r in conditions]
         right_keys = [other._data[other.column_index(r)] for _l, r in conditions]
@@ -250,8 +248,8 @@ class ColumnarTable(TableStorage):
         data.extend([other._data[j][i] for i in right_take] for j in right_keep)
         return ColumnarTable.from_columns(out_columns, data)
 
-    def cross(self, other: TableStorage) -> "ColumnarTable":
-        other = _as_columnar(other)
+    def cross(self, other: "ColumnarTable") -> "ColumnarTable":
+        """× — Cartesian product."""
         out_columns, right_keep = self._join_layout(other)
         n, m = self._length, other._length
         data = [[column[i] for i in range(n) for _ in range(m)] for column in self._data]
@@ -263,6 +261,7 @@ class ColumnarTable(TableStorage):
 
     def aggregate(self, kind: str, group_by: Sequence[str], source: str | None,
                   result: str, loop_iters: list | None = None) -> "ColumnarTable":
+        """Grouping aggregate; *loop_iters* supplies empty groups (count = 0)."""
         group_by = tuple(group_by)
         group_columns = [self._data[self.column_index(c)] for c in group_by]
         source_column = (self._data[self.column_index(source)]
@@ -282,16 +281,28 @@ class ColumnarTable(TableStorage):
             data[width].append(apply_aggregate(kind, values))
         return ColumnarTable.from_columns(group_by + (result,), data)
 
-    # -- iter/item helpers --------------------------------------------------------------
-
-    def iter_item_pairs(self) -> Iterator[tuple[Any, Any]]:
-        return zip(self._data[self.column_index("iter")],
-                   self._data[self.column_index("item")])
+    def row_number(self, result: str, order_by: Sequence[str],
+                   partition_by: Sequence[str] = ()) -> "ColumnarTable":
+        """̺ — ordered row numbering within partitions."""
+        table = self.sort_by(tuple(partition_by) + tuple(order_by))
+        partitions = [table._data[table.column_index(c)] for c in partition_by]
+        keys = zip(*partitions) if partitions else [()] * table._length
+        counters: dict[tuple, int] = {}
+        numbers = []
+        for key in keys:
+            counters[key] = counters.get(key, 0) + 1
+            numbers.append(counters[key])
+        return table._with_extra_column(result, numbers)
 
     def items_by_iteration(self) -> tuple[dict, list]:
-        """Columnar grouping: read the two raw columns directly — the
-        common single-iteration case (fixpoint bodies) returns the shared
-        item column without any per-row work."""
+        """Group the ``item`` column per ``iter`` value, keeping first-seen
+        iteration order: ``(iteration → item list, iteration order)``.
+
+        This is the batch entry point of the macro operators (step join,
+        ``fn:id``, constructors): they get whole per-iteration item columns
+        instead of row pairs.  The common single-iteration case (fixpoint
+        bodies) costs one copy of the item column and no per-row work.
+        """
         iter_column = self._data[self.column_index("iter")]
         item_column = self._data[self.column_index("item")]
         if not iter_column:
@@ -324,11 +335,48 @@ class ColumnarTable(TableStorage):
             return iter(() for _ in range(self._length))
         return zip(*hashed)
 
+    def _join_layout(self, other: "ColumnarTable") -> tuple[tuple[str, ...], list[int]]:
+        out_columns = self.columns + tuple(c for c in other.columns if c not in self.columns)
+        right_keep = [i for i, c in enumerate(other.columns) if c not in self.columns]
+        return out_columns, right_keep
 
-def _as_columnar(table: TableStorage) -> ColumnarTable:
-    if isinstance(table, ColumnarTable):
-        return table
-    return ColumnarTable(table.columns, table.iter_rows())
+    def _check_union_compatible(self, other: "ColumnarTable", verb: str = "union") -> None:
+        if self.columns != other.columns:
+            raise AlgebraError(
+                f"{verb} over incompatible schemas {self.columns!r} and {other.columns!r}"
+            )
 
 
-register_backend("columnar", ColumnarTable)
+def apply_aggregate(kind: str, values: list) -> Any:
+    if kind == "count":
+        return len(values)
+    if not values:
+        return None
+    if kind == "sum":
+        return sum(values)
+    if kind == "max":
+        return max(values)
+    if kind == "min":
+        return min(values)
+    raise AlgebraError(f"unknown aggregate kind '{kind}'")
+
+
+def hashable(value: Any) -> Any:
+    """Rows may carry node references; hash them by identity."""
+    if value.__class__.__hash__ is not None:
+        try:
+            hash(value)
+            return value
+        except TypeError:  # pragma: no cover - defensive
+            pass
+    return id(value)
+
+
+def sort_key(value: Any) -> Any:
+    if hasattr(value, "order_key"):
+        return (1, value.order_key)
+    if isinstance(value, bool):
+        return (2, value)
+    if isinstance(value, (int, float)):
+        return (0, value)
+    return (3, str(value))

@@ -8,7 +8,10 @@ environment mapping names to plans.  Like the paper (Table 1), XPath steps,
 ``fn:id`` and node construction are emitted as macro operators rather than
 expanded into textbook joins; and like Section 4.1, plans destined for the
 distributivity check omit duplicate-elimination and order bookkeeping, which
-the macros encapsulate anyway.
+the macros encapsulate anyway.  The constant leaves it emits (the
+single-iteration loop, the empty sequence) are
+:class:`~repro.algebra.columnar.ColumnarTable` values built once, here, and
+read unchanged by every evaluation of the plan.
 
 Supported fragment
 ------------------
@@ -50,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import AlgebraError, XQueryDynamicError
+from repro.algebra.columnar import ColumnarTable
 from repro.algebra.operators import (
     Aggregate,
     AtomizeValue,
@@ -73,8 +77,6 @@ from repro.algebra.operators import (
     UnionAll,
     ValueEqualJoin,
 )
-from repro.algebra.storage import resolve_backend
-from repro.algebra.table import Table
 from repro.fixpoint.decision import decide_fixpoint
 from repro.settings import EvalSettings
 from repro.xdm.comparison import atomic_equal, atomic_less_than
@@ -113,7 +115,6 @@ class AlgebraCompiler:
                  document: DocumentNode | None = None,
                  functions: dict[tuple[str, int], ast.FunctionDecl] | None = None,
                  analysis_only: bool = False,
-                 backend: "str | type | None" = None,
                  push_predicates: bool = True,
                  settings: EvalSettings = EvalSettings(),
                  analysis: AnalysisReport | None = None):
@@ -136,12 +137,6 @@ class AlgebraCompiler:
             When true the compiler is lenient about missing documents — the
             resulting plan is only used for the distributivity check, never
             executed.
-        backend:
-            Storage backend used for the literal tables the compiler emits
-            (loop seeds, empty sequences).  Defaults to the row backend; an
-            evaluator running a different backend adopts (converts) literal
-            leaves on first use, so any combination is valid — matching the
-            evaluator's backend merely avoids that conversion.
         push_predicates:
             Push recognized predicate shapes (:mod:`repro.xquery.pushdown`)
             into the :class:`~repro.algebra.operators.StepJoin` macro as
@@ -158,7 +153,6 @@ class AlgebraCompiler:
         self.document = document
         self.functions = functions or {}
         self.analysis_only = analysis_only
-        self.storage = Table if backend is None else resolve_backend(backend)
         self.push_predicates = push_predicates
         self.settings = settings
         self.analysis = analysis
@@ -168,7 +162,7 @@ class AlgebraCompiler:
 
     def single_iteration_loop(self) -> Operator:
         """The loop relation of a top-level expression: a single iteration."""
-        return LiteralTable(self.storage(("iter",), [(1,)]))
+        return LiteralTable(ColumnarTable.from_columns(("iter",), [[1]]))
 
     def initial_context(self, variables: dict[str, Operator] | None = None) -> CompilationContext:
         return CompilationContext(loop=self.single_iteration_loop(),
@@ -793,7 +787,7 @@ class AlgebraCompiler:
         return Project(with_item, [("iter", "iter"), ("pos", "pos"), ("item", "item")])
 
     def _empty_sequence_plan(self, context: CompilationContext) -> Operator:
-        return LiteralTable(self.storage(SEQ_COLUMNS))
+        return LiteralTable(ColumnarTable(SEQ_COLUMNS))
 
     def _iteration_major(self, union: Operator, context: CompilationContext) -> Operator:
         """*union* with each iteration's rows contiguous: inside a loop a
@@ -911,11 +905,9 @@ def _arithmetic_function(op: str):
 def compile_expression(expr: ast.Expr,
                        documents: DocumentResolver | None = None,
                        document: DocumentNode | None = None,
-                       functions: dict[tuple[str, int], ast.FunctionDecl] | None = None,
-                       backend: "str | type | None" = None) -> Operator:
+                       functions: dict[tuple[str, int], ast.FunctionDecl] | None = None) -> Operator:
     """Compile a top-level expression with a fresh compiler."""
-    compiler = AlgebraCompiler(documents=documents, document=document, functions=functions,
-                               backend=backend)
+    compiler = AlgebraCompiler(documents=documents, document=document, functions=functions)
     return compiler.compile(expr)
 
 
@@ -923,10 +915,8 @@ def compile_recursion_body(body: ast.Expr, variable: str,
                            documents: DocumentResolver | None = None,
                            document: DocumentNode | None = None,
                            functions: dict[tuple[str, int], ast.FunctionDecl] | None = None,
-                           analysis_only: bool = True,
-                           backend: "str | type | None" = None) -> tuple[Operator, RecursionInput]:
+                           analysis_only: bool = True) -> tuple[Operator, RecursionInput]:
     """Compile a recursion body for analysis or µ/µ∆ evaluation."""
     compiler = AlgebraCompiler(documents=documents, document=document,
-                               functions=functions, analysis_only=analysis_only,
-                               backend=backend)
+                               functions=functions, analysis_only=analysis_only)
     return compiler.compile_recursion_body(body, variable)

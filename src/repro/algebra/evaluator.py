@@ -11,29 +11,22 @@ returns the ``item`` column.  Rounds, budgets, spans and typed errors are
 therefore the interpreter's by construction, and the rows fed into the body
 per iteration are Table 2's "total number of nodes fed back".
 
-Two execution details worth knowing:
-
-* **Pluggable storage** — the evaluator is constructed with a table
-  ``backend`` (``"row"`` or ``"columnar"``, see
-  :mod:`repro.algebra.storage`); operators dispatch through the storage
-  protocol, and leaf tables compiled with a different backend are adopted
-  (converted) on first use.
-* **Per-run state** — every :meth:`AlgebraEvaluator.evaluate_plan` call
-  runs in a fresh :class:`_PlanRun` with its own memo cache, recursion
-  binding and statistics, so nested or repeated evaluations cannot leak
-  fixpoint bindings into each other.  ``AlgebraEvaluator.statistics``
-  remains the cumulative view across runs (what a session reports for
-  one query); ``last_run_statistics`` is the freshest single run.
+Tables are :class:`~repro.algebra.columnar.ColumnarTable` throughout.
+Every :meth:`AlgebraEvaluator.evaluate_plan` call runs in a fresh
+:class:`_PlanRun` with its own memo cache, recursion binding and
+statistics, so nested or repeated evaluations cannot leak fixpoint bindings
+into each other.  ``AlgebraEvaluator.statistics`` remains the cumulative
+view across runs (what a session reports for one query);
+``last_run_statistics`` is the freshest single run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from repro.errors import AlgebraError
+from repro.algebra.columnar import ColumnarTable
 from repro.algebra.operators import AlgebraEngineProtocol, Fixpoint, Operator
-from repro.algebra.storage import TableStorage, resolve_backend
 from repro.fixpoint.engine import FixpointEngine
 from repro.fixpoint.stats import FixpointStatistics
 
@@ -59,46 +52,34 @@ class AlgebraStatistics:
 class _PlanRun(AlgebraEngineProtocol):
     """One plan evaluation: private memo cache, binding and statistics."""
 
-    def __init__(self, storage: type, max_iterations: int,
+    def __init__(self, max_iterations: int,
                  statistics: AlgebraStatistics | None = None,
                  use_index: bool = True, trace=None, governor=None):
-        self.storage = storage
         self.max_iterations = max_iterations
         self.statistics = statistics if statistics is not None else AlgebraStatistics()
         self.macro_cache: dict = {}
         self.use_index = use_index
         self.trace = trace
         self.governor = governor
-        self._recursion_binding: TableStorage | None = None
+        self._recursion_binding: ColumnarTable | None = None
 
     # -- engine protocol ------------------------------------------------------
 
-    def make_table(self, columns: Sequence[str], rows=()) -> TableStorage:
-        return self.storage(columns, rows)
-
-    def make_table_from_columns(self, columns: Sequence[str], data) -> TableStorage:
-        return self.storage.from_columns(columns, data)
-
-    def adopt(self, table: TableStorage) -> TableStorage:
-        if isinstance(table, self.storage):
-            return table
-        return self.storage.from_rows(table.columns, table.iter_rows())
-
-    def recursion_input(self) -> TableStorage:
+    def recursion_input(self) -> ColumnarTable:
         if self._recursion_binding is None:
             raise AlgebraError("recursion input used outside a fixpoint evaluation")
         return self._recursion_binding
 
-    def evaluate_plan(self, plan: Operator) -> TableStorage:
+    def evaluate_plan(self, plan: Operator) -> ColumnarTable:
         """Evaluate a nested plan in a fresh run (no binding leaks into it)."""
-        nested = _PlanRun(self.storage, self.max_iterations, statistics=self.statistics,
+        nested = _PlanRun(self.max_iterations, statistics=self.statistics,
                           use_index=self.use_index, trace=self.trace,
                           governor=self.governor)
         return nested._evaluate(plan, cache={})
 
     # -- internals ---------------------------------------------------------------
 
-    def _evaluate(self, operator: Operator, cache: dict[int, TableStorage]) -> TableStorage:
+    def _evaluate(self, operator: Operator, cache: dict[int, ColumnarTable]) -> ColumnarTable:
         if id(operator) in cache:
             return cache[id(operator)]
         governor = self.governor
@@ -113,7 +94,7 @@ class _PlanRun(AlgebraEngineProtocol):
         cache[id(operator)] = result
         return result
 
-    def _evaluate_fixpoint(self, operator: Fixpoint, cache: dict[int, TableStorage]) -> TableStorage:
+    def _evaluate_fixpoint(self, operator: Fixpoint, cache: dict[int, ColumnarTable]) -> ColumnarTable:
         seed_table = self._evaluate(operator.seed_plan, cache)
 
         def body(nodes: list) -> list:
@@ -127,7 +108,7 @@ class _PlanRun(AlgebraEngineProtocol):
         self.statistics.fixpoint_runs.append(result.statistics)
         return self._items_table(result.value)
 
-    def _apply_body(self, operator: Fixpoint, input_table: TableStorage) -> TableStorage:
+    def _apply_body(self, operator: Fixpoint, input_table: ColumnarTable) -> ColumnarTable:
         """Evaluate the body plan with the recursion input bound to *input_table*."""
         previous = self._recursion_binding
         self._recursion_binding = input_table
@@ -138,11 +119,11 @@ class _PlanRun(AlgebraEngineProtocol):
         finally:
             self._recursion_binding = previous
 
-    def _items_table(self, items: list) -> TableStorage:
+    def _items_table(self, items: list) -> ColumnarTable:
         """*items* as a one-iteration sequence table (the list is not copied:
         the driver hands over lists nobody else holds)."""
         count = len(items)
-        return self.make_table_from_columns(
+        return ColumnarTable.from_columns(
             SEQ_COLUMNS, [[1] * count, list(range(1, count + 1)), items]
         )
 
@@ -154,9 +135,6 @@ class AlgebraEvaluator:
     ----------
     max_iterations:
         Fixpoint iteration bound (cycle/runaway protection).
-    backend:
-        Table storage backend: ``"row"``, ``"columnar"`` (default) or a
-        storage class — see :mod:`repro.algebra.storage`.
     use_index:
         Route the step macro through the per-document structural index's
         batch kernels (:mod:`repro.xdm.index`).  Defaults to on; disable
@@ -171,24 +149,19 @@ class AlgebraEvaluator:
         boundary (deadline, cancellation, round/frontier/result budgets).
     """
 
-    def __init__(self, max_iterations: int = 100_000, backend: "str | type | None" = None,
+    def __init__(self, max_iterations: int = 100_000,
                  use_index: bool = True, trace=None, governor=None):
         self.max_iterations = max_iterations
-        self.storage = resolve_backend(backend)
         self.use_index = use_index
         self.trace = trace
         self.governor = governor
         self.run_history: list[AlgebraStatistics] = []
 
-    @property
-    def backend(self) -> str:
-        return self.storage.backend_name
-
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate_plan(self, plan: Operator) -> TableStorage:
+    def evaluate_plan(self, plan: Operator) -> ColumnarTable:
         """Evaluate *plan* in a fresh run and return its output table."""
-        run = _PlanRun(self.storage, self.max_iterations, use_index=self.use_index,
+        run = _PlanRun(self.max_iterations, use_index=self.use_index,
                        trace=self.trace, governor=self.governor)
         result = run._evaluate(plan, cache={})
         self.run_history.append(run.statistics)
@@ -218,5 +191,5 @@ class AlgebraEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _items(table: TableStorage) -> list:
+def _items(table: ColumnarTable) -> list:
     return table.column_values("item")

@@ -6,13 +6,10 @@ compute its output table from its input tables.  Plans are DAGs of
 operators; sharing is by object identity and the evaluator memoises
 accordingly.
 
-Operators are *storage-agnostic*: they never materialise rows themselves
-but dispatch through the kernel methods of
-:class:`~repro.algebra.storage.TableStorage` (hash joins, set-based
-duplicate elimination, column-wise scalar maps), and construct fresh tables
-through the engine's storage factory.  The physical representation — row
-tuples or columnar — is chosen by the evaluator; see
-:mod:`repro.algebra.storage`.
+Operators never materialise rows themselves: they call the kernel methods
+of :class:`~repro.algebra.columnar.ColumnarTable` (hash joins, set-based
+duplicate elimination, column-wise scalar maps), and the macros build their
+outputs from whole columns with ``ColumnarTable.from_columns``.
 
 Following the paper, the non-textbook operators (the XPath step join, the
 ``fn:id`` lookup, node constructors and the fixpoint operators µ/µ∆) are
@@ -29,8 +26,7 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.errors import AlgebraError, XQueryTypeError
-from repro.algebra.storage import TableStorage
-from repro.algebra.table import Table
+from repro.algebra.columnar import ColumnarTable
 from repro.xdm.index import (
     IndexSet,
     batch_id,
@@ -92,7 +88,7 @@ class Operator:
 
     # -- evaluation -----------------------------------------------------------
 
-    def compute(self, inputs: list[TableStorage], engine: "AlgebraEngineProtocol") -> TableStorage:
+    def compute(self, inputs: list[ColumnarTable], engine: "AlgebraEngineProtocol") -> ColumnarTable:
         """Compute the operator's output from its children's outputs."""
         raise NotImplementedError
 
@@ -133,23 +129,11 @@ class AlgebraEngineProtocol:
     #: runs) — the step macro counts its pushed-kernel hits on it.
     trace = None
 
-    def recursion_input(self) -> TableStorage:  # pragma: no cover - interface only
+    def recursion_input(self) -> ColumnarTable:  # pragma: no cover - interface only
         raise NotImplementedError
 
-    def evaluate_plan(self, plan: Operator) -> TableStorage:  # pragma: no cover - interface only
+    def evaluate_plan(self, plan: Operator) -> ColumnarTable:  # pragma: no cover - interface only
         raise NotImplementedError
-
-    def make_table(self, columns: Sequence[str], rows=()) -> TableStorage:
-        """Construct a table in the engine's storage backend."""
-        return Table(columns, rows)
-
-    def make_table_from_columns(self, columns: Sequence[str], data: Sequence[list]) -> TableStorage:
-        """Construct a table from per-column value lists."""
-        return Table.from_columns(columns, data)
-
-    def adopt(self, table: TableStorage) -> TableStorage:
-        """Convert *table* into the engine's storage backend if needed."""
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +142,22 @@ class AlgebraEngineProtocol:
 
 
 class LiteralTable(Operator):
-    """A constant table (used for literal frequencies, loop seeds, ...)."""
+    """A constant table (used for literal frequencies, loop seeds, ...).
+
+    Every evaluation of the plan — every fixpoint round, every plan-cache
+    hit, on any thread — gets this very table, which is sound because no
+    kernel mutates a column list it was given.
+    """
 
     symbol = "table"
     union_pushable = True
 
-    def __init__(self, table: TableStorage):
+    def __init__(self, table: ColumnarTable):
         super().__init__()
         self.table = table
 
     def compute(self, inputs, engine):
-        return engine.adopt(self.table)
+        return self.table
 
     def label(self):
         return f"table({'|'.join(self.table.columns)}, {len(self.table)})"
@@ -188,7 +177,7 @@ class DocumentRoot(Operator):
     def compute(self, inputs, engine):
         iters = inputs[0].column_values("iter")
         count = len(iters)
-        return engine.make_table_from_columns(
+        return ColumnarTable.from_columns(
             ("iter", "pos", "item"), [iters, [1] * count, [self.document] * count]
         )
 
@@ -516,7 +505,7 @@ class RowNumber(Operator):
 # ---------------------------------------------------------------------------
 
 
-def _group_items_by_iteration(table: TableStorage,
+def _group_items_by_iteration(table: ColumnarTable,
                               require_nodes: bool = False) -> tuple[dict, list]:
     """Group an ``iter|…|item`` table's items per iteration, keeping order."""
     per_iteration, order = table.items_by_iteration()
@@ -528,7 +517,7 @@ def _group_items_by_iteration(table: TableStorage,
     return per_iteration, order
 
 
-def _sequence_table(engine, results: list[tuple[Any, list]]) -> TableStorage:
+def _sequence_table(results: list[tuple[Any, list]]) -> ColumnarTable:
     """``(iteration, items)`` pairs as an ``iter|pos|item`` table, positions
     counting each iteration's items from 1."""
     iters: list = []
@@ -538,8 +527,7 @@ def _sequence_table(engine, results: list[tuple[Any, list]]) -> TableStorage:
         iters.extend([iteration] * len(result))
         positions.extend(range(1, len(result) + 1))
         items.extend(result)
-    return engine.make_table_from_columns(("iter", "pos", "item"),
-                                          [iters, positions, items])
+    return ColumnarTable.from_columns(("iter", "pos", "item"), [iters, positions, items])
 
 
 class StepJoin(Operator):
@@ -682,7 +670,7 @@ class StepJoin(Operator):
         if trace is not None:
             trace.record_kernel(f"algebra-step:{self.axis}", True,
                                 perf_counter() - timer)
-        return _sequence_table(engine, results)
+        return _sequence_table(results)
 
     def _iteration_values(self, iteration, value_groups: list[dict]) -> tuple:
         """The resolved values per pushed shape for one iteration: the
@@ -850,7 +838,7 @@ class IdLookup(Operator):
                 if found is None:
                     found = ddo(batch_id(document, self._chain(column)))
             results.append((iteration, found))
-        return _sequence_table(engine, results)
+        return _sequence_table(results)
 
     def _chain(self, column: list) -> list:
         """*column* through the *path* steps, on the node objects."""
@@ -902,7 +890,7 @@ class PathResult(Operator):
                 raise XQueryTypeError("path result mixes nodes and atomic values",
                                       code="XPTY0018")
             results.append((iteration, result))
-        return _sequence_table(engine, results)
+        return _sequence_table(results)
 
 
 class AtomizeValue(Operator):
@@ -942,7 +930,7 @@ class NodeConstructor(Operator):
         parts = [part.items_by_iteration()[0] for part in inputs[1:]]
         constructed = [self._construct([part.get(iteration, ()) for part in parts])
                        for iteration in order]
-        return engine.make_table_from_columns(
+        return ColumnarTable.from_columns(
             ("iter", "pos", "item"), [order, [1] * len(order), constructed]
         )
 

@@ -56,9 +56,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="distributivity checker 'auto' asks, on every engine")
     parser.add_argument("--engine", choices=["interpreter", "algebra", "sql"],
                         default="interpreter")
-    parser.add_argument("--backend", choices=["row", "columnar"], default=None,
-                        help="table storage backend of the algebra engine "
-                             "(default: columnar; only valid with --engine algebra)")
     parser.add_argument("--no-index", action="store_true",
                         help="disable the per-document structural index and answer "
                              "axis steps by walking node objects (A/B escape hatch)")
@@ -97,12 +94,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="only analyse the given recursion body for $x and exit")
     arguments = parser.parse_args(argv)
 
-    if arguments.backend is not None and arguments.engine != "algebra":
-        parser.error(
-            f"--backend selects the algebra engine's table storage and is not "
-            f"used by --engine {arguments.engine}; drop it or use --engine algebra"
-        )
-
     if arguments.check_distributivity is not None:
         site = ast.WithExpr("x", ast.EmptySequence(),
                             parse_expression(arguments.check_distributivity))
@@ -136,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         ifp_algorithm=arguments.algorithm,
         distributivity_checker=arguments.checker,
         engine=arguments.engine,
-        backend=arguments.backend,
         use_index=not arguments.no_index,
         use_pushdown=not arguments.no_pushdown,
         use_cache=not arguments.no_plan_cache,

@@ -454,10 +454,10 @@ class Session:
                           governor: Governor | None,
                           analysis: AnalysisReport | None) -> QueryResult:
         """Compile (or fetch) and run the algebra plan of *module*."""
+        from repro.algebra.columnar import ColumnarTable
         from repro.algebra.compiler import AlgebraCompiler
         from repro.algebra.evaluator import AlgebraEvaluator
         from repro.algebra.operators import LiteralTable
-        from repro.algebra.storage import resolve_backend
         from repro.sqlbackend.decode import decode_result_table
 
         plan = None
@@ -469,15 +469,12 @@ class Session:
         # arrange via the module cache).  A module this call just rewrote is
         # fresh per call: caching would only fill the LRU with entries that
         # can never hit, each pinning documents.  The settings component is
-        # the normalized EvalSettings plan key — backend, pushdown and what
-        # decides µ or µ∆ shape the compiled plan, everything else is
+        # the normalized EvalSettings plan key — pushdown and what decides
+        # µ or µ∆ shape the compiled plan, everything else is
         # evaluation-time.  Whether the entry found fits *these* documents
         # is the entry's to say.
         if settings.use_cache and plan_cacheable and plancache.module_cache_safe(module):
-            plan_key = (
-                plancache.fingerprint([module]),
-                settings.plan_key(resolve_backend(settings.backend).backend_name),
-            )
+            plan_key = (plancache.fingerprint([module]), settings.plan_key())
             entry = self._plan_cache.get(plan_key, lambda entry: entry.serves(resolver))
             plan_cache_state = "miss"
             if entry is not None:
@@ -491,7 +488,6 @@ class Session:
             read = plancache.DocumentsRead(resolver)
             compiler = AlgebraCompiler(documents=read,
                                        functions=module.function_map(),
-                                       backend=settings.backend,
                                        push_predicates=settings.use_pushdown,
                                        settings=settings, analysis=analysis)
             evaluator = Evaluator()
@@ -520,7 +516,7 @@ class Session:
                 rows = [(1, position, item) for position, item in enumerate(value, start=1)]
                 compile_context = compile_context.bind(
                     declaration.name,
-                    LiteralTable(compiler.storage(("iter", "pos", "item"), rows)),
+                    LiteralTable(ColumnarTable(("iter", "pos", "item"), rows)),
                 )
             plan = compiler.compile(module.body, compile_context)
             if plan_key is not None:
@@ -529,7 +525,6 @@ class Session:
             compile_span.set(plan_cache=plan_cache_state)
             trace.end(compile_span)
         algebra_engine = AlgebraEvaluator(max_iterations=settings.max_ifp_iterations,
-                                          backend=settings.backend,
                                           use_index=settings.use_index,
                                           trace=trace, governor=governor)
         with maybe_span(trace, "execute"):

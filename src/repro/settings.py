@@ -64,9 +64,6 @@ class EvalSettings:
         nowhere else; a name it does not know is a ``ValueError`` here.
     engine:
         :class:`Engine` member (strings are coerced).
-    backend:
-        Table storage backend of the algebra engine (``"row"`` /
-        ``"columnar"``); ``None`` picks the default.
     optimize:
         Apply the AST-level rewrites of :mod:`repro.xquery.optimizer`.
     analyze:
@@ -102,7 +99,6 @@ class EvalSettings:
     ifp_algorithm: str = "auto"
     distributivity_checker: str = "syntactic"
     engine: Engine = Engine.INTERPRETER
-    backend: str | None = None
     optimize: bool = True
     analyze: bool = True
     use_index: bool = True
@@ -129,22 +125,21 @@ class EvalSettings:
         """A copy with *changes* applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
 
-    def plan_key(self, resolved_backend: str) -> "EvalSettings":
+    def plan_key(self) -> "EvalSettings":
         """These settings normalized down to what shapes a compiled plan.
 
         The algebra plan cache uses the returned value directly as the
         settings component of its key: fields that only steer *evaluation*
         (index usage, tracing, budgets) are reset to defaults so equivalent
         plans share one entry, while fields baked into the plan survive —
-        storage backend, predicate pushdown, and the two that decide each
-        fixpoint's µ or µ∆ (``ifp_algorithm``, ``distributivity_checker``;
-        ``analyze`` says whether the decision read the cached report).
+        predicate pushdown, and the two that decide each fixpoint's µ or µ∆
+        (``ifp_algorithm``, ``distributivity_checker``; ``analyze`` says
+        whether the decision read the cached report).
         """
         return EvalSettings(
             ifp_algorithm=self.ifp_algorithm,
             distributivity_checker=self.distributivity_checker,
             engine=Engine.ALGEBRA,
-            backend=resolved_backend,
             use_pushdown=self.use_pushdown,
             analyze=self.analyze,
         )

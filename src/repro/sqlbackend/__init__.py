@@ -18,7 +18,7 @@ RDBMS):
 * :mod:`repro.sqlbackend.decode` — relational results back to XDM items.
 """
 
-from repro.sqlbackend.decode import ResultTable, decode_result_table
+from repro.sqlbackend.decode import decode_result_table
 from repro.sqlbackend.emitter import FixpointSql, emit_fixpoint_sql
 from repro.sqlbackend.executor import (
     SQLEvaluator,
@@ -29,7 +29,6 @@ from repro.sqlbackend.shredder import SqlDocumentStore
 
 __all__ = [
     "FixpointSql",
-    "ResultTable",
     "SQLEvaluator",
     "SqlDocumentStore",
     "SqlFixpointExecutor",

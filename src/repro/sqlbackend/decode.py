@@ -2,12 +2,9 @@
 
 Two decoders live here:
 
-* :func:`decode_result_table` — the shared "last mile" of both relational
-  execution paths (`algebra` and `sql`): extract the item sequence from an
-  ``iter|pos|item`` result table.  It is duck-typed over the table-storage
-  protocol (row tables, columnar tables, and the SQL backend's
-  :class:`ResultTable` all qualify), so :mod:`repro.api` uses one helper
-  for every engine instead of inlining the ``item``-column fallback logic.
+* :func:`decode_result_table` — the "last mile" of the algebra engine:
+  extract the item sequence from an ``iter|pos|item``
+  :class:`~repro.algebra.columnar.ColumnarTable`, reading one column.
 * :func:`decode_pres` — map a sequence of ``pre`` ranks from the SQLite
   store back to live XDM nodes, in document order (ascending ``order_key``,
   i.e. exactly the order ``fs:ddo`` — and therefore the interpreter's
@@ -16,25 +13,10 @@ Two decoders live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.xdm.node import Node
 from repro.xdm.sequence import doc_order
-
-
-@dataclass
-class ResultTable:
-    """A minimal ``iter|pos|item`` result table (SQL backend output)."""
-
-    columns: tuple[str, ...]
-    rows: list[tuple]
-
-    def column_index(self, name: str) -> int:
-        return self.columns.index(name)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def decode_result_table(table) -> list:
@@ -44,13 +26,7 @@ def decode_result_table(table) -> list:
     that end in a projection with renamed columns deliver their payload in
     the last column, hence the fallback.
     """
-    columns = tuple(table.columns)
-    if "item" in columns:
-        item_index = (table.column_index("item") if hasattr(table, "column_index")
-                      else columns.index("item"))
-    else:
-        item_index = len(columns) - 1
-    return [row[item_index] for row in table.rows]
+    return table.column_values("item" if "item" in table.columns else table.columns[-1])
 
 
 def decode_pres(store, pres: Iterable[int]) -> list[Node]:
@@ -58,4 +34,4 @@ def decode_pres(store, pres: Iterable[int]) -> list[Node]:
     return doc_order(store.decode(pres), distinct=True)
 
 
-__all__ = ["ResultTable", "decode_result_table", "decode_pres"]
+__all__ = ["decode_result_table", "decode_pres"]

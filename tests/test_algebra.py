@@ -5,6 +5,7 @@ import pytest
 
 from repro import EvalSettings
 from repro.errors import AlgebraError
+from repro.algebra.columnar import ColumnarTable
 from repro.algebra.compiler import AlgebraCompiler, compile_recursion_body
 from repro.algebra.distributivity import (
     analyze_plan_distributivity,
@@ -28,7 +29,6 @@ from repro.algebra.operators import (
     UnionAll,
 )
 from repro.algebra.plan import find_recursion_inputs, plan_size, render_dot, render_plan
-from repro.algebra.table import Table
 from repro.xquery.context import DocumentResolver
 from repro.xquery.parser import parse_expression, parse_query
 from tests.conftest import course_codes
@@ -42,33 +42,33 @@ from tests.conftest import course_codes
 class TestTable:
     def test_schema_validation(self):
         with pytest.raises(AlgebraError):
-            Table(("a", "b"), [(1,)])
+            ColumnarTable(("a", "b"), [(1,)])
 
     def test_project_select_extend(self):
-        table = Table(("a", "b"), [(1, 10), (2, 20)])
+        table = ColumnarTable(("a", "b"), [(1, 10), (2, 20)])
         assert table.project([("b", "b")]).rows == ((10,), (20,))
-        assert len(table.select(lambda row: row["a"] == 2)) == 1
-        extended = table.extend("c", lambda row: row["a"] + row["b"])
+        assert len(table.select_computed(["a"], lambda a: a == 2)) == 1
+        extended = table.extend_computed("c", ["a", "b"], lambda a, b: a + b)
         assert extended.column_values("c") == [11, 22]
 
     def test_distinct_union_difference(self):
-        table = Table(("a",), [(1,), (1,), (2,)])
+        table = ColumnarTable(("a",), [(1,), (1,), (2,)])
         assert len(table.distinct()) == 2
-        other = Table(("a",), [(2,), (3,)])
+        other = ColumnarTable(("a",), [(2,), (3,)])
         assert len(table.union_all(other)) == 5
         assert sorted(table.difference(other).column_values("a")) == [1, 1]
         with pytest.raises(AlgebraError):
-            table.union_all(Table(("x", "y")))
+            table.union_all(ColumnarTable(("x", "y")))
 
     def test_unknown_column_error(self):
         with pytest.raises(AlgebraError):
-            Table(("a",), [(1,)]).column_index("nope")
+            ColumnarTable(("a",), [(1,)]).column_index("nope")
 
 
 class TestOperators:
     def test_join_and_scalar_op(self):
-        left = LiteralTable(Table(("iter", "item"), [(1, "a"), (2, "b")]))
-        right = LiteralTable(Table(("iter", "val"), [(1, 10), (1, 11), (3, 30)]))
+        left = LiteralTable(ColumnarTable(("iter", "item"), [(1, "a"), (2, "b")]))
+        right = LiteralTable(ColumnarTable(("iter", "val"), [(1, 10), (1, 11), (3, 30)]))
         joined = Join(left, right, [("iter", "iter")])
         engine = AlgebraEvaluator()
         result = engine.evaluate_plan(joined)
@@ -78,21 +78,21 @@ class TestOperators:
         assert engine.evaluate_plan(selected).column_values("val") == [11]
 
     def test_aggregate_with_loop_produces_zero_groups(self):
-        data = LiteralTable(Table(("iter", "item"), [(1, "x"), (1, "y")]))
-        loop = LiteralTable(Table(("iter",), [(1,), (2,)]))
+        data = LiteralTable(ColumnarTable(("iter", "item"), [(1, "x"), (1, "y")]))
+        loop = LiteralTable(ColumnarTable(("iter",), [(1,), (2,)]))
         count = Aggregate(data, "count", ("iter",), "item", "n", loop=loop)
         result = AlgebraEvaluator().evaluate_plan(count)
         assert dict(result.rows) == {1: 2, 2: 0}
 
     def test_row_number_orders_within_partitions(self):
-        data = LiteralTable(Table(("iter", "v"), [(1, 30), (1, 10), (2, 5)]))
+        data = LiteralTable(ColumnarTable(("iter", "v"), [(1, 30), (1, 10), (2, 5)]))
         numbered = RowNumber(data, "pos", order_by=("v",), partition_by=("iter",))
         result = AlgebraEvaluator().evaluate_plan(numbered)
-        as_dicts = {(row["iter"], row["v"]): row["pos"] for row in result.as_dicts()}
-        assert as_dicts[(1, 10)] == 1 and as_dicts[(1, 30)] == 2 and as_dicts[(2, 5)] == 1
+        positions = {(iteration, v): pos for iteration, v, pos in result.iter_rows()}
+        assert positions == {(1, 10): 1, (1, 30): 2, (2, 5): 1}
 
     def test_union_pushable_flags_follow_table_1(self):
-        dummy = LiteralTable(Table(("iter",), []))
+        dummy = LiteralTable(ColumnarTable(("iter",), []))
         assert Project(dummy, [("iter", "iter")]).union_pushable
         assert Join(dummy, dummy, []).union_pushable
         assert UnionAll([dummy, dummy]).union_pushable

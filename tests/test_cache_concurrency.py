@@ -9,10 +9,15 @@ cache — directly and through the public API — from many threads at once.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro import faults
+from repro.algebra.evaluator import AlgebraEvaluator
+from repro.algebra.operators import Fixpoint, LiteralTable
 from repro.errors import GovernanceError, InjectedFault, ReproError
 from repro.limits import CancelToken, ResourceLimits
 from repro.observability import Span
@@ -391,3 +396,99 @@ class TestConcurrentEvaluate:
                 assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
             plan = session.cache_stats()["plan"]
             assert plan["hits"] >= 32 - THREADS  # at most one compile per thread
+
+
+class TestSharedLiteralTables:
+    """A plan-cached ``LiteralTable`` hands the *same* column lists to every
+    evaluation, every fixpoint round and every thread.  That the kernels
+    never mutate a column list they were given is therefore what keeps a
+    cached plan correct: after many runs, sequential and concurrent, every
+    literal leaf still holds its column lists, unchanged, and the answers
+    are still the interpreter's, item for item."""
+
+    QUERY = ('declare variable $start := '
+             'doc("curriculum.xml")/curriculum/course[@code = "c1"]; '
+             'declare variable $codes := ("c2", "c6"); '
+             '(for $c in $codes return doc("curriculum.xml")//course[@code = $c]), '
+             '(with $x seeded by $start '
+             'recurse ($start, $x/id(./prerequisites/pre_code)) using {algorithm})')
+
+    @pytest.fixture()
+    def captured_plans(self, monkeypatch):
+        """Every plan the algebra engine evaluates, in order."""
+        plans = []
+        evaluate_plan = AlgebraEvaluator.evaluate_plan
+
+        def capture(engine, plan):
+            plans.append(plan)
+            return evaluate_plan(engine, plan)
+
+        monkeypatch.setattr(AlgebraEvaluator, "evaluate_plan", capture)
+        return plans
+
+    @staticmethod
+    def _snapshot(plans) -> list:
+        """Per literal leaf: its table, the column lists and their contents."""
+        leaves = {operator for plan in plans for operator in plan.iter_operators()
+                  if isinstance(operator, LiteralTable)}
+        return [(leaf, leaf.table, list(leaf.table._data),
+                 [list(column) for column in leaf.table._data]) for leaf in leaves]
+
+    @staticmethod
+    def _assert_untouched(snapshot) -> None:
+        for leaf, table, columns, contents in snapshot:
+            assert leaf.table is table
+            assert all(now is then for now, then in zip(table._data, columns))
+            assert [list(column) for column in table._data] == contents
+            assert len(table) == len(contents[0])
+
+    @staticmethod
+    def _same_items(got, expected) -> bool:
+        return len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("algorithm", ["naive", "delta"])
+    def test_sequential_runs_leave_literal_tables_untouched(self, captured_plans, algorithm):
+        query = self.QUERY.format(algorithm=algorithm)
+        with Session(documents={"curriculum.xml": CURRICULUM_XML},
+                     id_attributes=("code",)) as session:
+            expected = session.evaluate(query).items
+            assert course_codes(expected) == ["c1", "c2", "c2", "c3", "c4", "c5", "c6"]
+            session.evaluate(query, engine="algebra")
+            snapshot = self._snapshot(captured_plans)
+            # the two prolog bindings, ``$start`` read by every round too
+            (fixpoint,) = [operator for operator in captured_plans[0].iter_operators()
+                           if isinstance(operator, Fixpoint)]
+            body = set(fixpoint.body_plan.iter_operators())
+            assert len(snapshot) >= 2 and any(leaf in body for leaf, *_ in snapshot)
+            for _ in range(ROUNDS // 3):
+                result = session.evaluate(query, engine="algebra")
+                assert self._same_items(result.items, expected)
+                self._assert_untouched(snapshot)
+            assert len({id(plan) for plan in captured_plans}) == 1
+            assert session.cache_stats()["plan"]["hits"] == ROUNDS // 3
+
+    def test_concurrent_runs_leave_literal_tables_untouched(self, captured_plans):
+        queries = [self.QUERY.format(algorithm=algorithm) for algorithm in ("naive", "delta")]
+        with Session(documents={"curriculum.xml": CURRICULUM_XML},
+                     id_attributes=("code",)) as session:
+            expected = [session.evaluate(query).items for query in queries]
+            for query in queries:
+                session.evaluate(query, engine="algebra")
+            warm = {id(plan) for plan in captured_plans}
+            snapshot = self._snapshot(captured_plans)
+
+            def worker(index: int) -> None:
+                for round_number in range(ROUNDS // 2):
+                    which = (index + round_number) % 2
+                    result = session.evaluate(queries[which], engine="algebra")
+                    assert self._same_items(result.items, expected[which])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                _run_in_threads(worker)
+            finally:
+                sys.setswitchinterval(interval)
+            self._assert_untouched(snapshot)
+            assert {id(plan) for plan in captured_plans} == warm
+            assert session.cache_stats()["plan"]["hits"] == THREADS * (ROUNDS // 2)

@@ -460,7 +460,7 @@ class TestSettingsPlumbing:
     def test_plan_key_drops_limits(self):
         settings = EvalSettings(limits=ResourceLimits(timeout_s=1.0))
         # Plan-cache keys must not fragment on governance knobs.
-        assert settings.plan_key("row") == EvalSettings().plan_key("row")
+        assert settings.plan_key() == EvalSettings().plan_key()
 
     def test_prepared_query_accepts_cancel_token(self, session):
         prepared = session.prepare(CHAIN_QUERY)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.algebra.columnar import ColumnarTable
 from repro.algebra.distributivity import analyze_plan_pushup
 from repro.algebra.operators import Fixpoint, StepJoin, ValueEqualJoin
 from repro.api import evaluate
@@ -31,10 +32,6 @@ from repro.xquery.context import DocumentResolver
 from repro.xquery.parser import parse_expression
 
 ENGINES = ("interpreter", "algebra", "sql")
-
-#: Engine × table backend (only the algebra engine has one to choose).
-ENGINE_BACKENDS = (("interpreter", None), ("algebra", "columnar"), ("algebra", "row"),
-                   ("sql", None))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +206,12 @@ class TestJoinShapesCrossEngine:
         expected = run(engine="interpreter", use_pushdown=False, use_index=False,
                        optimize=False)
         assert expected, "the join found nothing to compare"
-        for engine, backend in ENGINE_BACKENDS:
+        for engine in ENGINES:
             for use_pushdown in (True, False):
                 for use_index in (True, False):
-                    got = run(engine=engine, backend=backend,
-                              use_pushdown=use_pushdown, use_index=use_index)
+                    got = run(engine=engine, use_pushdown=use_pushdown, use_index=use_index)
                     assert _same_items(got, expected), (
-                        f"{engine}/{backend} pushdown={use_pushdown} index={use_index}")
+                        f"{engine} pushdown={use_pushdown} index={use_index}")
 
     @pytest.mark.parametrize("query", QUERIES[1:5])
     def test_the_join_does_not_move_the_fixpoint_decision(self, query):
@@ -287,9 +283,9 @@ COMPUTED_RHS_QUERIES = [
 
 
 class TestComputedRhsJoin:
-    """The step macro as a join by value: every engine, every switch, both
-    table backends must agree item for item — and in order — with the focus
-    loop over naive axis walks."""
+    """The step macro as a join by value: every engine and every switch
+    must agree item for item — and in order — with the focus loop over
+    naive axis walks."""
 
     @pytest.mark.parametrize("doc_seed", range(4))
     @pytest.mark.parametrize("query", COMPUTED_RHS_QUERIES)
@@ -302,11 +298,11 @@ class TestComputedRhsJoin:
         expected = run(engine="interpreter", use_pushdown=False, use_index=False,
                        optimize=False)
         positional = _has_positional(query)
-        for engine, backend in ENGINE_BACKENDS:
+        for engine in ENGINES:
             for use_pushdown in (True, False):
                 for use_index in (True, False):
-                    settings = dict(engine=engine, backend=backend,
-                                    use_pushdown=use_pushdown, use_index=use_index)
+                    settings = dict(engine=engine, use_pushdown=use_pushdown,
+                                    use_index=use_index)
                     if engine == "algebra" and positional and not use_pushdown:
                         with pytest.raises(AlgebraError):
                             run(**settings)
@@ -340,22 +336,20 @@ class TestComputedRhsJoin:
     ])
     def test_numeric_values_promote_like_the_interpreter(self, query, expected):
         documents = {"n.xml": self.NUMBERS}
-        for engine, backend in ENGINE_BACKENDS:
+        for engine in ENGINES:
             for use_index in (True, False):
                 result = evaluate(query.format(d='doc("n.xml")'), documents=documents,
-                                  engine=engine, backend=backend, use_index=use_index,
-                                  use_cache=False)
-                assert result.string_values() == expected, (engine, backend, use_index)
+                                  engine=engine, use_index=use_index, use_cache=False)
+                assert result.string_values() == expected, (engine, use_index)
 
     def test_a_value_that_cannot_be_promoted_is_the_interpreters_error(self):
         from repro.errors import XQueryTypeError
 
         documents = {"n.xml": '<r><a n="07"/><a n="x"/></r>'}
-        for engine, backend in ENGINE_BACKENDS:
+        for engine in ENGINES:
             with pytest.raises(XQueryTypeError) as caught:
                 evaluate('for $k in (7, 8) return doc("n.xml")//a[@n = $k]',
-                         documents=documents, engine=engine, backend=backend,
-                         use_cache=False)
+                         documents=documents, engine=engine, use_cache=False)
             assert caught.value.code == "FORG0001", engine
 
     # -- (b) a predicate that is never evaluated does not raise
@@ -374,13 +368,12 @@ class TestComputedRhsJoin:
         documents = {"n.xml": '<r><a n="1"/><w n="2"/></r>'}
         query = ('for $v in doc("n.xml")//w, $atomic in (1, 2) '
                  'return doc("n.xml")//{step}[@n = ' + rhs + ']')
-        for backend in ("columnar", "row"):
-            run = lambda step: evaluate(  # noqa: E731
-                query.format(step=step), documents=documents, engine="algebra",
-                backend=backend, use_cache=False).items
-            assert run("none") == []
-            with pytest.raises(error):
-                run("a")
+        run = lambda step: evaluate(  # noqa: E731
+            query.format(step=step), documents=documents, engine="algebra",
+            use_cache=False).items
+        assert run("none") == []
+        with pytest.raises(error):
+            run("a")
         assert evaluate(query.format(step="none"), documents=documents,
                         use_cache=False).items == []
         plan = _compiled_plans(query.format(step="a"), documents)[0]
@@ -427,14 +420,12 @@ class TestComputedRhsJoin:
     def test_the_step_memo_is_not_shared_between_iterations(self):
         from repro.algebra.evaluator import AlgebraEvaluator
         from repro.algebra.operators import LiteralTable
-        from repro.algebra.table import Table
-
         document = parse_xml('<r><a k="x"/><a k="y"/><a k="x"/></r>')
         shape = pushdown.recognize_predicate(parse_expression("@k = $v"))
-        contexts = LiteralTable(Table(("iter", "pos", "item"),
-                                      [(1, 1, document), (2, 1, document), (3, 1, document)]))
-        values = LiteralTable(Table(("iter", "pos", "item"),
-                                    [(1, 1, "x"), (2, 1, "y"), (3, 1, "x"), (3, 2, "y")]))
+        contexts = LiteralTable(ColumnarTable(
+            ("iter", "pos", "item"), [(1, 1, document), (2, 1, document), (3, 1, document)]))
+        values = LiteralTable(ColumnarTable(
+            ("iter", "pos", "item"), [(1, 1, "x"), (2, 1, "y"), (3, 1, "x"), (3, 2, "y")]))
         for axis, pushed in (("descendant", (shape,)),
                              ("descendant", (shape, pushdown.PositionShape("=", 1)))):
             step = StepJoin(contexts, axis, "name", "a", pushed=pushed,
@@ -442,7 +433,8 @@ class TestComputedRhsJoin:
             for use_index in (True, False):
                 table = AlgebraEvaluator(use_index=use_index).evaluate_plan(step)
                 got = [(iteration, item.get_attribute("k").value)
-                       for iteration, item in table.iter_item_pairs()]
+                       for iteration, item in zip(table.column_values("iter"),
+                                                  table.column_values("item"))]
                 if len(pushed) == 1:
                     assert got == [(1, "x"), (1, "x"), (2, "y"),
                                    (3, "x"), (3, "y"), (3, "x")]
@@ -540,11 +532,10 @@ class TestComputedRhsJoin:
                     query, documents=resolver, use_cache=False, **settings)
                 expected = run(engine="interpreter", use_pushdown=False,
                                use_index=False).items
-                for engine, backend in ENGINE_BACKENDS:
+                for engine in ENGINES:
                     for use_index in (True, False):
-                        got = run(engine=engine, backend=backend, use_index=use_index,
-                                  trace=True)
-                        assert _same_items(got.items, expected), (seed, using, engine, backend)
+                        got = run(engine=engine, use_index=use_index, trace=True)
+                        assert _same_items(got.items, expected), (seed, using, engine)
                         if engine == "algebra":
                             (span,) = got.trace.find_all("fixpoint")
                             assert span.attributes["variant"] == (
@@ -560,9 +551,8 @@ class TestComputedRhsJoin:
     def test_only_a_position_behind_a_computed_shape_stops_the_template(self):
         document = parse_xml("<r/>")
         from repro.algebra.operators import LiteralTable
-        from repro.algebra.table import Table
 
-        table = LiteralTable(Table(("iter", "pos", "item"), [(1, 1, document)]))
+        table = LiteralTable(ColumnarTable(("iter", "pos", "item"), [(1, 1, document)]))
         computed = pushdown.recognize_predicate(parse_expression("@k = $v"))
         constant = pushdown.ValueShape("attr", "k", values=("x",))
         first = pushdown.PositionShape("=", 1)
@@ -738,8 +728,7 @@ class TestBatchIdCrossEngine:
                         f"{engine} index={use_index} pushdown={use_pushdown}: "
                         f"{len(got)} items, expected {len(expected)}")
 
-    @pytest.mark.parametrize("backend", ["columnar", "row"])
-    def test_the_general_path_map_orders_nodes_and_keeps_atomic_duplicates(self, backend):
+    def test_the_general_path_map_orders_nodes_and_keeps_atomic_duplicates(self):
         """``E1/E2`` with a right-hand side that is neither a step nor the
         ``id`` shape: nodes come out in document order without duplicates,
         atomic values as they are, a mix is ``XPTY0018`` — on the algebra
@@ -754,16 +743,15 @@ class TestBatchIdCrossEngine:
                       '$d//n/(if (@kind = "odd") then id(./next) else .)'):
             expected = run(query, engine="interpreter", use_index=False,
                            use_pushdown=False, optimize=False)
-            got = run(query, engine="algebra", backend=backend)
+            got = run(query, engine="algebra")
             assert len(expected) > 2 and _same_items(got, expected), query
-        kinds = run('$d//n/string(@kind)', engine="algebra", backend=backend)
+        kinds = run('$d//n/string(@kind)', engine="algebra")
         assert kinds == run('$d//n/string(@kind)', engine="interpreter")
         assert len(kinds) == 14 and set(kinds) == {"even", "odd"}
         nested = 'for $k in ("even", "odd") return $d//n[@kind = $k]/string(@id)'
-        assert run(nested, engine="algebra", backend=backend) == run(
-            nested, engine="interpreter")
+        assert run(nested, engine="algebra") == run(nested, engine="interpreter")
         with pytest.raises(XQueryTypeError) as caught:
-            run('$d//n/(@kind, 1)', engine="algebra", backend=backend)
+            run('$d//n/(@kind, 1)', engine="algebra")
         assert caught.value.code == "XPTY0018"
 
     def test_the_closures_are_not_trivial(self):

@@ -137,6 +137,22 @@ class TestEndpoints:
         assert failed["status"] == 400 and "bad settings" in failed["error"]
         assert value in failed["error"]
 
+    def test_the_removed_backend_setting_is_bad_settings(self, service_session):
+        """The algebra engine has one table type: ``"backend"`` is an
+        unknown settings field — a 400, and the in-flight slot is free."""
+        service = QueryService(session=service_session)
+        server = create_server(service)
+        serve(server)
+        try:
+            host, port = server.server_address[:2]
+            status, body = ServiceClient(f"http://{host}:{port}").query(
+                TC_QUERY, engine="algebra", settings={"backend": "row"})
+        finally:
+            server.graceful_shutdown(timeout=5)
+        assert status == 400 and body["ok"] is False
+        assert "bad settings" in body["error"] and "backend" in body["error"]
+        assert service.stats.in_flight == 0
+
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_the_decision_settings_steer_every_engine(self, client, engine):
         """``ifp_algorithm`` over HTTP: µ on the algebra engine too, also

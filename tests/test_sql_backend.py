@@ -11,11 +11,12 @@ import re
 import pytest
 
 from repro import Engine, EvalSettings, Session, evaluate, parse_xml
+from repro.algebra.columnar import ColumnarTable
 from repro.bench.table2 import run_row
 from repro.cli import main as cli_main
 from repro.errors import AlgebraError, SqlBackendError
+from repro.settings import coerce_settings
 from repro.sqlbackend import (
-    ResultTable,
     SQLEvaluator,
     SqlDocumentStore,
     decode_result_table,
@@ -711,17 +712,23 @@ class TestCli:
         output = capsys.readouterr().out
         assert "forced Naive" in output and "WITH RECURSIVE" not in output
 
-    @pytest.mark.parametrize("engine", ["interpreter", "sql"])
-    def test_backend_flag_rejected_outside_the_algebra_engine(self, capsys, engine):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
+    def test_the_removed_backend_flag_is_a_usage_error(self, capsys, engine):
+        """The algebra engine has one table type: ``--backend`` names
+        nothing, and argparse says so with exit status 2."""
+        with pytest.raises(SystemExit) as caught:
             cli_main(["-e", "1 + 1", "--engine", engine, "--backend", "row"])
+        assert caught.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
-    def test_backend_flag_accepted_by_the_algebra_engine(self, capsys):
-        exit_code = cli_main(["-e", "1 + 1", "--engine", "algebra",
-                              "--backend", "row"])
-        assert exit_code == 0
-        assert capsys.readouterr().out.strip() == "2"
+    @pytest.mark.parametrize("spelling", [
+        lambda: EvalSettings(backend="row"),
+        lambda: coerce_settings({"backend": "columnar"}),
+        lambda: evaluate("1 + 1", engine="algebra", backend="row"),
+    ], ids=["EvalSettings", "coerce_settings", "evaluate"])
+    def test_the_removed_backend_setting_is_a_type_error(self, spelling):
+        with pytest.raises(TypeError, match="backend"):
+            spelling()
 
 
 # ---------------------------------------------------------------------------
@@ -731,17 +738,19 @@ class TestCli:
 
 class TestDecodeResultTable:
     def test_item_column_is_used(self):
-        table = ResultTable(("iter", "pos", "item"), [(1, 1, "a"), (1, 2, "b")])
+        table = ColumnarTable(("iter", "pos", "item"), [(1, 1, "a"), (1, 2, "b")])
         assert decode_result_table(table) == ["a", "b"]
 
     def test_last_column_fallback(self):
-        table = ResultTable(("iter", "payload"), [(1, 10), (2, 20)])
+        table = ColumnarTable(("iter", "payload"), [(1, 10), (2, 20)])
         assert decode_result_table(table) == [10, 20]
 
-    def test_works_with_algebra_tables(self):
-        from repro.algebra.table import Table
-
-        table = Table(("iter", "pos", "item"), [(1, 1, 42)])
+    def test_the_decoded_list_is_the_callers(self):
+        """A plan may end in a literal leaf a cached plan shares: decoding
+        hands out a copy of its column, never the column itself."""
+        table = ColumnarTable(("iter", "pos", "item"), [(1, 1, 42)])
+        items = decode_result_table(table)
+        items.append(43)
         assert decode_result_table(table) == [42]
 
 
