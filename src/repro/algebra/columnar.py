@@ -26,9 +26,16 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import AlgebraError
+
+
+class Constant(NamedTuple):
+    """A projection source that is no column: every row gets *value*
+    (``π_{iter, pos:=1, item}`` — the compiler's constant ``pos``)."""
+
+    value: Any
 
 
 class ColumnarTable:
@@ -99,9 +106,12 @@ class ColumnarTable:
 
     # -- kernels ------------------------------------------------------------------------
 
-    def project(self, mapping: Sequence[tuple[str, str]]) -> "ColumnarTable":
-        """π — projection/renaming: *mapping* is (new_name, old_name) pairs."""
-        data = [self._data[self.column_index(old)] for _new, old in mapping]
+    def project(self, mapping: Sequence[tuple[str, "str | Constant"]]) -> "ColumnarTable":
+        """π — projection/renaming: *mapping* is (new_name, old_name) pairs;
+        an old name that is a :class:`Constant` fills the column with its
+        value."""
+        data = [[old.value] * self._length if isinstance(old, Constant)
+                else self._data[self.column_index(old)] for _new, old in mapping]
         table = ColumnarTable.__new__(ColumnarTable)
         table.columns = tuple(new for new, _old in mapping)
         table._data = tuple(data)
@@ -261,7 +271,9 @@ class ColumnarTable:
 
     def aggregate(self, kind: str, group_by: Sequence[str], source: str | None,
                   result: str, loop_iters: list | None = None) -> "ColumnarTable":
-        """Grouping aggregate; *loop_iters* supplies empty groups (count = 0)."""
+        """Grouping aggregate; *loop_iters* supplies empty groups (count = 0)
+        and the output order — the loop's, which is the order of the
+        iterations a ``for`` maps the results back in."""
         group_by = tuple(group_by)
         group_columns = [self._data[self.column_index(c)] for c in group_by]
         source_column = (self._data[self.column_index(source)]
@@ -270,12 +282,16 @@ class ColumnarTable:
         for i in range(self._length):
             key = tuple(column[i] for column in group_columns)
             groups.setdefault(key, []).append(source_column[i])
+        entries: Iterable[tuple[tuple, list]] = groups.items()
         if loop_iters is not None:
-            for value in loop_iters:
-                groups.setdefault((value,) if len(group_by) == 1 else tuple(), [])
+            loop_keys = [(value,) if len(group_by) == 1 else tuple() for value in loop_iters]
+            for key in loop_keys:
+                groups.setdefault(key, [])
+            rank = {key: index for index, key in enumerate(loop_keys)}
+            entries = sorted(groups.items(), key=lambda entry: rank.get(entry[0], len(rank)))
         width = len(group_by)
         data: list[list] = [[] for _ in range(width + 1)]
-        for key, values in groups.items():
+        for key, values in entries:
             for j in range(width):
                 data[j].append(key[j])
             data[width].append(apply_aggregate(kind, values))

@@ -30,10 +30,13 @@ Step predicates
 The longest prefix of a step's predicates that
 :mod:`repro.xquery.pushdown` recognizes moves *into* the
 :class:`~repro.algebra.operators.StepJoin` macro (``_split_pushable``):
-value and existence shapes, and positional ones — the macro is the only
-place positions exist, so a positional predicate that is not pushed (on a
-filter expression, behind an unrecognized predicate, or with
-``push_predicates=False``) is an :class:`~repro.errors.AlgebraError`.  A
+value and existence shapes, and positional ones.  A filter expression's
+prefix moves into a :class:`~repro.algebra.operators.ShapeFilter` macro
+over its primary the same way, up to the first computed right-hand side.
+The macros are the only places positions exist, so a positional predicate
+that is not pushed (behind an unrecognized predicate or a computed
+right-hand side, or with ``push_predicates=False``) is an
+:class:`~repro.errors.AlgebraError`.  A
 value shape compared with a compile-time constant carries the constant;
 one compared with a *computed* side that cannot raise (``_value_input``:
 a variable, or predicate-free steps from a node-valued one) makes that
@@ -44,7 +47,8 @@ blocks the ∪ push-up, see :class:`StepJoin`).  Every other predicate
 compiles to the generic plan (``_apply_predicate``): tag the candidates,
 evaluate the predicate per candidate, keep the survivors; its ``=``
 conditions with a focus-free side run as a value join per outer iteration
-(``_value_join``).
+(``_value_join``), and ``not(C)`` is the anti-join ``loop \\ selected(C)``
+(``_unselected``).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import AlgebraError, XQueryDynamicError
-from repro.algebra.columnar import ColumnarTable
+from repro.algebra.columnar import ColumnarTable, Constant
 from repro.algebra.operators import (
     Aggregate,
     AtomizeValue,
@@ -73,6 +77,7 @@ from repro.algebra.operators import (
     RowTag,
     ScalarOp,
     SelectComputed,
+    ShapeFilter,
     StepJoin,
     UnionAll,
     ValueEqualJoin,
@@ -206,7 +211,7 @@ class AlgebraCompiler:
     # ------------------------------------------------------------------ leaves
 
     def _compile_Literal(self, expr: ast.Literal, context: CompilationContext) -> Operator:
-        return self._attach_constant(context.loop, expr.value)
+        return self._with_pos(context.loop, item=Constant(expr.value))
 
     def _compile_EmptySequence(self, expr: ast.EmptySequence, context: CompilationContext) -> Operator:
         return self._empty_sequence_plan(context)
@@ -240,21 +245,19 @@ class AlgebraCompiler:
     def _compile_UnionExpr(self, expr: ast.UnionExpr, context: CompilationContext) -> Operator:
         left = self._compile(expr.left, context)
         right = self._compile(expr.right, context)
-        union = UnionAll([left, right])
-        deduplicated = Distinct([Project(union, [("iter", "iter"), ("item", "item")])])
-        return self._with_pos(deduplicated)
+        return _document_order(UnionAll([left, right]))
 
     def _compile_IntersectExpr(self, expr: ast.IntersectExpr, context: CompilationContext) -> Operator:
         left = Distinct([Project(self._compile(expr.left, context), [("iter", "iter"), ("item", "item")])])
         right = Distinct([Project(self._compile(expr.right, context), [("iter", "iter"), ("item", "item")])])
         joined = Join(left, Project(right, [("iter", "iter"), ("item_r", "item")]),
                       [("iter", "iter"), ("item", "item_r")])
-        return self._with_pos(Project(joined, [("iter", "iter"), ("item", "item")]))
+        return _document_order(joined)
 
     def _compile_ExceptExpr(self, expr: ast.ExceptExpr, context: CompilationContext) -> Operator:
         left = Distinct([Project(self._compile(expr.left, context), [("iter", "iter"), ("item", "item")])])
         right = Distinct([Project(self._compile(expr.right, context), [("iter", "iter"), ("item", "item")])])
-        return self._with_pos(Difference([left, right]))
+        return _document_order(Difference([left, right]))
 
     # ------------------------------------------------------------------ paths
 
@@ -303,13 +306,15 @@ class AlgebraCompiler:
         return self._apply_predicates(plan, rest, context)
 
     def _split_pushable(self, predicates: tuple[ast.Expr, ...],
-                        context: CompilationContext):
+                        context: CompilationContext, value_inputs: bool = True):
         """``(pushed shapes, value input plans, remaining predicates)``.
 
         A value shape's right-hand side is resolved here when it is a
         compile-time constant (a string literal, a top-level constant
         binding); otherwise it becomes an *input* of the macro
-        (:meth:`_value_input`), one plan per such shape, in shape order.
+        (:meth:`_value_input`), one plan per such shape, in shape order —
+        or, without *value_inputs* (a filter expression's macro has none),
+        it ends the pushed prefix.
         """
         from repro.xquery.pushdown import (
             PositionShape,
@@ -360,7 +365,8 @@ class AlgebraCompiler:
                     # the macro stops being a ``step`` template: a slice of
                     # what a value set kept does not distribute over it).
                     positional = any(isinstance(s, PositionShape) for s in pushed)
-                    plan = None if positional else self._value_input(shape.rhs, context)
+                    plan = (None if positional or not value_inputs
+                            else self._value_input(shape.rhs, context))
                     if plan is None:
                         return split(position)
                     inputs.append(plan)  # the shape keeps its rhs: computed
@@ -393,8 +399,15 @@ class AlgebraCompiler:
         return AtomizeValue([self._compile(rhs, context)])
 
     def _compile_FilterExpr(self, expr: ast.FilterExpr, context: CompilationContext) -> Operator:
+        """``E[p1]…[pk]``: the longest recognized prefix with constant
+        right-hand sides is one :class:`ShapeFilter` macro over ``E``'s plan
+        (the kernels of :meth:`_compile_step`'s macro, per iteration in
+        sequence order); the rest keeps the generic predicate plan."""
         primary = self._compile(expr.primary, context)
-        return self._apply_predicates(primary, expr.predicates, context)
+        pushed, _, rest = self._split_pushable(expr.predicates, context, value_inputs=False)
+        if pushed:
+            primary = _same_items(primary, ShapeFilter(primary, pushed))
+        return self._apply_predicates(primary, rest, context)
 
     def _map_over(self, source: Operator, body: ast.Expr, context: CompilationContext,
                   bind_variable: str | None = None, position_variable: str | None = None) -> Operator:
@@ -406,8 +419,7 @@ class AlgebraCompiler:
         """
         tagged = RowTag(source, "inner")
         inner_loop = Project(tagged, [("iter", "inner")])
-        item_plan = _same_items(source, self._with_pos(
-            Project(tagged, [("iter", "inner"), ("item", "item")])))
+        item_plan = _same_items(source, self._with_pos(tagged, iter="inner"))
 
         lifted_environment = {
             name: self._lift_plan(plan, tagged)
@@ -424,14 +436,15 @@ class AlgebraCompiler:
         if bind_variable is not None:
             inner_context = inner_context.bind(bind_variable, item_plan)
             if position_variable is not None:
-                position_plan = self._with_pos(Project(tagged, [("iter", "inner"), ("item", "pos")]))
+                position_plan = self._with_pos(tagged, iter="inner", item="pos")
                 inner_context = inner_context.bind(position_variable, position_plan)
 
         inner_result = self._compile(body, inner_context)
         mapping = Project(tagged, [("inner2", "inner"), ("outer", "iter")])
         joined = Join(inner_result, mapping, [("iter", "inner2")])
-        mapped = Project(joined, [("iter", "outer"), ("item", "item")])
-        return PathResult([mapped]) if bind_variable is None else self._with_pos(mapped)
+        if bind_variable is not None:
+            return self._with_pos(joined, iter="outer")
+        return PathResult([Project(joined, [("iter", "outer"), ("item", "item")])])
 
     def _lift_plan(self, plan: Operator, tagged: Operator) -> Operator:
         """Re-address an outer-loop plan to the inner loop created by *tagged*.
@@ -462,7 +475,7 @@ class AlgebraCompiler:
             raise AlgebraError("positional predicates are not supported by the algebra backend")
         tagged = RowTag(candidates, "inner")
         inner_loop = Project(tagged, [("iter", "inner")])
-        candidate_plan = self._with_pos(Project(tagged, [("iter", "inner"), ("item", "item")]))
+        candidate_plan = self._with_pos(tagged, iter="inner")
         lifted_environment = {
             name: self._lift_plan(plan, tagged) for name, plan in context.environment.items()
         }
@@ -526,26 +539,34 @@ class AlgebraCompiler:
         """Compile *condition* into a plan of the iterations it selects.
 
         General comparisons and exists-style conditions use the semijoin
-        shape (no aggregate on the data path); everything else goes through
-        a per-iteration boolean value.
+        shape (no aggregate on the data path), ``not(C)`` the anti-join of
+        the loop with what ``C`` selects; everything else goes through a
+        per-iteration boolean value.
         """
         if isinstance(condition, ast.GeneralComparison) and condition.op == "=":
             return self._existential_join(condition, context)
-        if isinstance(condition, ast.FunctionCall) and condition.name in ("exists", "fn:exists") and condition.args:
+        if _is_call(condition, "exists"):
             inner = self._compile(condition.args[0], context)
             return Distinct([Project(inner, [("iter", "iter")])])
-        if (isinstance(condition, ast.FunctionCall) and condition.name in ("not", "fn:not")
-                and condition.args and isinstance(condition.args[0], ast.FunctionCall)
-                and condition.args[0].name in ("empty", "fn:empty")):
-            inner = self._compile(condition.args[0].args[0], context)
-            return Distinct([Project(inner, [("iter", "iter")])])
-        if isinstance(condition, (ast.AxisStep, ast.PathExpr, ast.FilterExpr, ast.VarRef)):
+        if _is_call(condition, "not"):
+            argument = condition.args[0]
+            if _is_call(argument, "empty"):
+                inner = self._compile(argument.args[0], context)
+                return Distinct([Project(inner, [("iter", "iter")])])
+            return self._unselected(self._selected_iterations(argument, context), context)
+        inner = self._compile(condition, context)
+        if inner.node_valued:
             # Node-sequence condition: non-empty means true.
-            inner = self._compile(condition, context)
             return Distinct([Project(inner, [("iter", "iter")])])
-        boolean = self._compile(condition, context)
-        selected = SelectComputed(boolean, ["item"], _effective_boolean, name="ebv")
+        selected = SelectComputed(inner, ["item"], _effective_boolean, name="ebv")
         return Distinct([Project(selected, [("iter", "iter")])])
+
+    def _unselected(self, selected: Operator, context: CompilationContext) -> Operator:
+        """The iterations of the loop *selected* does not name: one anti-join
+        (``\\``; a loop relation is its distinct ``iter`` column already),
+        which the ∪ push-up lets pass where it reaches both inputs keyed by
+        ``iter``."""
+        return Difference([context.loop, selected])
 
     def _existential_join(self, comparison: ast.GeneralComparison,
                           context: CompilationContext) -> Operator:
@@ -575,8 +596,7 @@ class AlgebraCompiler:
             joined = Join(then_plan, Project(selected, [("sel_iter", "iter")]), [("iter", "sel_iter")])
             return Project(joined, [("iter", "iter"), ("pos", "pos"), ("item", "item")])
         selected = self._selected_iterations(expr.condition, context)
-        loop_iters = Distinct([Project(context.loop, [("iter", "iter")])])
-        unselected = Difference([loop_iters, selected])
+        unselected = self._unselected(selected, context)
         else_plan = self._compile(expr.else_branch, context)
         then_part = Project(
             Join(then_plan, Project(selected, [("sel_iter", "iter")]), [("iter", "sel_iter")]),
@@ -601,7 +621,7 @@ class AlgebraCompiler:
         matched = self._existential_join_general(expr, context)
         counted = Aggregate(matched, "count", ("iter",), "item", "matches", loop=context.loop)
         boolean = ScalarOp(counted, "item", ["matches"], lambda n: n > 0, name="exists")
-        return self._with_pos(Project(boolean, [("iter", "iter"), ("item", "item")]))
+        return self._with_pos(boolean)
 
     def _existential_join_general(self, expr: ast.GeneralComparison,
                                   context: CompilationContext) -> Operator:
@@ -627,7 +647,7 @@ class AlgebraCompiler:
         joined = Join(left_p, right_p, [("iter", "iter")])
         function = _arithmetic_function(expr.op)
         computed = ScalarOp(joined, "result", ["item", "item_r"], function, name=expr.op)
-        return self._with_pos(Project(computed, [("iter", "iter"), ("item", "result")]))
+        return self._with_pos(computed, item="result")
 
     def _compile_UnaryExpr(self, expr: ast.UnaryExpr, context: CompilationContext) -> Operator:
         inner = AtomizeValue([self._compile(expr.operand, context)])
@@ -638,7 +658,7 @@ class AlgebraCompiler:
             return -number if negate else +number
 
         computed = ScalarOp(inner, "result", ["item"], apply, name=f"unary{expr.op}")
-        return self._with_pos(Project(computed, [("iter", "iter"), ("item", "result")]))
+        return self._with_pos(computed, item="result")
 
     # ------------------------------------------------------------------ functions
 
@@ -649,27 +669,26 @@ class AlgebraCompiler:
             return self._inline_function(declaration, expr, context)
 
         if name in ("true", "false") and not expr.args:
-            return self._attach_constant(context.loop, name == "true")
+            return self._with_pos(context.loop, item=Constant(name == "true"))
         if name == "count" and len(expr.args) == 1:
             inner = self._compile(expr.args[0], context)
             counted = Aggregate(inner, "count", ("iter",), "item", "item", loop=context.loop)
-            return self._with_pos(Project(counted, [("iter", "iter"), ("item", "item")]))
-        if name in ("empty", "exists") and len(expr.args) == 1:
-            inner = self._compile(expr.args[0], context)
-            counted = Aggregate(inner, "count", ("iter",), "item", "n", loop=context.loop)
-            predicate = (lambda n: n == 0) if name == "empty" else (lambda n: n > 0)
+            return self._with_pos(counted)
+        if name in ("empty", "exists", "not") and len(expr.args) == 1:
+            # not(E) is empty(selected(E)): the effective boolean value of
+            # E per loop iteration, negated — not each of E's items
+            inner = (self._selected_iterations(expr.args[0], context) if name == "not"
+                     else self._compile(expr.args[0], context))
+            counted = Aggregate(inner, "count", ("iter",), None, "n", loop=context.loop)
+            predicate = (lambda n: n > 0) if name == "exists" else (lambda n: n == 0)
             boolean = ScalarOp(counted, "item", ["n"], predicate, name=name)
-            return self._with_pos(Project(boolean, [("iter", "iter"), ("item", "item")]))
-        if name == "not" and len(expr.args) == 1:
-            inner = self._compile(expr.args[0], context)
-            negated = ScalarOp(inner, "item_neg", ["item"], lambda v: not _effective_boolean(v), name="not")
-            return self._with_pos(Project(negated, [("iter", "iter"), ("item", "item_neg")]))
+            return self._with_pos(boolean)
         if name == "data" and len(expr.args) == 1:
             return AtomizeValue([self._compile(expr.args[0], context)])
         if name == "string" and len(expr.args) == 1:
             inner = self._compile(expr.args[0], context)
             stringified = ScalarOp(inner, "item_s", ["item"], string_value_of_item, name="string")
-            return self._with_pos(Project(stringified, [("iter", "iter"), ("item", "item_s")]))
+            return self._with_pos(stringified, item="item_s")
         if name == "id" and len(expr.args) in (1, 2):
             values = AtomizeValue([self._compile(expr.args[0], context)])
             if len(expr.args) == 2:
@@ -682,7 +701,7 @@ class AlgebraCompiler:
                       else self._compile_ContextItem(ast.ContextItem(), context))
             rooted = ScalarOp(target, "item_root", ["item"],
                               lambda node: node.root() if is_node(node) else node, name="root")
-            return self._with_pos(Project(rooted, [("iter", "iter"), ("item", "item_root")]))
+            return self._with_pos(rooted, item="item_root")
         raise AlgebraError(f"built-in function {expr.name}() is not supported by the algebra compiler")
 
     def _inline_function(self, declaration: ast.FunctionDecl, call: ast.FunctionCall,
@@ -781,11 +800,6 @@ class AlgebraCompiler:
 
     # ------------------------------------------------------------------ helpers
 
-    def _attach_constant(self, loop: Operator, value) -> Operator:
-        with_pos = ScalarOp(loop, "pos", [], lambda: 1, name="pos")
-        with_item = ScalarOp(with_pos, "item", [], lambda: value, name="const")
-        return Project(with_item, [("iter", "iter"), ("pos", "pos"), ("item", "item")])
-
     def _empty_sequence_plan(self, context: CompilationContext) -> Operator:
         return LiteralTable(ColumnarTable(SEQ_COLUMNS))
 
@@ -795,10 +809,11 @@ class AlgebraCompiler:
         top-level iteration needs no merge."""
         return union if context.loop_is_single else IterationMerge([union])
 
-    def _with_pos(self, plan: Operator) -> Operator:
-        """Attach a constant ``pos`` column and normalise the column order."""
-        with_pos = ScalarOp(plan, "pos_n", [], lambda: 1, name="pos")
-        return Project(with_pos, [("iter", "iter"), ("pos", "pos_n"), ("item", "item")])
+    def _with_pos(self, plan: Operator, iter: str = "iter",
+                  item: str | Constant = "item") -> Operator:
+        """*plan*'s *iter* and *item* columns as ``iter|pos|item`` with a
+        constant ``pos``: one π."""
+        return Project(plan, [("iter", iter), ("pos", Constant(1)), ("item", item)])
 
     def _uses_context_item(self, expr: ast.Expr) -> bool:
         return any(isinstance(sub, (ast.ContextItem, ast.RootExpr))
@@ -814,6 +829,19 @@ def _same_items(source: Operator, plan: Operator) -> Operator:
     to raise."""
     plan.node_valued = source.node_valued
     return plan
+
+
+def _document_order(plan: Operator) -> Operator:
+    """*plan*'s items per iteration without duplicates and in document
+    order — what ``|``, ``intersect`` and ``except`` return, and what a
+    position in ``(a | b)[1]`` counts along."""
+    return PathResult([Project(plan, [("iter", "iter"), ("item", "item")])])
+
+
+def _is_call(expr: ast.Expr, name: str) -> bool:
+    """Is *expr* a one-argument call of the built-in *name*?"""
+    return (isinstance(expr, ast.FunctionCall) and expr.name in (name, f"fn:{name}")
+            and len(expr.args) == 1)
 
 
 # ---------------------------------------------------------------------------

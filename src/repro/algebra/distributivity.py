@@ -18,7 +18,10 @@ inputs, they must be joined on a *row key* of each (:func:`_row_keys`; the
 ``iter`` of a loop lifted over the recursion variable is one), else the
 operator blocks (:func:`_joins_row_by_row`).  ∪ through the context of a
 step macro alone, or through one value input, passes; through two value
-inputs, or the context and a value input, it does not.
+inputs, or the context and a value input, it does not.  The same row key
+lets a difference pass that the ∪ reaches through both inputs, each keyed
+by ``iter`` — the per-iteration anti-join of ``[not(C)]``
+(:func:`_per_iteration_anti_join`).
 
 Two refinements from the paper are implemented:
 
@@ -100,7 +103,8 @@ def analyze_plan_pushup(body_plan: Operator, recursion_input: RecursionInput,
             return None
         keys = row_keys[id(operator)] = _row_keys(
             operator, inputs[0] or frozenset(), carrying)
-        if len(carrying) > 1 and not _joins_row_by_row(operator, carrying):
+        anti_join = _per_iteration_anti_join(operator, carrying)
+        if len(carrying) > 1 and not anti_join and not _joins_row_by_row(operator, carrying):
             block(operator)  # not linear: the ∪ arrives through several inputs
         if use_templates and operator.template in DISTRIBUTIVE_TEMPLATES:
             report.big_steps += 1
@@ -108,7 +112,7 @@ def analyze_plan_pushup(body_plan: Operator, recursion_input: RecursionInput,
         report.operators_checked += 1
         if operator.order_or_duplicates_only and ignore_order_and_duplicates:
             report.ignored_order_operators += 1
-        elif not operator.union_pushable:
+        elif not operator.union_pushable and not anti_join:
             block(operator)
         return keys
 
@@ -153,6 +157,16 @@ def _joins_row_by_row(operator: Operator, carrying: list[frozenset[str]]) -> boo
     if isinstance(operator, (ops.ValueEqualJoin, ops.StepJoin)):  # joined per ``iter``
         return all("iter" in keys for keys in carrying)
     return False
+
+
+def _per_iteration_anti_join(operator: Operator, carrying: list[frozenset[str]]) -> bool:
+    """A ``\\`` the ∪ reaches through *both* inputs, each keyed by ``iter``
+    — the ``loop \\ selected(C)`` of ``not(C)``: rows from ``A`` and from
+    ``B`` differ in ``iter``, so none of ``B``'s removes one of ``A``'s and
+    ``(L_A ∪ L_B) \\ (S_A ∪ S_B) = (L_A \\ S_A) ∪ (L_B \\ S_B)``.  It passes,
+    like the per-``iter`` joins above; every other difference blocks."""
+    return (isinstance(operator, ops.Difference) and len(carrying) == 2
+            and all("iter" in keys for keys in carrying))
 
 
 def analyze_plan_distributivity(body: ast.Expr, variable: str,

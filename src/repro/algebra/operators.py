@@ -26,13 +26,15 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.errors import AlgebraError, XQueryTypeError
-from repro.algebra.columnar import ColumnarTable
+from repro.algebra.columnar import ColumnarTable, Constant
 from repro.xdm.index import (
+    SIBLING_AXES,
     IndexSet,
     batch_id,
     batch_id_path,
     batch_step,
     indexed_step,
+    nth_sibling,
 )
 from repro.xdm.items import is_node, string_value_of_item
 from repro.xdm.node import AttributeNode, CommentNode, DocumentNode, ElementNode, Node, TextNode
@@ -41,6 +43,8 @@ from repro.xquery.pushdown import (
     PositionShape,
     ValueShape,
     apply_shapes,
+    apply_value_shape,
+    positional_filter,
     probe_step,
     string_values_or_none,
 )
@@ -212,12 +216,14 @@ class RecursionInput(Operator):
 
 
 class Project(Operator):
-    """π — projection with renaming: ``mapping`` is (new, old) pairs."""
+    """π — projection with renaming: ``mapping`` is (new, old) pairs, an
+    old name that is a :class:`~repro.algebra.columnar.Constant` a column
+    of that value (the ``pos`` of ``iter|pos|item``: no ⊚ computes it)."""
 
     symbol = "π"
     union_pushable = True
 
-    def __init__(self, child: Operator, mapping: Sequence[tuple[str, str]]):
+    def __init__(self, child: Operator, mapping: Sequence[tuple[str, str | Constant]]):
         super().__init__([child])
         self.mapping = tuple(mapping)
 
@@ -225,7 +231,8 @@ class Project(Operator):
         return inputs[0].project(self.mapping)
 
     def label(self):
-        parts = [new if new == old else f"{new}:{old}" for new, old in self.mapping]
+        parts = [f"{new}:={old.value!r}" if isinstance(old, Constant)
+                 else new if new == old else f"{new}:{old}" for new, old in self.mapping]
         return f"π_{{{','.join(parts)}}}"
 
 
@@ -400,7 +407,10 @@ class IterationMerge(Operator):
 
 
 class Difference(Operator):
-    """\\ — EXCEPT ALL.  Consumes both inputs entirely: not pushable."""
+    """\\ — EXCEPT ALL.  Consumes both inputs entirely: not pushable — but
+    for the per-iteration anti-join ``loop \\ selected(C)`` the compiler
+    emits for ``not(C)``, which the ∪ reaches through both inputs, each
+    keyed by ``iter`` (see :mod:`repro.algebra.distributivity`)."""
 
     symbol = "\\"
     union_pushable = False
@@ -550,9 +560,11 @@ class StepJoin(Operator):
     ``pushed`` carries the predicate *shapes* the compiler recognized
     (:mod:`repro.xquery.pushdown`): value and existence tests filter through
     the value inverted indexes; positional shapes slice the axis-ordered
-    per-node result — which is also how the macro gains positional predicate
-    support, something the generic materialize-then-filter predicate plan
-    cannot express.  Value-only shapes commute with the per-iteration union,
+    per-node result (a sibling step led by ``[n]`` walks only to the n-th
+    match, :func:`~repro.xdm.index.nth_sibling`) — which is also how the
+    macro gains positional predicate support, something the generic
+    materialize-then-filter predicate plan cannot express.  Value-only
+    shapes commute with the per-iteration union,
     so they are applied to the merged batch column; any positional shape
     forces per-context-node application (XQuery counts positions per context
     node).
@@ -619,6 +631,10 @@ class StepJoin(Operator):
         self._probe_shape = (self.pushed[0] if self.pushed
                              and not isinstance(self.pushed[0], PositionShape)
                              and not self.pushed[0].existence else None)
+        #: ``n`` of a sibling step whose first pushed shape is ``[n]``: the
+        #: walk stops at the n-th match (:func:`nth_sibling`).
+        self._nth = (self.pushed[0].nth if axis in SIBLING_AXES and self.pushed
+                     and isinstance(self.pushed[0], PositionShape) else None)
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0], require_nodes=True)
@@ -744,6 +760,12 @@ class StepJoin(Operator):
         along; the caller applies the final ddo.
         """
         if use_index:
+            if self._nth is not None:
+                result = nth_sibling(node, self.axis, self.node_test_kind,
+                                     self.node_test_name, self._nth, index_set)
+                if result is not None:
+                    return apply_shapes(result, self.pushed[1:], values[1:],
+                                        use_index=True, index_set=index_set)
             result = self._probe([node], values, index_set, trace)
             if result is not None:
                 return result
@@ -782,6 +804,64 @@ class StepJoin(Operator):
         pushed = f"[{len(self.pushed)} pushed]" if self.pushed else ""
         joined = f"⋈{len(self._computed)}" if self._computed else ""
         return f"{self.axis}::{test}{pushed}{joined}"
+
+
+class ShapeFilter(Operator):
+    """The recognized predicate prefix of a filter expression ``E[p1]…[pk]``
+    as one macro over the plan of ``E``.
+
+    ``pushed`` are shapes (:mod:`repro.xquery.pushdown`) whose right-hand
+    sides the compiler resolved to constants: value and existence tests and
+    positional ones.  Per iteration they filter the iteration's items in
+    sequence order (row order), shape by shape, through the interpreter's
+    batch kernels — as its ``_apply_predicate_batch`` applies them: a
+    position slices, a value shape keeps the items in its value index's
+    owner set.  A value shape meeting an atomic item raises the
+    :class:`AlgebraError` the generic predicate plan raises there (its step
+    over the item).  A predicate the compiler does not push here — a
+    computed right-hand side, anything unrecognized — and every one behind
+    it keep the generic plan.
+
+    Keeping items one by one distributes over a ∪ of them; a position does
+    not (``first(A ∪ B) ≠ first(A) ∪ first(B)``), so a macro with a
+    positional shape blocks the ∪ push-up.
+    """
+
+    symbol = "filter"
+    union_pushable = True
+
+    def __init__(self, child: Operator, pushed: tuple):
+        super().__init__([child])
+        self.pushed = tuple(pushed)
+        if any(isinstance(shape, PositionShape) for shape in self.pushed):
+            self.union_pushable = False
+
+    def compute(self, inputs, engine):
+        per_iteration, order = inputs[0].items_by_iteration()
+        use_index = getattr(engine, "use_index", True)
+        index_set = IndexSet() if use_index else None  # shared by all iterations
+        trace = engine.trace
+        timer = perf_counter() if trace is not None else 0.0
+        results: list = []
+        for iteration in order:
+            items = per_iteration[iteration]
+            for shape in self.pushed:
+                if not items:
+                    break
+                if isinstance(shape, PositionShape):
+                    items = positional_filter(items, shape)
+                    continue
+                if not all(map(is_node, items)):
+                    raise AlgebraError("step join applied to a non-node item")
+                items = apply_value_shape(items, shape, shape.values or (),
+                                          use_index=use_index, index_set=index_set)
+            results.append((iteration, items))
+        if trace is not None:
+            trace.record_kernel("algebra-filter", True, perf_counter() - timer)
+        return _sequence_table(results)
+
+    def label(self):
+        return f"filter[{len(self.pushed)} pushed]"
 
 
 class IdLookup(Operator):

@@ -27,7 +27,9 @@ attribute edit and a newly registered ID drop them.
 
 The batch kernels (:func:`batch_step`; :func:`batch_id` for ``fn:id`` over
 a column of references; :func:`batch_id_path` for ``id(n1/…/nk)`` over a
-column of context nodes) take a whole column at once.  For the descendant
+column of context nodes) take a whole column at once; :func:`nth_sibling`
+answers a sibling step with a ``[n]`` predicate by a walk that stops at the
+n-th match, for both engines.  For the descendant
 axes the context intervals are merged (nested intervals are skipped, which
 is what makes the result duplicate-free *by construction*).  The downward
 named steps — ``child::n``, and a chain of them under ``fn:id`` — are
@@ -737,6 +739,40 @@ def indexed_step(node: Node, axis: str, kind: str,
     if isinstance(node, AttributeNode):
         return _attribute_upward(node, axis, kind, name)
     return index_for(node).step(node, axis, kind, name)
+
+
+#: The axes :func:`nth_sibling` walks.
+SIBLING_AXES = frozenset({"following-sibling", "preceding-sibling"})
+
+
+def nth_sibling(node: Node, axis: str, kind: str, name: str | None, n: int,
+                index_set: "IndexSet | None" = None) -> list[Node] | None:
+    """``node/axis::test[n]`` for a sibling *axis* and ``n ≥ 1``: the n-th
+    sibling passing the test, counted along the axis (nearest first) —
+    one node, or none when fewer pass.  The walk starts at the node's
+    ``sib_pos`` and stops at the n-th match, so ``following-sibling::
+    SPEECH[1]`` reads the next few siblings instead of listing all of them
+    and slicing.  ``None`` when the index does not cover *node*."""
+    if isinstance(node, AttributeNode):
+        return []
+    idx = index_for(node) if index_set is None else index_set.for_node(node)
+    pre = idx.pre_of.get(id(node))
+    if pre is None:
+        return None
+    parent = idx.parent_pre[pre]
+    if parent < 0:
+        return []
+    siblings = idx.nodes[parent].children
+    position = idx.sib_pos[pre]
+    walk = (range(position + 1, len(siblings)) if axis == "following-sibling"
+            else range(position - 1, -1, -1))
+    for at in walk:
+        sibling = siblings[at]
+        if _matches(sibling, kind, name, axis):
+            n -= 1
+            if not n:
+                return [sibling]
+    return []
 
 
 class IndexSet:

@@ -32,7 +32,15 @@ from repro.fixpoint.decision import decide_fixpoint
 from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.xdm.comparison import atomic_equal, atomic_less_than
 from repro.xdm.document import copy_node
-from repro.xdm.index import IndexSet, batch_id, batch_id_path, batch_step, indexed_step
+from repro.xdm.index import (
+    SIBLING_AXES,
+    IndexSet,
+    batch_id,
+    batch_id_path,
+    batch_step,
+    indexed_step,
+    nth_sibling,
+)
 from repro.xdm.items import (
     UntypedAtomic,
     is_node,
@@ -591,11 +599,24 @@ class Evaluator:
                 f"axis step '{expr.axis}::' requires a node context item", code="XPTY0020"
             )
         matched = None
+        predicates = expr.predicates
+        settings = context.static.settings
         trace = context.static.trace
         timer = perf_counter() if trace is not None else 0.0
-        if context.static.settings.use_index:
-            matched = indexed_step(node, expr.axis, expr.node_test.kind,
-                                   expr.node_test.name)
+        if settings.use_index:
+            if expr.axis in SIBLING_AXES and predicates and settings.use_pushdown:
+                # sibling::t[n]: the walk stops at the n-th match (the
+                # algebra's step macro runs the same kernel)
+                shape = pushdown.recognize_predicate(predicates[0])
+                n = shape.nth if isinstance(shape, PositionShape) else None
+                if n is not None:
+                    matched = nth_sibling(node, expr.axis, expr.node_test.kind,
+                                          expr.node_test.name, n)
+                    if matched is not None:
+                        predicates = predicates[1:]
+            if matched is None:
+                matched = indexed_step(node, expr.axis, expr.node_test.kind,
+                                       expr.node_test.name)
         if trace is not None:
             trace.record_kernel(f"axis:{expr.axis}", matched is not None,
                                 perf_counter() - timer)
@@ -603,7 +624,7 @@ class Evaluator:
             candidates = self._axis_nodes(node, expr.axis)
             matched = [candidate for candidate in candidates
                        if self._node_test(candidate, expr.node_test, expr.axis)]
-        return self._apply_predicates(matched, expr.predicates, context)
+        return self._apply_predicates(matched, predicates, context)
 
     def _axis_nodes(self, node: Node, axis: str) -> list[Node]:
         if axis == "child":

@@ -150,6 +150,12 @@ class PositionShape:
     def kind(self) -> str:
         return "positional"
 
+    @property
+    def nth(self) -> int | None:
+        """``n`` of a ``[n]`` shape with ``n ≥ 1`` (what
+        :func:`~repro.xdm.index.nth_sibling` answers), else ``None``."""
+        return self.value if self.op == "=" and self.value is not None and self.value >= 1 else None
+
 
 Shape = ValueShape | PositionShape
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro import EvalSettings
 from repro.errors import AlgebraError
-from repro.algebra.columnar import ColumnarTable
+from repro.algebra.columnar import ColumnarTable, Constant
 from repro.algebra.compiler import AlgebraCompiler, compile_recursion_body
 from repro.algebra.distributivity import (
     analyze_plan_distributivity,
@@ -83,6 +83,18 @@ class TestOperators:
         count = Aggregate(data, "count", ("iter",), "item", "n", loop=loop)
         result = AlgebraEvaluator().evaluate_plan(count)
         assert dict(result.rows) == {1: 2, 2: 0}
+
+    def test_aggregate_with_loop_answers_in_loop_order(self):
+        data = LiteralTable(ColumnarTable(("iter", "item"), [(3, "x"), (1, "y")]))
+        loop = LiteralTable(ColumnarTable(("iter",), [(1,), (2,), (3,)]))
+        count = Aggregate(data, "count", ("iter",), "item", "n", loop=loop)
+        assert AlgebraEvaluator().evaluate_plan(count).rows == ((1, 1), (2, 0), (3, 1))
+
+    def test_project_fills_a_constant_column(self):
+        data = LiteralTable(ColumnarTable(("iter", "item"), [(1, "a"), (2, "b")]))
+        plan = Project(data, [("iter", "iter"), ("pos", Constant(1)), ("item", "item")])
+        assert AlgebraEvaluator().evaluate_plan(plan).rows == ((1, 1, "a"), (2, 1, "b"))
+        assert plan.label() == "π_{iter,pos:=1,item}"
 
     def test_row_number_orders_within_partitions(self):
         data = LiteralTable(ColumnarTable(("iter", "v"), [(1, 30), (1, 10), (2, 5)]))

@@ -268,7 +268,7 @@ class TestPreforkFleet:
         assert self._converged(fleet, expected="2")
 
         # The aggregated exposition labels every worker's series.
-        metrics = _http_text(fleet.control_url + "/metrics")
+        metrics = self._metrics_of_every_worker(fleet, workers=2)
         assert 'worker="0"' in metrics and 'worker="1"' in metrics
         assert metrics.count("# HELP repro_requests_total") == 1
         assert "repro_worker_restarts_total 0" in metrics
@@ -320,6 +320,22 @@ class TestPreforkFleet:
                 return True
             time.sleep(0.2)
         return False
+
+    @staticmethod
+    def _metrics_of_every_worker(fleet: Fleet, workers: int,
+                                 timeout: float = 15.0) -> str:
+        """The supervisor's ``/metrics`` once it holds a series of every
+        worker, or the last scrape at the deadline: a worker whose own scrape
+        takes longer than 2 s is left out of one exposition by design
+        (``Supervisor.metrics_exposition``), so one scrape on a busy box may
+        miss it."""
+        deadline = time.monotonic() + timeout
+        while True:
+            metrics = _http_text(fleet.control_url + "/metrics")
+            if (all(f'worker="{slot}"' in metrics for slot in range(workers))
+                    or time.monotonic() >= deadline):
+                return metrics
+            time.sleep(0.2)
 
     def test_worker_readiness_gates_on_journal_replay(self, fleet_factory):
         fleet = fleet_factory(workers=2)
