@@ -33,10 +33,14 @@ The longest prefix of a step's predicates that
 value and existence shapes, and positional ones.  A filter expression's
 prefix moves into a :class:`~repro.algebra.operators.ShapeFilter` macro
 over its primary the same way, up to the first computed right-hand side.
-The macros are the only places positions exist, so a positional predicate
-that is not pushed (behind an unrecognized predicate or a computed
-right-hand side, or with ``push_predicates=False``) is an
-:class:`~repro.errors.AlgebraError`.  A
+A literal position that is not pushed (behind an unrecognized predicate or
+a computed right-hand side, or with ``push_predicates=False``) is an
+:class:`~repro.errors.AlgebraError`.  A predicate whose value may be a
+*computed* number (``[$n]``, ``[count(a)]``) keeps the candidates the
+interpreter's would (a :class:`~repro.algebra.operators.PredicateSelect`
+counting positions along each iteration's candidates); on a step it is
+taken per context node (``_compile_step`` maps the step over its context
+when that has more than one node per iteration).  A
 value shape compared with a compile-time constant carries the constant;
 one compared with a *computed* side that cannot raise (``_value_input``:
 a variable, or predicate-free steps from a node-valued one) makes that
@@ -72,6 +76,7 @@ from repro.algebra.operators import (
     NodeConstructor,
     Operator,
     PathResult,
+    PredicateSelect,
     Project,
     RecursionInput,
     RowTag,
@@ -89,6 +94,7 @@ from repro.xdm.items import UntypedAtomic, is_node, string_value_of_item, xs_dou
 from repro.xdm.node import DocumentNode
 from repro.xquery import ast
 from repro.xquery.context import DocumentResolver
+from repro.xquery.evaluator import REVERSE_AXES
 
 
 if TYPE_CHECKING:
@@ -245,19 +251,26 @@ class AlgebraCompiler:
     def _compile_UnionExpr(self, expr: ast.UnionExpr, context: CompilationContext) -> Operator:
         left = self._compile(expr.left, context)
         right = self._compile(expr.right, context)
-        return _document_order(UnionAll([left, right]))
+        return _document_order(UnionAll([left, right]), "union")
 
     def _compile_IntersectExpr(self, expr: ast.IntersectExpr, context: CompilationContext) -> Operator:
-        left = Distinct([Project(self._compile(expr.left, context), [("iter", "iter"), ("item", "item")])])
-        right = Distinct([Project(self._compile(expr.right, context), [("iter", "iter"), ("item", "item")])])
+        left, right = self._node_operands(expr, "intersect", context)
         joined = Join(left, Project(right, [("iter", "iter"), ("item_r", "item")]),
                       [("iter", "iter"), ("item", "item_r")])
         return _document_order(joined)
 
     def _compile_ExceptExpr(self, expr: ast.ExceptExpr, context: CompilationContext) -> Operator:
-        left = Distinct([Project(self._compile(expr.left, context), [("iter", "iter"), ("item", "item")])])
-        right = Distinct([Project(self._compile(expr.right, context), [("iter", "iter"), ("item", "item")])])
+        left, right = self._node_operands(expr, "except", context)
         return _document_order(Difference([left, right]))
+
+    def _node_operands(self, expr: ast.IntersectExpr | ast.ExceptExpr, operation: str,
+                       context: CompilationContext) -> tuple[Operator, Operator]:
+        """Both operands of *operation* as ``iter|item``, each node once —
+        an atomic value in either is the interpreter's ``XPTY0004``, also
+        where the other operand leaves nothing to compare it with."""
+        return tuple(Project(_document_order(self._compile(operand, context), operation),
+                             [("iter", "iter"), ("item", "item")])
+                     for operand in (expr.left, expr.right))
 
     # ------------------------------------------------------------------ paths
 
@@ -288,22 +301,29 @@ class AlgebraCompiler:
 
     def _compile_AxisStep(self, expr: ast.AxisStep, context: CompilationContext) -> Operator:
         focus = self._compile_ContextItem(ast.ContextItem(), context)
-        return self._compile_step(focus, expr, context)
+        return self._compile_step(focus, expr, context, from_focus=True)
 
     def _compile_step(self, source: Operator, step: ast.AxisStep,
-                      context: CompilationContext) -> Operator:
+                      context: CompilationContext, from_focus: bool = False) -> Operator:
         """A step join with the longest recognized predicate prefix pushed.
 
         Predicates apply sequentially, so only a *prefix* may move into the
         macro: the first unrecognized (or unresolvable) predicate and
         everything after it keep the generic materialize-then-filter plan,
-        preserving order-sensitive (positional) semantics.
+        preserving order-sensitive (positional) semantics.  A predicate of
+        the rest whose value may be a number counts positions per context
+        node, which the macro's per-iteration result only gives when the
+        step is taken *from_focus* (one context node per iteration): from
+        any other source the step is mapped over its nodes.
         """
         pushed, values, rest = self._split_pushable(step.predicates, context)
+        if not from_focus and any(map(_may_be_numeric, rest)):
+            return self._map_over(source, step, context)
         plan = StepJoin(source, step.axis, step.node_test.kind,
                         step.node_test.name, pushed=pushed, values=values,
                         comparison=_general_equal)
-        return self._apply_predicates(plan, rest, context)
+        return self._apply_predicates(plan, rest, context,
+                                      reverse=step.axis in REVERSE_AXES)
 
     def _split_pushable(self, predicates: tuple[ast.Expr, ...],
                         context: CompilationContext, value_inputs: bool = True):
@@ -463,14 +483,17 @@ class AlgebraCompiler:
     # ------------------------------------------------------------------ predicates and filters
 
     def _apply_predicates(self, candidates: Operator, predicates: tuple[ast.Expr, ...],
-                          context: CompilationContext) -> Operator:
+                          context: CompilationContext, reverse: bool = False) -> Operator:
         plan = candidates
         for predicate in predicates:
-            plan = self._apply_predicate(plan, predicate, context)
+            plan = self._apply_predicate(plan, predicate, context, reverse)
         return plan
 
     def _apply_predicate(self, candidates: Operator, predicate: ast.Expr,
-                         context: CompilationContext) -> Operator:
+                         context: CompilationContext, reverse: bool = False) -> Operator:
+        """The candidates *predicate* keeps, each iteration's in sequence
+        order — from the last for a *reverse* axis' step, where a value
+        that is a number selects by position."""
         if isinstance(predicate, ast.Literal) and isinstance(predicate.value, (int, float)):
             raise AlgebraError("positional predicates are not supported by the algebra backend")
         tagged = RowTag(candidates, "inner")
@@ -484,6 +507,10 @@ class AlgebraCompiler:
             loop_is_single=False,
         )
         selected = self._value_join(predicate, tagged, inner_context, context)
+        if selected is None and _may_be_numeric(predicate):
+            value = self._compile(predicate, inner_context)
+            selected = (Distinct([Project(value, [("iter", "iter")])]) if value.node_valued
+                        else PredicateSelect(tagged, value, reverse))
         if selected is None:
             selected = self._selected_iterations(predicate, inner_context)
         # keep candidate rows whose inner iteration survived the predicate
@@ -831,17 +858,34 @@ def _same_items(source: Operator, plan: Operator) -> Operator:
     return plan
 
 
-def _document_order(plan: Operator) -> Operator:
+def _document_order(plan: Operator, operation: str | None = None) -> Operator:
     """*plan*'s items per iteration without duplicates and in document
     order — what ``|``, ``intersect`` and ``except`` return, and what a
-    position in ``(a | b)[1]`` counts along."""
-    return PathResult([Project(plan, [("iter", "iter"), ("item", "item")])])
+    position in ``(a | b)[1]`` counts along.  With *operation*, the items
+    must be nodes (:class:`PathResult`)."""
+    return PathResult([Project(plan, [("iter", "iter"), ("item", "item")])], operation)
 
 
 def _is_call(expr: ast.Expr, name: str) -> bool:
     """Is *expr* a one-argument call of the built-in *name*?"""
     return (isinstance(expr, ast.FunctionCall) and expr.name in (name, f"fn:{name}")
             and len(expr.args) == 1)
+
+
+#: Predicates that do not select by a computed position: booleans, steps
+#: and literals (a number literal is the macros' ``[n]``, or unsupported).
+_NOT_COMPUTED_POSITIONS = (ast.GeneralComparison, ast.ValueComparison, ast.NodeComparison,
+                           ast.AndExpr, ast.OrExpr, ast.InstanceOfExpr, ast.AxisStep,
+                           ast.Literal)
+
+
+def _may_be_numeric(predicate: ast.Expr) -> bool:
+    """May *predicate*'s value be a computed number, which selects by
+    position (``[$n]``, ``[count(a)]``)?"""
+    if isinstance(predicate, _NOT_COMPUTED_POSITIONS) or (
+            isinstance(predicate, ast.PathExpr) and isinstance(predicate.right, ast.AxisStep)):
+        return False
+    return not any(_is_call(predicate, name) for name in ("not", "empty", "exists", "boolean"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ macro as a whole.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from time import perf_counter
 from collections.abc import Callable, Sequence
 from typing import Any
@@ -38,7 +39,7 @@ from repro.xdm.index import (
 )
 from repro.xdm.items import is_node, string_value_of_item
 from repro.xdm.node import AttributeNode, CommentNode, DocumentNode, ElementNode, Node, TextNode
-from repro.xdm.sequence import ddo
+from repro.xdm.sequence import ddo, ensure_node_sequence, predicate_truth
 from repro.xquery.pushdown import (
     PositionShape,
     ValueShape,
@@ -864,6 +865,48 @@ class ShapeFilter(Operator):
         return f"filter[{len(self.pushed)} pushed]"
 
 
+class PredicateSelect(Operator):
+    """σpos — the candidates a predicate keeps the way the interpreter's
+    predicate does (:func:`~repro.xdm.sequence.predicate_truth`): a single
+    number keeps the candidate at that position (``E[$n]``), any other
+    value by its effective boolean value.
+
+    Inputs: the candidates, tagged — ``iter|…|inner``, each iteration's
+    rows in sequence order — and the predicate's value per candidate, an
+    ``iter|pos|item`` table whose ``iter`` is the candidate's ``inner`` tag.
+    Output: the ``iter`` column of the tags kept.  Positions count each
+    iteration's rows from the first, or with *reverse* (a reverse axis'
+    step, whose result arrives in document order) from the last.  A
+    position needs all of its iteration's candidates: blocks the ∪ push-up.
+    """
+
+    symbol = "σpos"
+    union_pushable = False
+
+    def __init__(self, candidates: Operator, value: Operator, reverse: bool = False):
+        super().__init__([candidates, value])
+        self.reverse = reverse
+
+    def compute(self, inputs, engine):
+        candidates, value = inputs
+        values, _ = value.items_by_iteration()
+        iters = candidates.column_values("iter")
+        tags = candidates.column_values("inner")
+        sizes = Counter(iters) if self.reverse else None
+        seen: dict = {}
+        kept = []
+        for iteration, tag in zip(iters, tags):
+            position = seen[iteration] = seen.get(iteration, 0) + 1
+            if sizes is not None:
+                position = sizes[iteration] + 1 - position
+            if predicate_truth(values.get(tag, ()), position):
+                kept.append(tag)
+        return ColumnarTable.from_columns(("iter",), [kept])
+
+    def label(self):
+        return "σpos<reverse>" if self.reverse else "σpos"
+
+
 class IdLookup(Operator):
     """The ``fn:id`` macro: resolve ID strings to elements of a document.
 
@@ -952,11 +995,19 @@ class PathResult(Operator):
     Section 4.1), on atomic values nothing: the checker skips it exactly as
     it skipped the δ that used to stand here — and that sorted nothing and
     dropped equal atomic values.
+
+    With an *operation* (``"union"``, ``"intersect"``, ``"except"``) it is
+    that operator's ddo over its operands' items, which must all be nodes:
+    an atomic value is the interpreter's ``XPTY0004``.
     """
 
     symbol = "ddo"
     union_pushable = False
     order_or_duplicates_only = True
+
+    def __init__(self, children: Sequence[Operator], operation: str | None = None):
+        super().__init__(children)
+        self.operation = operation
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0])
@@ -966,6 +1017,8 @@ class PathResult(Operator):
             nodes = sum(1 for item in result if is_node(item))
             if nodes == len(result):
                 result = ddo(result)
+            elif self.operation is not None:
+                ensure_node_sequence(result, self.operation)
             elif nodes:
                 raise XQueryTypeError("path result mixes nodes and atomic values",
                                       code="XPTY0018")

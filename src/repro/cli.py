@@ -78,7 +78,10 @@ def main(argv: list[str] | None = None) -> int:
                              "exceeding it exits with a BudgetExceeded (status 3)")
     parser.add_argument("--emit-sql", action="store_true",
                         help="print the SQL the sql engine generates for every "
-                             "with … recurse fixpoint in the query, then exit")
+                             "with … recurse fixpoint in the query, then exit "
+                             "(the joined member: whether a store reads its "
+                             "materialised edge table instead is decided when "
+                             "the query runs)")
     parser.add_argument("--stats", action="store_true",
                         help="print IFP statistics (nodes fed back, recursion depth)")
     parser.add_argument("--check", action="store_true",
@@ -183,7 +186,10 @@ def _check_query(query: str) -> int:
 
 
 def _emit_sql(query: str, settings: EvalSettings) -> int:
-    """Print the SQL the sql engine would run for each fixpoint in *query*."""
+    """Print the SQL the sql engine would run for each fixpoint in *query*
+    — with the chain's joins in the member: a store running it may read the
+    chain's materialised ``(src, dst)`` edge table instead, which it decides
+    per tree at run time."""
     from repro.sqlbackend.executor import fixpoint_statements
     from repro.xquery.parser import parse_query
 

@@ -8,7 +8,8 @@ wired into the riskiest spots of the stack:
 point               where it fires
 ==================  ========================================================
 ``sqlite-execute``  :mod:`repro.sqlbackend.executor`, before a fixpoint's
-                    ``WITH RECURSIVE`` statement runs — raises
+                    ``WITH RECURSIVE`` statement runs (and before the edge
+                    table build it may need) — raises
                     ``sqlite3.OperationalError`` (mapped to
                     :class:`~repro.errors.SqlBackendError`)
 ``slow-span``       :meth:`repro.fixpoint.engine.FixpointEngine.run`, before

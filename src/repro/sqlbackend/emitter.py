@@ -46,6 +46,17 @@ argument's value).  With the covering ``(parent, name, kind)`` and
 ``(doc_id, value, pre)`` indexes, the chain above never reads a ``node``
 row for ``c1`` nor any row of ``id_attr``.
 
+The member above rebuilds the stored ``C(course, prerequisite)`` relation of
+the paper's Section 2 listing from the shredded tables for every frontier
+row.  A chain of two or more joins that never leaves its context row's tree
+(axis steps and step-position ``fn:id`` hops, :attr:`FixpointSql.tree_local`)
+also offers that relation itself, :meth:`FixpointSql.edge_select`; the
+store materialises it per tree as a ``(src, dst)`` table
+(:meth:`~repro.sqlbackend.shredder.SqlDocumentStore.edge_table`) and both
+members become one primary-key search, ``CROSS JOIN edges_k AS e ON e.src =
+s.pre``.  Whether a store has the table is decided at run time, so
+``--emit-sql`` prints the joined member.
+
 Steps may carry *recognized predicate shapes* (the pushdown fragment of
 :mod:`repro.xquery.pushdown`): ``[@a = "v"]``, ``[name = $v]`` and the
 existence tests ``[@a]`` / ``[name]`` become ``EXISTS`` probes against the
@@ -226,7 +237,10 @@ class FixpointSql:
     The seed enters as a ``VALUES`` CTE of ``pre`` ranks
     (:meth:`statement`) or, for seed sets near SQLite's host-parameter
     limit, as a ``SELECT`` from a pre-loaded table
-    (:meth:`statement_from_table`).
+    (:meth:`statement_from_table`).  Either reads the step relation through
+    the chain's joins or, given the name of a ``(src, dst)`` table holding
+    it (*edges*, built from :meth:`edge_select`), through one primary-key
+    search.
     """
 
     #: The column the member selects: the ``pre`` of the chain's result.
@@ -238,16 +252,38 @@ class FixpointSql:
     #: incorrectly (multi-token IDREFS content); any probe returning 1 means
     #: the executor must fall back to the driver loop.
     guards: tuple[str, ...] = ()
+    #: Whether every row the chain reaches lies in its context row's tree:
+    #: false once a top-level ``id(…)`` looks up in the anchor document.
+    tree_local: bool = True
 
-    def member(self, source: str) -> str:
-        """The chain as one SQL member reading its context rows from *source*."""
+    def member(self, source: str, edges: str | None = None) -> str:
+        """The chain as one SQL member reading its context rows from
+        *source* — through its joins, or as the step relation in the
+        ``(src, dst)`` table *edges*."""
+        if edges is not None:
+            return "\n".join(["SELECT e.dst", f"  FROM {source} AS s",
+                              f"  CROSS JOIN {edges} AS e ON e.src = s.pre"])
         return "\n".join([f"SELECT {self.result}", f"  FROM {source} AS s",
                           *(f"  {join}" for join in self.joins)])
 
-    def _statement(self, seed_body: str) -> str:
+    def edge_select(self) -> str | None:
+        """The chain's step relation over one tree, for the store to
+        materialise (:meth:`SqlDocumentStore.edge_table`): ``SELECT DISTINCT
+        src, dst`` with ``s`` ranging over the ``node`` rows of a rank range
+        (parameters: first, last, row limit).  ``None`` when the member is one
+        index search already (a single join) or may leave the tree (then no
+        set of trees bounds the edges a closure reads)."""
+        if not self.tree_local or len(self.joins) < 2:
+            return None
+        return "\n".join([f"SELECT DISTINCT s.pre, {self.result}",
+                          f"  FROM node AS s {_BY_PRE}",
+                          *(f"  {join}" for join in self.joins),
+                          "  WHERE s.pre BETWEEN ? AND ?", "  LIMIT ?"])
+
+    def _statement(self, seed_body: str, edges: str | None) -> str:
         return format_with_recursive(
             "fixpoint", ("pre",),
-            self.member("seed"), self.member("fixpoint"),
+            self.member("seed", edges), self.member("fixpoint", edges),
             union="UNION",
             # No ORDER BY: decode_pres puts the nodes in document order,
             # which across trees is order_key's, not pre's.
@@ -255,17 +291,19 @@ class FixpointSql:
             preamble=(("seed(pre)", seed_body),),
         )
 
-    def statement(self, seed_count: int) -> str:
+    def statement(self, seed_count: int, edges: str | None = None) -> str:
         """The executable statement for *seed_count* seed parameters."""
-        return self._statement("VALUES " + ", ".join(["(?)"] * max(seed_count, 1)))
+        return self._statement("VALUES " + ", ".join(["(?)"] * max(seed_count, 1)), edges)
 
-    def statement_from_table(self, table: str) -> str:
+    def statement_from_table(self, table: str, edges: str | None = None) -> str:
         """The statement reading seed ``pre`` ranks from *table*."""
-        return self._statement(f"SELECT pre FROM {table}")
+        return self._statement(f"SELECT pre FROM {table}", edges)
 
     def display(self) -> str:
-        """The statement with a symbolic seed list (for ``--emit-sql``)."""
-        return self._statement("VALUES (?) /* one row per seed node */")
+        """The statement with a symbolic seed list (for ``--emit-sql``): the
+        joined member, since whether a store reads a materialised edge table
+        instead is decided at run time, per tree."""
+        return self._statement("VALUES (?) /* one row per seed node */", None)
 
 
 def emit_fixpoint_sql(body: ast.Expr, variable: str,
@@ -308,6 +346,7 @@ class _Emitter:
         #: reserved by a :class:`_Rows` and never read
         self.joins: list[str | None] = []
         self.guards: list[str] = []
+        self.tree_local = True
         self._tests: dict[str, ast.NodeTest] = {}
         self._aliases = 0
 
@@ -344,7 +383,7 @@ class _Emitter:
             raise _NotEmittable
         return FixpointSql(result=result.pre,
                            joins=tuple(join for join in self.joins if join is not None),
-                           guards=tuple(self.guards))
+                           guards=tuple(self.guards), tree_local=self.tree_local)
 
     # -- translation ---------------------------------------------------------
 
@@ -492,6 +531,8 @@ class _Emitter:
                                   in_id_argument=not from_variable)
         if value_alias is context_alias:
             raise _NotEmittable  # id(.) / id($x) — outside the fragment
+        if from_variable:
+            self.tree_local = False  # the anchor document need not be the frontier's
         doc_scope = (str(self._resolve_anchor()) if from_variable
                      else value_alias.doc_id)
         self.guards.append(self._multi_token_guard(value_alias))

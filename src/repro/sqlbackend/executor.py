@@ -13,7 +13,12 @@ statement against the
 semi-naive queue evaluation plays the µ∆ role and the deduplicating
 ``UNION`` is the inflationary accumulation.  Iteration counts are not
 observable from outside the RDBMS, so such runs report an empty iteration
-trace under the algorithm label ``"cte"``.
+trace under the algorithm label ``"cte"``.  The multi-token guards are
+decided first; then, for a chain of two or more joins that stays in its
+tree, the statement reads the store's materialised ``(src, dst)`` edge table
+of the seed's trees (built by the first closure that starts there, under the
+same governor as the statement) instead of walking the joins per frontier
+row.
 
 **The shared driver** (the fallback).  Non-distributive or non-chain-shaped
 bodies have no SQL form, so their body is the interpreter's and the loop is
@@ -98,7 +103,9 @@ class SqlFixpointExecutor:
         :class:`~repro.observability.tracing.TraceContext`) wraps the run
         in a ``fixpoint`` span whose ``path`` attribute records whether the
         CTE or the driver executed it; a CTE's span also says in ``guards``
-        how its multi-token guards were decided (:meth:`_check_guards`).
+        how its multi-token guards were decided (:meth:`_check_guards`) and
+        in ``edges`` whether it read a materialised step relation
+        (:meth:`_edge_table`).
         ``governor`` (a :class:`~repro.limits.Governor`) makes the run
         interruptible: the driver checks at round boundaries, and the CTE
         runs under a SQLite progress handler
@@ -143,7 +150,10 @@ class SqlFixpointExecutor:
             try:
                 faults.trigger("sqlite-execute")
                 with sqlite_guard(self.store.connection, governor):
-                    result = self._run_cte(emitted, seed_pres, trace=trace)
+                    edges, disposition = self._edge_table(emitted, seed, trace)
+                    if span is not None:
+                        span.set(edges=disposition)
+                    result = self._run_cte(emitted, seed_pres, edges, trace=trace)
             except sqlite3.Error as error:
                 raise SqlBackendError(
                     f"SQLite error during fixpoint execution: {error}"
@@ -193,6 +203,28 @@ class SqlFixpointExecutor:
         tripped = any(self.store.verdict(guard, probe) for guard in emitted.guards)
         return tripped, "probed" if probed else "cached"
 
+    def _edge_table(self, emitted: FixpointSql, seed: list,
+                    trace=None) -> tuple[str | None, str]:
+        """The store's ``(src, dst)`` table of the chain over the seed's
+        trees (:meth:`SqlDocumentStore.edge_table`) — ``None`` to read the
+        joins — and how it was had: ``"none"`` (a single join, a chain that
+        may leave its tree, no seed), ``"cached"``, ``"built"`` or
+        ``"declined"``.  Each build that runs is a ``sql`` span with
+        ``build="edges"``."""
+        select = emitted.edge_select()
+        if select is None or not seed:
+            return None, "none"
+
+        def build(statement: str, parameters: tuple) -> int:
+            with maybe_span(trace, "sql", build="edges",
+                            statement=_abbreviate(statement)) as span:
+                inserted = self.store.connection.execute(statement, parameters).rowcount
+                if span is not None:
+                    span.set(rows=inserted)
+            return inserted
+
+        return self.store.edge_table(select, seed, build)
+
     # -- the recursive CTE path ---------------------------------------------
 
     #: Seed sets beyond this bind through a temp table instead of ``?``
@@ -200,7 +232,7 @@ class SqlFixpointExecutor:
     MAX_SEED_PARAMETERS = 500
 
     def _run_cte(self, emitted: FixpointSql, seed_pres: list[int],
-                 trace=None) -> FixpointResult:
+                 edges: str | None = None, trace=None) -> FixpointResult:
         connection = self.store.connection
         if len(seed_pres) > self.MAX_SEED_PARAMETERS:
             seed_table = f"fix_seed_{next(self._run_ids)}"
@@ -209,7 +241,7 @@ class SqlFixpointExecutor:
                 connection.executemany(
                     f"INSERT INTO {seed_table} (pre) VALUES (?)",
                     [(pre,) for pre in seed_pres])
-                statement = emitted.statement_from_table(seed_table)
+                statement = emitted.statement_from_table(seed_table, edges)
                 self._record_statement(statement)
                 with maybe_span(trace, "sql", statement=_abbreviate(statement)) as span:
                     rows = connection.execute(statement).fetchall()
@@ -218,7 +250,7 @@ class SqlFixpointExecutor:
             finally:
                 connection.execute(f"DROP TABLE IF EXISTS {seed_table}")
         else:
-            statement = emitted.statement(len(seed_pres))
+            statement = emitted.statement(len(seed_pres), edges)
             self._record_statement(statement)
             # VALUES needs a row; -1 matches no step (every member takes one)
             parameters = seed_pres or [-1]

@@ -18,6 +18,14 @@ the ones that are no longer wanted or were mutated since they were shredded
 per-tree change tokens of :mod:`repro.xdm.index`, which the store takes at
 shred time and hands back when it forgets the tree, is closed or is simply
 garbage collected.
+
+What the store derives from its trees lives and dies with them too: the
+verdicts of the multi-token guard probes (:meth:`SqlDocumentStore.verdict`,
+per store version) and the materialised step relations of recursive
+members (:meth:`SqlDocumentStore.edge_table`): temp ``(src, dst)`` tables
+filled per tree the first time a closure starts in it, declined for a tree
+whose edges would outnumber its ``node`` rows, and emptied of a tree's
+``src`` range when the tree is forgotten.
 """
 
 from __future__ import annotations
@@ -45,6 +53,16 @@ class _ShreddedTree(NamedTuple):
     last: int
     #: the tree's change count (:func:`repro.xdm.index.watch_tree`) at shred time
     changes: int
+    #: its ``node`` rows (attributes excluded): what its edges are bounded by
+    nodes: int
+
+
+class _Edges(NamedTuple):
+    """One materialised step relation: its temp table and, per tree (by
+    root id), whether the tree's edges are in it (``False``: declined)."""
+
+    table: str
+    trees: dict[int, bool]
 
 
 class SqlDocumentStore:
@@ -63,6 +81,11 @@ class SqlDocumentStore:
         (:mod:`repro.sqlbackend.pool`) turns this on.
     """
 
+    #: Edge tables kept at once; the least recently used one is dropped to
+    #: make room (members differ by inlined predicate values, so a
+    #: long-lived store may meet any number of them).
+    MAX_EDGE_TABLES = 16
+
     def __init__(self, path: str = ":memory:", wal: bool = False):
         self.path = path
         self.connection = sqlite3.connect(path)
@@ -79,6 +102,9 @@ class SqlDocumentStore:
         self._version = 0
         #: (version, probe SQL → verdict), see verdict()
         self._verdicts: tuple[int, dict[str, bool]] = (0, {})
+        #: edge SELECT → its table, least recently used first; see edge_table()
+        self._edges: dict[str, _Edges] = {}
+        self._edge_ids = itertools.count(1)
         # The change tokens go back on close() or, for a store that is
         # simply dropped, when it is collected — before the nodes it pins.
         # The callback holds the table of trees, never the store.
@@ -113,6 +139,65 @@ class SqlDocumentStore:
         if verdict is None:
             verdict = verdicts[probe] = run(probe)
         return verdict
+
+    # -- materialised step relations -----------------------------------------
+
+    def edge_table(self, select: str, nodes: Iterable[Node],
+                   run: Callable[[str, tuple], int]) -> tuple[str | None, str]:
+        """The temp table ``(src, dst)`` holding the step relation *select*
+        (:meth:`FixpointSql.edge_select`) over the trees of *nodes*, and how
+        it was had: ``"cached"``, ``"built"`` or ``"declined"`` (no table).
+
+        A tree's edges depend on its rows alone, so they are built per
+        tree, the first time they are asked for: one ``INSERT … SELECT``
+        with ``s`` over the tree's rank range, executed by *run* (statement,
+        parameters → rows inserted).  Should they outnumber the tree's
+        ``node`` rows the build stops there, keeps nothing and the tree is
+        recorded as declined — the caller reads the chain's joins instead.
+        A build that fails keeps neither rows nor a record;
+        :meth:`retain` takes a forgotten tree's edges and records away.
+        """
+        edges = self._edges.pop(select, None)
+        if edges is None:
+            if len(self._edges) >= self.MAX_EDGE_TABLES:
+                self._drop_edges(next(iter(self._edges)))
+            edges = _Edges(f"edges_{next(self._edge_ids)}", {})
+            self.connection.execute(
+                f"CREATE TEMP TABLE {edges.table} (src INTEGER NOT NULL, "
+                "dst INTEGER NOT NULL, PRIMARY KEY (src, dst)) WITHOUT ROWID")
+        self._edges[select] = edges  # now the most recently used
+        disposition = "cached"
+        for root_id in {id(node.root()) for node in nodes}:
+            built = edges.trees.get(root_id)
+            if built is None:
+                tree = self._trees.get(root_id)
+                if tree is None:  # pragma: no cover - encode() shreds every seed's tree
+                    return None, "declined"
+                built = edges.trees[root_id] = self._build_edges(edges.table, select, tree, run)
+                disposition = "built"
+            if not built:
+                return None, "declined"
+        return edges.table, disposition
+
+    def _build_edges(self, table: str, select: str, tree: _ShreddedTree,
+                     run: Callable[[str, tuple], int]) -> bool:
+        """Insert *tree*'s edges into *table*; ``False`` (and nothing kept)
+        when there are more of them than the tree has ``node`` rows."""
+        try:
+            inserted = run(f"INSERT INTO {table} (src, dst)\n{select}",
+                           (tree.first, tree.last, tree.nodes + 1))
+            if inserted > tree.nodes:
+                self.connection.rollback()
+                return False
+            self.connection.commit()
+        except BaseException:
+            self.connection.rollback()
+            raise
+        return True
+
+    def _drop_edges(self, select: str) -> None:
+        edges = self._edges.pop(select)
+        self.connection.execute(f"DROP TABLE temp.{edges.table}")
 
     # -- shredding -----------------------------------------------------------
 
@@ -188,7 +273,8 @@ class SqlDocumentStore:
         self._pre_of.update(local_pre)
         self._node_of.update(local_node)
         root_pre, root_post = node_rows[0][:2]
-        self._trees[id(root)] = _ShreddedTree(doc_id, root_pre, root_post, changes)
+        self._trees[id(root)] = _ShreddedTree(doc_id, root_pre, root_post, changes,
+                                              len(node_rows))
         self._version += 1
         return doc_id
 
@@ -245,9 +331,10 @@ class SqlDocumentStore:
 
         What stays is exactly what an evaluation over *roots* may read as it
         is.  A forgotten tree loses its rows (by its contiguous rank range
-        and its ``doc_id`` — primary-key deletes), its node↔pre mappings and
-        its change token, and is shredded afresh should a query reach it
-        again.  A failure leaves the store as it was.
+        and its ``doc_id`` — primary-key deletes), its edges (by the same
+        range of ``src``) and their records, its node↔pre mappings and its
+        change token, and is shredded afresh should a query reach it again.
+        A failure leaves the store as it was.
         """
         wanted = {id(root) for root in roots}
         stale = [root_id for root_id, tree in self._trees.items()
@@ -263,8 +350,14 @@ class SqlDocumentStore:
                 self.connection.execute("DELETE FROM attr WHERE pre BETWEEN ? AND ?", ranks)
                 self.connection.execute("DELETE FROM id_attr WHERE doc_id = ?", (tree.doc_id,))
                 self.connection.execute("DELETE FROM doc WHERE doc_id = ?", (tree.doc_id,))
+                for edges in self._edges.values():
+                    if edges.trees.get(root_id):
+                        self.connection.execute(
+                            f"DELETE FROM {edges.table} WHERE src BETWEEN ? AND ?", ranks)
         _index.unwatch_trees(stale)
         for root_id in stale:
+            for edges in self._edges.values():
+                edges.trees.pop(root_id, None)
             tree = self._trees.pop(root_id)
             for rank in range(tree.first, tree.last + 1):
                 node = self._node_of.pop(rank, None)
@@ -320,6 +413,7 @@ class SqlDocumentStore:
         then close the connection (which only its own thread may)."""
         self._release_tokens()
         self._trees.clear()
+        self._edges.clear()
         self._pre_of.clear()
         self._node_of.clear()
         self.connection.close()

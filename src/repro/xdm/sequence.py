@@ -154,6 +154,17 @@ def effective_boolean_value(sequence: Sequence[Any]) -> bool:
     raise XQueryTypeError("invalid argument to effective boolean value", code="FORG0006")
 
 
+def predicate_truth(value: Sequence[Any], position: int) -> bool:
+    """Does a predicate whose value is *value* keep the item at *position*?
+
+    A single number selects by position (``E[2]``, ``E[$n]``); any other
+    value by its :func:`effective_boolean_value`.
+    """
+    if len(value) == 1 and is_numeric(value[0]) and not isinstance(value[0], bool):
+        return value[0] == position
+    return effective_boolean_value(value)
+
+
 def item_sequence(value: Any) -> list[Any]:
     """Normalize a Python value into an item sequence.
 

@@ -67,6 +67,7 @@ from repro.xdm.sequence import (
     node_except,
     node_intersect,
     node_union,
+    predicate_truth,
 )
 from repro.xquery import ast
 from repro.xquery import pushdown
@@ -702,7 +703,7 @@ class Evaluator:
             for position, item in enumerate(current, start=1):
                 focused = context.with_focus(item, position, size)
                 value = self.evaluate(predicate, focused)
-                if self._predicate_holds(value, position):
+                if predicate_truth(value, position):
                     retained.append(item)
             if trace is not None:
                 trace.record_kernel("pred:fallback", False, perf_counter() - timer)
@@ -743,11 +744,6 @@ class Evaluator:
         if trace is not None:
             trace.record_kernel(f"pred:{shape.kind}", True, perf_counter() - timer)
         return result, index_set
-
-    def _predicate_holds(self, value: Sequence, position: int) -> bool:
-        if len(value) == 1 and is_numeric(value[0]) and not isinstance(value[0], bool):
-            return value[0] == position
-        return effective_boolean_value(value)
 
     def _eval_filter(self, expr: ast.FilterExpr, context: DynamicContext) -> Sequence:
         primary = self.evaluate(expr.primary, context)

@@ -33,7 +33,7 @@ from repro.algebra.evaluator import AlgebraEvaluator
 from repro.algebra.operators import Fixpoint, RowTag, ShapeFilter, ValueEqualJoin
 from repro.algebra.plan import plan_size
 from repro.api import evaluate
-from repro.errors import AlgebraError, ReproError
+from repro.errors import AlgebraError, ReproError, XQueryTypeError
 from repro.session import Session
 from repro.xdm.index import index_for, nth_sibling
 from repro.xdm.items import is_node
@@ -78,11 +78,12 @@ def _assert_engines_agree(xml: str, template: str, n: int | None = None) -> None
     """Algebra and interpreter, pushdown on and off, against the
     interpreter without index, pushdown or rewrites.  A typed error must
     meet a typed error; the algebra engine without pushdown rejects
-    positions (``AlgebraError``), as it always has."""
+    literal positions (``AlgebraError``), as it always has — a computed one
+    (``[$n]``) it counts along the candidates."""
     resolver = DocumentResolver()
     resolver.register("r.xml", parse_xml(xml))
     query = template.format(n=n)
-    positional = "{n}" in template or "last()" in template
+    positional = any(literal in template for literal in ("[{n}]", "last()", "position()"))
     expected = _answer(query, resolver, engine="interpreter",
                        use_pushdown=False, use_index=False, optimize=False)
     for engine in ("interpreter", "algebra"):
@@ -115,6 +116,12 @@ FILTER_QUERIES = (
     '(D//a)[@k = "y"][count(b) = 0]',   # an unrecognized tail keeps the generic plan
     "(1, 2, 3)[{n}]",                   # positions slice atomics
     "(1, D//a)[@k]",                    # a value shape over an atomic: typed error
+    "let $n := {n} return (D//a)[$n]",  # a computed position …
+    "let $n := {n} return D//a[$n]",    # … counts per context node on a step
+    "let $n := {n} return D//b/ancestor::*[$n]",  # … from the nearest on a reverse axis
+    'for $n in (1, {n}) return (D//*)[@k = "x"][$n]',
+    "let $n := {n} return (D//a)[$n - 1]",
+    'let $n := "{n}" return (D//a)[$n]',            # a string: its boolean value
 )
 
 NOT_QUERIES = (
@@ -213,6 +220,37 @@ class TestWhatAlgebraUsedToGetWrong:
         assert answers["interpreter"] and len(set(map(tuple, answers.values()))) == 1
         with pytest.raises(AlgebraError):  # the generic plan has no positions
             evaluate(query, documents=resolver, engine="algebra", use_pushdown=False)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("query, expected", [
+        ("let $n := 2 return <a><b>1</b><b>2</b><b>3</b></a>/b[$n]", ["2"]),
+        ("let $n := 2 return (<a><b>1</b><b>2</b><b>3</b></a>/b)[$n]", ["2"]),
+        ("for $n in (1, 3) return <a><b>1</b><b>2</b><b>3</b></a>/b[$n]", ["1", "3"]),
+        ("let $n := 2 return <r><a><b>1</b><b>2</b></a><a><b>3</b><b>4</b></a></r>//b[$n]",
+         ["2", "4"]),
+        ('for $n in (1, 3) return <r x="0"><a x="1"><c x="2"><b/></c></a></r>'
+         "//b/ancestor::*[$n]/@x", ["2", "0"]),
+    ])
+    @pytest.mark.parametrize("use_pushdown", [True, False])
+    def test_a_number_in_a_variable_selects_by_position(self, engine, query, expected,
+                                                        use_pushdown):
+        """Algebra took ``[$n]`` for its effective boolean value and kept
+        every candidate (``<b>1</b><b>2</b><b>3</b>``, six ``b`` in the loop)."""
+        items = evaluate(query, engine=engine, use_pushdown=use_pushdown).items
+        assert [item.string_value() for item in items] == expected
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("query, operation", [
+        ("(1, 2) | (2, 3)", "union"), ("(1, 2) intersect (2, 3)", "intersect"),
+        ("(1, 2) except (2, 3)", "except"), ("() except 1", "except"),
+        ("<a/> intersect 1", "intersect"), ("for $i in (1, 2) return ($i | <a/>)", "union"),
+    ])
+    def test_set_operators_over_atomics_are_a_type_error(self, engine, query, operation):
+        """Algebra answered ``(1,2) | (2,3)`` with ``1 2 2 3``."""
+        with pytest.raises(XQueryTypeError, match=f"{operation} requires a sequence of nodes") \
+                as raised:
+            evaluate(query, engine=engine)
+        assert raised.value.code == "XPTY0004"
 
 
 # ---------------------------------------------------------------------------

@@ -385,10 +385,13 @@ class TestDeltaDriver:
             sql_items, attributes, rounds, labels = self._traced(session, query, "sql")
         assert list(map(id, sql_items)) == list(map(id, items))
         assert rounds == [] and labels == ["cte"]
-        # curriculum's fn:id hop carries the multi-token probe, run once here
-        guards = "probed" if name == "curriculum" else "none"
+        # curriculum's fn:id hop carries the multi-token probe, run once here,
+        # and its three joins read a step relation built here; hospital's
+        # one join is read as it is
+        guards, edges = ("probed", "built") if name == "curriculum" else ("none", "none")
         assert attributes == {"algorithm": "delta", "path": "cte", "seed": 4,
-                              "result_size": len(items), "rounds": 0, "guards": guards}
+                              "result_size": len(items), "rounds": 0, "guards": guards,
+                              "edges": edges}
 
     def test_the_sql_fallback_never_touches_the_store(self, curriculum):
         from repro.sqlbackend import SQLEvaluator

@@ -9,6 +9,8 @@ flags, and the shared result-table decoding helper.
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Engine, EvalSettings, Session, evaluate, parse_xml
 from repro.algebra.columnar import ColumnarTable
@@ -503,6 +505,274 @@ class TestGuardVerdictsLiveWithTheData:
 
 
 # ---------------------------------------------------------------------------
+# the materialised step relation
+# ---------------------------------------------------------------------------
+
+
+def _edge_rows(store, root):
+    """Edge rows of the tree rooted at *root*, per edge table of *store*."""
+    tree = store._trees[id(root)]
+    return {edges.table: store.connection.execute(
+        f"SELECT count(*) FROM {edges.table} WHERE src BETWEEN ? AND ?",
+        (tree.first, tree.last)).fetchone()[0] for edges in store._edges.values()}
+
+
+def _edges_of(result):
+    return result.trace.find("fixpoint").attributes["edges"]
+
+
+def _spans(result, builds: bool):
+    """The traced run's ``sql`` spans that are edge builds (or are not)."""
+    return [span for span in result.trace.find_all("sql")
+            if (span.attributes.get("build") == "edges") == builds]
+
+
+def _build(store):
+    """A build runner for :meth:`SqlDocumentStore.edge_table`, untraced."""
+    return lambda statement, parameters: store.connection.execute(
+        statement, parameters).rowcount
+
+
+_ID_POOL = ("i0", "i1", "i2", "i3", "i4", "i5")
+
+
+@st.composite
+def _id_document(draw):
+    """``<r>`` over ``a`` elements, some nested, each with an ``@id`` drawn
+    from a pool every document shares and ``ref`` children naming one."""
+    ids = iter(draw(st.permutations(_ID_POOL)))
+
+    def element(depth):
+        refs = "".join(f"<ref>{ref}</ref>" for ref in draw(
+            st.lists(st.sampled_from(_ID_POOL), max_size=2)))
+        nested = "".join(element(depth + 1) for _ in range(
+            draw(st.integers(0, 2)) if depth < 2 else 0))
+        identifier = next(ids, None)
+        attribute = f' id="{identifier}"' if identifier is not None else ""
+        return f"<a{attribute}>{refs}{nested}</a>"
+
+    return "<r>" + "".join(element(0) for _ in range(draw(st.integers(1, 4)))) + "</r>"
+
+
+#: Chains of two and three joins the store materialises: child, parent and
+#: sibling steps and step-position ``fn:id`` hops.
+EDGE_BODIES = (
+    "$x/id(./ref)",
+    "$x/child::a/id(./ref)",
+    "$x/id(./ref)/parent::a",
+    "$x/parent::a/child::a",
+    "$x/following-sibling::a/id(./ref)",
+    "$x/preceding-sibling::*/child::a",
+    "$x/child::a/child::a",
+    "$x/parent::*/following-sibling::a",
+)
+
+
+class TestTheEdgeRelation:
+    """A chain of two or more joins that stays in its context's tree reads
+    the store's ``(src, dst)`` table of its step relation, built per tree
+    the first time a closure starts there and forgotten with the tree."""
+
+    @pytest.mark.parametrize("body, materialised", [
+        ("$x/id(./prerequisites/pre_code)", True),
+        ("$x/parent::*", True),                     # the parent's row and the parent
+        ("$x/descendant::a/child::b", True),
+        ("$x/parent", False),                       # one index search already
+        ("$x/child::a[@id = 'x']", False),
+        ("id($x/ref)", False),                      # the anchor document: may leave the tree
+        ("id($x/ref)/child::a", False),
+    ])
+    def test_which_chains_are_materialised(self, body, materialised):
+        emitted = emit_fixpoint_sql(parse_expression(body), "x", anchor_doc_id=1)
+        assert (emitted.edge_select() is not None) == materialised
+
+    def test_ten_evaluations_build_once(self, documents):
+        with Session(documents) as session:
+            statements = TestGuardVerdictsLiveWithTheData._statements(session)
+            first = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+            for _ in range(8):
+                session.evaluate(QUERY_Q1, engine="sql")
+            last = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+        builds = [text for text in statements if text.startswith("INSERT INTO edges_")]
+        ctes = TestGuardVerdictsLiveWithTheData._ctes(statements)
+        assert len(builds) == 1 and len(ctes) == 10
+        assert all("CROSS JOIN edges_" in text and "id_attr" not in text for text in ctes)
+        assert course_codes(first.items) == ["c2", "c3", "c4", "c5"]
+        assert _identical(first.items, last.items)
+        (build,) = _spans(first, builds=True)
+        assert build.attributes["rows"] == 6    # c1→c2, c1→c3, c2→c4, c4→c5, c6↔c7
+        assert (_edges_of(first), _edges_of(last)) == ("built", "cached")
+        assert _spans(last, builds=True) == []
+
+    def test_the_member_is_one_primary_key_search(self, curriculum):
+        store = SqlDocumentStore()
+        store.shred(curriculum)
+        emitted = emit_fixpoint_sql(parse_expression("$x/id(./prerequisites/pre_code)"), "x")
+        table, disposition = store.edge_table(emitted.edge_select(), [curriculum], _build(store))
+        assert disposition == "built"
+        plan = [row[3] for row in store.connection.execute(
+            "EXPLAIN QUERY PLAN " + emitted.statement(1, table), (1,))]
+        text = "\n".join(plan)
+        assert plan.count("SEARCH e USING PRIMARY KEY (src=?)") == 2, text  # both members
+        assert "BLOOM FILTER" not in text and "AUTOMATIC" not in text, text
+        assert not any(re.search(r"^SCAN .*\be\b", detail) for detail in plan), text
+        assert not re.search(r"\b(node|id_attr)\b", text), text
+
+    def test_what_changes_the_data_changes_the_answer(self):
+        xml = ('<curriculum><course code="c1"><prerequisites><pre_code>c2</pre_code>'
+               '<pre_code>late</pre_code></prerequisites></course>'
+               '<course code="c2"><prerequisites/></course>'
+               '<course code="c3"><prerequisites><pre_code>c1</pre_code></prerequisites>'
+               "</course></curriculum>")
+        document = parse_xml(xml, id_attributes=("code",))
+        query = ('with $x seeded by doc("c.xml")/curriculum/course[@code="c1"] '
+                 "recurse $x/id(./prerequisites/pre_code)")
+
+        def closure(session):
+            result = session.evaluate(query, engine="sql", trace=True)
+            reference = session.evaluate(query, engine="interpreter").items
+            assert _identical(reference, result.items)
+            return course_codes(result.items), _edges_of(result)
+
+        with Session({"c.xml": document}, id_attributes=("code",)) as session:
+            assert closure(session) == (["c2"], "built")
+            assert closure(session) == (["c2"], "cached")
+            store = session._sql_pool.store(session.snapshot())
+            # a text edit under a pre_code …
+            text = next(node for node in document.iter_tree()
+                        if node.name == "pre_code").children[0]
+            text.set_value("c3")
+            assert closure(session) == (["c1", "c3"], "built")
+            # … a late register_id …
+            late = document.lookup_id("c2")
+            document.register_id("late", late)
+            assert closure(session) == (["c1", "c2", "c3"], "built")
+            old = _edge_rows(store, document)
+            assert sum(old.values()) == 3
+            # … and the URI registered anew
+            first, last = store._trees[id(document)][1:3]
+            session.register_document("c.xml", xml.replace("<pre_code>late</pre_code>", ""))
+            assert closure(session) == (["c2"], "built")
+            for table in old:
+                assert store.connection.execute(
+                    f"SELECT count(*) FROM {table} WHERE src BETWEEN ? AND ?",
+                    (first, last)).fetchone()[0] == 0
+
+    def test_a_constructed_seed_builds_over_its_own_tree(self, documents):
+        body = "$x/child::*/child::*"
+        with Session(documents) as session:
+            curriculum = documents["curriculum.xml"]
+            session.evaluate(QUERY_Q1, engine="sql")
+            tree = session.evaluate(f'with $x seeded by doc("curriculum.xml")/curriculum '
+                                    f"recurse {body}", engine="sql", trace=True)
+            assert _edges_of(tree) == "built"
+            store = session._sql_pool.store(session.snapshot())
+            before = _edge_rows(store, curriculum)
+            assert len(before) == 2 and all(before.values())
+            constructed = session.evaluate(
+                f"with $x seeded by <a><b><c><d/></c></b></a> recurse {body}",
+                engine="sql", trace=True)
+            assert [node.name for node in constructed.items] == ["c"]
+            assert _edges_of(constructed) == "built"
+            (build,) = _spans(constructed, builds=True)
+            assert build.attributes["rows"] == 2      # a→c, b→d: its own tree only
+            assert _edge_rows(store, curriculum) == before
+            # The next acquisition forgets the constructed tree and its edges;
+            # the curriculum's are read as they are.
+            again = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+            assert _edges_of(again) == "cached"
+            assert len(store._trees) == 1
+            assert sum(store.connection.execute(f"SELECT count(*) FROM {edges.table}")
+                       .fetchone()[0] for edges in store._edges.values()) == sum(before.values())
+
+    def test_edges_that_would_outnumber_the_rows_are_declined(self):
+        xml = "<r>" + '<a n="1"/>' * 12 + "</r>"
+        query = 'with $x seeded by doc("w.xml")/r/a[1] recurse $x/parent::*/child::*'
+        with Session({"w.xml": xml}) as session:
+            reference = session.evaluate(query, engine="interpreter").items
+            for _ in range(2):
+                result = session.evaluate(query, engine="sql", trace=True)
+                assert len(reference) == 12 and _identical(reference, result.items)
+                assert _edges_of(result) == "declined"
+                (statement,) = _spans(result, builds=False)
+                assert "edges_" not in statement.attributes["statement"]
+            store = session._sql_pool.store(session.snapshot())
+            (edges,) = store._edges.values()
+            assert list(edges.trees.values()) == [False]
+            assert store.connection.execute(
+                f"SELECT count(*) FROM {edges.table}").fetchone()[0] == 0
+
+    def test_a_store_keeps_its_most_recently_used_edge_tables(self, curriculum):
+        """Members differ by their inlined predicate values: a long-lived
+        store drops the least recently used table rather than keep all."""
+        store = SqlDocumentStore()
+        store.shred(curriculum)
+        selects = [emit_fixpoint_sql(parse_expression(
+            f"$x/child::course[@code = 'c{index}']/child::prerequisites"), "x").edge_select()
+            for index in range(SqlDocumentStore.MAX_EDGE_TABLES + 1)]
+        for select in (selects[0], *selects[2:], selects[0], selects[1]):
+            store.edge_table(select, [curriculum], _build(store))
+        assert list(store._edges) == [*selects[3:], selects[0], selects[1]]
+        assert store.connection.execute(
+            "SELECT count(*) FROM sqlite_temp_master WHERE type = 'table'"
+        ).fetchone()[0] == SqlDocumentStore.MAX_EDGE_TABLES
+
+    def test_an_interrupted_build_keeps_nothing(self):
+        from repro.datagen.curriculum import CurriculumConfig, generate_curriculum
+        from repro.errors import QueryTimeout
+        from repro.faults import FaultSpec, inject
+        from repro.limits import ResourceLimits
+
+        documents = {"curriculum.xml": generate_curriculum(CurriculumConfig(courses=300))}
+        query = ('with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"] '
+                 "recurse $x/id(./prerequisites/pre_code)")
+        with Session(documents) as session:
+            # shredded by a one-join body, which builds nothing
+            session.evaluate(query.replace("id(./prerequisites/pre_code)", "prerequisites"),
+                             engine="sql")
+            with inject(FaultSpec("sqlite-execute", sleep_s=0.2)):
+                with pytest.raises(QueryTimeout):
+                    session.evaluate(query, engine="sql",
+                                     limits=ResourceLimits(timeout_s=0.1))
+            store = session._sql_pool.store(session.snapshot())
+            (edges,) = store._edges.values()
+            assert edges.trees == {}
+            assert store.connection.execute(
+                f"SELECT count(*) FROM {edges.table}").fetchone()[0] == 0
+            result = session.evaluate(query, engine="sql", trace=True)
+            assert _edges_of(result) == "built"
+            assert _identical(session.evaluate(query).items, result.items)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_id_document(), min_size=2, max_size=3), st.sampled_from(EDGE_BODIES),
+           st.sampled_from(_ID_POOL), st.sampled_from(_ID_POOL))
+    def test_the_edges_answer_what_the_joins_answer(self, xmls, body, first, second):
+        """Over several documents whose IDs collide: the sql engine answers
+        the interpreter's items, and on the same store the statement over
+        the edge table returns the joined statement's rows."""
+        documents = {f"d{index}.xml": parse_xml(xml) for index, xml in enumerate(xmls)}
+        seed = (f'(doc("d0.xml")//a[@id = "{first}"] | doc("d1.xml")//a[@id = "{second}"] '
+                f'| doc("d{len(xmls) - 1}.xml")/r)')
+        query = f"with $x seeded by {seed} recurse {body}"
+        with Session(documents) as session:
+            reference = session.evaluate(query, engine="interpreter").items
+            result = session.evaluate(query, engine="sql", trace=True)
+            assert _identical(reference, result.items)
+            assert _edges_of(result) in ("built", "declined")
+            store = session._sql_pool.store(session.snapshot())
+            seed_nodes = session.evaluate(seed, engine="interpreter").items
+            pres = store.encode(seed_nodes)
+            emitted = emit_fixpoint_sql(parse_expression(body), "x")
+            table, _ = store.edge_table(emitted.edge_select(), seed_nodes, _build(store))
+            joined = store.connection.execute(emitted.statement(len(pres)), pres).fetchall()
+            if table is not None:
+                read = store.connection.execute(emitted.statement(len(pres), table),
+                                                pres).fetchall()
+                assert sorted(read) == sorted(joined)
+            assert sorted(store.encode(reference)) == sorted(row[0] for row in joined)
+
+
+# ---------------------------------------------------------------------------
 # cross-engine equivalence: paper examples
 # ---------------------------------------------------------------------------
 
@@ -690,7 +960,7 @@ class TestCli:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert output.count("WITH RECURSIVE") == 1
-        assert "id_attr" in output
+        assert "id_attr" in output and "edges_" not in output  # the joined member
 
     def test_emit_sql_notes_the_driver_loop_fallback(self, capsys):
         exit_code = cli_main(["--emit-sql", "-e", QUERY_Q2])
