@@ -28,8 +28,12 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     module and ran its four rewrites on every leaf — a cost the scout
     skipped for variable references, which hid half of its own.  Since the
     pass takes 60 µs (one rule per node class, leaves returned as they
-    are) it reads +10 % (median of twelve estimates: +2 % to +14 %), and
-    +100 % (was +55 %) when the walk runs.
+    are) it read +10 % (median of twelve estimates: +2 % to +14 %), and
+    +100 % (was +55 %) when the walk runs.  Since the scout optimizes every
+    module (it also notes whether the module has a ``for`` and a ``with``,
+    the gate of the set-at-a-time step, which runs here on both sides), the
+    baseline pays the bookkeeping too and the row reads about 0 % (−1 % to
+    +5 %): what it guards now is that the hoister's walk stays off.
 
 ``reply``
     (not a settings pair) the service's ``serialize_items`` on the answers
@@ -80,6 +84,18 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     about +400 % to +450 % before the store kept the multi-token guard
     verdicts and the member read covering index entries.
 
+``set-for``
+    (not a settings pair, and a floor, not a ceiling) the ledger's bidder
+    closure from eight of its start nodes on the interpreter: the optimized
+    module, whose ``for $id in $in/@id`` loop the optimizer marks
+    set-at-a-time (``ForExpr.whole``: one evaluation of the body over the
+    whole ``$in/@id`` per round), vs the same module with ``whole`` cleared
+    by ``dataclasses.replace`` (one evaluation per fed node), both
+    evaluated with ``optimize=False`` so nothing re-marks the loop: the
+    marked module must be at least 1.5× faster.  It reads −48 % to −53 %
+    (about 2×); a module in which not exactly one ``for`` is marked, or
+    whose two forms answer differently, makes the row INVALID.
+
 Tracing has no row: its two settings points are watched where every other
 number is, in the ledger (``benchmarks/ledger/``) — the *disabled* cost as
 ``interpreter_ms`` on ``closure-delta`` (parent commit vs change), the
@@ -108,6 +124,7 @@ fast machines — raise ``--inner`` in that case.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import random
 import sys
@@ -119,6 +136,7 @@ from repro.limits import ResourceLimits
 from repro.service.server import serialize_items
 from repro.session import Session
 from repro.settings import EvalSettings
+from repro.xquery import ast
 from repro.xquery.optimizer import optimize_module
 from repro.xquery.parser import parse_query
 
@@ -237,7 +255,7 @@ def check(guard: Guard, arguments: argparse.Namespace) -> bool:
 
 
 #: What the hoisting rule may add to ``optimize_module`` on a module with
-#: nothing to hoist (reads about +10 %; +100 % when the hoister's walk runs).
+#: nothing to hoist (reads about 0 %; +100 % when the hoister's walk runs).
 HOISTING_TOLERANCE = 0.20
 
 #: The ledger's bidder closure with a function that reads only its
@@ -368,6 +386,65 @@ def check_cte(arguments: argparse.Namespace) -> bool:
                    "(src=?) in both members)", arguments)
 
 
+#: What the set-at-a-time ``for`` must save on the bidder closure: the
+#: marked module at most two thirds of the per-item one (1.5× faster).
+SET_FOR_TOLERANCE = -1 / 3
+
+
+def _cleared(expr):
+    """*expr* with every ``ForExpr.whole`` cleared (``dataclasses.replace``)."""
+    updates = {}
+    for name, is_tuple in ast.CHILD_FIELDS[type(expr)]:
+        value = getattr(expr, name)
+        if is_tuple:
+            updates[name] = tuple(map(_cleared, value))
+        elif value is not None:
+            updates[name] = _cleared(value)
+    if isinstance(expr, ast.ForExpr):
+        updates["whole"] = False
+    return dataclasses.replace(expr, **updates) if updates else expr
+
+
+def check_set_for(arguments: argparse.Namespace) -> bool:
+    """The bidder closure: its optimized module vs the same module with its
+    set-at-a-time loop run per item."""
+    from ledger import corpus, ops  # the ledger's own document and closures
+
+    documents, _ = corpus.build("service")  # its auction document is the full one
+    scenarios = ops.Scenarios(documents)
+    starts = scenarios.start_nodes("bidder", random.Random(0))[:8]
+    marked = [optimize_module(parse_query(ops.closure_text("bidder", start)))
+              for start in starts]
+    loops = [node for node in marked[0].functions[0].body.iter_subexpressions()
+             if isinstance(node, ast.ForExpr)]
+    if [loop.whole for loop in loops] != [True]:
+        print("set-for check INVALID: exactly one loop of the bidder closure must be "
+              "set-at-a-time", file=sys.stderr)
+        return False
+    per_item = [dataclasses.replace(module, functions=tuple(
+        dataclasses.replace(function, body=_cleared(function.body))
+        for function in module.functions)) for module in marked]
+    session = Session({"auction.xml": documents["auction.xml"]},
+                      id_attributes=corpus.ID_ATTRIBUTES)
+    settings = BASE.replace(optimize=False)
+    if any(ops.canonical_items("bidder", session.evaluate_query(a, settings=settings).items)
+           != ops.canonical_items("bidder", session.evaluate_query(b, settings=settings).items)
+           for a, b in zip(marked, per_item)):
+        print("set-for check INVALID: the two modules answer differently", file=sys.stderr)
+        return False
+    inner = max(1, arguments.inner // 5)  # one run is eight closures, ~10 ms
+    results = alternate(
+        timed_block(lambda: [session.evaluate_query(module, settings=settings)
+                             for module in marked], inner),
+        timed_block(lambda: [session.evaluate_query(module, settings=settings)
+                             for module in per_item], inner),
+        arguments.estimates, arguments.pairs)
+    session.close()
+    return verdict("set-for", results, SET_FOR_TOLERANCE,
+                   "repro.xquery.optimizer._set_at_a_time (which loops it marks) and "
+                   "Evaluator._eval_for (its whole branch)", arguments)
+
+
 #: What the first read after an unrelated write may cost: 3× the read warm.
 WRITE_TOLERANCE = 2.0
 
@@ -434,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if all([*(check(guard, arguments) for guard in GUARDS),
                      check_hoisting(arguments), check_reply(arguments),
                      check_fed_node(arguments), check_cte(arguments),
-                     check_write(arguments)]) else 1
+                     check_set_for(arguments), check_write(arguments)]) else 1
 
 
 if __name__ == "__main__":

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import AlgebraError, XQueryDynamicError
 from repro.algebra.columnar import ColumnarTable, Constant
+from repro.analysis.cardinality import EMPTY, infer_cardinality
 from repro.algebra.operators import (
     Aggregate,
     AtomizeValue,
@@ -608,6 +609,14 @@ class AlgebraCompiler:
 
     def _compile_ForExpr(self, expr: ast.ForExpr, context: CompilationContext) -> Operator:
         source = self._compile(expr.sequence, context)
+        if expr.whole and infer_cardinality(expr.body, {expr.var: EMPTY}).always_empty():
+            # Set-at-a-time (the optimizer's ``whole``): one iteration per
+            # outer one, with the variable bound to all of E's items.  An
+            # iteration whose E is empty must answer (), which the body does
+            # by itself when it is provably empty over an empty variable —
+            # no guard, so the plan the ∪ push-up judges is just the body's.
+            # Other whole loops keep the per-item map.
+            return self._compile(expr.body, context.bind(expr.var, source))
         return self._map_over(source, expr.body, context,
                               bind_variable=expr.var, position_variable=expr.position_var)
 

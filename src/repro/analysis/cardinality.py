@@ -157,6 +157,13 @@ def infer_cardinality(expr: ast.Expr,
 
 
 def _infer(expr: ast.Expr, env: dict[str, Cardinality]) -> Cardinality:
+    kind = type(expr)  # (paths and steps first: the most frequent nodes)
+    if kind is ast.PathExpr:
+        # a path maps each left-hand item: none in, or none out of each, none out
+        empty = _infer(expr.left, env).always_empty() or _infer(expr.right, env).always_empty()
+        return EMPTY if empty else STAR
+    if kind is ast.AxisStep:
+        return EMPTY if expr.predicates and _keeps_nothing(expr.predicates, env) else STAR
     if isinstance(expr, ast.Literal):
         return ONE
     if isinstance(expr, ast.EmptySequence):
@@ -227,11 +234,9 @@ def _infer(expr: ast.Expr, env: dict[str, Cardinality]) -> Cardinality:
         return OPT if expr.optional else ONE
     if isinstance(expr, (ast.DirectElementConstructor, ast.AttributeConstructor)):
         return ONE
-    if isinstance(expr, ast.PathExpr):
-        # a path maps each left-hand item; no items in, no items out
-        return EMPTY if _infer(expr.left, env).always_empty() else STAR
     if isinstance(expr, ast.FilterExpr):
-        return EMPTY if _infer(expr.primary, env).always_empty() else STAR
+        empty = _infer(expr.primary, env).always_empty() or _keeps_nothing(expr.predicates, env)
+        return EMPTY if empty else STAR
     if isinstance(expr, ast.FunctionCall):
         name = expr.name
         local = name.split(":", 1)[1] if name.startswith("fn:") else name
@@ -242,6 +247,16 @@ def _infer(expr: ast.Expr, env: dict[str, Cardinality]) -> Cardinality:
     # paths, filters, axis steps, computed constructors, nested fixpoints,
     # user-defined function calls: no static bound
     return STAR
+
+
+def _keeps_nothing(predicates: tuple[ast.Expr, ...], env: dict[str, Cardinality]) -> bool:
+    """Is one of *predicates* false for every candidate?  A general
+    comparison with an operand that is always empty is: it quantifies
+    existentially over no items."""
+    return any(isinstance(predicate, ast.GeneralComparison)
+               and (_infer(predicate.left, env).always_empty()
+                    or _infer(predicate.right, env).always_empty())
+               for predicate in predicates)
 
 
 __all__ = ["Cardinality", "EMPTY", "ONE", "OPT", "PLUS", "STAR",

@@ -42,6 +42,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 from repro.distributivity.syntactic import (
+    TRUSTED_DISTRIBUTIVE_BUILTINS,
     DistributivityJudgment,
     analyze_distributivity,
 )
@@ -49,11 +50,6 @@ from repro.xquery import ast
 
 from repro.analysis import cardinality as card
 from repro.analysis.cardinality import Cardinality, infer_cardinality
-
-#: Built-ins the strengthened check trusts to distribute over union in
-#: their node-set argument.  ``fn:id`` maps each idref token of each input
-#: item independently, so ``id(A ∪ B) = id(A) ∪ id(B)`` as node sets.
-TRUSTED_DISTRIBUTIVE_BUILTINS = frozenset({"id", "fn:id"})
 
 _FunctionMap = Mapping[tuple[str, int], ast.FunctionDecl] | None
 

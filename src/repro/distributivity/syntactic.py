@@ -16,6 +16,17 @@ observations made in the accompanying text:
 * there is no rule for node constructors, positional filters, aggregations,
   general comparisons, or built-in calls receiving ``$x`` — all of these are
   conservatively rejected when ``$x`` occurs free in them.
+
+One rule beyond Figure 5 is opt-in (``existential=True``), like
+``trusted_builtins``: **EXISTENTIAL** accepts a filter or step
+``X[p1]…[pn]`` whose ``X`` and ``p1…pn-1`` do not mention ``$x`` and whose
+last predicate is a general comparison with ``$x`` free on exactly one
+side, that side distributive in ``$x``.  ``A θ (S1 ∪ S2)`` holds iff
+``A θ S1`` or ``A θ S2`` does, and the positions of ``X``'s items do not
+depend on ``$x``, so every item of ``X`` is kept for ``S1 ∪ S2`` iff it is
+kept for ``S1`` or for ``S2``.  The optimizer's set-at-a-time ``for``
+(:mod:`repro.xquery.optimizer`) uses it; the fixpoint decision's checkers
+do not, so no verdict they give depends on it.
 """
 
 from __future__ import annotations
@@ -68,17 +79,25 @@ class DistributivityJudgment:
 
 FunctionMap = Mapping[tuple[str, int], ast.FunctionDecl]
 
+#: Built-ins trusted to distribute over union in their node-set argument.
+#: ``fn:id`` maps each idref token of each input item independently, so
+#: ``id(A ∪ B) = id(A) ∪ id(B)`` as node sets.
+TRUSTED_DISTRIBUTIVE_BUILTINS = frozenset({"id", "fn:id"})
+
 
 def is_distributivity_safe(expr: ast.Expr, variable: str,
                            functions: FunctionMap | Iterable[ast.FunctionDecl] | None = None,
-                           trusted_builtins: frozenset[str] = frozenset()) -> bool:
+                           trusted_builtins: frozenset[str] = frozenset(),
+                           existential: bool = False) -> bool:
     """Return ``True`` iff the Figure 5 rules infer ``ds_$variable(expr)``."""
-    return analyze_distributivity(expr, variable, functions, trusted_builtins).safe
+    return analyze_distributivity(expr, variable, functions, trusted_builtins,
+                                  existential).safe
 
 
 def analyze_distributivity(expr: ast.Expr, variable: str,
                            functions: FunctionMap | Iterable[ast.FunctionDecl] | None = None,
-                           trusted_builtins: frozenset[str] = frozenset()) -> DistributivityJudgment:
+                           trusted_builtins: frozenset[str] = frozenset(),
+                           existential: bool = False) -> DistributivityJudgment:
     """Run the ``ds_$x(·)`` analysis and return the full derivation tree.
 
     Parameters
@@ -95,8 +114,12 @@ def analyze_distributivity(expr: ast.Expr, variable: str,
         Extra built-in function names the caller asserts to be distributive
         in every argument (the paper notes that e.g. ``fn:id`` would need
         its own rule); empty by default to stay faithful to Figure 5.
+    existential:
+        Also apply the EXISTENTIAL rule (see the module docstring); off by
+        default to stay faithful to Figure 5.
     """
-    checker = _SyntacticChecker(normalize_functions(functions), trusted_builtins)
+    checker = _SyntacticChecker(normalize_functions(functions), trusted_builtins,
+                                existential)
     return checker.check(expr, variable)
 
 
@@ -141,13 +164,18 @@ _NO_RULE: dict[type, tuple[str, str]] = {
 }
 
 
+#: The forms EXISTENTIAL applies to: a step or a filter, with predicates.
+_EXISTENTIAL_FORMS = (ast.AxisStep, ast.FilterExpr)
+
+
 class _SyntacticChecker:
     """Bottom-up application of the Figure 5 rules."""
 
     def __init__(self, functions: dict[tuple[str, int], ast.FunctionDecl],
-                 trusted_builtins: frozenset[str]):
+                 trusted_builtins: frozenset[str], existential: bool = False):
         self.functions = functions
         self.trusted_builtins = trusted_builtins
+        self.existential = existential
         self._in_progress: set[tuple[str, int, str]] = set()
 
     # -- entry -------------------------------------------------------------
@@ -180,6 +208,10 @@ class _SyntacticChecker:
         # $x occurs free: a form Figure 5 has no rule for, or dispatch.
         no_rule = _NO_RULE.get(type(expr))
         if no_rule is not None:
+            if self.existential and type(expr) in _EXISTENTIAL_FORMS:
+                judgment = self._check_existential(expr, variable)
+                if judgment is not None:
+                    return judgment
             return self._judge(expr, variable, False, no_rule[0],
                                no_rule[1].format(var=variable))
         handler = getattr(self, f"_check_{type(expr).__name__}", None)
@@ -325,6 +357,25 @@ class _SyntacticChecker:
             return self._judge(expr, variable, safe, "FUNCALL", children=children)
         finally:
             self._in_progress.discard(key)
+
+    # -- EXISTENTIAL (opt-in) ---------------------------------------------------
+
+    def _check_existential(self, expr: ast.AxisStep | ast.FilterExpr,
+                           variable: str) -> DistributivityJudgment | None:
+        """``X[p1]…[pn]`` with ``$x`` only on one side of the general
+        comparison ``pn`` — judged by that side; ``None`` for any other
+        shape (the form then has no rule)."""
+        if type(expr) is ast.FilterExpr and variable in expr.primary.free_variables():
+            return None
+        *front, last = expr.predicates
+        if type(last) is not ast.GeneralComparison or any(
+                variable in predicate.free_variables() for predicate in front):
+            return None
+        in_left = variable in last.left.free_variables()
+        if in_left == (variable in last.right.free_variables()):
+            return None
+        child = self.check(last.left if in_left else last.right, variable)
+        return self._judge(expr, variable, child.safe, "EXISTENTIAL", children=[child])
 
     def _check_OrderedExpr(self, expr: ast.OrderedExpr, variable: str) -> DistributivityJudgment:
         child = self.check(expr.body, variable)

@@ -96,6 +96,14 @@ class ResourceLimits:
     max_result_items: int | None = None
     max_memory_kb: int | None = None
 
+    def round_budgets(self) -> tuple[str, ...]:
+        """The budgets set here that are checked at fixpoint round
+        boundaries (rounds, frontier, result size): only a loop that
+        iterates the rounds itself can honour them."""
+        return tuple(name for name in ("max_fixpoint_rounds", "max_frontier_nodes",
+                                       "max_result_items")
+                     if getattr(self, name) is not None)
+
     def unlimited(self) -> bool:
         """True when every field is ``None`` (no governance needed)."""
         return (self.timeout_s is None and self.max_fixpoint_rounds is None

@@ -110,13 +110,24 @@ class SqlFixpointExecutor:
         interruptible: the driver checks at round boundaries, and the CTE
         runs under a SQLite progress handler
         (:func:`repro.limits.sqlite_guard`) so a single monster ``WITH
-        RECURSIVE`` honours deadlines too.
+        RECURSIVE`` honours deadlines too.  A round, frontier or result
+        budget sends the run to the driver, whose span names the budgets in
+        ``fallback``; so does a CTE result of more than *max_iterations*
+        nodes (``fallback="max_ifp_iterations"``), the only kind that can
+        have needed more rounds — the same typed errors, in the same round,
+        as on the other engines.
         ``anchor_document`` is the context node's document (or ``None``):
         top-level ``id(...)`` bodies scope their ID lookups to it, so
         without one they fall back to the driver.
         """
         emitted = None
-        if algorithm == "delta" and not any(
+        driver = {"path": "driver"}
+        budgets = governor.limits.round_budgets() if governor is not None else ()
+        if budgets:
+            # SQLite's rounds are not observable: a round, frontier or
+            # result budget needs the loop that counts them.
+            driver["fallback"] = ",".join(budgets)
+        elif algorithm == "delta" and not any(
                 isinstance(node, AttributeNode) for node in seed):
             # Attribute seeds cannot enter the CTE: their pre ranks live in
             # the attr table, which the emitted chain never reads — the
@@ -141,7 +152,7 @@ class SqlFixpointExecutor:
         if emitted is None:
             return FixpointEngine(max_iterations).run(
                 body, seed, algorithm=algorithm, trace=trace,
-                governor=governor, span_attributes={"path": "driver"})
+                governor=governor, span_attributes=driver)
         with maybe_span(trace, "fixpoint", algorithm=algorithm, path="cte",
                         seed=len(seed), guards=guards) as span:
             # sqlite_guard sits innermost so it can translate an interrupted
@@ -161,6 +172,13 @@ class SqlFixpointExecutor:
             if span is not None:
                 span.set(result_size=len(result.value),
                          rounds=result.statistics.recursion_depth)
+        if len(result.value) > max_iterations:
+            # Every round before the last adds a node, so only a result this
+            # large can have taken more rounds than the bound allows; the
+            # driver counts them, and raises where the other engines do.
+            return FixpointEngine(max_iterations).run(
+                body, seed, algorithm=algorithm, trace=trace, governor=governor,
+                span_attributes={"path": "driver", "fallback": "max_ifp_iterations"})
         return result
 
     def _anchor_resolver(self, anchor_document, governor=None):

@@ -66,6 +66,12 @@ class Expr:
 
     __slots__ = ()
 
+    #: What :meth:`free_variables` records on a node once computed (its
+    #: set, and ``True`` where it constructs nodes); the class defaults
+    #: stand for "not yet" and "does not".
+    _free: frozenset[str] | None = None
+    _constructs = False
+
     def children(self) -> list[tuple["Expr", frozenset[str]]]:
         """Child expressions paired with the variables bound for each child."""
         return []
@@ -75,13 +81,31 @@ class Expr:
         return [child for child, _bound in self.children()]
 
     def free_variables(self) -> frozenset[str]:
-        """The free variables ``fv(e)`` of this expression."""
-        names: set[str] = set()
-        if isinstance(self, VarRef):
-            names.add(self.name)
+        """The free variables ``fv(e)`` of this expression.
+
+        Computed once per node, together with whether it constructs nodes
+        (:meth:`contains_node_constructor`), and kept outside the dataclass
+        fields like the position stamps of :func:`set_position`, so
+        equality, hashing and ``dataclasses.replace`` are unaffected: the
+        nodes are frozen, and a rebuilt node computes its own.  A node whose
+        variables are those of one child shares that child's set (most
+        share the empty one), so a cached module holds few of them."""
+        free = self._free
+        if free is not None:
+            return free
+        free = frozenset((self.name,)) if type(self) is VarRef else _NO_NAMES
+        constructs = type(self) in _CONSTRUCTORS
         for child, bound in self.children():
-            names |= child.free_variables() - bound
-        return frozenset(names)
+            names = child.free_variables()
+            constructs = constructs or child._constructs
+            if bound and names:
+                names = names - bound
+            if names and not names <= free:
+                free = free | names if free else names
+        if constructs:  # (stored only where true: the class says false)
+            object.__setattr__(self, "_constructs", True)
+        object.__setattr__(self, "_free", free)
+        return free
 
     def iter_subexpressions(self) -> Iterator["Expr"]:
         """Pre-order iteration over this expression and all subexpressions."""
@@ -94,12 +118,11 @@ class Expr:
 
         Node constructors create fresh node identities on every evaluation;
         their presence makes an IFP potentially undefined (Definition 2.1)
-        and always breaks distributivity (Section 3.2).
+        and always breaks distributivity (Section 3.2).  Computed with
+        :meth:`free_variables`, once per node.
         """
-        return any(
-            isinstance(sub, (DirectElementConstructor, ComputedConstructor))
-            for sub in self.iter_subexpressions()
-        )
+        self.free_variables()
+        return self._constructs
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +308,19 @@ class ForExpr(Expr):
     :class:`ForExpr`/:class:`LetExpr` nodes, and ``where`` clauses into
     conditionals, so the analyses only ever deal with the binary forms the
     paper's Figure 5 rules (FOR1/FOR2, LET1/LET2) are stated for.
+
+    ``whole`` is an annotation, not syntax: the optimizer sets it on a loop
+    whose value is only ever consumed as a node set and whose body
+    distributes over ``var`` (Definition 3.1 read right to left), and the
+    engines then evaluate the body once, with ``var`` bound to the whole
+    non-empty sequence, instead of once per item.
     """
 
     var: str
     sequence: Expr
     body: Expr
     position_var: str | None = None
+    whole: bool = False
 
     def children(self):
         bound = {self.var}
@@ -644,6 +674,13 @@ CHILD_FIELDS: dict[type[Expr], tuple[tuple[str, bool], ...]] = {
 }
 
 
+#: The node classes that construct nodes (:meth:`Expr.contains_node_constructor`).
+_CONSTRUCTORS = frozenset({DirectElementConstructor, ComputedConstructor})
+
+#: The free variables of a closed expression (:meth:`Expr.free_variables`).
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def set_position(node: object, line: int, column: int) -> None:
     """Stamp a 1-based source (line, column) onto an AST node.
 
@@ -672,7 +709,7 @@ def substitute_variable(expr: Expr, var: str, replacement: Expr) -> Expr:
     untouched; subexpressions where the variable remains free — such as the
     range expression of a rebinding ``for`` — are still rewritten.
     """
-    from dataclasses import fields, replace
+    from dataclasses import replace
 
     if isinstance(expr, VarRef):
         return replacement if expr.name == var else expr
@@ -680,13 +717,13 @@ def substitute_variable(expr: Expr, var: str, replacement: Expr) -> Expr:
     shadowed_fields = _shadowed_body_fields(expr, var)
 
     updates = {}
-    for field_info in fields(expr):  # type: ignore[arg-type]
-        if field_info.name in shadowed_fields:
+    for name, _is_tuple in CHILD_FIELDS[type(expr)]:
+        if name in shadowed_fields:
             continue
-        value = getattr(expr, field_info.name)
+        value = getattr(expr, name)
         new_value = _substitute_in_value(value, var, replacement)
         if new_value is not value:
-            updates[field_info.name] = new_value
+            updates[name] = new_value
     if not updates:
         return expr
     return replace(expr, **updates)  # type: ignore[type-var]

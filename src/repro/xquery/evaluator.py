@@ -388,6 +388,16 @@ class Evaluator:
     def _eval_for(self, expr: ast.ForExpr, context: DynamicContext) -> Sequence:
         sequence = self.evaluate(expr.sequence, context)
         governor = context.static.governor
+        if expr.whole:
+            # Set-at-a-time (the optimizer's ``whole``): the loop's value is
+            # only consumed as a node set and the body distributes over its
+            # variable, so one evaluation over all of E is set-equal to the
+            # per-item concatenation — for a non-empty E (Definition 3.1).
+            if not sequence:
+                return []
+            if governor is not None and governor.tick():
+                governor.check_now()
+            return self.evaluate(expr.body, context.bind(expr.var, sequence))
         result: Sequence = []
         for position, item in enumerate(sequence, start=1):
             # Inline amortized checkpoint: tick() is a C-level stride

@@ -58,6 +58,22 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
     initializer starts from the same call (``$doc := doc("u")``, or a path
     from it), and the synthesized variable is declared after that one.
 
+* **set-at-a-time** ``for`` (:func:`optimize_module`, its last step) — a
+  ``for $v in E return R`` whose value is only ever consumed as a node set
+  (a *set context*: the ``recurse`` body of ``with`` and what it reaches
+  through ``let``/``for`` returns, ``if`` branches, ``,``, ``|`` and
+  ``ordered {}``, and the body of a function every call of which sits in
+  one, if its return type is absent or ``*``/``+``), that has no ``at $i``
+  and whose ``R`` distributes over ``$v`` (Figure 5, trusted ``fn:id`` and
+  the opt-in EXISTENTIAL rule of :mod:`repro.distributivity.syntactic`) is
+  marked :attr:`~repro.xquery.ast.ForExpr.whole`: Definition 3.1 read right
+  to left, the engines evaluate ``R`` once over all of a non-empty ``E``
+  instead of once per item.  The bidder closure's ``for $id in $in/@id``
+  is the loop this is for.  The step walks only when the optimizing pass
+  saw a ``for`` and a ``with`` (:class:`_Scout`); where each function is
+  called and how each call's value is consumed comes from the walk that
+  prunes unused functions (:class:`_CallGraph`).
+
 The four local rewrites are one table (:data:`_RULES`): a node class has at
 most one rule, :func:`optimize` applies it once to a node whose children are
 optimized, and leaves are returned as they are.
@@ -73,6 +89,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from repro.distributivity.syntactic import TRUSTED_DISTRIBUTIVE_BUILTINS, is_distributivity_safe
 from repro.xquery import ast
 
 
@@ -99,30 +116,32 @@ def optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
 
     Everything hoistable bottoms out in a prolog variable — directly, or as
     the proof that a ``doc()`` call succeeds.  A module without one has
-    nothing to look for; one with prolog variables is optimized by a
-    :class:`_Scout`, which notes on the way whether the rule's own walk
-    could find anything."""
-    scout = None
-    visit = optimize
+    nothing to look for; every module is optimized by a :class:`_Scout`,
+    which notes on the way whether the rule's own walk could find anything,
+    and whether the module has a ``for`` and a ``with`` — without both, no
+    loop can be set-at-a-time and the last step (:func:`_set_at_a_time`)
+    does not walk either."""
     #: prolog variables with a value, each bound at loop depth 0
     prolog = {decl.name: 0 for decl in module.variables if decl.value is not None}
-    if hoist and prolog:
-        scout = _Scout(prolog)
-        visit = scout.visit
-        scout.depth = 1  # a function body runs once per call: a loop body as a whole
+    scout = _Scout(prolog)
+    scout.depth = 1  # a function body runs once per call: a loop body as a whole
     functions = tuple(
-        replace(function, body=visit(function.body)) for function in module.functions
+        replace(function, body=scout.visit(function.body)) for function in module.functions
     )
-    if scout is not None:
-        scout.depth = 0  # initializers and the query body run once
+    scout.depth = 0  # initializers and the query body run once
     variables = tuple(
-        replace(decl, value=visit(decl.value)) if decl.value is not None else decl
+        replace(decl, value=scout.visit(decl.value)) if decl.value is not None else decl
         for decl in module.variables
     )
-    body = visit(module.body)
-    functions = _prune_unused_functions(functions, variables, body)
-    if scout is not None and scout.found:
+    body = scout.visit(module.body)
+    set_loops = scout.saw_for and scout.saw_with
+    if functions or set_loops:
+        graph = _CallGraph(functions, variables, body)
+        functions = graph.reachable(functions)
+    if hoist and prolog and scout.found:
         functions, variables, body = _Hoister(functions, variables).run(body)
+    if set_loops:
+        functions, variables, body = _set_at_a_time(graph, functions, variables, body)
     return ast.Module(functions=functions, variables=variables, body=body)
 
 
@@ -351,37 +370,89 @@ def _prune_unused_let(expr: ast.LetExpr) -> ast.Expr:
 # ---------------------------------------------------------------------------
 
 
-def _called_keys(expr: ast.Expr) -> set[tuple[str, int]]:
-    keys: set[tuple[str, int]] = set()
-    pending = [expr]  # (a flat walk: the generator costs a frame per level and node)
-    while pending:
-        node = pending.pop()
-        if type(node) is ast.FunctionCall:
-            keys.add((node.name, len(node.args)))
-        pending.extend(node.child_expressions())
-    return keys
+#: How a node's value is consumed: as a sequence, as a node set, or as a
+#: node set if the function whose body it sits in is only ever called in one.
+_SEQUENCE, _SET, _IF_CALLED_IN_SETS = 0, 1, 2
+
+#: Node class → the fields a set context reaches from it: the parts of the
+#: node's value as they are — the ``return`` of ``let``/``for``, both ``if``
+#: branches, the operands of ``,`` and ``|`` and ``ordered {}``.  (A
+#: ``with``'s ``recurse`` body opens a set context wherever it sits.)
+_SET_FIELDS: dict[type[ast.Expr], tuple[str, ...]] = {
+    **{kind: () for kind in ast.CHILD_FIELDS},
+    ast.LetExpr: ("body",), ast.ForExpr: ("body",),
+    ast.IfExpr: ("then_branch", "else_branch"), ast.SequenceExpr: ("items",),
+    ast.UnionExpr: ("left", "right"), ast.OrderedExpr: ("body",),
+}
 
 
-def _prune_unused_functions(functions: tuple[ast.FunctionDecl, ...],
-                            variables: tuple[ast.VariableDecl, ...],
-                            body: ast.Expr) -> tuple[ast.FunctionDecl, ...]:
-    if not functions:
-        return functions
-    declared = {(function.name, function.arity) for function in functions}
-    worklist = _called_keys(body)
-    for declaration in variables:
-        if declaration.value is not None:
-            worklist |= _called_keys(declaration.value)
-    reachable: set[tuple[str, int]] = set()
-    while worklist:
-        key = worklist.pop()
-        if key in reachable or key not in declared:
-            continue
-        reachable.add(key)
+class _CallGraph:
+    """One walk over a module's function bodies, variable initializers and
+    query body that notes where each declared function is called — which
+    is what unused-function pruning needs (:meth:`reachable`) — and how the
+    value of each call, and of each ``for`` without a positional variable,
+    is consumed (``_SEQUENCE``, ``_SET``, ``_IF_CALLED_IN_SETS``), which is
+    what :func:`_set_at_a_time` needs."""
+
+    __slots__ = ("declared", "owner", "callees", "calls", "loops", "fixpoints")
+
+    def __init__(self, functions: tuple[ast.FunctionDecl, ...],
+                 variables: tuple[ast.VariableDecl, ...], body: ast.Expr):
+        self.declared = {(function.name, function.arity): function for function in functions}
+        #: caller (a function's key, ``None`` outside function bodies) → callees
+        self.callees: dict[tuple[str, int] | None, list[tuple[str, int]]] = {None: []}
+        #: callee → (context, caller) per call
+        self.calls: dict[tuple[str, int], list] = {}
+        #: (context, owner) per ``for`` in a set context or a function's
+        self.loops: list = []
+        #: the owners of the bodies a ``with`` sits in
+        self.fixpoints: set = set()
         for function in functions:
-            if (function.name, function.arity) == key:
-                worklist |= _called_keys(function.body)
-    return tuple(f for f in functions if (f.name, f.arity) in reachable)
+            self.owner = (function.name, function.arity)
+            self.callees[self.owner] = []
+            self._visit(function.body, _IF_CALLED_IN_SETS)
+        self.owner = None
+        for declaration in variables:
+            if declaration.value is not None:
+                self._visit(declaration.value, _SEQUENCE)
+        self._visit(body, _SEQUENCE)
+
+    def _visit(self, expr: ast.Expr, context: int) -> None:
+        kind = type(expr)
+        if kind is ast.FunctionCall:
+            key = (expr.name, len(expr.args))
+            if key in self.declared:
+                self.callees[self.owner].append(key)
+                self.calls.setdefault(key, []).append((context, self.owner))
+            context = _SEQUENCE
+        elif kind is ast.WithExpr:
+            self.fixpoints.add(self.owner)
+            self._visit(expr.seed, _SEQUENCE)
+            self._visit(expr.body, _SET)
+            return
+        elif kind is ast.ForExpr and context and expr.position_var is None:
+            self.loops.append((context, self.owner))
+        passed = _SET_FIELDS[kind] if context else ()
+        for name, is_tuple in ast.CHILD_FIELDS[kind]:
+            value = getattr(expr, name)
+            inner = context if name in passed else _SEQUENCE
+            if is_tuple:
+                for item in value:
+                    self._visit(item, inner)
+            elif value is not None:
+                self._visit(value, inner)
+
+    def reachable(self, functions: tuple[ast.FunctionDecl, ...]) -> tuple[ast.FunctionDecl, ...]:
+        """*functions* without the declarations no call path from the query
+        body or a variable initializer reaches."""
+        reached: set[tuple[str, int]] = set()
+        worklist = list(self.callees[None])
+        while worklist:
+            key = worklist.pop()
+            if key not in reached:
+                reached.add(key)
+                worklist.extend(self.callees[key])
+        return tuple(f for f in functions if (f.name, f.arity) in reached)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +515,20 @@ class _Scout:
     scout keeps the loop depth while it optimizes and sets :attr:`found` at
     the first such read.  It over-approximates (it does not track shadowing
     or types, and sees branches the rewrites then delete): a false alarm
-    costs the hoister's walk, a miss would only cost a hoist.
+    costs the hoister's walk, a miss would only cost a hoist.  It also notes
+    whether it met a ``for`` and a ``with`` (:attr:`saw_for`,
+    :attr:`saw_with`), the gate of :func:`_set_at_a_time`.
     """
 
-    __slots__ = ("bound", "depth", "found")
+    __slots__ = ("bound", "depth", "found", "saw_for", "saw_with")
 
     def __init__(self, bound: dict[str, int]):
         #: variable name → the lowest loop depth it is bound at
         self.bound = bound
         self.depth = 0
         self.found = False
+        self.saw_for = False
+        self.saw_with = False
 
     def visit(self, expr: ast.Expr) -> ast.Expr:
         """:func:`optimize` of *expr*, noting what is read at which depth."""
@@ -474,6 +549,10 @@ class _Scout:
                 self.found = True
             expr = _map_children(expr, self.visit)
         else:
+            if kind is ast.ForExpr:
+                self.saw_for = True
+            elif kind is ast.WithExpr:
+                self.saw_with = True
             # the sequence or seed runs once, at this depth; the body deeper
             once, repeated = _LOOP_FIELDS[kind]
             head, body = getattr(expr, once), getattr(expr, repeated)
@@ -723,6 +802,103 @@ class _Hoister:
         return (isinstance(expr, ast.ContextItem)
                 or self._relative_nodes(expr, scope)
                 or self._total_type(expr, scope) in (_NODES, _STRINGS))
+
+
+# ---------------------------------------------------------------------------
+# set-at-a-time ``for``
+# ---------------------------------------------------------------------------
+
+
+def _set_at_a_time(graph: _CallGraph, functions: tuple[ast.FunctionDecl, ...],
+                   variables: tuple[ast.VariableDecl, ...], body: ast.Expr):
+    """Set :attr:`ast.ForExpr.whole` on every ``for $v in E return R`` in a
+    *set context* — a place whose value is only ever consumed as a node
+    set — that has no positional variable and whose ``R`` distributes over
+    ``$v`` (Figure 5, trusted ``fn:id`` and EXISTENTIAL,
+    :mod:`repro.distributivity.syntactic`).  Definition 3.1 read right to
+    left: such a loop may evaluate ``R`` once, over all of ``E``.
+
+    Set contexts are ``with``'s ``recurse`` body and what a set context
+    reaches (:data:`_SET_FIELDS`); and the body of a function each of
+    whose calls sits in one, if its declared return type is absent or
+    ``*``/``+`` — declared types are not enforced, and this keeps a later
+    check of them from turning an error into an answer.  *graph* was taken
+    before hoisting, which moves no call and no loop out of its context."""
+    # the functions whose bodies are set contexts, a least fixed point: a
+    # call inside a function body counts once that function's body does
+    in_sets: set[tuple[str, int]] = set()
+    grown = True
+    while grown:
+        grown = False
+        for function in functions:
+            key = (function.name, function.arity)
+            if key in in_sets or (function.return_type is not None
+                                  and function.return_type.occurrence not in ("*", "+")):
+                continue
+            if all(context == _SET or (context == _IF_CALLED_IN_SETS and caller in in_sets)
+                   for context, caller in graph.calls.get(key, ((_SEQUENCE, None),))):
+                in_sets.add(key)
+                grown = True
+    owners = {owner for context, owner in graph.loops
+              if context == _SET or owner in in_sets}
+    if not owners:
+        return functions, variables, body
+    marker = _WholeLoops(graph.declared)
+    functions = tuple(
+        replace(function, body=marker.visit(
+            function.body, (function.name, function.arity) in in_sets,
+            (function.name, function.arity) in graph.fixpoints))
+        if (function.name, function.arity) in owners else function
+        for function in functions)
+    if None in owners:
+        deep = None in graph.fixpoints
+        variables = tuple(
+            replace(declaration, value=marker.visit(declaration.value, False, deep))
+            if declaration.value is not None else declaration
+            for declaration in variables)
+        body = marker.visit(body, False, deep)
+    return functions, variables, body
+
+
+class _WholeLoops:
+    """The rebuilding walk of :func:`_set_at_a_time`: marks the loops in set
+    contexts whose body distributes over their variable."""
+
+    __slots__ = ("functions",)
+
+    def __init__(self, functions: dict[tuple[str, int], ast.FunctionDecl]):
+        self.functions = functions
+
+    def visit(self, expr: ast.Expr, in_set: bool, deep: bool) -> ast.Expr:
+        """*expr* with its loops marked; *deep*: whether a ``with`` may sit
+        below it — else only the set context it is in, if any, can hold a
+        loop to mark, and nothing outside that context is looked at."""
+        kind = type(expr)
+        if kind is ast.WithExpr:
+            passed = ("body",)
+        elif in_set:
+            passed = _SET_FIELDS[kind]
+        elif deep:
+            passed = ()
+        else:
+            return expr
+        updates = {}
+        for name, is_tuple in ast.CHILD_FIELDS[kind]:
+            value = getattr(expr, name)
+            inner = name in passed
+            if is_tuple:
+                new_value = tuple(self.visit(item, inner, deep) for item in value)
+                if any(new is not old for new, old in zip(new_value, value)):
+                    updates[name] = new_value
+            elif value is not None:
+                new_value = self.visit(value, inner, deep)
+                if new_value is not value:
+                    updates[name] = new_value
+        if (kind is ast.ForExpr and in_set and expr.position_var is None
+                and is_distributivity_safe(expr.body, expr.var, self.functions,
+                                           TRUSTED_DISTRIBUTIVE_BUILTINS, existential=True)):
+            updates["whole"] = True
+        return replace(expr, **updates) if updates else expr
 
 
 _LEAVES = frozenset(kind for kind, plan in ast.CHILD_FIELDS.items() if not plan)

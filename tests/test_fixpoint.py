@@ -348,10 +348,12 @@ class TestDeltaDriver:
         from repro.session import Session
 
         workload = get_workload(name)
-        # A filter expression is no step chain, so the sql engine cannot emit
-        # it: its Delta runs take the fallback (and show their rounds) too.
+        # A union is no step chain, so the sql engine cannot emit it: its
+        # Delta runs take the fallback (and show their rounds) too.  (Not a
+        # filter: that would take bidder's loop out of its set context, and
+        # the loop would produce one node per fed node again.)
         bodies = {"interpreter": None, "algebra": None,
-                  "sql": f"({workload.recursion_body})[true()]" if algorithm == "delta" else None}
+                  "sql": f"({workload.recursion_body}) | ()" if algorithm == "delta" else None}
         extra = {"interpreter": {},
                  "algebra": {"variant": "mu_delta" if algorithm == "delta" else "mu"},
                  "sql": {"path": "driver"}}

@@ -62,6 +62,12 @@ def ring_xml(n: int) -> str:
             f"<curriculum>{courses}</curriculum>")
 
 
+def chain_xml(n: int) -> str:
+    """:func:`ring_xml` cut open after c{n-1}: a closure from c0 adds one
+    new node per round for n - 1 rounds, and its body is a CTE on sql."""
+    return ring_xml(n).replace(f"<pre_code>c0</pre_code>", "")
+
+
 def ring_query(uri: str = "ring.xml") -> str:
     return (f'with $x seeded by doc("{uri}")/curriculum/course[@code="c0"] '
             f"recurse $x/id(./prerequisites/pre_code)")
@@ -300,7 +306,7 @@ class TestOneDriverOnEveryEngine:
         query = fallback_ring_query(algorithm)
         with Session(documents={"ring.xml": ring_xml(31)}) as session:
             if engine == "sql":
-                # the case must not drift onto the CTE, where budgets do not apply
+                # a body the sql engine cannot emit: the driver either way
                 trace = session.evaluate(query, engine="sql", trace=True).trace
                 assert [span.attributes["path"]
                         for span in trace.find_all("fixpoint")] == ["driver"]
@@ -312,6 +318,43 @@ class TestOneDriverOnEveryEngine:
                 session.evaluate(query, settings=settings)
             error = info.value
             assert (error.budget, error.limit, error.observed) == tripped
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("limits, tripped", [
+        ({"max_fixpoint_rounds": 3}, ("max_fixpoint_rounds", 3, 4)),
+        ({"max_result_items": 4}, ("max_result_items", 4, 5)),
+        ({"max_frontier_nodes": 0}, ("max_frontier_nodes", 0, 1)),
+    ])
+    def test_budgets_trip_identically_on_a_cte_body(self, engine, limits, tripped):
+        """A body the sql engine runs as one ``WITH RECURSIVE`` statement,
+        whose rounds SQLite does not show: a budget sends the run to the
+        driver, whose ``fixpoint`` span says why."""
+        query = ring_query()
+        with Session(documents={"ring.xml": chain_xml(10)}) as session:
+            settings = EvalSettings(engine=engine, limits=ResourceLimits(**limits))
+            with pytest.raises(BudgetExceeded) as info:
+                session.evaluate(query, settings=settings)
+            error = info.value
+            assert (error.budget, error.limit, error.observed) == tripped
+            if engine == "sql":
+                unbudgeted = session.evaluate(query, engine="sql", trace=True)
+                assert len(unbudgeted.items) == 9
+                assert [span.attributes["path"] for span in
+                        unbudgeted.trace.find_all("fixpoint")] == ["cte"]
+                generous = EvalSettings(engine="sql", trace=True, limits=ResourceLimits(
+                    **{name: 100 for name in limits}))
+                (span,) = session.evaluate(query, settings=generous).trace.find_all("fixpoint")
+                assert (span.attributes["path"], span.attributes["fallback"]) == (
+                    "driver", next(iter(limits)))
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_a_cte_body_past_the_iteration_bound_is_a_fixpoint_error(self, engine):
+        query = ring_query()
+        with Session(documents={"ring.xml": chain_xml(10)}) as session:
+            with pytest.raises(FixpointError, match="within 8 iterations"):
+                session.evaluate(query, engine=engine, max_ifp_iterations=8)
+            # nine rounds: the bound that lets them all run answers
+            assert len(session.evaluate(query, engine=engine, max_ifp_iterations=9).items) == 9
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     @pytest.mark.parametrize("algorithm", ["naive", "delta"])
