@@ -39,12 +39,14 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     (not a settings pair) the service's ``serialize_items`` on the answers
     of 24 medium-curriculum closures (210–399 ``course`` elements each) vs
     evaluating those closures on the interpreter: serializing an answer
-    may cost at most 2.5× computing it, i.e. read +150 % or lower.  The
+    may cost at most 5× computing it, i.e. read +400 % or lower.  The
     denominator is what moved: the single walker of
     ``repro.xmlio.serializer`` took ~55 % of an evaluation until the
-    evaluation ran in pre-space (PR 23, a third of the time), and reads
-    +55 % to +95 % since; the per-node serializer it replaced cost 2.4× as
-    much and would read about +350 %.
+    evaluation's ``id`` step ran in pre-space (a third of the time), and
+    read +55 % to +95 % until the closure's rounds did too (see
+    ``pre-space``: the evaluation halved again); it reads +210 % to +300 %
+    since.  The per-node serializer the walker replaced cost 2.4× as much
+    and would read about +770 %.
 
 ``write``
     (not a settings pair) over the ledger's ``service`` corpus in one
@@ -66,10 +68,26 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     (not a settings pair, and a floor, not a ceiling) two medium-curriculum
     closures under ``using naive`` with the index on vs ``use_index=False``:
     the index side may cost at most an eighth.  A fed-back node costs three
-    dict probes in pre-space (``repro.xdm.index.batch_id_path``) and reads
-    about −96 % (23×); the kernel's failure mode is to decline quietly —
-    every answer stays right and the step-by-step path behind it reads
-    −71 % (3.4×, which is what the commit before the kernel measured).
+    dict probes in pre-space (``repro.xdm.index.batch_id_path``), which read
+    about −96 % (23×); since the rounds run in pre-space (``pre-space``) it
+    is one probe of a composed edge map, and reads about −98.5 % (65×).
+    The failure mode is to decline quietly — every answer stays right and
+    the step-by-step path behind it reads −71 % (3.4×, which is what the
+    commit before the kernel measured).
+
+``pre-space``
+    (not a settings pair, and a floor, not a ceiling) the ``reply`` row's
+    24 medium-curriculum closures on the interpreter, whose body
+    ``$x/id(./prerequisites/pre_code)`` is a step relation the fixpoint
+    driver iterates in pre-space (the seed encoded once, a round one probe
+    of the index's composed edge map per fed pre and set algebra on
+    integers, the answer decoded once), vs the same closures with the body
+    written ``$x/id(…) | ()`` — no step relation, so every round evaluates
+    the path on nodes: the pre-space side must be at least 1.5× faster.  It
+    reads −55 % to −65 % (2.2× to 2.9×).  A closure whose ``fixpoint`` span
+    does not say ``space="pre"`` (the relation declined quietly), a wrapped
+    one that does, or two forms that answer differently make the row
+    INVALID.
 
 ``cte``
     (not a settings pair) the ``reply`` row's 24 medium-curriculum closures
@@ -77,12 +95,14 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     store's edge table, which the row checks on the ``fixpoint`` span
     (``path="cte"``, ``edges="cached"``: a table that silently declines
     makes the row INVALID) — vs the same closures on the interpreter: at
-    most 1.75×.  It reads +10 % to +40 % since the member is one
-    primary-key search in the materialised ``(course, prerequisite)``
-    relation; it read +117 % to +178 % while every frontier row walked two
-    child-index searches, a ``node`` row and an ``id_attr`` search, and
-    about +400 % to +450 % before the store kept the multi-token guard
-    verdicts and the member read covering index entries.
+    most 3×.  The denominator is what moved: the row read +10 % to +40 %
+    (bound 1.75×) until the interpreter's rounds ran in pre-space, and
+    reads +120 % to +160 % since.  Against that interpreter the member's
+    older forms would read about twice what they did: +117 % to +178 %
+    while every frontier row walked two child-index searches, a ``node``
+    row and an ``id_attr`` search, and about +400 % to +450 % before the
+    store kept the multi-token guard verdicts and the member read covering
+    index entries.
 
 ``set-for``
     (not a settings pair, and a floor, not a ceiling) the ledger's bidder
@@ -289,8 +309,8 @@ def check_hoisting(arguments: argparse.Namespace) -> bool:
 
 
 #: What serializing an answer may cost, relative to computing it: at most
-#: 2.5× as much.
-REPLY_TOLERANCE = 1.5
+#: 5× as much.
+REPLY_TOLERANCE = 4.0
 
 #: Start nodes of the reply guard: the back of the medium catalogue, whose
 #: prerequisite closures are the deep ones.
@@ -347,14 +367,51 @@ def check_fed_node(arguments: argparse.Namespace) -> bool:
         arguments.estimates, arguments.pairs)
     session.close()
     return verdict("fed-node", results, FED_NODE_TOLERANCE,
-                   "repro.xdm.index.batch_id_path and idref_targets (a decline "
-                   "is silent: trace the closure and look for kernel:step:id "
-                   "fallbacks) and Evaluator._batch_id", arguments)
+                   "repro.xdm.index.StepRelation.bind, relation_edges and "
+                   "idref_targets (a decline is silent: trace the closure and look "
+                   "for space=nodes on the fixpoint span), batch_id_path and "
+                   "Evaluator._batch_id", arguments)
 
 
-#: What a curriculum closure may cost as a recursive CTE: 1.75× the
+#: What the step relation's rounds in pre-space may cost: two thirds of the
+#: same closures iterated on nodes (1.5× faster).
+PRE_SPACE_TOLERANCE = -1 / 3
+
+
+def check_pre_space(arguments: argparse.Namespace) -> bool:
+    """The reply guard's curriculum closures, whose body is a step relation
+    the driver iterates in pre-space, vs the same closures with the body
+    written ``$x/id(…) | ()`` — no step relation, so every round evaluates
+    the body on nodes."""
+    session, closures = curriculum_closures()
+    # the text ends in the recursion body: the union extends it
+    on_nodes = [session.prepare(closure.query + " | ()", settings=BASE)
+                for closure in closures]
+    spaces = {(closure.run(trace=True).trace.find("fixpoint").attributes.get("space"),
+               wrapped.run(trace=True).trace.find("fixpoint").attributes.get("space"))
+              for closure, wrapped in zip(closures, on_nodes)}
+    if spaces != {("pre", None)} or any(
+            list(map(id, closure.run().items)) != list(map(id, wrapped.run().items))
+            for closure, wrapped in zip(closures, on_nodes)):
+        print("pre-space check INVALID: every closure must run in pre-space, every "
+              "wrapped one on nodes, and the two must answer alike", file=sys.stderr)
+        return False
+    inner = max(1, arguments.inner // 10)  # one run is 24 closures
+    results = alternate(
+        timed_block(lambda: [closure.run() for closure in closures], inner),
+        timed_block(lambda: [closure.run() for closure in on_nodes], inner),
+        arguments.estimates, arguments.pairs)
+    session.close()
+    return verdict("pre-space", results, PRE_SPACE_TOLERANCE,
+                   "repro.xquery.pushdown.recognize_step_relation (which bodies it "
+                   "accepts), StepRelation.bind (a decline is silent: the fixpoint "
+                   "span says space=nodes) and StructuralIndex.relation_edges",
+                   arguments)
+
+
+#: What a curriculum closure may cost as a recursive CTE: 3× the
 #: interpreter.
-CTE_TOLERANCE = 0.75
+CTE_TOLERANCE = 2.0
 
 
 def check_cte(arguments: argparse.Namespace) -> bool:
@@ -449,8 +506,9 @@ def check_set_for(arguments: argparse.Namespace) -> bool:
 WRITE_TOLERANCE = 2.0
 
 #: The guarded reads — (ledger op class, engine, multiple of ``--inner``: a
-#: warm hospital closure is a quarter of a millisecond).
-WRITE_READS = (("hospital", "sql", 4), ("curriculum", "sql", 1), ("bidder", "algebra", 1))
+#: warm hospital closure is a quarter of a millisecond, and 30 warm
+#: curriculum closures sit at the 80 ms noise floor).
+WRITE_READS = (("hospital", "sql", 4), ("curriculum", "sql", 2), ("bidder", "algebra", 1))
 
 
 def check_write(arguments: argparse.Namespace) -> bool:
@@ -510,7 +568,8 @@ def main(argv: list[str] | None = None) -> int:
     # No short-circuit: every guard reports before the exit status.
     return 0 if all([*(check(guard, arguments) for guard in GUARDS),
                      check_hoisting(arguments), check_reply(arguments),
-                     check_fed_node(arguments), check_cte(arguments),
+                     check_fed_node(arguments), check_pre_space(arguments),
+                     check_cte(arguments),
                      check_set_for(arguments), check_write(arguments)]) else 1
 
 

@@ -104,7 +104,8 @@ class _PlanRun(AlgebraEngineProtocol):
             body, _items(seed_table),
             algorithm="delta" if operator.variant == "mu_delta" else "naive",
             trace=self.trace, governor=self.governor,
-            span_attributes={"variant": operator.variant})
+            span_attributes={"variant": operator.variant},
+            relation=operator.relation if self.use_index else None)
         self.statistics.fixpoint_runs.append(result.statistics)
         return self._items_table(result.value)
 

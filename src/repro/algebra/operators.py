@@ -31,10 +31,13 @@ from repro.algebra.columnar import ColumnarTable, Constant
 from repro.xdm.index import (
     SIBLING_AXES,
     IndexSet,
+    StepRelation,
     batch_id,
     batch_id_path,
     batch_step,
+    id_steps,
     indexed_step,
+    named_element_test,
     nth_sibling,
 )
 from repro.xdm.items import is_node, string_value_of_item
@@ -1113,6 +1116,12 @@ class Fixpoint(Operator):
     ``"mu"`` (Naive) or ``"mu_delta"`` (Delta).  The operator is evaluated by
     the algebra engine, which iterates the body plan and rebinds the
     recursion input between rounds; it is itself union-pushable (Table 1).
+
+    ``relation`` is the body read as a
+    :class:`~repro.xdm.index.StepRelation` when it is a chain of plain
+    ``child::name`` step macros and ``IdLookup`` macros over the recursion
+    input (:func:`_step_relation`), which the engine's driver may iterate in
+    pre-space instead of re-evaluating the plan; else ``None``.
     """
 
     symbol = "µ"
@@ -1123,6 +1132,7 @@ class Fixpoint(Operator):
         super().__init__([seed, body])
         self.recursion_input = recursion_input
         self.variant = variant
+        self.relation = _step_relation(body, recursion_input)
 
     @property
     def seed_plan(self) -> Operator:
@@ -1139,3 +1149,29 @@ class Fixpoint(Operator):
 
     def label(self):
         return "µ∆" if self.variant == "mu_delta" else "µ"
+
+
+def _step_relation(body: Operator, recursion_input: RecursionInput) -> StepRelation | None:
+    """*body* as a step relation: from the recursion input up, each operator
+    a :class:`StepJoin` of a predicate-free ``child::name`` step or an
+    :class:`IdLookup` of a child chain without an anchor (its ID steps
+    resolve in its compile-time document, which the relation then binds to
+    alone; two such macros in different documents do not qualify)."""
+    steps: list[tuple[str, str]] = []
+    document = None
+    operator = body
+    while operator is not recursion_input:
+        if (isinstance(operator, StepJoin) and operator.axis == "child"
+                and not operator.pushed and len(operator.children) == 1
+                and named_element_test(operator.node_test_kind, operator.node_test_name)):
+            steps.append(("child", operator.node_test_name))
+        elif (isinstance(operator, IdLookup) and operator.path
+              and len(operator.children) == 1
+              and operator.document is not None
+              and document in (None, operator.document)):
+            document = operator.document
+            steps.extend(reversed(id_steps(operator.path)))
+        else:
+            return None
+        operator = operator.children[0]
+    return StepRelation(tuple(reversed(steps)), document) if steps else None

@@ -11,6 +11,14 @@ so folding a round's output in costs O(|produced|) and document order is
 restored once, when the fixed point is reached (Naive, which feeds the whole
 result back, re-sorts it per
 round — a near-linear Timsort over an already sorted prefix).
+
+A body that is a step relation runs in pre-space instead
+(:class:`PreAccumulator`): the state is a set of pre ranks, and the set is
+all there is — nothing to re-sort per round, one decode at the end.
+
+Both accumulators answer the driver's three questions the same way:
+:meth:`add_new` folds a round in and returns its delta, :meth:`frontier`
+is what Delta feeds next, :meth:`everything` what Naive feeds next.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import XQueryTypeError
+from repro.xdm.index import PreSpace
 from repro.xdm.node import Node
 from repro.xdm.sequence import doc_order
 
@@ -33,6 +42,15 @@ class ResultAccumulator:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def frontier(self, new: list) -> list:
+        """A round's delta as the body is fed it: in document order."""
+        return doc_order(new, distinct=True)
+
+    def everything(self) -> list:
+        """The whole result as the body is fed it (a copy: the
+        accumulator's own list grows)."""
+        return list(self.in_document_order())
 
     def add_new(self, candidates: Iterable) -> list:
         """Append the not-yet-seen *candidates*; return them (the delta),
@@ -59,3 +77,40 @@ class ResultAccumulator:
     def in_document_order(self) -> list:
         """The accumulated nodes, put in document order (in place)."""
         return doc_order(self.items, distinct=True)
+
+
+class PreAccumulator:
+    """The pre ranks found so far by a run in pre-space.
+
+    The body (:meth:`PreSpace.image`) is a set function of what it is fed,
+    so neither the frontier nor the whole result needs an order; document
+    order is ascending pre, restored once by :meth:`in_document_order`.
+    """
+
+    __slots__ = ("space", "seen")
+
+    def __init__(self, space: PreSpace):
+        self.space = space
+        self.seen: set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self.seen)
+
+    def add_new(self, candidates: Iterable[int]) -> set[int]:
+        """Add the not-yet-seen *candidates*; return them (the delta)."""
+        fresh = set(candidates)
+        fresh -= self.seen
+        self.seen |= fresh
+        return fresh
+
+    def frontier(self, new: set[int]) -> set[int]:
+        return new
+
+    def everything(self) -> set[int]:
+        """The result itself, not a copy: the body has read it before the
+        round's :meth:`add_new` grows it."""
+        return self.seen
+
+    def in_document_order(self) -> list:
+        """The fixed point, decoded to nodes in document order."""
+        return self.space.decode(self.seen)

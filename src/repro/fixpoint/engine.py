@@ -42,6 +42,16 @@ not as the sequence the pseudo-code suggests: ``except res`` is a membership
 probe per produced node and ``union res`` an append, so folding a round in
 costs O(|e_rec(fed)|) instead of re-validating and re-sorting everything
 found so far.
+
+When the body is a *step relation* — ``$x/id(./prerequisites/pre_code)``,
+``$x/parent``: child-by-name and ID-reference maps of the structural index
+(:class:`~repro.xdm.index.StepRelation`) — the loop does not need nodes at
+all.  The caller passes the relation beside the body; if it binds to the
+seed's tree, the seed is encoded to pre ranks once, every round is the
+maps' image of the fed pres and set algebra against the result
+(:class:`~repro.fixpoint.accumulator.PreAccumulator`), and the fixed point
+is decoded once.  Feeding, stopping, budgets, spans and statistics are the
+same lines of this loop either way, so the rounds cannot differ.
 """
 
 from __future__ import annotations
@@ -51,10 +61,11 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro import faults
 from repro.errors import FixpointError
-from repro.fixpoint.accumulator import ResultAccumulator
+from repro.fixpoint.accumulator import PreAccumulator, ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
 from repro.observability import maybe_span
-from repro.xdm.sequence import doc_order, ensure_node_sequence
+from repro.xdm.index import StepRelation
+from repro.xdm.sequence import ensure_node_sequence
 
 #: Algorithms the engine knows about.
 ALGORITHMS = ("naive", "delta")
@@ -90,7 +101,8 @@ class FixpointEngine:
     def run(self, body: Callable[[list], list], seed: Sequence,
             algorithm: str = "naive", seed_is_initial_result: bool = False,
             trace=None, governor=None,
-            span_attributes: Mapping[str, object] | None = None) -> FixpointResult:
+            span_attributes: Mapping[str, object] | None = None,
+            relation: StepRelation | None = None) -> FixpointResult:
         """Compute the IFP of *body* seeded by *seed*.
 
         Parameters
@@ -127,6 +139,17 @@ class FixpointEngine:
             Extra attributes for the ``fixpoint`` span — what the calling
             engine knows and the loop does not (algebra's ``variant``, the
             SQL engine's ``path``).
+        relation:
+            *body* as a :class:`~repro.xdm.index.StepRelation`, when the
+            calling engine recognized it as one.  If the relation binds to
+            the seed's tree the run iterates in pre-space: the seed is
+            encoded once, a round is the relation's integer maps and set
+            algebra on pres, and the fixed point is decoded once — the same
+            rounds, sizes, budgets and spans, with ``space="pre"`` on the
+            ``fixpoint`` span (``"nodes"`` when the relation declined the
+            seed; no ``space`` without a relation).  Traced runs count each
+            offered relation as ``kernel:fixpoint:pre-space``, a declined
+            one as a fallback.
 
         Returns the fixed point in document order, with its
         :class:`~repro.fixpoint.stats.FixpointStatistics`.
@@ -136,7 +159,17 @@ class FixpointEngine:
         feed_everything = algorithm == "naive"
         seed_nodes = ensure_node_sequence(seed, "inflationary fixed point seed")
         statistics = FixpointStatistics(algorithm=algorithm)
-        result = ResultAccumulator()
+        space = None
+        if relation is not None:
+            space = relation.bind(seed_nodes)
+            span_attributes = {**(span_attributes or {}),
+                               "space": "nodes" if space is None else "pre"}
+            if trace is not None:
+                trace.record_kernel("fixpoint:pre-space", space is not None)
+        if space is None:
+            result = ResultAccumulator()
+        else:  # from here on "nodes" are pres
+            body, seed_nodes, result = space.image, space.seed, PreAccumulator(space)
 
         def run_round(iteration: int, fed: list) -> list:
             """Apply the body to *fed* (a list the body may keep) and fold
@@ -162,9 +195,7 @@ class FixpointEngine:
             iteration = 0
             # Delta stops before a round that would be fed nothing ...
             while feed_everything or new:
-                # (a copy under Naive: the accumulator's own list grows)
-                fed = (list(result.in_document_order()) if feed_everything
-                       else doc_order(new, distinct=True))
+                fed = result.everything() if feed_everything else result.frontier(new)
                 iteration += 1
                 if iteration > self.max_iterations:
                     raise FixpointError(

@@ -9,11 +9,13 @@ the algorithms record them here as they run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One round of the fixed point iteration.
+class IterationRecord(NamedTuple):
+    """One round of the fixed point iteration (a tuple: one is made per
+    round, and a round in pre-space costs about as much as building a
+    frozen dataclass would).
 
     Attributes
     ----------

@@ -45,6 +45,7 @@ from repro.fixpoint.engine import FixpointEngine, FixpointResult
 from repro.limits import sqlite_guard
 from repro.observability import maybe_span
 from repro.settings import EvalSettings
+from repro.xdm.index import StepRelation
 from repro.xdm.items import is_node
 from repro.xdm.node import AttributeNode
 from repro.fixpoint.stats import FixpointStatistics
@@ -90,7 +91,8 @@ class SqlFixpointExecutor:
             variables: dict | None = None,
             push_predicates: bool = True,
             trace=None, governor=None,
-            anchor_document=None) -> FixpointResult:
+            anchor_document=None,
+            relation: StepRelation | None = None) -> FixpointResult:
         """Evaluate the fixpoint of *expr* seeded by *seed*.
 
         ``algorithm`` is :func:`~repro.fixpoint.decision.decide_fixpoint`'s
@@ -118,7 +120,8 @@ class SqlFixpointExecutor:
         as on the other engines.
         ``anchor_document`` is the context node's document (or ``None``):
         top-level ``id(...)`` bodies scope their ID lookups to it, so
-        without one they fall back to the driver.
+        without one they fall back to the driver.  ``relation`` is the body
+        as a step relation, which the driver iterates in pre-space.
         """
         emitted = None
         driver = {"path": "driver"}
@@ -152,7 +155,7 @@ class SqlFixpointExecutor:
         if emitted is None:
             return FixpointEngine(max_iterations).run(
                 body, seed, algorithm=algorithm, trace=trace,
-                governor=governor, span_attributes=driver)
+                governor=governor, span_attributes=driver, relation=relation)
         with maybe_span(trace, "fixpoint", algorithm=algorithm, path="cte",
                         seed=len(seed), guards=guards) as span:
             # sqlite_guard sits innermost so it can translate an interrupted
@@ -178,7 +181,8 @@ class SqlFixpointExecutor:
             # driver counts them, and raises where the other engines do.
             return FixpointEngine(max_iterations).run(
                 body, seed, algorithm=algorithm, trace=trace, governor=governor,
-                span_attributes={"path": "driver", "fallback": "max_ifp_iterations"})
+                span_attributes={"path": "driver", "fallback": "max_ifp_iterations"},
+                relation=relation)
         return result
 
     def _anchor_resolver(self, anchor_document, governor=None):
@@ -198,9 +202,11 @@ class SqlFixpointExecutor:
 
     def _check_guards(self, emitted: FixpointSql, trace=None) -> tuple[bool, str]:
         """Whether the store holds data the emitted chain would mishandle
-        (multi-token IDREFS content) — the shared driver takes over then —
-        and how that was known: ``"none"`` (no guard), ``"cached"`` or
-        ``"probed"``.
+        (multi-token IDREFS content, or an ID bound to an element of another
+        tree: :meth:`SqlDocumentStore.has_foreign_ids`, no probe needed) —
+        the shared driver takes over then — and how that was known:
+        ``"none"`` (no guard), ``"cached"``, ``"probed"`` or
+        ``"foreign-ids"``.
 
         The verdicts live on the store (:meth:`SqlDocumentStore.verdict`),
         once per probe and store version, so the probes run only after the
@@ -209,6 +215,8 @@ class SqlFixpointExecutor:
         """
         if not emitted.guards:
             return False, "none"
+        if self.store.has_foreign_ids():
+            return True, "foreign-ids"
         probed = False
 
         def probe(statement: str) -> bool:
@@ -302,7 +310,7 @@ class SQLEvaluator(Evaluator):
 
     def _run_fixpoint(self, expr: ast.WithExpr, context: DynamicContext,
                       seed: list, body: Callable[[list], list],
-                      algorithm: str) -> FixpointResult:
+                      algorithm: str, relation: StepRelation | None) -> FixpointResult:
         anchor_document = None
         if context.focus.defined and is_node(context.focus.item):
             anchor_document = context.focus.item.document()
@@ -315,6 +323,7 @@ class SQLEvaluator(Evaluator):
             trace=static.trace,
             governor=static.governor,
             anchor_document=anchor_document,
+            relation=relation,
         )
 
 

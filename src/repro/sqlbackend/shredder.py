@@ -55,6 +55,9 @@ class _ShreddedTree(NamedTuple):
     changes: int
     #: its ``node`` rows (attributes excluded): what its edges are bounded by
     nodes: int
+    #: whether an ID of its document resolves to an element of another tree
+    #: (``DocumentNode.register_id``), which no ``id_attr`` row can name
+    foreign_ids: bool
 
 
 class _Edges(NamedTuple):
@@ -121,6 +124,12 @@ class SqlDocumentStore:
         number is unchanged: :meth:`verdict` keys them on it.
         """
         return self._version
+
+    def has_foreign_ids(self) -> bool:
+        """Whether a shredded document has an ID bound to an element of
+        another tree: ``id_attr`` cannot name it, so no ``fn:id`` join may
+        answer while it is here."""
+        return any(tree.foreign_ids for tree in self._trees.values())
 
     def verdict(self, probe: str, run: Callable[[str], bool]) -> bool:
         """The answer *run* gives for the data-dependent check *probe* (a
@@ -248,11 +257,16 @@ class SqlDocumentStore:
                              governor=governor)
 
             id_rows: list[tuple] = []
+            foreign_ids = False
             if isinstance(root, DocumentNode):
                 for value in root.id_values():
                     element = root.lookup_id(value)
                     if element is not None:
-                        id_rows.append((doc_id, value, local_pre[id(element)]))
+                        pre = local_pre.get(id(element))
+                        if pre is None:
+                            foreign_ids = True
+                        else:
+                            id_rows.append((doc_id, value, pre))
 
             with self.connection:
                 self.connection.executemany(
@@ -274,7 +288,7 @@ class SqlDocumentStore:
         self._node_of.update(local_node)
         root_pre, root_post = node_rows[0][:2]
         self._trees[id(root)] = _ShreddedTree(doc_id, root_pre, root_post, changes,
-                                              len(node_rows))
+                                              len(node_rows), foreign_ids)
         self._version += 1
         return doc_id
 

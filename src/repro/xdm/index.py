@@ -40,6 +40,12 @@ order is ascending pre.  For every other axis results are deduplicated by
 identity and sorted once by ``order_key`` — never the quadratic per-node
 filtering the naive axis methods would add up to.
 
+A whole fixpoint can stay in pre-space too: a recursion body that is a
+chain of such steps is a :class:`StepRelation`, which the fixpoint driver
+binds to the seed's tree (:class:`PreSpace`) — the seed encoded once,
+every round one probe per fed pre of the relation's composed edge map
+(:meth:`StructuralIndex.relation_edges`), the fixed point decoded once.
+
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
 small registry keeps the most recently used indexes; structural mutations
@@ -54,6 +60,7 @@ store learns that one of its trees, and not some other, was mutated.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import chain
 from collections import OrderedDict
 from collections.abc import Iterable, KeysView
@@ -103,7 +110,8 @@ class StructuralIndex:
     __slots__ = ("root", "value_generation", "nodes", "pre_of", "post", "level",
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
                  "kind_pres", "_child_pres", "_attr_owner_sets",
-                 "_attr_value_sets", "_path_value_sets", "_idref_targets")
+                 "_attr_value_sets", "_path_value_sets", "_idref_targets",
+                 "_relation_edges")
 
     def __init__(self, root: Node):
         self.root = root
@@ -191,6 +199,9 @@ class StructuralIndex:
         #: element name → parent pre → target pres, or ``None``
         #: (see :meth:`idref_targets`)
         self._idref_targets: dict[str, dict[int, list[int]] | None] = {}
+        #: step-relation steps → pre → related pres, or ``None``
+        #: (see :meth:`relation_edges`)
+        self._relation_edges: dict[tuple, dict[int, list[int]] | None] = {}
 
     def clear_value_indexes(self) -> None:
         """Drop the lazy value indexes (after a value mutation)."""
@@ -266,6 +277,36 @@ class StructuralIndex:
                         return None
                     targets.setdefault(parent, []).append(target)
         return targets
+
+    def relation_edges(self, steps: tuple[tuple[str, str], ...]
+                       ) -> dict[int, list[int]] | None:
+        """The edges of a :class:`StepRelation`'s *steps* in this tree: pre
+        → the distinct pres the steps lead to from it (pres leading nowhere
+        are absent).  ``("child", n)`` steps read :meth:`child_pres_named`,
+        ``("idref", n)`` steps :meth:`idref_targets`; a one-step relation is
+        that map itself, a longer one is composed once, so a round probes one
+        map per fed pre however long the chain.  ``None`` when an
+        ID-reference step is (an ID resolves outside the tree).  A value
+        index like the others — an ID step reads string values — and shared:
+        callers must not mutate it."""
+        cache = self._relation_edges  # see path_value_owners on a concurrent clear
+        if steps not in cache:
+            maps = [self.child_pres_named(name) if kind == "child" else self.idref_targets(name)
+                    for kind, name in steps]
+            if None in maps:
+                cache[steps] = None
+            elif len(maps) == 1:
+                cache[steps] = maps[0]
+            else:
+                edges = {}
+                for source, pres in maps[0].items():
+                    for mapping in maps[1:]:
+                        pres = _mapped(mapping, pres)
+                    pres = list(dict.fromkeys(pres))
+                    if pres:
+                        edges[source] = pres
+                cache[steps] = edges
+        return cache[steps]
 
     def path_value_owners(self, path: tuple[str, ...], target: str,
                           name: str) -> dict[str, set[int]]:
@@ -948,12 +989,11 @@ def batch_id_path(nodes: Iterable, names: tuple[str, ...],
 
     The column is split by covering index through ``pre_of`` membership
     (the index's root *is* the document: no per-node root walk), the chain
-    but for its last step walks the child-by-name maps, the last step and
-    the dereference are one probe of the ID-reference index
-    (:meth:`StructuralIndex.idref_targets`), and nodes are gathered once,
-    from the sorted set of target pres.  The intermediate columns need
-    neither dedup nor sort: children of distinct parents are distinct, a
-    repeated context node only repeats work, and the final set orders all.
+    and the dereference are one probe per context pre of the chain's edges
+    (:meth:`StructuralIndex.relation_edges`: the child-by-name maps composed
+    with the ID-reference index, :meth:`StructuralIndex.idref_targets`),
+    and nodes are gathered once, from the sorted set of target pres; a
+    repeated context node only repeats work.
 
     Returns ``None`` — the caller walks the chain step by step — when an
     item is not a node, a node is covered by no index, an ID resolves
@@ -982,17 +1022,90 @@ def batch_id_path(nodes: Iterable, names: tuple[str, ...],
             rest = []
         groups.append((idx, pres))
 
+    steps = id_steps(names)
     per_tree: list[list[Node]] = []
     for idx, pres in groups:
-        targets = idx.idref_targets(names[-1])
-        if targets is None:
+        edges = idx.relation_edges(steps)
+        if edges is None:
             return None
-        for name in names[:-1]:
-            pres = _mapped(idx.child_pres_named(name), pres)
         tree_nodes = idx.nodes
-        per_tree.append([tree_nodes[pre] for pre in sorted(set(_mapped(targets, pres)))])
+        per_tree.append([tree_nodes[pre] for pre in sorted(set(_mapped(edges, pres)))])
 
     return _merged(per_tree)
+
+
+def id_steps(names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """``id(n1/…/nk)`` as :class:`StepRelation` steps: the child steps
+    ``n1…nk-1``, then the ID-reference step ``nk``."""
+    return (*(("child", name) for name in names[:-1]), ("idref", names[-1]))
+
+
+@dataclass(frozen=True, slots=True)
+class StepRelation:
+    """A recursion body ``$x/s1/…/sk`` read as a relation on pre ranks.
+
+    Each step is a pair: ``("child", n)`` is ``child::n`` (the child-by-name
+    map of *n*), ``("idref", n)`` is ``id(child::n)`` (the ID-reference
+    index of *n*), so ``$x/id(./prerequisites/pre_code)`` is
+    ``(("child", "prerequisites"), ("idref", "pre_code"))``.  Both maps are
+    integer work on one :class:`StructuralIndex` that stays inside its tree,
+    and a step distributes over its context nodes, so the body's value on a
+    node set is the union of the maps' images of its pres.
+
+    The engines recognize the shape — the interpreter on the AST
+    (:func:`repro.xquery.pushdown.recognize_step_relation`), the algebra
+    engine on the body plan — and hand the relation to the fixpoint driver,
+    which :meth:`bind` s it to the seed; the rounds then never touch a node
+    (:class:`PreSpace`).
+
+    *document*, when given, is the only tree the relation may be bound in
+    (the algebra's ``IdLookup`` resolves in its compile-time document).
+    """
+
+    steps: tuple[tuple[str, str], ...]
+    document: DocumentNode | None = None
+
+    def bind(self, nodes: list) -> "PreSpace | None":
+        """The relation over the tree of *nodes*, with *nodes* encoded as
+        pres (repeats kept: the first round is fed the seed as written), or
+        ``None`` — the driver iterates on nodes — for an empty seed, a seed
+        with an item no index covers (an attribute, a node of a second
+        tree), a tree other than *document*, and an ID that resolves outside
+        the tree (:meth:`StructuralIndex.idref_targets` is ``None``)."""
+        if not nodes or not isinstance(nodes[0], Node):
+            return None
+        idx = index_for(nodes[0])
+        if self.document is not None and idx.root is not self.document:
+            return None
+        seed = list(map(idx.pre_of.get, map(id, nodes)))
+        if None in seed:
+            return None
+        edges = idx.relation_edges(self.steps)
+        if edges is None:
+            return None
+        return PreSpace(idx.nodes, edges, seed)
+
+
+@dataclass(frozen=True, slots=True)
+class PreSpace:
+    """A :class:`StepRelation` bound to one tree: the seed's pres, and the
+    relation's edges (:meth:`StructuralIndex.relation_edges`).
+    :meth:`image` is the body on pres — one dict probe per pre and one
+    ``set``, no node, no identity set, no ``order_key`` sort — and
+    :meth:`decode` turns the fixed point back into nodes once."""
+
+    nodes: list[Node]
+    edges: dict[int, list[int]]
+    seed: list[int]
+
+    def image(self, pres: Iterable[int]) -> set[int]:
+        """The pres the relation relates some of *pres* to."""
+        return set(_mapped(self.edges, pres))
+
+    def decode(self, pres: Iterable[int]) -> list[Node]:
+        """*pres* as nodes, in document order (ascending pre)."""
+        nodes = self.nodes
+        return [nodes[pre] for pre in sorted(pres)]
 
 
 #: Axes :func:`batch_probe` can verify from the owner's side.

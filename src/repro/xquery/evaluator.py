@@ -35,6 +35,7 @@ from repro.xdm.document import copy_node
 from repro.xdm.index import (
     SIBLING_AXES,
     IndexSet,
+    StepRelation,
     batch_id,
     batch_id_path,
     batch_step,
@@ -452,21 +453,25 @@ class Evaluator:
         decision = decide_fixpoint(
             expr, static.settings, static.functions,
             fact=static.analysis.fact_for(expr) if static.analysis is not None else None)
-        result = self._run_fixpoint(expr, context, seed, body, decision.algorithm)
+        # A body that is a step relation iterates in pre-space on the index.
+        relation = (pushdown.recognize_step_relation(expr.body, expr.var, static.functions)
+                    if static.settings.use_index else None)
+        result = self._run_fixpoint(expr, context, seed, body, decision.algorithm, relation)
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):
             context.statistics.record_ifp(result.statistics)
         return list(result.value)
 
     def _run_fixpoint(self, expr: ast.WithExpr, context: DynamicContext,
                       seed: Sequence, body: Callable[[Sequence], Sequence],
-                      algorithm: str) -> FixpointResult:
-        """Iterate *body* from *seed* to its fixed point — the one step of the
-        IFP form an engine may replace (the SQL engine tries a recursive CTE
-        first)."""
+                      algorithm: str, relation: StepRelation | None) -> FixpointResult:
+        """Iterate *body* (or *relation*, its pre-space form) from *seed* to
+        its fixed point — the one step of the IFP form an engine may replace
+        (the SQL engine tries a recursive CTE first)."""
         static = context.static
         engine = FixpointEngine(max_iterations=static.settings.max_ifp_iterations)
         return engine.run(body, seed, algorithm=algorithm,
-                          trace=static.trace, governor=static.governor)
+                          trace=static.trace, governor=static.governor,
+                          relation=relation)
 
     # ------------------------------------------------------------------ paths
 

@@ -33,7 +33,10 @@ shared seam all three engines route such predicates through:
   whole column of ``E`` at once (the interpreter's ``step:id`` kernel, the
   algebra compiler's ``IdLookup``); :func:`child_chain_names` picks out
   the chains that run in pre-space on the ID-reference index
-  (:func:`~repro.xdm.index.batch_id_path`).
+  (:func:`~repro.xdm.index.batch_id_path`);
+* the **step relation recognizer** (:func:`recognize_step_relation`) names
+  the recursion bodies ``$x/s1/…/sk`` made of such steps, whose fixpoint
+  the driver iterates in pre-space (:class:`~repro.xdm.index.StepRelation`).
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
@@ -92,7 +95,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Container, Iterable, Iterator
 
-from repro.xdm.index import PROBE_AXES, IndexSet, batch_probe, named_element_test
+from repro.xdm.index import (
+    PROBE_AXES,
+    IndexSet,
+    StepRelation,
+    batch_probe,
+    id_steps,
+    named_element_test,
+)
 from repro.xdm.items import UntypedAtomic, is_node
 from repro.xdm.node import AttributeNode, ElementNode, Node
 from repro.xquery import ast
@@ -344,6 +354,36 @@ def child_chain_names(steps: tuple[ast.AxisStep, ...]) -> tuple[str, ...] | None
                 or not named_element_test(step.node_test.kind, step.node_test.name)):
             return None
     return tuple(step.node_test.name for step in steps)
+
+
+def recognize_step_relation(body: ast.Expr, var: str,
+                            functions: Container[tuple[str, int]]) -> StepRelation | None:
+    """A recursion body ``$var/s1/…/sk`` → its :class:`StepRelation`, or
+    ``None``.
+
+    Each ``si`` is a predicate-free ``child::name`` step or ``id(p)`` over a
+    chain :func:`child_chain_names` accepts (``id(n1/…/nk)`` is the child
+    steps ``n1…nk-1`` and the ID-reference step ``nk``) — the body
+    :func:`~repro.xdm.index.batch_id_path` answers for a column, and what
+    the fixpoint driver can iterate in pre-space."""
+    steps: list[tuple[str, str]] = []
+    while isinstance(body, ast.PathExpr):
+        right = body.right
+        if isinstance(right, ast.AxisStep):
+            names = child_chain_names((right,))
+            if names is None:
+                return None
+            steps.append(("child", names[0]))
+        else:
+            chain = recognize_id_step(right, functions)
+            names = child_chain_names(chain) if chain is not None else None
+            if names is None:
+                return None
+            steps.extend(reversed(id_steps(names)))
+        body = body.left
+    if not (steps and isinstance(body, ast.VarRef) and body.name == var):
+        return None
+    return StepRelation(tuple(reversed(steps)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from repro.errors import FixpointError
 from repro.fixpoint import FixpointEngine
 from repro.fixpoint.stats import StatisticsCollector
 from repro.xdm import document, element, node_union
+from repro.xdm.index import StepRelation
+from repro.xdm.sequence import ddo
 
 
 def make_chain(length):
@@ -193,6 +195,9 @@ def _prerequisites_body(doc, fed_log=None):
     return body
 
 
+#: The same body as a step relation (what the engines recognize it as).
+PREREQUISITES = StepRelation((("child", "prerequisites"), ("idref", "pre_code")))
+
 #: Per-round (iteration, fed, produced, new, result_size) of Delta on the tiny
 #: curriculum seeded by (c36, c40), recorded at the commit *before* the driver
 #: kept ``res`` as a set: the rewrite may change what a round costs, never
@@ -240,6 +245,52 @@ class TestDeltaDriver:
              "result_size": size}
             for i, fed, produced, new, size in GOLDEN_ROUNDS]
         assert fed_log == GOLDEN_FED
+
+    @pytest.mark.parametrize("seed_first", [False, True])
+    def test_the_rounds_in_pre_space_match_the_golden_run(self, curriculum, seed_first):
+        """The same body as a step relation: the body callable is never
+        called, and the rounds, spans and fixed point are those of the node
+        run of the body as an engine delivers it — duplicate-free, so only
+        ``produced`` differs from the golden run's duplicating body."""
+        result, spans, fed_log = self._run(curriculum, relation=PREREQUISITES,
+                                           seed_is_initial_result=seed_first)
+        records = [(r.iteration, r.fed_back, r.new_nodes, r.result_size)
+                   for r in result.statistics.iterations]
+        golden = GOLDEN_ROUNDS_SEED_FIRST if seed_first else GOLDEN_ROUNDS
+        assert records == [(i, fed, new, size) for i, fed, _, new, size in golden]
+        assert fed_log == []
+        assert spans[0]["space"] == "pre"
+        body = _prerequisites_body(curriculum)
+        on_nodes = FixpointEngine().run(
+            lambda nodes: ddo(body(nodes)), [curriculum.lookup_id("c36"),
+                                             curriculum.lookup_id("c40")],
+            algorithm="delta", seed_is_initial_result=seed_first)
+        assert result.statistics.iterations == on_nodes.statistics.iterations
+        assert list(map(id, result.value)) == list(map(id, on_nodes.value))
+
+    @pytest.mark.parametrize("limits, budget, observed", [
+        ({"max_fixpoint_rounds": 3}, "max_fixpoint_rounds", 4),
+        ({"max_frontier_nodes": 5}, "max_frontier_nodes", 6),
+        ({"max_result_items": 15}, "max_result_items", 16),
+    ])
+    def test_budgets_trip_in_the_same_round_in_pre_space(self, curriculum, limits,
+                                                         budget, observed):
+        from repro.errors import BudgetExceeded
+        from repro.limits import Governor, ResourceLimits
+
+        seed = [curriculum.lookup_id("c36"), curriculum.lookup_id("c40")]
+        with pytest.raises(BudgetExceeded) as caught:
+            FixpointEngine().run(None, seed, algorithm="delta", relation=PREREQUISITES,
+                                 governor=Governor(ResourceLimits(**limits)))
+        assert (caught.value.budget, caught.value.observed) == (budget, observed)
+
+    def test_the_iteration_bound_holds_in_pre_space(self, curriculum):
+        seed = [curriculum.lookup_id("c36"), curriculum.lookup_id("c40")]
+        with pytest.raises(FixpointError):
+            FixpointEngine(max_iterations=6).run(None, seed, algorithm="delta",
+                                                 relation=PREREQUISITES)
+        assert len(FixpointEngine(max_iterations=7).run(
+            None, seed, algorithm="delta", relation=PREREQUISITES).value) == 29
 
     def test_body_is_fed_in_document_order_without_duplicates(self, curriculum):
         # The body returns duplicates in reverse order; what comes back as
@@ -357,6 +408,10 @@ class TestDeltaDriver:
         extra = {"interpreter": {},
                  "algebra": {"variant": "mu_delta" if algorithm == "delta" else "mu"},
                  "sql": {"path": "driver"}}
+        if name in ("curriculum", "hospital"):  # step relations: rounds in pre-space
+            for engine, body in bodies.items():
+                if body is None:
+                    extra[engine]["space"] = "pre"
         documents = {workload.document_uri: workload.size("tiny").build_document()}
         with Session(documents=documents, id_attributes=("id", "code")) as session:
             runs = {engine: self._traced(session, self._closure(workload, algorithm, body), engine)

@@ -805,7 +805,9 @@ class TestBatchIdCrossEngine:
     def test_the_kernel_is_counted(self):
         """One ``step:id`` batch per path application; a recognized shape
         the kernel declines counts as a fallback; an unrecognized one (a
-        positional predicate) is not the kernel's to count."""
+        positional predicate) is not the kernel's to count.  A closure over
+        the plain shape applies no path at all: its rounds run in pre-space
+        (``fixpoint:pre-space``)."""
         documents = {"g.xml": idref_document(0)}
 
         def kernels(query, **settings):
@@ -814,9 +816,13 @@ class TestBatchIdCrossEngine:
             return {span.name[len("kernel:"):]: span.attributes
                     for span in result.trace.children if span.name.startswith("kernel:")}
 
-        counted = kernels('with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next)')
+        counted = kernels('for $n in $d//n return $n/id(./next)')
         assert counted["step:id"]["batch"] >= 2 and counted["step:id"]["fallback"] == 0
         assert "step:child" not in counted  # the chain runs inside the kernel
+        closure = kernels('with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next)')
+        assert closure["fixpoint:pre-space"] == {
+            **closure["fixpoint:pre-space"], "batch": 1, "fallback": 0}
+        assert "step:id" not in closure
         declined = kernels('$d//n/id(./grp[@k = "a"]/to)', use_pushdown=False)
         assert declined["step:id"] == {**declined["step:id"], "batch": 0, "fallback": 1}
         assert "step:id" not in kernels('$d//n/id(./next[1])')

@@ -604,19 +604,24 @@ class TestWhatInvalidatesTheIdReferenceIndex:
 
 def test_the_ledgers_curriculum_closure_is_answered_by_the_kernel(monkeypatch):
     """A kernel that quietly declines still answers right, only slowly:
-    the benchmark's own curriculum text must count ``step:id`` hits and no
-    fallback, under both algorithms, on the engines that interpret the body."""
+    the benchmark's own curriculum text must run its rounds in pre-space —
+    one ``fixpoint:pre-space`` hit, no fallback and no per-round ``step:id``
+    — under both algorithms, on the engines that iterate the body."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
     from ledger import corpus, ops
 
     documents, _ = corpus.build("tiny")
     start = ops.Scenarios(documents).start_nodes("curriculum", random.Random(7))[0]
-    with Session(documents, id_attributes=corpus.ID_ATTRIBUTES) as session:
-        for engine, naive in (("interpreter", False), ("interpreter", True), ("sql", True)):
+    uri = corpus.DOCUMENT_OF["curriculum"]
+    with Session({uri: documents[uri]}, id_attributes=corpus.ID_ATTRIBUTES) as session:
+        for engine, naive in (("interpreter", False), ("interpreter", True),
+                              ("algebra", False), ("algebra", True), ("sql", True)):
             result = session.evaluate(ops.closure_text("curriculum", start, naive=naive),
                                       engine=engine, trace=True)
-            (kernel,) = [span for span in result.trace.children
-                         if span.name == "kernel:step:id"]
-            rounds = len(result.trace.find_all("round"))
-            assert rounds > 1 and kernel.attributes["batch"] == rounds, (engine, naive)
-            assert kernel.attributes["fallback"] == 0, (engine, naive)
+            kernels = {span.name: span.attributes for span in result.trace.children
+                       if span.name.startswith("kernel:")}
+            assert "kernel:step:id" not in kernels, (engine, naive)
+            kernel = kernels["kernel:fixpoint:pre-space"]
+            assert (kernel["batch"], kernel["fallback"]) == (1, 0), (engine, naive)
+            assert result.trace.find("fixpoint").attributes["space"] == "pre"
+            assert len(result.trace.find_all("round")) > 1, (engine, naive)
