@@ -76,18 +76,23 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     commit before the kernel measured).
 
 ``pre-space``
-    (not a settings pair, and a floor, not a ceiling) the ``reply`` row's
-    24 medium-curriculum closures on the interpreter, whose body
-    ``$x/id(./prerequisites/pre_code)`` is a step relation the fixpoint
+    (not a settings pair, and a floor, not a ceiling; three parts, each of
+    which must pass) closures whose body is a step relation the fixpoint
     driver iterates in pre-space (the seed encoded once, a round one probe
-    of the index's composed edge map per fed pre and set algebra on
-    integers, the answer decoded once), vs the same closures with the body
-    written ``$x/id(…) | ()`` — no step relation, so every round evaluates
-    the path on nodes: the pre-space side must be at least 1.5× faster.  It
-    reads −55 % to −65 % (2.2× to 2.9×).  A closure whose ``fixpoint`` span
-    does not say ``space="pre"`` (the relation declined quietly), a wrapped
-    one that does, or two forms that answer differently make the row
-    INVALID.
+    per fed pre of the index's maps and set algebra on integers, the answer
+    decoded once) vs the same closures with the body written ``… | ()`` —
+    no step relation, so every round evaluates the body on nodes: the
+    pre-space side must be at least 1.5× faster.  ``curriculum/interpreter``
+    is the ``reply`` row's 24 medium-curriculum closures,
+    ``$x/id(./prerequisites/pre_code)``: it reads −55 % to −65 % (2.2× to
+    2.9×).  ``dialogs/interpreter`` and ``dialogs/algebra`` are the
+    ledger's 24 dialogs closures over the default play (its band of equal
+    work), ``$x/following-sibling::SPEECH[1][not(…)]`` — a sibling step
+    whose node-local filter's verdicts the engine's own body filled on the
+    untimed warm-up runs: they read about −62 % to −65 % (2.7×) and −77 %
+    to −82 % (4.5× to 5.4×).  A closure whose ``fixpoint`` span does not
+    say ``space="pre"`` (the relation declined quietly), a wrapped one that
+    does, or two forms that answer differently make the part INVALID.
 
 ``cte``
     (not a settings pair) the ``reply`` row's 24 medium-curriculum closures
@@ -379,33 +384,66 @@ PRE_SPACE_TOLERANCE = -1 / 3
 
 
 def check_pre_space(arguments: argparse.Namespace) -> bool:
-    """The reply guard's curriculum closures, whose body is a step relation
-    the driver iterates in pre-space, vs the same closures with the body
-    written ``$x/id(…) | ()`` — no step relation, so every round evaluates
-    the body on nodes."""
+    """Closures whose body is a step relation the driver iterates in
+    pre-space vs the same closures with the body written ``… | ()`` — no
+    step relation, so every round evaluates the body on nodes: the reply
+    guard's curriculum closures on the interpreter, and the ledger's dialogs
+    closures (a sibling step with a node-local filter) on the interpreter
+    and on algebra.  Each of the three parts must pass."""
+    from ledger import corpus, ops  # the ledger's own play and dialogs closures
+
     session, closures = curriculum_closures()
     # the text ends in the recursion body: the union extends it
-    on_nodes = [session.prepare(closure.query + " | ()", settings=BASE)
-                for closure in closures]
-    spaces = {(closure.run(trace=True).trace.find("fixpoint").attributes.get("space"),
-               wrapped.run(trace=True).trace.find("fixpoint").attributes.get("space"))
+    passed = [pre_space_part("curriculum/interpreter", closures,
+                             [session.prepare(closure.query + " | ()", settings=BASE)
+                              for closure in closures],
+                             BASE, max(1, arguments.inner // 10),  # one run is 24 closures
+                             arguments)]
+    session.close()
+
+    documents, _ = corpus.build("service")
+    starts = ops.Scenarios(documents).start_nodes("dialogs", random.Random(0))
+    body = ops.BODIES["dialogs"]
+    texts = [ops.closure_text("dialogs", start) for start in starts]
+    session = Session({"play.xml": documents["play.xml"]})
+    closures = [session.prepare(text, settings=BASE) for text in texts]
+    wrapped = [session.prepare(text.replace(body, f"{body} | ()"), settings=BASE)
+               for text in texts]
+    for engine in ("interpreter", "algebra"):
+        passed.append(pre_space_part(f"dialogs/{engine}", closures, wrapped,
+                                     BASE.replace(engine=engine),
+                                     max(1, arguments.inner // 2),  # 24 closures, ~5 ms
+                                     arguments))
+    session.close()
+    return all(passed)
+
+
+def pre_space_part(name: str, closures: list, on_nodes: list, settings: EvalSettings,
+                   inner: int, arguments: argparse.Namespace) -> bool:
+    """One part of the ``pre-space`` row: *closures* vs *on_nodes*, their
+    wrapped forms, under *settings*.  INVALID unless every closure runs in
+    pre-space, every wrapped one on nodes, and the two answer alike."""
+    def run(closure, **options):
+        return closure.run(settings=settings, **options)
+
+    spaces = {(run(closure, trace=True).trace.find("fixpoint").attributes.get("space"),
+               run(wrapped, trace=True).trace.find("fixpoint").attributes.get("space"))
               for closure, wrapped in zip(closures, on_nodes)}
     if spaces != {("pre", None)} or any(
-            list(map(id, closure.run().items)) != list(map(id, wrapped.run().items))
+            list(map(id, run(closure).items)) != list(map(id, run(wrapped).items))
             for closure, wrapped in zip(closures, on_nodes)):
-        print("pre-space check INVALID: every closure must run in pre-space, every "
-              "wrapped one on nodes, and the two must answer alike", file=sys.stderr)
+        print(f"pre-space {name} check INVALID: every closure must run in pre-space, "
+              "every wrapped one on nodes, and the two must answer alike", file=sys.stderr)
         return False
-    inner = max(1, arguments.inner // 10)  # one run is 24 closures
     results = alternate(
-        timed_block(lambda: [closure.run() for closure in closures], inner),
-        timed_block(lambda: [closure.run() for closure in on_nodes], inner),
+        timed_block(lambda: [run(closure) for closure in closures], inner),
+        timed_block(lambda: [run(closure) for closure in on_nodes], inner),
         arguments.estimates, arguments.pairs)
-    session.close()
-    return verdict("pre-space", results, PRE_SPACE_TOLERANCE,
+    return verdict(f"pre-space {name}", results, PRE_SPACE_TOLERANCE,
                    "repro.xquery.pushdown.recognize_step_relation (which bodies it "
                    "accepts), StepRelation.bind (a decline is silent: the fixpoint "
-                   "span says space=nodes) and StructuralIndex.relation_edges",
+                   "span says space=nodes), StructuralIndex.relation_edges and "
+                   "SiblingSpace.image (a warm round must not miss a verdict)",
                    arguments)
 
 

@@ -96,6 +96,7 @@ from repro.xdm.node import DocumentNode
 from repro.xquery import ast
 from repro.xquery.context import DocumentResolver
 from repro.xquery.evaluator import REVERSE_AXES
+from repro.xquery.pushdown import recognize_step_relation
 
 
 if TYPE_CHECKING:
@@ -291,7 +292,10 @@ class AlgebraCompiler:
             # (one, in pre-space, for a plain chain of named child steps).
             names = child_chain_names(id_steps)
             if names is not None:
-                return IdLookup(left, self._require_document(), path=names)
+                # resolved in each context node's own document; the corpus
+                # check stays while the other forms need one document
+                self._require_document()
+                return IdLookup(left, None, path=names)
             values = left
             for step in id_steps:
                 values = self._compile_step(values, step, context)
@@ -831,8 +835,13 @@ class AlgebraCompiler:
             expr, self.settings, self.functions,
             fact=self.analysis.fact_for(expr) if self.analysis is not None else None,
             body_plan=(body_plan, recursion_input))
+        # The one recognizer the interpreter uses: a body that is a step
+        # relation iterates in pre-space, its verdicts filled by this plan.
+        relation = recognize_step_relation(expr.body, expr.var, self.functions,
+                                           engine="algebra")
         return Fixpoint(seed, body_plan, recursion_input,
-                        variant="mu_delta" if decision.algorithm == "delta" else "mu")
+                        variant="mu_delta" if decision.algorithm == "delta" else "mu",
+                        relation=relation)
 
     # ------------------------------------------------------------------ helpers
 

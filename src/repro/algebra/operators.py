@@ -35,9 +35,7 @@ from repro.xdm.index import (
     batch_id,
     batch_id_path,
     batch_step,
-    id_steps,
     indexed_step,
-    named_element_test,
     nth_sibling,
 )
 from repro.xdm.items import is_node, string_value_of_item
@@ -920,11 +918,13 @@ class IdLookup(Operator):
 
     With *path* — the names of a predicate-free ``child::`` chain — the
     macro is ``id(n1/…/nk)`` from its input's *nodes*: the chain, the
-    atomization and the lookup in one
-    (:func:`~repro.xdm.index.batch_id_path` when the engine uses the index
-    and the context nodes lie in the macro's document; else the chain is
-    walked on the node objects).  Steps and ``fn:id`` distribute over the
-    union of their contexts, so the whole is as ∪-pushable as its parts.
+    atomization and the lookup in one, each context node's references
+    resolved in its own document, as ``fn:id`` resolves them (none where
+    its tree has no document node; *document* is not read):
+    :func:`~repro.xdm.index.batch_id_path` when the engine uses the index,
+    else the chain walked on the node objects per document.  Steps and
+    ``fn:id`` distribute over the union of their contexts, so the whole is
+    as ∪-pushable as its parts.
 
     With *anchor* — the plan of ``fn:id``'s second argument — an iteration
     resolves in the document of the one node that plan delivers it (none
@@ -955,25 +955,34 @@ class IdLookup(Operator):
         results: list = []
         for iteration in order:
             column = per_iteration[iteration]
-            document = (self.document if anchors is None
-                        else _anchor_document(anchors.get(iteration, ())))
-            if document is None:
-                found = []
-            else:
-                found = batch_id_path(column, self.path, document) if use_index else None
+            if self.path:
+                found = batch_id_path(column, self.path) if use_index else None
                 if found is None:
-                    found = ddo(batch_id(document, self._chain(column)))
+                    found = self._path_by_document(column)
+            else:
+                document = (self.document if anchors is None
+                            else _anchor_document(anchors.get(iteration, ())))
+                found = [] if document is None else ddo(batch_id(document, column))
             results.append((iteration, found))
         return _sequence_table(results)
 
-    def _chain(self, column: list) -> list:
-        """*column* through the *path* steps, on the node objects."""
-        if self.path and not all(map(is_node, column)):
+    def _path_by_document(self, column: list) -> list:
+        """``column/id(path)`` on the node objects: the column grouped by
+        owning document, each group's chain walked and looked up there."""
+        if not all(map(is_node, column)):
             raise AlgebraError("step join applied to a non-node item")
-        for name in self.path:
-            column = [child for node in column for child in node.children
-                      if isinstance(child, ElementNode) and child.name == name]
-        return column
+        by_document: dict[int, tuple[DocumentNode, list]] = {}
+        for node in column:
+            document = node.document()
+            if document is not None:  # no document, no IDs
+                by_document.setdefault(id(document), (document, []))[1].append(node)
+        found = []
+        for document, nodes in by_document.values():
+            for name in self.path:
+                nodes = [child for node in nodes for child in node.children
+                         if isinstance(child, ElementNode) and child.name == name]
+            found.extend(batch_id(document, nodes))
+        return ddo(found)
 
     def label(self):
         return f"id[{'/'.join(self.path)}]" if self.path else self.symbol
@@ -1118,21 +1127,22 @@ class Fixpoint(Operator):
     recursion input between rounds; it is itself union-pushable (Table 1).
 
     ``relation`` is the body read as a
-    :class:`~repro.xdm.index.StepRelation` when it is a chain of plain
-    ``child::name`` step macros and ``IdLookup`` macros over the recursion
-    input (:func:`_step_relation`), which the engine's driver may iterate in
-    pre-space instead of re-evaluating the plan; else ``None``.
+    :class:`~repro.xdm.index.StepRelation`, recognized on the AST the plan
+    was compiled from (:func:`repro.xquery.pushdown.recognize_step_relation`,
+    as the interpreter does), which the engine's driver may iterate in
+    pre-space instead of re-evaluating the plan — the plan still runs to
+    fill a sibling relation's missing verdicts; else ``None``.
     """
 
     symbol = "µ"
     union_pushable = True
 
     def __init__(self, seed: Operator, body: Operator, recursion_input: RecursionInput,
-                 variant: str = "mu"):
+                 variant: str = "mu", relation: StepRelation | None = None):
         super().__init__([seed, body])
         self.recursion_input = recursion_input
         self.variant = variant
-        self.relation = _step_relation(body, recursion_input)
+        self.relation = relation
 
     @property
     def seed_plan(self) -> Operator:
@@ -1149,29 +1159,3 @@ class Fixpoint(Operator):
 
     def label(self):
         return "µ∆" if self.variant == "mu_delta" else "µ"
-
-
-def _step_relation(body: Operator, recursion_input: RecursionInput) -> StepRelation | None:
-    """*body* as a step relation: from the recursion input up, each operator
-    a :class:`StepJoin` of a predicate-free ``child::name`` step or an
-    :class:`IdLookup` of a child chain without an anchor (its ID steps
-    resolve in its compile-time document, which the relation then binds to
-    alone; two such macros in different documents do not qualify)."""
-    steps: list[tuple[str, str]] = []
-    document = None
-    operator = body
-    while operator is not recursion_input:
-        if (isinstance(operator, StepJoin) and operator.axis == "child"
-                and not operator.pushed and len(operator.children) == 1
-                and named_element_test(operator.node_test_kind, operator.node_test_name)):
-            steps.append(("child", operator.node_test_name))
-        elif (isinstance(operator, IdLookup) and operator.path
-              and len(operator.children) == 1
-              and operator.document is not None
-              and document in (None, operator.document)):
-            document = operator.document
-            steps.extend(reversed(id_steps(operator.path)))
-        else:
-            return None
-        operator = operator.children[0]
-    return StepRelation(tuple(reversed(steps)), document) if steps else None

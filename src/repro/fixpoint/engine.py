@@ -50,8 +50,13 @@ all.  The caller passes the relation beside the body; if it binds to the
 seed's tree, the seed is encoded to pre ranks once, every round is the
 maps' image of the fed pres and set algebra against the result
 (:class:`~repro.fixpoint.accumulator.PreAccumulator`), and the fixed point
-is decoded once.  Feeding, stopping, budgets, spans and statistics are the
-same lines of this loop either way, so the rounds cannot differ.
+is decoded once.  A sibling step with node-local filters,
+``$x/following-sibling::SPEECH[1][not(…)]``, is a relation too: its
+structural part is a map of the index, and the filters' verdicts per target
+are memoised there, each filled by the body callable itself the first time
+a target comes up (the body distributes over what it is fed).  Feeding,
+stopping, budgets, spans and statistics are the same lines of this loop
+either way, so the rounds cannot differ.
 """
 
 from __future__ import annotations
@@ -145,7 +150,8 @@ class FixpointEngine:
             the seed's tree the run iterates in pre-space: the seed is
             encoded once, a round is the relation's integer maps and set
             algebra on pres, and the fixed point is decoded once — the same
-            rounds, sizes, budgets and spans, with ``space="pre"`` on the
+            rounds, sizes, budgets and spans (*body* runs only to fill a
+            sibling relation's missing verdicts), with ``space="pre"`` on the
             ``fixpoint`` span (``"nodes"`` when the relation declined the
             seed; no ``space`` without a relation).  Traced runs count each
             offered relation as ``kernel:fixpoint:pre-space``, a declined
@@ -161,7 +167,7 @@ class FixpointEngine:
         statistics = FixpointStatistics(algorithm=algorithm)
         space = None
         if relation is not None:
-            space = relation.bind(seed_nodes)
+            space = relation.bind(seed_nodes, body)
             span_attributes = {**(span_attributes or {}),
                                "space": "nodes" if space is None else "pre"}
             if trace is not None:

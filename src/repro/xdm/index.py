@@ -44,7 +44,11 @@ A whole fixpoint can stay in pre-space too: a recursion body that is a
 chain of such steps is a :class:`StepRelation`, which the fixpoint driver
 binds to the seed's tree (:class:`PreSpace`) — the seed encoded once,
 every round one probe per fed pre of the relation's composed edge map
-(:meth:`StructuralIndex.relation_edges`), the fixed point decoded once.
+(:meth:`StructuralIndex.relation_edges`), the fixed point decoded once.  So
+is a sibling step ``[k]`` with node-local filters (:class:`SiblingSpace`):
+a lazily filled map of :func:`nth_sibling`'s walk, and a value index of
+the filters' verdicts (:meth:`StructuralIndex.verdicts`) that the calling
+engine's own body fills.
 
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
@@ -60,10 +64,10 @@ store learns that one of its trees, and not some other, was mutated.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from collections import OrderedDict
-from collections.abc import Iterable, KeysView
+from collections.abc import Callable, Iterable, KeysView
 from threading import RLock
 
 from repro import faults
@@ -111,7 +115,7 @@ class StructuralIndex:
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
                  "kind_pres", "_child_pres", "_attr_owner_sets",
                  "_attr_value_sets", "_path_value_sets", "_idref_targets",
-                 "_relation_edges")
+                 "_relation_edges", "_sibling_targets", "_verdicts")
 
     def __init__(self, root: Node):
         self.root = root
@@ -180,6 +184,9 @@ class StructuralIndex:
         #: element name → parent pre → ascending pres of its children of
         #: that name (see :meth:`child_pres_named`)
         self._child_pres: dict[str, dict[int, list[int]]] = {}
+        #: (sibling axis, name, k) → pre → target pre or ``-1``
+        #: (see :meth:`sibling_targets`)
+        self._sibling_targets: dict[tuple[str, str, int], dict[int, int]] = {}
         self._reset_value_indexes()
 
     # -- value inverted indexes ----------------------------------------------
@@ -202,6 +209,9 @@ class StructuralIndex:
         #: step-relation steps → pre → related pres, or ``None``
         #: (see :meth:`relation_edges`)
         self._relation_edges: dict[tuple, dict[int, list[int]] | None] = {}
+        #: step-relation memo key → target pre → a node-local filter's
+        #: verdict (see :meth:`verdicts`)
+        self._verdicts: dict[object, dict[int, bool]] = {}
 
     def clear_value_indexes(self) -> None:
         """Drop the lazy value indexes (after a value mutation)."""
@@ -307,6 +317,24 @@ class StructuralIndex:
                         edges[source] = pres
                 cache[steps] = edges
         return cache[steps]
+
+    def sibling_targets(self, axis: str, name: str, k: int) -> dict[int, int]:
+        """The map of ``axis::name[k]`` for a sibling *axis*: pre → the pre
+        of the k-th sibling called *name* along the axis, ``-1`` where there
+        is none.  Filled lazily, one pre at a time, by the walk of
+        :func:`nth_sibling` (:meth:`SiblingSpace.image`): a structural
+        index, which a text edit leaves valid.  Shared — only the binding
+        space adds to it."""
+        return self._sibling_targets.setdefault((axis, name, k), {})
+
+    def verdicts(self, key: object) -> dict[int, bool]:
+        """The verdicts of a node-local filter (:class:`StepRelation`'s
+        ``filters``) under the memo *key* of its relation: target pre →
+        whether the target passes.  Filled by the engine's own body
+        (:meth:`SiblingSpace.image`); a value index — the filter reads
+        values — so a text edit and a newly registered ID drop it.
+        Shared — only the binding space adds to it."""
+        return self._verdicts.setdefault(key, {})
 
     def path_value_owners(self, path: tuple[str, ...], target: str,
                           name: str) -> dict[str, set[int]]:
@@ -800,9 +828,16 @@ def nth_sibling(node: Node, axis: str, kind: str, name: str | None, n: int,
     pre = idx.pre_of.get(id(node))
     if pre is None:
         return None
+    found = _nth_sibling_at(idx, pre, axis, kind, name, n)
+    return [] if found is None else [found]
+
+
+def _nth_sibling_at(idx: StructuralIndex, pre: int, axis: str, kind: str,
+                    name: str | None, n: int) -> Node | None:
+    """The walk of :func:`nth_sibling` from the node at *pre*."""
     parent = idx.parent_pre[pre]
     if parent < 0:
-        return []
+        return None
     siblings = idx.nodes[parent].children
     position = idx.sib_pos[pre]
     walk = (range(position + 1, len(siblings)) if axis == "following-sibling"
@@ -812,8 +847,8 @@ def nth_sibling(node: Node, axis: str, kind: str, name: str | None, n: int,
         if _matches(sibling, kind, name, axis):
             n -= 1
             if not n:
-                return [sibling]
-    return []
+                return sibling
+    return None
 
 
 class IndexSet:
@@ -979,13 +1014,11 @@ def batch_id(document: DocumentNode, items: Iterable) -> list[Node]:
     return [element for token in tokens if (element := lookup(token)) is not None]
 
 
-def batch_id_path(nodes: Iterable, names: tuple[str, ...],
-                  document: DocumentNode | None = None) -> list[Node] | None:
+def batch_id_path(nodes: Iterable, names: tuple[str, ...]) -> list[Node] | None:
     """``nodes/id(child::n1/…/child::nk)`` (``k ≥ 1``, no predicates) in
     pre-space: the elements, duplicate-free and in document order, that the
     ID references under the *names* chain of some context node resolve to —
-    each in the document of its context node, or only in *document* when
-    one is given.
+    each in the document of its context node.
 
     The column is split by covering index through ``pre_of`` membership
     (the index's root *is* the document: no per-node root walk), the chain
@@ -996,8 +1029,8 @@ def batch_id_path(nodes: Iterable, names: tuple[str, ...],
     repeated context node only repeats work.
 
     Returns ``None`` — the caller walks the chain step by step — when an
-    item is not a node, a node is covered by no index, an ID resolves
-    outside its tree, or (with *document*) a context node lies outside it.
+    item is not a node, a node is covered by no index, or an ID resolves
+    outside its tree.
     """
     # One pass per tree, each a C-level map of the column through ``pre_of``.
     groups: list[tuple[StructuralIndex, list[int]]] = []
@@ -1010,8 +1043,6 @@ def batch_id_path(nodes: Iterable, names: tuple[str, ...],
         if not isinstance(first, Node):
             return None
         idx = index_for(first)
-        if document is not None and idx.root is not document:
-            return None
         pres = list(map(idx.pre_of.get, map(id, rest)))
         if None in pres:
             if pres[0] is None:
@@ -1044,52 +1075,83 @@ def id_steps(names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
 class StepRelation:
     """A recursion body ``$x/s1/…/sk`` read as a relation on pre ranks.
 
-    Each step is a pair: ``("child", n)`` is ``child::n`` (the child-by-name
-    map of *n*), ``("idref", n)`` is ``id(child::n)`` (the ID-reference
-    index of *n*), so ``$x/id(./prerequisites/pre_code)`` is
+    Each step of a *chain* is a pair: ``("child", n)`` is ``child::n`` (the
+    child-by-name map of *n*), ``("idref", n)`` is ``id(child::n)`` (the
+    ID-reference index of *n*), so ``$x/id(./prerequisites/pre_code)`` is
     ``(("child", "prerequisites"), ("idref", "pre_code"))``.  Both maps are
     integer work on one :class:`StructuralIndex` that stays inside its tree,
     and a step distributes over its context nodes, so the body's value on a
     node set is the union of the maps' images of its pres.
 
-    The engines recognize the shape — the interpreter on the AST
-    (:func:`repro.xquery.pushdown.recognize_step_relation`), the algebra
-    engine on the body plan — and hand the relation to the fixpoint driver,
-    which :meth:`bind` s it to the seed; the rounds then never touch a node
-    (:class:`PreSpace`).
+    A *sibling* relation is one step ``(axis, n, k)``:
+    ``$x/following-sibling::n[k]`` or ``$x/preceding-sibling::n[k]``
+    (:meth:`StructuralIndex.sibling_targets`), optionally followed by
+    node-local *filters* ``[F1]…[Fm]`` — predicate expressions, opaque
+    here, that read nothing but their focus node's tree.  Behind ``[k]`` a
+    candidate is alone (position 1, size 1), so a filter's verdict is a
+    function of the candidate's pre; the verdicts are memoised per tree
+    (:meth:`StructuralIndex.verdicts`) under this relation, *engine*
+    included: each engine fills them with its own body, and never reads
+    what another filled.
 
-    *document*, when given, is the only tree the relation may be bound in
-    (the algebra's ``IdLookup`` resolves in its compile-time document).
+    The engines recognize the shape on the AST
+    (:func:`repro.xquery.pushdown.recognize_step_relation`: the interpreter
+    and sql's driver per evaluation, the algebra compiler into its
+    ``Fixpoint`` operator) and hand the relation to the fixpoint driver,
+    which :meth:`bind` s it to the seed; the rounds then never touch a node
+    (:class:`PreSpace`, :class:`SiblingSpace`) — but to fill a verdict.
     """
 
-    steps: tuple[tuple[str, str], ...]
-    document: DocumentNode | None = None
+    steps: tuple[tuple, ...]
+    filters: tuple = ()
+    #: whose body fills the verdicts: ``"interpreter"`` (also sql's driver,
+    #: which evaluates bodies with the interpreter) or ``"algebra"``
+    engine: str = "interpreter"
+    #: the relation is the verdicts' memo key: hashed once, not per lookup
+    #: (a filter's AST hashes recursively)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def bind(self, nodes: list) -> "PreSpace | None":
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.steps, self.filters, self.engine)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def bind(self, nodes: list,
+             body: Callable[[list], list] | None = None) -> "PreSpace | SiblingSpace | None":
         """The relation over the tree of *nodes*, with *nodes* encoded as
         pres (repeats kept: the first round is fed the seed as written), or
         ``None`` — the driver iterates on nodes — for an empty seed, a seed
         with an item no index covers (an attribute, a node of a second
-        tree), a tree other than *document*, and an ID that resolves outside
-        the tree (:meth:`StructuralIndex.idref_targets` is ``None``)."""
+        tree), and an ID that resolves outside the tree
+        (:meth:`StructuralIndex.idref_targets` is ``None``).  *body* is the
+        engine's node-level body, which fills a sibling relation's missing
+        verdicts."""
         if not nodes or not isinstance(nodes[0], Node):
             return None
         idx = index_for(nodes[0])
-        if self.document is not None and idx.root is not self.document:
-            return None
         seed = list(map(idx.pre_of.get, map(id, nodes)))
         if None in seed:
             return None
+        step = self.steps[0]
+        if step[0] in SIBLING_AXES:
+            return SiblingSpace(idx, seed, idx.sibling_targets(*step), step,
+                                idx.verdicts(self) if self.filters else None, body)
         edges = idx.relation_edges(self.steps)
         if edges is None:
             return None
         return PreSpace(idx.nodes, edges, seed)
 
 
+def _decoded(nodes: list[Node], pres: Iterable[int]) -> list[Node]:
+    """*pres* as nodes, in document order (ascending pre)."""
+    return [nodes[pre] for pre in sorted(pres)]
+
+
 @dataclass(frozen=True, slots=True)
 class PreSpace:
-    """A :class:`StepRelation` bound to one tree: the seed's pres, and the
-    relation's edges (:meth:`StructuralIndex.relation_edges`).
+    """A chain :class:`StepRelation` bound to one tree: the seed's pres,
+    and the relation's edges (:meth:`StructuralIndex.relation_edges`).
     :meth:`image` is the body on pres — one dict probe per pre and one
     ``set``, no node, no identity set, no ``order_key`` sort — and
     :meth:`decode` turns the fixed point back into nodes once."""
@@ -1104,8 +1166,68 @@ class PreSpace:
 
     def decode(self, pres: Iterable[int]) -> list[Node]:
         """*pres* as nodes, in document order (ascending pre)."""
-        nodes = self.nodes
-        return [nodes[pre] for pre in sorted(pres)]
+        return _decoded(self.nodes, pres)
+
+
+@dataclass(frozen=True, slots=True)
+class SiblingSpace:
+    """A sibling :class:`StepRelation` bound to one tree.
+
+    :meth:`image` maps each fed pre to its target through *targets* (the
+    walk of :func:`nth_sibling` fills a pre it has not seen) and, with
+    filters, keeps a target by its verdict.  A target without a verdict is
+    decided by the engine's own node-level *body*, run once per round on a
+    source of each such target, in document order: the body distributes
+    over its input, so ``body(S)`` is the targets of ``S`` that pass, and a
+    target is kept iff it comes out.  The verdicts are stored only when the
+    body returns — one that raises raises in this round, as the node path
+    would, and again in the next query.  A warm round is one probe of each
+    map per fed pre."""
+
+    idx: StructuralIndex
+    seed: list[int]
+    targets: dict[int, int]
+    step: tuple[str, str, int]
+    verdicts: dict[int, bool] | None
+    body: Callable[[list], list] | None
+
+    def image(self, pres: Iterable[int]) -> set[int]:
+        """The targets of *pres* that pass the filters."""
+        targets = self.targets
+        verdicts = self.verdicts
+        found: set[int] = set()
+        misses: dict[int, int] = {}  # target → a source of it
+        for pre in pres:
+            target = targets.get(pre)
+            if target is None:
+                target = targets[pre] = self._walk(pre)
+            if target < 0:
+                continue
+            if verdicts is None:
+                found.add(target)
+                continue
+            verdict = verdicts.get(target)
+            if verdict:
+                found.add(target)
+            elif verdict is None:
+                misses.setdefault(target, pre)
+        if misses:
+            idx = self.idx
+            kept = set(map(idx.pre_of.get, map(id, self.body(_decoded(idx.nodes, misses.values())))))
+            fresh = {target: target in kept for target in misses}
+            verdicts.update(fresh)
+            found.update(target for target, verdict in fresh.items() if verdict)
+        return found
+
+    def _walk(self, pre: int) -> int:
+        axis, name, k = self.step
+        idx = self.idx
+        found = _nth_sibling_at(idx, pre, axis, "name", name, k)
+        return -1 if found is None else idx.pre_of[id(found)]
+
+    def decode(self, pres: Iterable[int]) -> list[Node]:
+        """*pres* as nodes, in document order (ascending pre)."""
+        return _decoded(self.idx.nodes, pres)
 
 
 #: Axes :func:`batch_probe` can verify from the owner's side.

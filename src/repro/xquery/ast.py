@@ -423,6 +423,11 @@ class WithExpr(Expr):
     body: Expr
     algorithm: str = "auto"
 
+    #: The body as a step relation, once recognized
+    #: (:func:`repro.xquery.pushdown.fixpoint_relation`); ``False`` for
+    #: "not yet".  Kept outside the fields, like :meth:`free_variables`.
+    _relation = False
+
     def children(self):
         return [(self.seed, frozenset()), (self.body, frozenset({self.var}))]
 

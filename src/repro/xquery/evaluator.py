@@ -454,7 +454,7 @@ class Evaluator:
             expr, static.settings, static.functions,
             fact=static.analysis.fact_for(expr) if static.analysis is not None else None)
         # A body that is a step relation iterates in pre-space on the index.
-        relation = (pushdown.recognize_step_relation(expr.body, expr.var, static.functions)
+        relation = (pushdown.fixpoint_relation(expr, static.functions)
                     if static.settings.use_index else None)
         result = self._run_fixpoint(expr, context, seed, body, decision.algorithm, relation)
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):

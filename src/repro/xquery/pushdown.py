@@ -35,8 +35,10 @@ shared seam all three engines route such predicates through:
   the chains that run in pre-space on the ID-reference index
   (:func:`~repro.xdm.index.batch_id_path`);
 * the **step relation recognizer** (:func:`recognize_step_relation`) names
-  the recursion bodies ``$x/s1/…/sk`` made of such steps, whose fixpoint
-  the driver iterates in pre-space (:class:`~repro.xdm.index.StepRelation`).
+  the recursion bodies ``$x/s1/…/sk`` made of such steps, or of one sibling
+  step ``[k]`` with :func:`node_local` filters, whose fixpoint the driver
+  iterates in pre-space (:class:`~repro.xdm.index.StepRelation`) — for
+  every engine: the algebra compiler reads it off the AST too.
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
@@ -97,6 +99,7 @@ from collections.abc import Callable, Container, Iterable, Iterator
 
 from repro.xdm.index import (
     PROBE_AXES,
+    SIBLING_AXES,
     IndexSet,
     StepRelation,
     batch_probe,
@@ -357,15 +360,26 @@ def child_chain_names(steps: tuple[ast.AxisStep, ...]) -> tuple[str, ...] | None
 
 
 def recognize_step_relation(body: ast.Expr, var: str,
-                            functions: Container[tuple[str, int]]) -> StepRelation | None:
+                            functions: Container[tuple[str, int]],
+                            engine: str = "interpreter") -> StepRelation | None:
     """A recursion body ``$var/s1/…/sk`` → its :class:`StepRelation`, or
-    ``None``.
+    ``None``; the one recognizer of every engine (*engine* names whose body
+    fills a sibling relation's verdicts: ``"interpreter"`` for the
+    interpreter and sql's driver, ``"algebra"`` for the algebra compiler).
 
-    Each ``si`` is a predicate-free ``child::name`` step or ``id(p)`` over a
-    chain :func:`child_chain_names` accepts (``id(n1/…/nk)`` is the child
-    steps ``n1…nk-1`` and the ID-reference step ``nk``) — the body
-    :func:`~repro.xdm.index.batch_id_path` answers for a column, and what
-    the fixpoint driver can iterate in pre-space."""
+    A *chain*: each ``si`` is a predicate-free ``child::name`` step or
+    ``id(p)`` over a chain :func:`child_chain_names` accepts
+    (``id(n1/…/nk)`` is the child steps ``n1…nk-1`` and the ID-reference
+    step ``nk``) — the body :func:`~repro.xdm.index.batch_id_path` answers
+    for a column, and what the fixpoint driver can iterate in pre-space.
+
+    A *sibling step*, alone: ``$var/following-sibling::n[k]`` or
+    ``$var/preceding-sibling::n[k]`` with ``k`` an integer literal ≥ 1,
+    then any number of :func:`node_local` predicates."""
+    if (isinstance(body, ast.PathExpr) and isinstance(body.right, ast.AxisStep)
+            and body.right.axis in SIBLING_AXES
+            and isinstance(body.left, ast.VarRef) and body.left.name == var):
+        return _sibling_relation(body.right, functions, engine)
     steps: list[tuple[str, str]] = []
     while isinstance(body, ast.PathExpr):
         right = body.right
@@ -383,7 +397,68 @@ def recognize_step_relation(body: ast.Expr, var: str,
         body = body.left
     if not (steps and isinstance(body, ast.VarRef) and body.name == var):
         return None
-    return StepRelation(tuple(reversed(steps)))
+    return StepRelation(tuple(reversed(steps)), engine=engine)
+
+
+def fixpoint_relation(expr: ast.WithExpr,
+                      functions: Container[tuple[str, int]]) -> StepRelation | None:
+    """:func:`recognize_step_relation` of *expr*'s body for the interpreter
+    and sql's driver, memoised on the node as its free variables are — a
+    node belongs to one module, whose declared *functions* do not change —
+    so a cached query does not recognize (and hash) its body per run."""
+    relation = expr._relation
+    if relation is False:
+        relation = recognize_step_relation(expr.body, expr.var, functions)
+        object.__setattr__(expr, "_relation", relation)
+    return relation
+
+
+def _sibling_relation(step: ast.AxisStep, functions: Container[tuple[str, int]],
+                      engine: str) -> StepRelation | None:
+    k = _integer_literal(step.predicates[0]) if step.predicates else None
+    if (k is None or k < 1
+            or not named_element_test(step.node_test.kind, step.node_test.name)):
+        return None
+    filters = step.predicates[1:]
+    if not all(node_local(predicate, functions) for predicate in filters):
+        return None
+    return StepRelation(((step.axis, step.node_test.name, k),), filters, engine)
+
+
+#: Built-ins a node-local predicate may call: each reads its arguments and
+#: the focus, nothing else.  Not here: ``doc``/``doc-available`` (another
+#: document), ``id``/``idref`` (an ID may name an element of another tree),
+#: ``position``/``last`` (the focus's place, not its node) and ``trace`` (a
+#: side effect).  A name not here — a built-in added later, ``collection``
+#: or a ``current-*`` function — is not node-local until someone adds it.
+NODE_LOCAL_BUILTINS = frozenset({
+    "true", "false", "boolean", "not", "count", "empty", "exists",
+    "zero-or-one", "one-or-more", "exactly-one", "data", "string",
+    "string-length", "normalize-space", "concat", "string-join", "contains",
+    "starts-with", "ends-with", "substring", "substring-before",
+    "substring-after", "upper-case", "lower-case", "translate", "tokenize",
+    "number", "abs", "floor", "ceiling", "round", "sum", "avg", "max", "min",
+    "distinct-values", "reverse", "subsequence", "insert-before", "remove",
+    "index-of", "deep-equal", "unordered", "root", "name", "local-name",
+    "node-name", "string-to-codepoints", "codepoints-to-string", "error",
+    "xs:string", "xs:integer", "xs:double", "xs:boolean",
+})
+
+
+def node_local(predicate: ast.Expr, functions: Container[tuple[str, int]]) -> bool:
+    """Does *predicate*'s value depend on nothing but its focus node and
+    that node's tree (given position 1 and size 1)?  True when it has no
+    free variable (a prolog variable counts), constructs no node, and calls
+    only :data:`NODE_LOCAL_BUILTINS` — no user function (*functions* holds
+    the declared ``(name, arity)`` pairs)."""
+    if predicate.free_variables() or predicate.contains_node_constructor():
+        return False
+    for expr in predicate.iter_subexpressions():
+        if isinstance(expr, ast.FunctionCall):
+            name = expr.name[3:] if expr.name.startswith("fn:") else expr.name
+            if (expr.name, len(expr.args)) in functions or name not in NODE_LOCAL_BUILTINS:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,7 @@ class TestDeltaDriver:
         extra = {"interpreter": {},
                  "algebra": {"variant": "mu_delta" if algorithm == "delta" else "mu"},
                  "sql": {"path": "driver"}}
-        if name in ("curriculum", "hospital"):  # step relations: rounds in pre-space
+        if name in ("curriculum", "hospital", "dialogs"):  # step relations: rounds in pre-space
             for engine, body in bodies.items():
                 if body is None:
                     extra[engine]["space"] = "pre"

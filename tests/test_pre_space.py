@@ -2,11 +2,14 @@
 
 A recursion body ``$x/s1/…/sk`` whose steps are predicate-free
 ``child::name`` steps and ``id(n1/…/nk)`` over such a chain is a relation
-on the pre ranks of one tree (:class:`~repro.xdm.index.StepRelation`).  The
-fixpoint driver then encodes the seed once, runs every round on the
+on the pre ranks of one tree (:class:`~repro.xdm.index.StepRelation`), and
+so is one sibling step ``$x/following-sibling::n[k]`` followed by
+node-local predicates, whose verdicts each engine fills with its own body.
+The fixpoint driver then encodes the seed once, runs every round on the
 structural index's integer maps and decodes the fixed point once.  These
-tests pin which bodies are relations (on the AST and on the algebra plan),
-when a relation declines its seed, that nothing a round records moves, and
+tests pin which bodies are relations (one recognizer, on the AST, for every
+engine), when a relation declines its seed, that nothing a round records
+moves, that the verdict memo is dropped and kept apart as it must be, and
 that every engine still gives the reference mode's answer.
 """
 
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import evaluate
+from repro.errors import FixpointError, XQueryTypeError
 from repro.session import Session
 from repro.xdm.index import StepRelation, index_for
 from repro.xdm.items import is_node
@@ -82,6 +86,64 @@ class TestWhichBodies:
         body = parse_expression("$x/id(./r)")
         assert pushdown.recognize_step_relation(body, "x", {("id", 1)}) is None
 
+    @pytest.mark.parametrize("body, step, filters", [
+        ("$x/following-sibling::S[1]", ("following-sibling", "S", 1), 0),
+        ("$x/preceding-sibling::S[1]", ("preceding-sibling", "S", 1), 0),
+        ("$x/following-sibling::S[3]", ("following-sibling", "S", 3), 0),
+        ("$x/following-sibling::S[1][k]", ("following-sibling", "S", 1), 1),
+        ("$x/following-sibling::S[1][not(k = preceding-sibling::S[1]/k)]",
+         ("following-sibling", "S", 1), 1),
+        ('$x/preceding-sibling::S[2][k = "a"][fn:count(./k) > 1]',
+         ("preceding-sibling", "S", 2), 2),
+        ("$x/following-sibling::S[1][string-length(/r/@v) > 0]",  # its own tree's root
+         ("following-sibling", "S", 1), 1),
+    ])
+    def test_sibling_relations(self, body, step, filters):
+        expr = parse_expression(body)
+        relation = pushdown.recognize_step_relation(expr, "x", ())
+        assert relation == StepRelation((step,), expr.right.predicates[1:])
+        assert len(relation.filters) == filters
+
+    @pytest.mark.parametrize("body", [
+        "$x/following-sibling::S",              # no position
+        "$x/following-sibling::S[0]",
+        "$x/following-sibling::S[k][1]",        # the filter before the position
+        "$x/following-sibling::S[$v]",
+        "$x/following-sibling::S[1][$v]",       # a free variable in the filter
+        "$x/following-sibling::S[1][k = $x/k]",
+        f"$x/following-sibling::S[1][k = {D}//k]",  # another document
+        "$x/following-sibling::S[1][id(k)]",    # an ID may name another tree
+        "$x/following-sibling::S[1][<k/> = k]",  # a constructor
+        "$x/following-sibling::S[1][position() = 1]",
+        "$x/following-sibling::S[1][last() = 1]",
+        "$x/following-sibling::S[1][trace(k, 'k')]",  # a side effect
+        "$x/following-sibling::*[1]",
+        "$x/following-sibling::node()[1]",
+        "$x/following-sibling::text()[1]",
+        "$x/following-sibling::S[1]/k",         # a sibling step in a longer chain
+        "$x/k/following-sibling::S[1]",
+        "$x/m/following-sibling::S[1][k]",
+        "$y/following-sibling::S[1]",
+        "$x/following::S[1]",                   # not a sibling axis
+    ])
+    def test_not_sibling_relations(self, body):
+        assert pushdown.recognize_step_relation(parse_expression(body), "x", ()) is None
+
+    def test_a_user_function_in_the_filter_is_no_relation(self):
+        expr = parse_expression("$x/following-sibling::S[1][local:f(k)]")
+        assert pushdown.recognize_step_relation(expr, "x", {("local:f", 1)}) is None
+        shadowed = parse_expression("$x/following-sibling::S[1][not(k)]")
+        assert pushdown.recognize_step_relation(shadowed, "x", ()) is not None
+        assert pushdown.recognize_step_relation(shadowed, "x", {("not", 1)}) is None
+
+    def test_each_engine_keys_its_own_verdicts(self):
+        expr = parse_expression("$x/following-sibling::S[1][k]")
+        interpreter = pushdown.recognize_step_relation(expr, "x", ())
+        algebra = pushdown.recognize_step_relation(expr, "x", (), engine="algebra")
+        assert interpreter != algebra
+        assert interpreter == pushdown.recognize_step_relation(parse_expression(
+            "$x/following-sibling::S[1][k]"), "x", ())  # a new parse, the same key
+
 
 # ---------------------------------------------------------------------------
 # random documents: elements with IDs, (multi-token) references and nesting
@@ -140,6 +202,48 @@ SEEDS = ('D//n[@id = "n0"]', 'D//n[@k = "a"]', '(D//n[@id = "n1"], D//n[@id = "n
          "D//m", "D/g", "D", 'D//n[@k = "c"]', "D//n/r")
 
 
+def play_xml(rng: random.Random) -> str:
+    """Scenes of speeches ``S`` — one or two speakers ``k`` from a cast of
+    three — between stage directions ``t`` (some with a ``@v``) and text."""
+    def part() -> str:
+        draw = rng.random()
+        if draw < 0.7:
+            return "<S>" + "".join(f"<k>{rng.choice('abc')}</k>"
+                                   for _ in range(rng.randrange(1, 3))) + "</S>"
+        return '<t v="1"/>' if draw < 0.8 else "<t/>" if draw < 0.9 else "x"
+    scenes = ("<p>" + "".join(part() for _ in range(rng.randrange(1, 9))) + "</p>"
+              for _ in range(rng.randrange(1, 4)))
+    return f"<r>{''.join(scenes)}</r>"
+
+
+SIBLING_BODIES = (
+    "$x/following-sibling::S[1]",
+    "$x/preceding-sibling::S[1]",
+    "$x/following-sibling::S[2]",
+    "$x/following-sibling::S[1][not(k = preceding-sibling::S[1]/k)]",  # dialogs
+    '$x/preceding-sibling::S[1][k = "a"]',
+    "$x/following-sibling::t[1][@v]",
+    '$x/following-sibling::S[1][count(k) = 1][not(k = "c")]',
+    "$x/preceding-sibling::S[2][k != following-sibling::S[1]/k]",
+)
+
+SIBLING_SEEDS = ("D//S[1]", "D//t", 'D//S[k = "a"]', "D//k", "D/r/p", "D//nothing")
+
+
+def against_reference_mode(query: str, resolver: DocumentResolver) -> None:
+    """Every engine answers *query* as the reference mode does, and the
+    rounds are the node path's, in pre-space whenever there is a seed."""
+    expected = items(query, resolver, **REFERENCE)
+    for engine in ENGINES:
+        assert items(query, resolver, engine=engine) == expected, engine
+    space, rounds = traced(query, resolver)
+    assert space == ("pre" if rounds[0][0] else "nodes")
+    assert rounds == traced(query, resolver, use_index=False)[1]
+    for engine in ("algebra", "sql"):
+        assert traced(query, resolver, engine=engine, ifp_algorithm="naive") == (
+            traced(query, resolver, ifp_algorithm="naive")), engine
+
+
 class TestAnswersAndRoundsDoNotMove:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), body=st.sampled_from(BODIES),
@@ -147,17 +251,19 @@ class TestAnswersAndRoundsDoNotMove:
     def test_every_engine_against_reference_mode(self, seed, body, start, naive):
         resolver = resolver_for(graph_xml(random.Random(seed)))
         using = " using naive" if naive else ""
-        query = f"with $x seeded by {start} recurse {body}{using}".replace("D", D)
-        expected = items(query, resolver, **REFERENCE)
-        for engine in ENGINES:
-            assert items(query, resolver, engine=engine) == expected, engine
-        # the rounds are the node path's, in pre-space whenever there is a seed
-        space, rounds = traced(query, resolver)
-        assert space == ("pre" if rounds[0][0] else "nodes")
-        assert rounds == traced(query, resolver, use_index=False)[1]
-        for engine in ("algebra", "sql"):
-            assert traced(query, resolver, engine=engine, ifp_algorithm="naive") == (
-                traced(query, resolver, ifp_algorithm="naive")), engine
+        against_reference_mode(
+            f"with $x seeded by {start} recurse {body}{using}".replace("D", D), resolver)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), body=st.sampled_from(SIBLING_BODIES),
+           start=st.sampled_from(SIBLING_SEEDS), naive=st.booleans())
+    def test_sibling_bodies_against_reference_mode(self, seed, body, start, naive):
+        """Each query runs on cold verdicts first, then on the ones the
+        earlier runs of the same engine filled."""
+        resolver = resolver_for(play_xml(random.Random(seed)))
+        using = " using naive" if naive else ""
+        against_reference_mode(
+            f"with $x seeded by {start} recurse {body}{using}".replace("D", D), resolver)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +334,31 @@ class TestDeclines:
         query = 'count(with $x seeded by <a><r>x</r></a> recurse $x/id(./r))'
         assert evaluate(query, trace=True).items == [0]
 
+    @pytest.mark.parametrize("query", [
+        'count(<r><c id="n0"><r>n1</r></c></r>/c/id(./r))',
+        'count(with $x seeded by <r><c id="n0"><r>n1</r></c></r>/c recurse $x/id(./r))',
+        'count(with $x seeded by <a><r>n0</r></a> recurse $x/id(./r))',
+    ])
+    def test_a_constructed_tree_beside_a_registered_document(self, query):
+        """A constructed tree has no document node, so its references
+        resolve to nothing — not in the registered document (on algebra they
+        did: its ID lookup read the compile-time document)."""
+        resolver = resolver_for(GRAPH)
+        for use_index in (True, False):
+            for engine in ENGINES:
+                assert evaluate(query, documents=resolver, engine=engine,
+                                use_index=use_index).items == [0], (engine, use_index)
+
+    @pytest.mark.xfail(strict=True, reason="algebra resolves a non-path fn:id in the "
+                       "compile-time document: it needs the context node as the "
+                       "anchor input (ROADMAP item 3)")
+    @pytest.mark.parametrize("argument", ["r[1]", '"n1"', "string(r)"])
+    def test_a_constructed_tree_and_the_other_id_forms_on_algebra(self, argument):
+        query = f'count(<r><c id="n0"><r>n1</r></c></r>/c/id({argument}))'
+        resolver = resolver_for(GRAPH)
+        assert evaluate(query, documents=resolver, **REFERENCE).items == [0]
+        assert evaluate(query, documents=resolver, engine="algebra").items == [0]
+
 
 # ---------------------------------------------------------------------------
 # the composed edge map is a value index
@@ -262,3 +393,93 @@ class TestTheEdgeMap:
             after = {tuple(map(str, session.evaluate(query, engine=engine).items))
                      for engine in ENGINES}
             assert after == {("n2",)}
+
+
+# ---------------------------------------------------------------------------
+# a sibling relation's verdicts: filled by each engine, dropped by edits
+# ---------------------------------------------------------------------------
+
+
+PLAY = ("<play><scene><S><k>a</k></S><S><k>b</k></S><S><k>a</k></S><S><k>a</k></S>"
+        "<S><k>b</k></S></scene><scene><S><k>c</k></S></scene></play>")
+
+DIALOG = "$x/following-sibling::S[1][not(k = preceding-sibling::S[1]/k)]"
+
+DIALOG_QUERY = f'count(with $x seeded by doc("d.xml")//scene[1]/S[1] recurse {DIALOG})'
+
+
+def verdicts(document, engine: str, body: str = DIALOG) -> dict:
+    """The verdicts *engine* filled for *body* in *document*'s index."""
+    relation = pushdown.recognize_step_relation(parse_expression(body), "x", (),
+                                                engine=engine)
+    return index_for(document).verdicts(relation)
+
+
+def speeches(document) -> list:
+    return [node for node in document.iter_tree() if getattr(node, "name", None) == "S"]
+
+
+class TestVerdicts:
+    def test_each_engine_fills_its_own(self):
+        """Three targets come up (the second, third and fourth speech);
+        algebra decides them again with its own plan, sql's driver reads
+        the interpreter's."""
+        document = parse_xml(PLAY)
+        with Session({"d.xml": document}) as session:
+            assert session.evaluate(DIALOG_QUERY, engine="interpreter").items == [2]
+            assert len(verdicts(document, "interpreter")) == 3
+            assert len(verdicts(document, "algebra")) == 0
+            assert session.evaluate(DIALOG_QUERY, engine="algebra").items == [2]
+            assert len(verdicts(document, "algebra")) == 3
+            assert session.evaluate(DIALOG_QUERY, engine="sql").items == [2]
+            assert session.evaluate(DIALOG_QUERY, engine="sql", trace=True).trace.find(
+                "fixpoint").attributes["space"] == "pre"
+            assert len(verdicts(document, "interpreter")) == 3
+            assert sorted(verdicts(document, "algebra").items()) == sorted(
+                verdicts(document, "interpreter").items())
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_an_edit_drops_them(self, engine):
+        document = parse_xml(PLAY)
+        first, second, third, fourth, fifth, _ = speeches(document)
+        key = "algebra" if engine == "algebra" else "interpreter"
+        with Session({"d.xml": document}) as session:
+            def answer() -> list:
+                result = session.evaluate(DIALOG_QUERY, engine=engine).items
+                assert result == session.evaluate(DIALOG_QUERY, **REFERENCE).items
+                return result
+
+            assert answer() == [2]
+            assert verdicts(document, key)
+            fourth.children[0].children[0].set_value("c")  # a text edit
+            assert not verdicts(document, key)
+            assert answer() == [4]
+            assert verdicts(document, key)
+            document.register_id("s1", first)  # a new ID
+            assert not verdicts(document, key)
+            assert answer() == [4]
+            fifth.parent.append_child(parse_xml("<S><k>a</k></S>").document_element())
+            assert answer() == [5]  # a new sibling: a new index
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_filter_that_raises(self, engine):
+        """The third speech's speaker is no number: the filter raises when
+        that speech first comes up, in round 1 — on every engine, on every
+        run, and nothing is decided for it."""
+        document = parse_xml("<p><S><k>1</k></S><S><k>2</k></S><S><k>x</k></S>"
+                             "<S><k>3</k></S></p>")
+        body = "$x/following-sibling::S[1][k > 0]"
+        query = f'count(with $x seeded by doc("d.xml")//S[1] recurse {body})'
+        key = "algebra" if engine == "algebra" else "interpreter"
+        with Session({"d.xml": document}) as session:
+            for _ in range(2):
+                with pytest.raises(FixpointError):  # round 1 never starts
+                    session.evaluate(query, engine=engine, max_ifp_iterations=0)
+                with pytest.raises(XQueryTypeError) as raised:
+                    session.evaluate(query, engine=engine, max_ifp_iterations=1)
+                assert raised.value.code == "FORG0001"
+                with pytest.raises(XQueryTypeError):
+                    session.evaluate(query, **REFERENCE)
+                idx = index_for(document)
+                assert verdicts(document, key, body) == {
+                    idx.pre(speeches(document)[1]): True}
