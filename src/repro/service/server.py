@@ -47,8 +47,12 @@ Endpoints
 ``POST /documents``
     ``{"uri": "...", "xml": "<...>", "id_attributes"?: [...]}`` registers
     or replaces a document (the mutation path) → new generation.
+    ``id_attributes`` is absent, ``null`` or an array of non-empty strings.
 ``GET /health``
     liveness + generation + in-flight gauge.
+``GET /ready``
+    readiness: 503 while the corpus journal is replayed (every ``POST``
+    answers 503 then too) and once graceful drain has started.
 ``GET /stats``
     cache hit rates, per-engine latency counters, SQLite pool state.
 ``GET /metrics``
@@ -73,9 +77,11 @@ The reply path is meant to cost less than the query it answers: result
 nodes go through the one walker of :mod:`repro.xmlio.serializer`, and head
 and body of a reply leave in one write (a buffered ``wfile``, flushed once
 per request).  ``Content-Length`` is a claim, not a fact: anything but
-digits answers ``400``, more than 64 MiB ``413``, and — like an unknown
-``POST`` path — the connection closes after the reply, because the unread
-body would otherwise be parsed as the next request.
+digits answers ``400``, more than 64 MiB ``413``, a body that has not
+arrived :attr:`_Handler.BODY_TIMEOUT_S` seconds after its headers ``408``,
+and — like an unknown ``POST`` path — the connection closes after the
+reply, because the unread body would otherwise be parsed as the next
+request.
 
 Graceful shutdown: SIGINT/SIGTERM stop the accept loop, then the server
 waits (bounded by ``--drain-timeout``) for in-flight requests to drain,
@@ -651,7 +657,8 @@ class QueryService:
         the tailer so this worker — and, via their tailers, every other
         worker — converges on the same corpus.  The document is parsed
         *before* the append: a malformed payload must answer 422 without
-        poisoning the journal for the whole fleet.
+        poisoning the journal for the whole fleet, and a malformed
+        ``id_attributes`` answers 400 before either.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
@@ -662,6 +669,11 @@ class QueryService:
         if not isinstance(xml, str) or not xml.strip():
             raise ServiceError('"xml" must be a non-empty XML string')
         id_attributes = payload.get("id_attributes")
+        # A string would be split into one-letter attribute names.
+        if id_attributes is not None and not (
+                isinstance(id_attributes, list)
+                and all(isinstance(name, str) and name for name in id_attributes)):
+            raise ServiceError('"id_attributes" must be an array of non-empty strings')
         if self.journal is None:
             try:
                 generation = self.session.register_document(
@@ -860,6 +872,9 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     #: Maximum accepted request body (a corpus re-registration can be big).
     MAX_BODY = 64 * 1024 * 1024
+    #: Seconds a request body has to arrive in, counted from the end of
+    #: its headers.
+    BODY_TIMEOUT_S = 30.0
     #: ``POST`` path → the :class:`QueryService` method that answers it.
     POST_ROUTES = {
         "/query": "handle_query",
@@ -935,6 +950,13 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = json.loads(body or b"{}")
             except json.JSONDecodeError as exc:
                 raise ServiceError(f"invalid JSON body: {exc}")
+            if not self.service.journal_replayed:
+                # The corpus is still being rebuilt: an answer now could
+                # miss an acknowledged registration.
+                raise ServiceError(
+                    "replaying the corpus journal; retry later", status=503,
+                    headers={"Retry-After": "1"},
+                    body={"error_type": "Replaying", "retry_after": 1})
             if self.path in ("/query", "/batch"):
                 # A client that hangs up mid-query gets its evaluation
                 # cancelled instead of holding a worker until the deadline.
@@ -961,9 +983,13 @@ class _Handler(BaseHTTPRequestHandler):
 
         The header is the peer's claim: anything but ASCII digits (``-1``
         would make ``read`` wait for the peer to hang up) is a 400, more
-        than :attr:`MAX_BODY` a 413.  Either way the body stays unread, so
-        the connection closes after the reply — what follows on it would
-        be parsed as the next request.
+        than :attr:`MAX_BODY` a 413, and a body still short
+        :attr:`BODY_TIMEOUT_S` seconds after the headers a 408.  Each way
+        the connection closes after the reply: what follows on it would be
+        parsed as the next request, and after a timeout the buffered
+        reader's state is unknown.  Only the body read has a deadline: the
+        socket blocks again once the body is in, so a keep-alive
+        connection waits for its next request as long as it always did.
         """
         claimed = self.headers.get("Content-Length", "0").strip()
         if not (claimed.isascii() and claimed.isdigit()):
@@ -975,7 +1001,31 @@ class _Handler(BaseHTTPRequestHandler):
                 or int(claimed) > self.MAX_BODY):
             self.close_connection = True
             raise ServiceError("request body too large", status=413)
-        return self.rfile.read(int(claimed))
+        remaining = int(claimed)
+        if not remaining:
+            return b""
+        chunks = []
+        deadline = time.monotonic() + self.BODY_TIMEOUT_S
+        try:
+            while remaining:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(remaining)
+                if not chunk:
+                    break  # the peer hung up: the JSON decode says so
+                chunks.append(chunk)
+                remaining -= len(chunk)
+        except TimeoutError:
+            self.close_connection = True
+            raise ServiceError(
+                f"request body not received within {self.BODY_TIMEOUT_S:g} s",
+                status=408,
+                body={"error_type": "BodyTimeout", "timeout_s": self.BODY_TIMEOUT_S})
+        finally:
+            self.connection.settimeout(None)
+        return b"".join(chunks)
 
     def _respond(self, status: int, payload: dict,
                  headers: Mapping[str, str] | None = None) -> None:
@@ -1244,12 +1294,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         parser.error(str(error))
     service = build_service(arguments, session)
-    if service.journal is not None:
-        replayed = service.replay_journal()
-        service.start_journal_tailer()
-        if replayed:
-            print(f"repro-serve: replayed {replayed} journal record(s) from "
-                  f"{arguments.journal}", file=sys.stderr)
     server = create_server(service, host=arguments.host, port=arguments.port,
                            verbose=arguments.verbose,
                            drain_timeout=arguments.drain_timeout)
@@ -1258,6 +1302,18 @@ def main(argv: list[str] | None = None) -> int:
           f"(docs: {session.document_uris() or 'none'}, "
           f"default engine: {arguments.engine}, "
           f"sql stores: {arguments.sql_store})", file=sys.stderr)
+
+    def replay() -> None:
+        replayed = service.replay_journal()
+        service.start_journal_tailer()
+        if replayed:
+            print(f"repro-serve: replayed {replayed} journal record(s) from "
+                  f"{arguments.journal}", file=sys.stderr)
+
+    if service.journal is not None:
+        # Served meanwhile: GET /ready answers 503, and so does every POST.
+        threading.Thread(target=replay, name="repro-journal-replay",
+                         daemon=True).start()
 
     stop_signal = {"received": None}
 

@@ -10,7 +10,11 @@ engines and check the responses item-for-item against direct
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -19,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro import faults
 from repro.service import QueryService, ServiceError, create_server, serve
 from repro.service.journal import CorpusJournal, make_record
@@ -592,6 +597,51 @@ class TestReadinessAndJournal:
             assert "repro_journal_offset_bytes" in text
 
 
+class TestIdAttributesArgument:
+    """``id_attributes`` on ``POST /documents`` is absent, ``null`` or a list
+    of non-empty strings; anything else is a 400 before the document is
+    parsed, registered or journaled."""
+
+    XML = "<r><a i='y'/></r>"
+
+    @pytest.fixture(params=["memory", "journal"])
+    def service(self, request, tmp_path):
+        journal = (CorpusJournal(tmp_path / "corpus.journal")
+                   if request.param == "journal" else None)
+        with Session() as session:
+            service = QueryService(session=session, journal=journal)
+            service.replay_journal()
+            yield service
+
+    @pytest.mark.parametrize("id_attributes", ["id", 5, ["id", 3], [None]],
+                             ids=["a-string", "a-number", "a-number-inside",
+                                  "a-null-inside"])
+    def test_anything_but_a_list_of_names_is_400(self, service, id_attributes):
+        with pytest.raises(ServiceError) as excinfo:
+            service.handle_register({"uri": "d.xml", "xml": self.XML,
+                                     "id_attributes": id_attributes})
+        assert excinfo.value.status == 400
+        assert "id_attributes" in str(excinfo.value)
+        assert service.session.document_uris() == []
+        if service.journal is not None:
+            assert service.journal.size() == 0
+
+    @pytest.mark.parametrize("id_attributes, expected", [
+        (["i"], "1"), (None, "0"), ([], "0")])
+    def test_a_list_of_names_is_used(self, service, id_attributes, expected):
+        body = service.handle_register({"uri": "d.xml", "xml": self.XML,
+                                        "id_attributes": id_attributes})
+        assert body["ok"] is True
+        result = service.handle_query({"query": 'count(id("y", doc("d.xml")))'})
+        assert result["items"] == [expected]
+
+    def test_a_number_is_400_over_http_too(self, client):
+        status, body = client.request("/documents", {
+            "uri": "d.xml", "xml": self.XML, "id_attributes": 5})
+        assert status == 400
+        assert body["error"] == '"id_attributes" must be an array of non-empty strings'
+
+
 # -- raw-socket helpers (PR 20: the reply path and hostile framing) -----------
 
 
@@ -710,6 +760,45 @@ class TestHostileContentLength:
                 raw.sendall(raw_request("/query", payload, content_length=claimed))
                 status, body = read_reply(stream)
                 assert status == 200 and body["items"] == ["2"]
+
+    def test_a_body_that_never_arrives_is_408(self, client, monkeypatch):
+        from repro.service.server import _Handler
+
+        monkeypatch.setattr(_Handler, "BODY_TIMEOUT_S", 0.3)
+        started = time.monotonic()
+        status, body, rest = self._exchange(
+            client, raw_request("/query", b'{"query"', content_length="100"))
+        assert time.monotonic() - started < self.DEADLINE_S
+        assert status == 408
+        assert body == {"ok": False,
+                        "error": "request body not received within 0.3 s",
+                        "error_type": "BodyTimeout", "timeout_s": 0.3}
+        assert rest == b""
+
+    def test_a_body_in_pieces_within_the_deadline_is_read(self, client, monkeypatch):
+        from repro.service.server import _Handler
+
+        monkeypatch.setattr(_Handler, "BODY_TIMEOUT_S", 1.0)
+        request = query_bytes("1 + 1")
+        with socket.create_connection(address_of(client), timeout=self.DEADLINE_S) as raw, \
+                raw.makefile("rb") as stream:
+            for start in range(0, len(request), 8):
+                raw.sendall(request[start:start + 8])
+                time.sleep(0.01)
+            status, body = read_reply(stream)
+        assert status == 200 and body["items"] == ["2"]
+
+    def test_an_idle_keep_alive_connection_has_no_deadline(self, client, monkeypatch):
+        from repro.service.server import _Handler
+
+        monkeypatch.setattr(_Handler, "BODY_TIMEOUT_S", 0.1)
+        with socket.create_connection(address_of(client), timeout=self.DEADLINE_S) as raw, \
+                raw.makefile("rb") as stream:
+            for _ in range(2):
+                raw.sendall(query_bytes("1 + 1"))
+                status, body = read_reply(stream)
+                assert status == 200 and body["items"] == ["2"]
+                time.sleep(0.3)  # idle for three body deadlines
 
 
 class TestBufferedReply:
@@ -966,3 +1055,135 @@ class TestConnectionToken:
         token = _ConnectionToken(Untouchable())
         for _ in range(1000):
             assert token.cancelled() is False
+
+
+# -- the daemon as a process: SIGKILL, restart, journal replay ---------------
+
+
+DOCUMENT_XML = "<r><a id='x'/><a id='y'/><a id='z'/></r>"
+COUNT_QUERY = 'count(doc("d.xml")//a)'
+
+
+def direct_answer() -> list[str]:
+    with Session() as session:
+        session.register_document("d.xml", DOCUMENT_XML)
+        return serialize_items(session.evaluate(COUNT_QUERY).items)
+
+
+class Daemon:
+    """``repro-serve --port 0 --journal J`` as a subprocess."""
+
+    def __init__(self, journal_path, environment_extra=None):
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        environment = dict(os.environ, PYTHONPATH=package_root)
+        environment.pop("REPRO_FAULTS", None)
+        environment.update(environment_extra or {})
+        self.process = subprocess.Popen(
+            [sys.executable, "-c",
+             "from repro.service.server import main; raise SystemExit(main())",
+             "--port", "0", "--journal", str(journal_path)],
+            env=environment, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        self.client = None
+        for line in self.process.stderr:
+            if "listening on http://" in line:
+                self.client = ServiceClient(line.split("listening on ", 1)[1].split()[0])
+                break
+        assert self.client is not None, "the daemon never printed its address"
+        # Keep the pipe drained so the daemon never blocks on a log line.
+        threading.Thread(target=self.process.stderr.read, daemon=True).start()
+
+    def wait_ready(self, probe: bool = False,
+                   timeout: float = 30.0) -> list[tuple[int, dict]]:
+        """Poll ``GET /ready`` until 200; returns every answer seen.  With
+        *probe*, each 503 is followed by :data:`COUNT_QUERY`, which must
+        answer 503 too, or — if the replay ended in between — ``3``: never
+        an answer from half a corpus."""
+        answers = []
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            status, body = self.client.request("/ready")
+            answers.append((status, body))
+            if status == 200:
+                return answers
+            if probe:
+                status, body = self.client.query(COUNT_QUERY)
+                assert (status == 503 and body["error_type"] == "Replaying"
+                        or status == 200 and body["items"] == ["3"]), body
+            time.sleep(0.005)
+        raise AssertionError(f"never ready: {answers[-3:]}")
+
+    def kill(self) -> None:
+        self.process.kill()
+        self.process.wait(timeout=30)
+
+    def stop(self) -> None:
+        if self.process.poll() is None:
+            self.process.send_signal(signal.SIGTERM)
+            try:
+                self.process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.process.kill()
+                self.process.wait(timeout=10)
+
+
+@pytest.fixture()
+def daemons():
+    started: list[Daemon] = []
+
+    def start(*args, **kwargs) -> Daemon:
+        started.append(Daemon(*args, **kwargs))
+        return started[-1]
+
+    yield start
+    for daemon in started:
+        daemon.stop()
+
+
+class TestCrashRecovery:
+    """An acknowledged ``POST /documents`` survives SIGKILL: the restarted
+    daemon replays the journal before ``/ready`` turns 200, and answers as
+    a direct evaluation does."""
+
+    def test_sigkill_then_restart_replays_before_ready(self, daemons, tmp_path):
+        journal_path = tmp_path / "corpus.journal"
+        first = daemons(journal_path)
+        first.wait_ready()
+        status, body = first.client.request(
+            "/documents", {"uri": "d.xml", "xml": DOCUMENT_XML})
+        assert status == 200 and body["op"] == "register"
+        # A record of another document, appended behind it, makes the
+        # replay take long enough to be seen from outside.
+        filler = "<f>" + "<e id='v'><g>text</g></e>" * 20000 + "</f>"
+        CorpusJournal(journal_path).append(make_record("register", "filler.xml", filler))
+        first.kill()
+
+        second = daemons(journal_path)
+        answers = second.wait_ready(probe=True)
+        statuses = [status for status, _ in answers]
+        assert statuses[-1] == 200 and set(statuses[:-1]) == {503}, statuses
+        assert all(body["journal_replayed"] is False for _, body in answers[:-1])
+        assert answers[-1][1]["journal_replayed"] is True
+        status, body = second.client.query(COUNT_QUERY)
+        assert status == 200 and body["items"] == direct_answer() == ["3"]
+
+    def test_the_worker_kill_fault_is_a_crash_the_restart_recovers(
+            self, daemons, tmp_path):
+        journal_path = tmp_path / "corpus.journal"
+        first = daemons(journal_path,
+                        {"REPRO_FAULTS": "worker-kill:after=2,limit=1"})
+        first.wait_ready()
+        status, _ = first.client.request(
+            "/documents", {"uri": "d.xml", "xml": DOCUMENT_XML})
+        assert status == 200
+        for _ in range(2):
+            status, body = first.client.query(COUNT_QUERY)
+            assert status == 200 and body["items"] == ["3"]
+        with pytest.raises((ConnectionError, urllib.error.URLError)):
+            first.client.query(COUNT_QUERY)  # the third query kills the daemon
+        assert first.process.wait(timeout=30) == -signal.SIGKILL
+
+        second = daemons(journal_path)
+        second.wait_ready()
+        status, body = second.client.query(COUNT_QUERY)
+        assert status == 200 and body["items"] == direct_answer()
