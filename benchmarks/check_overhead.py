@@ -58,7 +58,8 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     closure — a new snapshot, the store pool's retention rule, the collector
     after a parse — +15 % to +30 % on the curriculum closure, whose warm
     read halved when it began to read the store's edge table, and within
-    noise of 0 on the bidder closure), and in the end
+    noise of 0 on the bidder closure, timed five times as often since its
+    warm read became an image relation's quarter-millisecond), and in the end
     the pool has built one store and dropped no tree, the plan cache has
     missed once.  While a write dropped every connection thread's SQLite
     store and every compiled plan (before PR 21) the two SQL reads cost
@@ -76,23 +77,31 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     commit before the kernel measured).
 
 ``pre-space``
-    (not a settings pair, and a floor, not a ceiling; three parts, each of
+    (not a settings pair, and a floor, not a ceiling; five parts, each of
     which must pass) closures whose body is a step relation the fixpoint
     driver iterates in pre-space (the seed encoded once, a round one probe
     per fed pre of the index's maps and set algebra on integers, the answer
-    decoded once) vs the same closures with the body written ``… | ()`` —
-    no step relation, so every round evaluates the body on nodes: the
-    pre-space side must be at least 1.5× faster.  ``curriculum/interpreter``
-    is the ``reply`` row's 24 medium-curriculum closures,
-    ``$x/id(./prerequisites/pre_code)``: it reads −55 % to −65 % (2.2× to
-    2.9×).  ``dialogs/interpreter`` and ``dialogs/algebra`` are the
-    ledger's 24 dialogs closures over the default play (its band of equal
-    work), ``$x/following-sibling::SPEECH[1][not(…)]`` — a sibling step
-    whose node-local filter's verdicts the engine's own body filled on the
-    untimed warm-up runs: they read about −62 % to −65 % (2.7×) and −77 %
-    to −82 % (4.5× to 5.4×).  A closure whose ``fixpoint`` span does not
-    say ``space="pre"`` (the relation declined quietly), a wrapped one that
-    does, or two forms that answer differently make the part INVALID.
+    decoded once) vs the same closures with the body written ``… | $none``
+    under ``let $none := () return`` — a free variable that is no prolog
+    variable, so no relation of any form, and every round evaluates the
+    body on nodes: the pre-space side must be at least 1.5× faster.
+    (Until the image relation, the on-nodes side was ``… | ()``; that is an
+    image relation itself now.)  ``curriculum/interpreter`` is the
+    ``reply`` row's 24 medium-curriculum closures,
+    ``$x/id(./prerequisites/pre_code)``, a chain: it reads −55 % to −65 %
+    (2.2× to 2.9×).  ``dialogs/interpreter`` and ``dialogs/algebra`` are
+    the ledger's 24 dialogs closures over the default play (its band of
+    equal work), ``$x/following-sibling::SPEECH[1][not(…)]`` — a sibling
+    step whose node-local filter's verdicts the engine's own body filled on
+    the untimed warm-up runs: they read about −62 % to −65 % (2.7×) and
+    −77 % to −82 % (4.5× to 5.4×).  ``bidder/interpreter`` and
+    ``bidder/algebra`` are the ledger's six bidder closures,
+    ``bidder($x)`` — an image relation whose per-node images the engine's
+    own body filled on the untimed warm-up runs.  A closure whose
+    ``fixpoint`` span does not say ``space="pre"`` and the part's
+    ``relation`` form (the relation declined quietly, or another form took
+    it), a wrapped one that runs in pre-space, or two forms that answer
+    differently make the part INVALID.
 
 ``cte``
     (not a settings pair) the ``reply`` row's 24 medium-curriculum closures
@@ -118,8 +127,12 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     by ``dataclasses.replace`` (one evaluation per fed node), both
     evaluated with ``optimize=False`` so nothing re-marks the loop: the
     marked module must be at least 1.5× faster.  It reads −48 % to −53 %
-    (about 2×); a module in which not exactly one ``for`` is marked, or
-    whose two forms answer differently, makes the row INVALID.
+    (about 2×).  On both sides the body is ``bidder($x) | $none`` under
+    ``let $none := () return``, as in ``pre-space``: the bidder closure
+    itself is an image relation, whose warm rounds evaluate the loop on no
+    node at all.  A module in which not exactly one ``for`` is marked, a
+    side whose rounds run in pre-space, or two forms that answer
+    differently make the row INVALID.
 
 Tracing has no row: its two settings points are watched where every other
 number is, in the ledger (``benchmarks/ledger/``) — the *disabled* cost as
@@ -161,6 +174,7 @@ from repro.limits import ResourceLimits
 from repro.service.server import serialize_items
 from repro.session import Session
 from repro.settings import EvalSettings
+from repro.xdm.items import is_node
 from repro.xquery import ast
 from repro.xquery.optimizer import optimize_module
 from repro.xquery.parser import parse_query
@@ -383,57 +397,78 @@ def check_fed_node(arguments: argparse.Namespace) -> bool:
 PRE_SPACE_TOLERANCE = -1 / 3
 
 
+def without_relation(text: str, body: str) -> str:
+    """*text* with its recursion *body* written ``body | $none`` under
+    ``let $none := () return``: the same answer, but a free variable that
+    is no prolog variable — no step relation of any form, so every round
+    evaluates the body on nodes."""
+    assert text.count(body) == 1 and text.count("with $x") == 1, text
+    return (text.replace("with $x", "let $none := () return with $x")
+            .replace(body, f"{body} | $none"))
+
+
 def check_pre_space(arguments: argparse.Namespace) -> bool:
     """Closures whose body is a step relation the driver iterates in
-    pre-space vs the same closures with the body written ``… | ()`` — no
-    step relation, so every round evaluates the body on nodes: the reply
-    guard's curriculum closures on the interpreter, and the ledger's dialogs
-    closures (a sibling step with a node-local filter) on the interpreter
-    and on algebra.  Each of the three parts must pass."""
-    from ledger import corpus, ops  # the ledger's own play and dialogs closures
+    pre-space vs the same closures written so that no relation takes them
+    (:func:`without_relation`) — every round evaluates the body on nodes: the reply
+    guard's curriculum closures on the interpreter (a chain), the ledger's
+    dialogs closures (a sibling step with a node-local filter) and bidder
+    closures (an image relation) on the interpreter and on algebra.  Each
+    of the five parts must pass."""
+    from ledger import corpus, ops  # the ledger's own documents and closures
 
     session, closures = curriculum_closures()
-    # the text ends in the recursion body: the union extends it
-    passed = [pre_space_part("curriculum/interpreter", closures,
-                             [session.prepare(closure.query + " | ()", settings=BASE)
-                              for closure in closures],
+    body = get_workload("curriculum").recursion_body
+    passed = [pre_space_part("curriculum/interpreter", "chain", closures,
+                             [session.prepare(without_relation(closure.query, body),
+                                              settings=BASE) for closure in closures],
                              BASE, max(1, arguments.inner // 10),  # one run is 24 closures
                              arguments)]
     session.close()
 
-    documents, _ = corpus.build("service")
-    starts = ops.Scenarios(documents).start_nodes("dialogs", random.Random(0))
-    body = ops.BODIES["dialogs"]
-    texts = [ops.closure_text("dialogs", start) for start in starts]
-    session = Session({"play.xml": documents["play.xml"]})
-    closures = [session.prepare(text, settings=BASE) for text in texts]
-    wrapped = [session.prepare(text.replace(body, f"{body} | ()"), settings=BASE)
-               for text in texts]
-    for engine in ("interpreter", "algebra"):
-        passed.append(pre_space_part(f"dialogs/{engine}", closures, wrapped,
-                                     BASE.replace(engine=engine),
-                                     max(1, arguments.inner // 2),  # 24 closures, ~5 ms
-                                     arguments))
-    session.close()
+    documents, _ = corpus.build("service")  # its auction document is the full one
+    scenarios = ops.Scenarios(documents)
+    for cls, uri, form, scale in (("dialogs", "play.xml", "sibling", 2),  # 24, ~5 ms
+                                  ("bidder", "auction.xml", "image", 3)):  # 6, ~1.5 ms
+        starts = scenarios.start_nodes(cls, random.Random(0))
+        body = ops.BODIES[cls]
+        texts = [ops.closure_text(cls, start) for start in starts]
+        session = Session({uri: documents[uri]}, id_attributes=corpus.ID_ATTRIBUTES)
+        closures = [session.prepare(text, settings=BASE) for text in texts]
+        wrapped = [session.prepare(without_relation(text, body), settings=BASE)
+                   for text in texts]
+        for engine in ("interpreter", "algebra"):
+            passed.append(pre_space_part(f"{cls}/{engine}", form, closures, wrapped,
+                                         BASE.replace(engine=engine),
+                                         max(1, arguments.inner * scale // 4), arguments))
+        session.close()
     return all(passed)
 
 
-def pre_space_part(name: str, closures: list, on_nodes: list, settings: EvalSettings,
-                   inner: int, arguments: argparse.Namespace) -> bool:
+def pre_space_part(name: str, form: str, closures: list, on_nodes: list,
+                   settings: EvalSettings, inner: int,
+                   arguments: argparse.Namespace) -> bool:
     """One part of the ``pre-space`` row: *closures* vs *on_nodes*, their
     wrapped forms, under *settings*.  INVALID unless every closure runs in
-    pre-space, every wrapped one on nodes, and the two answer alike."""
+    pre-space as a relation of *form*, every wrapped one on nodes, and the
+    two answer alike."""
     def run(closure, **options):
         return closure.run(settings=settings, **options)
 
-    spaces = {(run(closure, trace=True).trace.find("fixpoint").attributes.get("space"),
-               run(wrapped, trace=True).trace.find("fixpoint").attributes.get("space"))
+    def attributes(closure) -> tuple:
+        span = run(closure, trace=True).trace.find("fixpoint")
+        return span.attributes.get("space"), span.attributes.get("relation")
+
+    def answer(closure) -> list:  # nodes by identity
+        return [id(item) if is_node(item) else item for item in run(closure).items]
+
+    spaces = {(attributes(closure), attributes(wrapped))
               for closure, wrapped in zip(closures, on_nodes)}
-    if spaces != {("pre", None)} or any(
-            list(map(id, run(closure).items)) != list(map(id, run(wrapped).items))
-            for closure, wrapped in zip(closures, on_nodes)):
-        print(f"pre-space {name} check INVALID: every closure must run in pre-space, "
-              "every wrapped one on nodes, and the two must answer alike", file=sys.stderr)
+    if spaces != {(("pre", form), (None, None))} or any(
+            answer(closure) != answer(wrapped) for closure, wrapped in zip(closures, on_nodes)):
+        print(f"pre-space {name} check INVALID: every closure must run in pre-space "
+              f"(relation={form}), every wrapped one on nodes, and the two must "
+              "answer alike", file=sys.stderr)
         return False
     results = alternate(
         timed_block(lambda: [run(closure) for closure in closures], inner),
@@ -441,10 +476,10 @@ def pre_space_part(name: str, closures: list, on_nodes: list, settings: EvalSett
         arguments.estimates, arguments.pairs)
     return verdict(f"pre-space {name}", results, PRE_SPACE_TOLERANCE,
                    "repro.xquery.pushdown.recognize_step_relation (which bodies it "
-                   "accepts), StepRelation.bind (a decline is silent: the fixpoint "
-                   "span says space=nodes), StructuralIndex.relation_edges and "
-                   "SiblingSpace.image (a warm round must not miss a verdict)",
-                   arguments)
+                   "accepts, in which form), StepRelation.bind (a decline is silent: "
+                   "the fixpoint span says space=nodes), StructuralIndex.relation_edges, "
+                   "SiblingSpace.image and ImageSpace.image (a warm round must not "
+                   "miss a verdict or an image)", arguments)
 
 
 #: What a curriculum closure may cost as a recursive CTE: 3× the
@@ -508,7 +543,8 @@ def check_set_for(arguments: argparse.Namespace) -> bool:
     documents, _ = corpus.build("service")  # its auction document is the full one
     scenarios = ops.Scenarios(documents)
     starts = scenarios.start_nodes("bidder", random.Random(0))[:8]
-    marked = [optimize_module(parse_query(ops.closure_text("bidder", start)))
+    marked = [optimize_module(parse_query(without_relation(ops.closure_text("bidder", start),
+                                                           ops.BODIES["bidder"])))
               for start in starts]
     loops = [node for node in marked[0].functions[0].body.iter_subexpressions()
              if isinstance(node, ast.ForExpr)]
@@ -527,6 +563,11 @@ def check_set_for(arguments: argparse.Namespace) -> bool:
            for a, b in zip(marked, per_item)):
         print("set-for check INVALID: the two modules answer differently", file=sys.stderr)
         return False
+    if any("space" in session.evaluate_query(module, settings=settings, trace=True)
+           .trace.find("fixpoint").attributes for module in (*marked, *per_item)):
+        print("set-for check INVALID: a side's rounds ran in pre-space, not on nodes",
+              file=sys.stderr)
+        return False
     inner = max(1, arguments.inner // 5)  # one run is eight closures, ~10 ms
     results = alternate(
         timed_block(lambda: [session.evaluate_query(module, settings=settings)
@@ -544,9 +585,10 @@ def check_set_for(arguments: argparse.Namespace) -> bool:
 WRITE_TOLERANCE = 2.0
 
 #: The guarded reads — (ledger op class, engine, multiple of ``--inner``: a
-#: warm hospital closure is a quarter of a millisecond, and 30 warm
-#: curriculum closures sit at the 80 ms noise floor).
-WRITE_READS = (("hospital", "sql", 4), ("curriculum", "sql", 2), ("bidder", "algebra", 1))
+#: warm hospital closure is a quarter of a millisecond, 30 warm curriculum
+#: closures sit at the 80 ms noise floor, and a warm bidder closure is a
+#: quarter of a millisecond since its rounds are an image relation's).
+WRITE_READS = (("hospital", "sql", 4), ("curriculum", "sql", 2), ("bidder", "algebra", 5))
 
 
 def check_write(arguments: argparse.Namespace) -> bool:

@@ -58,6 +58,7 @@ conditions with a focus-free side run as a value join per outer iteration
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from repro.errors import AlgebraError, XQueryDynamicError
@@ -130,7 +131,8 @@ class AlgebraCompiler:
                  analysis_only: bool = False,
                  push_predicates: bool = True,
                  settings: EvalSettings = EvalSettings(),
-                 analysis: AnalysisReport | None = None):
+                 analysis: AnalysisReport | None = None,
+                 variables: Mapping[str, ast.VariableDecl] | None = None):
         """Create a compiler.
 
         Parameters
@@ -161,6 +163,10 @@ class AlgebraCompiler:
             (:func:`repro.fixpoint.decision.decide_fixpoint`): the run's
             ``ifp_algorithm`` and ``distributivity_checker``, and the
             module's analysis report, when there is one, for its verdicts.
+        variables:
+            The module's prolog declarations by name: which prolog variables
+            a fixpoint body may read and still be an image relation
+            (:func:`repro.xquery.pushdown.recognize_step_relation`).
         """
         self.documents = documents or DocumentResolver()
         self.document = document
@@ -169,6 +175,7 @@ class AlgebraCompiler:
         self.push_predicates = push_predicates
         self.settings = settings
         self.analysis = analysis
+        self.variables = variables or {}
         self._inline_stack: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------ entry points
@@ -831,17 +838,24 @@ class AlgebraCompiler:
         recursion_input = RecursionInput(expr.var)
         body_context = context.bind(expr.var, recursion_input)
         body_plan = self._compile(expr.body, body_context)
-        decision = decide_fixpoint(
-            expr, self.settings, self.functions,
-            fact=self.analysis.fact_for(expr) if self.analysis is not None else None,
-            body_plan=(body_plan, recursion_input))
+        fact = self.analysis.fact_for(expr) if self.analysis is not None else None
+        decision = decide_fixpoint(expr, self.settings, self.functions, fact=fact,
+                                   body_plan=(body_plan, recursion_input))
         # The one recognizer the interpreter uses: a body that is a step
-        # relation iterates in pre-space, its verdicts filled by this plan.
+        # relation iterates in pre-space, its verdicts and images filled by
+        # this plan — against the documents it was compiled with.
         relation = recognize_step_relation(expr.body, expr.var, self.functions,
-                                           engine="algebra")
+                                           engine="algebra", variables=self.variables,
+                                           fact=fact)
+        documents = {}
+        for uri in relation.documents if relation is not None else ():
+            try:
+                documents[uri] = self.documents.resolve(uri)
+            except XQueryDynamicError:
+                pass  # the relation declines: no document under the URI
         return Fixpoint(seed, body_plan, recursion_input,
                         variant="mu_delta" if decision.algorithm == "delta" else "mu",
-                        relation=relation)
+                        relation=relation, documents=documents)
 
     # ------------------------------------------------------------------ helpers
 

@@ -105,7 +105,8 @@ class _PlanRun(AlgebraEngineProtocol):
             algorithm="delta" if operator.variant == "mu_delta" else "naive",
             trace=self.trace, governor=self.governor,
             span_attributes={"variant": operator.variant},
-            relation=operator.relation if self.use_index else None)
+            relation=operator.relation if self.use_index else None,
+            documents=operator.documents.get)
         self.statistics.fixpoint_runs.append(result.statistics)
         return self._items_table(result.value)
 

@@ -1131,18 +1131,22 @@ class Fixpoint(Operator):
     was compiled from (:func:`repro.xquery.pushdown.recognize_step_relation`,
     as the interpreter does), which the engine's driver may iterate in
     pre-space instead of re-evaluating the plan — the plan still runs to
-    fill a sibling relation's missing verdicts; else ``None``.
+    fill a sibling relation's missing verdicts and an image relation's
+    missing images; else ``None``.  ``documents`` holds the documents the
+    compilation resolved for the URIs an image relation reads.
     """
 
     symbol = "µ"
     union_pushable = True
 
     def __init__(self, seed: Operator, body: Operator, recursion_input: RecursionInput,
-                 variant: str = "mu", relation: StepRelation | None = None):
+                 variant: str = "mu", relation: StepRelation | None = None,
+                 documents: dict[str, DocumentNode] | None = None):
         super().__init__([seed, body])
         self.recursion_input = recursion_input
         self.variant = variant
         self.relation = relation
+        self.documents = documents or {}
 
     @property
     def seed_plan(self) -> Operator:

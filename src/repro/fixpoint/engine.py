@@ -54,9 +54,13 @@ is decoded once.  A sibling step with node-local filters,
 ``$x/following-sibling::SPEECH[1][not(…)]``, is a relation too: its
 structural part is a map of the index, and the filters' verdicts per target
 are memoised there, each filled by the body callable itself the first time
-a target comes up (the body distributes over what it is fed).  Feeding,
-stopping, budgets, spans and statistics are the same lines of this loop
-either way, so the rounds cannot differ.
+a target comes up (the body distributes over what it is fed).  And any
+closed body that Figure 5 proves distributive — the bidder network's
+``bidder($x)`` — is the relation ``x ↦ e({x})`` (Definition 3.1): a round
+is the union of the fed pres' images, memoised on the index, each missing
+one filled by the body callable on that one node.  Feeding, stopping,
+budgets, spans and statistics are the same lines of this loop either way,
+so the rounds cannot differ.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from repro.errors import FixpointError
 from repro.fixpoint.accumulator import PreAccumulator, ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
 from repro.observability import maybe_span
-from repro.xdm.index import StepRelation
+from repro.xdm.index import ImageSpace, StepRelation
 from repro.xdm.sequence import ensure_node_sequence
 
 #: Algorithms the engine knows about.
@@ -107,7 +111,8 @@ class FixpointEngine:
             algorithm: str = "naive", seed_is_initial_result: bool = False,
             trace=None, governor=None,
             span_attributes: Mapping[str, object] | None = None,
-            relation: StepRelation | None = None) -> FixpointResult:
+            relation: StepRelation | None = None,
+            documents: Callable[[str], object] | None = None) -> FixpointResult:
         """Compute the IFP of *body* seeded by *seed*.
 
         Parameters
@@ -151,11 +156,18 @@ class FixpointEngine:
             encoded once, a round is the relation's integer maps and set
             algebra on pres, and the fixed point is decoded once — the same
             rounds, sizes, budgets and spans (*body* runs only to fill a
-            sibling relation's missing verdicts), with ``space="pre"`` on the
-            ``fixpoint`` span (``"nodes"`` when the relation declined the
-            seed; no ``space`` without a relation).  Traced runs count each
-            offered relation as ``kernel:fixpoint:pre-space``, a declined
-            one as a fallback.
+            sibling relation's missing verdicts and an image relation's
+            missing images), with ``space="pre"`` on the ``fixpoint`` span
+            (``"nodes"`` when the relation declined the seed; no ``space``
+            without a relation) and the relation's form beside it
+            (``relation="chain"|"sibling"|"image"``); an image run's rounds
+            carry ``filled``, the sources the round evaluated on nodes.
+            Traced runs count each offered relation as
+            ``kernel:fixpoint:pre-space``, a declined one as a fallback.
+        documents:
+            The calling engine's document lookup (URI → the document held
+            under it, or ``None``), with which an image relation checks
+            that the documents its body reads are the seed's tree.
 
         Returns the fixed point in document order, with its
         :class:`~repro.fixpoint.stats.FixpointStatistics`.
@@ -167,15 +179,19 @@ class FixpointEngine:
         statistics = FixpointStatistics(algorithm=algorithm)
         space = None
         if relation is not None:
-            space = relation.bind(seed_nodes, body)
+            space = relation.bind(seed_nodes, body, documents)
             span_attributes = {**(span_attributes or {}),
-                               "space": "nodes" if space is None else "pre"}
+                               "space": "nodes" if space is None else "pre",
+                               "relation": relation.form}
             if trace is not None:
                 trace.record_kernel("fixpoint:pre-space", space is not None)
+        filling = None  # the image space, whose rounds report their fills
         if space is None:
             result = ResultAccumulator()
         else:  # from here on "nodes" are pres
             body, seed_nodes, result = space.image, space.seed, PreAccumulator(space)
+            if isinstance(space, ImageSpace):
+                filling = space
 
         def run_round(iteration: int, fed: list) -> list:
             """Apply the body to *fed* (a list the body may keep) and fold
@@ -187,6 +203,8 @@ class FixpointEngine:
             if span is not None:
                 span.set(fed=fed_count, produced=len(produced),
                          new=len(new), result_size=len(result))
+                if filling is not None:
+                    span.set(filled=filling.filled)
                 trace.end(span)
             statistics.record(iteration, fed_count, len(produced), len(new), len(result))
             return new

@@ -188,6 +188,12 @@ class DocumentsRead:
         self._stamp(uri, document)
         return document
 
+    def loaded(self, uri: str) -> Any:
+        """The document the caller's resolver already holds under *uri*, or
+        ``None`` (what an image relation checks its documents with; its
+        answer does not depend on the outcome, so nothing is noted)."""
+        return self._resolver.loaded(uri)
+
     def known_uris(self) -> list[str]:
         uris = self._resolver.known_uris()
         if self._corpus is None:

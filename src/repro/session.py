@@ -62,7 +62,7 @@ from repro.observability.tracing import Span, TraceContext, maybe_span
 from repro.settings import Engine, EvalSettings, coerce_settings
 from repro.xdm.node import DocumentNode
 from repro.xmlio.parser import parse_xml
-from repro.xquery import ast
+from repro.xquery import ast, pushdown
 from repro.xquery.context import DocumentResolver, DynamicContext, StaticContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.optimizer import optimize_module
@@ -489,7 +489,8 @@ class Session:
             compiler = AlgebraCompiler(documents=read,
                                        functions=module.function_map(),
                                        push_predicates=settings.use_pushdown,
-                                       settings=settings, analysis=analysis)
+                                       settings=settings, analysis=analysis,
+                                       variables=pushdown.prolog_variables(module))
             evaluator = Evaluator()
             compile_context = compiler.initial_context()
             # Prolog variables are compile-time constants here: each

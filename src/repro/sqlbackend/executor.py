@@ -92,7 +92,8 @@ class SqlFixpointExecutor:
             push_predicates: bool = True,
             trace=None, governor=None,
             anchor_document=None,
-            relation: StepRelation | None = None) -> FixpointResult:
+            relation: StepRelation | None = None,
+            documents=None) -> FixpointResult:
         """Evaluate the fixpoint of *expr* seeded by *seed*.
 
         ``algorithm`` is :func:`~repro.fixpoint.decision.decide_fixpoint`'s
@@ -121,7 +122,8 @@ class SqlFixpointExecutor:
         ``anchor_document`` is the context node's document (or ``None``):
         top-level ``id(...)`` bodies scope their ID lookups to it, so
         without one they fall back to the driver.  ``relation`` is the body
-        as a step relation, which the driver iterates in pre-space.
+        as a step relation, which the driver iterates in pre-space;
+        ``documents`` looks up the documents an image relation reads.
         """
         emitted = None
         driver = {"path": "driver"}
@@ -155,7 +157,8 @@ class SqlFixpointExecutor:
         if emitted is None:
             return FixpointEngine(max_iterations).run(
                 body, seed, algorithm=algorithm, trace=trace,
-                governor=governor, span_attributes=driver, relation=relation)
+                governor=governor, span_attributes=driver, relation=relation,
+                documents=documents)
         with maybe_span(trace, "fixpoint", algorithm=algorithm, path="cte",
                         seed=len(seed), guards=guards) as span:
             # sqlite_guard sits innermost so it can translate an interrupted
@@ -182,7 +185,7 @@ class SqlFixpointExecutor:
             return FixpointEngine(max_iterations).run(
                 body, seed, algorithm=algorithm, trace=trace, governor=governor,
                 span_attributes={"path": "driver", "fallback": "max_ifp_iterations"},
-                relation=relation)
+                relation=relation, documents=documents)
         return result
 
     def _anchor_resolver(self, anchor_document, governor=None):
@@ -324,6 +327,7 @@ class SQLEvaluator(Evaluator):
             governor=static.governor,
             anchor_document=anchor_document,
             relation=relation,
+            documents=context.documents.loaded,
         )
 
 

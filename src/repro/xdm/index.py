@@ -47,8 +47,11 @@ every round one probe per fed pre of the relation's composed edge map
 (:meth:`StructuralIndex.relation_edges`), the fixed point decoded once.  So
 is a sibling step ``[k]`` with node-local filters (:class:`SiblingSpace`):
 a lazily filled map of :func:`nth_sibling`'s walk, and a value index of
-the filters' verdicts (:meth:`StructuralIndex.verdicts`) that the calling
-engine's own body fills.
+the filters' verdicts (:meth:`StructuralIndex.memo`) that the calling
+engine's own body fills.  And so is any closed body Figure 5 proves
+distributive (:class:`ImageSpace`): each node's image under the body, in
+the same memo slot, filled by the engine's body on that one node the
+second time the node misses, up to as many pres as the tree has nodes.
 
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
@@ -71,6 +74,7 @@ from collections.abc import Callable, Iterable, KeysView
 from threading import RLock
 
 from repro import faults
+from repro.errors import FixpointError
 from repro.observability.tracing import current_trace
 from repro.xdm import node as _node_module
 from repro.xdm.items import string_value_of_item
@@ -97,6 +101,9 @@ _KIND_CLASSES = {
     "document-node": DocumentNode,
 }
 
+#: :meth:`StructuralIndex.memo` key of :meth:`StructuralIndex.ids_in_tree`.
+_IDS_IN_TREE = object()
+
 #: Shared empty results for value-index misses (never mutated).
 _EMPTY_SET: frozenset = frozenset()
 _EMPTY_DICT: dict = {}
@@ -115,7 +122,7 @@ class StructuralIndex:
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
                  "kind_pres", "_child_pres", "_attr_owner_sets",
                  "_attr_value_sets", "_path_value_sets", "_idref_targets",
-                 "_relation_edges", "_sibling_targets", "_verdicts")
+                 "_relation_edges", "_sibling_targets", "_memos")
 
     def __init__(self, root: Node):
         self.root = root
@@ -209,9 +216,9 @@ class StructuralIndex:
         #: step-relation steps → pre → related pres, or ``None``
         #: (see :meth:`relation_edges`)
         self._relation_edges: dict[tuple, dict[int, list[int]] | None] = {}
-        #: step-relation memo key → target pre → a node-local filter's
-        #: verdict (see :meth:`verdicts`)
-        self._verdicts: dict[object, dict[int, bool]] = {}
+        #: step-relation memo key → pre → what the engine's own body said
+        #: of it: a filter's verdict, or an image (see :meth:`memo`)
+        self._memos: dict[object, dict] = {}
 
     def clear_value_indexes(self) -> None:
         """Drop the lazy value indexes (after a value mutation)."""
@@ -327,14 +334,36 @@ class StructuralIndex:
         space adds to it."""
         return self._sibling_targets.setdefault((axis, name, k), {})
 
-    def verdicts(self, key: object) -> dict[int, bool]:
-        """The verdicts of a node-local filter (:class:`StepRelation`'s
-        ``filters``) under the memo *key* of its relation: target pre →
-        whether the target passes.  Filled by the engine's own body
-        (:meth:`SiblingSpace.image`); a value index — the filter reads
-        values — so a text edit and a newly registered ID drop it.
-        Shared — only the binding space adds to it."""
-        return self._verdicts.setdefault(key, {})
+    def memo(self, key: object, factory: Callable[[], dict] = dict) -> dict:
+        """The memo of a :class:`StepRelation` under its *key*, made by
+        *factory* the first time: a sibling relation's filter verdicts
+        (target pre → whether the target passes), an image relation's
+        images (:class:`ImageMemo`: source pre → the pres its body
+        produces).  Filled by the engine's own body (:meth:`SiblingSpace.image`,
+        :meth:`ImageSpace.image`); a value index — the body reads values —
+        so a text edit and a newly registered ID drop it, and a structural
+        change drops the whole index.  Shared — only the binding space adds
+        to it."""
+        memos = self._memos  # see path_value_owners on a concurrent clear
+        memo = memos.get(key)
+        if memo is None:
+            memo = memos.setdefault(key, factory())
+        return memo
+
+    def ids_in_tree(self) -> bool:
+        """Does every ID registered on this tree's document name an element
+        of this tree?  (True without a document: no IDs.)  A value index:
+        a newly registered ID drops it."""
+        root = self.root
+        if not isinstance(root, DocumentNode):
+            return True
+        memos = self._memos
+        verdict = memos.get(_IDS_IN_TREE)
+        if verdict is None:
+            pre_of = self.pre_of
+            verdict = memos[_IDS_IN_TREE] = all(
+                id(element) in pre_of for element in root.id_bearers())
+        return verdict
 
     def path_value_owners(self, path: tuple[str, ...], target: str,
                           name: str) -> dict[str, set[int]]:
@@ -1073,7 +1102,8 @@ def id_steps(names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
 
 @dataclass(frozen=True, slots=True)
 class StepRelation:
-    """A recursion body ``$x/s1/…/sk`` read as a relation on pre ranks.
+    """A recursion body read as a relation on pre ranks, in one of three
+    forms (:attr:`form`).
 
     Each step of a *chain* is a pair: ``("child", n)`` is ``child::n`` (the
     child-by-name map of *n*), ``("idref", n)`` is ``id(child::n)`` (the
@@ -1090,35 +1120,59 @@ class StepRelation:
     here, that read nothing but their focus node's tree.  Behind ``[k]`` a
     candidate is alone (position 1, size 1), so a filter's verdict is a
     function of the candidate's pre; the verdicts are memoised per tree
-    (:meth:`StructuralIndex.verdicts`) under this relation, *engine*
+    (:meth:`StructuralIndex.memo`) under this relation, *engine*
     included: each engine fills them with its own body, and never reads
     what another filled.
+
+    An *image* relation has no steps: it is any closed body that Figure 5
+    proves distributive (Definition 3.1: ``e(X) = ∪_{x∈X} e({x})``), so the
+    body is the relation ``x ↦ e({x})`` and each node's image depends on
+    nothing but that node and its document.  *image* is the memo key the
+    recognizer made of it — opaque here: the canonical body and the prolog
+    declarations it reaches — *documents* the URIs it reads through
+    ``fn:doc`` (directly or in those declarations), *ids* whether it calls
+    ``fn:id``/``fn:idref``.  The images are memoised per tree
+    (:class:`ImageSpace`), each filled by the engine's own body on one node.
 
     The engines recognize the shape on the AST
     (:func:`repro.xquery.pushdown.recognize_step_relation`: the interpreter
     and sql's driver per evaluation, the algebra compiler into its
     ``Fixpoint`` operator) and hand the relation to the fixpoint driver,
     which :meth:`bind` s it to the seed; the rounds then never touch a node
-    (:class:`PreSpace`, :class:`SiblingSpace`) — but to fill a verdict.
+    (:class:`PreSpace`, :class:`SiblingSpace`, :class:`ImageSpace`) — but to
+    fill a verdict or an image.
     """
 
     steps: tuple[tuple, ...]
     filters: tuple = ()
-    #: whose body fills the verdicts: ``"interpreter"`` (also sql's driver,
+    #: whose body fills the memo: ``"interpreter"`` (also sql's driver,
     #: which evaluates bodies with the interpreter) or ``"algebra"``
     engine: str = "interpreter"
-    #: the relation is the verdicts' memo key: hashed once, not per lookup
-    #: (a filter's AST hashes recursively)
+    #: the image form's memo key (see above), ``None`` for the other forms
+    image: object = None
+    documents: tuple[str, ...] = field(default=(), compare=False)
+    ids: bool = field(default=False, compare=False)
+    #: the relation is the memo key: hashed once, not per lookup
+    #: (a filter's or an image body's AST hashes recursively)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.steps, self.filters, self.engine)))
+        object.__setattr__(self, "_hash",
+                           hash((self.steps, self.filters, self.engine, self.image)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def bind(self, nodes: list,
-             body: Callable[[list], list] | None = None) -> "PreSpace | SiblingSpace | None":
+    @property
+    def form(self) -> str:
+        """``"chain"``, ``"sibling"`` or ``"image"``."""
+        if self.image is not None:
+            return "image"
+        return "sibling" if self.steps[0][0] in SIBLING_AXES else "chain"
+
+    def bind(self, nodes: list, body: Callable[[list], list] | None = None,
+             documents: Callable[[str], Node | None] | None = None
+             ) -> "PreSpace | SiblingSpace | ImageSpace | None":
         """The relation over the tree of *nodes*, with *nodes* encoded as
         pres (repeats kept: the first round is fed the seed as written), or
         ``None`` — the driver iterates on nodes — for an empty seed, a seed
@@ -1126,17 +1180,34 @@ class StepRelation:
         tree), and an ID that resolves outside the tree
         (:meth:`StructuralIndex.idref_targets` is ``None``).  *body* is the
         engine's node-level body, which fills a sibling relation's missing
-        verdicts."""
+        verdicts and an image relation's missing images.
+
+        An image relation declines more, all before round 1: a seed item
+        that is not an element, a URI of :attr:`documents` that *documents*
+        (the engine's lookup: the document held under a URI, or ``None``)
+        does not resolve to the seed's tree, and — with :attr:`ids` — an ID
+        registered on the document for an element outside the tree."""
         if not nodes or not isinstance(nodes[0], Node):
             return None
         idx = index_for(nodes[0])
         seed = list(map(idx.pre_of.get, map(id, nodes)))
         if None in seed:
             return None
+        if self.image is not None:
+            root = idx.root
+            if not all(isinstance(node, ElementNode) for node in nodes):
+                return None
+            for uri in self.documents:
+                document = documents(uri) if documents is not None else None
+                if document is None or _root_of(document) is not root:
+                    return None
+            if self.ids and not idx.ids_in_tree():
+                return None
+            return ImageSpace(idx, seed, idx.memo(self, ImageMemo), body)
         step = self.steps[0]
         if step[0] in SIBLING_AXES:
             return SiblingSpace(idx, seed, idx.sibling_targets(*step), step,
-                                idx.verdicts(self) if self.filters else None, body)
+                                idx.memo(self) if self.filters else None, body)
         edges = idx.relation_edges(self.steps)
         if edges is None:
             return None
@@ -1224,6 +1295,97 @@ class SiblingSpace:
         idx = self.idx
         found = _nth_sibling_at(idx, pre, axis, "name", name, k)
         return -1 if found is None else idx.pre_of[id(found)]
+
+    def decode(self, pres: Iterable[int]) -> list[Node]:
+        """*pres* as nodes, in document order (ascending pre)."""
+        return _decoded(self.idx.nodes, pres)
+
+
+class ImageMemo(dict):
+    """An image relation's memo on one tree (:meth:`StructuralIndex.memo`):
+    source pre → the pres the body produces from that node alone;
+    :attr:`stored`, the number of pres held — bounded by the tree's node
+    count — and :attr:`missed`, the sources that missed once
+    (:class:`ImageSpace`)."""
+
+    __slots__ = ("stored", "missed")
+
+    def __init__(self):
+        super().__init__()
+        self.stored = 0
+        self.missed: set[int] = set()
+
+
+class ImageSpace:
+    """An image :class:`StepRelation` bound to one tree.
+
+    :meth:`image` is the union of the fed pres' memoised images.  A pre
+    without one (a *miss*) is decided by the engine's own node-level
+    *body*: Definition 3.1 makes ``body(S)`` the union of the images of
+    ``S``'s nodes, however ``S`` is split.  The first time a source misses
+    it is answered with the round's other first misses by one
+    set-at-a-time call, as on the node path — a relation run once costs
+    what the node path costs — and noted; the second time it is filled: the
+    body runs on that node alone, in document order, and its image is
+    stored once every call of the round has returned.  A body that raises
+    raises in its round, as the node path would, and stores and notes
+    nothing.  The memo holds at most as many pres as the tree has nodes:
+    an image that does not fit is not stored, and once the memo is full a
+    round answers all its misses with one call.  A fed set that is empty (a
+    Naive round after an empty round 0) is handed to *body* as it is.
+    :attr:`filled` counts the sources the last round evaluated on nodes."""
+
+    __slots__ = ("idx", "seed", "memo", "body", "filled")
+
+    def __init__(self, idx: StructuralIndex, seed: list[int], memo: ImageMemo,
+                 body: Callable[[list], list]):
+        self.idx = idx
+        self.seed = seed
+        self.memo = memo
+        self.body = body
+        self.filled = 0
+
+    def image(self, pres: Iterable[int]) -> set[int]:
+        """The pres the body produces from some of *pres*."""
+        memo = self.memo
+        found: set[int] = set()
+        misses: list[int] = []
+        for pre in pres:
+            image = memo.get(pre)
+            if image is None:
+                misses.append(pre)
+            else:
+                found.update(image)
+        self.filled = len(misses)
+        if not misses:
+            return found if found or pres else self._encoded(self.body([]))
+        nodes = self.idx.nodes
+        misses.sort()
+        if memo.stored >= len(nodes):
+            found.update(self._encoded(self.body([nodes[pre] for pre in misses])))
+            return found
+        missed = memo.missed
+        first = [pre for pre in misses if pre not in missed]
+        again = [pre for pre in misses if pre in missed] if len(first) < len(misses) else []
+        if first:
+            found.update(self._encoded(self.body([nodes[pre] for pre in first])))
+        fresh = [tuple(self._encoded(self.body([nodes[pre]]))) for pre in again]
+        missed.update(first)
+        room = len(nodes) - memo.stored
+        for pre, image in zip(again, fresh):
+            found.update(image)
+            if len(image) <= room:
+                memo[pre] = image
+                room -= len(image)
+        memo.stored = len(nodes) - room
+        return found
+
+    def _encoded(self, produced: list) -> set[int]:
+        pre_of = self.idx.pre_of
+        pres = set(map(pre_of.get, map(id, produced)))
+        if None in pres:
+            raise FixpointError("an image relation's body left the seed's tree")
+        return pres
 
     def decode(self, pres: Iterable[int]) -> list[Node]:
         """*pres* as nodes, in document order (ascending pre)."""

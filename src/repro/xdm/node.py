@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.errors import XQueryTypeError
 from repro.xdm.items import UntypedAtomic
@@ -298,6 +298,10 @@ class DocumentNode(Node):
     def lookup_id(self, value: str) -> "ElementNode" | None:
         """Return the element carrying ID *value*, or ``None``."""
         return self._id_map.get(value)
+
+    def id_bearers(self) -> Iterable["ElementNode"]:
+        """The elements registered as ID bearers (a live view, no order)."""
+        return self._id_map.values()
 
     def id_values(self) -> list[str]:
         """All registered ID values (document order of their elements)."""

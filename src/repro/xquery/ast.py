@@ -108,10 +108,20 @@ class Expr:
         return free
 
     def iter_subexpressions(self) -> Iterator["Expr"]:
-        """Pre-order iteration over this expression and all subexpressions."""
-        yield self
-        for child in self.child_expressions():
-            yield from child.iter_subexpressions()
+        """Pre-order iteration over this expression and all subexpressions
+        (the nodes :meth:`children` reaches: no node test), read off
+        :data:`CHILD_FIELDS` with an explicit stack — no generator per
+        node."""
+        stack = [self]
+        while stack:
+            expr = stack.pop()
+            yield expr
+            for name, is_tuple in _SUBEXPRESSION_FIELDS[type(expr)]:
+                value = getattr(expr, name)
+                if is_tuple:
+                    stack.extend(reversed(value))
+                elif value is not None:
+                    stack.append(value)
 
     def contains_node_constructor(self) -> bool:
         """True if any subexpression constructs new nodes.
@@ -646,6 +656,11 @@ class Module:
     variables: tuple[VariableDecl, ...] = ()
     body: Expr = field(default_factory=EmptySequence)
 
+    #: The prolog variables a ``with`` body may read as such, once computed
+    #: (:func:`repro.xquery.pushdown.prolog_variables`); ``None`` for "not
+    #: yet".  Kept outside the fields, like :attr:`WithExpr._relation`.
+    _prolog_variables = None
+
     def function_map(self) -> dict[tuple[str, int], FunctionDecl]:
         """Index the declared functions by (name, arity)."""
         return {(f.name, f.arity): f for f in self.functions}
@@ -676,6 +691,13 @@ def _child_fields(kind: type[Expr]) -> tuple[tuple[str, bool], ...]:
 #: class with an empty plan is a leaf.
 CHILD_FIELDS: dict[type[Expr], tuple[tuple[str, bool], ...]] = {
     kind: _child_fields(kind) for kind in Expr.__subclasses__()
+}
+
+#: :data:`CHILD_FIELDS` but an axis step's node test, last field first:
+#: what the pre-order walk of :meth:`Expr.iter_subexpressions` pushes.
+_SUBEXPRESSION_FIELDS = {
+    kind: tuple(entry for entry in plan[::-1] if entry[0] != "node_test")
+    for kind, plan in CHILD_FIELDS.items()
 }
 
 
@@ -718,6 +740,8 @@ def substitute_variable(expr: Expr, var: str, replacement: Expr) -> Expr:
 
     if isinstance(expr, VarRef):
         return replacement if expr.name == var else expr
+    if var not in expr.free_variables():
+        return expr
 
     shadowed_fields = _shadowed_body_fields(expr, var)
 

@@ -17,7 +17,7 @@ from repro.errors import UndefinedVariableError, XQueryDynamicError
 from repro.limits import Governor
 from repro.observability.tracing import TraceContext
 from repro.settings import EvalSettings
-from repro.xquery.ast import FunctionDecl
+from repro.xquery.ast import FunctionDecl, VariableDecl
 
 if TYPE_CHECKING:
     from repro.analysis.report import AnalysisReport
@@ -52,6 +52,9 @@ class StaticContext:
     """
 
     functions: dict[tuple[str, int], FunctionDecl] = field(default_factory=dict)
+    #: the module's prolog variable declarations by name (what an image
+    #: relation's recognizer asks of a variable its body reads)
+    variables: dict[str, VariableDecl] = field(default_factory=dict)
     settings: EvalSettings = EvalSettings()
     trace: TraceContext | None = None
     governor: Governor | None = None

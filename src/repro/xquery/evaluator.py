@@ -186,7 +186,10 @@ class Evaluator:
             static = context.static
             for function in module.functions:
                 static.functions[(function.name, function.arity)] = function
+            prolog = pushdown.prolog_variables(module)
             for declaration in module.variables:
+                if declaration.name in prolog:
+                    static.variables[declaration.name] = declaration
                 if declaration.external:
                     if declaration.name not in context.variables:
                         raise XQueryDynamicError(
@@ -450,11 +453,10 @@ class Evaluator:
             return self.evaluate(expr.body, context.bind(expr.var, nodes))
 
         static = context.static
-        decision = decide_fixpoint(
-            expr, static.settings, static.functions,
-            fact=static.analysis.fact_for(expr) if static.analysis is not None else None)
+        fact = static.analysis.fact_for(expr) if static.analysis is not None else None
+        decision = decide_fixpoint(expr, static.settings, static.functions, fact=fact)
         # A body that is a step relation iterates in pre-space on the index.
-        relation = (pushdown.fixpoint_relation(expr, static.functions)
+        relation = (pushdown.fixpoint_relation(expr, static.functions, static.variables, fact)
                     if static.settings.use_index else None)
         result = self._run_fixpoint(expr, context, seed, body, decision.algorithm, relation)
         if context.statistics is not None and hasattr(context.statistics, "record_ifp"):
@@ -471,7 +473,7 @@ class Evaluator:
         engine = FixpointEngine(max_iterations=static.settings.max_ifp_iterations)
         return engine.run(body, seed, algorithm=algorithm,
                           trace=static.trace, governor=static.governor,
-                          relation=relation)
+                          relation=relation, documents=context.documents.loaded)
 
     # ------------------------------------------------------------------ paths
 

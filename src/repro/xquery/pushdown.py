@@ -36,9 +36,11 @@ shared seam all three engines route such predicates through:
   (:func:`~repro.xdm.index.batch_id_path`);
 * the **step relation recognizer** (:func:`recognize_step_relation`) names
   the recursion bodies ``$x/s1/…/sk`` made of such steps, or of one sibling
-  step ``[k]`` with :func:`node_local` filters, whose fixpoint the driver
-  iterates in pre-space (:class:`~repro.xdm.index.StepRelation`) — for
-  every engine: the algebra compiler reads it off the AST too.
+  step ``[k]`` with :func:`node_local` filters, or — the image form — any
+  closed body Figure 5 proves distributive that returns distinct elements,
+  user-function calls inlined first (:func:`inline_calls`), whose fixpoint
+  the driver iterates in pre-space (:class:`~repro.xdm.index.StepRelation`)
+  — for every engine: the algebra compiler reads it off the AST too.
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
@@ -94,8 +96,8 @@ Semantics notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Callable, Container, Iterable, Iterator
+from dataclasses import dataclass, fields, replace
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 
 from repro.xdm.index import (
     PROBE_AXES,
@@ -361,21 +363,64 @@ def child_chain_names(steps: tuple[ast.AxisStep, ...]) -> tuple[str, ...] | None
 
 def recognize_step_relation(body: ast.Expr, var: str,
                             functions: Container[tuple[str, int]],
-                            engine: str = "interpreter") -> StepRelation | None:
-    """A recursion body ``$var/s1/…/sk`` → its :class:`StepRelation`, or
-    ``None``; the one recognizer of every engine (*engine* names whose body
-    fills a sibling relation's verdicts: ``"interpreter"`` for the
-    interpreter and sql's driver, ``"algebra"`` for the algebra compiler).
+                            engine: str = "interpreter",
+                            variables: Mapping[str, ast.VariableDecl] | None = None,
+                            fact=None) -> StepRelation | None:
+    """A recursion body → its :class:`StepRelation`, or ``None``; the one
+    recognizer of every engine (*engine* names whose body fills a sibling
+    relation's verdicts and an image relation's images: ``"interpreter"``
+    for the interpreter and sql's driver, ``"algebra"`` for the algebra
+    compiler).  Calls of non-recursive user functions are inlined first
+    (:func:`inline_calls`; *functions* maps ``(name, arity)`` to the
+    declarations, or merely holds the declared pairs — then nothing is
+    inlined), so ``local:f($x)`` is judged on its body.  Then, in order:
 
-    A *chain*: each ``si`` is a predicate-free ``child::name`` step or
-    ``id(p)`` over a chain :func:`child_chain_names` accepts
-    (``id(n1/…/nk)`` is the child steps ``n1…nk-1`` and the ID-reference
-    step ``nk``) — the body :func:`~repro.xdm.index.batch_id_path` answers
-    for a column, and what the fixpoint driver can iterate in pre-space.
+    A *chain* ``$var/s1/…/sk``: each ``si`` is a predicate-free
+    ``child::name`` step or ``id(p)`` over a chain :func:`child_chain_names`
+    accepts (``id(n1/…/nk)`` is the child steps ``n1…nk-1`` and the
+    ID-reference step ``nk``) — the body
+    :func:`~repro.xdm.index.batch_id_path` answers for a column, and what
+    the fixpoint driver can iterate in pre-space.
 
     A *sibling step*, alone: ``$var/following-sibling::n[k]`` or
     ``$var/preceding-sibling::n[k]`` with ``k`` an integer literal ≥ 1,
-    then any number of :func:`node_local` predicates."""
+    then any number of :func:`node_local` predicates.
+
+    An *image* relation (:func:`_image_relation`): any other body that
+    Figure 5 proves distributive in ``$var`` (*fact*, the site's
+    :class:`~repro.analysis.report.FixpointFact`, holds the verdict when
+    the module was analyzed), that reads nothing but its node and that
+    node's document (*variables*, the module's prolog declarations by name
+    that no scope rebinds — :func:`prolog_variables` — say which prolog
+    variables do) and returns distinct elements."""
+    relation = _step_relation(body, var, functions, engine)
+    if relation is not None:
+        return relation
+    declarations = functions if isinstance(functions, Mapping) else {}
+    if fact is not None:
+        if not fact.syntactic_safe:
+            return None
+    else:
+        from repro.distributivity.syntactic import is_distributivity_safe
+
+        if not is_distributivity_safe(body, var, declarations):
+            return None
+    canonical = ast.substitute_variable(body, var, ast.VarRef(CANONICAL_VARIABLE))
+    if declarations:
+        inlined = inline_calls(canonical, declarations)
+        if inlined is None:
+            return None
+        if inlined is not canonical:
+            relation = _step_relation(inlined, CANONICAL_VARIABLE, functions, engine)
+            if relation is not None:
+                return relation
+            canonical = inlined
+    return _image_relation(canonical, functions, engine, variables or {})
+
+
+def _step_relation(body: ast.Expr, var: str, functions: Container[tuple[str, int]],
+                   engine: str) -> StepRelation | None:
+    """A chain or a sibling relation (see :func:`recognize_step_relation`)."""
     if (isinstance(body, ast.PathExpr) and isinstance(body.right, ast.AxisStep)
             and body.right.axis in SIBLING_AXES
             and isinstance(body.left, ast.VarRef) and body.left.name == var):
@@ -400,17 +445,43 @@ def recognize_step_relation(body: ast.Expr, var: str,
     return StepRelation(tuple(reversed(steps)), engine=engine)
 
 
-def fixpoint_relation(expr: ast.WithExpr,
-                      functions: Container[tuple[str, int]]) -> StepRelation | None:
+def fixpoint_relation(expr: ast.WithExpr, functions: Container[tuple[str, int]],
+                      variables: Mapping[str, ast.VariableDecl] | None = None,
+                      fact=None) -> StepRelation | None:
     """:func:`recognize_step_relation` of *expr*'s body for the interpreter
     and sql's driver, memoised on the node as its free variables are — a
-    node belongs to one module, whose declared *functions* do not change —
-    so a cached query does not recognize (and hash) its body per run."""
+    node belongs to one module, whose declared *functions* and prolog
+    *variables* do not change — so a cached query does not recognize (and
+    hash) its body per run."""
     relation = expr._relation
     if relation is False:
-        relation = recognize_step_relation(expr.body, expr.var, functions)
+        relation = recognize_step_relation(expr.body, expr.var, functions,
+                                           variables=variables, fact=fact)
         object.__setattr__(expr, "_relation", relation)
     return relation
+
+
+def prolog_variables(module: ast.Module) -> dict[str, ast.VariableDecl]:
+    """*module*'s prolog declarations by name that a ``with`` body may read
+    as prolog variables (the *variables* of :func:`recognize_step_relation`):
+    all but those whose name a function parameter or a binding anywhere in
+    *module* reuses.  Such a binding shadows the prolog variable where it is
+    in scope, and the recognizer judges a body, not the scopes around it —
+    so a reused name is, to it, a variable of unknown value.  Computed once
+    per module."""
+    found = module._prolog_variables
+    if found is None:
+        bound: set[str] = set()
+        if module.variables:
+            bound.update(param.name for function in module.functions
+                         for param in function.params)
+            for root in (*(function.body for function in module.functions),
+                         *(decl.value for decl in module.variables if decl.value is not None),
+                         module.body):
+                bound |= _scan(root, ())[0]
+        found = {decl.name: decl for decl in module.variables if decl.name not in bound}
+        object.__setattr__(module, "_prolog_variables", found)
+    return found
 
 
 def _sibling_relation(step: ast.AxisStep, functions: Container[tuple[str, int]],
@@ -459,6 +530,298 @@ def node_local(predicate: ast.Expr, functions: Container[tuple[str, int]]) -> bo
             if (expr.name, len(expr.args)) in functions or name not in NODE_LOCAL_BUILTINS:
                 return False
     return True
+
+
+# -- inlining ----------------------------------------------------------------
+
+#: The recursion variable's name in an image relation's memo key: no query
+#: text can spell it, so α-variant bodies (``$v1/…``, ``$v2/…``) share a key.
+CANONICAL_VARIABLE = "#x"
+
+#: Declared types a parameter bound to the recursion variable may have:
+#: none, or a ``*`` of any node (what the fixpoint feeds).
+_NODE_SEQUENCE_TYPES = frozenset({None, ast.SequenceType("item", "*"),
+                                  ast.SequenceType("node", "*"),
+                                  ast.SequenceType("element", "*")})
+
+
+def inline_calls(expr: ast.Expr, declarations: Mapping[tuple[str, int], ast.FunctionDecl]
+                 ) -> ast.Expr | None:
+    """*expr* with every call of a user function replaced by the function's
+    body, its parameters renamed to the arguments — or ``None`` when a call
+    cannot be: a recursive function; an argument that is not a variable or
+    is rebound inside the function; a prolog variable the function reads
+    that *expr* rebinds somewhere (the inlined body could be captured); a
+    declared type that could reject or convert what a call passes or
+    returns (only ``*`` of a node type, or ``item()*`` / none for other
+    arguments).  The recursion variable is then the only node-sequence
+    argument the recognizer needs: node sequences pass a ``node()*``
+    parameter unchanged.  *expr* itself comes back when it calls no user
+    function."""
+    bound, calls = _scan(expr, declarations)
+    return _inlined(expr, declarations, (), frozenset(bound)) if calls else expr
+
+
+def _inlined(expr: ast.Expr, declarations, stack: tuple,
+             bound: frozenset[str]) -> ast.Expr | None:
+    if isinstance(expr, ast.FunctionCall):
+        declaration = declarations.get((expr.name, len(expr.args)))
+        if declaration is not None:
+            return _inline_call(expr, declaration, declarations, stack, bound)
+    updates = {}
+    for name, is_tuple in ast.CHILD_FIELDS[type(expr)]:
+        value = getattr(expr, name)
+        if value is None:
+            continue
+        if is_tuple:
+            parts = tuple(_inlined(part, declarations, stack, bound) for part in value)
+            if None in parts:
+                return None
+            if any(new is not old for new, old in zip(parts, value)):
+                updates[name] = parts
+        else:
+            part = _inlined(value, declarations, stack, bound)
+            if part is None:
+                return None
+            if part is not value:
+                updates[name] = part
+    return replace(expr, **updates) if updates else expr
+
+
+def _inline_call(call: ast.FunctionCall, declaration: ast.FunctionDecl,
+                 declarations, stack: tuple, bound: frozenset[str]) -> ast.Expr | None:
+    key = (declaration.name, declaration.arity)
+    if key in stack or declaration.return_type not in _NODE_SEQUENCE_TYPES:
+        return None
+    arguments = []
+    for parameter, argument in zip(declaration.params, call.args):
+        if not isinstance(argument, ast.VarRef):
+            return None
+        allowed = (_NODE_SEQUENCE_TYPES if argument.name == CANONICAL_VARIABLE
+                   else (None, ast.SequenceType("item", "*")))
+        if parameter.declared_type not in allowed:
+            return None
+        arguments.append(argument)
+    inner, calls = _scan(declaration.body, declarations)
+    parameters = {parameter.name for parameter in declaration.params}
+    if (any(argument.name in inner for argument in arguments)
+            or (declaration.body.free_variables() - parameters) & bound):
+        return None
+    # Two passes, so a parameter named like another call argument is not
+    # captured: parameters to names no text can spell, those to arguments.
+    body = declaration.body
+    for index, parameter in enumerate(declaration.params):
+        body = ast.substitute_variable(body, parameter.name, ast.VarRef(f"#p{index}"))
+    for index, argument in enumerate(arguments):
+        body = ast.substitute_variable(body, f"#p{index}", argument)
+    return _inlined(body, declarations, stack + (key,), bound | inner) if calls else body
+
+
+def _scan(expr: ast.Expr, declarations) -> tuple[set[str], bool]:
+    """The variables *expr* binds anywhere inside it, and whether it calls
+    one of the *declarations*."""
+    names: set[str] = set()
+    calls = False
+    for sub in expr.iter_subexpressions():
+        if isinstance(sub, ast.FunctionCall):
+            calls = calls or (sub.name, len(sub.args)) in declarations
+            continue
+        for name in _BINDING_FIELDS[type(sub)]:
+            bound = getattr(sub, name)
+            if bound:
+                names.add(bound)
+    return names, calls
+
+
+#: Node class → the fields in which it binds a variable (a name, or ``None``
+#: where the binding is optional).
+_BINDING_FIELDS = {
+    kind: tuple(field.name for field in fields(kind)
+                if field.name in ("var", "position_var", "default_var"))
+    for kind in ast.CHILD_FIELDS
+}
+
+
+# -- the image form ------------------------------------------------------------
+
+#: Built-ins an image body may call besides :data:`NODE_LOCAL_BUILTINS`:
+#: ``fn:id``/``fn:idref`` (the relation then checks the document's IDs at
+#: bind time) and ``position``/``last`` (only under a focus the body sets up
+#: itself: :func:`focus_free` declines the outer one) — and ``fn:doc`` with
+#: a literal URI, which the relation checks at bind time.  Not here:
+#: ``trace`` (a side effect), ``doc-available``, and whatever is added
+#: later (``collection``, ``current-*``) until someone adds it.
+IMAGE_BUILTINS = NODE_LOCAL_BUILTINS | {"id", "idref", "position", "last"}
+
+
+def _image_relation(canonical: ast.Expr, functions: Container[tuple[str, int]],
+                    engine: str, variables: Mapping[str, ast.VariableDecl]
+                    ) -> StepRelation | None:
+    """The image form of :func:`recognize_step_relation`, or ``None``.
+
+    A body Figure 5 proves distributive — its caller's check, apart from
+    the Naive/Delta decision, so a ``using naive`` closure qualifies too —
+    is an image relation when its *canonical* form (calls inlined, the
+    recursion variable renamed to :data:`CANONICAL_VARIABLE`):
+
+    * has no free variable but that one and prolog variables whose
+      initializers are *document-closed* (:func:`_document_closed`:
+      ``doc(literal)``, paths from it, literals, other such variables — no
+      external variable);
+    * reads no outer focus (:func:`focus_free`), constructs no node and
+      calls only :data:`IMAGE_BUILTINS` — no ``trace``, no recursive or
+      otherwise un-inlined user function, ``fn:doc`` on a literal only;
+    * has distinct elements for its value (:func:`_distinct_elements`), so
+      a round produces as many pres as the node path produces nodes.
+
+    The memo key is the canonical body plus the prolog declarations it
+    reaches: α-variant texts share it."""
+    if canonical.contains_node_constructor() or not focus_free(canonical):
+        return None
+    uris: set[str] = set()
+    uses_ids = _image_calls(canonical, functions, uris)
+    if uses_ids is None:
+        return None
+    reached: dict[str, ast.VariableDecl] = {}
+    for name in canonical.free_variables():
+        if name != CANONICAL_VARIABLE and not _document_closed(
+                ast.VarRef(name), variables, functions, reached, uris):
+            return None
+    if not _distinct_elements(canonical, frozenset({CANONICAL_VARIABLE}), reached):
+        return None
+    key = (canonical, tuple(sorted(reached.values(), key=lambda decl: decl.name)))
+    return StepRelation((), engine=engine, image=key, documents=tuple(sorted(uris)),
+                        ids=uses_ids)
+
+
+def _local(call: ast.FunctionCall) -> str:
+    return call.name[3:] if call.name.startswith("fn:") else call.name
+
+
+def _image_calls(expr: ast.Expr, functions: Container[tuple[str, int]],
+                 uris: set[str]) -> bool | None:
+    """Whether *expr* calls ``fn:id``/``fn:idref``, or ``None`` when it
+    calls anything an image body may not; adds its ``fn:doc`` URIs to
+    *uris*."""
+    uses_ids = False
+    for sub in expr.iter_subexpressions():
+        if not isinstance(sub, ast.FunctionCall):
+            continue
+        if (sub.name, len(sub.args)) in functions:
+            return None
+        local = _local(sub)
+        if local == "doc":
+            uri = _literal_uri(sub)
+            if uri is None:
+                return None
+            uris.add(uri)
+        elif local not in IMAGE_BUILTINS:
+            return None
+        uses_ids = uses_ids or local in ("id", "idref")
+    return uses_ids
+
+
+def _literal_uri(call: ast.FunctionCall) -> str | None:
+    if (len(call.args) == 1 and isinstance(call.args[0], ast.Literal)
+            and isinstance(call.args[0].value, str)):
+        return call.args[0].value
+    return None
+
+
+def _document_closed(expr: ast.Expr, variables: Mapping[str, ast.VariableDecl],
+                     functions: Container[tuple[str, int]],
+                     reached: dict[str, ast.VariableDecl], uris: set[str]) -> bool:
+    """Is *expr* made of ``doc(literal)``, paths from it whose steps are
+    :func:`node_local`, literals, and prolog variables whose initializers
+    are so too?  The variables it reaches go into *reached*, the URIs into
+    *uris*."""
+    if isinstance(expr, (ast.Literal, ast.EmptySequence)):
+        return True
+    if isinstance(expr, ast.VarRef):
+        if expr.name in reached:
+            return True
+        declaration = variables.get(expr.name)
+        if declaration is None or declaration.external or declaration.value is None:
+            return False
+        reached[expr.name] = declaration
+        return _document_closed(declaration.value, variables, functions, reached, uris)
+    if isinstance(expr, ast.FunctionCall):
+        uri = _literal_uri(expr)
+        if (uri is None or _local(expr) != "doc"
+                or (expr.name, len(expr.args)) in functions):
+            return False
+        uris.add(uri)
+        return True
+    if isinstance(expr, ast.PathExpr):
+        return (_document_closed(expr.left, variables, functions, reached, uris)
+                and node_local(expr.right, functions))
+    if isinstance(expr, ast.FilterExpr):
+        return (_document_closed(expr.primary, variables, functions, reached, uris)
+                and all(node_local(predicate, functions) for predicate in expr.predicates))
+    if isinstance(expr, (ast.SequenceExpr, ast.UnionExpr, ast.IntersectExpr, ast.ExceptExpr)):
+        return all(_document_closed(child, variables, functions, reached, uris)
+                   for child in expr.child_expressions())
+    return False
+
+
+def _distinct_elements(expr: ast.Expr, elements: frozenset[str],
+                       prolog: Mapping[str, ast.VariableDecl]) -> bool:
+    """Is *expr*'s value distinct elements, by a syntactic rule over
+    ``return``, ``if``, the set operators and a path's last step?  The
+    variables in *elements* hold distinct elements (the recursion variable:
+    the fixpoint feeds elements); a *prolog* variable does when its
+    initializer does.  A ``for`` qualifies only when it runs
+    whole (:attr:`~repro.xquery.ast.ForExpr.whole`): per item, its returns
+    may repeat a node, which the node path would count twice."""
+    if isinstance(expr, ast.VarRef):
+        if expr.name in elements:
+            return True
+        declaration = prolog.get(expr.name)
+        return declaration is not None and _distinct_elements(
+            declaration.value, frozenset(), prolog)
+    if isinstance(expr, ast.EmptySequence):
+        return True
+    if isinstance(expr, ast.PathExpr):
+        return _element_step(expr.right)
+    if isinstance(expr, ast.FilterExpr):
+        return _distinct_elements(expr.primary, elements, prolog)
+    if isinstance(expr, ast.UnionExpr):
+        return (_distinct_elements(expr.left, elements, prolog)
+                and _distinct_elements(expr.right, elements, prolog))
+    if isinstance(expr, ast.IntersectExpr):
+        return (_distinct_elements(expr.left, elements, prolog)
+                or _distinct_elements(expr.right, elements, prolog))
+    if isinstance(expr, ast.ExceptExpr):
+        return _distinct_elements(expr.left, elements, prolog)
+    if isinstance(expr, ast.IfExpr):
+        return (_distinct_elements(expr.then_branch, elements, prolog)
+                and _distinct_elements(expr.else_branch, elements, prolog))
+    if isinstance(expr, (ast.LetExpr, ast.ForExpr)):
+        if isinstance(expr, ast.ForExpr) and not expr.whole:
+            return False
+        value = expr.value if isinstance(expr, ast.LetExpr) else expr.sequence
+        inner = (elements | {expr.var} if _distinct_elements(value, elements, prolog)
+                 else elements - {expr.var})
+        if expr.var in prolog:  # shadowed in the body
+            prolog = {name: decl for name, decl in prolog.items() if name != expr.var}
+        return _distinct_elements(expr.body, inner, prolog)
+    if isinstance(expr, ast.SequenceExpr):
+        return len(expr.items) <= 1 and all(
+            _distinct_elements(item, elements, prolog) for item in expr.items)
+    if isinstance(expr, ast.OrderedExpr):
+        return _distinct_elements(expr.body, elements, prolog)
+    return isinstance(expr, ast.FunctionCall) and _local(expr) == "id"
+
+
+def _element_step(expr: ast.Expr) -> bool:
+    """Does the right-hand side of a path select elements only?"""
+    if isinstance(expr, ast.AxisStep):
+        return expr.axis != "attribute" and expr.node_test.kind in ("name", "element")
+    if isinstance(expr, ast.FilterExpr):
+        return _element_step(expr.primary)
+    if isinstance(expr, ast.UnionExpr):
+        return _element_step(expr.left) and _element_step(expr.right)
+    return isinstance(expr, ast.FunctionCall) and _local(expr) == "id"
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +1054,15 @@ __all__ = [
     "apply_shapes",
     "apply_value_shape",
     "child_chain_names",
+    "fixpoint_relation",
     "focus_free",
+    "inline_calls",
     "positional_filter",
     "probe_step",
+    "prolog_variables",
     "recognize_id_step",
     "recognize_predicate",
+    "recognize_step_relation",
     "resolve_rhs",
     "string_values_or_none",
 ]

@@ -402,16 +402,18 @@ class TestDeltaDriver:
         # A union is no step chain, so the sql engine cannot emit it: its
         # Delta runs take the fallback (and show their rounds) too.  (Not a
         # filter: that would take bidder's loop out of its set context, and
-        # the loop would produce one node per fed node again.)
+        # the loop would produce one node per fed node again.)  The union is
+        # an image relation, as bidder's own body is: every run's rounds are
+        # in pre-space.
         bodies = {"interpreter": None, "algebra": None,
                   "sql": f"({workload.recursion_body}) | ()" if algorithm == "delta" else None}
         extra = {"interpreter": {},
                  "algebra": {"variant": "mu_delta" if algorithm == "delta" else "mu"},
                  "sql": {"path": "driver"}}
-        if name in ("curriculum", "hospital", "dialogs"):  # step relations: rounds in pre-space
-            for engine, body in bodies.items():
-                if body is None:
-                    extra[engine]["space"] = "pre"
+        form = {"curriculum": "chain", "hospital": "chain", "dialogs": "sibling",
+                "bidder-network": "image"}[name]
+        for engine, body in bodies.items():
+            extra[engine].update(space="pre", relation=form if body is None else "image")
         documents = {workload.document_uri: workload.size("tiny").build_document()}
         with Session(documents=documents, id_attributes=("id", "code")) as session:
             runs = {engine: self._traced(session, self._closure(workload, algorithm, body), engine)

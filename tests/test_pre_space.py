@@ -24,12 +24,15 @@ from hypothesis import strategies as st
 from repro.api import evaluate
 from repro.errors import FixpointError, XQueryTypeError
 from repro.session import Session
-from repro.xdm.index import StepRelation, index_for
+from repro.xdm.index import ImageMemo, StepRelation, index_for
 from repro.xdm.items import is_node
 from repro.xmlio.parser import parse_xml
-from repro.xquery import pushdown
+from repro.xquery import ast, pushdown
 from repro.xquery.context import DocumentResolver
-from repro.xquery.parser import parse_expression
+from repro.xquery.optimizer import optimize_module
+from repro.xquery.parser import parse_expression, parse_query
+
+from tests.conftest import benchmark_modules
 
 ENGINES = ("interpreter", "algebra", "sql")
 
@@ -45,6 +48,39 @@ D = 'doc("g.xml")'
 # ---------------------------------------------------------------------------
 # which bodies are step relations
 # ---------------------------------------------------------------------------
+
+
+#: Bodies of test_not_relations that are image relations.
+IMAGE_BODIES = frozenset({
+    "$x",
+    "$x/m[1]",
+    '$x/m[@k = "a"]',
+    "$x/*",
+    "$x/parent::m",
+    "$x//m",
+    "$x/id(./p[1]/r)",
+    "$x/id(./@ref)",
+    "$x/id(.)",
+    f"$x/id(./r, {D})",
+    "$x/m | $x/id(./r)",
+})
+
+
+#: Bodies of test_not_sibling_relations that are image relations.
+IMAGE_SIBLING_BODIES = frozenset({
+    "$x/following-sibling::S",
+    "$x/following-sibling::S[0]",
+    "$x/following-sibling::S[k][1]",
+    f"$x/following-sibling::S[1][k = {D}//k]",
+    "$x/following-sibling::S[1][id(k)]",
+    "$x/following-sibling::S[1][position() = 1]",
+    "$x/following-sibling::S[1][last() = 1]",
+    "$x/following-sibling::*[1]",
+    "$x/following-sibling::S[1]/k",
+    "$x/k/following-sibling::S[1]",
+    "$x/m/following-sibling::S[1][k]",
+    "$x/following::S[1]",
+})
 
 
 class TestWhichBodies:
@@ -66,7 +102,7 @@ class TestWhichBodies:
         "$y/m",                     # not the recursion variable
         "$x/m[1]",                  # a predicate
         '$x/m[@k = "a"]',
-        "$x/@k",                    # not a named child step
+        "$x/@k",                    # attributes: not elements
         "$x/*",
         "$x/parent::m",
         "$x//m",
@@ -74,13 +110,15 @@ class TestWhichBodies:
         "$x/id(./@ref)",
         "$x/id(.)",                 # the context's own value
         f"$x/id(./r, {D})",         # the anchored form
-        "id($x/r)",                 # a call, not a step
+        "id($x/r)",                 # Figure 5 does not trust fn:id
         "$x/m | $x/id(./r)",
-        "($x/m)[1]",
-        "for $y in $x return $y/m",
+        "($x/m)[1]",                # a positional filter over $x
+        "for $y in $x return $y/m", # per item: a node may come twice
     ])
     def test_not_relations(self, body):
-        assert pushdown.recognize_step_relation(parse_expression(body), "x", ()) is None
+        """No chain; the closed distributive ones are image relations."""
+        relation = pushdown.recognize_step_relation(parse_expression(body), "x", ())
+        assert (relation and relation.form) == ("image" if body in IMAGE_BODIES else None)
 
     def test_a_user_function_called_id_is_no_relation(self):
         body = parse_expression("$x/id(./r)")
@@ -105,14 +143,14 @@ class TestWhichBodies:
         assert len(relation.filters) == filters
 
     @pytest.mark.parametrize("body", [
-        "$x/following-sibling::S",              # no position
+        "$x/following-sibling::S",          # no position
         "$x/following-sibling::S[0]",
-        "$x/following-sibling::S[k][1]",        # the filter before the position
+        "$x/following-sibling::S[k][1]",    # the filter before the position
         "$x/following-sibling::S[$v]",
-        "$x/following-sibling::S[1][$v]",       # a free variable in the filter
+        "$x/following-sibling::S[1][$v]",   # a free variable in the filter
         "$x/following-sibling::S[1][k = $x/k]",
         f"$x/following-sibling::S[1][k = {D}//k]",  # another document
-        "$x/following-sibling::S[1][id(k)]",    # an ID may name another tree
+        "$x/following-sibling::S[1][id(k)]",  # an ID may name another tree
         "$x/following-sibling::S[1][<k/> = k]",  # a constructor
         "$x/following-sibling::S[1][position() = 1]",
         "$x/following-sibling::S[1][last() = 1]",
@@ -120,14 +158,17 @@ class TestWhichBodies:
         "$x/following-sibling::*[1]",
         "$x/following-sibling::node()[1]",
         "$x/following-sibling::text()[1]",
-        "$x/following-sibling::S[1]/k",         # a sibling step in a longer chain
+        "$x/following-sibling::S[1]/k",     # a sibling step in a longer chain
         "$x/k/following-sibling::S[1]",
         "$x/m/following-sibling::S[1][k]",
         "$y/following-sibling::S[1]",
-        "$x/following::S[1]",                   # not a sibling axis
+        "$x/following::S[1]",               # not a sibling axis
     ])
     def test_not_sibling_relations(self, body):
-        assert pushdown.recognize_step_relation(parse_expression(body), "x", ()) is None
+        """No sibling relation; the closed distributive ones are image
+        relations (the filters' documents and IDs checked at bind time)."""
+        relation = pushdown.recognize_step_relation(parse_expression(body), "x", ())
+        assert (relation and relation.form) == ("image" if body in IMAGE_SIBLING_BODIES else None)
 
     def test_a_user_function_in_the_filter_is_no_relation(self):
         expr = parse_expression("$x/following-sibling::S[1][local:f(k)]")
@@ -412,7 +453,7 @@ def verdicts(document, engine: str, body: str = DIALOG) -> dict:
     """The verdicts *engine* filled for *body* in *document*'s index."""
     relation = pushdown.recognize_step_relation(parse_expression(body), "x", (),
                                                 engine=engine)
-    return index_for(document).verdicts(relation)
+    return index_for(document).memo(relation)
 
 
 def speeches(document) -> list:
@@ -483,3 +524,359 @@ class TestVerdicts:
                 idx = index_for(document)
                 assert verdicts(document, key, body) == {
                     idx.pre(speeches(document)[1]): True}
+
+
+# ---------------------------------------------------------------------------
+# image relations: a closed body Figure 5 proves distributive
+# ---------------------------------------------------------------------------
+
+
+#: The prolog of the image bodies below: a document-closed variable.
+PROLOG = f"declare variable $d := {D};\n"
+
+#: A user function whose body is a value join, as bidder's is.
+JOIN = ("declare function local:join($n as node()*) as node()*\n"
+        "{ for $i in $n/r return $d//n[@id = $i] };\n")
+
+
+def optimized(query: str) -> tuple:
+    """(the optimized module, its last ``with`` expression: the innermost
+    one of a nest)."""
+    module = optimize_module(parse_query(query))
+    *_, site = [expr for expr in module.body.iter_subexpressions()
+                if isinstance(expr, ast.WithExpr)]
+    return module, site
+
+
+def relation_of(query: str, engine: str = "interpreter") -> StepRelation | None:
+    """The relation *engine* recognizes in *query*'s one closure."""
+    module, site = optimized(query)
+    return pushdown.recognize_step_relation(
+        site.body, site.var, module.function_map(), engine=engine,
+        variables=pushdown.prolog_variables(module))
+
+
+def closure(body: str, seed: str = 'D//n[@id = "n0"]', prolog: str = PROLOG,
+            var: str = "x") -> str:
+    return (f"{prolog}with ${var} seeded by {seed} recurse "
+            f"{body.replace('$x', f'${var}')}").replace("D", D)
+
+
+def image_memos(document) -> list:
+    """The image memos on *document*'s index."""
+    return [memo for memo in index_for(document)._memos.values()
+            if isinstance(memo, ImageMemo)]
+
+
+def fills(query: str, resolver, **options) -> list[int]:
+    """The ``filled`` count of every round of *query*'s one image run."""
+    result = evaluate(query, documents=resolver, trace=True,
+                      **{"use_cache": False, **options})
+    span = result.trace.find("fixpoint")
+    assert (span.attributes["space"], span.attributes["relation"]) == ("pre", "image")
+    return [child.attributes["filled"] for child in span.children if child.name == "round"]
+
+
+class TestWhichBodiesAreImages:
+    @pytest.mark.parametrize("body", [
+        "local:join($x)",                               # bidder's shape
+        "for $i in $x/@k return $d//n[@k = $i]",
+        "let $y := $x/m return $y/m | $y/id(./r)",
+        "if ($d//n[@k = 'a']) then $x/m else $x/id(./p/r)",
+        "$x/id(./r) | $d//n[@k = 'c']",                 # with a constant part
+        "$x//m[r]",
+        "$x/following-sibling::n[@k = 'a'][1]",         # the filter before the position
+    ])
+    def test_positives(self, body):
+        relation = relation_of(closure(body, prolog=PROLOG + JOIN))
+        assert relation.form == "image"
+        assert relation.engine == "interpreter"
+
+    def test_bidder_and_adhocs_function_are_judged_on_their_bodies(self):
+        corpus, ops, _ = benchmark_modules()
+        bidder = relation_of(ops.closure_text("bidder", "person0"))
+        assert (bidder.form, bidder.documents, bidder.ids) == ("image", ("auction.xml",), False)
+        assert relation_of(ops.closure_text("bidder", "person0", naive=True)) == bidder
+        pre = relation_of(ops.adhoc_text("q1-function", 5, "c1", 3))
+        assert pre == StepRelation((("child", "prerequisites"), ("idref", "pre_code")))
+
+    @pytest.mark.parametrize("body, prolog", [
+        # Figure 5 proves nothing: the condition reads all of $x
+        ("if (count($x) > 1) then $x/m else ()", PROLOG),
+        # a free variable that is no prolog variable
+        ("let $v := 'a' return with $y seeded by D//n recurse $y/m[@k = $v]", None),
+        # an external prolog variable
+        ("$x/m[@k = $e]", "declare variable $e external;\n"),
+        # a prolog variable whose initializer is not document-closed
+        ("$x/m[@k = $c]", "declare variable $c := count(D//n);\n"),
+        ("$x/m[. = $c]", "declare variable $c := <m/>;\n"),
+        # constructs a node
+        ("$x/m | (<m/>)/m", PROLOG),
+        # a side effect, and built-ins that are not known to be closed
+        ('$x/m[trace(@k, "k")]', PROLOG),
+        ("$x/m[current-date()]", PROLOG),
+        ('$x/m[collection("c")]', PROLOG),
+        ("$x/m[doc-available('g.xml')]", PROLOG),
+        ("$x/m[doc(string(@k))]", PROLOG),              # a computed URI
+        # a recursive function
+        ("$x/m[local:depth(.) > 1]",
+         "declare function local:depth($n) { if ($n/..) then 1 + local:depth($n/..) else 0 };\n"),
+        # a parameter type that could reject what the fixpoint feeds
+        ("local:one($x)", "declare function local:one($n as element()) as element()* { $n/m };\n"),
+        # inlined, the function's prolog variable would be captured
+        ('(let $d := "a" return ($x/m[@k = $d] | local:f($x)))',
+         PROLOG + "declare function local:f($n as node()*) as node()* "
+                  "{ $n/m[@k = string($d)] };\n"),
+        # the outer focus
+        ("$x/m | ./m", PROLOG),
+        # not elements, or not distinct
+        ("$x/@k", PROLOG),
+        ("$x/text()", PROLOG),
+        ("$x/..", PROLOG),
+        ("($x/m, $x/m)", PROLOG),
+    ])
+    def test_declines(self, body, prolog):
+        query = (body.replace("D", D) if prolog is None
+                 else closure(body, seed="D//n", prolog=prolog))
+        assert relation_of(query) is None
+
+    @pytest.mark.parametrize("around", [
+        "let $d := 1 return {}",
+        "for $d in (1, 2) return {}",
+        "some $d in (1, 2) satisfies {}",
+        "with $d seeded by D recurse {}",
+        "typeswitch (1) case $d as xs:integer return 1 default return {}",
+        "declare function local:f($d) {{ $d }};\n({}, local:f(1))",
+    ])
+    def test_a_prolog_variable_whose_name_is_bound_elsewhere(self, around):
+        """A ``let``, ``for``, parameter or other binding of ``$d`` anywhere
+        in the module could shadow the prolog variable where the closure
+        sits, so the closure reading ``$d`` is no image relation."""
+        body = "with $x seeded by D//n recurse $x/m | $d//n[@k = 'c']"
+        assert relation_of(PROLOG + body.replace("D", D)).form == "image"
+        query = PROLOG + around.format(f"({body})").replace("D", D)
+        module, _ = optimized(query)
+        assert "d" not in pushdown.prolog_variables(module)
+        assert relation_of(query) is None
+
+    def test_a_loop_per_item_is_declined(self):
+        """Unmarked (the optimizer is off), a ``for`` may return a node once
+        per item: the node path counts it twice, a round in pre-space once."""
+        body = parse_expression("for $y in $x return $y/m")
+        assert pushdown.recognize_step_relation(body, "x", ()) is None
+        relation = relation_of(closure("for $y in $x return $y/m"))
+        assert relation is not None and relation.form == "image"  # marked whole
+
+    def test_alpha_variants_share_one_key_per_engine(self):
+        first = relation_of(closure("local:join($x)", prolog=PROLOG + JOIN))
+        second = relation_of(closure("local:hop($v9)", var="v9", prolog=PROLOG + JOIN.replace(
+            "local:join", "local:hop").replace("$n", "$in")))
+        assert first == second and hash(first) == hash(second)
+        assert relation_of(closure("local:join($x)", prolog=PROLOG + JOIN),
+                           engine="algebra") != first
+
+
+IMAGE_PARTS = (
+    "local:join($x)",                                   # a value join in a function
+    "for $i in $x/r return $d//n[@id = $i]",            # the same, inline
+    "for $y in $x return $y/id(./p/r)",                 # a loop
+    "let $y := $x/m return $y/id(./r) | $y/m",          # a let
+    "for $i in $x/@k return $d//n[m][@k = $i]",
+    "$x/following-sibling::n[1] | $x/preceding-sibling::n[@k = 'b']",
+    "$x//m/id(./r)",
+)
+
+IMAGE_SEEDS = ('D//n[@id = "n0"]', 'D//n[@k = "a"]', "D//m", "D/g",
+               '(D//n[@id = "n1"], D//n[@id = "n1"])', 'D//n[@k = "c"]', "D")
+
+
+class TestImageAnswersAndRounds:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), first=st.sampled_from(IMAGE_PARTS),
+           second=st.sampled_from((None, *IMAGE_PARTS)),
+           start=st.sampled_from(IMAGE_SEEDS), naive=st.booleans())
+    def test_every_engine_against_reference_mode(self, seed, first, second, start, naive):
+        """Each engine answers as the reference mode does; the rounds are
+        those of the node path, in pre-space for a seed of elements; each
+        query runs on cold images first, then on what earlier runs filled."""
+        resolver = resolver_for(graph_xml(random.Random(seed)))
+        body = first if second is None else f"({first}) | ({second})"
+        query = closure(body + (" using naive" if naive else ""), seed=start,
+                        prolog=PROLOG + JOIN)
+        expected = items(query, resolver, **REFERENCE)
+        for engine in ENGINES:
+            assert items(query, resolver, engine=engine) == expected, engine
+            result = evaluate(query, documents=resolver, engine=engine, trace=True,
+                              use_cache=False)
+            span = result.trace.find("fixpoint")
+            if span.attributes.get("path") == "cte":
+                continue
+            assert span.attributes["relation"] == "image", engine
+            assert span.attributes["space"] == (
+                "nodes" if start == "D" or not span.attributes["seed"] else "pre")
+        space, rounds = traced(query, resolver)
+        assert rounds == traced(query, resolver, use_index=False)[1]
+
+
+def pre_document(xml: str = GRAPH):
+    document = parse_xml(xml)
+    resolver = DocumentResolver()
+    resolver.register("g.xml", document)
+    return document, resolver
+
+
+JOIN_QUERY = closure("local:join($x)", prolog=PROLOG + JOIN)
+
+#: n0 → n1 → (n2, n0) under :data:`JOIN`.
+JOINED = '<g><n id="n0"><r>n1</r></n><n id="n1"><r>n2</r><r>n0</r></n><n id="n2"><m/></n></g>'
+
+
+#: A closure whose image depends on the prolog variable ``$k``: two nodes
+#: under ``$k = "a"``, one under ``$k = "b"``.
+KEYED = 'declare variable $k := "a";\n'
+KEYED_CLOSURE = f"count(with $x seeded by {D}//n recurse $x/m[@k = $k])"
+SHADOWED = '<g><n id="n0"><m k="a"><m k="a"><m k="b"/></m></m><m k="b"/></n></g>'
+
+
+class TestImageMemo:
+    def test_alpha_variant_texts_share_one_memo(self):
+        """A source's first miss is answered set-at-a-time and noted, its
+        second fills the memo; an α-variant text is a second run."""
+        document, resolver = pre_document(JOINED)
+        variant = closure("local:hop($v7)", var="v7",
+                          prolog=PROLOG + JOIN.replace("local:join", "local:hop"))
+        assert fills(JOIN_QUERY, resolver) == [1, 1, 2]  # n0 misses twice
+        assert fills(variant, resolver) == [0, 1, 1]
+        assert fills(JOIN_QUERY, resolver) == [0, 0, 0]
+        assert items(variant, resolver) == items(JOIN_QUERY, resolver, **REFERENCE)
+        assert fills(variant, resolver, engine="sql") == [0, 0, 0]  # the interpreter's
+        for expected in ([1, 1, 2], [0, 1, 1], [0, 0, 0]):  # algebra fills its own
+            assert fills(JOIN_QUERY, resolver, engine="algebra") == expected
+        (interpreter, algebra) = image_memos(document)
+        assert dict(interpreter) == dict(algebra) and interpreter.stored == 3
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_edits_drop_it(self, engine):
+        document = parse_xml(JOINED)
+        with Session({"g.xml": document}) as session:
+            def answer() -> list:
+                result = session.evaluate(JOIN_QUERY, engine=engine, trace=True)
+                assert result.trace.find("fixpoint").attributes["space"] == "pre"
+                expected = session.evaluate(JOIN_QUERY, **REFERENCE).items
+                assert list(map(id, result.items)) == list(map(id, expected))
+                return [node.get_attribute("id").value for node in result.items]
+
+            assert answer() == ["n0", "n1", "n2"]
+            assert image_memos(document)
+            n1, n2 = document.document_element().children[1:]
+            n1.children[0].children[0].set_value("n1")  # a text edit: n1 → (n1, n0)
+            assert not image_memos(document)
+            assert answer() == ["n0", "n1"]
+            assert image_memos(document)
+            document.register_id("n9", n2)  # a new ID
+            assert not image_memos(document)
+            assert answer() == ["n0", "n1"]
+            n2.parent.append_child(parse_xml('<n id="n3"/>').document_element())
+            assert not image_memos(document)  # a new element: a new index
+            assert answer() == ["n0", "n1"]
+
+    def test_a_uri_registered_to_another_tree_while_the_old_one_is_seeded(self):
+        """The seed comes from ``h.xml``, the body reads ``g.xml``: one tree,
+        until ``g.xml`` names a copy — then the relation declines."""
+        document, resolver = pre_document(JOINED)
+        resolver.register("h.xml", document)
+        query = JOIN_QUERY.replace(f'seeded by {D}', 'seeded by doc("h.xml")')
+        assert fills(query, resolver) == [1, 1, 2]
+        assert fills(query, resolver) == [0, 1, 1]
+        resolver.register("g.xml", parse_xml(JOINED))
+        for engine in ENGINES:
+            assert items(query, resolver, engine=engine) == items(query, resolver, **REFERENCE)
+            result = evaluate(query, documents=resolver, engine=engine, trace=True,
+                              use_cache=False)
+            assert result.trace.find("fixpoint").attributes["space"] == "nodes", engine
+        assert sum(map(len, image_memos(document))) == 3  # nothing filled since
+
+    def test_an_id_bound_outside_the_tree(self):
+        document, resolver = pre_document()
+        query = closure("$x/id(./r) | $x/m")
+        assert fills(query, resolver)[0] == 1
+        document.register_id("n9", parse_xml("<far/>").document_element())
+        assert traced(query, resolver)[0] == "nodes"
+        for engine in ENGINES:
+            assert items(query, resolver, engine=engine) == items(query, resolver, **REFERENCE)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_body_that_raises(self, engine):
+        """The third speech's speaker is no number: the body raises when
+        that speech first comes up — on every engine, with the same code,
+        on every run — and nothing is stored for any node."""
+        document = parse_xml("<p><S><k>1</k></S><S><k>2</k></S><S><k>x</k></S>"
+                             "<S><k>3</k></S></p>")
+        query = ('count(with $x seeded by doc("d.xml")//S[1] '
+                 'recurse $x/following-sibling::S[1][k > 0] | ())')
+        with Session({"d.xml": document}) as session:
+            with pytest.raises(XQueryTypeError) as expected:
+                session.evaluate(query, **REFERENCE)
+            for _ in range(2):
+                with pytest.raises(XQueryTypeError) as raised:
+                    session.evaluate(query, engine=engine)
+                assert raised.value.code == expected.value.code == "FORG0001"
+                # at most the first speech's image, filled on the second run
+                # by round 0; for the second speech nothing, ever
+                first, second = (index_for(document).pre(speech) for speech in
+                                 speeches(document)[:2])
+                (memo,) = image_memos(document)
+                assert dict(memo).items() <= {first: (second,)}.items()
+                assert second not in memo.missed
+
+    @pytest.mark.parametrize("query, engines", [
+        (KEYED + 'let $k := "b" return ' + KEYED_CLOSURE, ENGINES),
+        (KEYED + "declare function local:f($k) { " + KEYED_CLOSURE + ' };\nlocal:f("b")',
+         ENGINES),
+        (KEYED + 'for $k in ("b", "a", "b") return ' + KEYED_CLOSURE,
+         ("interpreter", "sql")),  # algebra runs no closure under a loop
+    ])
+    def test_a_local_binding_that_shadows_a_prolog_variable(self, query, engines):
+        """The images the unshadowed closure filled hold ``$k = "a"``; under
+        a binding of ``$k`` the same body reads another value, so it must
+        not read them — on a warm memo, on every engine, on every run."""
+        document, resolver = pre_document(SHADOWED)
+        for engine in ENGINES:
+            for _ in range(3):
+                assert items(KEYED + KEYED_CLOSURE, resolver, engine=engine) == [(int, 2)]
+        assert any(len(memo) for memo in image_memos(document))
+        expected = items(query, resolver, **REFERENCE)
+        assert expected[0] == (int, 1)
+        for engine in engines:
+            for _ in range(3):
+                assert items(query, resolver, engine=engine) == expected, engine
+
+    def test_a_closure_in_a_prolog_initializer(self):
+        """Algebra evaluates it while it compiles, through the plan's
+        recording view of the documents."""
+        document, resolver = pre_document(JOINED)
+        query = (PROLOG + JOIN + "declare variable $c := "
+                 + JOIN_QUERY.split("\n")[-1] + ";\ndata($c/@id)")
+        for engine in ENGINES:
+            result = evaluate(query, documents=resolver, engine=engine, trace=True)
+            assert list(map(str, result.items)) == ["n0", "n1", "n2"], engine
+            assert result.trace.find("fixpoint").attributes["relation"] == "image", engine
+
+    def test_past_the_budget(self):
+        """A full memo answers every miss with one set-at-a-time call,
+        stores nothing, and the answers and rounds do not move."""
+        document, resolver = pre_document(graph_xml(random.Random(5)))
+        relation = relation_of(JOIN_QUERY)
+        idx = index_for(document)
+        for engine in ("interpreter", "algebra"):
+            memo = idx.memo(relation if engine == "interpreter" else relation_of(
+                JOIN_QUERY, engine="algebra"), ImageMemo)
+            memo.stored = len(idx)
+        expected = items(JOIN_QUERY, resolver, **REFERENCE)
+        for engine in ENGINES:
+            assert items(JOIN_QUERY, resolver, engine=engine) == expected, engine
+        filled = fills(JOIN_QUERY, resolver)
+        assert filled[0] == 1 and all(filled)
+        assert traced(JOIN_QUERY, resolver)[1] == traced(JOIN_QUERY, resolver,
+                                                         use_index=False)[1]
+        assert [dict(memo) for memo in image_memos(document)] == [{}, {}]
