@@ -71,7 +71,7 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     the index side may cost at most an eighth.  A fed-back node costs three
     dict probes in pre-space (``repro.xdm.index.batch_id_path``), which read
     about −96 % (23×); since the rounds run in pre-space (``pre-space``) it
-    is one probe of a composed edge map, and reads about −98.5 % (65×).
+    is one probe of a memoised image, and reads about −98.5 % (65×).
     The failure mode is to decline quietly — every answer stays right and
     the step-by-step path behind it reads −71 % (3.4×, which is what the
     commit before the kernel measured).
@@ -79,28 +79,25 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
 ``pre-space``
     (not a settings pair, and a floor, not a ceiling; five parts, each of
     which must pass) closures whose body is a step relation the fixpoint
-    driver iterates in pre-space (the seed encoded once, a round one probe
-    per fed pre of the index's maps and set algebra on integers, the answer
-    decoded once) vs the same closures with the body written ``… | $none``
-    under ``let $none := () return`` — a free variable that is no prolog
-    variable, so no relation of any form, and every round evaluates the
-    body on nodes: the pre-space side must be at least 1.5× faster.
-    (Until the image relation, the on-nodes side was ``… | ()``; that is an
-    image relation itself now.)  ``curriculum/interpreter`` is the
-    ``reply`` row's 24 medium-curriculum closures,
-    ``$x/id(./prerequisites/pre_code)``, a chain: it reads −55 % to −65 %
-    (2.2× to 2.9×).  ``dialogs/interpreter`` and ``dialogs/algebra`` are
-    the ledger's 24 dialogs closures over the default play (its band of
-    equal work), ``$x/following-sibling::SPEECH[1][not(…)]`` — a sibling
-    step whose node-local filter's verdicts the engine's own body filled on
-    the untimed warm-up runs: they read about −62 % to −65 % (2.7×) and
-    −77 % to −82 % (4.5× to 5.4×).  ``bidder/interpreter`` and
-    ``bidder/algebra`` are the ledger's six bidder closures,
-    ``bidder($x)`` — an image relation whose per-node images the engine's
-    own body filled on the untimed warm-up runs.  A closure whose
-    ``fixpoint`` span does not say ``space="pre"`` and the part's
-    ``relation`` form (the relation declined quietly, or another form took
-    it), a wrapped one that runs in pre-space, or two forms that answer
+    driver iterates in pre-space (the seed encoded once, a round the union
+    of the fed pres' images memoised on the index and set algebra on
+    integers, the answer decoded once) vs the same closures with the body
+    written ``… | $none`` under ``let $none := () return`` — a free
+    variable that is no prolog variable, so no relation, and every round
+    evaluates the body on nodes: the pre-space side must be at least 1.5×
+    faster.  (Until the image relation, the on-nodes side was ``… | ()``;
+    that is a relation itself now.)  Every part's images are filled by the
+    engine's own body on the untimed check runs.  ``curriculum/interpreter``
+    is the ``reply`` row's 24 medium-curriculum closures,
+    ``$x/id(./prerequisites/pre_code)``: it reads −55 % to −66 % (2.2× to
+    3×).  ``dialogs/interpreter`` and ``dialogs/algebra`` are the ledger's
+    24 dialogs closures over the default play (its band of equal work),
+    ``$x/following-sibling::SPEECH[1][not(…)]``: they read about −58 % to
+    −66 % (2.7×) and −77 % to −82 % (4.5× to 5.4×).  ``bidder/interpreter``
+    and ``bidder/algebra`` are the ledger's six bidder closures,
+    ``bidder($x)``: about −79 % to −85 %.  A closure whose ``fixpoint``
+    span does not say ``space="pre"`` (the relation declined quietly), a
+    wrapped one that runs in pre-space, or two forms that answer
     differently make the part INVALID.
 
 ``cte``
@@ -386,7 +383,7 @@ def check_fed_node(arguments: argparse.Namespace) -> bool:
         arguments.estimates, arguments.pairs)
     session.close()
     return verdict("fed-node", results, FED_NODE_TOLERANCE,
-                   "repro.xdm.index.StepRelation.bind, relation_edges and "
+                   "repro.xdm.index.StepRelation.bind, ImageSpace.image and "
                    "idref_targets (a decline is silent: trace the closure and look "
                    "for space=nodes on the fixpoint span), batch_id_path and "
                    "Evaluator._batch_id", arguments)
@@ -411,15 +408,15 @@ def check_pre_space(arguments: argparse.Namespace) -> bool:
     """Closures whose body is a step relation the driver iterates in
     pre-space vs the same closures written so that no relation takes them
     (:func:`without_relation`) — every round evaluates the body on nodes: the reply
-    guard's curriculum closures on the interpreter (a chain), the ledger's
-    dialogs closures (a sibling step with a node-local filter) and bidder
-    closures (an image relation) on the interpreter and on algebra.  Each
-    of the five parts must pass."""
+    guard's curriculum closures on the interpreter (a chain of steps), the
+    ledger's dialogs closures (a sibling step with a node-local filter) and
+    bidder closures (a value join in a function) on the interpreter and on
+    algebra.  Each of the five parts must pass."""
     from ledger import corpus, ops  # the ledger's own documents and closures
 
     session, closures = curriculum_closures()
     body = get_workload("curriculum").recursion_body
-    passed = [pre_space_part("curriculum/interpreter", "chain", closures,
+    passed = [pre_space_part("curriculum/interpreter", closures,
                              [session.prepare(without_relation(closure.query, body),
                                               settings=BASE) for closure in closures],
                              BASE, max(1, arguments.inner // 10),  # one run is 24 closures
@@ -428,8 +425,8 @@ def check_pre_space(arguments: argparse.Namespace) -> bool:
 
     documents, _ = corpus.build("service")  # its auction document is the full one
     scenarios = ops.Scenarios(documents)
-    for cls, uri, form, scale in (("dialogs", "play.xml", "sibling", 2),  # 24, ~5 ms
-                                  ("bidder", "auction.xml", "image", 3)):  # 6, ~1.5 ms
+    for cls, uri, scale in (("dialogs", "play.xml", 2),  # 24, ~5 ms
+                            ("bidder", "auction.xml", 3)):  # 6, ~1.5 ms
         starts = scenarios.start_nodes(cls, random.Random(0))
         body = ops.BODIES[cls]
         texts = [ops.closure_text(cls, start) for start in starts]
@@ -438,36 +435,34 @@ def check_pre_space(arguments: argparse.Namespace) -> bool:
         wrapped = [session.prepare(without_relation(text, body), settings=BASE)
                    for text in texts]
         for engine in ("interpreter", "algebra"):
-            passed.append(pre_space_part(f"{cls}/{engine}", form, closures, wrapped,
+            passed.append(pre_space_part(f"{cls}/{engine}", closures, wrapped,
                                          BASE.replace(engine=engine),
                                          max(1, arguments.inner * scale // 4), arguments))
         session.close()
     return all(passed)
 
 
-def pre_space_part(name: str, form: str, closures: list, on_nodes: list,
+def pre_space_part(name: str, closures: list, on_nodes: list,
                    settings: EvalSettings, inner: int,
                    arguments: argparse.Namespace) -> bool:
     """One part of the ``pre-space`` row: *closures* vs *on_nodes*, their
     wrapped forms, under *settings*.  INVALID unless every closure runs in
-    pre-space as a relation of *form*, every wrapped one on nodes, and the
-    two answer alike."""
+    pre-space, every wrapped one on nodes, and the two answer alike."""
     def run(closure, **options):
         return closure.run(settings=settings, **options)
 
-    def attributes(closure) -> tuple:
-        span = run(closure, trace=True).trace.find("fixpoint")
-        return span.attributes.get("space"), span.attributes.get("relation")
+    def space(closure) -> str | None:
+        return run(closure, trace=True).trace.find("fixpoint").attributes.get("space")
 
     def answer(closure) -> list:  # nodes by identity
         return [id(item) if is_node(item) else item for item in run(closure).items]
 
-    spaces = {(attributes(closure), attributes(wrapped))
+    spaces = {(space(closure), space(wrapped))
               for closure, wrapped in zip(closures, on_nodes)}
-    if spaces != {(("pre", form), (None, None))} or any(
+    if spaces != {("pre", None)} or any(
             answer(closure) != answer(wrapped) for closure, wrapped in zip(closures, on_nodes)):
         print(f"pre-space {name} check INVALID: every closure must run in pre-space "
-              f"(relation={form}), every wrapped one on nodes, and the two must "
+              "(space=pre), every wrapped one on nodes, and the two must "
               "answer alike", file=sys.stderr)
         return False
     results = alternate(
@@ -476,10 +471,9 @@ def pre_space_part(name: str, form: str, closures: list, on_nodes: list,
         arguments.estimates, arguments.pairs)
     return verdict(f"pre-space {name}", results, PRE_SPACE_TOLERANCE,
                    "repro.xquery.pushdown.recognize_step_relation (which bodies it "
-                   "accepts, in which form), StepRelation.bind (a decline is silent: "
-                   "the fixpoint span says space=nodes), StructuralIndex.relation_edges, "
-                   "SiblingSpace.image and ImageSpace.image (a warm round must not "
-                   "miss a verdict or an image)", arguments)
+                   "accepts), StepRelation.bind (a decline is silent: the fixpoint "
+                   "span says space=nodes), StructuralIndex.memo and ImageSpace.image "
+                   "(a warm round must not miss an image)", arguments)
 
 
 #: What a curriculum closure may cost as a recursive CTE: 3× the

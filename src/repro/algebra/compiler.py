@@ -165,7 +165,7 @@ class AlgebraCompiler:
             module's analysis report, when there is one, for its verdicts.
         variables:
             The module's prolog declarations by name: which prolog variables
-            a fixpoint body may read and still be an image relation
+            a fixpoint body may read and still be a step relation
             (:func:`repro.xquery.pushdown.recognize_step_relation`).
         """
         self.documents = documents or DocumentResolver()
@@ -842,7 +842,7 @@ class AlgebraCompiler:
         decision = decide_fixpoint(expr, self.settings, self.functions, fact=fact,
                                    body_plan=(body_plan, recursion_input))
         # The one recognizer the interpreter uses: a body that is a step
-        # relation iterates in pre-space, its verdicts and images filled by
+        # relation iterates in pre-space, its images filled by
         # this plan — against the documents it was compiled with.
         relation = recognize_step_relation(expr.body, expr.var, self.functions,
                                            engine="algebra", variables=self.variables,

@@ -1131,9 +1131,9 @@ class Fixpoint(Operator):
     was compiled from (:func:`repro.xquery.pushdown.recognize_step_relation`,
     as the interpreter does), which the engine's driver may iterate in
     pre-space instead of re-evaluating the plan — the plan still runs to
-    fill a sibling relation's missing verdicts and an image relation's
-    missing images; else ``None``.  ``documents`` holds the documents the
-    compilation resolved for the URIs an image relation reads.
+    fill the relation's missing images; else ``None``.  ``documents`` holds
+    the documents the compilation resolved for the URIs the relation
+    reads.
     """
 
     symbol = "µ"

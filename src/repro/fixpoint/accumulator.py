@@ -14,7 +14,9 @@ round — a near-linear Timsort over an already sorted prefix).
 
 A body that is a step relation runs in pre-space instead
 (:class:`PreAccumulator`): the state is a set of pre ranks, and the set is
-all there is — nothing to re-sort per round, one decode at the end.
+all there is — nothing to re-sort per round, one decode at the end.  The
+body there is :meth:`~repro.xdm.index.ImageSpace.image`, the union of the
+fed pres' images.
 
 Both accumulators answer the driver's three questions the same way:
 :meth:`add_new` folds a round in and returns its delta, :meth:`frontier`
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import XQueryTypeError
-from repro.xdm.index import PreSpace
+from repro.xdm.index import ImageSpace
 from repro.xdm.node import Node
 from repro.xdm.sequence import doc_order
 
@@ -82,14 +84,14 @@ class ResultAccumulator:
 class PreAccumulator:
     """The pre ranks found so far by a run in pre-space.
 
-    The body (:meth:`PreSpace.image`) is a set function of what it is fed,
+    The body (:meth:`ImageSpace.image`) is a set function of what it is fed,
     so neither the frontier nor the whole result needs an order; document
     order is ascending pre, restored once by :meth:`in_document_order`.
     """
 
     __slots__ = ("space", "seen")
 
-    def __init__(self, space: PreSpace):
+    def __init__(self, space: ImageSpace):
         self.space = space
         self.seen: set[int] = set()
 

@@ -43,24 +43,18 @@ probe per produced node and ``union res`` an append, so folding a round in
 costs O(|e_rec(fed)|) instead of re-validating and re-sorting everything
 found so far.
 
-When the body is a *step relation* — ``$x/id(./prerequisites/pre_code)``,
-``$x/parent``: child-by-name and ID-reference maps of the structural index
-(:class:`~repro.xdm.index.StepRelation`) — the loop does not need nodes at
+When the body is a *step relation* — a closed body that Figure 5 proves
+distributive, such as ``$x/id(./prerequisites/pre_code)`` or the bidder
+network's ``bidder($x)``, is the relation ``x ↦ e({x})`` (Definition 3.1;
+:class:`~repro.xdm.index.StepRelation`) — the loop does not need nodes at
 all.  The caller passes the relation beside the body; if it binds to the
 seed's tree, the seed is encoded to pre ranks once, every round is the
-maps' image of the fed pres and set algebra against the result
-(:class:`~repro.fixpoint.accumulator.PreAccumulator`), and the fixed point
-is decoded once.  A sibling step with node-local filters,
-``$x/following-sibling::SPEECH[1][not(…)]``, is a relation too: its
-structural part is a map of the index, and the filters' verdicts per target
-are memoised there, each filled by the body callable itself the first time
-a target comes up (the body distributes over what it is fed).  And any
-closed body that Figure 5 proves distributive — the bidder network's
-``bidder($x)`` — is the relation ``x ↦ e({x})`` (Definition 3.1): a round
-is the union of the fed pres' images, memoised on the index, each missing
-one filled by the body callable on that one node.  Feeding, stopping,
-budgets, spans and statistics are the same lines of this loop either way,
-so the rounds cannot differ.
+union of the fed pres' images (memoised on the structural index, each
+missing one filled by the body callable on that one node) and set algebra
+against the result (:class:`~repro.fixpoint.accumulator.PreAccumulator`),
+and the fixed point is decoded once.  Feeding, stopping, budgets, spans
+and statistics are the same lines of this loop either way, so the rounds
+cannot differ.
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ from repro.errors import FixpointError
 from repro.fixpoint.accumulator import PreAccumulator, ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
 from repro.observability import maybe_span
-from repro.xdm.index import ImageSpace, StepRelation
+from repro.xdm.index import StepRelation
 from repro.xdm.sequence import ensure_node_sequence
 
 #: Algorithms the engine knows about.
@@ -153,20 +147,18 @@ class FixpointEngine:
             *body* as a :class:`~repro.xdm.index.StepRelation`, when the
             calling engine recognized it as one.  If the relation binds to
             the seed's tree the run iterates in pre-space: the seed is
-            encoded once, a round is the relation's integer maps and set
+            encoded once, a round is a union of memoised images and set
             algebra on pres, and the fixed point is decoded once — the same
-            rounds, sizes, budgets and spans (*body* runs only to fill a
-            sibling relation's missing verdicts and an image relation's
+            rounds, sizes, budgets and spans (*body* runs only to fill
             missing images), with ``space="pre"`` on the ``fixpoint`` span
             (``"nodes"`` when the relation declined the seed; no ``space``
-            without a relation) and the relation's form beside it
-            (``relation="chain"|"sibling"|"image"``); an image run's rounds
-            carry ``filled``, the sources the round evaluated on nodes.
-            Traced runs count each offered relation as
-            ``kernel:fixpoint:pre-space``, a declined one as a fallback.
+            without a relation) and ``filled`` on its rounds, the sources
+            the round evaluated on nodes.  Traced runs count each offered
+            relation as ``kernel:fixpoint:pre-space``, a declined one as a
+            fallback.
         documents:
             The calling engine's document lookup (URI → the document held
-            under it, or ``None``), with which an image relation checks
+            under it, or ``None``), with which the relation checks
             that the documents its body reads are the seed's tree.
 
         Returns the fixed point in document order, with its
@@ -181,17 +173,13 @@ class FixpointEngine:
         if relation is not None:
             space = relation.bind(seed_nodes, body, documents)
             span_attributes = {**(span_attributes or {}),
-                               "space": "nodes" if space is None else "pre",
-                               "relation": relation.form}
+                               "space": "nodes" if space is None else "pre"}
             if trace is not None:
                 trace.record_kernel("fixpoint:pre-space", space is not None)
-        filling = None  # the image space, whose rounds report their fills
         if space is None:
             result = ResultAccumulator()
         else:  # from here on "nodes" are pres
             body, seed_nodes, result = space.image, space.seed, PreAccumulator(space)
-            if isinstance(space, ImageSpace):
-                filling = space
 
         def run_round(iteration: int, fed: list) -> list:
             """Apply the body to *fed* (a list the body may keep) and fold
@@ -203,8 +191,8 @@ class FixpointEngine:
             if span is not None:
                 span.set(fed=fed_count, produced=len(produced),
                          new=len(new), result_size=len(result))
-                if filling is not None:
-                    span.set(filled=filling.filled)
+                if space is not None:
+                    span.set(filled=space.filled)
                 trace.end(span)
             statistics.record(iteration, fed_count, len(produced), len(new), len(result))
             return new

@@ -190,7 +190,7 @@ class DocumentsRead:
 
     def loaded(self, uri: str) -> Any:
         """The document the caller's resolver already holds under *uri*, or
-        ``None`` (what an image relation checks its documents with; its
+        ``None`` (what a step relation checks its documents with; its
         answer does not depend on the outcome, so nothing is noted)."""
         return self._resolver.loaded(uri)
 

@@ -123,7 +123,7 @@ class SqlFixpointExecutor:
         top-level ``id(...)`` bodies scope their ID lookups to it, so
         without one they fall back to the driver.  ``relation`` is the body
         as a step relation, which the driver iterates in pre-space;
-        ``documents`` looks up the documents an image relation reads.
+        ``documents`` looks up the documents the relation reads.
         """
         emitted = None
         driver = {"path": "driver"}

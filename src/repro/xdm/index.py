@@ -40,18 +40,15 @@ order is ascending pre.  For every other axis results are deduplicated by
 identity and sorted once by ``order_key`` — never the quadratic per-node
 filtering the naive axis methods would add up to.
 
-A whole fixpoint can stay in pre-space too: a recursion body that is a
-chain of such steps is a :class:`StepRelation`, which the fixpoint driver
-binds to the seed's tree (:class:`PreSpace`) — the seed encoded once,
-every round one probe per fed pre of the relation's composed edge map
-(:meth:`StructuralIndex.relation_edges`), the fixed point decoded once.  So
-is a sibling step ``[k]`` with node-local filters (:class:`SiblingSpace`):
-a lazily filled map of :func:`nth_sibling`'s walk, and a value index of
-the filters' verdicts (:meth:`StructuralIndex.memo`) that the calling
-engine's own body fills.  And so is any closed body Figure 5 proves
-distributive (:class:`ImageSpace`): each node's image under the body, in
-the same memo slot, filled by the engine's body on that one node the
-second time the node misses, up to as many pres as the tree has nodes.
+A whole fixpoint can stay in pre-space too: a recursion body Figure 5
+proves distributive that reads nothing but its node's tree is a
+:class:`StepRelation` (Definition 3.1: the body is the relation
+``x ↦ e({x})``), which the fixpoint driver binds to the seed's tree
+(:class:`ImageSpace`) — the seed encoded once, every round the union of
+the fed pres' images, the fixed point decoded once.  The images are a
+value index (:meth:`StructuralIndex.memo`), filled by the calling engine's
+own body on one node the second time that node misses, up to as many pres
+as the tree has nodes.
 
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
@@ -122,7 +119,7 @@ class StructuralIndex:
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
                  "kind_pres", "_child_pres", "_attr_owner_sets",
                  "_attr_value_sets", "_path_value_sets", "_idref_targets",
-                 "_relation_edges", "_sibling_targets", "_memos")
+                 "_memos")
 
     def __init__(self, root: Node):
         self.root = root
@@ -191,9 +188,6 @@ class StructuralIndex:
         #: element name → parent pre → ascending pres of its children of
         #: that name (see :meth:`child_pres_named`)
         self._child_pres: dict[str, dict[int, list[int]]] = {}
-        #: (sibling axis, name, k) → pre → target pre or ``-1``
-        #: (see :meth:`sibling_targets`)
-        self._sibling_targets: dict[tuple[str, str, int], dict[int, int]] = {}
         self._reset_value_indexes()
 
     # -- value inverted indexes ----------------------------------------------
@@ -213,12 +207,9 @@ class StructuralIndex:
         #: element name → parent pre → target pres, or ``None``
         #: (see :meth:`idref_targets`)
         self._idref_targets: dict[str, dict[int, list[int]] | None] = {}
-        #: step-relation steps → pre → related pres, or ``None``
-        #: (see :meth:`relation_edges`)
-        self._relation_edges: dict[tuple, dict[int, list[int]] | None] = {}
-        #: step-relation memo key → pre → what the engine's own body said
-        #: of it: a filter's verdict, or an image (see :meth:`memo`)
-        self._memos: dict[object, dict] = {}
+        #: step relation → its images (see :meth:`memo`), and the verdict
+        #: of :meth:`ids_in_tree`
+        self._memos: dict[object, object] = {}
 
     def clear_value_indexes(self) -> None:
         """Drop the lazy value indexes (after a value mutation)."""
@@ -295,59 +286,17 @@ class StructuralIndex:
                     targets.setdefault(parent, []).append(target)
         return targets
 
-    def relation_edges(self, steps: tuple[tuple[str, str], ...]
-                       ) -> dict[int, list[int]] | None:
-        """The edges of a :class:`StepRelation`'s *steps* in this tree: pre
-        → the distinct pres the steps lead to from it (pres leading nowhere
-        are absent).  ``("child", n)`` steps read :meth:`child_pres_named`,
-        ``("idref", n)`` steps :meth:`idref_targets`; a one-step relation is
-        that map itself, a longer one is composed once, so a round probes one
-        map per fed pre however long the chain.  ``None`` when an
-        ID-reference step is (an ID resolves outside the tree).  A value
-        index like the others — an ID step reads string values — and shared:
-        callers must not mutate it."""
-        cache = self._relation_edges  # see path_value_owners on a concurrent clear
-        if steps not in cache:
-            maps = [self.child_pres_named(name) if kind == "child" else self.idref_targets(name)
-                    for kind, name in steps]
-            if None in maps:
-                cache[steps] = None
-            elif len(maps) == 1:
-                cache[steps] = maps[0]
-            else:
-                edges = {}
-                for source, pres in maps[0].items():
-                    for mapping in maps[1:]:
-                        pres = _mapped(mapping, pres)
-                    pres = list(dict.fromkeys(pres))
-                    if pres:
-                        edges[source] = pres
-                cache[steps] = edges
-        return cache[steps]
-
-    def sibling_targets(self, axis: str, name: str, k: int) -> dict[int, int]:
-        """The map of ``axis::name[k]`` for a sibling *axis*: pre → the pre
-        of the k-th sibling called *name* along the axis, ``-1`` where there
-        is none.  Filled lazily, one pre at a time, by the walk of
-        :func:`nth_sibling` (:meth:`SiblingSpace.image`): a structural
-        index, which a text edit leaves valid.  Shared — only the binding
-        space adds to it."""
-        return self._sibling_targets.setdefault((axis, name, k), {})
-
-    def memo(self, key: object, factory: Callable[[], dict] = dict) -> dict:
-        """The memo of a :class:`StepRelation` under its *key*, made by
-        *factory* the first time: a sibling relation's filter verdicts
-        (target pre → whether the target passes), an image relation's
-        images (:class:`ImageMemo`: source pre → the pres its body
-        produces).  Filled by the engine's own body (:meth:`SiblingSpace.image`,
-        :meth:`ImageSpace.image`); a value index — the body reads values —
-        so a text edit and a newly registered ID drop it, and a structural
-        change drops the whole index.  Shared — only the binding space adds
-        to it."""
+    def memo(self, relation: "StepRelation") -> "ImageMemo":
+        """The images of *relation* in this tree (:class:`ImageMemo`: source
+        pre → the pres its body produces), empty the first time.  Filled by
+        the engine's own body (:meth:`ImageSpace.image`); a value index —
+        the body reads values — so a text edit and a newly registered ID
+        drop it, and a structural change drops the whole index.  Shared —
+        only the binding space adds to it."""
         memos = self._memos  # see path_value_owners on a concurrent clear
-        memo = memos.get(key)
+        memo = memos.get(relation)
         if memo is None:
-            memo = memos.setdefault(key, factory())
+            memo = memos.setdefault(relation, ImageMemo())
         return memo
 
     def ids_in_tree(self) -> bool:
@@ -857,16 +806,9 @@ def nth_sibling(node: Node, axis: str, kind: str, name: str | None, n: int,
     pre = idx.pre_of.get(id(node))
     if pre is None:
         return None
-    found = _nth_sibling_at(idx, pre, axis, kind, name, n)
-    return [] if found is None else [found]
-
-
-def _nth_sibling_at(idx: StructuralIndex, pre: int, axis: str, kind: str,
-                    name: str | None, n: int) -> Node | None:
-    """The walk of :func:`nth_sibling` from the node at *pre*."""
     parent = idx.parent_pre[pre]
     if parent < 0:
-        return None
+        return []
     siblings = idx.nodes[parent].children
     position = idx.sib_pos[pre]
     walk = (range(position + 1, len(siblings)) if axis == "following-sibling"
@@ -876,8 +818,8 @@ def _nth_sibling_at(idx: StructuralIndex, pre: int, axis: str, kind: str,
         if _matches(sibling, kind, name, axis):
             n -= 1
             if not n:
-                return sibling
-    return None
+                return [sibling]
+    return []
 
 
 class IndexSet:
@@ -1051,11 +993,11 @@ def batch_id_path(nodes: Iterable, names: tuple[str, ...]) -> list[Node] | None:
 
     The column is split by covering index through ``pre_of`` membership
     (the index's root *is* the document: no per-node root walk), the chain
-    and the dereference are one probe per context pre of the chain's edges
-    (:meth:`StructuralIndex.relation_edges`: the child-by-name maps composed
-    with the ID-reference index, :meth:`StructuralIndex.idref_targets`),
-    and nodes are gathered once, from the sorted set of target pres; a
-    repeated context node only repeats work.
+    is one probe per pre of each child-by-name map
+    (:meth:`StructuralIndex.child_pres_named`) and of the ID-reference index
+    (:meth:`StructuralIndex.idref_targets`), and nodes are gathered once,
+    from the sorted set of target pres; a repeated context node only
+    repeats work.
 
     Returns ``None`` — the caller walks the chain step by step — when an
     item is not a node, a node is covered by no index, or an ID resolves
@@ -1082,227 +1024,90 @@ def batch_id_path(nodes: Iterable, names: tuple[str, ...]) -> list[Node] | None:
             rest = []
         groups.append((idx, pres))
 
-    steps = id_steps(names)
     per_tree: list[list[Node]] = []
     for idx, pres in groups:
-        edges = idx.relation_edges(steps)
-        if edges is None:
+        targets = idx.idref_targets(names[-1])
+        if targets is None:
             return None
+        for name in names[:-1]:
+            pres = _mapped(idx.child_pres_named(name), pres)
         tree_nodes = idx.nodes
-        per_tree.append([tree_nodes[pre] for pre in sorted(set(_mapped(edges, pres)))])
+        per_tree.append([tree_nodes[pre] for pre in sorted(set(_mapped(targets, pres)))])
 
     return _merged(per_tree)
 
 
-def id_steps(names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    """``id(n1/…/nk)`` as :class:`StepRelation` steps: the child steps
-    ``n1…nk-1``, then the ID-reference step ``nk``."""
-    return (*(("child", name) for name in names[:-1]), ("idref", names[-1]))
-
-
 @dataclass(frozen=True, slots=True)
 class StepRelation:
-    """A recursion body read as a relation on pre ranks, in one of three
-    forms (:attr:`form`).
+    """A recursion body read as a relation on pre ranks: a closed body that
+    Figure 5 proves distributive (Definition 3.1: ``e(X) = ∪_{x∈X}
+    e({x})``) is the relation ``x ↦ e({x})``, and each node's image depends
+    on nothing but that node and its document.
 
-    Each step of a *chain* is a pair: ``("child", n)`` is ``child::n`` (the
-    child-by-name map of *n*), ``("idref", n)`` is ``id(child::n)`` (the
-    ID-reference index of *n*), so ``$x/id(./prerequisites/pre_code)`` is
-    ``(("child", "prerequisites"), ("idref", "pre_code"))``.  Both maps are
-    integer work on one :class:`StructuralIndex` that stays inside its tree,
-    and a step distributes over its context nodes, so the body's value on a
-    node set is the union of the maps' images of its pres.
+    *key* is what the recognizer made of the body — opaque here: the
+    canonical body and the prolog declarations it reaches — *documents*
+    the URIs it reads through ``fn:doc`` (directly or in those
+    declarations), *ids* whether it calls ``fn:id``/``fn:idref``.  The
+    images are memoised per tree (:meth:`StructuralIndex.memo`) under this
+    relation, *engine* included: each engine fills them with its own body
+    on one node, and never reads what another filled.
 
-    A *sibling* relation is one step ``(axis, n, k)``:
-    ``$x/following-sibling::n[k]`` or ``$x/preceding-sibling::n[k]``
-    (:meth:`StructuralIndex.sibling_targets`), optionally followed by
-    node-local *filters* ``[F1]…[Fm]`` — predicate expressions, opaque
-    here, that read nothing but their focus node's tree.  Behind ``[k]`` a
-    candidate is alone (position 1, size 1), so a filter's verdict is a
-    function of the candidate's pre; the verdicts are memoised per tree
-    (:meth:`StructuralIndex.memo`) under this relation, *engine*
-    included: each engine fills them with its own body, and never reads
-    what another filled.
-
-    An *image* relation has no steps: it is any closed body that Figure 5
-    proves distributive (Definition 3.1: ``e(X) = ∪_{x∈X} e({x})``), so the
-    body is the relation ``x ↦ e({x})`` and each node's image depends on
-    nothing but that node and its document.  *image* is the memo key the
-    recognizer made of it — opaque here: the canonical body and the prolog
-    declarations it reaches — *documents* the URIs it reads through
-    ``fn:doc`` (directly or in those declarations), *ids* whether it calls
-    ``fn:id``/``fn:idref``.  The images are memoised per tree
-    (:class:`ImageSpace`), each filled by the engine's own body on one node.
-
-    The engines recognize the shape on the AST
+    The engines recognize it on the AST
     (:func:`repro.xquery.pushdown.recognize_step_relation`: the interpreter
     and sql's driver per evaluation, the algebra compiler into its
-    ``Fixpoint`` operator) and hand the relation to the fixpoint driver,
-    which :meth:`bind` s it to the seed; the rounds then never touch a node
-    (:class:`PreSpace`, :class:`SiblingSpace`, :class:`ImageSpace`) — but to
-    fill a verdict or an image.
+    ``Fixpoint`` operator) and hand it to the fixpoint driver, which
+    :meth:`bind` s it to the seed; the rounds then never touch a node
+    (:class:`ImageSpace`) — but to fill an image.
     """
 
-    steps: tuple[tuple, ...]
-    filters: tuple = ()
+    key: object
     #: whose body fills the memo: ``"interpreter"`` (also sql's driver,
     #: which evaluates bodies with the interpreter) or ``"algebra"``
     engine: str = "interpreter"
-    #: the image form's memo key (see above), ``None`` for the other forms
-    image: object = None
     documents: tuple[str, ...] = field(default=(), compare=False)
     ids: bool = field(default=False, compare=False)
-    #: the relation is the memo key: hashed once, not per lookup
-    #: (a filter's or an image body's AST hashes recursively)
+    #: the relation is the memo key: hashed once, not per lookup (the
+    #: body's AST hashes recursively)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.steps, self.filters, self.engine, self.image)))
+        object.__setattr__(self, "_hash", hash((self.key, self.engine)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def form(self) -> str:
-        """``"chain"``, ``"sibling"`` or ``"image"``."""
-        if self.image is not None:
-            return "image"
-        return "sibling" if self.steps[0][0] in SIBLING_AXES else "chain"
-
-    def bind(self, nodes: list, body: Callable[[list], list] | None = None,
+    def bind(self, nodes: list, body: Callable[[list], list],
              documents: Callable[[str], Node | None] | None = None
-             ) -> "PreSpace | SiblingSpace | ImageSpace | None":
+             ) -> "ImageSpace | None":
         """The relation over the tree of *nodes*, with *nodes* encoded as
         pres (repeats kept: the first round is fed the seed as written), or
-        ``None`` — the driver iterates on nodes — for an empty seed, a seed
-        with an item no index covers (an attribute, a node of a second
-        tree), and an ID that resolves outside the tree
-        (:meth:`StructuralIndex.idref_targets` is ``None``).  *body* is the
-        engine's node-level body, which fills a sibling relation's missing
-        verdicts and an image relation's missing images.
-
-        An image relation declines more, all before round 1: a seed item
-        that is not an element, a URI of :attr:`documents` that *documents*
+        ``None`` — the driver iterates on nodes — before round 1 for an
+        empty seed, a seed with an item no index covers (an attribute, a
+        node of a second tree), a URI of :attr:`documents` that *documents*
         (the engine's lookup: the document held under a URI, or ``None``)
         does not resolve to the seed's tree, and — with :attr:`ids` — an ID
-        registered on the document for an element outside the tree."""
+        registered on the document for an element outside the tree.  Every
+        other node kind may be seeded: a document node, an element, a text,
+        comment or processing-instruction node.  *body* is the engine's
+        node-level body, which fills the missing images."""
         if not nodes or not isinstance(nodes[0], Node):
             return None
         idx = index_for(nodes[0])
         seed = list(map(idx.pre_of.get, map(id, nodes)))
         if None in seed:
             return None
-        if self.image is not None:
-            root = idx.root
-            if not all(isinstance(node, ElementNode) for node in nodes):
+        root = idx.root
+        for uri in self.documents:
+            document = documents(uri) if documents is not None else None
+            if document is None or _root_of(document) is not root:
                 return None
-            for uri in self.documents:
-                document = documents(uri) if documents is not None else None
-                if document is None or _root_of(document) is not root:
-                    return None
-            if self.ids and not idx.ids_in_tree():
-                return None
-            return ImageSpace(idx, seed, idx.memo(self, ImageMemo), body)
-        step = self.steps[0]
-        if step[0] in SIBLING_AXES:
-            return SiblingSpace(idx, seed, idx.sibling_targets(*step), step,
-                                idx.memo(self) if self.filters else None, body)
-        edges = idx.relation_edges(self.steps)
-        if edges is None:
+        if self.ids and not idx.ids_in_tree():
             return None
-        return PreSpace(idx.nodes, edges, seed)
-
-
-def _decoded(nodes: list[Node], pres: Iterable[int]) -> list[Node]:
-    """*pres* as nodes, in document order (ascending pre)."""
-    return [nodes[pre] for pre in sorted(pres)]
-
-
-@dataclass(frozen=True, slots=True)
-class PreSpace:
-    """A chain :class:`StepRelation` bound to one tree: the seed's pres,
-    and the relation's edges (:meth:`StructuralIndex.relation_edges`).
-    :meth:`image` is the body on pres — one dict probe per pre and one
-    ``set``, no node, no identity set, no ``order_key`` sort — and
-    :meth:`decode` turns the fixed point back into nodes once."""
-
-    nodes: list[Node]
-    edges: dict[int, list[int]]
-    seed: list[int]
-
-    def image(self, pres: Iterable[int]) -> set[int]:
-        """The pres the relation relates some of *pres* to."""
-        return set(_mapped(self.edges, pres))
-
-    def decode(self, pres: Iterable[int]) -> list[Node]:
-        """*pres* as nodes, in document order (ascending pre)."""
-        return _decoded(self.nodes, pres)
-
-
-@dataclass(frozen=True, slots=True)
-class SiblingSpace:
-    """A sibling :class:`StepRelation` bound to one tree.
-
-    :meth:`image` maps each fed pre to its target through *targets* (the
-    walk of :func:`nth_sibling` fills a pre it has not seen) and, with
-    filters, keeps a target by its verdict.  A target without a verdict is
-    decided by the engine's own node-level *body*, run once per round on a
-    source of each such target, in document order: the body distributes
-    over its input, so ``body(S)`` is the targets of ``S`` that pass, and a
-    target is kept iff it comes out.  The verdicts are stored only when the
-    body returns — one that raises raises in this round, as the node path
-    would, and again in the next query.  A warm round is one probe of each
-    map per fed pre."""
-
-    idx: StructuralIndex
-    seed: list[int]
-    targets: dict[int, int]
-    step: tuple[str, str, int]
-    verdicts: dict[int, bool] | None
-    body: Callable[[list], list] | None
-
-    def image(self, pres: Iterable[int]) -> set[int]:
-        """The targets of *pres* that pass the filters."""
-        targets = self.targets
-        verdicts = self.verdicts
-        found: set[int] = set()
-        misses: dict[int, int] = {}  # target → a source of it
-        for pre in pres:
-            target = targets.get(pre)
-            if target is None:
-                target = targets[pre] = self._walk(pre)
-            if target < 0:
-                continue
-            if verdicts is None:
-                found.add(target)
-                continue
-            verdict = verdicts.get(target)
-            if verdict:
-                found.add(target)
-            elif verdict is None:
-                misses.setdefault(target, pre)
-        if misses:
-            idx = self.idx
-            kept = set(map(idx.pre_of.get, map(id, self.body(_decoded(idx.nodes, misses.values())))))
-            fresh = {target: target in kept for target in misses}
-            verdicts.update(fresh)
-            found.update(target for target, verdict in fresh.items() if verdict)
-        return found
-
-    def _walk(self, pre: int) -> int:
-        axis, name, k = self.step
-        idx = self.idx
-        found = _nth_sibling_at(idx, pre, axis, "name", name, k)
-        return -1 if found is None else idx.pre_of[id(found)]
-
-    def decode(self, pres: Iterable[int]) -> list[Node]:
-        """*pres* as nodes, in document order (ascending pre)."""
-        return _decoded(self.idx.nodes, pres)
+        return ImageSpace(idx, seed, idx.memo(self), body)
 
 
 class ImageMemo(dict):
-    """An image relation's memo on one tree (:meth:`StructuralIndex.memo`):
+    """A step relation's memo on one tree (:meth:`StructuralIndex.memo`):
     source pre → the pres the body produces from that node alone;
     :attr:`stored`, the number of pres held — bounded by the tree's node
     count — and :attr:`missed`, the sources that missed once
@@ -1317,16 +1122,18 @@ class ImageMemo(dict):
 
 
 class ImageSpace:
-    """An image :class:`StepRelation` bound to one tree.
+    """A :class:`StepRelation` bound to one tree.
 
-    :meth:`image` is the union of the fed pres' memoised images.  A pre
+    :meth:`image` is the union of the fed pres' memoised images — on a warm
+    memo one C-level pass over them, as cheap as probing an index map.  A pre
     without one (a *miss*) is decided by the engine's own node-level
     *body*: Definition 3.1 makes ``body(S)`` the union of the images of
-    ``S``'s nodes, however ``S`` is split.  The first time a source misses
-    it is answered with the round's other first misses by one
+    ``S``'s nodes, however ``S`` is split.  A source that missed in no
+    earlier run is answered with the round's other such misses by one
     set-at-a-time call, as on the node path — a relation run once costs
-    what the node path costs — and noted; the second time it is filled: the
-    body runs on that node alone, in document order, and its image is
+    what the node path costs, also under Naive, which feeds a source again
+    every round — and noted; one that missed in an earlier run is filled:
+    the body runs on that node alone, in document order, and its image is
     stored once every call of the round has returned.  A body that raises
     raises in its round, as the node path would, and stores and notes
     nothing.  The memo holds at most as many pres as the tree has nodes:
@@ -1335,7 +1142,7 @@ class ImageSpace:
     Naive round after an empty round 0) is handed to *body* as it is.
     :attr:`filled` counts the sources the last round evaluated on nodes."""
 
-    __slots__ = ("idx", "seed", "memo", "body", "filled")
+    __slots__ = ("idx", "seed", "memo", "body", "filled", "noted")
 
     def __init__(self, idx: StructuralIndex, seed: list[int], memo: ImageMemo,
                  body: Callable[[list], list]):
@@ -1344,11 +1151,23 @@ class ImageSpace:
         self.memo = memo
         self.body = body
         self.filled = 0
+        #: the sources this run noted in ``memo.missed``
+        self.noted: set[int] = set()
 
     def image(self, pres: Iterable[int]) -> set[int]:
         """The pres the body produces from some of *pres*."""
         memo = self.memo
-        found: set[int] = set()
+        if not pres:  # a Naive round after an empty round 0
+            self.filled = 0
+            return self._encoded(self.body([]))
+        try:
+            found = set(chain.from_iterable(map(memo.__getitem__, pres)))
+        except KeyError:  # a miss: the loop below sorts out which
+            pass
+        else:
+            self.filled = 0
+            return found
+        found = set()
         misses: list[int] = []
         for pre in pres:
             image = memo.get(pre)
@@ -1357,20 +1176,20 @@ class ImageSpace:
             else:
                 found.update(image)
         self.filled = len(misses)
-        if not misses:
-            return found if found or pres else self._encoded(self.body([]))
         nodes = self.idx.nodes
         misses.sort()
         if memo.stored >= len(nodes):
             found.update(self._encoded(self.body([nodes[pre] for pre in misses])))
             return found
-        missed = memo.missed
-        first = [pre for pre in misses if pre not in missed]
-        again = [pre for pre in misses if pre in missed] if len(first) < len(misses) else []
+        missed, noted = memo.missed, self.noted
+        first = [pre for pre in misses if pre not in missed or pre in noted]
+        again = ([pre for pre in misses if pre in missed and pre not in noted]
+                 if len(first) < len(misses) else [])
         if first:
             found.update(self._encoded(self.body([nodes[pre] for pre in first])))
         fresh = [tuple(self._encoded(self.body([nodes[pre]]))) for pre in again]
         missed.update(first)
+        noted.update(first)
         room = len(nodes) - memo.stored
         for pre, image in zip(again, fresh):
             found.update(image)
@@ -1384,12 +1203,13 @@ class ImageSpace:
         pre_of = self.idx.pre_of
         pres = set(map(pre_of.get, map(id, produced)))
         if None in pres:
-            raise FixpointError("an image relation's body left the seed's tree")
+            raise FixpointError("a step relation's body left the seed's tree")
         return pres
 
     def decode(self, pres: Iterable[int]) -> list[Node]:
         """*pres* as nodes, in document order (ascending pre)."""
-        return _decoded(self.idx.nodes, pres)
+        nodes = self.idx.nodes
+        return [nodes[pre] for pre in sorted(pres)]
 
 
 #: Axes :func:`batch_probe` can verify from the owner's side.

@@ -16,7 +16,7 @@ the evaluation algorithm.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
 
 
@@ -727,7 +727,8 @@ def get_position(node: object) -> tuple[int, int] | None:
     return None
 
 
-def substitute_variable(expr: Expr, var: str, replacement: Expr) -> Expr:
+def substitute_variable(expr: Expr, var: str, replacement: Expr,
+                        calls: list[FunctionCall] | None = None) -> Expr:
     """Return ``expr`` with free occurrences of ``$var`` replaced.
 
     This is the ``e1(e2) = e1[e2/$x]`` notation of Section 2.  Occurrences
@@ -735,27 +736,43 @@ def substitute_variable(expr: Expr, var: str, replacement: Expr) -> Expr:
     ``every``, ``typeswitch`` case variables, or ``with``) are left
     untouched; subexpressions where the variable remains free — such as the
     range expression of a rebinding ``for`` — are still rewritten.
+
+    Given a *calls* list, the same walk also appends every function call of
+    *expr* to it, in no particular order.
     """
-    from dataclasses import replace
-
-    if isinstance(expr, VarRef):
-        return replacement if expr.name == var else expr
+    kind = type(expr)
     if var not in expr.free_variables():
+        if calls is not None:
+            _append_calls(expr, calls)
         return expr
-
-    shadowed_fields = _shadowed_body_fields(expr, var)
-
+    if kind is VarRef:
+        return replacement
+    if calls is not None and kind is FunctionCall:
+        calls.append(expr)
+    shadowed = _shadowed_body_fields(expr, var)
     updates = {}
-    for name, _is_tuple in CHILD_FIELDS[type(expr)]:
-        if name in shadowed_fields:
-            continue
+    for name, is_tuple in _SUBEXPRESSION_FIELDS[kind]:
         value = getattr(expr, name)
-        new_value = _substitute_in_value(value, var, replacement)
-        if new_value is not value:
-            updates[name] = new_value
+        if name in shadowed:
+            if calls is not None and value is not None:
+                for part in value if is_tuple else (value,):
+                    _append_calls(part, calls)
+        elif is_tuple:
+            parts = tuple([substitute_variable(part, var, replacement, calls) for part in value])
+            if any(new is not old for new, old in zip(parts, value)):
+                updates[name] = parts
+        elif value is not None:
+            part = substitute_variable(value, var, replacement, calls)
+            if part is not value:
+                updates[name] = part
     if not updates:
         return expr
     return replace(expr, **updates)  # type: ignore[type-var]
+
+
+def _append_calls(expr: Expr, calls: list[FunctionCall]) -> None:
+    if _SUBEXPRESSION_FIELDS[type(expr)]:  # (a leaf calls nothing)
+        calls.extend([sub for sub in expr.iter_subexpressions() if type(sub) is FunctionCall])
 
 
 def _shadowed_body_fields(expr: Expr, var: str) -> frozenset[str]:
@@ -773,17 +790,6 @@ def _shadowed_body_fields(expr: Expr, var: str) -> frozenset[str]:
     if isinstance(expr, TypeswitchExpr) and var == expr.default_var:
         return frozenset({"default"})
     return frozenset()
-
-
-def _substitute_in_value(value, var: str, replacement: Expr):
-    if isinstance(value, Expr):
-        return substitute_variable(value, var, replacement)
-    if isinstance(value, tuple):
-        new_items = tuple(_substitute_in_value(item, var, replacement) for item in value)
-        if all(a is b for a, b in zip(new_items, value)):
-            return value
-        return new_items
-    return value
 
 
 def fresh_variable(base: str, taken: Sequence[str]) -> str:

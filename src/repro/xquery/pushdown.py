@@ -35,12 +35,11 @@ shared seam all three engines route such predicates through:
   the chains that run in pre-space on the ID-reference index
   (:func:`~repro.xdm.index.batch_id_path`);
 * the **step relation recognizer** (:func:`recognize_step_relation`) names
-  the recursion bodies ``$x/s1/…/sk`` made of such steps, or of one sibling
-  step ``[k]`` with :func:`node_local` filters, or — the image form — any
-  closed body Figure 5 proves distributive that returns distinct elements,
-  user-function calls inlined first (:func:`inline_calls`), whose fixpoint
-  the driver iterates in pre-space (:class:`~repro.xdm.index.StepRelation`)
-  — for every engine: the algebra compiler reads it off the AST too.
+  the recursion bodies that are relations on nodes — any closed body
+  Figure 5 proves distributive that returns distinct elements, user-function
+  calls inlined first (:func:`inline_calls`) — whose fixpoint the driver
+  iterates in pre-space (:class:`~repro.xdm.index.StepRelation`) — for
+  every engine: the algebra compiler reads it off the AST too.
 
 The interpreter calls the kernels from ``_apply_predicates``, the algebra
 backend from the :class:`~repro.algebra.operators.StepJoin` macro (the
@@ -101,11 +100,9 @@ from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 
 from repro.xdm.index import (
     PROBE_AXES,
-    SIBLING_AXES,
     IndexSet,
     StepRelation,
     batch_probe,
-    id_steps,
     named_element_test,
 )
 from repro.xdm.items import UntypedAtomic, is_node
@@ -367,35 +364,20 @@ def recognize_step_relation(body: ast.Expr, var: str,
                             variables: Mapping[str, ast.VariableDecl] | None = None,
                             fact=None) -> StepRelation | None:
     """A recursion body → its :class:`StepRelation`, or ``None``; the one
-    recognizer of every engine (*engine* names whose body fills a sibling
-    relation's verdicts and an image relation's images: ``"interpreter"``
-    for the interpreter and sql's driver, ``"algebra"`` for the algebra
-    compiler).  Calls of non-recursive user functions are inlined first
-    (:func:`inline_calls`; *functions* maps ``(name, arity)`` to the
-    declarations, or merely holds the declared pairs — then nothing is
-    inlined), so ``local:f($x)`` is judged on its body.  Then, in order:
+    recognizer of every engine (*engine* names whose body fills the
+    relation's images: ``"interpreter"`` for the interpreter and sql's
+    driver, ``"algebra"`` for the algebra compiler).
 
-    A *chain* ``$var/s1/…/sk``: each ``si`` is a predicate-free
-    ``child::name`` step or ``id(p)`` over a chain :func:`child_chain_names`
-    accepts (``id(n1/…/nk)`` is the child steps ``n1…nk-1`` and the
-    ID-reference step ``nk``) — the body
-    :func:`~repro.xdm.index.batch_id_path` answers for a column, and what
-    the fixpoint driver can iterate in pre-space.
-
-    A *sibling step*, alone: ``$var/following-sibling::n[k]`` or
-    ``$var/preceding-sibling::n[k]`` with ``k`` an integer literal ≥ 1,
-    then any number of :func:`node_local` predicates.
-
-    An *image* relation (:func:`_image_relation`): any other body that
-    Figure 5 proves distributive in ``$var`` (*fact*, the site's
-    :class:`~repro.analysis.report.FixpointFact`, holds the verdict when
-    the module was analyzed), that reads nothing but its node and that
-    node's document (*variables*, the module's prolog declarations by name
-    that no scope rebinds — :func:`prolog_variables` — say which prolog
-    variables do) and returns distinct elements."""
-    relation = _step_relation(body, var, functions, engine)
-    if relation is not None:
-        return relation
+    A body is a relation when Figure 5 proves it distributive in ``$var``
+    (*fact*, the site's :class:`~repro.analysis.report.FixpointFact`, holds
+    the verdict when the module was analyzed) and, with calls of
+    non-recursive user functions inlined (:func:`inline_calls`; *functions*
+    maps ``(name, arity)`` to the declarations, or merely holds the
+    declared pairs — then nothing is inlined), it reads nothing but its
+    node and that node's document and returns distinct elements
+    (:func:`_image_relation`; *variables*, the module's prolog declarations
+    by name that no scope rebinds — :func:`prolog_variables` — say which
+    prolog variables it may read)."""
     declarations = functions if isinstance(functions, Mapping) else {}
     if fact is not None:
         if not fact.syntactic_safe:
@@ -405,44 +387,24 @@ def recognize_step_relation(body: ast.Expr, var: str,
 
         if not is_distributivity_safe(body, var, declarations):
             return None
-    canonical = ast.substitute_variable(body, var, ast.VarRef(CANONICAL_VARIABLE))
-    if declarations:
-        inlined = inline_calls(canonical, declarations)
-        if inlined is None:
+    # One walk renames the recursion variable and finds the calls; the
+    # body's free variables and constructors are known already (computed
+    # once per node), and renaming changes neither but for the one name.
+    calls: list[ast.FunctionCall] = []
+    canonical = ast.substitute_variable(body, var, _CANONICAL_REF, calls)
+    constructs = body.contains_node_constructor()
+    free = body.free_variables() - {var}
+    if any((call.name, len(call.args)) in declarations for call in calls):
+        canonical = inline_calls(canonical, declarations)
+        if canonical is None:
             return None
-        if inlined is not canonical:
-            relation = _step_relation(inlined, CANONICAL_VARIABLE, functions, engine)
-            if relation is not None:
-                return relation
-            canonical = inlined
-    return _image_relation(canonical, functions, engine, variables or {})
-
-
-def _step_relation(body: ast.Expr, var: str, functions: Container[tuple[str, int]],
-                   engine: str) -> StepRelation | None:
-    """A chain or a sibling relation (see :func:`recognize_step_relation`)."""
-    if (isinstance(body, ast.PathExpr) and isinstance(body.right, ast.AxisStep)
-            and body.right.axis in SIBLING_AXES
-            and isinstance(body.left, ast.VarRef) and body.left.name == var):
-        return _sibling_relation(body.right, functions, engine)
-    steps: list[tuple[str, str]] = []
-    while isinstance(body, ast.PathExpr):
-        right = body.right
-        if isinstance(right, ast.AxisStep):
-            names = child_chain_names((right,))
-            if names is None:
-                return None
-            steps.append(("child", names[0]))
-        else:
-            chain = recognize_id_step(right, functions)
-            names = child_chain_names(chain) if chain is not None else None
-            if names is None:
-                return None
-            steps.extend(reversed(id_steps(names)))
-        body = body.left
-    if not (steps and isinstance(body, ast.VarRef) and body.name == var):
+        calls = [sub for sub in canonical.iter_subexpressions()
+                 if type(sub) is ast.FunctionCall]
+        constructs = canonical.contains_node_constructor()
+        free = canonical.free_variables() - {CANONICAL_VARIABLE}
+    if constructs:
         return None
-    return StepRelation(tuple(reversed(steps)), engine=engine)
+    return _image_relation(canonical, calls, free, functions, engine, variables or {})
 
 
 def fixpoint_relation(expr: ast.WithExpr, functions: Container[tuple[str, int]],
@@ -484,18 +446,6 @@ def prolog_variables(module: ast.Module) -> dict[str, ast.VariableDecl]:
     return found
 
 
-def _sibling_relation(step: ast.AxisStep, functions: Container[tuple[str, int]],
-                      engine: str) -> StepRelation | None:
-    k = _integer_literal(step.predicates[0]) if step.predicates else None
-    if (k is None or k < 1
-            or not named_element_test(step.node_test.kind, step.node_test.name)):
-        return None
-    filters = step.predicates[1:]
-    if not all(node_local(predicate, functions) for predicate in filters):
-        return None
-    return StepRelation(((step.axis, step.node_test.name, k),), filters, engine)
-
-
 #: Built-ins a node-local predicate may call: each reads its arguments and
 #: the focus, nothing else.  Not here: ``doc``/``doc-available`` (another
 #: document), ``id``/``idref`` (an ID may name an element of another tree),
@@ -534,9 +484,11 @@ def node_local(predicate: ast.Expr, functions: Container[tuple[str, int]]) -> bo
 
 # -- inlining ----------------------------------------------------------------
 
-#: The recursion variable's name in an image relation's memo key: no query
+#: The recursion variable's name in a step relation's memo key: no query
 #: text can spell it, so α-variant bodies (``$v1/…``, ``$v2/…``) share a key.
 CANONICAL_VARIABLE = "#x"
+_CANONICAL_REF = ast.VarRef(CANONICAL_VARIABLE)
+_CANONICAL_ONLY = frozenset({CANONICAL_VARIABLE})
 
 #: Declared types a parameter bound to the recursion variable may have:
 #: none, or a ``*`` of any node (what the fixpoint feeds).
@@ -642,7 +594,7 @@ _BINDING_FIELDS = {
 }
 
 
-# -- the image form ------------------------------------------------------------
+# -- the relation -------------------------------------------------------------
 
 #: Built-ins an image body may call besides :data:`NODE_LOCAL_BUILTINS`:
 #: ``fn:id``/``fn:idref`` (the relation then checks the document's IDs at
@@ -654,71 +606,58 @@ _BINDING_FIELDS = {
 IMAGE_BUILTINS = NODE_LOCAL_BUILTINS | {"id", "idref", "position", "last"}
 
 
-def _image_relation(canonical: ast.Expr, functions: Container[tuple[str, int]],
+def _image_relation(canonical: ast.Expr, calls: list[ast.FunctionCall],
+                    free: Iterable[str], functions: Container[tuple[str, int]],
                     engine: str, variables: Mapping[str, ast.VariableDecl]
                     ) -> StepRelation | None:
-    """The image form of :func:`recognize_step_relation`, or ``None``.
+    """The relation of :func:`recognize_step_relation`, or ``None``.
 
     A body Figure 5 proves distributive — its caller's check, apart from
     the Naive/Delta decision, so a ``using naive`` closure qualifies too —
-    is an image relation when its *canonical* form (calls inlined, the
-    recursion variable renamed to :data:`CANONICAL_VARIABLE`):
+    that constructs no node (its caller's check too) is a step relation
+    when its *canonical* form (calls inlined, the recursion variable
+    renamed to :data:`CANONICAL_VARIABLE`), whose *calls* and *free*
+    variables but that one are given:
 
-    * has no free variable but that one and prolog variables whose
-      initializers are *document-closed* (:func:`_document_closed`:
-      ``doc(literal)``, paths from it, literals, other such variables — no
-      external variable);
-    * reads no outer focus (:func:`focus_free`), constructs no node and
-      calls only :data:`IMAGE_BUILTINS` — no ``trace``, no recursive or
-      otherwise un-inlined user function, ``fn:doc`` on a literal only;
+    * has no free variable but prolog variables whose initializers are
+      *document-closed* (:func:`_document_closed`: ``doc(literal)``, paths
+      from it, literals, other such variables — no external variable);
+    * reads no outer focus (:func:`focus_free`) and calls only
+      :data:`IMAGE_BUILTINS` — no ``trace``, no recursive or otherwise
+      un-inlined user function, ``fn:doc`` on a literal only;
     * has distinct elements for its value (:func:`_distinct_elements`), so
       a round produces as many pres as the node path produces nodes.
 
     The memo key is the canonical body plus the prolog declarations it
     reaches: α-variant texts share it."""
-    if canonical.contains_node_constructor() or not focus_free(canonical):
+    if not focus_free(canonical):
         return None
     uris: set[str] = set()
-    uses_ids = _image_calls(canonical, functions, uris)
-    if uses_ids is None:
-        return None
-    reached: dict[str, ast.VariableDecl] = {}
-    for name in canonical.free_variables():
-        if name != CANONICAL_VARIABLE and not _document_closed(
-                ast.VarRef(name), variables, functions, reached, uris):
-            return None
-    if not _distinct_elements(canonical, frozenset({CANONICAL_VARIABLE}), reached):
-        return None
-    key = (canonical, tuple(sorted(reached.values(), key=lambda decl: decl.name)))
-    return StepRelation((), engine=engine, image=key, documents=tuple(sorted(uris)),
-                        ids=uses_ids)
-
-
-def _local(call: ast.FunctionCall) -> str:
-    return call.name[3:] if call.name.startswith("fn:") else call.name
-
-
-def _image_calls(expr: ast.Expr, functions: Container[tuple[str, int]],
-                 uris: set[str]) -> bool | None:
-    """Whether *expr* calls ``fn:id``/``fn:idref``, or ``None`` when it
-    calls anything an image body may not; adds its ``fn:doc`` URIs to
-    *uris*."""
     uses_ids = False
-    for sub in expr.iter_subexpressions():
-        if not isinstance(sub, ast.FunctionCall):
-            continue
-        if (sub.name, len(sub.args)) in functions:
+    for call in calls:
+        if (call.name, len(call.args)) in functions:
             return None
-        local = _local(sub)
+        local = _local(call)
         if local == "doc":
-            uri = _literal_uri(sub)
+            uri = _literal_uri(call)
             if uri is None:
                 return None
             uris.add(uri)
         elif local not in IMAGE_BUILTINS:
             return None
         uses_ids = uses_ids or local in ("id", "idref")
-    return uses_ids
+    reached: dict[str, ast.VariableDecl] = {}
+    for name in free:
+        if not _document_closed(ast.VarRef(name), variables, functions, reached, uris):
+            return None
+    if not _distinct_elements(canonical, _CANONICAL_ONLY, reached):
+        return None
+    key = (canonical, tuple(reached[name] for name in sorted(reached)))
+    return StepRelation(key, engine, documents=tuple(sorted(uris)), ids=uses_ids)
+
+
+def _local(call: ast.FunctionCall) -> str:
+    return call.name[3:] if call.name.startswith("fn:") else call.name
 
 
 def _literal_uri(call: ast.FunctionCall) -> str | None:
@@ -768,9 +707,10 @@ def _distinct_elements(expr: ast.Expr, elements: frozenset[str],
                        prolog: Mapping[str, ast.VariableDecl]) -> bool:
     """Is *expr*'s value distinct elements, by a syntactic rule over
     ``return``, ``if``, the set operators and a path's last step?  The
-    variables in *elements* hold distinct elements (the recursion variable:
-    the fixpoint feeds elements); a *prolog* variable does when its
-    initializer does.  A ``for`` qualifies only when it runs
+    variables in *elements* hold distinct elements, or at least distinct
+    nodes with a pre (the recursion variable: the fixpoint feeds nodes of
+    the seed's tree that are no attributes); a *prolog* variable does when
+    its initializer does.  A ``for`` qualifies only when it runs
     whole (:attr:`~repro.xquery.ast.ForExpr.whole`): per item, its returns
     may repeat a node, which the node path would count twice."""
     if isinstance(expr, ast.VarRef):

@@ -253,7 +253,8 @@ class TestKernelCountersBelongToTheirQuery:
 
     def test_untraced_traffic_does_not_leak_into_a_traced_query(self):
         with make_session() as session:
-            session.evaluate(TC_QUERY, trace=True)  # builds the indexes
+            for _ in range(2):  # builds the indexes, fills the closure's images
+                session.evaluate(TC_QUERY, trace=True)
             alone = kernel_counts(session.evaluate(TC_QUERY, trace=True))
             assert alone and alone == kernel_counts(
                 session.evaluate(TC_QUERY, trace=True))
@@ -290,8 +291,10 @@ class TestKernelCountersBelongToTheirQuery:
             both_inside.wait()  # breaks unless two evaluations overlap
             return original(self, module, context)
 
-        monkeypatch.setattr(Evaluator, "evaluate_module", rendezvous)
         with make_session() as session:
+            for _ in range(2):  # builds the indexes, fills the closure's images
+                session.evaluate(TC_QUERY)
+            monkeypatch.setattr(Evaluator, "evaluate_module", rendezvous)
             outcomes: list = []
 
             def traced():

@@ -805,9 +805,11 @@ class TestBatchIdCrossEngine:
     def test_the_kernel_is_counted(self):
         """One ``step:id`` batch per path application; a recognized shape
         the kernel declines counts as a fallback; an unrecognized one (a
-        positional predicate) is not the kernel's to count.  A closure over
-        the plain shape applies no path at all: its rounds run in pre-space
-        (``fixpoint:pre-space``)."""
+        positional predicate) is not the kernel's to count.  A closure whose
+        body no step relation takes (a free variable that is no prolog
+        variable) applies the kernel once per round; one over the plain
+        shape runs its rounds in pre-space (``fixpoint:pre-space``) and,
+        once its images are filled, applies no path at all."""
         documents = {"g.xml": idref_document(0)}
 
         def kernels(query, **settings):
@@ -819,9 +821,14 @@ class TestBatchIdCrossEngine:
         counted = kernels('for $n in $d//n return $n/id(./next)')
         assert counted["step:id"]["batch"] >= 2 and counted["step:id"]["fallback"] == 0
         assert "step:child" not in counted  # the chain runs inside the kernel
-        closure = kernels('with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next)')
-        assert closure["fixpoint:pre-space"] == {
-            **closure["fixpoint:pre-space"], "batch": 1, "fallback": 0}
+        on_nodes = kernels('let $none := () return '
+                           'with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next) | $none')
+        assert "fixpoint:pre-space" not in on_nodes
+        assert on_nodes["step:id"]["batch"] >= 2 and on_nodes["step:id"]["fallback"] == 0
+        for _ in range(3):  # cold, filling, warm
+            closure = kernels('with $x seeded by $d//n[@id = "n0"] recurse $x/id(./next)')
+            assert closure["fixpoint:pre-space"] == {
+                **closure["fixpoint:pre-space"], "batch": 1, "fallback": 0}
         assert "step:id" not in closure
         declined = kernels('$d//n/id(./grp[@k = "a"]/to)', use_pushdown=False)
         assert declined["step:id"] == {**declined["step:id"], "batch": 0, "fallback": 1}

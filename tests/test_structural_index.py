@@ -603,25 +603,39 @@ class TestWhatInvalidatesTheIdReferenceIndex:
 
 
 def test_the_ledgers_curriculum_closure_is_answered_by_the_kernel(monkeypatch):
-    """A kernel that quietly declines still answers right, only slowly:
-    the benchmark's own curriculum text must run its rounds in pre-space —
-    one ``fixpoint:pre-space`` hit, no fallback and no per-round ``step:id``
-    — under both algorithms, on the engines that iterate the body."""
+    """A kernel that quietly declines still answers right, only slowly.
+    Written so that no step relation takes it (a free variable that is no
+    prolog variable), the benchmark's own curriculum body must be answered
+    by the ``step:id`` kernel, with no fallback, under both algorithms, on
+    the engines that iterate the body; as written, its rounds run in
+    pre-space — one ``fixpoint:pre-space`` hit, no fallback — and, with
+    its images filled, apply no path at all."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
     from ledger import corpus, ops
 
     documents, _ = corpus.build("tiny")
     start = ops.Scenarios(documents).start_nodes("curriculum", random.Random(7))[0]
     uri = corpus.DOCUMENT_OF["curriculum"]
+    body = ops.BODIES["curriculum"]
     with Session({uri: documents[uri]}, id_attributes=corpus.ID_ATTRIBUTES) as session:
+        def traced(query: str, engine: str) -> tuple:
+            result = session.evaluate(query, engine=engine, trace=True)
+            assert len(result.trace.find_all("round")) > 1, engine
+            return result, {span.name: span.attributes for span in result.trace.children
+                            if span.name.startswith("kernel:")}
+
         for engine, naive in (("interpreter", False), ("interpreter", True),
                               ("algebra", False), ("algebra", True), ("sql", True)):
-            result = session.evaluate(ops.closure_text("curriculum", start, naive=naive),
-                                      engine=engine, trace=True)
-            kernels = {span.name: span.attributes for span in result.trace.children
-                       if span.name.startswith("kernel:")}
+            text = ops.closure_text("curriculum", start, naive=naive)
+            _, kernels = traced("let $none := () return "
+                                + text.replace(body, f"{body} | $none"), engine)
+            assert "kernel:fixpoint:pre-space" not in kernels, (engine, naive)
+            if engine != "algebra":  # whose plan has its own ID lookup
+                step = kernels["kernel:step:id"]
+                assert step["batch"] and not step["fallback"], (engine, naive)
+            for _ in range(3):  # cold, filling, warm
+                result, kernels = traced(text, engine)
+                kernel = kernels["kernel:fixpoint:pre-space"]
+                assert (kernel["batch"], kernel["fallback"]) == (1, 0), (engine, naive)
+                assert result.trace.find("fixpoint").attributes["space"] == "pre"
             assert "kernel:step:id" not in kernels, (engine, naive)
-            kernel = kernels["kernel:fixpoint:pre-space"]
-            assert (kernel["batch"], kernel["fallback"]) == (1, 0), (engine, naive)
-            assert result.trace.find("fixpoint").attributes["space"] == "pre"
-            assert len(result.trace.find_all("round")) > 1, (engine, naive)

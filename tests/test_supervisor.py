@@ -164,7 +164,11 @@ def _http_text(url: str, timeout: float = 10.0) -> str:
 
 
 class Fleet:
-    """A running ``repro-serve --workers N`` subprocess under test."""
+    """A running ``repro-serve --workers N`` subprocess under test.
+
+    The heartbeat timeout is far above a worker's boot time on a busy
+    machine, so no healthy worker is reaped as hung; *extra_args* come last
+    and override any flag (the hang test shortens it)."""
 
     def __init__(self, tmp_path, workers: int = 2, extra_args=(), env_extra=None):
         self.journal_path = tmp_path / "corpus.journal"
@@ -178,7 +182,7 @@ class Fleet:
                    "--journal", str(self.journal_path),
                    "--port", "0",
                    "--heartbeat-interval", "0.1",
-                   "--heartbeat-timeout", "2.0",
+                   "--heartbeat-timeout", "5.0",
                    "--restart-backoff", "0.05",
                    "--restart-backoff-max", "0.5",
                    "--stable-after", "0.5",
@@ -236,6 +240,22 @@ class Fleet:
                 self.process.wait(timeout=10)
 
 
+def restarts(metrics: str) -> float:
+    """``repro_worker_restarts_total`` in a supervisor exposition."""
+    (line,) = [line for line in metrics.splitlines()
+               if line.startswith("repro_worker_restarts_total ")]
+    return float(line.split()[1])
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory):
+    """One plain two-worker fleet, shared by the tests that leave it
+    serving: booting and stopping a fleet costs about two seconds."""
+    shared = Fleet(tmp_path_factory.mktemp("fleet"))
+    yield shared
+    shared.stop()
+
+
 @pytest.fixture()
 def fleet_factory(tmp_path):
     fleets: list[Fleet] = []
@@ -251,8 +271,20 @@ def fleet_factory(tmp_path):
 
 
 class TestPreforkFleet:
-    def test_serves_converges_and_recovers_from_sigkill(self, fleet_factory):
-        fleet = fleet_factory(workers=2)
+    def test_worker_readiness_gates_on_journal_replay(self, fleet):
+        fleet.wait_ready()
+        # Worker /ready on the shared socket reflects fleet status pushes.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            status, body = _http(fleet.base_url + "/ready")
+            if body.get("workers_target") == 2:
+                break
+            time.sleep(0.05)
+        assert status == 200
+        assert body["ready"] is True and body["journal_replayed"] is True
+        assert body["workers_target"] == 2 and body["degraded"] is False
+
+    def test_serves_converges_and_recovers_from_sigkill(self, fleet):
         ready = fleet.wait_ready()
         assert ready["workers_target"] == 2 and ready["workers_alive"] == 2
 
@@ -271,7 +303,8 @@ class TestPreforkFleet:
         metrics = self._metrics_of_every_worker(fleet, workers=2)
         assert 'worker="0"' in metrics and 'worker="1"' in metrics
         assert metrics.count("# HELP repro_requests_total") == 1
-        assert "repro_worker_restarts_total 0" in metrics
+        before = restarts(metrics)
+        assert before == 0
 
         # SIGKILL one worker mid-traffic: the supervisor restarts it, the
         # newcomer replays the journal, and its answers are item-identical
@@ -283,9 +316,9 @@ class TestPreforkFleet:
             workers = {w["slot"]: w for w in fleet.stats()["workers"]}
             replacement = workers.get(victim["slot"])
             if (replacement and replacement["pid"] != victim["pid"]
-                    and replacement["ready"]):
+                    and replacement["ready"] and replacement["direct_port"]):
                 break
-            time.sleep(0.1)
+            time.sleep(0.05)
         else:
             raise AssertionError("killed worker was never replaced")
 
@@ -298,8 +331,7 @@ class TestPreforkFleet:
             {"query": 'count(doc("d.xml")//a)'})
         assert status == 200 and body["items"] == direct
 
-        metrics = _http_text(fleet.control_url + "/metrics")
-        assert "repro_worker_restarts_total 1" in metrics
+        assert restarts(_http_text(fleet.control_url + "/metrics")) == before + 1
 
     def _converged(self, fleet: Fleet, expected: str,
                    timeout: float = 15.0) -> bool:
@@ -318,7 +350,7 @@ class TestPreforkFleet:
                     answers.append(None)
             if ports and all(a == [expected] for a in answers):
                 return True
-            time.sleep(0.2)
+            time.sleep(0.05)
         return False
 
     @staticmethod
@@ -335,52 +367,38 @@ class TestPreforkFleet:
             if (all(f'worker="{slot}"' in metrics for slot in range(workers))
                     or time.monotonic() >= deadline):
                 return metrics
-            time.sleep(0.2)
-
-    def test_worker_readiness_gates_on_journal_replay(self, fleet_factory):
-        fleet = fleet_factory(workers=2)
-        fleet.wait_ready()
-        # Worker /ready on the shared socket reflects fleet status pushes.
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            status, body = _http(fleet.base_url + "/ready")
-            if body.get("workers_target") == 2:
-                break
-            time.sleep(0.1)
-        assert status == 200
-        assert body["ready"] is True and body["journal_replayed"] is True
-        assert body["workers_target"] == 2 and body["degraded"] is False
+            time.sleep(0.05)
 
     def test_hung_worker_is_reaped_and_restarted(self, fleet_factory):
         fleet = fleet_factory(
-            workers=2,
+            workers=2, extra_args=["--heartbeat-timeout", "1.0"],
             env_extra={"REPRO_FAULTS": "worker-hang:sleep=30,after=3,limit=1"})
         fleet.wait_ready()
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             if any("missed heartbeats" in line for line in fleet.stderr_lines):
                 break
-            time.sleep(0.2)
+            time.sleep(0.05)
         else:
             raise AssertionError("supervisor never detected the hang:\n"
                                  + "".join(fleet.stderr_lines))
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            metrics = _http_text(fleet.control_url + "/metrics")
-            restarts = [line for line in metrics.splitlines()
-                        if line.startswith("repro_worker_restarts_total ")]
-            if restarts and float(restarts[0].split()[1]) >= 1:
+            if restarts(_http_text(fleet.control_url + "/metrics")) >= 1:
                 break
-            time.sleep(0.2)
+            time.sleep(0.05)
         else:
             raise AssertionError("hung worker was never restarted")
 
     def test_crash_loop_trips_breaker_into_degraded_mode(self, fleet_factory):
+        # Two crashes trip it, and no worker lives long enough to count as
+        # stable (which would close the breaker again).
         fleet = fleet_factory(
             workers=2,
-            extra_args=["--breaker-threshold", "3",
+            extra_args=["--breaker-threshold", "2",
                         "--breaker-window", "30",
-                        "--breaker-cooldown", "60"],
+                        "--breaker-cooldown", "60",
+                        "--stable-after", "30"],
             env_extra={"REPRO_FAULTS": "worker-kill"})
         fleet.wait_ready()
         # Every query SIGKILLs its worker; each restarted worker dies on
@@ -395,7 +413,7 @@ class TestPreforkFleet:
             status, body = _http(fleet.control_url + "/ready", timeout=5.0)
             if status == 503 and body.get("degraded"):
                 break
-            time.sleep(0.2)
+            time.sleep(0.05)
         else:
             raise AssertionError("breaker never tripped:\n"
                                  + "".join(fleet.stderr_lines))

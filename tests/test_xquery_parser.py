@@ -311,6 +311,24 @@ class TestAstHelpers:
         assert isinstance(replaced.sequence, ast.VarRef) and replaced.sequence.name == "z"
         assert isinstance(replaced.body, ast.VarRef) and replaced.body.name == "x"
 
+    @pytest.mark.parametrize("body", [
+        "$x/id(./r)",
+        "let $x := $x/m return $x/id(n)",          # shadowed in the return
+        "some $x in $x/n satisfies count($x/@k)",  # in the condition
+        "for $x at $i in $x return ($x, $i)",
+        "typeswitch ($x) case $x as element() return $x/m default $d return ($x, $d)",
+        "$x/m[some $x in ./n satisfies $x/@k]",    # no free $x below the step
+    ])
+    def test_substitution_collects_every_call(self, body):
+        """Given a list, the substitution also collects every call, shadowed
+        or not, and substitutes as it does without one."""
+        expr = parse_expression(body)
+        calls: list = []
+        replaced = ast.substitute_variable(expr, "x", ast.VarRef("z"), calls)
+        assert replaced == ast.substitute_variable(expr, "x", ast.VarRef("z"))
+        assert sorted(map(id, calls)) == sorted(
+            id(sub) for sub in expr.iter_subexpressions() if isinstance(sub, ast.FunctionCall))
+
     def test_contains_node_constructor(self):
         assert parse_expression("<a/>").contains_node_constructor()
         assert parse_expression("for $y in $x return text {'c'}").contains_node_constructor()
