@@ -54,12 +54,12 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     ``register_document("notes.xml", …)`` — a document no read touches —
     vs the same read warm, for the ``hospital`` and ``curriculum`` closures
     on ``engine="sql"`` and the ``bidder`` closure on ``engine="algebra"``:
-    at most 3× (reads about +50 % on the quarter-millisecond hospital
-    closure — a new snapshot, the store pool's retention rule, the collector
-    after a parse — +15 % to +30 % on the curriculum closure, whose warm
-    read halved when it began to read the store's edge table, and within
-    noise of 0 on the bidder closure, timed five times as often since its
-    warm read became an image relation's quarter-millisecond), and in the end
+    at most 3× (reads about +50 % to +80 % on the hospital closure — a new
+    snapshot, the store pool's retention rule, the collector after a parse
+    — +25 % to +45 % on the curriculum closure and +30 % to +45 % on the
+    bidder closure; each read is timed the more often the less its warm
+    run costs: the two SQL reads are probes of sql's own images, the bidder
+    read an image relation's quarter-millisecond), and in the end
     the pool has built one store and dropped no tree, the plan cache has
     missed once.  While a write dropped every connection thread's SQLite
     store and every compiled plan (before PR 21) the two SQL reads cost
@@ -77,7 +77,7 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     commit before the kernel measured).
 
 ``pre-space``
-    (not a settings pair, and a floor, not a ceiling; five parts, each of
+    (not a settings pair, and a floor, not a ceiling; six parts, each of
     which must pass) closures whose body is a step relation the fixpoint
     driver iterates in pre-space (the seed encoded once, a round the union
     of the fed pres' images memoised on the index and set algebra on
@@ -95,18 +95,34 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     ``$x/following-sibling::SPEECH[1][not(…)]``: they read about −58 % to
     −66 % (2.7×) and −77 % to −82 % (4.5× to 5.4×).  ``bidder/interpreter``
     and ``bidder/algebra`` are the ledger's six bidder closures,
-    ``bidder($x)``: about −79 % to −85 %.  A closure whose ``fixpoint``
-    span does not say ``space="pre"`` (the relation declined quietly), a
-    wrapped one that runs in pre-space, or two forms that answer
-    differently make the part INVALID.
+    ``bidder($x)``: about −79 % to −85 %.  ``curriculum/sql`` is the
+    curriculum part's closures on ``engine="sql"``, whose warm rounds probe
+    the images sql's recursive CTE filled on each closure's second run (its
+    first is the plain statement, run untimed before the check; the
+    wrapped forms run sql's driver on nodes): about −55 % to −65 %.  The
+    ledger's hospital closures on sql (``$x/parent``, five shallow rounds
+    under a filter and a count) are no part: they gain about a third on
+    either engine, at the floor itself — of nine such parts run on a 2-vCPU
+    VM (seven on sql, two on the interpreter), two failed (−30.1 %,
+    −32.3 %) and two passed by under half a point, with single estimates
+    from −13 % to −45 %; more closures per block did not narrow that.  A
+    closure whose ``fixpoint`` span does not say ``space="pre"`` (the
+    relation declined quietly), a wrapped one that runs in pre-space, or
+    two forms that answer differently make the part INVALID.
 
 ``cte``
     (not a settings pair) the ``reply`` row's 24 medium-curriculum closures
-    on ``engine="sql"`` — one ``WITH RECURSIVE`` statement each over the
-    store's edge table, which the row checks on the ``fixpoint`` span
-    (``path="cte"``, ``edges="cached"``: a table that silently declines
-    makes the row INVALID) — vs the same closures on the interpreter: at
-    most 3×.  The denominator is what moved: the row read +10 % to +40 %
+    on ``engine="sql"``, each from an empty sql image memo (no images, no
+    notes: what a text edit leaves) — so each is a seed's first miss, one
+    plain ``WITH RECURSIVE`` statement over the store's edge table, which
+    the row checks on the ``fixpoint`` span (``path="cte"``,
+    ``edges="cached"``: a table that silently declines makes the row
+    INVALID) — vs the same closures on the interpreter, warm: at most 3×.
+    It reads +95 % to +175 %.  The fill — the statement with its image
+    join, which a seed's second run pays — is not timed here: it costs
+    about 4.5× to 6× the warm interpreted closure (its ~640 ``(src, dst)``
+    rows against the plain statement's ~340 ``pre``s, and grouping them
+    into images in Python).  The denominator is what moved before: the row read +10 % to +40 %
     (bound 1.75×) until the interpreter's rounds ran in pre-space, and
     reads +120 % to +160 % since.  Against that interpreter the member's
     older forms would read about twice what they did: +117 % to +178 %
@@ -171,10 +187,11 @@ from repro.limits import ResourceLimits
 from repro.service.server import serialize_items
 from repro.session import Session
 from repro.settings import EvalSettings
+from repro.xdm.index import index_for
 from repro.xdm.items import is_node
-from repro.xquery import ast
+from repro.xquery import ast, pushdown
 from repro.xquery.optimizer import optimize_module
-from repro.xquery.parser import parse_query
+from repro.xquery.parser import parse_expression, parse_query
 
 BASE = EvalSettings(engine="interpreter", ifp_algorithm="delta")
 
@@ -408,19 +425,20 @@ def check_pre_space(arguments: argparse.Namespace) -> bool:
     """Closures whose body is a step relation the driver iterates in
     pre-space vs the same closures written so that no relation takes them
     (:func:`without_relation`) — every round evaluates the body on nodes: the reply
-    guard's curriculum closures on the interpreter (a chain of steps), the
-    ledger's dialogs closures (a sibling step with a node-local filter) and
-    bidder closures (a value join in a function) on the interpreter and on
-    algebra.  Each of the five parts must pass."""
+    guard's curriculum closures on the interpreter and on sql (a chain of
+    steps), the ledger's dialogs closures (a sibling step with a node-local
+    filter) and bidder closures (a value join in a function) on the
+    interpreter and on algebra.  Each of the six parts must pass."""
     from ledger import corpus, ops  # the ledger's own documents and closures
 
     session, closures = curriculum_closures()
     body = get_workload("curriculum").recursion_body
-    passed = [pre_space_part("curriculum/interpreter", closures,
-                             [session.prepare(without_relation(closure.query, body),
-                                              settings=BASE) for closure in closures],
-                             BASE, max(1, arguments.inner // 10),  # one run is 24 closures
-                             arguments)]
+    wrapped = [session.prepare(without_relation(closure.query, body), settings=BASE)
+               for closure in closures]
+    passed = [pre_space_part(f"curriculum/{engine}", closures, wrapped,
+                             BASE.replace(engine=engine),
+                             max(1, arguments.inner // 10),  # one run is 24 closures
+                             arguments) for engine in ("interpreter", "sql")]
     session.close()
 
     documents, _ = corpus.build("service")  # its auction document is the full one
@@ -457,6 +475,8 @@ def pre_space_part(name: str, closures: list, on_nodes: list,
     def answer(closure) -> list:  # nodes by identity
         return [id(item) if is_node(item) else item for item in run(closure).items]
 
+    for closure in closures:  # sql answers a seed's first miss with its plain statement
+        run(closure)
     spaces = {(space(closure), space(wrapped))
               for closure, wrapped in zip(closures, on_nodes)}
     if spaces != {("pre", None)} or any(
@@ -482,32 +502,60 @@ CTE_TOLERANCE = 2.0
 
 
 def check_cte(arguments: argparse.Namespace) -> bool:
-    """The reply guard's curriculum closures on ``engine="sql"`` (one
-    ``WITH RECURSIVE`` statement each, over the store's edge table) vs the
-    interpreter."""
+    """The reply guard's curriculum closures on ``engine="sql"``, each from
+    an empty sql image memo (a seed's first miss: one ``WITH RECURSIVE``
+    statement each, over the store's edge table) vs the interpreter."""
     session, closures = curriculum_closures()
     sql = BASE.replace(engine="sql")
+    relation = pushdown.recognize_step_relation(
+        parse_expression(get_workload("curriculum").recursion_body), "x", (), engine="sql")
+    memo = index_for(session.snapshot().resolve(get_workload("curriculum").document_uri)
+                     ).memo(relation)
+
+    def emptied() -> None:  # as a text edit leaves it: no images, no notes
+        memo.clear()
+        memo.stored = 0
+        memo.missed.clear()
+
+    def cold(closure, **options):
+        emptied()
+        return closure.run(settings=sql, **options)
+
     for closure in closures:  # the first one builds the edges
-        closure.run(settings=sql)
-    spans = [closure.run(settings=sql, trace=True).trace.find("fixpoint")
-             for closure in closures]
-    if any((span.attributes["path"], span.attributes.get("edges")) != ("cte", "cached")
+        cold(closure)
+    spans = [cold(closure, trace=True).trace.find("fixpoint") for closure in closures]
+    if any((span.attributes.get("path"), span.attributes.get("edges")) != ("cte", "cached")
            for span in spans):
         print("cte check INVALID: every closure must run as a recursive CTE over "
               "the store's cached edge table", file=sys.stderr)
         return False
-    inner = max(1, arguments.inner // 10)  # one run is 24 closures
+    # one run is 24 closures; two tenths of --inner keep the warm
+    # interpreted block above the noise floor
+    inner = max(1, arguments.inner // 5)
+
+    def cold_block() -> float:
+        for closure in closures[:BLOCK_WARMUP]:
+            cold(closure)
+        total = 0.0
+        for _ in range(inner):
+            for closure in closures:
+                emptied()
+                started = time.process_time()
+                closure.run(settings=sql)
+                total += time.process_time() - started
+        return total
+
     results = alternate(
-        timed_block(lambda: [closure.run(settings=sql) for closure in closures], inner),
-        timed_block(lambda: [closure.run() for closure in closures], inner),
+        cold_block, timed_block(lambda: [closure.run() for closure in closures], inner),
         arguments.estimates, arguments.pairs)
     session.close()
     return verdict("cte", results, CTE_TOLERANCE,
                    "repro.sqlbackend.executor._check_guards (one multi-token probe "
                    "per store version: SqlDocumentStore.verdict), "
-                   "SqlDocumentStore.edge_table (one build per tree and member) and "
+                   "SqlDocumentStore.edge_table (one build per tree and member), "
                    "the member (EXPLAIN QUERY PLAN: SEARCH e USING PRIMARY KEY "
-                   "(src=?) in both members)", arguments)
+                   "(src=?) in both members) and ImageSpace.first_miss (an empty "
+                   "memo must not fill)", arguments)
 
 
 #: What the set-at-a-time ``for`` must save on the bidder closure: the
@@ -579,10 +627,12 @@ def check_set_for(arguments: argparse.Namespace) -> bool:
 WRITE_TOLERANCE = 2.0
 
 #: The guarded reads — (ledger op class, engine, multiple of ``--inner``: a
-#: warm hospital closure is a quarter of a millisecond, 30 warm curriculum
-#: closures sit at the 80 ms noise floor, and a warm bidder closure is a
-#: quarter of a millisecond since its rounds are an image relation's).
-WRITE_READS = (("hospital", "sql", 4), ("curriculum", "sql", 2), ("bidder", "algebra", 5))
+#: warm hospital closure on sql is a sixth of a millisecond and a warm
+#: curriculum one a third, since their rounds are probes of sql's own
+#: images, and a warm bidder closure is a quarter of a millisecond since its
+#: rounds are an image relation's; each block stays about twice the 80 ms
+#: noise floor).
+WRITE_READS = (("hospital", "sql", 8), ("curriculum", "sql", 5), ("bidder", "algebra", 5))
 
 
 def check_write(arguments: argparse.Namespace) -> bool:

@@ -50,9 +50,11 @@ network's ``bidder($x)``, is the relation ``x ↦ e({x})`` (Definition 3.1;
 all.  The caller passes the relation beside the body; if it binds to the
 seed's tree, the seed is encoded to pre ranks once, every round is the
 union of the fed pres' images (memoised on the structural index, each
-missing one filled by the body callable on that one node) and set algebra
-against the result (:class:`~repro.fixpoint.accumulator.PreAccumulator`),
-and the fixed point is decoded once.  Feeding, stopping, budgets, spans
+missing one filled by the body callable on that one node — or, on the SQL
+engine, by one recursive CTE that reaches every source at once) and set
+algebra against the result
+(:class:`~repro.fixpoint.accumulator.PreAccumulator`), and the fixed point
+is decoded once.  Feeding, stopping, budgets, spans
 and statistics are the same lines of this loop either way, so the rounds
 cannot differ.
 """
@@ -60,6 +62,7 @@ cannot differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import monotonic
 from collections.abc import Callable, Mapping, Sequence
 
 from repro import faults
@@ -67,7 +70,7 @@ from repro.errors import FixpointError
 from repro.fixpoint.accumulator import PreAccumulator, ResultAccumulator
 from repro.fixpoint.stats import FixpointStatistics
 from repro.observability import maybe_span
-from repro.xdm.index import StepRelation
+from repro.xdm.index import ImageSpace, StepRelation
 from repro.xdm.sequence import ensure_node_sequence
 
 #: Algorithms the engine knows about.
@@ -105,7 +108,7 @@ class FixpointEngine:
             algorithm: str = "naive", seed_is_initial_result: bool = False,
             trace=None, governor=None,
             span_attributes: Mapping[str, object] | None = None,
-            relation: StepRelation | None = None,
+            relation: StepRelation | ImageSpace | None = None,
             documents: Callable[[str], object] | None = None) -> FixpointResult:
         """Compute the IFP of *body* seeded by *seed*.
 
@@ -138,7 +141,11 @@ class FixpointEngine:
             Optional :class:`~repro.limits.Governor`; consulted before every
             round ≥ 1 (deadline, cancellation, round/frontier/result budgets)
             with the sizes the loop already has: ``frontier`` is the number
-            of nodes about to be fed.
+            of nodes about to be fed.  The loop compares them inline against
+            :attr:`~repro.limits.Governor.round_ceilings` (one round ceiling
+            folds the round budget into *max_iterations*) and calls
+            :meth:`~repro.limits.Governor.check_round` only for a round past
+            one of them, which then raises its typed error.
         span_attributes:
             Extra attributes for the ``fixpoint`` span — what the calling
             engine knows and the loop does not (algebra's ``variant``, the
@@ -153,9 +160,12 @@ class FixpointEngine:
             missing images), with ``space="pre"`` on the ``fixpoint`` span
             (``"nodes"`` when the relation declined the seed; no ``space``
             without a relation) and ``filled`` on its rounds, the sources
-            the round evaluated on nodes.  Traced runs count each offered
-            relation as ``kernel:fixpoint:pre-space``, a declined one as a
-            fallback.
+            the round evaluated on nodes or handed to a fill.  Traced runs
+            count each offered relation as ``kernel:fixpoint:pre-space``, a
+            declined one as a fallback.  An
+            :class:`~repro.xdm.index.ImageSpace` the caller bound itself —
+            the SQL engine's, whose fill is its recursive CTE — is taken as
+            it is.
         documents:
             The calling engine's document lookup (URI → the document held
             under it, or ``None``), with which the relation checks
@@ -171,37 +181,51 @@ class FixpointEngine:
         statistics = FixpointStatistics(algorithm=algorithm)
         space = None
         if relation is not None:
-            space = relation.bind(seed_nodes, body, documents)
-            span_attributes = {**(span_attributes or {}),
-                               "space": "nodes" if space is None else "pre"}
+            space = (relation if isinstance(relation, ImageSpace)
+                     else relation.bind(seed_nodes, body, documents))
             if trace is not None:
                 trace.record_kernel("fixpoint:pre-space", space is not None)
         if space is None:
             result = ResultAccumulator()
         else:  # from here on "nodes" are pres
             body, seed_nodes, result = space.image, space.seed, PreAccumulator(space)
+        # One ceiling for the rounds, two for the sizes, the deadline and the
+        # cancel flag, compared inline: a round past none of them makes no
+        # call, and one past any makes the governor's full check, which
+        # raises its typed error.
+        ceiling = self.max_iterations
+        if governor is not None:
+            rounds, frontier_ceiling, result_ceiling, deadline, token = governor.round_ceilings
+            if rounds < ceiling:
+                ceiling = rounds
+        size = 0
 
         def run_round(iteration: int, fed: list) -> list:
             """Apply the body to *fed* (a list the body may keep) and fold
             its output into ``res``; returns the nodes that were new."""
+            nonlocal size
             fed_count = len(fed)
             span = trace.begin("round", iteration=iteration) if trace is not None else None
             produced = body(fed)
             new = result.add_new(produced)
+            size += len(new)
             if span is not None:
                 span.set(fed=fed_count, produced=len(produced),
-                         new=len(new), result_size=len(result))
+                         new=len(new), result_size=size)
                 if space is not None:
                     span.set(filled=space.filled)
                 trace.end(span)
-            statistics.record(iteration, fed_count, len(produced), len(new), len(result))
+            statistics.record(iteration, fed_count, len(produced), len(new), size)
             return new
 
         with maybe_span(trace, "fixpoint", algorithm=algorithm,
                         **(span_attributes or {}), seed=len(seed_nodes)) as span:
+            if span is not None and relation is not None:
+                span.set(space="nodes" if space is None else "pre")
             if seed_is_initial_result:
                 new = result.add_new(seed_nodes)
-                statistics.record(0, 0, len(seed_nodes), len(new), len(result))
+                size = len(new)
+                statistics.record(0, 0, len(seed_nodes), len(new), size)
             else:
                 new = run_round(0, seed_nodes)
             iteration = 0
@@ -209,20 +233,24 @@ class FixpointEngine:
             while feed_everything or new:
                 fed = result.everything() if feed_everything else result.frontier(new)
                 iteration += 1
-                if iteration > self.max_iterations:
-                    raise FixpointError(
-                        "inflationary fixed point did not converge within "
-                        f"{self.max_iterations} iterations")
-                if governor is not None:
-                    governor.check_round(iteration, frontier=len(fed),
-                                         result_size=len(result))
+                if iteration > ceiling or governor is not None and (
+                        len(fed) > frontier_ceiling or size > result_ceiling
+                        or monotonic() >= deadline
+                        or token is not None and token.cancelled()):
+                    if iteration > self.max_iterations:
+                        raise FixpointError(
+                            "inflationary fixed point did not converge within "
+                            f"{self.max_iterations} iterations")
+                    governor.check_round(iteration, frontier=len(fed), result_size=size)
                 faults.trigger("slow-span")
                 new = run_round(iteration, fed)
                 if feed_everything and not new:
                     break  # ... Naive after a round that added nothing
             value = result.in_document_order()
             if span is not None:
-                span.set(result_size=len(value), rounds=statistics.recursion_depth)
+                # read again: a fill may have said what it ran
+                span.set(**(span_attributes or {}), result_size=len(value),
+                         rounds=statistics.recursion_depth)
         return FixpointResult(value=value, statistics=statistics)
 
     def run_both(self, body: Callable[[list], list], seed: Sequence,

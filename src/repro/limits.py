@@ -24,8 +24,10 @@ Engines check cooperatively:
   they are bounded by document size, and unbounded work always flows
   through an iteration, a call or a fixpoint round;
 * the fixpoint driver (:meth:`repro.fixpoint.engine.FixpointEngine.run`,
-  which every engine iterates through) calls :meth:`Governor.check_round`
-  once per round, reusing the fed/result sizes it already has;
+  which every engine iterates through) compares, before every round, the
+  fed/result sizes it already has, the clock and the cancel flag inline
+  against :attr:`Governor.round_ceilings`, and calls
+  :meth:`Governor.check_round` for a round past one of them;
 * the SQLite backend installs a :func:`sqlite_guard` progress handler so
   even one monster ``WITH RECURSIVE`` statement is interruptible.
 
@@ -37,6 +39,8 @@ and :class:`~repro.errors.QueryCancelled`.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -48,10 +52,10 @@ from repro.errors import BudgetExceeded, QueryCancelled, QueryTimeout
 #: (cancel flag + clock).  The amortized call is three interpreter ops —
 #: increment, compare, return — so governed-but-untriggered evaluation
 #: stays within the <2% overhead budget (``benchmarks/check_overhead.py``
-#: guards this).  Round boundaries always run
-#: the full check via :meth:`Governor.check_round`, so cancellation
-#: latency is bounded by one fixpoint round or one stride of steps,
-#: whichever comes first.
+#: guards this).  Round boundaries always
+#: look at the cancel flag and the clock (inline, in the fixpoint driver),
+#: so cancellation latency is bounded by one fixpoint round or one stride of
+#: steps, whichever comes first.
 CHECKPOINT_STRIDE = 64
 
 #: How many SQLite VM instructions run between progress-handler callbacks.
@@ -182,7 +186,8 @@ class Governor:
     threads).
     """
 
-    __slots__ = ("limits", "deadline", "token", "tick", "_rss_start_kb")
+    __slots__ = ("limits", "deadline", "token", "tick", "round_ceilings",
+                 "_rss_start_kb")
 
     def __init__(self, limits: ResourceLimits,
                  token: CancelToken | None = None,
@@ -199,6 +204,20 @@ class Governor:
         #: budget that ``benchmarks/check_overhead.py`` enforces.
         self.tick = itertools.cycle(
             (False,) * (stride - 1) + (True,)).__next__
+        unset = sys.maxsize
+        #: What the fixpoint driver compares inline before every round:
+        #: the round, frontier and result budgets as ceilings (``sys.maxsize``
+        #: where unset; a frontier ceiling of ``-1`` under a memory budget,
+        #: whose probe runs every round), the deadline's monotonic instant
+        #: (``inf`` without one) and the cancel token.  Only a round past one
+        #: of them needs the full :meth:`check_round`.
+        self.round_ceilings = (
+            unset if limits.max_fixpoint_rounds is None else limits.max_fixpoint_rounds,
+            -1 if limits.max_memory_kb is not None
+            else unset if limits.max_frontier_nodes is None else limits.max_frontier_nodes,
+            unset if limits.max_result_items is None else limits.max_result_items,
+            math.inf if self.deadline is None else self.deadline.at,
+            token)
         self._rss_start_kb = (_rss_kb()
                               if limits.max_memory_kb is not None else None)
 

@@ -280,24 +280,42 @@ class FixpointSql:
                           *(f"  {join}" for join in self.joins),
                           "  WHERE s.pre BETWEEN ? AND ?", "  LIMIT ?"])
 
-    def _statement(self, seed_body: str, edges: str | None) -> str:
+    def images(self, edges: str | None = None) -> str:
+        """The final ``SELECT`` of an image statement: the member once more,
+        from every source the fixpoint holds or was seeded with, as distinct
+        ``(src, dst)`` rows.  A source without rows has an empty image —
+        every node the fixpoint holds is some source's ``dst``, so seed and
+        rows together name every source."""
+        reached = "  FROM (SELECT pre FROM seed UNION SELECT pre FROM fixpoint) AS s"
+        if edges is not None:  # its pairs are distinct (its primary key)
+            return "\n".join(["SELECT s.pre, e.dst", reached,
+                              f"  CROSS JOIN {edges} AS e ON e.src = s.pre"])
+        return "\n".join([f"SELECT DISTINCT s.pre, {self.result}", reached,
+                          *(f"  {join}" for join in self.joins)])
+
+    def _statement(self, seed_body: str, edges: str | None, images: bool = False) -> str:
         return format_with_recursive(
             "fixpoint", ("pre",),
             self.member("seed", edges), self.member("fixpoint", edges),
             union="UNION",
             # No ORDER BY: decode_pres puts the nodes in document order,
             # which across trees is order_key's, not pre's.
-            final_select="SELECT pre FROM fixpoint",
+            final_select=self.images(edges) if images else "SELECT pre FROM fixpoint",
             preamble=(("seed(pre)", seed_body),),
         )
 
-    def statement(self, seed_count: int, edges: str | None = None) -> str:
-        """The executable statement for *seed_count* seed parameters."""
-        return self._statement("VALUES " + ", ".join(["(?)"] * max(seed_count, 1)), edges)
+    def statement(self, seed_count: int, edges: str | None = None,
+                  images: bool = False) -> str:
+        """The executable statement for *seed_count* seed parameters: the
+        fixed point's ``pre`` ranks, or with *images* the ``(src, dst)``
+        rows of :meth:`images`."""
+        return self._statement("VALUES " + ", ".join(["(?)"] * max(seed_count, 1)),
+                               edges, images)
 
-    def statement_from_table(self, table: str, edges: str | None = None) -> str:
+    def statement_from_table(self, table: str, edges: str | None = None,
+                             images: bool = False) -> str:
         """The statement reading seed ``pre`` ranks from *table*."""
-        return self._statement(f"SELECT pre FROM {table}", edges)
+        return self._statement(f"SELECT pre FROM {table}", edges, images)
 
     def display(self) -> str:
         """The statement with a symbolic seed list (for ``--emit-sql``): the
@@ -335,6 +353,49 @@ def emit_fixpoint_sql(body: ast.Expr, variable: str,
         return None
 
 
+#: What :class:`_Emitter` records for an input it never read.
+_UNREAD = object()
+
+
+def _variable_values(variables: dict, name: str):
+    """What the emitter inlines for the variable *name*: its string values,
+    ``None`` when one is not a string, :data:`_UNREAD` when unbound."""
+    return string_values_or_none(variables[name]) if name in variables else _UNREAD
+
+
+def emitted_for(expr: ast.WithExpr, variables: dict | None = None,
+                push_predicates: bool = True, anchor_doc_id=None) -> FixpointSql | None:
+    """:func:`emit_fixpoint_sql` of *expr*'s body, memoised on the node.
+
+    The statement — or ``None`` — depends on the body and on what emitting
+    it read: *push_predicates*, the string values of every variable it
+    inlined (or looked for), and the anchor's ``doc_id`` when a top-level
+    ``id(…)`` resolved it.  The memo keeps those beside the statement and
+    serves it while they are what they were: a run in another scope (a
+    ``let`` that rebinds an inlined name) or over another anchor document
+    emits again.
+    """
+    variables = variables or {}
+    memo = expr._emitted
+    if memo is not None:
+        pushed, reads, anchor, emitted = memo
+        if anchor is not _UNREAD and callable(anchor_doc_id):
+            anchor_doc_id = anchor_doc_id()  # once, for the check and the emitter
+        if (pushed == push_predicates
+                and (not reads or all(_variable_values(variables, name) == values
+                                      for name, values in reads))
+                and (anchor is _UNREAD or anchor == anchor_doc_id)):
+            return emitted
+    emitter = _Emitter(expr.var, variables, push_predicates, anchor_doc_id=anchor_doc_id)
+    try:
+        emitted = emitter.emit(expr.body)
+    except _NotEmittable:
+        emitted = None
+    object.__setattr__(expr, "_emitted", (push_predicates, tuple(emitter.reads),
+                                          emitter.anchor, emitted))
+    return emitted
+
+
 class _Emitter:
     def __init__(self, variable: str, variables: dict | None = None,
                  push_predicates: bool = True, anchor_doc_id=None):
@@ -342,6 +403,10 @@ class _Emitter:
         self.variables = variables or {}
         self.push_predicates = push_predicates
         self.anchor_doc_id = anchor_doc_id
+        #: ``(name, values)`` of every variable looked up (:func:`emitted_for`)
+        self.reads: list[tuple[str, object]] = []
+        #: the resolved anchor ``doc_id``, once read
+        self.anchor = _UNREAD
         #: ``CROSS JOIN`` clauses in chain order; ``None`` is a node row
         #: reserved by a :class:`_Rows` and never read
         self.joins: list[str | None] = []
@@ -354,6 +419,7 @@ class _Emitter:
         """The ``doc_id`` anchoring top-level ``id(...)`` lookups."""
         if callable(self.anchor_doc_id):
             self.anchor_doc_id = self.anchor_doc_id()
+        self.anchor = self.anchor_doc_id
         if not isinstance(self.anchor_doc_id, int):
             raise _NotEmittable
         return self.anchor_doc_id
@@ -488,9 +554,10 @@ class _Emitter:
         if isinstance(shape.rhs, ast.Literal):
             values = string_values_or_none([shape.rhs.value])
         elif isinstance(shape.rhs, ast.VarRef):
-            if shape.rhs.name not in self.variables:
+            values = _variable_values(self.variables, shape.rhs.name)
+            self.reads.append((shape.rhs.name, values))
+            if values is _UNREAD:
                 raise _NotEmittable
-            values = string_values_or_none(self.variables[shape.rhs.name])
         else:
             # A computed right-hand side has no value the SQL text could
             # inline: declined (driver loop).
@@ -581,4 +648,4 @@ def _quote(text: str) -> str:
     return f"'{escaped}'"
 
 
-__all__ = ["FixpointSql", "emit_fixpoint_sql", "format_with_recursive"]
+__all__ = ["FixpointSql", "emit_fixpoint_sql", "emitted_for", "format_with_recursive"]

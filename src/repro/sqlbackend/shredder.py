@@ -410,12 +410,11 @@ class SqlDocumentStore:
 
     def decode(self, pres: Iterable[int]) -> list[Node]:
         """Map ``pre`` ranks back to the live XDM nodes (input order)."""
-        nodes: list[Node] = []
-        for pre in pres:
-            node = self._node_of.get(pre)
-            if node is None:
-                raise SqlBackendError(f"pre rank {pre} does not denote a shredded node")
-            nodes.append(node)
+        pres = list(pres)
+        nodes = list(map(self._node_of.get, pres))
+        if None in nodes:
+            pre = pres[nodes.index(None)]
+            raise SqlBackendError(f"pre rank {pre} does not denote a shredded node")
         return nodes
 
     def node_count(self) -> int:

@@ -47,8 +47,9 @@ proves distributive that reads nothing but its node's tree is a
 (:class:`ImageSpace`) — the seed encoded once, every round the union of
 the fed pres' images, the fixed point decoded once.  The images are a
 value index (:meth:`StructuralIndex.memo`), filled by the calling engine's
-own body on one node the second time that node misses, up to as many pres
-as the tree has nodes.
+own body on one node the second time that node misses — or, by the SQL
+engine, from the one recursive CTE that reaches every source at once —
+up to as many pres as the tree has nodes.
 
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
@@ -1050,7 +1051,7 @@ class StepRelation:
     declarations), *ids* whether it calls ``fn:id``/``fn:idref``.  The
     images are memoised per tree (:meth:`StructuralIndex.memo`) under this
     relation, *engine* included: each engine fills them with its own body
-    on one node, and never reads what another filled.
+    (sql's from its recursive CTE), and never reads what another filled.
 
     The engines recognize it on the AST
     (:func:`repro.xquery.pushdown.recognize_step_relation`: the interpreter
@@ -1062,7 +1063,8 @@ class StepRelation:
 
     key: object
     #: whose body fills the memo: ``"interpreter"`` (also sql's driver,
-    #: which evaluates bodies with the interpreter) or ``"algebra"``
+    #: which evaluates bodies with the interpreter), ``"algebra"`` or
+    #: ``"sql"`` (images from a recursive CTE)
     engine: str = "interpreter"
     documents: tuple[str, ...] = field(default=(), compare=False)
     ids: bool = field(default=False, compare=False)
@@ -1077,7 +1079,8 @@ class StepRelation:
         return self._hash
 
     def bind(self, nodes: list, body: Callable[[list], list],
-             documents: Callable[[str], Node | None] | None = None
+             documents: Callable[[str], Node | None] | None = None,
+             fill: Callable[[list[int]], dict[int, tuple[int, ...]]] | None = None
              ) -> "ImageSpace | None":
         """The relation over the tree of *nodes*, with *nodes* encoded as
         pres (repeats kept: the first round is fed the seed as written), or
@@ -1089,7 +1092,9 @@ class StepRelation:
         registered on the document for an element outside the tree.  Every
         other node kind may be seeded: a document node, an element, a text,
         comment or processing-instruction node.  *body* is the engine's
-        node-level body, which fills the missing images."""
+        node-level body, which fills the missing images — or, given a
+        *fill*, answers only what a full memo leaves to it
+        (:class:`ImageSpace`)."""
         if not nodes or not isinstance(nodes[0], Node):
             return None
         idx = index_for(nodes[0])
@@ -1103,7 +1108,7 @@ class StepRelation:
                 return None
         if self.ids and not idx.ids_in_tree():
             return None
-        return ImageSpace(idx, seed, idx.memo(self), body)
+        return ImageSpace(idx, seed, idx.memo(self), body, fill)
 
 
 class ImageMemo(dict):
@@ -1140,19 +1145,45 @@ class ImageSpace:
     an image that does not fit is not stored, and once the memo is full a
     round answers all its misses with one call.  A fed set that is empty (a
     Naive round after an empty round 0) is handed to *body* as it is.
-    :attr:`filled` counts the sources the last round evaluated on nodes."""
 
-    __slots__ = ("idx", "seed", "memo", "body", "filled", "noted")
+    A *fill* — a *lifted* body, ``fill(pres) -> {source: image}``, that
+    returns the images of the given sources and of whatever else it
+    evaluated on the way (the SQL engine's recursive CTE: every source it
+    reached) — replaces both policies: a round's misses go to one call,
+    and every image it returns is stored, within the memo's room.  When
+    to offer one is the caller's choice: the SQL engine answers a seed's
+    first miss without it (:meth:`first_miss`) and fills from the next run.
+    :attr:`filled` counts the sources the last round evaluated on nodes or
+    handed to the fill."""
+
+    __slots__ = ("idx", "seed", "memo", "body", "fill", "filled", "noted")
 
     def __init__(self, idx: StructuralIndex, seed: list[int], memo: ImageMemo,
-                 body: Callable[[list], list]):
+                 body: Callable[[list], list],
+                 fill: Callable[[list[int]], dict[int, tuple[int, ...]]] | None = None):
         self.idx = idx
         self.seed = seed
         self.memo = memo
         self.body = body
+        self.fill = fill
         self.filled = 0
         #: the sources this run noted in ``memo.missed``
         self.noted: set[int] = set()
+
+    def full(self) -> bool:
+        """Does the memo hold as many pres as the tree has nodes?"""
+        return self.memo.stored >= len(self.idx.nodes)
+
+    def first_miss(self) -> bool:
+        """Whether a seed source misses that missed in no earlier run; the
+        seed's misses are noted.  A caller with a *fill* answers such a run
+        its own way and fills on a later one — the body's policy, for a
+        fill that costs more than the answer alone."""
+        memo = self.memo
+        misses = [pre for pre in self.seed if pre not in memo]
+        first = not memo.missed.issuperset(misses)
+        memo.missed.update(misses)
+        return first
 
     def image(self, pres: Iterable[int]) -> set[int]:
         """The pres the body produces from some of *pres*."""
@@ -1181,6 +1212,12 @@ class ImageSpace:
         if memo.stored >= len(nodes):
             found.update(self._encoded(self.body([nodes[pre] for pre in misses])))
             return found
+        if self.fill is not None:
+            images = self.fill(misses)
+            for pre in misses:
+                found.update(images[pre])
+            self._store(images)
+            return found
         missed, noted = memo.missed, self.noted
         first = [pre for pre in misses if pre not in missed or pre in noted]
         again = ([pre for pre in misses if pre in missed and pre not in noted]
@@ -1190,14 +1227,27 @@ class ImageSpace:
         fresh = [tuple(self._encoded(self.body([nodes[pre]]))) for pre in again]
         missed.update(first)
         noted.update(first)
-        room = len(nodes) - memo.stored
-        for pre, image in zip(again, fresh):
+        for image in fresh:
             found.update(image)
-            if len(image) <= room:
+        self._store(dict(zip(again, fresh)))
+        return found
+
+    def _store(self, images: dict[int, tuple[int, ...]]) -> None:
+        """Keep the *images* of sources the memo does not hold yet, each
+        while it fits in the memo's room."""
+        memo = self.memo
+        room = len(self.idx.nodes) - memo.stored
+        size = sum(map(len, images.values()))
+        if size <= room and images.keys().isdisjoint(memo):
+            # all of them (a fill into a cold memo), at C speed
+            memo.update(images)
+            memo.stored += size
+            return
+        for pre, image in images.items():
+            if len(image) <= room and pre not in memo:
                 memo[pre] = image
                 room -= len(image)
-        memo.stored = len(nodes) - room
-        return found
+        memo.stored = len(self.idx.nodes) - room
 
     def _encoded(self, produced: list) -> set[int]:
         pre_of = self.idx.pre_of

@@ -437,6 +437,11 @@ class WithExpr(Expr):
     #: (:func:`repro.xquery.pushdown.fixpoint_relation`); ``False`` for
     #: "not yet".  Kept outside the fields, like :meth:`free_variables`.
     _relation = False
+    #: The same relation keyed for the SQL engine's images, once derived.
+    _sql_relation = False
+    #: The SQL engine's statement for the body and what emitting it read
+    #: (:func:`repro.sqlbackend.emitter.emitted_for`); ``None`` for "not yet".
+    _emitted = None
 
     def children(self):
         return [(self.seed, frozenset()), (self.body, frozenset({self.var}))]

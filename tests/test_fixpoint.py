@@ -436,6 +436,11 @@ class TestDeltaDriver:
 
     @pytest.mark.parametrize("name", ["curriculum", "hospital"])
     def test_an_emittable_delta_body_still_runs_as_one_cte(self, name):
+        """The body is emittable and a step relation.  The cold run is one
+        statement, whose rounds SQLite does not show; the next run's first
+        round runs it with the image join, which fills sql's images of every
+        source it reaches, and the warm run runs none.  Those two run the
+        interpreter's rounds in pre-space."""
         from repro.bench.queries import get_workload
         from repro.session import Session
 
@@ -443,17 +448,28 @@ class TestDeltaDriver:
         query = self._closure(workload, "delta")
         documents = {workload.document_uri: workload.size("tiny").build_document()}
         with Session(documents=documents, id_attributes=("id", "code")) as session:
-            items = session.evaluate(query).items
-            sql_items, attributes, rounds, labels = self._traced(session, query, "sql")
-        assert list(map(id, sql_items)) == list(map(id, items))
-        assert rounds == [] and labels == ["cte"]
+            items, _, expected, _ = self._traced(session, query, "interpreter")
+            cold, filling, warm = (self._traced(session, query, "sql") for _ in range(3))
+            again = session.evaluate(query, engine="sql", trace=True).trace
+        for sql_items, _, rounds, labels in (cold, filling, warm):
+            assert list(map(id, sql_items)) == list(map(id, items))
+        assert cold[2] == [] and cold[3] == ["cte"]
+        for _, _, rounds, labels in (filling, warm):
+            assert rounds == expected and len(rounds) > 1 and labels == ["delta"]
         # curriculum's fn:id hop carries the multi-token probe, run once here,
         # and its three joins read a step relation built here; hospital's
         # one join is read as it is
         guards, edges = ("probed", "built") if name == "curriculum" else ("none", "none")
-        assert attributes == {"algorithm": "delta", "path": "cte", "seed": 4,
-                              "result_size": len(items), "rounds": 0, "guards": guards,
+        assert cold[1] == {"algorithm": "delta", "path": "cte", "seed": 4,
+                           "result_size": len(items), "rounds": 0, "guards": guards,
+                           "edges": edges}
+        warm_attributes = {"algorithm": "delta", "seed": 4, "space": "pre",
+                           "result_size": len(items), "rounds": len(expected)}
+        guards, edges = ("cached", "cached") if name == "curriculum" else ("none", "none")
+        assert filling[1] == {**warm_attributes, "path": "cte", "guards": guards,
                               "edges": edges}
+        assert warm[1] == warm_attributes
+        assert again.find_all("sql") == []  # warm: no statement, no probe
 
     def test_the_sql_fallback_never_touches_the_store(self, curriculum):
         from repro.sqlbackend import SQLEvaluator
@@ -590,9 +606,11 @@ class TestOneDecision:
                             if engine == "algebra":
                                 assert span.attributes["variant"] == (
                                     "mu_delta" if ran == "delta" else "mu")
-                            if engine == "sql":
+                            if engine == "sql" and "path" in span.attributes:
                                 assert span.attributes["path"] in (
                                     ("cte", "driver") if ran == "delta" else ("driver",))
+                            elif engine == "sql":  # a warm relation: no statement
+                                assert (ran, span.attributes["space"]) == ("delta", "pre")
         assert not disagreements, disagreements
 
     def test_the_checkers_are_incomparable_and_the_table_shows_it(self):

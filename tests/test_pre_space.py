@@ -907,3 +907,216 @@ class TestImageMemo:
         assert traced(JOIN_QUERY, resolver)[1] == traced(JOIN_QUERY, resolver,
                                                          use_index=False)[1]
         assert [dict(memo) for memo in image_memos(document)] == [{}, {}]
+
+
+# ---------------------------------------------------------------------------
+# sql's own images: filled by the recursive CTE with its image join
+# ---------------------------------------------------------------------------
+
+
+def workload_closure(name: str, var: str = "x") -> tuple[dict, str]:
+    """The tiny corpus of Table 2's *name* workload and a closure over its
+    first four seeds — a body sql emits and every engine takes as a
+    relation — written with the recursion variable *var*."""
+    from repro.bench.queries import get_workload
+
+    workload = get_workload(name)
+    body = workload.recursion_body.replace("$x", f"${var}")
+    query = (f"{workload.prolog}\ndeclare variable $seeds := "
+             f"subsequence({workload.seeds_expression}, 1, 4);\n"
+             f"with ${var} seeded by $seeds recurse {body}")
+    return {workload.document_uri: workload.size("tiny").build_document()}, query
+
+
+def memos_by_engine(document) -> dict[str, ImageMemo]:
+    return {relation.engine: memo for relation, memo in index_for(document)._memos.items()
+            if isinstance(memo, ImageMemo)}
+
+
+def sql_run(session, query: str) -> tuple:
+    """(the answer by identity, the ``fixpoint`` span, its round tuples) of
+    a traced sql run."""
+    result = session.evaluate(query, engine="sql", trace=True)
+    (span,) = result.trace.find_all("fixpoint")
+    return list(map(id, result.items)), span, round_tuples(span)
+
+
+def round_tuples(span) -> list[tuple]:
+    return [tuple(child.attributes[key] for key in
+                  ("iteration", "fed", "produced", "new", "result_size"))
+            for child in span.children if child.name == "round"]
+
+
+SQL_WORKLOADS = ("curriculum", "hospital")
+
+
+class TestSqlImages:
+    @pytest.mark.parametrize("name", SQL_WORKLOADS)
+    def test_cold_then_filling_then_warm(self, name):
+        """A seed's first miss runs the plain statement (its answer, no
+        rounds) and notes the seed; the next run's first round runs the
+        statement with its image join, which fills the images of every
+        source it reaches; a warm run runs none and its rounds are probes."""
+        documents, query = workload_closure(name)
+        (document,) = documents.values()
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            cold_answer, cold, cold_rounds = sql_run(session, query)
+            assert dict(memos_by_engine(document)["sql"]) == {}
+            _, filling, _ = sql_run(session, query)
+            _, warm, rounds = sql_run(session, query)
+        assert cold_answer == expected and cold_rounds == []
+        assert (cold.attributes["path"], cold.attributes["rounds"]) == ("cte", 0)
+        assert "space" not in cold.attributes
+        (statement,) = [span for span in cold.find_all("sql") if "build" not in span.attributes]
+        assert statement.attributes["rows"] == cold.attributes["result_size"]
+        assert (filling.attributes["path"], filling.attributes["space"]) == ("cte", "pre")
+        (statement,) = [span for span in filling.find_all("sql")
+                        if "build" not in span.attributes]
+        # a row per source, and one per further image pre
+        assert statement.attributes["rows"] >= filling.attributes["result_size"]
+        assert [child.attributes["filled"] for child in filling.children
+                if child.name == "round"][0] == 4
+        assert warm.find_all("sql") == [] and warm.attributes["space"] == "pre"
+        assert not {"path", "guards", "edges"} & set(warm.attributes)
+        assert {child.attributes["filled"] for child in warm.children
+                if child.name == "round"} == {0}
+        assert len(rounds) > 1
+
+    @pytest.mark.parametrize("name", SQL_WORKLOADS)
+    def test_the_sql_memo_is_the_interpreters(self, name):
+        """After warming, sql's images — from SQLite — equal the images the
+        interpreter filled on nodes, source by source."""
+        documents, query = workload_closure(name)
+        (document,) = documents.values()
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            for _ in range(2):  # each engine fills on a seed's second miss
+                session.evaluate(query)
+                sql_run(session, query)
+        memos = memos_by_engine(document)
+        interpreter, sql = memos["interpreter"], memos["sql"]
+        assert len(sql) > 4
+        assert {pre: set(image) for pre, image in sql.items()} == {
+            pre: set(image) for pre, image in interpreter.items()}
+        assert sql.stored == interpreter.stored
+
+    @pytest.mark.parametrize("name", SQL_WORKLOADS)
+    def test_no_engine_reads_another_engines_images(self, name):
+        """Emptying one engine's images (a wrong memo) changes that engine's
+        next answer and no other's."""
+        documents, query = workload_closure(name)
+        (document,) = documents.values()
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            for engine in ENGINES:
+                for _ in range(2):
+                    assert [id(item) for item in session.evaluate(
+                        query, engine=engine).items] == expected, engine
+            for wronged in ENGINES:
+                memo = memos_by_engine(document)[wronged]
+                kept = dict(memo)
+                memo.update(dict.fromkeys(kept, ()))
+                for engine in ENGINES:
+                    answer = [id(item) for item in session.evaluate(query, engine=engine).items]
+                    assert (answer == expected) == (engine != wronged), (wronged, engine)
+                memo.update(kept)
+
+    def test_an_edit_or_a_registered_id_drops_them(self):
+        documents, query = workload_closure("curriculum")
+        (document,) = documents.values()
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            def answer(space) -> list:
+                """The sql answer of a run whose span says *space*."""
+                expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+                got, span, _ = sql_run(session, query)
+                assert got == expected and span.attributes.get("space") == space
+                return got
+
+            def images() -> dict:
+                return dict(memos_by_engine(document).get("sql", {}))
+
+            before = answer(None)  # the plain statement
+            assert answer("pre") == before and images()  # fills
+            courses = [node for node in document.iter_tree()
+                       if getattr(node, "name", None) == "course"]
+            outside = next(course for course in courses if id(course) not in before
+                           and course is not courses[-1])
+            reference = next(node for node in courses[-1].iter_tree()  # the first seed's
+                             if getattr(node, "name", None) == "pre_code")
+            reference.children[0].set_value(outside.get_attribute("code").value)  # a text edit
+            assert "sql" not in memos_by_engine(document)
+            after = answer(None)
+            assert id(outside) in after and images() == {}
+            assert answer("pre") == after and images()
+            course = next(node for node in document.iter_tree()
+                          if getattr(node, "name", None) == "course")
+            document.register_id("late", course)  # a new ID
+            assert "sql" not in memos_by_engine(document)
+            assert answer(None) == after and images() == {}
+
+    def test_a_tripped_multi_token_guard_runs_the_driver(self):
+        """A store that holds multi-token references (another document's)
+        trips the ``fn:id`` guard: the closure runs the driver on the
+        interpreter's images and leaves sql's as they were."""
+        query = ('with $x seeded by doc("a.xml")/r/a[@id = "y1"] '
+                 "recurse $x/id(./ref)")
+        with Session({"a.xml": "<r><a id='y1'><ref>y2</ref></a><a id='y2'><ref/></a></r>",
+                      "b.xml": "<r><a id='x1'><ref>x1 x2</ref></a><a id='x2'/></r>"}
+                     ) as session:
+            document = session.snapshot().resolve("a.xml")
+            for space in (None, "pre"):  # the plain statement, then the fill
+                assert sql_run(session, query)[1].attributes.get("space") == space
+            memo = memos_by_engine(document)["sql"]
+            images, stored = dict(memo), memo.stored
+            multi = query.replace("a.xml", "b.xml").replace("y1", "x1")
+            assert sql_run(session, multi)[1].attributes["path"] == "driver"  # shreds b.xml
+            got, span, _ = sql_run(session, query)
+            assert (span.attributes["path"], span.attributes["space"]) == ("driver", "pre")
+            assert got == [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            assert memos_by_engine(document)["sql"] is memo
+            assert (dict(memo), memo.stored) == (images, stored)
+
+    def test_a_foreign_id_runs_the_driver_and_fills_nothing(self):
+        document, _ = pre_document(JOINED)
+        query = closure("$x/id(./r)").replace(PROLOG, "")
+        with Session({"g.xml": document}) as session:
+            sql_run(session, query)
+            assert "sql" in memos_by_engine(document)
+            document.register_id("n9", parse_xml("<far/>").document_element())
+            got, span, _ = sql_run(session, query)
+            assert span.attributes["path"] == "driver"
+            assert got == [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            assert "sql" not in memos_by_engine(document)
+
+    def test_a_full_sql_memo_runs_the_driver(self):
+        documents, query = workload_closure("curriculum")
+        (document,) = documents.values()
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            sql_run(session, query)
+            memo = memos_by_engine(document)["sql"]
+            memo.clear()
+            memo.stored = len(index_for(document))
+            got, span, _ = sql_run(session, query)
+        assert got == expected
+        assert (span.attributes["path"], span.attributes["space"]) == ("driver", "pre")
+        assert span.find_all("sql") == [] and dict(memo) == {}
+
+    @pytest.mark.parametrize("name", SQL_WORKLOADS)
+    def test_cold_warm_and_alpha_variant_runs_agree_on_every_engine(self, name):
+        documents, query = workload_closure(name)
+        _, variant = workload_closure(name, var="v7")
+        with Session(documents=documents, id_attributes=("id", "code")) as session:
+            runs = []
+            for engine in ENGINES:
+                for text in (query, query, variant, query):  # cold, filling, α, warm
+                    result = session.evaluate(text, engine=engine, trace=True)
+                    (span,) = result.trace.find_all("fixpoint")
+                    runs.append((engine, list(map(id, result.items)), round_tuples(span)))
+        (_, answer, rounds), *rest = runs
+        assert len(rounds) > 1
+        for index, (engine, other_answer, other_rounds) in enumerate(rest, 1):
+            if (engine, index % 4) == ("sql", 0):  # the plain statement: no rounds
+                assert (other_answer, other_rounds) == (answer, []), engine
+            else:
+                assert (other_answer, other_rounds) == (answer, rounds), engine

@@ -492,6 +492,9 @@ class TestNothingIsPinned:
                   'recurse $x/id(./f))')
 
     def test_after_close_the_documents_are_collectable(self):
+        # The registry is bounded: were it full, the index built here would
+        # evict an earlier test's tree and free its elements mid-count.
+        clear_index_registry()
         gc.collect()
         tokens, elements = watched_trees(), _live_elements()
         session = Session({"big.xml": self.BIG_XML}, sql_store="wal")

@@ -25,6 +25,7 @@ from repro.sqlbackend import (
     emit_fixpoint_sql,
     fixpoint_statements,
 )
+from repro.sqlbackend.emitter import emitted_for
 from repro.sqlbackend.schema import CHILD_INDEX, ID_INDEX
 from repro.xquery.context import DocumentResolver, DynamicContext
 from repro.xquery.parser import parse_expression, parse_query
@@ -388,6 +389,64 @@ class TestEmitter:
         assert decision.algorithm == "naive" and emitted is None
 
 
+class TestEmittedOncePerBody:
+    """The statement is memoised on the ``with`` node, beside what emitting
+    it read: a run that reads something else emits again."""
+
+    @staticmethod
+    def _site(text: str):
+        (site,) = [expr for expr in parse_query(text).body.iter_subexpressions()
+                   if type(expr).__name__ == "WithExpr"]
+        return site
+
+    def test_the_same_inputs_emit_once(self):
+        site = self._site("with $x seeded by . recurse $x/child::a[@k = $v]")
+        first = emitted_for(site, {"v": ["a"]})
+        assert first is not None and emitted_for(site, {"v": ["a"]}) is first
+        assert emitted_for(site, {"v": ["b"]}) != first          # another value
+        assert emitted_for(site, {"v": [1]}) is None             # not a string
+        assert emitted_for(site, {}) is None                     # unbound
+        assert emitted_for(site, {"v": ["a"]}, push_predicates=False) is None
+        assert emitted_for(site, {"v": ["a"]}) == first
+
+    def test_a_body_that_reads_nothing_is_emitted_once_for_every_scope(self):
+        site = self._site("with $x seeded by . recurse $x/child::a")
+        first = emitted_for(site, {"v": ["a"]})
+        assert emitted_for(site, {}) is first
+        assert emitted_for(self._site("with $x seeded by . recurse $x[1]")) is None
+
+    def test_the_anchor_is_resolved_only_for_a_top_level_id(self):
+        calls = []
+
+        def anchor(doc_id):
+            return lambda: calls.append(doc_id) or doc_id
+
+        chain = self._site("with $x seeded by . recurse $x/id(./ref)")
+        assert emitted_for(chain, anchor_doc_id=anchor(1)) is emitted_for(
+            chain, anchor_doc_id=anchor(2))
+        assert calls == []
+        top = self._site("with $x seeded by . recurse id($x/ref)")
+        first = emitted_for(top, anchor_doc_id=anchor(1))
+        assert emitted_for(top, anchor_doc_id=anchor(1)) is first
+        assert "doc_id = 2" in emitted_for(top, anchor_doc_id=anchor(2)).display()
+        assert emitted_for(top, anchor_doc_id=anchor(None)) is None
+        assert calls == [1, 1, 2, None]
+
+    def test_a_loop_variable_inlined_per_iteration(self):
+        """A ``for`` binds the inlined name anew per item: each iteration's
+        statement, not the first one's (the body reads a non-prolog variable,
+        so no relation: the whole fixpoint is the statement)."""
+        xml = '<r><a k="x"><a k="a"><a k="a"/></a><a k="b"/></a></r>'
+        query = ('for $k in ("a", "b", "a") return count(with $x seeded by '
+                 'doc("t.xml")/r/a recurse $x/child::a[@k = $k])')
+        with Session({"t.xml": xml}) as session:
+            expected = session.evaluate(query).items
+            result = session.evaluate(query, engine="sql", trace=True)
+        assert expected == result.items == [2, 1, 2]
+        assert [span.attributes["path"] for span in result.trace.find_all("fixpoint")] == [
+            "cte"] * 3
+
+
 # ---------------------------------------------------------------------------
 # CTE vs. driver loop decision and statistics
 # ---------------------------------------------------------------------------
@@ -430,14 +489,31 @@ class TestExecutionPaths:
         assert [run.algorithm for run in sql.statistics.runs] == ["naive"]
 
     def test_cte_runs_report_the_cte_algorithm(self, documents):
-        result = evaluate(QUERY_Q1, documents=documents, engine=Engine.SQL)
+        """Without the index no relation is offered: the whole fixpoint is
+        one statement, whose rounds SQLite does not show."""
+        result = evaluate(QUERY_Q1, documents=documents, engine=Engine.SQL,
+                          use_index=False)
         assert [run.algorithm for run in result.statistics.runs] == ["cte"]
+
+    def test_relation_runs_report_the_loops_rounds(self, documents):
+        """The body is a step relation: its first run is the plain
+        statement; from the next, the statement fills sql's images and the
+        loop runs the rounds, so the counts are the interpreter's."""
+        interpreter = evaluate(QUERY_Q1, documents=documents)
+        for algorithm in ("cte", "delta", "delta"):  # cold, filling, warm
+            sql = evaluate(QUERY_Q1, documents=documents, engine=Engine.SQL)
+            assert [run.algorithm for run in sql.statistics.runs] == [algorithm]
+            if algorithm == "delta":
+                assert sql.nodes_fed_back == interpreter.nodes_fed_back
+                assert sql.recursion_depth == interpreter.recursion_depth
 
 
 class TestGuardVerdictsLiveWithTheData:
     """The multi-token probes run once per store version: a session builds
     a new evaluator per query, but its thread's pooled store keeps the
-    verdicts until a shred or a forgotten tree changes what it holds."""
+    verdicts until a shred or a forgotten tree changes what it holds.  The
+    closures run without the index, so no relation is offered and every
+    evaluation is a statement (a relation's warm runs run none)."""
 
     @staticmethod
     def _statements(session):
@@ -458,10 +534,10 @@ class TestGuardVerdictsLiveWithTheData:
     def test_ten_evaluations_probe_once(self, documents):
         with Session(documents) as session:
             statements = self._statements(session)
-            first = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+            first = session.evaluate(QUERY_Q1, engine="sql", trace=True, use_index=False)
             for _ in range(8):
-                session.evaluate(QUERY_Q1, engine="sql")
-            last = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+                session.evaluate(QUERY_Q1, engine="sql", use_index=False)
+            last = session.evaluate(QUERY_Q1, engine="sql", trace=True, use_index=False)
         assert len(self._probes(statements)) == 1
         assert len(self._ctes(statements)) == 10
         assert course_codes(first.items) == ["c2", "c3", "c4", "c5"]
@@ -482,15 +558,15 @@ class TestGuardVerdictsLiveWithTheData:
         with Session({"a.xml": '<r><a id="y1"><ref>y2</ref></a><a id="y2"><ref/></a></r>'}
                      ) as session:
             statements = self._statements(session)
-            session.evaluate(single, engine="sql")
-            session.evaluate(single, engine="sql")
+            session.evaluate(single, engine="sql", use_index=False)
+            session.evaluate(single, engine="sql", use_index=False)
             assert (len(self._probes(statements)), len(self._ctes(statements))) == (1, 2)
             # Shredding d.xml changes the store: the same probe runs again,
             # finds the multi-token IDREFS and hands the fixpoint to the driver.
             session.register_document(
                 "d.xml", '<r><a id="x1"><ref>x1 x3</ref></a><a id="x2"><ref/></a>'
                          '<a id="x3"><ref>x2</ref></a></r>')
-            driven = session.evaluate(multi, engine="sql", trace=True)
+            driven = session.evaluate(multi, engine="sql", trace=True, use_index=False)
             reference = session.evaluate(multi, engine="interpreter")
             assert (len(self._probes(statements)), len(self._ctes(statements))) == (2, 2)
             assert driven.trace.find("fixpoint").attributes["path"] == "driver"
@@ -498,7 +574,7 @@ class TestGuardVerdictsLiveWithTheData:
             assert _identical(reference.items, driven.items)
             # Forgetting d.xml changes it again: re-probed, and the CTE is back.
             session.remove_document("d.xml")
-            result = session.evaluate(single, engine="sql", trace=True)
+            result = session.evaluate(single, engine="sql", trace=True, use_index=False)
             assert (len(self._probes(statements)), len(self._ctes(statements))) == (3, 3)
             assert result.trace.find("fixpoint").attributes["guards"] == "probed"
             assert session.stats()["sql_pool"]["trees_dropped"] == 1
@@ -571,7 +647,9 @@ EDGE_BODIES = (
 class TestTheEdgeRelation:
     """A chain of two or more joins that stays in its context's tree reads
     the store's ``(src, dst)`` table of its step relation, built per tree
-    the first time a closure starts there and forgotten with the tree."""
+    the first time a closure starts there and forgotten with the tree.  The
+    closures run without the index (every evaluation a statement), as in
+    :class:`TestGuardVerdictsLiveWithTheData`."""
 
     @pytest.mark.parametrize("body, materialised", [
         ("$x/id(./prerequisites/pre_code)", True),
@@ -589,10 +667,10 @@ class TestTheEdgeRelation:
     def test_ten_evaluations_build_once(self, documents):
         with Session(documents) as session:
             statements = TestGuardVerdictsLiveWithTheData._statements(session)
-            first = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+            first = session.evaluate(QUERY_Q1, engine="sql", trace=True, use_index=False)
             for _ in range(8):
-                session.evaluate(QUERY_Q1, engine="sql")
-            last = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+                session.evaluate(QUERY_Q1, engine="sql", use_index=False)
+            last = session.evaluate(QUERY_Q1, engine="sql", trace=True, use_index=False)
         builds = [text for text in statements if text.startswith("INSERT INTO edges_")]
         ctes = TestGuardVerdictsLiveWithTheData._ctes(statements)
         assert len(builds) == 1 and len(ctes) == 10
@@ -618,6 +696,33 @@ class TestTheEdgeRelation:
         assert not any(re.search(r"^SCAN .*\be\b", detail) for detail in plan), text
         assert not re.search(r"\b(node|id_attr)\b", text), text
 
+    @pytest.mark.parametrize("materialised", [True, False])
+    def test_the_image_join_is_one_more_search(self, curriculum, materialised):
+        """The image statement ends in one more join to the edge table (or
+        the member's joins), planned as the members are, and gives every
+        source it reached its distinct ``(src, dst)`` rows — none for a
+        source whose image is empty."""
+        store = SqlDocumentStore()
+        store.shred(curriculum)
+        emitted = emit_fixpoint_sql(parse_expression("$x/id(./prerequisites/pre_code)"), "x")
+        table = (store.edge_table(emitted.edge_select(), [curriculum], _build(store))[0]
+                 if materialised else None)
+        statement = emitted.statement(1, table, images=True)
+        plan = "\n".join(row[3] for row in store.connection.execute(
+            "EXPLAIN QUERY PLAN " + statement, (1,)))
+        assert "BLOOM FILTER" not in plan and "AUTOMATIC" not in plan, plan
+        if materialised:
+            assert plan.count("SEARCH e USING PRIMARY KEY (src=?)") == 3, plan
+        c1 = curriculum.lookup_id("c1")
+        rows = store.connection.execute(statement, store.encode([c1])).fetchall()
+        assert len(set(rows)) == len(rows)
+
+        def code(pre: int) -> str:
+            return store.decode([pre])[0].get_attribute("code").value
+
+        assert sorted((code(source), code(target)) for source, target in rows) == [
+            ("c1", "c2"), ("c1", "c3"), ("c2", "c4"), ("c4", "c5")]
+
     def test_what_changes_the_data_changes_the_answer(self):
         xml = ('<curriculum><course code="c1"><prerequisites><pre_code>c2</pre_code>'
                '<pre_code>late</pre_code></prerequisites></course>'
@@ -629,7 +734,7 @@ class TestTheEdgeRelation:
                  "recurse $x/id(./prerequisites/pre_code)")
 
         def closure(session):
-            result = session.evaluate(query, engine="sql", trace=True)
+            result = session.evaluate(query, engine="sql", trace=True, use_index=False)
             reference = session.evaluate(query, engine="interpreter").items
             assert _identical(reference, result.items)
             return course_codes(result.items), _edges_of(result)
@@ -662,16 +767,16 @@ class TestTheEdgeRelation:
         body = "$x/child::*/child::*"
         with Session(documents) as session:
             curriculum = documents["curriculum.xml"]
-            session.evaluate(QUERY_Q1, engine="sql")
+            session.evaluate(QUERY_Q1, engine="sql", use_index=False)
             tree = session.evaluate(f'with $x seeded by doc("curriculum.xml")/curriculum '
-                                    f"recurse {body}", engine="sql", trace=True)
+                                    f"recurse {body}", engine="sql", trace=True, use_index=False)
             assert _edges_of(tree) == "built"
             store = session._sql_pool.store(session.snapshot())
             before = _edge_rows(store, curriculum)
             assert len(before) == 2 and all(before.values())
             constructed = session.evaluate(
                 f"with $x seeded by <a><b><c><d/></c></b></a> recurse {body}",
-                engine="sql", trace=True)
+                engine="sql", trace=True, use_index=False)
             assert [node.name for node in constructed.items] == ["c"]
             assert _edges_of(constructed) == "built"
             (build,) = _spans(constructed, builds=True)
@@ -679,7 +784,7 @@ class TestTheEdgeRelation:
             assert _edge_rows(store, curriculum) == before
             # The next acquisition forgets the constructed tree and its edges;
             # the curriculum's are read as they are.
-            again = session.evaluate(QUERY_Q1, engine="sql", trace=True)
+            again = session.evaluate(QUERY_Q1, engine="sql", trace=True, use_index=False)
             assert _edges_of(again) == "cached"
             assert len(store._trees) == 1
             assert sum(store.connection.execute(f"SELECT count(*) FROM {edges.table}")
@@ -691,7 +796,7 @@ class TestTheEdgeRelation:
         with Session({"w.xml": xml}) as session:
             reference = session.evaluate(query, engine="interpreter").items
             for _ in range(2):
-                result = session.evaluate(query, engine="sql", trace=True)
+                result = session.evaluate(query, engine="sql", trace=True, use_index=False)
                 assert len(reference) == 12 and _identical(reference, result.items)
                 assert _edges_of(result) == "declined"
                 (statement,) = _spans(result, builds=False)
