@@ -134,15 +134,15 @@ def _fixpoint_sites(module: ast.Module,
             bound[expr.var] = card.infer_cardinality(expr.value, env)
             walk(expr.body, bound)
             return
-        for child, bound_names in expr.children():
-            if bound_names:
-                child_env = dict(env)
-                for name in bound_names:
-                    # rebinding shadows any outer bound for this subtree
-                    child_env[name] = card.STAR
+        for field, is_tuple, binders in ast.SCOPED_FIELDS[type(expr)]:
+            value = getattr(expr, field)
+            if value is None:
+                continue
+            child_env = env
+            if binders:  # rebinding shadows any outer bound for this subtree
+                child_env = {**env, **dict.fromkeys(ast.bound_names(expr, binders), card.STAR)}
+            for child in value if is_tuple else (value,):
                 walk(child, child_env)
-            else:
-                walk(child, env)
 
     base = dict(environment)
     for declaration in module.variables:

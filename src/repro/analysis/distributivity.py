@@ -39,7 +39,7 @@ recursive CTE.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from repro.distributivity.syntactic import (
     TRUSTED_DISTRIBUTIVE_BUILTINS,
@@ -255,7 +255,7 @@ def _rewrite_conditionals(expr: ast.Expr, variable: str, nonempty: bool,
     Undecidable conditionals are left in place — the syntactic rules (or
     the cardinality join over both branches) judge them afterwards.
     Occurrences under a construct that rebinds ``$variable`` are skipped
-    (:func:`repro.xquery.ast._shadowed_body_fields`).
+    (:func:`repro.xquery.ast.shadowed_fields`).
     """
     if isinstance(expr, ast.IfExpr):
         verdict = condition_verdict(expr.condition, variable, nonempty)
@@ -266,24 +266,9 @@ def _rewrite_conditionals(expr: ast.Expr, variable: str, nonempty: bool,
                     f"condition decided {'true' if verdict else 'false'} for "
                     f"{'non-empty' if nonempty else 'empty'} ${variable}")
             return _rewrite_conditionals(branch, variable, nonempty, facts)
-    shadowed = ast._shadowed_body_fields(expr, variable)
-    changes: dict[str, object] = {}
-    for field_info in fields(expr):  # type: ignore[arg-type]
-        if field_info.name in shadowed:
-            continue
-        value = getattr(expr, field_info.name)
-        if isinstance(value, ast.Expr):
-            rewritten = _rewrite_conditionals(value, variable, nonempty, facts)
-            if rewritten is not value:
-                changes[field_info.name] = rewritten
-        elif isinstance(value, tuple) and value and all(
-                isinstance(item, ast.Expr) for item in value):
-            rewritten_items = tuple(
-                _rewrite_conditionals(item, variable, nonempty, facts)
-                for item in value)
-            if any(new is not old for new, old in zip(rewritten_items, value)):
-                changes[field_info.name] = rewritten_items
-    return replace(expr, **changes) if changes else expr  # type: ignore[type-var]
+    return ast.map_children(
+        expr, lambda child: _rewrite_conditionals(child, variable, nonempty, facts),
+        ast.shadowed_fields(expr, variable))
 
 
 def _eliminate_decided_conditionals(body: ast.Expr,

@@ -16,9 +16,10 @@ Scoping mirrors the runtime exactly: prolog variable initializers see the
 caller-supplied bindings plus previously declared variables (declarations
 evaluate in order); function bodies see their parameters plus every global
 (functions only run after the prolog is bound); the query body sees
-everything.  The walk reuses :meth:`Expr.children`, whose ``(child,
-bound_variables)`` pairs encode which names each construct binds — so a new
-AST node cannot silently bypass scope checking.
+everything.  The walk reads :data:`~repro.xquery.ast.SCOPED_FIELDS`, the
+child fields of each node class with the names
+:data:`~repro.xquery.ast.BINDERS` says it binds in each — so a new AST node
+cannot silently bypass scope checking.
 """
 
 from __future__ import annotations
@@ -116,8 +117,13 @@ class _ScopeChecker:
                              rule="undefined-variable")
         elif isinstance(expr, ast.FunctionCall):
             self._check_call(expr)
-        for child, bound in expr.children():
-            self._walk(child, env | bound)
+        for name, is_tuple, binders in ast.SCOPED_FIELDS[type(expr)]:
+            value = getattr(expr, name)
+            if value is None:
+                continue
+            scope = env | ast.bound_names(expr, binders) if binders else env
+            for child in value if is_tuple else (value,):
+                self._walk(child, scope)
 
     def _check_call(self, call: ast.FunctionCall) -> None:
         arity = len(call.args)

@@ -25,7 +25,7 @@ enumerated the corpus (the one-document ``fn:id`` default), asked for a URI
 the resolver did not hold (absent, or loaded on demand) — depends on the
 whole corpus: the URI set and every document in it.  Plans whose prolog
 variables construct nodes are never cached: re-running such a declaration
-must mint fresh node identities (see :func:`contains_constructor`).
+must mint fresh node identities (see :func:`module_cache_safe`).
 
 The AST and plans are immutable once built (evaluation state lives in the
 per-run engine objects), which is what makes sharing across calls sound:
@@ -34,7 +34,6 @@ Table 2 evaluates one cached module once per seed.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from threading import Lock
 from collections.abc import Callable, Hashable, Iterable
@@ -111,34 +110,6 @@ class LRUCache:
             }
 
 
-def iter_expressions(expr: Any):
-    """Generic pre-order walk over an AST expression (dataclass fields)."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (tuple, list)):
-            stack.extend(node)
-            continue
-        if not isinstance(node, ast.Expr):
-            continue
-        yield node
-        for field in dataclasses.fields(node):
-            stack.append(getattr(node, field.name))
-
-
-def contains_constructor(expr: Any) -> bool:
-    """Does *expr* (or any subexpression) construct nodes?
-
-    Used to keep plans with node-minting prolog variables out of the plan
-    cache: their values are baked in at compile time, and XQuery requires a
-    fresh identity per evaluation.
-    """
-    for node in iter_expressions(expr):
-        if isinstance(node, (ast.DirectElementConstructor, ast.ComputedConstructor)):
-            return True
-    return False
-
-
 def module_cache_safe(module: ast.Module) -> bool:
     """Is a compiled plan of *module* reusable across evaluations?
 
@@ -151,7 +122,7 @@ def module_cache_safe(module: ast.Module) -> bool:
     """
     return not any(
         declaration.external or (
-            declaration.value is not None and contains_constructor(declaration.value))
+            declaration.value is not None and declaration.value.contains_node_constructor())
         for declaration in module.variables
     )
 

@@ -121,6 +121,14 @@ class EvalSettings:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)} "
                                  f"(got {getattr(self, name)!r})")
 
+    @classmethod
+    def reference(cls) -> "EvalSettings":
+        """The reference mode: the interpreter with every rewrite, index,
+        kernel and cache off, and Naive for every fixpoint (Definition 2.1
+        read literally) — the answer the other settings are compared to."""
+        return cls(engine=Engine.INTERPRETER, optimize=False, analyze=False, use_index=False,
+                   use_pushdown=False, use_cache=False, ifp_algorithm="naive")
+
     def replace(self, **changes: Any) -> "EvalSettings":
         """A copy with *changes* applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)

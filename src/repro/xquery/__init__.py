@@ -18,8 +18,10 @@ Modules
     scanners for what it declines — that the parser drives a token at a
     time (direct element constructors switch it into character mode).
 ``ast``
-    Expression AST with free-variable computation, child traversal and the
-    per-class child plan (``CHILD_FIELDS``) of the rebuilding walks.
+    Expression AST, described by two tables rather than per-class methods:
+    the child plan (``CHILD_FIELDS``) and the binder table (``BINDERS``),
+    which free variables, child traversal, substitution and the rebuilding
+    walk (``map_children``) all read.
 ``parser``
     Recursive-descent parser producing :class:`~repro.xquery.ast.Module`:
     one precedence-climbing loop over one operator table for the binary

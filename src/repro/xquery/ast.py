@@ -1,11 +1,13 @@
 """Abstract syntax tree for the XQuery subset.
 
-Every expression node derives from :class:`Expr` and implements
-:meth:`Expr.children`, which returns ``(child, bound_variables)`` pairs: the
-set names the variables this node newly binds *for that child*.  Free
-variable computation (``fv(e)`` in the paper) and generic tree walks are
-derived from this single method, so adding a new expression form cannot
-silently break the analyses in :mod:`repro.distributivity`.
+Every expression node derives from :class:`Expr`.  Two tables describe
+every node class, and no class overrides them: :data:`CHILD_FIELDS`, its
+fields that hold expressions (read off the field types), and
+:data:`BINDERS`, the variables a construct binds in which child.
+:meth:`Expr.children` pairs each child with the names bound for it; free
+variable computation (``fv(e)`` in the paper), substitution and the generic
+walks read the same tables, so a new binding form is declared in one place
+and cannot silently break the analyses in :mod:`repro.distributivity`.
 
 The one node that is not plain XQuery 1.0 is :class:`WithExpr` — the paper's
 ``with $x seeded by e_seed recurse e_rec`` inflationary fixed point form
@@ -73,12 +75,24 @@ class Expr:
     _constructs = False
 
     def children(self) -> list[tuple["Expr", frozenset[str]]]:
-        """Child expressions paired with the variables bound for each child."""
-        return []
+        """Child expressions paired with the variables bound for each child:
+        the fields of :data:`CHILD_FIELDS` but a node test, with the names
+        :data:`BINDERS` says this node binds in each."""
+        pairs = []
+        for name, is_tuple, binders in SCOPED_FIELDS[type(self)]:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            bound = bound_names(self, binders) if binders else _NO_NAMES
+            if is_tuple:
+                pairs.extend([(item, bound) for item in value])
+            else:
+                pairs.append((value, bound))
+        return pairs
 
     def child_expressions(self) -> list["Expr"]:
         """Just the child expressions (no binding information)."""
-        return [child for child, _bound in self.children()]
+        return [child for child, _ in self.children()]
 
     def free_variables(self) -> frozenset[str]:
         """The free variables ``fv(e)`` of this expression.
@@ -93,15 +107,20 @@ class Expr:
         free = self._free
         if free is not None:
             return free
-        free = frozenset((self.name,)) if type(self) is VarRef else _NO_NAMES
-        constructs = type(self) in _CONSTRUCTORS
-        for child, bound in self.children():
-            names = child.free_variables()
-            constructs = constructs or child._constructs
-            if bound and names:
-                names = names - bound
-            if names and not names <= free:
-                free = free | names if free else names
+        kind = type(self)
+        free = frozenset((self.name,)) if kind is VarRef else _NO_NAMES
+        constructs = kind in _CONSTRUCTORS
+        for name, is_tuple, binders in SCOPED_FIELDS[kind]:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            for child in value if is_tuple else (value,):
+                names = child.free_variables()
+                constructs = constructs or child._constructs
+                if binders and names:
+                    names = names - bound_names(self, binders)
+                if names and not names <= free:
+                    free = free | names if free else names
         if constructs:  # (stored only where true: the class says false)
             object.__setattr__(self, "_constructs", True)
         object.__setattr__(self, "_free", free)
@@ -175,9 +194,6 @@ class SequenceExpr(Expr):
 
     items: tuple[Expr, ...]
 
-    def children(self):
-        return [(item, frozenset()) for item in self.items]
-
 
 @dataclass(frozen=True)
 class RangeExpr(Expr):
@@ -185,9 +201,6 @@ class RangeExpr(Expr):
 
     start: Expr
     end: Expr
-
-    def children(self):
-        return [(self.start, frozenset()), (self.end, frozenset())]
 
 
 @dataclass(frozen=True)
@@ -197,9 +210,6 @@ class UnionExpr(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class IntersectExpr(Expr):
@@ -208,9 +218,6 @@ class IntersectExpr(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class ExceptExpr(Expr):
@@ -218,9 +225,6 @@ class ExceptExpr(Expr):
 
     left: Expr
     right: Expr
-
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +237,11 @@ class OrExpr(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class AndExpr(Expr):
     left: Expr
     right: Expr
-
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
 
 
 @dataclass(frozen=True)
@@ -254,9 +252,6 @@ class GeneralComparison(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class ValueComparison(Expr):
@@ -265,9 +260,6 @@ class ValueComparison(Expr):
     op: str
     left: Expr
     right: Expr
-
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
 
 
 @dataclass(frozen=True)
@@ -278,9 +270,6 @@ class NodeComparison(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class ArithmeticExpr(Expr):
@@ -290,9 +279,6 @@ class ArithmeticExpr(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class UnaryExpr(Expr):
@@ -300,9 +286,6 @@ class UnaryExpr(Expr):
 
     op: str
     operand: Expr
-
-    def children(self):
-        return [(self.operand, frozenset())]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +315,6 @@ class ForExpr(Expr):
     position_var: str | None = None
     whole: bool = False
 
-    def children(self):
-        bound = {self.var}
-        if self.position_var:
-            bound.add(self.position_var)
-        return [(self.sequence, frozenset()), (self.body, frozenset(bound))]
-
 
 @dataclass(frozen=True)
 class LetExpr(Expr):
@@ -347,9 +324,6 @@ class LetExpr(Expr):
     value: Expr
     body: Expr
 
-    def children(self):
-        return [(self.value, frozenset()), (self.body, frozenset({self.var}))]
-
 
 @dataclass(frozen=True)
 class IfExpr(Expr):
@@ -358,13 +332,6 @@ class IfExpr(Expr):
     condition: Expr
     then_branch: Expr
     else_branch: Expr
-
-    def children(self):
-        return [
-            (self.condition, frozenset()),
-            (self.then_branch, frozenset()),
-            (self.else_branch, frozenset()),
-        ]
 
 
 @dataclass(frozen=True)
@@ -376,12 +343,6 @@ class QuantifiedExpr(Expr):
     sequence: Expr
     satisfies: Expr
 
-    def children(self):
-        return [
-            (self.sequence, frozenset()),
-            (self.satisfies, frozenset({self.var})),
-        ]
-
 
 @dataclass(frozen=True)
 class TypeswitchCase(Expr):
@@ -390,10 +351,6 @@ class TypeswitchCase(Expr):
     sequence_type: SequenceType
     body: Expr
     var: str | None = None
-
-    def children(self):
-        bound = frozenset({self.var}) if self.var else frozenset()
-        return [(self.body, bound)]
 
 
 @dataclass(frozen=True)
@@ -404,14 +361,6 @@ class TypeswitchExpr(Expr):
     cases: tuple[TypeswitchCase, ...]
     default: Expr
     default_var: str | None = None
-
-    def children(self):
-        result: list[tuple[Expr, frozenset[str]]] = [(self.operand, frozenset())]
-        for case in self.cases:
-            result.append((case, frozenset()))
-        default_bound = frozenset({self.default_var}) if self.default_var else frozenset()
-        result.append((self.default, default_bound))
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +392,6 @@ class WithExpr(Expr):
     #: (:func:`repro.sqlbackend.emitter.emitted_for`); ``None`` for "not yet".
     _emitted = None
 
-    def children(self):
-        return [(self.seed, frozenset()), (self.body, frozenset({self.var}))]
-
 
 # ---------------------------------------------------------------------------
 # paths and steps
@@ -474,9 +420,6 @@ class AxisStep(Expr):
     node_test: NodeTest
     predicates: tuple[Expr, ...] = ()
 
-    def children(self):
-        return [(predicate, frozenset()) for predicate in self.predicates]
-
 
 @dataclass(frozen=True)
 class PathExpr(Expr):
@@ -492,9 +435,6 @@ class PathExpr(Expr):
     left: Expr
     right: Expr
 
-    def children(self):
-        return [(self.left, frozenset()), (self.right, frozenset())]
-
 
 @dataclass(frozen=True)
 class RootExpr(Expr):
@@ -507,9 +447,6 @@ class FilterExpr(Expr):
 
     primary: Expr
     predicates: tuple[Expr, ...]
-
-    def children(self):
-        return [(self.primary, frozenset())] + [(p, frozenset()) for p in self.predicates]
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +461,6 @@ class FunctionCall(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def children(self):
-        return [(arg, frozenset()) for arg in self.args]
-
 
 @dataclass(frozen=True)
 class AttributeConstructor(Expr):
@@ -538,9 +472,6 @@ class AttributeConstructor(Expr):
     name: str
     value_parts: tuple[Expr, ...]
 
-    def children(self):
-        return [(part, frozenset()) for part in self.value_parts]
-
 
 @dataclass(frozen=True)
 class DirectElementConstructor(Expr):
@@ -549,14 +480,6 @@ class DirectElementConstructor(Expr):
     name: str
     attributes: tuple[AttributeConstructor, ...]
     content: tuple[Expr, ...]
-
-    def children(self):
-        result: list[tuple[Expr, frozenset[str]]] = []
-        for attribute in self.attributes:
-            result.append((attribute, frozenset()))
-        for part in self.content:
-            result.append((part, frozenset()))
-        return result
 
 
 @dataclass(frozen=True)
@@ -573,14 +496,6 @@ class ComputedConstructor(Expr):
     name: Expr | None = None
     content: Expr | None = None
 
-    def children(self):
-        result = []
-        if self.name is not None:
-            result.append((self.name, frozenset()))
-        if self.content is not None:
-            result.append((self.content, frozenset()))
-        return result
-
 
 @dataclass(frozen=True)
 class OrderedExpr(Expr):
@@ -588,9 +503,6 @@ class OrderedExpr(Expr):
 
     mode: str
     body: Expr
-
-    def children(self):
-        return [(self.body, frozenset())]
 
 
 @dataclass(frozen=True)
@@ -601,9 +513,6 @@ class CastExpr(Expr):
     target_type: str
     optional: bool = False
 
-    def children(self):
-        return [(self.operand, frozenset())]
-
 
 @dataclass(frozen=True)
 class InstanceOfExpr(Expr):
@@ -611,9 +520,6 @@ class InstanceOfExpr(Expr):
 
     operand: Expr
     sequence_type: SequenceType
-
-    def children(self):
-        return [(self.operand, frozenset())]
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +604,43 @@ CHILD_FIELDS: dict[type[Expr], tuple[tuple[str, bool], ...]] = {
     kind: _child_fields(kind) for kind in Expr.__subclasses__()
 }
 
+#: Binding construct → child field → the fields naming the variables it
+#: binds in that child (an optional one holds ``None`` when absent).  The
+#: one account of scope in the AST: :meth:`Expr.children`,
+#: :meth:`Expr.free_variables`, :func:`substitute_variable`,
+#: :func:`map_children` and the analyses all read it, so a new binding form
+#: is declared here once.
+BINDERS: dict[type[Expr], dict[str, tuple[str, ...]]] = {
+    ForExpr: {"body": ("var", "position_var")},
+    LetExpr: {"body": ("var",)},
+    WithExpr: {"body": ("var",)},
+    TypeswitchCase: {"body": ("var",)},
+    QuantifiedExpr: {"satisfies": ("var",)},
+    TypeswitchExpr: {"default": ("default_var",)},
+}
+
+#: :data:`CHILD_FIELDS` but an axis step's node test, each field with the
+#: :data:`BINDERS` entry for it (``()`` where it binds nothing): what
+#: :meth:`Expr.children` reads, and the scope walks that would otherwise
+#: allocate its pairs (:meth:`Expr.free_variables`, the analyses').
+SCOPED_FIELDS = {
+    kind: tuple((name, is_tuple, BINDERS.get(kind, {}).get(name, ()))
+                for name, is_tuple in plan if name != "node_test")
+    for kind, plan in CHILD_FIELDS.items()
+}
+
 #: :data:`CHILD_FIELDS` but an axis step's node test, last field first:
 #: what the pre-order walk of :meth:`Expr.iter_subexpressions` pushes.
 _SUBEXPRESSION_FIELDS = {
     kind: tuple(entry for entry in plan[::-1] if entry[0] != "node_test")
     for kind, plan in CHILD_FIELDS.items()
 }
+
+
+def bound_names(expr: Expr, binders: tuple[str, ...]) -> frozenset[str]:
+    """The variables *expr* binds through its fields *binders* (an entry of
+    :data:`SCOPED_FIELDS`)."""
+    return frozenset([name for name in map(expr.__getattribute__, binders) if name])
 
 
 #: The node classes that construct nodes (:meth:`Expr.contains_node_constructor`).
@@ -754,25 +691,12 @@ def substitute_variable(expr: Expr, var: str, replacement: Expr,
         return replacement
     if calls is not None and kind is FunctionCall:
         calls.append(expr)
-    shadowed = _shadowed_body_fields(expr, var)
-    updates = {}
-    for name, is_tuple in _SUBEXPRESSION_FIELDS[kind]:
-        value = getattr(expr, name)
-        if name in shadowed:
-            if calls is not None and value is not None:
-                for part in value if is_tuple else (value,):
-                    _append_calls(part, calls)
-        elif is_tuple:
-            parts = tuple([substitute_variable(part, var, replacement, calls) for part in value])
-            if any(new is not old for new, old in zip(parts, value)):
-                updates[name] = parts
-        elif value is not None:
-            part = substitute_variable(value, var, replacement, calls)
-            if part is not value:
-                updates[name] = part
-    if not updates:
-        return expr
-    return replace(expr, **updates)  # type: ignore[type-var]
+    shadowed = shadowed_fields(expr, var)
+    if calls is not None:
+        for name in shadowed:  # (every binding field holds one expression)
+            _append_calls(getattr(expr, name), calls)
+    return map_children(
+        expr, lambda part: substitute_variable(part, var, replacement, calls), shadowed)
 
 
 def _append_calls(expr: Expr, calls: list[FunctionCall]) -> None:
@@ -780,21 +704,39 @@ def _append_calls(expr: Expr, calls: list[FunctionCall]) -> None:
         calls.extend([sub for sub in expr.iter_subexpressions() if type(sub) is FunctionCall])
 
 
-def _shadowed_body_fields(expr: Expr, var: str) -> frozenset[str]:
-    """Fields of *expr* in which free occurrences of *var* are shadowed."""
-    if isinstance(expr, ForExpr) and var in {expr.var, expr.position_var}:
-        return frozenset({"body"})
-    if isinstance(expr, (LetExpr,)) and var == expr.var:
-        return frozenset({"body"})
-    if isinstance(expr, QuantifiedExpr) and var == expr.var:
-        return frozenset({"satisfies"})
-    if isinstance(expr, WithExpr) and var == expr.var:
-        return frozenset({"body"})
-    if isinstance(expr, TypeswitchCase) and var == expr.var:
-        return frozenset({"body"})
-    if isinstance(expr, TypeswitchExpr) and var == expr.default_var:
-        return frozenset({"default"})
-    return frozenset()
+def shadowed_fields(expr: Expr, var: str) -> tuple[str, ...]:
+    """The child fields of *expr* in which it binds ``$var`` (:data:`BINDERS`)."""
+    binders = BINDERS.get(type(expr))
+    if binders is None:
+        return ()
+    return tuple([field for field, names in binders.items()
+                  if var in map(expr.__getattribute__, names)])
+
+
+def map_children(expr: Expr, function, keep: tuple[str, ...] = ()) -> Expr:
+    """*expr* with *function* applied to every child expression (the fields
+    of its class's child plan, :data:`CHILD_FIELDS`) but those of the fields
+    *keep*; the same object when nothing changed."""
+    updates = {}
+    for name, is_tuple in CHILD_FIELDS[type(expr)]:
+        if name in keep:
+            continue
+        value = getattr(expr, name)
+        if is_tuple:
+            new_value = value
+            for index, item in enumerate(value):
+                new_item = function(item)
+                if new_item is not item:
+                    new_value = (*new_value[:index], new_item, *new_value[index + 1:])
+        elif value is None:
+            continue
+        else:
+            new_value = function(value)
+        if new_value is not value:
+            updates[name] = new_value
+    if not updates:
+        return expr
+    return replace(expr, **updates)  # type: ignore[type-var]
 
 
 def fresh_variable(base: str, taken: Sequence[str]) -> str:

@@ -98,7 +98,7 @@ def optimize(expr: ast.Expr) -> ast.Expr:
     kind = type(expr)
     if kind in _LEAVES:
         return expr
-    expr = _map_children(expr, optimize)
+    expr = ast.map_children(expr, optimize)
     rule = _RULES.get(kind)
     return expr if rule is None else rule(expr)
 
@@ -143,30 +143,6 @@ def optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
     if set_loops:
         functions, variables, body = _set_at_a_time(graph, functions, variables, body)
     return ast.Module(functions=functions, variables=variables, body=body)
-
-
-def _map_children(expr, function):
-    """*expr* with *function* applied to every child expression (the fields
-    of its class's child plan, ``ast.CHILD_FIELDS``); the same object when
-    nothing changed."""
-    updates = {}
-    for name, is_tuple in ast.CHILD_FIELDS[type(expr)]:
-        value = getattr(expr, name)
-        if is_tuple:
-            new_value = value
-            for index, item in enumerate(value):
-                new_item = function(item)
-                if new_item is not item:
-                    new_value = (*new_value[:index], new_item, *new_value[index + 1:])
-        elif value is None:
-            continue
-        else:
-            new_value = function(value)
-        if new_value is not value:
-            updates[name] = new_value
-    if not updates:
-        return expr
-    return replace(expr, **updates)
 
 
 def _fuse_descendant_step(expr: ast.PathExpr) -> ast.Expr:
@@ -540,14 +516,14 @@ class _Scout:
                     self.found = True
             return expr
         if kind not in _SCOUTED:
-            expr = _map_children(expr, self.visit)
+            expr = ast.map_children(expr, self.visit)
         elif kind is ast.LetExpr:
             self.bound[expr.var] = min(self.depth, self.bound.get(expr.var, self.depth))
-            expr = _map_children(expr, self.visit)
+            expr = ast.map_children(expr, self.visit)
         elif kind is ast.FunctionCall:
             if self.depth and _local_name(expr) == "doc":
                 self.found = True
-            expr = _map_children(expr, self.visit)
+            expr = ast.map_children(expr, self.visit)
         else:
             if kind is ast.ForExpr:
                 self.saw_for = True
@@ -665,7 +641,7 @@ class _Hoister:
         elif kind is ast.TypeswitchExpr and expr.default_var:
             # (shadows in the operand and the cases too: fewer hoists, no harm)
             scope = {**scope, expr.default_var: _VARIANT}
-        return _map_children(expr, lambda child: self._walk(child, scope, depth))
+        return ast.map_children(expr, lambda child: self._walk(child, scope, depth))
 
     @staticmethod
     def _rebuilt(expr, updates: dict):

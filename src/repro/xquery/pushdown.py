@@ -95,7 +95,7 @@ Semantics notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 
 from repro.xdm.index import (
@@ -578,20 +578,9 @@ def _scan(expr: ast.Expr, declarations) -> tuple[set[str], bool]:
         if isinstance(sub, ast.FunctionCall):
             calls = calls or (sub.name, len(sub.args)) in declarations
             continue
-        for name in _BINDING_FIELDS[type(sub)]:
-            bound = getattr(sub, name)
-            if bound:
-                names.add(bound)
+        for binders in ast.BINDERS.get(type(sub), {}).values():
+            names |= ast.bound_names(sub, binders)
     return names, calls
-
-
-#: Node class → the fields in which it binds a variable (a name, or ``None``
-#: where the binding is optional).
-_BINDING_FIELDS = {
-    kind: tuple(field.name for field in fields(kind)
-                if field.name in ("var", "position_var", "default_var"))
-    for kind in ast.CHILD_FIELDS
-}
 
 
 # -- the relation -------------------------------------------------------------

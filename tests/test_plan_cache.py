@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import clear_query_caches, evaluate, query_cache_stats
-from repro.plancache import (DocumentsRead, LRUCache, contains_constructor,
-                             module_cache_safe)
+from repro.plancache import DocumentsRead, LRUCache, module_cache_safe
 from repro.xquery.parser import parse_expression, parse_query
 
 
@@ -43,9 +42,9 @@ class TestLRUCache:
 
 class TestCacheSafety:
     def test_constructor_detection(self):
-        assert contains_constructor(parse_expression("<a>{ 1 }</a>"))
-        assert contains_constructor(parse_expression("element a { 2 }"))
-        assert not contains_constructor(parse_expression("1 + count((1, 2))"))
+        assert parse_expression("<a>{ 1 }</a>").contains_node_constructor()
+        assert parse_expression("element a { 2 }").contains_node_constructor()
+        assert not parse_expression("1 + count((1, 2))").contains_node_constructor()
 
     def test_module_with_constructor_variable_is_unsafe(self):
         unsafe = parse_query('declare variable $v := <a/>; count($v)')

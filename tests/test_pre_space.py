@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.api import evaluate
 from repro.errors import FixpointError, XQueryTypeError
 from repro.session import Session
+from repro.settings import EvalSettings
 from repro.xdm.index import ImageMemo, StepRelation, index_for
 from repro.xdm.items import is_node
 from repro.xmlio.parser import parse_xml
@@ -36,11 +37,8 @@ from tests.conftest import benchmark_modules
 
 ENGINES = ("interpreter", "algebra", "sql")
 
-#: The reference mode: no rewrite, no index (so no relation is offered), no
-#: pushdown, no cache, and Naive for every fixpoint.
-REFERENCE = {"engine": "interpreter", "optimize": False, "analyze": False,
-             "use_index": False, "use_pushdown": False, "use_cache": False,
-             "ifp_algorithm": "naive"}
+#: The reference mode: every rewrite, index, kernel and cache off, Naive everywhere.
+REFERENCE = EvalSettings.reference()
 
 D = 'doc("g.xml")'
 
@@ -279,7 +277,7 @@ SIBLING_SEEDS = ("D//S[1]", "D//t", 'D//S[k = "a"]', "D//k", "D/r/p", "D//nothin
 def against_reference_mode(query: str, resolver: DocumentResolver) -> None:
     """Every engine answers *query* as the reference mode does, and the
     rounds are the node path's, in pre-space whenever there is a seed."""
-    expected = items(query, resolver, **REFERENCE)
+    expected = items(query, resolver, settings=REFERENCE)
     for engine in ENGINES:
         assert items(query, resolver, engine=engine) == expected, engine
     space, rounds = traced(query, resolver)
@@ -327,7 +325,7 @@ class TestDeclines:
         query = f'with $x seeded by ({D}//n[@id = "n0"], {D}//n/@id) recurse $x/id(./r)'
         assert traced(query, resolver)[0] == "nodes"
         for engine in ENGINES:
-            assert items(query, resolver, engine=engine) == items(query, resolver, **REFERENCE)
+            assert items(query, resolver, engine=engine) == items(query, resolver, settings=REFERENCE)
 
     @pytest.mark.parametrize("seed, body", [
         ("D", "$x/*"),
@@ -348,7 +346,7 @@ class TestDeclines:
         query = ('with $x seeded by (doc("g.xml")//n[@id = "n0"], doc("h.xml")//n[@id = "n1"]) '
                  'recurse $x/id(./r)')
         assert traced(query, resolver)[0] == "nodes"
-        expected = items(query, resolver, **REFERENCE)
+        expected = items(query, resolver, settings=REFERENCE)
         assert len(expected) == 6  # every n of both documents, each by its own IDs
         for engine in ("interpreter", "sql"):  # algebra resolves IDs in one document
             assert items(query, resolver, engine=engine) == expected
@@ -362,7 +360,7 @@ class TestDeclines:
         assert index_for(document).idref_targets("r") is None
         query = f'with $x seeded by {D}//n[@id = "n0"] recurse $x/id(./r)'
         assert traced(query, resolver)[0] == "nodes"
-        expected = items(query, resolver, **REFERENCE)
+        expected = items(query, resolver, settings=REFERENCE)
         assert ("node", id(elsewhere.document_element())) in expected
         for engine in ENGINES:
             assert items(query, resolver, engine=engine) == expected, engine
@@ -415,7 +413,7 @@ class TestDeclines:
     def test_a_constructed_tree_and_the_other_id_forms_on_algebra(self, argument):
         query = f'count(<r><c id="n0"><r>n1</r></c></r>/c/id({argument}))'
         resolver = resolver_for(GRAPH)
-        assert evaluate(query, documents=resolver, **REFERENCE).items == [0]
+        assert evaluate(query, documents=resolver, settings=REFERENCE).items == [0]
         assert evaluate(query, documents=resolver, engine="algebra").items == [0]
 
 
@@ -501,7 +499,7 @@ class TestImagesPerEngine:
         with Session({"d.xml": document}) as session:
             def answer() -> list:
                 result = session.evaluate(DIALOG_QUERY, engine=engine).items
-                assert result == session.evaluate(DIALOG_QUERY, **REFERENCE).items
+                assert result == session.evaluate(DIALOG_QUERY, settings=REFERENCE).items
                 return result
 
             assert answer() == answer() == [2]
@@ -534,7 +532,7 @@ class TestImagesPerEngine:
                     session.evaluate(query, engine=engine, max_ifp_iterations=1)
                 assert raised.value.code == "FORG0001"
                 with pytest.raises(XQueryTypeError):
-                    session.evaluate(query, **REFERENCE)
+                    session.evaluate(query, settings=REFERENCE)
                 first, second = (index_for(document).pre(speech)
                                  for speech in speeches(document)[:2])
                 memo = memo_of(document, key, body)
@@ -718,7 +716,7 @@ class TestImageAnswersAndRounds:
         body = first if second is None else f"({first}) | ({second})"
         query = closure(body + (" using naive" if naive else ""), seed=start,
                         prolog=PROLOG + JOIN)
-        expected = items(query, resolver, **REFERENCE)
+        expected = items(query, resolver, settings=REFERENCE)
         for engine in ENGINES:
             assert items(query, resolver, engine=engine) == expected, engine
             result = evaluate(query, documents=resolver, engine=engine, trace=True,
@@ -762,7 +760,7 @@ class TestImageMemo:
         assert fills(JOIN_QUERY, resolver) == [1, 1, 2]  # n0 misses twice
         assert fills(variant, resolver) == [1, 1, 1]
         assert fills(JOIN_QUERY, resolver) == [0, 0, 0]
-        assert items(variant, resolver) == items(JOIN_QUERY, resolver, **REFERENCE)
+        assert items(variant, resolver) == items(JOIN_QUERY, resolver, settings=REFERENCE)
         assert fills(variant, resolver, engine="sql") == [0, 0, 0]  # the interpreter's
         for expected in ([1, 1, 2], [1, 1, 1], [0, 0, 0]):  # algebra fills its own
             assert fills(JOIN_QUERY, resolver, engine="algebra") == expected
@@ -789,7 +787,7 @@ class TestImageMemo:
             def answer() -> list:
                 result = session.evaluate(JOIN_QUERY, engine=engine, trace=True)
                 assert result.trace.find("fixpoint").attributes["space"] == "pre"
-                expected = session.evaluate(JOIN_QUERY, **REFERENCE).items
+                expected = session.evaluate(JOIN_QUERY, settings=REFERENCE).items
                 assert list(map(id, result.items)) == list(map(id, expected))
                 return [node.get_attribute("id").value for node in result.items]
 
@@ -817,7 +815,7 @@ class TestImageMemo:
         assert fills(query, resolver) == [1, 1, 1]
         resolver.register("g.xml", parse_xml(JOINED))
         for engine in ENGINES:
-            assert items(query, resolver, engine=engine) == items(query, resolver, **REFERENCE)
+            assert items(query, resolver, engine=engine) == items(query, resolver, settings=REFERENCE)
             result = evaluate(query, documents=resolver, engine=engine, trace=True,
                               use_cache=False)
             assert result.trace.find("fixpoint").attributes["space"] == "nodes", engine
@@ -830,7 +828,7 @@ class TestImageMemo:
         document.register_id("n9", parse_xml("<far/>").document_element())
         assert traced(query, resolver)[0] == "nodes"
         for engine in ENGINES:
-            assert items(query, resolver, engine=engine) == items(query, resolver, **REFERENCE)
+            assert items(query, resolver, engine=engine) == items(query, resolver, settings=REFERENCE)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_body_that_raises(self, engine):
@@ -843,7 +841,7 @@ class TestImageMemo:
                  'recurse $x/following-sibling::S[1][k > 0] | ())')
         with Session({"d.xml": document}) as session:
             with pytest.raises(XQueryTypeError) as expected:
-                session.evaluate(query, **REFERENCE)
+                session.evaluate(query, settings=REFERENCE)
             for _ in range(2):
                 with pytest.raises(XQueryTypeError) as raised:
                     session.evaluate(query, engine=engine)
@@ -872,7 +870,7 @@ class TestImageMemo:
             for _ in range(3):
                 assert items(KEYED + KEYED_CLOSURE, resolver, engine=engine) == [(int, 2)]
         assert any(len(memo) for memo in image_memos(document))
-        expected = items(query, resolver, **REFERENCE)
+        expected = items(query, resolver, settings=REFERENCE)
         assert expected[0] == (int, 1)
         for engine in engines:
             for _ in range(3):
@@ -899,7 +897,7 @@ class TestImageMemo:
             memo = idx.memo(relation if engine == "interpreter" else relation_of(
                 JOIN_QUERY, engine="algebra"))
             memo.stored = len(idx)
-        expected = items(JOIN_QUERY, resolver, **REFERENCE)
+        expected = items(JOIN_QUERY, resolver, settings=REFERENCE)
         for engine in ENGINES:
             assert items(JOIN_QUERY, resolver, engine=engine) == expected, engine
         filled = fills(JOIN_QUERY, resolver)
@@ -960,7 +958,7 @@ class TestSqlImages:
         documents, query = workload_closure(name)
         (document,) = documents.values()
         with Session(documents=documents, id_attributes=("id", "code")) as session:
-            expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            expected = [id(item) for item in session.evaluate(query, settings=REFERENCE).items]
             cold_answer, cold, cold_rounds = sql_run(session, query)
             assert dict(memos_by_engine(document)["sql"]) == {}
             _, filling, _ = sql_run(session, query)
@@ -1007,7 +1005,7 @@ class TestSqlImages:
         documents, query = workload_closure(name)
         (document,) = documents.values()
         with Session(documents=documents, id_attributes=("id", "code")) as session:
-            expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            expected = [id(item) for item in session.evaluate(query, settings=REFERENCE).items]
             for engine in ENGINES:
                 for _ in range(2):
                     assert [id(item) for item in session.evaluate(
@@ -1027,7 +1025,7 @@ class TestSqlImages:
         with Session(documents=documents, id_attributes=("id", "code")) as session:
             def answer(space) -> list:
                 """The sql answer of a run whose span says *space*."""
-                expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+                expected = [id(item) for item in session.evaluate(query, settings=REFERENCE).items]
                 got, span, _ = sql_run(session, query)
                 assert got == expected and span.attributes.get("space") == space
                 return got
@@ -1072,7 +1070,7 @@ class TestSqlImages:
             assert sql_run(session, multi)[1].attributes["path"] == "driver"  # shreds b.xml
             got, span, _ = sql_run(session, query)
             assert (span.attributes["path"], span.attributes["space"]) == ("driver", "pre")
-            assert got == [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            assert got == [id(item) for item in session.evaluate(query, settings=REFERENCE).items]
             assert memos_by_engine(document)["sql"] is memo
             assert (dict(memo), memo.stored) == (images, stored)
 
@@ -1085,14 +1083,14 @@ class TestSqlImages:
             document.register_id("n9", parse_xml("<far/>").document_element())
             got, span, _ = sql_run(session, query)
             assert span.attributes["path"] == "driver"
-            assert got == [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            assert got == [id(item) for item in session.evaluate(query, settings=REFERENCE).items]
             assert "sql" not in memos_by_engine(document)
 
     def test_a_full_sql_memo_runs_the_driver(self):
         documents, query = workload_closure("curriculum")
         (document,) = documents.values()
         with Session(documents=documents, id_attributes=("id", "code")) as session:
-            expected = [id(item) for item in session.evaluate(query, **REFERENCE).items]
+            expected = [id(item) for item in session.evaluate(query, settings=REFERENCE).items]
             sql_run(session, query)
             memo = memos_by_engine(document)["sql"]
             memo.clear()

@@ -65,6 +65,19 @@ class TestEvalSettings:
         assert not names & {"profile", "collect_statistics"}
         assert StaticContext().settings == EvalSettings()
 
+    def test_reference_mode_is_the_ledgers_oracle(self):
+        """One name for the mode the ledger's ``adhoc`` oracle spells out by
+        hand: everything off but the interpreter, Naive everywhere."""
+        import sys
+        from pathlib import Path
+        benchmarks = str(Path(__file__).resolve().parents[1] / "benchmarks")
+        sys.path.insert(0, benchmarks)
+        try:
+            from ledger.inprocess import REFERENCE
+        finally:
+            sys.path.remove(benchmarks)
+        assert EvalSettings.reference() == EvalSettings(**REFERENCE)
+
     def test_plan_key_normalizes_evaluation_only_fields(self):
         a = EvalSettings(engine="algebra", max_ifp_iterations=7, trace=True)
         b = EvalSettings(engine="interpreter", use_index=False)

@@ -25,6 +25,7 @@ from repro.distributivity.syntactic import (
     analyze_distributivity,
 )
 from repro.session import Session
+from repro.settings import EvalSettings
 from repro.xdm.items import is_node
 from repro.xmlio.parser import parse_xml
 from repro.xquery import ast, pushdown
@@ -36,11 +37,8 @@ from tests.conftest import benchmark_modules
 
 ENGINES = ("interpreter", "algebra", "sql")
 
-#: The reference mode: no rewrite (so no loop is ever marked), no index,
-#: no pushdown, no cache, and Naive for every fixpoint.
-REFERENCE = {"engine": "interpreter", "optimize": False, "analyze": False,
-             "use_index": False, "use_pushdown": False, "use_cache": False,
-             "ifp_algorithm": "naive"}
+#: The reference mode: every rewrite, index, kernel and cache off, Naive everywhere.
+REFERENCE = EvalSettings.reference()
 
 
 def whole_flags(query: str) -> list[bool]:
@@ -135,7 +133,7 @@ class TestWhichLoops:
         query = f"with $x seeded by {SEED} recurse for $y in $x return $y/id(./r)"
         assert not parse_query(query).body.body.whole  # the parser never sets it
         resolver = resolver_for(graph_xml(random.Random(3), size=6))
-        assert items(query, resolver) == items(query, resolver, **REFERENCE)
+        assert items(query, resolver) == items(query, resolver, settings=REFERENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ class TestAnswersDoNotMove:
         else:
             query = f"with $x seeded by {seed_path} recurse {loop.format(x='$x')}{using}"
         query = query.replace("D", D)
-        expected = items(query, resolver, **REFERENCE)
+        expected = items(query, resolver, settings=REFERENCE)
         for engine in ENGINES:
             assert items(query, resolver, engine=engine) == expected, engine
 
@@ -245,8 +243,8 @@ def test_existential_distributes_over_union(seed, body, a, b):
 
     whole = applied(f"{a} | {b}")
     split = f"{applied(a)} | {applied(b)}"
-    assert (items(whole.replace("D", D), resolver, **REFERENCE)
-            == items(split.replace("D", D), resolver, **REFERENCE))
+    assert (items(whole.replace("D", D), resolver, settings=REFERENCE)
+            == items(split.replace("D", D), resolver, settings=REFERENCE))
 
 
 # ---------------------------------------------------------------------------
