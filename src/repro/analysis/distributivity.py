@@ -12,7 +12,10 @@ out of reach for a purely syntactic judgment (Sections 3.2 and 4):
 * **trusted built-ins** — ``fn:id`` distributes over node-set union in its
   argument (``id(A ∪ B) = id(A) ∪ id(B)``), making the ``$x/id(...)``
   variant of paper query Q1 safe for the Delta algorithm and the SQL
-  ``WITH RECURSIVE`` emission.
+  ``WITH RECURSIVE`` emission.  That is a rule set of the one walk
+  (:data:`~repro.distributivity.syntactic.STRENGTHENED`); what this module
+  adds is what needs cardinality: the condition verdicts, the rewrite they
+  drive and the two facts below.
 
 Soundness of the conditional elimination (full argument in DESIGN.md §11):
 let ``B`` be the written body and ``B'`` the body with every decided
@@ -42,9 +45,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.distributivity.syntactic import (
+    FIGURE5,
+    STRENGTHENED,
     TRUSTED_DISTRIBUTIVE_BUILTINS,
     DistributivityJudgment,
-    analyze_distributivity,
+    judge,
+    normalize_functions,
 )
 from repro.xquery import ast
 
@@ -93,7 +99,8 @@ def analyze_distributivity_static(
     without them only the ``SYNTACTIC``, ``TRUSTED-BUILTIN`` and
     ``CARD-EMPTY-BASE`` rules can fire.
     """
-    base = analyze_distributivity(body, variable, functions)
+    declarations = normalize_functions(functions)
+    base = judge(body, variable, FIGURE5, declarations)
     if base.safe:
         return StaticDistributivityJudgment(
             safe=True, rule="SYNTACTIC",
@@ -101,10 +108,10 @@ def analyze_distributivity_static(
             facts=(), syntactic=base)
 
     environment = dict(env or {})
-    rewritten, facts = _eliminate_decided_conditionals(body, variable)
-    strengthened = analyze_distributivity(
-        rewritten, variable, functions,
-        trusted_builtins=TRUSTED_DISTRIBUTIVE_BUILTINS)
+    # The body specialized to non-empty $variable, with the facts used.
+    facts: list[str] = []
+    rewritten = _rewrite_conditionals(body, variable, True, facts)
+    strengthened = judge(rewritten, variable, STRENGTHENED, declarations)
     if not strengthened.safe:
         failure = strengthened.deciding()
         return StaticDistributivityJudgment(
@@ -122,9 +129,8 @@ def analyze_distributivity_static(
             facts=(), syntactic=base, strengthened=strengthened)
 
     # Conditionals were eliminated: justify the empty-accumulator case.
-    empty_body = _body_at_empty(body, variable)
-    at_empty = infer_cardinality(
-        empty_body, {**environment, variable: card.EMPTY})
+    at_empty = infer_cardinality(_rewrite_conditionals(body, variable, False, None),
+                                 {**environment, variable: card.EMPTY})
     if at_empty.always_empty():
         return StaticDistributivityJudgment(
             safe=True, rule="CARD-EMPTY-BASE",
@@ -269,19 +275,6 @@ def _rewrite_conditionals(expr: ast.Expr, variable: str, nonempty: bool,
     return ast.map_children(
         expr, lambda child: _rewrite_conditionals(child, variable, nonempty, facts),
         ast.shadowed_fields(expr, variable))
-
-
-def _eliminate_decided_conditionals(body: ast.Expr,
-                                    variable: str) -> tuple[ast.Expr, list[str]]:
-    """The body specialized to non-empty ``$variable``, with the facts used."""
-    facts: list[str] = []
-    rewritten = _rewrite_conditionals(body, variable, nonempty=True, facts=facts)
-    return rewritten, facts
-
-
-def _body_at_empty(body: ast.Expr, variable: str) -> ast.Expr:
-    """The body specialized to ``$variable = ()`` (undecided parts kept)."""
-    return _rewrite_conditionals(body, variable, nonempty=False, facts=None)
 
 
 __all__ = ["TRUSTED_DISTRIBUTIVE_BUILTINS", "StaticDistributivityJudgment",

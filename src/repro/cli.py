@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from repro.api import evaluate
-from repro.errors import GovernanceError
+from repro.errors import GovernanceError, ReproError
 from repro.fixpoint.decision import ALGORITHM_POLICIES, CHECKERS, decide_fixpoint
 from repro.limits import ResourceLimits
 from repro.settings import EvalSettings
@@ -96,7 +96,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check-distributivity", metavar="BODY",
                         help="only analyse the given recursion body for $x and exit")
     arguments = parser.parse_args(argv)
+    try:
+        return _run(arguments, parser)
+    except GovernanceError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except ReproError as exc:
+        # a typed error (syntax, static, dynamic, engine): no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(arguments: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if arguments.check_distributivity is not None:
         site = ast.WithExpr("x", ast.EmptySequence(),
                             parse_expression(arguments.check_distributivity))
@@ -142,11 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     resolver = DocumentResolver()
     for uri, path in arguments.doc:
         resolver.register(uri, parse_xml_file(path, id_attributes=arguments.id_attribute))
-    try:
-        result = evaluate(query, documents=resolver, settings=settings)
-    except GovernanceError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    result = evaluate(query, documents=resolver, settings=settings)
     print(serialize_sequence(result.items))
     if arguments.explain_analysis and result.analysis is not None:
         print("\n-- static analysis", file=sys.stderr)
@@ -169,14 +176,8 @@ def main(argv: list[str] | None = None) -> int:
 def _check_query(query: str) -> int:
     """``--check``: lint the query statically, never evaluate it."""
     from repro.analysis import analyze_query
-    from repro.errors import XQueryError
 
-    try:
-        report = analyze_query(query)
-    except XQueryError as exc:
-        # parse errors surface through the same lint channel
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = analyze_query(query)  # (a parse error is main's "error: …", exit 1)
     for diagnostic in report.diagnostics:
         print(diagnostic.format(), file=sys.stderr)
     if not report.ok():

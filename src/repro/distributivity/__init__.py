@@ -8,7 +8,11 @@ the condition under which algorithm Delta may replace Naive
 safe approximations:
 
 * :mod:`repro.distributivity.syntactic` — the ``ds_$x(·)`` inference rules
-  of Figure 5, evaluated bottom-up over the AST.
+  of Figure 5, applied bottom-up over the AST by one walk that reads a rule
+  table: :data:`FIGURE5` as the paper gives them, :data:`STRENGTHENED`
+  (trusting ``fn:id``; the static analysis adds cardinality facts to it in
+  :mod:`repro.analysis.distributivity`) and :data:`SET_AT_A_TIME` (plus the
+  EXISTENTIAL rule, for the optimizer's set-at-a-time ``for``).
 * :mod:`repro.distributivity.hints` — the "distributivity hint" rewriting of
   Section 3.2: any distributive expression can be wrapped as
   ``for $y in $x return e($y)``, which the syntactic rules always accept.
@@ -18,6 +22,9 @@ safe approximations:
 """
 
 from repro.distributivity.syntactic import (
+    FIGURE5,
+    SET_AT_A_TIME,
+    STRENGTHENED,
     DistributivityJudgment,
     analyze_distributivity,
     is_distributivity_safe,
@@ -25,6 +32,9 @@ from repro.distributivity.syntactic import (
 from repro.distributivity.hints import apply_distributivity_hint, has_distributivity_hint
 
 __all__ = [
+    "FIGURE5",
+    "STRENGTHENED",
+    "SET_AT_A_TIME",
     "DistributivityJudgment",
     "analyze_distributivity",
     "is_distributivity_safe",

@@ -1,38 +1,47 @@
 """The syntactic distributivity approximation ``ds_$x(·)`` (Figure 5).
 
-The checker walks the AST bottom-up and applies the paper's inference rules.
-It is *sound* (whenever it answers "safe", the expression is distributive
-for the recursion variable, and algorithm Delta preserves the IFP
-semantics) but deliberately incomplete: expressions such as
-``count($x) >= 1`` or the ``id($x/…)`` variant of Query Q1 are distributive
-yet rejected — precisely the cases the paper uses to motivate the
-distributivity hint (Section 3.2) and the algebraic check (Section 4).
+One walk, :func:`judge`, applies the paper's inference rules bottom-up over
+the AST and reads them from a rule set: node class → rule.  It is *sound*
+(whenever it answers "safe", the expression is distributive for the
+recursion variable, and algorithm Delta preserves the IFP semantics) but
+deliberately incomplete: expressions such as ``count($x) >= 1`` or the
+``id($x/…)`` variant of Query Q1 are distributive yet rejected — precisely
+the cases the paper uses to motivate the distributivity hint (Section 3.2)
+and the algebraic check (Section 4).
 
-Beyond the rules shown in Figure 5 the implementation encodes the two
-observations made in the accompanying text:
+The walk holds what every rule set shares: the axioms CONST and VAR, and
+the two observations of the text accompanying Figure 5 —
 
 * a subexpression whose value does not depend on ``$x`` is distributive,
   *unless* it constructs nodes (fresh node identities break set-equality);
 * there is no rule for node constructors, positional filters, aggregations,
   general comparisons, or built-in calls receiving ``$x`` — all of these are
-  conservatively rejected when ``$x`` occurs free in them.
+  conservatively rejected when ``$x`` occurs free in them (a rejecting
+  entry in the rule set; a form no entry names is UNSUPPORTED).
 
-One rule beyond Figure 5 is opt-in (``existential=True``), like
-``trusted_builtins``: **EXISTENTIAL** accepts a filter or step
-``X[p1]…[pn]`` whose ``X`` and ``p1…pn-1`` do not mention ``$x`` and whose
-last predicate is a general comparison with ``$x`` free on exactly one
-side, that side distributive in ``$x``.  ``A θ (S1 ∪ S2)`` holds iff
-``A θ S1`` or ``A θ S2`` does, and the positions of ``X``'s items do not
-depend on ``$x``, so every item of ``X`` is kept for ``S1 ∪ S2`` iff it is
-kept for ``S1`` or for ``S2``.  The optimizer's set-at-a-time ``for``
-(:mod:`repro.xquery.optimizer`) uses it; the fixpoint decision's checkers
-do not, so no verdict they give depends on it.
+Three rule sets, one per use:
+
+* :data:`FIGURE5` — the rules as the paper gives them: the fixpoint
+  decision's ``syntactic`` checker and the step-relation recognizer.
+* :data:`STRENGTHENED` — FUNCALL trusts :data:`TRUSTED_DISTRIBUTIVE_BUILTINS`
+  (the paper notes that ``fn:id`` would need its own rule): the static
+  analysis, :mod:`repro.analysis.distributivity`.
+* :data:`SET_AT_A_TIME` — :data:`STRENGTHENED` plus **EXISTENTIAL** entries
+  for steps and filters: ``X[p1]…[pn]`` whose ``X`` and ``p1…pn-1`` do not
+  mention ``$x`` and whose last predicate is a general comparison with
+  ``$x`` free on exactly one side, that side distributive in ``$x``.
+  ``A θ (S1 ∪ S2)`` holds iff ``A θ S1`` or ``A θ S2`` does, and the
+  positions of ``X``'s items do not depend on ``$x``, so every item of
+  ``X`` is kept for ``S1 ∪ S2`` iff it is kept for ``S1`` or for ``S2``.
+  The optimizer's set-at-a-time ``for`` (:mod:`repro.xquery.optimizer`)
+  reads it; no fixpoint decision does, so no verdict they give depends on
+  it.
 """
-
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from typing import Any
 
 from repro.xquery import ast
 
@@ -78,26 +87,258 @@ class DistributivityJudgment:
 
 
 FunctionMap = Mapping[tuple[str, int], ast.FunctionDecl]
+Declarations = dict[tuple[str, int], ast.FunctionDecl]
+
+#: A rule: the judgment of a node in which the recursion variable occurs
+#: free and that constructs nothing, its parts judged by :func:`judge` with
+#: the same rule set and declarations.
+Rule = Callable[[Any, str, "Rules", Declarations], DistributivityJudgment]
+#: A rule set: node class → its rule.
+Rules = Mapping[type[ast.Expr], Rule]
 
 #: Built-ins trusted to distribute over union in their node-set argument.
 #: ``fn:id`` maps each idref token of each input item independently, so
 #: ``id(A ∪ B) = id(A) ∪ id(B)`` as node sets.
 TRUSTED_DISTRIBUTIVE_BUILTINS = frozenset({"id", "fn:id"})
 
+#: The axioms every rule set shares: these forms are safe as they stand.
+_AXIOMS: dict[type[ast.Expr], str] = {
+    ast.Literal: "CONST", ast.EmptySequence: "CONST", ast.ContextItem: "CONST",
+    ast.RootExpr: "CONST", ast.VarRef: "VAR",
+}
+
+
+def judge(expr: ast.Expr, variable: str, rules: Rules,
+          functions: Declarations) -> DistributivityJudgment:
+    """``ds_$variable(expr)`` by the rule set *rules*, with the user
+    functions *functions* by ``(name, arity)`` (:func:`normalize_functions`)."""
+    axiom = _AXIOMS.get(type(expr))
+    if axiom is not None:
+        return DistributivityJudgment(expr, variable, True, axiom)
+    # Node constructors anywhere in the expression create fresh node
+    # identities on every (re-)evaluation; splitting the input would
+    # yield different nodes, so distributivity fails (Section 3.2).
+    if expr.contains_node_constructor():
+        return DistributivityJudgment(expr, variable, False, "NODE-CONSTRUCTOR",
+                                      "the expression constructs new nodes")
+    # Independence: e does not mention $x at all (and, per the check
+    # above, constructs no nodes) — its value is the same for every
+    # split of the input.
+    if variable not in expr.free_variables():
+        return DistributivityJudgment(expr, variable, True, "INDEPENDENT",
+                                      "recursion variable does not occur free")
+    return rules.get(type(expr), _UNSUPPORTED)(expr, variable, rules, functions)
+
+
+def _of_all(expr: ast.Expr, variable: str, rule: str,
+            children: list[DistributivityJudgment]) -> DistributivityJudgment:
+    """Safe iff every sub-judgment is."""
+    return DistributivityJudgment(expr, variable, all(child.safe for child in children),
+                                  rule, "", children)
+
+
+def _reject(rule: str, why: str) -> Rule:
+    """A form with no rule once ``$var`` occurs free in it (``{kind}``: its class)."""
+    def reject(expr: ast.Expr, variable: str, rules: Rules,
+               functions: Declarations) -> DistributivityJudgment:
+        return DistributivityJudgment(expr, variable, False, rule,
+                                      why.format(var=variable, kind=type(expr).__name__))
+    return reject
+
+
+_UNSUPPORTED = _reject("UNSUPPORTED", "no distributivity rule covers {kind} with ${var} free")
+
+
+def _concat(expr: ast.SequenceExpr | ast.UnionExpr, variable: str, rules: Rules,
+            functions: Declarations) -> DistributivityJudgment:
+    parts = expr.items if type(expr) is ast.SequenceExpr else (expr.left, expr.right)
+    return _of_all(expr, variable, "CONCAT",
+                   [judge(part, variable, rules, functions) for part in parts])
+
+
+def _if(expr: ast.IfExpr, variable: str, rules: Rules,
+        functions: Declarations) -> DistributivityJudgment:
+    if variable in expr.condition.free_variables():
+        return DistributivityJudgment(
+            expr, variable, False, "IF",
+            f"${variable} occurs free in the condition (the condition inspects the whole sequence)")
+    return _of_all(expr, variable, "IF", [judge(expr.then_branch, variable, rules, functions),
+                                          judge(expr.else_branch, variable, rules, functions)])
+
+
+def _for(expr: ast.ForExpr, variable: str, rules: Rules,
+         functions: Declarations) -> DistributivityJudgment:
+    in_sequence = variable in expr.sequence.free_variables()
+    if in_sequence and variable in expr.body.free_variables():
+        return DistributivityJudgment(
+            expr, variable, False, "FOR",
+            f"${variable} occurs free in both the range and the body (violates linearity)")
+    if not in_sequence:
+        # FOR1: $x only in the body.
+        return _of_all(expr, variable, "FOR1", [judge(expr.body, variable, rules, functions)])
+    # FOR2: $x only in the range expression.
+    if expr.position_var is not None and expr.position_var in expr.body.free_variables():
+        return DistributivityJudgment(
+            expr, variable, False, "FOR2",
+            "positional variable of the iteration over the recursion variable is used in the body")
+    return _of_all(expr, variable, "FOR2", [judge(expr.sequence, variable, rules, functions)])
+
+
+def _let(expr: ast.LetExpr, variable: str, rules: Rules,
+         functions: Declarations) -> DistributivityJudgment:
+    in_value = variable in expr.value.free_variables()
+    if in_value and variable in expr.body.free_variables():
+        return DistributivityJudgment(
+            expr, variable, False, "LET",
+            f"${variable} occurs free in both the bound expression and the body")
+    if not in_value:
+        return _of_all(expr, variable, "LET1", [judge(expr.body, variable, rules, functions)])
+    # LET2: the let variable now carries (part of) the recursion input, so
+    # the body must be distributive in the let variable as well.
+    return _of_all(expr, variable, "LET2", [judge(expr.value, variable, rules, functions),
+                                            judge(expr.body, expr.var, rules, functions)])
+
+
+def _typeswitch(expr: ast.TypeswitchExpr, variable: str, rules: Rules,
+                functions: Declarations) -> DistributivityJudgment:
+    if variable in expr.operand.free_variables():
+        return DistributivityJudgment(expr, variable, False, "TYPESW",
+                                      f"${variable} occurs free in the typeswitch operand")
+    branches = [*(case.body for case in expr.cases), expr.default]
+    return _of_all(expr, variable, "TYPESW",
+                   [judge(branch, variable, rules, functions) for branch in branches])
+
+
+def _path(expr: ast.PathExpr, variable: str, rules: Rules,
+          functions: Declarations) -> DistributivityJudgment:
+    in_left = variable in expr.left.free_variables()
+    if in_left and variable in expr.right.free_variables():
+        return DistributivityJudgment(expr, variable, False, "STEP",
+                                      f"${variable} occurs free on both sides of '/'")
+    if not in_left:
+        return _of_all(expr, variable, "STEP1", [judge(expr.right, variable, rules, functions)])
+    return _of_all(expr, variable, "STEP2", [judge(expr.left, variable, rules, functions)])
+
+
+def _ordered(expr: ast.OrderedExpr, variable: str, rules: Rules,
+             functions: Declarations) -> DistributivityJudgment:
+    return _of_all(expr, variable, "ORDERED", [judge(expr.body, variable, rules, functions)])
+
+
+def _funcall(trusted: frozenset[str],
+             calls: frozenset[tuple[str, int, str]] = frozenset()) -> Rule:
+    """FUNCALL trusting the built-ins *trusted*, while the calls *calls* —
+    ``(name, arity, variable)`` — are being judged: a user function's body
+    is judged by a rule set whose FUNCALL knows the call, so a cycle
+    through it is FUNCALL-RECURSIVE."""
+    def funcall(expr: ast.FunctionCall, variable: str, rules: Rules,
+                functions: Declarations) -> DistributivityJudgment:
+        declaration = functions.get((expr.name, len(expr.args)))
+        if declaration is None:
+            if expr.name in trusted:
+                return _of_all(expr, variable, "FUNCALL-TRUSTED",
+                               [judge(arg, variable, rules, functions) for arg in expr.args])
+            return DistributivityJudgment(
+                expr, variable, False, "FUNCALL-BUILTIN",
+                f"${variable} is passed to built-in {expr.name}(), whose distributivity the "
+                "syntactic rules cannot establish (cf. the id() discussion in Section 4.1)")
+        key = (declaration.name, declaration.arity, variable)
+        if key in calls:
+            return DistributivityJudgment(
+                expr, variable, False, "FUNCALL-RECURSIVE",
+                f"recursive call cycle through {declaration.name}() cannot be analysed syntactically")
+        inside = {**rules, ast.FunctionCall: _funcall(trusted, calls | {key})}
+        children: list[DistributivityJudgment] = []
+        for parameter, argument in zip(declaration.params, expr.args):
+            if variable in argument.free_variables():
+                children += [judge(argument, variable, inside, functions),
+                             judge(declaration.body, parameter.name, inside, functions)]
+        return _of_all(expr, variable, "FUNCALL", children)
+    return funcall
+
+
+def _existential(otherwise: Rule) -> Rule:
+    """EXISTENTIAL for a step or a filter, *otherwise* for any other shape
+    of it: ``X[p1]…[pn]`` with ``$x`` only on one side of the general
+    comparison ``pn`` is judged by that side."""
+    def existential(expr: ast.AxisStep | ast.FilterExpr, variable: str, rules: Rules,
+                    functions: Declarations) -> DistributivityJudgment:
+        if type(expr) is ast.FilterExpr and variable in expr.primary.free_variables():
+            return otherwise(expr, variable, rules, functions)
+        *front, last = expr.predicates
+        if type(last) is not ast.GeneralComparison or any(
+                variable in predicate.free_variables() for predicate in front):
+            return otherwise(expr, variable, rules, functions)
+        in_left = variable in last.left.free_variables()
+        if in_left == (variable in last.right.free_variables()):
+            return otherwise(expr, variable, rules, functions)
+        return _of_all(expr, variable, "EXISTENTIAL",
+                       [judge(last.left if in_left else last.right, variable, rules, functions)])
+    return existential
+
+
+_ARITHMETIC = _reject("ARITHMETIC", "arithmetic atomizes the whole sequence")
+_LOGICAL = _reject("LOGICAL", "boolean connectives reduce the sequence to a single truth value")
+
+#: The rules of Figure 5 by node class; the forms it has no rule for reject
+#: (``{var}``: the recursion variable).  Node constructors need no entry:
+#: the walk rejects whatever constructs nodes before it looks here.
+FIGURE5: Rules = {
+    ast.SequenceExpr: _concat,
+    ast.UnionExpr: _concat,
+    ast.IfExpr: _if,
+    ast.ForExpr: _for,
+    ast.LetExpr: _let,
+    ast.TypeswitchExpr: _typeswitch,
+    ast.PathExpr: _path,
+    ast.OrderedExpr: _ordered,
+    ast.FunctionCall: _funcall(frozenset()),
+    ast.FilterExpr: _reject("FILTER", "predicates may inspect position or cardinality of the "
+                                      "sequence bound to ${var} (e.g. $x[1] is not distributive)"),
+    ast.AxisStep: _reject("STEP-PREDICATE", "${var} occurs free inside a step predicate"),
+    ast.GeneralComparison: _reject("COMPARISON", "general comparisons quantify existentially over "
+                                                 "the whole sequence bound to ${var} (e.g. $x = 10)"),
+    ast.ValueComparison: _reject("COMPARISON", "value comparisons require the whole (singleton) "
+                                               "sequence"),
+    ast.NodeComparison: _reject("COMPARISON", "node comparisons require the whole (singleton) "
+                                              "sequence"),
+    ast.ArithmeticExpr: _ARITHMETIC,
+    ast.UnaryExpr: _ARITHMETIC,
+    ast.RangeExpr: _reject("RANGE", "range expressions atomize the whole sequence"),
+    ast.OrExpr: _LOGICAL,
+    ast.AndExpr: _LOGICAL,
+    ast.QuantifiedExpr: _reject("QUANTIFIER", "quantifiers reduce the sequence to a single truth "
+                                              "value"),
+    ast.IntersectExpr: _reject("INTERSECT", "intersect needs both operands in full"),
+    ast.ExceptExpr: _reject("EXCEPT", "except needs both operands in full"),
+    ast.WithExpr: _reject("NESTED-IFP", "nested fixed points over the outer recursion variable "
+                                        "are not analysed"),
+    ast.CastExpr: _reject("CAST", "casts atomize the whole (singleton) sequence"),
+    ast.InstanceOfExpr: _reject("INSTANCE-OF", "instance of inspects the cardinality of the "
+                                               "whole sequence"),
+}
+
+#: :data:`FIGURE5` trusting the union-distributing built-ins.
+STRENGTHENED: Rules = {**FIGURE5, ast.FunctionCall: _funcall(TRUSTED_DISTRIBUTIVE_BUILTINS)}
+
+#: :data:`STRENGTHENED` with EXISTENTIAL for steps and filters.
+SET_AT_A_TIME: Rules = {
+    **STRENGTHENED,
+    ast.AxisStep: _existential(FIGURE5[ast.AxisStep]),
+    ast.FilterExpr: _existential(FIGURE5[ast.FilterExpr]),
+}
+
 
 def is_distributivity_safe(expr: ast.Expr, variable: str,
                            functions: FunctionMap | Iterable[ast.FunctionDecl] | None = None,
-                           trusted_builtins: frozenset[str] = frozenset(),
-                           existential: bool = False) -> bool:
-    """Return ``True`` iff the Figure 5 rules infer ``ds_$variable(expr)``."""
-    return analyze_distributivity(expr, variable, functions, trusted_builtins,
-                                  existential).safe
+                           rules: Rules = FIGURE5) -> bool:
+    """Return ``True`` iff the rule set *rules* infers ``ds_$variable(expr)``."""
+    return analyze_distributivity(expr, variable, functions, rules).safe
 
 
 def analyze_distributivity(expr: ast.Expr, variable: str,
                            functions: FunctionMap | Iterable[ast.FunctionDecl] | None = None,
-                           trusted_builtins: frozenset[str] = frozenset(),
-                           existential: bool = False) -> DistributivityJudgment:
+                           rules: Rules = FIGURE5) -> DistributivityJudgment:
     """Run the ``ds_$x(·)`` analysis and return the full derivation tree.
 
     Parameters
@@ -110,273 +351,18 @@ def analyze_distributivity(expr: ast.Expr, variable: str,
         User-defined function declarations, either as the mapping produced by
         :meth:`repro.xquery.ast.Module.function_map` or as an iterable of
         declarations (needed by the FUNCALL rule).
-    trusted_builtins:
-        Extra built-in function names the caller asserts to be distributive
-        in every argument (the paper notes that e.g. ``fn:id`` would need
-        its own rule); empty by default to stay faithful to Figure 5.
-    existential:
-        Also apply the EXISTENTIAL rule (see the module docstring); off by
-        default to stay faithful to Figure 5.
+    rules:
+        The rule set: :data:`FIGURE5` (faithful to the paper),
+        :data:`STRENGTHENED` or :data:`SET_AT_A_TIME`.
     """
-    checker = _SyntacticChecker(normalize_functions(functions), trusted_builtins,
-                                existential)
-    return checker.check(expr, variable)
+    return judge(expr, variable, rules, normalize_functions(functions))
 
 
 def normalize_functions(functions: FunctionMap | Iterable[ast.FunctionDecl] | None
-                        ) -> dict[tuple[str, int], ast.FunctionDecl]:
+                        ) -> Declarations:
     """Declarations by ``(name, arity)``, however the caller holds them."""
     if functions is None:
         return {}
     if isinstance(functions, Mapping):
         return dict(functions)
     return {(decl.name, decl.arity): decl for decl in functions}
-
-
-_ARITHMETIC = ("ARITHMETIC", "arithmetic atomizes the whole sequence")
-_LOGICAL = ("LOGICAL", "boolean connectives reduce the sequence to a single truth value")
-_CONSTRUCTOR = ("NODE-CONSTRUCTOR", "node constructors create fresh node identities")
-
-#: Forms Figure 5 has no rule for once the recursion variable (``{var}``)
-#: occurs free in them: expression class → (rule, why).
-_NO_RULE: dict[type, tuple[str, str]] = {
-    ast.FilterExpr: ("FILTER", "predicates may inspect position or cardinality of the "
-                               "sequence bound to ${var} (e.g. $x[1] is not distributive)"),
-    ast.AxisStep: ("STEP-PREDICATE", "${var} occurs free inside a step predicate"),
-    ast.GeneralComparison: ("COMPARISON", "general comparisons quantify existentially over "
-                                          "the whole sequence bound to ${var} (e.g. $x = 10)"),
-    ast.ValueComparison: ("COMPARISON", "value comparisons require the whole (singleton) sequence"),
-    ast.NodeComparison: ("COMPARISON", "node comparisons require the whole (singleton) sequence"),
-    ast.ArithmeticExpr: _ARITHMETIC,
-    ast.UnaryExpr: _ARITHMETIC,
-    ast.RangeExpr: ("RANGE", "range expressions atomize the whole sequence"),
-    ast.OrExpr: _LOGICAL,
-    ast.AndExpr: _LOGICAL,
-    ast.QuantifiedExpr: ("QUANTIFIER", "quantifiers reduce the sequence to a single truth value"),
-    ast.IntersectExpr: ("INTERSECT", "intersect needs both operands in full"),
-    ast.ExceptExpr: ("EXCEPT", "except needs both operands in full"),
-    ast.WithExpr: ("NESTED-IFP", "nested fixed points over the outer recursion variable "
-                                 "are not analysed"),
-    ast.DirectElementConstructor: _CONSTRUCTOR,
-    ast.ComputedConstructor: _CONSTRUCTOR,
-    ast.CastExpr: ("CAST", "casts atomize the whole (singleton) sequence"),
-    ast.InstanceOfExpr: ("INSTANCE-OF", "instance of inspects the cardinality of the whole sequence"),
-}
-
-
-#: The forms EXISTENTIAL applies to: a step or a filter, with predicates.
-_EXISTENTIAL_FORMS = (ast.AxisStep, ast.FilterExpr)
-
-
-class _SyntacticChecker:
-    """Bottom-up application of the Figure 5 rules."""
-
-    def __init__(self, functions: dict[tuple[str, int], ast.FunctionDecl],
-                 trusted_builtins: frozenset[str], existential: bool = False):
-        self.functions = functions
-        self.trusted_builtins = trusted_builtins
-        self.existential = existential
-        self._in_progress: set[tuple[str, int, str]] = set()
-
-    # -- entry -------------------------------------------------------------
-
-    def check(self, expr: ast.Expr, variable: str) -> DistributivityJudgment:
-        free = expr.free_variables()
-
-        # CONST / VAR: literals and variable references are always safe.
-        if isinstance(expr, (ast.Literal, ast.EmptySequence, ast.ContextItem, ast.RootExpr)):
-            return self._judge(expr, variable, True, "CONST")
-        if isinstance(expr, ast.VarRef):
-            return self._judge(expr, variable, True, "VAR")
-
-        # Node constructors anywhere in the expression create fresh node
-        # identities on every (re-)evaluation; splitting the input would
-        # yield different nodes, so distributivity fails (Section 3.2).
-        if expr.contains_node_constructor():
-            return self._judge(
-                expr, variable, False, "NODE-CONSTRUCTOR",
-                "the expression constructs new nodes",
-            )
-
-        # Independence: e does not mention $x at all (and, per the check
-        # above, constructs no nodes) — its value is the same for every
-        # split of the input.
-        if variable not in free:
-            return self._judge(expr, variable, True, "INDEPENDENT",
-                               "recursion variable does not occur free")
-
-        # $x occurs free: a form Figure 5 has no rule for, or dispatch.
-        no_rule = _NO_RULE.get(type(expr))
-        if no_rule is not None:
-            if self.existential and type(expr) in _EXISTENTIAL_FORMS:
-                judgment = self._check_existential(expr, variable)
-                if judgment is not None:
-                    return judgment
-            return self._judge(expr, variable, False, no_rule[0],
-                               no_rule[1].format(var=variable))
-        handler = getattr(self, f"_check_{type(expr).__name__}", None)
-        if handler is None:
-            return self._judge(
-                expr, variable, False, "UNSUPPORTED",
-                f"no distributivity rule covers {type(expr).__name__} with ${variable} free",
-            )
-        return handler(expr, variable)
-
-    def _judge(self, expr: ast.Expr, variable: str, safe: bool, rule: str,
-               detail: str = "", children: list[DistributivityJudgment] | None = None) -> DistributivityJudgment:
-        return DistributivityJudgment(expr, variable, safe, rule, detail, children or [])
-
-    # -- CONCAT -------------------------------------------------------------
-
-    def _check_SequenceExpr(self, expr: ast.SequenceExpr, variable: str) -> DistributivityJudgment:
-        children = [self.check(item, variable) for item in expr.items]
-        safe = all(child.safe for child in children)
-        return self._judge(expr, variable, safe, "CONCAT", children=children)
-
-    def _check_UnionExpr(self, expr: ast.UnionExpr, variable: str) -> DistributivityJudgment:
-        children = [self.check(expr.left, variable), self.check(expr.right, variable)]
-        safe = all(child.safe for child in children)
-        return self._judge(expr, variable, safe, "CONCAT", children=children)
-
-    # -- IF -------------------------------------------------------------------
-
-    def _check_IfExpr(self, expr: ast.IfExpr, variable: str) -> DistributivityJudgment:
-        if variable in expr.condition.free_variables():
-            return self._judge(
-                expr, variable, False, "IF",
-                f"${variable} occurs free in the condition (the condition inspects the whole sequence)",
-            )
-        children = [self.check(expr.then_branch, variable), self.check(expr.else_branch, variable)]
-        safe = all(child.safe for child in children)
-        return self._judge(expr, variable, safe, "IF", children=children)
-
-    # -- FOR1 / FOR2 ------------------------------------------------------------
-
-    def _check_ForExpr(self, expr: ast.ForExpr, variable: str) -> DistributivityJudgment:
-        in_sequence = variable in expr.sequence.free_variables()
-        in_body = variable in expr.body.free_variables()
-        if in_sequence and in_body:
-            return self._judge(
-                expr, variable, False, "FOR",
-                f"${variable} occurs free in both the range and the body (violates linearity)",
-            )
-        if not in_sequence:
-            # FOR1: $x only in the body.
-            child = self.check(expr.body, variable)
-            return self._judge(expr, variable, child.safe, "FOR1", children=[child])
-        # FOR2: $x only in the range expression.
-        if expr.position_var is not None and expr.position_var in expr.body.free_variables():
-            return self._judge(
-                expr, variable, False, "FOR2",
-                "positional variable of the iteration over the recursion variable is used in the body",
-            )
-        child = self.check(expr.sequence, variable)
-        return self._judge(expr, variable, child.safe, "FOR2", children=[child])
-
-    # -- LET1 / LET2 ------------------------------------------------------------
-
-    def _check_LetExpr(self, expr: ast.LetExpr, variable: str) -> DistributivityJudgment:
-        in_value = variable in expr.value.free_variables()
-        in_body = variable in expr.body.free_variables()
-        if in_value and in_body:
-            return self._judge(
-                expr, variable, False, "LET",
-                f"${variable} occurs free in both the bound expression and the body",
-            )
-        if not in_value:
-            # LET1
-            child = self.check(expr.body, variable)
-            return self._judge(expr, variable, child.safe, "LET1", children=[child])
-        # LET2: the let variable now carries (part of) the recursion input,
-        # so the body must be distributive in the let variable as well.
-        value_child = self.check(expr.value, variable)
-        body_child = self.check(expr.body, expr.var)
-        safe = value_child.safe and body_child.safe
-        return self._judge(expr, variable, safe, "LET2", children=[value_child, body_child])
-
-    # -- TYPESW -------------------------------------------------------------------
-
-    def _check_TypeswitchExpr(self, expr: ast.TypeswitchExpr, variable: str) -> DistributivityJudgment:
-        if variable in expr.operand.free_variables():
-            return self._judge(
-                expr, variable, False, "TYPESW",
-                f"${variable} occurs free in the typeswitch operand",
-            )
-        children = [self.check(case.body, variable) for case in expr.cases]
-        children.append(self.check(expr.default, variable))
-        safe = all(child.safe for child in children)
-        return self._judge(expr, variable, safe, "TYPESW", children=children)
-
-    # -- STEP1 / STEP2 ---------------------------------------------------------------
-
-    def _check_PathExpr(self, expr: ast.PathExpr, variable: str) -> DistributivityJudgment:
-        in_left = variable in expr.left.free_variables()
-        in_right = variable in expr.right.free_variables()
-        if in_left and in_right:
-            return self._judge(
-                expr, variable, False, "STEP",
-                f"${variable} occurs free on both sides of '/'",
-            )
-        if not in_left:
-            child = self.check(expr.right, variable)
-            return self._judge(expr, variable, child.safe, "STEP1", children=[child])
-        child = self.check(expr.left, variable)
-        return self._judge(expr, variable, child.safe, "STEP2", children=[child])
-
-    # -- FUNCALL ------------------------------------------------------------------------
-
-    def _check_FunctionCall(self, expr: ast.FunctionCall, variable: str) -> DistributivityJudgment:
-        declaration = self.functions.get((expr.name, len(expr.args)))
-        if declaration is None:
-            if expr.name in self.trusted_builtins:
-                children = [self.check(arg, variable) for arg in expr.args]
-                safe = all(child.safe for child in children)
-                return self._judge(expr, variable, safe, "FUNCALL-TRUSTED", children=children)
-            return self._judge(
-                expr, variable, False, "FUNCALL-BUILTIN",
-                f"${variable} is passed to built-in {expr.name}(), whose distributivity the "
-                "syntactic rules cannot establish (cf. the id() discussion in Section 4.1)",
-            )
-        key = (declaration.name, declaration.arity, variable)
-        if key in self._in_progress:
-            return self._judge(
-                expr, variable, False, "FUNCALL-RECURSIVE",
-                f"recursive call cycle through {declaration.name}() cannot be analysed syntactically",
-            )
-        self._in_progress.add(key)
-        try:
-            children: list[DistributivityJudgment] = []
-            safe = True
-            for parameter, argument in zip(declaration.params, expr.args):
-                if variable not in argument.free_variables():
-                    continue
-                argument_judgment = self.check(argument, variable)
-                body_judgment = self.check(declaration.body, parameter.name)
-                children.extend([argument_judgment, body_judgment])
-                safe = safe and argument_judgment.safe and body_judgment.safe
-            return self._judge(expr, variable, safe, "FUNCALL", children=children)
-        finally:
-            self._in_progress.discard(key)
-
-    # -- EXISTENTIAL (opt-in) ---------------------------------------------------
-
-    def _check_existential(self, expr: ast.AxisStep | ast.FilterExpr,
-                           variable: str) -> DistributivityJudgment | None:
-        """``X[p1]…[pn]`` with ``$x`` only on one side of the general
-        comparison ``pn`` — judged by that side; ``None`` for any other
-        shape (the form then has no rule)."""
-        if type(expr) is ast.FilterExpr and variable in expr.primary.free_variables():
-            return None
-        *front, last = expr.predicates
-        if type(last) is not ast.GeneralComparison or any(
-                variable in predicate.free_variables() for predicate in front):
-            return None
-        in_left = variable in last.left.free_variables()
-        if in_left == (variable in last.right.free_variables()):
-            return None
-        child = self.check(last.left if in_left else last.right, variable)
-        return self._judge(expr, variable, child.safe, "EXISTENTIAL", children=[child])
-
-    def _check_OrderedExpr(self, expr: ast.OrderedExpr, variable: str) -> DistributivityJudgment:
-        child = self.check(expr.body, variable)
-        return self._judge(expr, variable, child.safe, "ORDERED", children=[child])

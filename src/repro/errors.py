@@ -180,10 +180,6 @@ class SqlBackendError(ReproError):
     """Raised by the SQLite execution backend (shredding, emission, decode)."""
 
 
-class DistributivityError(ReproError):
-    """Raised when a distributivity analysis cannot be performed."""
-
-
 class GovernanceError(ReproError):
     """Common base of every error raised by the resource-governance layer.
 

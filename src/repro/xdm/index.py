@@ -442,14 +442,6 @@ class StructuralIndex:
             return matches
         return None
 
-    def descendant_interval(self, node: Node,
-                            or_self: bool = False) -> tuple[int, int] | None:
-        """The inclusive pre-order interval covering *node*'s subtree."""
-        pre = self.pre_of.get(id(node))
-        if pre is None:
-            return None
-        return (pre if or_self else pre + 1, pre + self.size[pre])
-
     def range_matches(self, lo: int, hi: int, kind: str,
                       name: str | None) -> list[Node]:
         """Nodes in the inclusive pre interval ``[lo, hi]`` passing the test."""

@@ -201,10 +201,3 @@ def xs_integer(value: Any) -> int:
         except ValueError as exc:
             raise XQueryTypeError(f"cannot cast {value!r} to xs:integer", code="FORG0001") from exc
     raise XQueryTypeError(f"cannot cast {type(value).__name__} to xs:integer")
-
-
-def numeric_promote(value: Any) -> float | int:
-    """Promote an untyped or string value to a number for general comparison."""
-    if is_numeric(value):
-        return value
-    return xs_double(value)

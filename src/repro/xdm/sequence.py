@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Any
 
 from repro.errors import XQueryTypeError
-from repro.xdm.items import atomize_item, is_atomic, is_node, is_numeric
+from repro.xdm.items import atomize_item, is_node, is_numeric
 from repro.xdm.node import Node
 
 
@@ -163,33 +163,3 @@ def predicate_truth(value: Sequence[Any], position: int) -> bool:
     if len(value) == 1 and is_numeric(value[0]) and not isinstance(value[0], bool):
         return value[0] == position
     return effective_boolean_value(value)
-
-
-def item_sequence(value: Any) -> list[Any]:
-    """Normalize a Python value into an item sequence.
-
-    ``None`` becomes the empty sequence, lists/tuples are flattened one
-    level, everything else becomes a singleton.
-    """
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
-def is_singleton_node(sequence: Sequence[Any]) -> bool:
-    """True if *sequence* is exactly one node."""
-    return len(sequence) == 1 and is_node(sequence[0])
-
-
-def sequence_string(sequence: Sequence[Any]) -> str:
-    """Space-joined string value of a sequence (used by constructors)."""
-    from repro.xdm.items import string_value_of_item
-
-    return " ".join(string_value_of_item(item) for item in sequence)
-
-
-def is_atomic_sequence(sequence: Iterable[Any]) -> bool:
-    """True if every item is atomic."""
-    return all(is_atomic(item) for item in sequence)

@@ -19,9 +19,9 @@ scanners, which are the specification and write every error message:
 * strings with an entity reference or a doubled quote, or without an end;
 * comments, which nest (the pattern only finds where one starts);
 * a token that starts with a non-ASCII character or, in a text that has
-  any, ends within three characters of one — the scanners classify with
-  ``str.isalpha``/``isalnum``/``isdigit``, so ``café`` is one name and
-  ``1e+٣`` one double, the longest such look-ahead;
+  any, ends within three characters of one — the scanners classify names
+  with ``str.isalpha``/``isalnum``, so ``café`` is one name, and take
+  ASCII digits only, so ``1²`` and ``٣`` are syntax errors;
 * every character no token starts with: a non-match is a hand-over, never
   an error of its own.
 """
@@ -69,6 +69,11 @@ _CHARACTER_REFERENCE = re.compile(r"#(?:[xX]([0-9a-fA-F]+)|([0-9]+))").fullmatch
 
 #: ``Token(*fields)`` without the Python-level ``__new__`` of a NamedTuple.
 _new_token = tuple.__new__
+
+
+#: An ASCII digit (``str.isdigit`` takes ``²`` and ``٣`` too, which no
+#: XQuery numeric literal has); ``False`` for the ``""`` past the end.
+_is_digit = frozenset("0123456789").__contains__
 
 
 def _is_name_start(char: str) -> bool:
@@ -165,7 +170,7 @@ class Lexer:
 
         if char in "\"'":
             return self._scan_string(char)
-        if char.isdigit() or (char == "." and self.peek_char(1).isdigit()):
+        if _is_digit(char) or (char == "." and _is_digit(self.peek_char(1))):
             return self._scan_number()
         if _is_name_start(char):
             return self._scan_name()
@@ -225,22 +230,22 @@ class Lexer:
     def _scan_number(self) -> Token:
         start = self.pos
         kind = TokenKind.INTEGER
-        while self.peek_char().isdigit():
+        while _is_digit(self.peek_char()):
             self.pos += 1
-        if self.peek_char() == "." and self.peek_char(1).isdigit():
+        if self.peek_char() == "." and _is_digit(self.peek_char(1)):
             kind = TokenKind.DECIMAL
             self.pos += 1
-            while self.peek_char().isdigit():
+            while _is_digit(self.peek_char()):
                 self.pos += 1
         if self.peek_char() in "eE" and (
-            self.peek_char(1).isdigit()
-            or (self.peek_char(1) in "+-" and self.peek_char(2).isdigit())
+            _is_digit(self.peek_char(1))
+            or (self.peek_char(1) in "+-" and _is_digit(self.peek_char(2)))
         ):
             kind = TokenKind.DOUBLE
             self.pos += 1
             if self.peek_char() in "+-":
                 self.pos += 1
-            while self.peek_char().isdigit():
+            while _is_digit(self.peek_char()):
                 self.pos += 1
         return Token(kind, self.text[start:self.pos], start, self.pos)
 

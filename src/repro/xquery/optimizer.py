@@ -64,8 +64,9 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
   through ``let``/``for`` returns, ``if`` branches, ``,``, ``|`` and
   ``ordered {}``, and the body of a function every call of which sits in
   one, if its return type is absent or ``*``/``+``), that has no ``at $i``
-  and whose ``R`` distributes over ``$v`` (Figure 5, trusted ``fn:id`` and
-  the opt-in EXISTENTIAL rule of :mod:`repro.distributivity.syntactic`) is
+  and whose ``R`` distributes over ``$v`` (the rule set
+  :data:`~repro.distributivity.syntactic.SET_AT_A_TIME`: Figure 5, trusted
+  ``fn:id`` and EXISTENTIAL) is
   marked :attr:`~repro.xquery.ast.ForExpr.whole`: Definition 3.1 read right
   to left, the engines evaluate ``R`` once over all of a non-empty ``E``
   instead of once per item.  The bidder closure's ``for $id in $in/@id``
@@ -89,7 +90,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from repro.distributivity.syntactic import TRUSTED_DISTRIBUTIVE_BUILTINS, is_distributivity_safe
+from repro.distributivity.syntactic import SET_AT_A_TIME, judge
 from repro.xquery import ast
 
 
@@ -790,8 +791,8 @@ def _set_at_a_time(graph: _CallGraph, functions: tuple[ast.FunctionDecl, ...],
     """Set :attr:`ast.ForExpr.whole` on every ``for $v in E return R`` in a
     *set context* — a place whose value is only ever consumed as a node
     set — that has no positional variable and whose ``R`` distributes over
-    ``$v`` (Figure 5, trusted ``fn:id`` and EXISTENTIAL,
-    :mod:`repro.distributivity.syntactic`).  Definition 3.1 read right to
+    ``$v`` (:data:`~repro.distributivity.syntactic.SET_AT_A_TIME`: Figure 5,
+    trusted ``fn:id`` and EXISTENTIAL).  Definition 3.1 read right to
     left: such a loop may evaluate ``R`` once, over all of ``E``.
 
     Set contexts are ``with``'s ``recurse`` body and what a set context
@@ -871,8 +872,7 @@ class _WholeLoops:
                 if new_value is not value:
                     updates[name] = new_value
         if (kind is ast.ForExpr and in_set and expr.position_var is None
-                and is_distributivity_safe(expr.body, expr.var, self.functions,
-                                           TRUSTED_DISTRIBUTIVE_BUILTINS, existential=True)):
+                and judge(expr.body, expr.var, SET_AT_A_TIME, self.functions).safe):
             updates["whole"] = True
         return replace(expr, **updates) if updates else expr
 

@@ -260,6 +260,23 @@ class TestCli:
         output = capsys.readouterr().out
         assert "syntactic" in output and "algebraic" in output
 
+    @pytest.mark.parametrize("arguments, message", [
+        (["-e", "1 +"], "error: [XPST0003] unexpected token"),
+        (["-e", "$nowhere"], "error: [XPST0008] undefined variable $nowhere"),
+        (["-e", "1 div 0"], "error: [FOAR0001] division by zero"),
+        (["-e", 'doc("nope.xml")'], "error: [FODC0002] document 'nope.xml'"),
+        (["-e", "1\u00b2"], "error: [XPST0003] unexpected character"),
+        (["--emit-sql", "-e", "1 +"], "error: [XPST0003]"),
+        (["--check-distributivity", "$x/"], "error: [XPST0003]"),
+    ])
+    def test_a_typed_error_is_one_line_and_exit_1(self, capsys, arguments, message):
+        """(A traceback before: only governance errors were caught; they keep
+        exit 3, ``tests/test_limits.py``.)"""
+        assert cli_main(arguments) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_bad_doc_argument(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["-e", "1", "--doc", "missing-equals-sign"])

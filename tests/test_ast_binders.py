@@ -358,7 +358,7 @@ def modules() -> list[ast.Module]:
     for text in _parser_test_texts():
         try:
             parsed.append(parse_query(text))
-        except (XQuerySyntaxError, ValueError):  # (``1²`` is a ValueError)
+        except XQuerySyntaxError:
             continue
     return parsed + [optimize_module(module) for module in parsed]
 
@@ -529,7 +529,7 @@ def test_the_binder_table_is_complete():
 #: Walker → its function.
 WALKERS = {
     "children": ast.Expr.children,
-    "figure 5": syntactic._SyntacticChecker.check,
+    "figure 5": syntactic.judge,
     "rewrite": strengthened._rewrite_conditionals,
     "cardinality": cardinality._infer,
 }

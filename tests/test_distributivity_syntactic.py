@@ -3,6 +3,8 @@
 import pytest
 
 from repro.distributivity import (
+    FIGURE5,
+    STRENGTHENED,
     analyze_distributivity,
     apply_distributivity_hint,
     has_distributivity_hint,
@@ -11,9 +13,9 @@ from repro.distributivity import (
 from repro.xquery.parser import parse_expression, parse_query
 
 
-def safe(text, var="x", functions=None, trusted=frozenset()):
+def safe(text, var="x", functions=None, rules=FIGURE5):
     return is_distributivity_safe(parse_expression(text), var, functions=functions,
-                                  trusted_builtins=trusted)
+                                  rules=rules)
 
 
 class TestPositiveCases:
@@ -49,7 +51,7 @@ class TestPositiveCases:
 
     def test_trusted_builtins_extension(self):
         assert not safe("id($x)")
-        assert safe("id($x)", trusted=frozenset({"id"}))
+        assert safe("id($x)", rules=STRENGTHENED)
 
 
 class TestNegativeCases:

@@ -115,6 +115,15 @@ class TestEndpoints:
         assert second["ok"] is True and second["count"] == 4
         assert third["ok"] is False and "XQuerySyntaxError" in third["error"]
 
+    def test_a_non_ascii_digit_is_unprocessable(self, client):
+        """``²`` and ``٣`` are digits to ``str.isdigit`` but to no numeric
+        literal: a typed syntax error (``1²`` was a bare ``ValueError``, a
+        500), and ``٣`` is not read as 3."""
+        for query in ("1\u00b2", "\u00b2", "1.5\u00b2", "\u0663", "1\u0663"):
+            status, body = client.query(query)
+            assert status == 422, query
+            assert "XQuerySyntaxError: [XPST0003] unexpected character" in body["error"]
+
     def test_bad_requests_are_4xx(self, client):
         assert client.query("")[0] == 400
         assert client.request("/query", {"query": "1", "bogus": True})[0] == 400

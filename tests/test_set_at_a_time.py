@@ -20,10 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import evaluate
 from repro.distributivity import apply_distributivity_hint
-from repro.distributivity.syntactic import (
-    TRUSTED_DISTRIBUTIVE_BUILTINS,
-    analyze_distributivity,
-)
+from repro.distributivity.syntactic import SET_AT_A_TIME, analyze_distributivity
 from repro.session import Session
 from repro.settings import EvalSettings
 from repro.xdm.items import is_node
@@ -225,8 +222,7 @@ PARTS = ('D//n[@k = "a"]', 'D//n[@k = "b"]', 'D//n[@k = "c"]', "D//n[r]", "D//n[
 @pytest.mark.parametrize("body", EXISTENTIAL_BODIES)
 def test_existential_is_used(body):
     judgment = analyze_distributivity(parse_expression(body.replace("D", D)), "v",
-                                      trusted_builtins=TRUSTED_DISTRIBUTIVE_BUILTINS,
-                                      existential=True)
+                                      rules=SET_AT_A_TIME)
     assert judgment.safe and "EXISTENTIAL" in judgment.format()
     # and only when asked for: the fixpoint decision's checkers do not use it
     assert not analyze_distributivity(parse_expression(body.replace("D", D)), "v").safe
