@@ -273,28 +273,45 @@ class ColumnarTable:
                   result: str, loop_iters: list | None = None) -> "ColumnarTable":
         """Grouping aggregate; *loop_iters* supplies empty groups (count = 0)
         and the output order — the loop's, which is the order of the
-        iterations a ``for`` maps the results back in."""
+        iterations a ``for`` maps the results back in; without it groups
+        come in first-seen order.
+
+        ``count`` never reads *source*: it counts the group keys in one
+        C-level pass, a :class:`Counter` over the group column or over the
+        zipped columns of a multi-column key.  The other kinds collect each
+        group's values through one ``zip`` over the columns.  A one-column
+        key is the column's value itself, not a 1-tuple."""
         group_by = tuple(group_by)
-        group_columns = [self._data[self.column_index(c)] for c in group_by]
-        source_column = (self._data[self.column_index(source)]
-                         if source else [1] * self._length)
-        groups: dict[tuple, list] = {}
-        for i in range(self._length):
-            key = tuple(column[i] for column in group_columns)
-            groups.setdefault(key, []).append(source_column[i])
-        entries: Iterable[tuple[tuple, list]] = groups.items()
-        if loop_iters is not None:
-            loop_keys = [(value,) if len(group_by) == 1 else tuple() for value in loop_iters]
-            for key in loop_keys:
-                groups.setdefault(key, [])
-            rank = {key: index for index, key in enumerate(loop_keys)}
-            entries = sorted(groups.items(), key=lambda entry: rank.get(entry[0], len(rank)))
         width = len(group_by)
-        data: list[list] = [[] for _ in range(width + 1)]
-        for key, values in entries:
-            for j in range(width):
-                data[j].append(key[j])
-            data[width].append(apply_aggregate(kind, values))
+        group_columns = [self._data[self.column_index(c)] for c in group_by]
+        if width == 1:
+            keys: Iterable = group_columns[0]
+        else:
+            keys = zip(*group_columns) if width else [()] * self._length
+        groups: dict
+        if kind == "count":
+            groups = Counter(keys)
+        else:
+            source_column = (self._data[self.column_index(source)]
+                             if source else [1] * self._length)
+            groups = {}
+            for key, value in zip(keys, source_column):
+                groups.setdefault(key, []).append(value)
+        if loop_iters is None:
+            order = list(groups)
+        else:
+            loop_keys = list(loop_iters) if width == 1 else [()] * len(loop_iters)
+            for key in loop_keys:
+                if key not in groups:
+                    groups[key] = 0 if kind == "count" else []
+            rank = {key: index for index, key in enumerate(loop_keys)}
+            order = sorted(groups, key=lambda key: rank.get(key, len(rank)))
+        totals = ([groups[key] for key in order] if kind == "count"
+                  else [apply_aggregate(kind, groups[key]) for key in order])
+        if width == 1:
+            data = [order, totals]
+        else:
+            data = [[key[j] for key in order] for j in range(width)] + [totals]
         return ColumnarTable.from_columns(group_by + (result,), data)
 
     def row_number(self, result: str, order_by: Sequence[str],
@@ -364,8 +381,7 @@ class ColumnarTable:
 
 
 def apply_aggregate(kind: str, values: list) -> Any:
-    if kind == "count":
-        return len(values)
+    """``sum``/``max``/``min`` of one group (``count`` never gets here)."""
     if not values:
         return None
     if kind == "sum":

@@ -542,6 +542,12 @@ def _sequence_table(results: list[tuple[Any, list]]) -> ColumnarTable:
     return ColumnarTable.from_columns(("iter", "pos", "item"), [iters, positions, items])
 
 
+#: Axes on which the step from one context node comes duplicate-free and
+#: in document order from every kernel (see ``StepJoin._step_ddo``).
+ONE_NODE_ORDERED_AXES = frozenset({"child", "descendant", "descendant-or-self",
+                                   "following-sibling", "following", "self"})
+
+
 class StepJoin(Operator):
     """ — the XPath location-step macro (axis ``α``, node test ``n``).
 
@@ -739,18 +745,30 @@ class StepJoin(Operator):
         do not change between fixpoint rounds, so re-fed fixpoint contexts
         hit the cache every round).  The memo is keyed (operator, node): an
         operator with value inputs answers differently per iteration and
-        stays out of it."""
+        stays out of it.
+
+        On a forward axis (:data:`ONE_NODE_ORDERED_AXES`) one node's step
+        is already duplicate-free and in document order, whichever kernel
+        answers it: the index's pre-order slices and child lists,
+        :func:`nth_sibling` (at most one node), index-side probing (sorted
+        pres), ``_attribute_upward`` for an attribute context (nothing, or
+        the attribute itself) and the axis walk of the node objects.  The
+        pushed shapes only drop items, so the result skips the ``ddo``.
+        Reverse axes and ``attribute`` keep it.  The list is shared with
+        the memo: no caller may change it."""
         use_index = getattr(engine, "use_index", True)
         cache = None if self._computed else getattr(engine, "macro_cache", None)
-        trace = getattr(engine, "trace", None)
-        if cache is None:
-            return ddo(self._filtered_step(node, values, use_index, index_set, trace))
-        key = (self.operator_id, id(node))
-        hit = cache.get(key)
-        if hit is not None and hit[0] is node:
-            return hit[1]
-        result = ddo(self._filtered_step(node, values, use_index, index_set, trace))
-        cache[key] = (node, result)
+        if cache is not None:
+            key = (self.operator_id, id(node))
+            hit = cache.get(key)
+            if hit is not None and hit[0] is node:
+                return hit[1]
+        result = self._filtered_step(node, values, use_index, index_set,
+                                     getattr(engine, "trace", None))
+        if self.axis not in ONE_NODE_ORDERED_AXES:
+            result = ddo(result)
+        if cache is not None:
+            cache[key] = (node, result)
         return result
 
     def _filtered_step(self, node: Node, values: tuple, use_index: bool,
@@ -759,7 +777,10 @@ class StepJoin(Operator):
 
         The raw result is in the axis's *natural* order (reverse axes
         nearest-first), which is exactly the order positional shapes count
-        along; the caller applies the final ddo.
+        along.  The caller applies the final ddo on the other axes only: on a
+        forward axis (:data:`ONE_NODE_ORDERED_AXES`) the list is used and
+        memoised as returned, so every path here must keep document order
+        and must not return a list the index or a node owns.
         """
         if use_index:
             if self._nth is not None:

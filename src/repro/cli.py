@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from repro.api import evaluate
-from repro.errors import GovernanceError, ReproError
+from repro.errors import GovernanceError, ReproError, XQueryDynamicError
 from repro.fixpoint.decision import ALGORITHM_POLICIES, CHECKERS, decide_fixpoint
 from repro.limits import ResourceLimits
 from repro.settings import EvalSettings
@@ -152,7 +152,13 @@ def _run(arguments: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     resolver = DocumentResolver()
     for uri, path in arguments.doc:
-        resolver.register(uri, parse_xml_file(path, id_attributes=arguments.id_attribute))
+        try:
+            document = parse_xml_file(path, id_attributes=arguments.id_attribute)
+        except (OSError, UnicodeDecodeError) as exc:  # main's "error: …", exit 1
+            reason = getattr(exc, "strerror", None) or exc
+            raise XQueryDynamicError(f"document '{uri}' cannot be read from {path}: "
+                                     f"{reason}", code="FODC0002") from exc
+        resolver.register(uri, document)
     result = evaluate(query, documents=resolver, settings=settings)
     print(serialize_sequence(result.items))
     if arguments.explain_analysis and result.analysis is not None:

@@ -49,8 +49,8 @@ _NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_.\-]*"
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:"
     rf"(?P<name>{_NAME_PATTERN}(?::{_NAME_PATTERN})?)"
-    r"|(?P<double>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)[eE][+-]?[0-9]+)"
-    r"|(?P<decimal>[0-9]*\.[0-9]+)"
+    r"|(?P<double>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+)"
+    r"|(?P<decimal>[0-9]+\.[0-9]*|\.[0-9]+)"
     r"|(?P<integer>[0-9]+)"
     r"""|"(?P<string>[^"&]*)"(?!")|'(?P<apostrophized>[^'&]*)'(?!')"""
     r"|(?P<comment>\(:)"
@@ -232,7 +232,8 @@ class Lexer:
         kind = TokenKind.INTEGER
         while _is_digit(self.peek_char()):
             self.pos += 1
-        if self.peek_char() == "." and _is_digit(self.peek_char(1)):
+        # XQuery's ``Digits "." [0-9]*`` and ``"." Digits``: ``1.`` is a number
+        if self.peek_char() == "." and (self.pos > start or _is_digit(self.peek_char(1))):
             kind = TokenKind.DECIMAL
             self.pos += 1
             while _is_digit(self.peek_char()):

@@ -450,6 +450,166 @@ class TestKernelEquivalence:
             assert [list(column) for column in table._data] == contents
 
 
+class TestAggregateKernel:
+    """The grouping aggregate computes the oracle's groups, in the order the
+    columnar kernel promises: first-seen keys, or the loop's order (loop
+    keys first, then the others first-seen) when a loop is given."""
+
+    KINDS = ("count", "sum", "max", "min")
+    COLUMNS = ("iter", "g", "item")
+
+    @staticmethod
+    def _rows(rng, size, iterations):
+        return [(rng.choice(iterations), rng.choice("xy"), rng.randrange(-20, 50))
+                for _ in range(size)]
+
+    @staticmethod
+    def _expected_keys(rows, key_of, loop_iters=None):
+        keys = list(dict.fromkeys(map(key_of, rows)))
+        if loop_iters is None:
+            return keys
+        return [*loop_iters, *(key for key in keys if key not in loop_iters)]
+
+    def _check(self, rows, group_by, loop_iters=None, source="item"):
+        row_t, col_t = _pair(self.COLUMNS, rows)
+        indices = [self.COLUMNS.index(c) for c in group_by]
+        key_of = lambda row: tuple(row[i] for i in indices)  # noqa: E731
+        loop_keys = None if loop_iters is None else [(value,) for value in loop_iters]
+        for kind in self.KINDS:
+            expected = row_t.aggregate(kind, group_by, source, "n", loop_iters=loop_iters)
+            got = col_t.aggregate(kind, group_by, source, "n", loop_iters=loop_iters)
+            _assert_same(expected, got)
+            assert ([row[:len(group_by)] for row in got.iter_rows()]
+                    == self._expected_keys(rows, key_of, loop_keys))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_keys_over_many_iterations(self, seed):
+        rng = random.Random(400 + seed)
+        rows = self._rows(rng, rng.randrange(1, 60), range(rng.randrange(1, 8)))
+        self._check(rows, ("iter",))
+        self._check(rows, ("iter",), source=None)
+        one_group = [(3, g, item) for _, g, item in rows]
+        self._check(one_group, ("iter",))
+        self._check(one_group, ("iter",), loop_iters=[1, 3])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multi_column_keys(self, seed):
+        rng = random.Random(500 + seed)
+        rows = self._rows(rng, rng.randrange(1, 60), range(4))
+        self._check(rows, ("iter", "g"))
+        self._check(rows, ("g", "iter"), source=None)
+        self._check(rows, ())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loop_with_empty_and_absent_groups(self, seed):
+        """The loop holds iterations without rows (count 0, no sum) and the
+        rows hold iterations outside the loop (they follow, first-seen)."""
+        rng = random.Random(600 + seed)
+        rows = self._rows(rng, rng.randrange(0, 40), range(6))
+        loop_iters = rng.sample(range(10), rng.randrange(0, 10))
+        self._check(rows, ("iter",), loop_iters=loop_iters)
+        counted = ColumnarTable(self.COLUMNS, rows).aggregate(
+            "count", ("iter",), None, "n", loop_iters=loop_iters)
+        present = {row[0] for row in rows}
+        assert all(n == 0 for iteration, n in counted.iter_rows()
+                   if iteration not in present)
+
+    def test_empty_tables(self):
+        for group_by in (("iter",), ("iter", "g"), ()):
+            self._check([], group_by)
+        self._check([], ("iter",), loop_iters=[3, 1, 2])
+        self._check([], ("iter",), loop_iters=[])
+        counted = ColumnarTable(self.COLUMNS).aggregate("count", (), None, "n",
+                                                        loop_iters=[7])
+        assert counted.rows == ((0,),)
+        summed = ColumnarTable(self.COLUMNS).aggregate("sum", ("iter",), "item", "n",
+                                                       loop_iters=[2, 1])
+        assert summed.rows == ((2, None), (1, None))
+
+    def test_unknown_kind_raises_on_a_group(self):
+        table = ColumnarTable(self.COLUMNS, [(1, "x", 2)])
+        with pytest.raises(AlgebraError):
+            table.aggregate("avg", ("iter",), "item", "n")
+
+
+class TestOneNodeStepOrder:
+    """A singleton context on a forward axis returns its step without a
+    ``ddo``: for every context kind, with and without the index and the
+    pushed shapes, that result must be duplicate-free and in document
+    order, and equal what the other index setting answers."""
+
+    XML = ('<r k="x"><a k="x">t<b k="y">u</b><b/>v<c k="x"/></a>'
+           '<a k="y"><b k="x"><b k="x"/></b>w</a><!--z--><a/><b k="x">s</b></r>')
+    AXES = ("child", "descendant", "descendant-or-self", "following-sibling",
+            "following", "self")
+    #: The axes that keep their ``ddo``, checked alongside.
+    OTHER_AXES = ("attribute", "parent", "ancestor", "ancestor-or-self",
+                  "preceding-sibling", "preceding")
+    TESTS = (("name", "b"), ("name", "*"), ("node", None), ("text", None))
+
+    @staticmethod
+    def _shapes():
+        from repro.xquery.pushdown import PositionShape, ValueShape
+        return {
+            "none": (),
+            "value": (ValueShape("attr", "k", values=("x",)),),
+            "exists": (ValueShape("attr", "k"),),
+            "child-value": (ValueShape("child", "b", values=("u", "s")),),
+            "first": (PositionShape("=", 1),),
+            "second": (PositionShape("=", 2),),
+            "after-first": (PositionShape(">", 1),),
+            "value-then-first": (ValueShape("attr", "k", values=("x",)),
+                                 PositionShape("=", 1)),
+        }
+
+    @staticmethod
+    def _contexts(document):
+        from repro.xdm.node import ElementNode, TextNode
+        nodes = document.descendant_or_self_axis()
+        elements = [n for n in nodes if isinstance(n, ElementNode)]
+        return {"document": [document], "element": elements,
+                "attribute": [a for element in elements for a in element.attribute_axis()],
+                "text": [n for n in nodes if isinstance(n, TextNode)]}
+
+    def test_one_context_node_needs_no_ddo(self):
+        from repro.algebra.evaluator import AlgebraEvaluator
+        from repro.algebra.operators import ONE_NODE_ORDERED_AXES
+        from repro.xdm.index import index_for
+        from repro.xdm.sequence import ddo
+
+        assert set(self.AXES) == ONE_NODE_ORDERED_AXES
+        document = parse_xml(self.XML)
+        index = index_for(document)
+        shared = {name: index.child_pres_named(name) for name in ("a", "b", "c")}
+        before = {name: {pre: list(children) for pre, children in mapping.items()}
+                  for name, mapping in shared.items()}
+        contexts_by_kind = self._contexts(document)
+        assert all(contexts_by_kind.values())
+        for kind, contexts in contexts_by_kind.items():
+            for node in contexts:
+                # the same node in two iterations: the second is a memo hit
+                table = LiteralTable(ColumnarTable(("iter", "pos", "item"),
+                                                   [(1, 1, node), (2, 1, node)]))
+                for axis in self.AXES + self.OTHER_AXES:
+                    for test_kind, name in self.TESTS:
+                        for label, pushed in self._shapes().items():
+                            answers = []
+                            for use_index in (True, False):
+                                step = StepJoin(table, axis, test_kind, name,
+                                                pushed=pushed)
+                                out = AlgebraEvaluator(use_index=use_index).evaluate_plan(step)
+                                iters, items = out.column_values("iter"), out.column_values("item")
+                                first = [item for it, item in zip(iters, items) if it == 1]
+                                second = [item for it, item in zip(iters, items) if it == 2]
+                                case = (kind, axis, test_kind, name, label, use_index)
+                                assert list(map(id, first)) == list(map(id, ddo(first))), case
+                                assert list(map(id, second)) == list(map(id, first)), case
+                                answers.append(list(map(id, first)))
+                            assert answers[0] == answers[1], (kind, axis, label)
+        for name, mapping in shared.items():
+            assert index.child_pres_named(name) is mapping and mapping == before[name]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end equivalence across the benchmark workloads
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro import (
     transitive_closure,
 )
 from repro.cli import main as cli_main
+from repro.errors import XQuerySyntaxError
 from repro.bench.table2 import main as table2_main
 from repro.xquery import ast
 from repro.xquery.optimizer import optimize, optimize_module
@@ -59,6 +60,15 @@ class TestEvaluateApi:
             engine=Engine.ALGEBRA,
         )
         assert course_codes(result.items) == ["c2", "c3", "c4", "c5"]
+
+    @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
+    def test_a_number_may_end_in_its_point(self, engine):
+        """``1.`` is XQuery's ``Digits "."`` (an XPST0003 before)."""
+        for text, expected in (("1.", [1.0]), ("1.e2", [100.0]), ("1.E+2", [100.0]),
+                               ("(1.)", [1.0]), ("1. + 1", [2.0])):
+            assert evaluate(text, engine=engine).items == expected, text
+        with pytest.raises(XQuerySyntaxError, match="XPST0003"):
+            evaluate("1.5\u00b2", engine=engine)
 
     @pytest.mark.parametrize("optimize_flag", [True, False])
     @pytest.mark.parametrize("engine", ["interpreter", "algebra", "sql"])
@@ -276,6 +286,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_an_unreadable_document_is_one_line_and_exit_1(self, capsys, tmp_path):
+        """(A ``FileNotFoundError`` traceback before.)"""
+        undecodable = tmp_path / "latin1.xml"
+        undecodable.write_bytes(b"<a>\xff</a>")
+        for path, reason in ((tmp_path / "missing.xml", "No such file or directory"),
+                             (tmp_path, "Is a directory"),
+                             (undecodable, "can't decode byte 0xff")):
+            assert cli_main(["-e", "1", "--doc", f"a.xml={path}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"error: [FODC0002] document 'a.xml' cannot be read from {path}: ")
+            assert reason in captured.err and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bad_doc_argument(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,6 +1,8 @@
 """Tests for the XQuery lexer/parser: AST shapes, desugarings, errors."""
 
+import bisect
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,20 @@ class TestLiteralsAndPrimaries:
                 parse(text)
             assert str(error.value).endswith(f"unexpected character {text[column - 1]!r} "
                                              f"at line 1, column {column}")
+
+    @pytest.mark.parametrize("text, value", [
+        ("1.", 1.0), ("1.e2", 100.0), ("1.E+2", 100.0), ("(1.)", 1.0), ("12.", 12.0),
+        ("1.5", 1.5), (".5", 0.5), ("1.5e2", 150.0), ("1.e-1", 0.1)])
+    def test_a_number_may_end_in_its_point(self, text, value):
+        """XQuery's ``DecimalLiteral ::= "." Digits | Digits "." [0-9]*``
+        and the ``DoubleLiteral`` built on it, through both lexer paths
+        (the pattern, and the scanners a non-ASCII text hands over to)."""
+        kind = TokenKind.DOUBLE if "e" in text.lower() else TokenKind.DECIMAL
+        for suffix in ("", " (:\u00e9:)"):
+            assert parse_expression(text + suffix) == ast.Literal(value)
+            token = Lexer(text.strip("()") + suffix).next_token()
+            assert (token.kind, token.value) == (kind, text.strip("()"))
+        assert parse_expression("1. + 1") == ast.ArithmeticExpr("+", ast.Literal(1.0), ast.Literal(1))
 
     def test_non_ascii_digits_stay_in_names_and_strings(self):
         assert parse_expression('"1\u0663"') == ast.Literal("1\u0663")
@@ -865,10 +881,9 @@ def _stamps(module: ast.Module) -> list:
     return [(type(node).__name__, ast.get_position(node)) for node in _nodes(module)]
 
 
-def _parsed(parser_class, text: str):
-    """What *parser_class* makes of *text* as a module: the AST with its
+def _parsed(parser) -> object:
+    """What *parser* makes of its text as a module: the AST with its
     stamps, or the error message."""
-    parser = parser_class(text)
     try:
         module = parser.parse_module()
     except XQuerySyntaxError as error:
@@ -887,6 +902,70 @@ def _non_ascii_number(tokens) -> int | None:
                  if token[0] in _NUMBERS and not token[1].isascii()), None)
 
 
+#: A number that ends in its point (``1.``, ``1.e2``), which XQuery reads
+#: as one literal and the old lexer as an integer and a ``.``.
+_POINT_ENDED = re.compile(r"[0-9]+\.(?![0-9])").match
+
+
+class _PointNotingLexer(Lexer):
+    """The lexer, noting by start offset each point-ended number it makes."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.point_numbers: dict[int, str] = {}
+
+    def next_token(self) -> Token:
+        token = super().next_token()
+        if token.kind in (TokenKind.DECIMAL, TokenKind.DOUBLE) and _POINT_ENDED(token.value):
+            self.point_numbers[token.start] = token.value
+        return token
+
+
+def _oracle_parsed_with_point_zeros(text: str, numbers: dict[int, str]):
+    """What the old parser makes of *text* once each point-ended number of
+    *numbers* reads ``N.0`` (``1.`` → ``1.0``, ``1.e2`` → ``1.0e2``), with
+    its stamps and error position mapped back onto *text* and an error
+    that quotes such a number quoting it as written."""
+    pieces, zeros, last = [], [], 0
+    for start in sorted(numbers):
+        point = start + numbers[start].index(".") + 1
+        pieces += [text[last:point], "0"]
+        zeros.append(point + len(zeros))
+        last = point
+    rewritten = "".join(pieces) + text[last:]
+    line_starts = [0] + [index + 1 for index, char in enumerate(rewritten) if char == "\n"]
+
+    def offset(line: int, column: int) -> int:
+        at = line_starts[line - 1] + column - 1
+        return at - bisect.bisect_left(zeros, at)
+
+    def position(line: int, column: int) -> tuple[int, int]:
+        return Lexer(text).line_column(offset(line, column))
+
+    old = _parsed(OracleParser(rewritten))
+    if not isinstance(old, str):
+        module, stamps = old
+        return module, [(name, stamp and position(*stamp)) for name, stamp in stamps]
+    located = re.fullmatch(r"(.*) at line (\d+), column (\d+)", old, re.DOTALL)
+    if located is None:
+        return old
+    message, line, column = located[1], int(located[2]), int(located[3])
+    written = numbers.get(offset(line, column))
+    if written is not None:
+        message = message.replace(repr(written.replace(".", ".0", 1)), repr(written))
+    return "{} at line {}, column {}".format(message, *position(line, column))
+
+
+def _integer_before_point(tokens) -> int | None:
+    """The index of the first integer token followed right behind it by a
+    ``.`` or ``..`` symbol: ``1.`` and ``1.e2``, which XQuery reads as one
+    number and the old lexer did not."""
+    return next((index for index, (token, after) in enumerate(zip(tokens, tokens[1:]))
+                 if token[0] is TokenKind.INTEGER and isinstance(after, tuple)
+                 and after[0] is TokenKind.SYMBOL and after[1] in (".", "..")
+                 and after[2] == token[3]), None)
+
+
 def assert_same_front_end(text: str) -> None:
     """Same tokens, same module (or the same error).  The announced exceptions:
     where the new front end reports an invalid character reference, the old
@@ -894,26 +973,53 @@ def assert_same_front_end(text: str) -> None:
     where the old lexer took a digit ASCII does not have (``²``, ``٣``) into a
     number, the tokens before that number must agree, the new lexer makes no
     such number, and a text with such a digit that the new parser rejects is
-    not compared (``int`` read ``٣`` as 3 and crashed on ``²``)."""
+    not compared (``int`` read ``٣`` as 3 and crashed on ``²``); where the old
+    lexer ended an integer at the point right behind it (``1.``, ``1.e2``),
+    the tokens before it must agree, the new lexer makes one decimal or double
+    of the digits and the point there, and the new parser's module (or error)
+    must be the old parser's on the text with each point-ended number the new
+    parser read written ``N.0``."""
     old_tokens, new_tokens = _tokens(OracleLexer, text), _tokens(Lexer, text)
     digit = _non_ascii_number(old_tokens)
-    if digit is not None:
+    point = _integer_before_point(old_tokens)
+    if digit is not None and (point is None or digit <= point):
         assert new_tokens[:digit] == old_tokens[:digit]
         assert _non_ascii_number(new_tokens[:-1]) is None
+    elif point is not None:
+        assert new_tokens[:point] == old_tokens[:point]
+        kind, value, start, _end = new_tokens[point]
+        assert kind in (TokenKind.DECIMAL, TokenKind.DOUBLE)
+        assert start == old_tokens[point][2]
+        assert value.startswith(old_tokens[point][1] + ".")
     elif "invalid character reference" in str(new_tokens[-1]):
         assert new_tokens[:-1] == old_tokens[:len(new_tokens) - 1]
     else:
         assert new_tokens == old_tokens
-    new = _parsed(Parser, text)
-    if not (isinstance(new, str) and ("invalid character reference" in new or any(
-            char.isdigit() and not char.isascii() for char in text))):
-        assert new == _parsed(OracleParser, text)
+    parser = Parser(text)
+    parser.lexer = _PointNotingLexer(text)
+    new = _parsed(parser)
+    if isinstance(new, str) and ("invalid character reference" in new or any(
+            char.isdigit() and not char.isascii() for char in text)):
+        return
+    numbers = parser.lexer.point_numbers
+    if numbers:
+        assert new == _oracle_parsed_with_point_zeros(text, numbers)
+    else:
+        assert new == _parsed(OracleParser(text))
 
 
 class TestAgainstThePreviousFrontEnd:
     def test_every_query_text_of_the_repository(self):
         for text in front_end_corpus():
             assert_same_front_end(text)
+
+    @pytest.mark.parametrize("text", [
+        "1. + 1", "<a b='{1.}'>{ 2. }</a>\n3. 4.", "for 1. in", "let $x := 1. return $x 2.",
+        "1.\n 2.", "declare variable 1.e2 := 1;", "a1.b", '"v1."', "(: 1. :) 2", "<a>1.</a>"])
+    def test_point_ended_numbers_against_the_old_parser(self, text):
+        """Modules, error texts and positions after a ``1.``, and the names,
+        strings, comments and content holding ``1.`` that are no number."""
+        assert_same_front_end(text)
 
     def test_parse_expression_too(self):
         def oracle(text: str):
