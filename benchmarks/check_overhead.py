@@ -36,17 +36,27 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     +5 %): what it guards now is that the hoister's walk stays off.
 
 ``reply``
-    (not a settings pair) the service's ``serialize_items`` on the answers
-    of 24 medium-curriculum closures (210–399 ``course`` elements each) vs
-    evaluating those closures on the interpreter: serializing an answer
-    may cost at most 5× computing it, i.e. read +400 % or lower.  The
+    (not a settings pair; two parts, each of which must pass) the service's
+    ``serialize_items`` on the answers of 24 medium-curriculum closures
+    (210–399 ``course`` elements each).  ``reply`` times each answer as a
+    *first* reply out of its tree — before each, the tree's value indexes
+    are dropped, as a text edit drops them, so the reply walks every node
+    and only notes the tree — vs evaluating those closures on the
+    interpreter: serializing an answer by the walker may cost at most 5×
+    computing it, i.e. read +400 % or lower.  That is what every first
+    reply and every reply out of a tree without a cached index pays.  The
     denominator is what moved: the single walker of
     ``repro.xmlio.serializer`` took ~55 % of an evaluation until the
     evaluation's ``id`` step ran in pre-space (a third of the time), and
     read +55 % to +95 % until the closure's rounds did too (see
-    ``pre-space``: the evaluation halved again); it reads +210 % to +300 %
+    ``pre-space``: the evaluation halved again); it reads +200 % to +310 %
     since.  The per-node serializer the walker replaced cost 2.4× as much
-    and would read about +770 %.
+    and would read about +770 %.  ``reply warm`` (a floor, not a ceiling)
+    times the same answers as warm replies — the tree's text built, every
+    node a slice of it — vs those first replies: at most a quarter, i.e.
+    read −75 % or lower.  It reads −85 % to −87 % (about 7×).  A warm
+    reply that silently walks again reads about 0 %, and one that does not
+    slice every item of the first answer makes the row INVALID.
 
 ``write``
     (not a settings pair) over the ledger's ``service`` corpus in one
@@ -189,6 +199,7 @@ from repro.session import Session
 from repro.settings import EvalSettings
 from repro.xdm.index import index_for
 from repro.xdm.items import is_node
+from repro.xmlio.serializer import ReplyTally
 from repro.xquery import ast, pushdown
 from repro.xquery.optimizer import optimize_module
 from repro.xquery.parser import parse_expression, parse_query
@@ -341,9 +352,13 @@ def check_hoisting(arguments: argparse.Namespace) -> bool:
                    "it sends this module into the hoister's walk)", arguments)
 
 
-#: What serializing an answer may cost, relative to computing it: at most
-#: 5× as much.
+#: What walking an answer (a first reply) may cost, relative to computing
+#: it: at most 5× as much.
 REPLY_TOLERANCE = 4.0
+
+#: What a warm reply — every node a slice of its tree's text — may cost,
+#: relative to the walk of a first reply: a quarter.
+REPLY_WARM_TOLERANCE = -0.75
 
 #: Start nodes of the reply guard: the back of the medium catalogue, whose
 #: prerequisite closures are the deep ones.
@@ -365,23 +380,44 @@ def curriculum_closures(starts=REPLY_STARTS, suffix: str = ""):
 
 
 def check_reply(arguments: argparse.Namespace) -> bool:
-    """``serialize_items`` on the answers of curriculum closures vs
-    evaluating those closures."""
+    """Two parts: ``serialize_items`` on the first replies out of the tree
+    (the walker) vs evaluating the closures, and on warm replies (slices
+    of the tree text) vs those first replies."""
     session, closures = curriculum_closures()
     answers = [closure.run().items for closure in closures]
     if min(len(answer) for answer in answers) < 200:
         print("reply check INVALID: every closure must answer with at least "
               "200 course elements", file=sys.stderr)
         return False
-    inner = max(1, arguments.inner // 10)  # one run is 24 closures, ~50 ms
-    results = alternate(
-        timed_block(lambda: [serialize_items(answer) for answer in answers], inner),
-        timed_block(lambda: [closure.run() for closure in closures], inner),
-        arguments.estimates, arguments.pairs)
+    index = index_for(answers[0][0])
+    each_answer = itertools.cycle(answers)
+    inner = max(1, arguments.inner // 3)  # one run is 24 closures, ~7 ms
+    # Before each timed first reply the tree forgets its text and the note
+    # that it was replied from, as after a text edit: the reply walks.
+    first_replies = timed_block_behind(index.clear_value_indexes,
+                                       lambda: serialize_items(next(each_answer)),
+                                       inner * len(answers))
+    warm_replies = timed_block(
+        lambda: [serialize_items(answer) for answer in answers], inner)
+    serialize_items(answers[0])
+    tally = ReplyTally()
+    serialize_items(answers[0], tally=tally)
+    if tally.sliced != len(answers[0]):
+        print(f"reply check INVALID: a warm reply must slice every item, got {tally}",
+              file=sys.stderr)
+        return False
+    walker = alternate(first_replies,
+                       timed_block(lambda: [closure.run() for closure in closures], inner),
+                       arguments.estimates, arguments.pairs)
+    warm = alternate(warm_replies, first_replies, arguments.estimates, arguments.pairs)
     session.close()
-    return verdict("reply", results, REPLY_TOLERANCE,
-                   "repro.xmlio.serializer._write (its per-node work) and "
-                   "repro.service.server.serialize_items", arguments)
+    # No short-circuit: both parts report.
+    return all([verdict("reply", walker, REPLY_TOLERANCE,
+                        "repro.xmlio.serializer._write (its per-node work) and "
+                        "repro.xmlio.serializer.serialize_items", arguments),
+                verdict("reply warm", warm, REPLY_WARM_TOLERANCE,
+                        "repro.xmlio.serializer.serialize_items (does a warm reply "
+                        "slice?) and StructuralIndex.tree_text", arguments)])
 
 
 #: What the index side of a Naive curriculum closure may cost: an eighth of

@@ -123,8 +123,14 @@ def _run(arguments: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if arguments.expression:
         query = arguments.expression
     elif arguments.query_file:
-        with open(arguments.query_file, encoding="utf-8") as handle:
-            query = handle.read()
+        try:
+            with open(arguments.query_file, encoding="utf-8") as handle:
+                query = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: query file {arguments.query_file} cannot be read: {reason}",
+                  file=sys.stderr)
+            return 1
     else:
         parser.error("provide a query file or -e EXPRESSION")
         return 2

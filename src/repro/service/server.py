@@ -73,9 +73,11 @@ own checkpoints and looks at the request socket itself, at most once per
 ``REPRO_FAULTS`` arms the fault-injection plan of :mod:`repro.faults` at
 startup for chaos drills.
 
-The reply path is meant to cost less than the query it answers: result
-nodes go through the one walker of :mod:`repro.xmlio.serializer`, and head
-and body of a reply leave in one write (a buffered ``wfile``, flushed once
+The reply path is meant to cost less than the query it answers: a result
+node of a tree replied from before is a slice of that tree's text, kept on
+its structural index (:func:`repro.xmlio.serializer.serialize_items`; any
+other node goes through the serializer's one walker), and head and body of
+a reply leave in one write (a buffered ``wfile``, flushed once
 per request).  ``Content-Length`` is a claim, not a fact: anything but
 digits answers ``400``, more than 64 MiB ``413``, a body that has not
 arrived :attr:`_Handler.BODY_TIMEOUT_S` seconds after its headers ``408``,
@@ -118,9 +120,8 @@ from repro.observability import FIXPOINT_ROUND_BUCKETS, MetricsRegistry
 from repro.service.journal import CorpusJournal, JournalTailer, make_record
 from repro.session import Session
 from repro.settings import EvalSettings, coerce_settings
-from repro.xdm.items import format_atomic, is_node
 from repro.xmlio.parser import parse_xml, parse_xml_file
-from repro.xmlio.serializer import serialize
+from repro.xmlio.serializer import ReplyTally, serialize_items
 
 #: Request and slow-query log lines go through this logger: INFO carries
 #: one record per request (``--verbose``), WARNING carries slow queries
@@ -193,10 +194,9 @@ class ServiceError(Exception):
         return {"ok": False, "error": str(self), **self.body}
 
 
-def serialize_items(items: list) -> list[str]:
-    """Per-item serialization: nodes as XML text, atomics lexically."""
-    return [serialize(item) if is_node(item) else format_atomic(item)
-            for item in items]
+#: The ``event`` labels of ``repro_reply_serialization_total``, in the
+#: order of :class:`ReplyTally`'s fields.
+REPLY_EVENTS = ("items_sliced", "items_walked", "tree_texts_built")
 
 
 class ServiceStats:
@@ -251,6 +251,12 @@ class ServiceStats:
             "repro_journal_records_total",
             "Corpus journal records applied (startup replay and live tail).")
         self._journal_records.inc(0.0)
+        self._reply = self.registry.counter(
+            "repro_reply_serialization_total",
+            "Reply node items sliced out of a tree text or walked, and tree "
+            "texts built.", ("event",))
+        for event in REPLY_EVENTS:
+            self._reply.labels(event=event).inc(0.0)
 
     @property
     def in_flight(self) -> int:
@@ -297,6 +303,12 @@ class ServiceStats:
         """Record *count* corpus-journal records applied to the session."""
         self._journal_records.inc(float(count))
 
+    def replied(self, tally: ReplyTally) -> None:
+        """Record what one reply's items cost (see :class:`ReplyTally`)."""
+        for event, count in zip(REPLY_EVENTS, dataclasses.astuple(tally)):
+            if count:
+                self._reply.labels(event=event).inc(float(count))
+
     def drained(self) -> bool:
         return self.in_flight == 0
 
@@ -319,6 +331,8 @@ class ServiceStats:
             "errors": sum(entry["errors"] for entry in engines.values()),
             "rejections": int(self._rejections.value),
             "engines": engines,
+            "reply": {event: int(self._reply.labels(event=event).value)
+                      for event in REPLY_EVENTS},
         }
 
 
@@ -587,13 +601,15 @@ class QueryService:
                 "generation": self.session.generation,
                 "query": query if len(query) <= 500 else query[:499] + "…",
             }})
+        tally = ReplyTally()
         response = {
             "ok": True,
-            "items": serialize_items(result.items),
+            "items": serialize_items(result.items, tally=tally),
             "count": len(result.items),
             "engine": engine,
             "elapsed_ms": elapsed_ms,
         }
+        self.stats.replied(tally)
         if trace_requested and result.trace is not None:
             response["trace"] = result.trace.to_dict()
         return response

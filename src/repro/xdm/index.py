@@ -22,8 +22,8 @@ candidate's side as a membership test, or from the index's side
 (:func:`batch_probe`) without enumerating candidates at all — among them
 the *ID-reference index* (:meth:`StructuralIndex.idref_targets`): parent
 pre → pres of the elements its ``name`` children's ID references resolve
-to.  The value indexes hold integers only and pin no node; a text or
-attribute edit and a newly registered ID drop them.
+to.  The value indexes hold integers and strings only and pin no node; a
+text or attribute edit and a newly registered ID drop them.
 
 The batch kernels (:func:`batch_step`; :func:`batch_id` for ``fn:id`` over
 a column of references; :func:`batch_id_path` for ``id(n1/…/nk)`` over a
@@ -50,6 +50,11 @@ value index (:meth:`StructuralIndex.memo`), filled by the calling engine's
 own body on one node the second time that node misses — or, by the SQL
 engine, from the one recursive CTE that reaches every source at once —
 up to as many pres as the tree has nodes.
+
+The reply path keeps one more value index, the *tree text*
+(:meth:`StructuralIndex.tree_text`): the serializer's compact text of the
+whole tree with each element pre's offsets into it, built the second time
+a reply asks for the tree, so that a served node is a slice of one string.
 
 Indexes are built lazily, once per tree root, and shared by every engine
 (interpreter and algebra; the SQL backend has its own shredded copy).  A
@@ -101,6 +106,9 @@ _KIND_CLASSES = {
 
 #: :meth:`StructuralIndex.memo` key of :meth:`StructuralIndex.ids_in_tree`.
 _IDS_IN_TREE = object()
+
+#: :meth:`StructuralIndex.memo` key of :meth:`StructuralIndex.tree_text`.
+_TREE_TEXT = object()
 
 #: Shared empty results for value-index misses (never mutated).
 _EMPTY_SET: frozenset = frozenset()
@@ -208,8 +216,8 @@ class StructuralIndex:
         #: element name → parent pre → target pres, or ``None``
         #: (see :meth:`idref_targets`)
         self._idref_targets: dict[str, dict[int, list[int]] | None] = {}
-        #: step relation → its images (see :meth:`memo`), and the verdict
-        #: of :meth:`ids_in_tree`
+        #: step relation → its images (see :meth:`memo`), the verdict of
+        #: :meth:`ids_in_tree` and the tree's text (see :meth:`tree_text`)
         self._memos: dict[object, object] = {}
 
     def clear_value_indexes(self) -> None:
@@ -314,6 +322,22 @@ class StructuralIndex:
             verdict = memos[_IDS_IN_TREE] = all(
                 id(element) in pre_of for element in root.id_bearers())
         return verdict
+
+    def tree_text(self, build: Callable[["StructuralIndex"], object]) -> object | None:
+        """What *build* makes of this index — the serializer's text of the
+        whole tree — from the second call on.  The first call only notes the
+        tree and answers ``None``: a tree asked once never pays *build*.  A
+        value index (the text spells every value): a text or attribute edit
+        and a newly registered ID drop it and the note, and a structural
+        change drops the whole index."""
+        memos = self._memos  # see path_value_owners on a concurrent clear
+        text = memos.get(_TREE_TEXT)
+        if text is None:
+            memos[_TREE_TEXT] = False
+            return None
+        if text is False:
+            text = memos[_TREE_TEXT] = build(self)
+        return text
 
     def path_value_owners(self, path: tuple[str, ...], target: str,
                           name: str) -> dict[str, set[int]]:

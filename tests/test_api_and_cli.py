@@ -301,6 +301,19 @@ class TestCli:
             assert reason in captured.err and captured.err.count("\n") == 1
             assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_an_unreadable_query_file_is_one_line_and_exit_1(self, capsys, tmp_path):
+        """(A ``FileNotFoundError`` traceback before.)"""
+        undecodable = tmp_path / "latin1.xq"
+        undecodable.write_bytes(b'"\xff"')
+        for path, reason in ((tmp_path / "missing.xq", "No such file or directory"),
+                             (tmp_path, "Is a directory"),
+                             (undecodable, "can't decode byte 0xff")):
+            assert cli_main([str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: query file {path} cannot be read: ")
+            assert reason in captured.err and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err and captured.out == ""
+
     def test_bad_doc_argument(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["-e", "1", "--doc", "missing-equals-sign"])

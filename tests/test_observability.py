@@ -346,7 +346,9 @@ class TestServiceObservability:
             snapshot = service.stats.snapshot()
             assert set(snapshot) == {"uptime_seconds", "in_flight",
                                      "peak_in_flight", "requests", "errors",
-                                     "rejections", "engines"}
+                                     "rejections", "engines", "reply"}
+            assert snapshot["reply"] == {"items_sliced": 0, "items_walked": 0,
+                                         "tree_texts_built": 0}
             assert snapshot["rejections"] == 0
             assert snapshot["requests"] == 1 and snapshot["errors"] == 0
             engine = snapshot["engines"]["interpreter"]

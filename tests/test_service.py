@@ -29,6 +29,8 @@ from repro.service import QueryService, ServiceError, create_server, serve
 from repro.service.journal import CorpusJournal, make_record
 from repro.service.server import serialize_items
 from repro.session import Session
+from repro.xdm.items import format_atomic, is_node
+from repro.xmlio.serializer import serialize
 from tests.conftest import CURRICULUM_XML
 
 TC_QUERY = ('with $x seeded by doc("curriculum.xml")'
@@ -254,6 +256,69 @@ class TestEndpoints:
         service = QueryService(session=service_session)
         with pytest.raises(ServiceError):
             service.handle_query(["not", "an", "object"])
+
+
+def walked(items: list) -> list[str]:
+    """A reply as the serializer's walker writes it, item by item."""
+    return [serialize(item) if is_node(item) else format_atomic(item) for item in items]
+
+
+#: Elements, an attribute, a text node and an atomic of the curriculum.
+MIXED_QUERY = ('let $c := doc("curriculum.xml")/curriculum return '
+               '($c/course[@code="c2"], $c/course[1]/@code, 7, '
+               '$c/course[@code="c1"]/prerequisites, '
+               '$c/course[@code="c1"]/prerequisites/pre_code[1]/text())')
+
+C2_QUERY = 'doc("curriculum.xml")/curriculum/course[@code="c2"]'
+
+
+class TestReplyText:
+    """A served node is a slice of its tree's text: every reply must be
+    the bytes the walker writes for the direct answer."""
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_query_and_batch_replies_are_the_walkers(self, client, service_session, engine):
+        for query in (TC_QUERY, MIXED_QUERY):
+            expected = walked(service_session.evaluate(query, engine=engine).items)
+            assert any(item.startswith("<course") for item in expected)
+            for _ in range(3):  # the walk, the build, a slice
+                status, body = client.query(query, engine=engine)
+                assert status == 200 and body["items"] == expected
+            status, body = client.batch([{"query": query, "engine": engine}] * 3)
+            assert status == 200
+            assert [result["items"] for result in body["results"]] == [expected] * 3
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_a_replaced_document_replies_its_new_text(self, client, service_session, engine):
+        before = walked(service_session.evaluate(C2_QUERY, engine=engine).items)
+        for _ in range(2):
+            assert client.query(C2_QUERY, engine=engine)[1]["items"] == before
+        status, _ = client.request("/documents", {"uri": "curriculum.xml", "xml": MUTATED_XML,
+                                                  "id_attributes": ["code"]})
+        assert status == 200
+        after = walked(service_session.evaluate(C2_QUERY, engine=engine).items)
+        assert after == ['<course code="c2"><prerequisites/></course>'] != before
+        for _ in range(3):
+            assert client.query(C2_QUERY, engine=engine)[1]["items"] == after
+
+    def test_stats_count_slices_walks_and_texts_built(self, client):
+        def counts():
+            return client.request("/stats")[1]["service"]["reply"]
+
+        assert counts() == {"items_sliced": 0, "items_walked": 0, "tree_texts_built": 0}
+        size = client.query(TC_QUERY)[1]["count"]
+        assert counts() == {"items_sliced": 0, "items_walked": size, "tree_texts_built": 0}
+        client.query(TC_QUERY)
+        client.query(TC_QUERY)
+        assert counts() == {"items_sliced": 2 * size, "items_walked": size,
+                            "tree_texts_built": 1}
+        client.query("1 + 1")  # an atomic is neither
+        assert counts()["items_walked"] == size
+        with urllib.request.urlopen(client.base_url + "/metrics", timeout=30) as response:
+            text = response.read().decode("utf-8")
+        assert "# TYPE repro_reply_serialization_total counter" in text
+        assert f'repro_reply_serialization_total{{event="items_sliced"}} {2 * size}' in text
+        assert 'repro_reply_serialization_total{event="tree_texts_built"} 1' in text
 
 
 class TestConcurrentClients:
