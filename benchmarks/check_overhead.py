@@ -15,25 +15,22 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
 
 ``hoisting``
     (not a settings pair) ``optimize_module`` with the invariant-hoisting
-    rule vs the same pass without it (``hoist=False``), on a module that
-    declares a prolog variable, a function, a ``for``, a ``let`` and a
-    fixpoint and has nothing to hoist: at most 20 %.  This is what the rule
-    costs a query it cannot help — the loop-depth bookkeeping of the
-    optimizing pass (``optimizer._Scout``); the rule's own walk must not
-    run.  A module without prolog variables takes neither; a module whose
-    loops do read an outer variable pays for the walk (as much again as
-    ``optimize_module`` without it) and, nearly always, gets the rewrite.
-    The denominator is what moved: the bookkeeping is the 6 µs it always
-    was, and read +2 % (bound 5 %) while the pass took 136 µs on this
-    module and ran its four rewrites on every leaf — a cost the scout
-    skipped for variable references, which hid half of its own.  Since the
-    pass takes 60 µs (one rule per node class, leaves returned as they
-    are) it read +10 % (median of twelve estimates: +2 % to +14 %), and
-    +100 % (was +55 %) when the walk runs.  Since the scout optimizes every
-    module (it also notes whether the module has a ``for`` and a ``with``,
-    the gate of the set-at-a-time step, which runs here on both sides), the
-    baseline pays the bookkeeping too and the row reads about 0 % (−1 % to
-    +5 %): what it guards now is that the hoister's walk stays off.
+    rule vs the same pass without it (``hoist=False``), on a module the
+    parser built and optimized (``parse_query(text, optimize=True)``, as a
+    session does) that declares a prolog variable, a function, a ``for``, a
+    ``let`` and a fixpoint and has nothing to hoist: at most 20 %.  This is
+    what the rule costs a query it cannot help — its gate, which the parser
+    set while it built the module (``TextFacts.found``: a loop read a
+    variable bound outside it, or called ``doc()``); the rule's own walk
+    must not run.  A module without prolog variables takes neither; a
+    module whose loops do read an outer variable pays for the walk and,
+    nearly always, gets the rewrite.  The denominator is what moved: the
+    pass took 136 µs and then 60 µs on this module while it also applied
+    the local rewrites (the gate's bookkeeping, 6 µs, rode on that walk and
+    read +2 % to +10 %); since the parser applies them, the pass is the
+    call graph and the set-at-a-time step (both sides run them), the gate
+    is a flag, and the row reads about 0 % — and about +125 % when the
+    hoister's walk runs: what it guards is that the walk stays off.
 
 ``reply``
     (not a settings pair; two parts, each of which must pass) the service's
@@ -319,7 +316,7 @@ def check(guard: Guard, arguments: argparse.Namespace) -> bool:
 
 
 #: What the hoisting rule may add to ``optimize_module`` on a module with
-#: nothing to hoist (reads about 0 %; +100 % when the hoister's walk runs).
+#: nothing to hoist (reads about 0 %; +125 % when the hoister's walk runs).
 HOISTING_TOLERANCE = 0.20
 
 #: The ledger's bidder closure with a function that reads only its
@@ -337,7 +334,7 @@ data((with $x seeded by $doc//people/person[@id="person7"] recurse bidder($x))/@
 def check_hoisting(arguments: argparse.Namespace) -> bool:
     """``optimize_module`` with the hoisting rule vs without, on a module
     with a prolog variable and nothing to hoist."""
-    module = parse_query(NOTHING_TO_HOIST)
+    module = parse_query(NOTHING_TO_HOIST, optimize=True)
     if (not any(declaration.value is not None for declaration in module.variables)
             or optimize_module(module) != optimize_module(module, hoist=False)):
         print("hoisting overhead check INVALID: the module must declare a prolog "
@@ -348,8 +345,9 @@ def check_hoisting(arguments: argparse.Namespace) -> bool:
                         timed_block(lambda: optimize_module(module, hoist=False), inner),
                         arguments.estimates, arguments.pairs)
     return verdict("hoisting", results, HOISTING_TOLERANCE,
-                   "repro.xquery.optimizer._Scout (its per-node work, and whether "
-                   "it sends this module into the hoister's walk)", arguments)
+                   "the hoisting gate the parser sets (repro.xquery.parser: "
+                   "TextFacts.found — whether it sends this module into the "
+                   "hoister's walk)", arguments)
 
 
 #: What walking an answer (a first reply) may cost, relative to computing

@@ -4,7 +4,9 @@ Pass order (each pass consumes the previous one's facts):
 
 1. **scopes** (:mod:`repro.analysis.scopes`) — symbol table; typed static
    errors for undefined variables/functions, wrong arity, duplicate
-   declarations, with source positions.
+   declarations, with source positions — of the text as written, which
+   the parser noted while building the module (so an optimized module
+   reports what the optimizer deleted too).
 2. **cardinality** (:mod:`repro.analysis.cardinality`) — occurrence
    classes for the prolog variables (in declaration order, so later
    declarations see earlier bounds) and the module body.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.xquery import ast
+from repro.xquery import ast, optimizer
 from repro.xquery.parser import parse_query
 
 from repro.analysis import cardinality as card
@@ -108,7 +110,9 @@ def _fixpoint_sites(module: ast.Module,
                     environment: Mapping[str, card.Cardinality]
                     ) -> list[tuple[ast.WithExpr, dict[str, card.Cardinality]]]:
     """Every ``with`` expression of the module, paired with the variable
-    cardinalities in scope at its position.
+    cardinalities in scope at its position — as the parser noted them
+    (:class:`~repro.xquery.parser.TextFacts`), in the scopes it noted and
+    no rewrite changed; the rest are walked.
 
     Bindings introduced between the module root and the site (``for``/
     ``let`` variables) are tracked with their inferred classes; a ``for``
@@ -116,45 +120,57 @@ def _fixpoint_sites(module: ast.Module,
     ``for $c in ... with $x seeded by $c ...`` provably non-empty.
     """
     sites: list[tuple[ast.WithExpr, dict[str, card.Cardinality]]] = []
-
-    def walk(expr: ast.Expr, env: dict[str, card.Cardinality]) -> None:
-        if isinstance(expr, ast.WithExpr):
-            sites.append((expr, dict(env)))
-        if isinstance(expr, ast.ForExpr):
-            walk(expr.sequence, env)
-            bound = dict(env)
-            bound[expr.var] = card.ONE
-            if expr.position_var:
-                bound[expr.position_var] = card.ONE
-            walk(expr.body, bound)
-            return
-        if isinstance(expr, ast.LetExpr):
-            walk(expr.value, env)
-            bound = dict(env)
-            bound[expr.var] = card.infer_cardinality(expr.value, env)
-            walk(expr.body, bound)
-            return
-        for field, is_tuple, binders in ast.SCOPED_FIELDS[type(expr)]:
-            value = getattr(expr, field)
-            if value is None:
-                continue
-            child_env = env
-            if binders:  # rebinding shadows any outer bound for this subtree
-                child_env = {**env, **dict.fromkeys(ast.bound_names(expr, binders), card.STAR)}
-            for child in value if is_tuple else (value,):
-                walk(child, child_env)
-
     base = dict(environment)
-    for declaration in module.variables:
-        if declaration.value is not None:
-            walk(declaration.value, base)
+    scopes = [base] * len(module.variables)
     for function in module.functions:
-        env = dict(base)
-        for param in function.params:
-            env[param.name] = card.STAR
-        walk(function.body, env)
-    walk(module.body, base)
+        scopes.append({**base, **dict.fromkeys([param.name for param in function.params],
+                                                card.STAR)})
+    scopes.append(base)
+    front = module._front
+    noted = front.sites if front is not None else (None,) * len(scopes)
+    for root, env, found in zip(optimizer.scope_roots(module), scopes, noted):
+        if found is None:
+            if root is not None:
+                _walk_sites(root, env, sites)
+            continue
+        for site, bindings in found:
+            site_env = dict(env)
+            for name, value in bindings:  # a for's item, any value, a let's
+                site_env[name] = (card.ONE if value is True else card.STAR if value is None
+                                  else card.infer_cardinality(value, site_env))
+            sites.append((site, site_env))
     return sites
+
+
+def _walk_sites(expr: ast.Expr, env: dict[str, card.Cardinality], sites: list) -> None:
+    """The sites of :func:`_fixpoint_sites` under *expr*, walked.  (A
+    module-level function: a nested one that called itself would be a
+    reference cycle, left to the collector, on every analysis.)"""
+    if isinstance(expr, ast.WithExpr):
+        sites.append((expr, dict(env)))
+    if isinstance(expr, ast.ForExpr):
+        _walk_sites(expr.sequence, env, sites)
+        bound = dict(env)
+        bound[expr.var] = card.ONE
+        if expr.position_var:
+            bound[expr.position_var] = card.ONE
+        _walk_sites(expr.body, bound, sites)
+        return
+    if isinstance(expr, ast.LetExpr):
+        _walk_sites(expr.value, env, sites)
+        bound = dict(env)
+        bound[expr.var] = card.infer_cardinality(expr.value, env)
+        _walk_sites(expr.body, bound, sites)
+        return
+    for field, is_tuple, binders in ast.SCOPED_FIELDS[type(expr)]:
+        value = getattr(expr, field)
+        if value is None:
+            continue
+        child_env = env
+        if binders:  # rebinding shadows any outer bound for this subtree
+            child_env = {**env, **dict.fromkeys(ast.bound_names(expr, binders), card.STAR)}
+        for child in value if is_tuple else (value,):
+            _walk_sites(child, child_env, sites)
 
 
 __all__ = ["analyze_module", "analyze_query"]

@@ -111,7 +111,15 @@ def analyze_distributivity_static(
     # The body specialized to non-empty $variable, with the facts used.
     facts: list[str] = []
     rewritten = _rewrite_conditionals(body, variable, True, facts)
-    strengthened = judge(rewritten, variable, STRENGTHENED, declarations)
+    if rewritten is body and not any(
+            failure.rule == "FUNCALL-BUILTIN"
+            and failure.expression.name in TRUSTED_DISTRIBUTIVE_BUILTINS
+            for failure in base.failures()):
+        # The rule sets differ only where Figure 5 met a trusted built-in:
+        # judged again, the body would get the same derivation.
+        strengthened = base
+    else:
+        strengthened = judge(rewritten, variable, STRENGTHENED, declarations)
     if not strengthened.safe:
         failure = strengthened.deciding()
         return StaticDistributivityJudgment(
@@ -261,8 +269,11 @@ def _rewrite_conditionals(expr: ast.Expr, variable: str, nonempty: bool,
     Undecidable conditionals are left in place — the syntactic rules (or
     the cardinality join over both branches) judge them afterwards.
     Occurrences under a construct that rebinds ``$variable`` are skipped
-    (:func:`repro.xquery.ast.shadowed_fields`).
+    (:func:`repro.xquery.ast.shadowed_fields`), and so is a part in which
+    ``$variable`` is not free: no condition there can read it.
     """
+    if variable not in expr.free_variables():
+        return expr
     if isinstance(expr, ast.IfExpr):
         verdict = condition_verdict(expr.condition, variable, nonempty)
         if verdict is not None:

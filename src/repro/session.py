@@ -331,20 +331,25 @@ class Session:
             if not settings.use_cache:
                 if span is not None:
                     span.set(module_cache="bypass")
-                module = parse_query(query)
-                return optimize_module(module) if settings.optimize else module
+                return self._parsed(query, settings)
             key = settings.module_key(query)
             module = self._module_cache.get(key)
             if module is None:
                 if span is not None:
                     span.set(module_cache="miss")
-                module = parse_query(query)
-                if settings.optimize:
-                    module = optimize_module(module)
+                module = self._parsed(query, settings)
                 self._module_cache.put(key, module)
             elif span is not None:
                 span.set(module_cache="hit")
             return module
+
+    @staticmethod
+    def _parsed(query: str, settings: EvalSettings) -> ast.Module:
+        """*query* parsed, and optimized if *settings* say so: the parser
+        applies the local rewrites as it builds the module."""
+        if not settings.optimize:
+            return parse_query(query)
+        return optimize_module(parse_query(query, optimize=True))
 
     def _evaluate(self, module: ast.Module, documents, variables, context_item,
                   settings: EvalSettings, id_attributes,

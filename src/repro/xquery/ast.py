@@ -73,6 +73,9 @@ class Expr:
     #: stand for "not yet" and "does not".
     _free: frozenset[str] | None = None
     _constructs = False
+    #: What the parser noted on the ``recurse`` body of a ``with`` it built
+    #: (:meth:`repro.xquery.parser.Parser._key_body`).
+    _noted: tuple[str, str, tuple] | None = None
 
     def children(self) -> list[tuple["Expr", frozenset[str]]]:
         """Child expressions paired with the variables bound for each child:
@@ -571,6 +574,10 @@ class Module:
     #: (:func:`repro.xquery.pushdown.prolog_variables`); ``None`` for "not
     #: yet".  Kept outside the fields, like :attr:`WithExpr._relation`.
     _prolog_variables = None
+    #: What the parser noted about the text as written
+    #: (:class:`repro.xquery.parser.TextFacts`); ``None`` for a module it
+    #: did not build.
+    _front = None
 
     def function_map(self) -> dict[tuple[str, int], FunctionDecl]:
         """Index the declared functions by (name, arity)."""
@@ -656,16 +663,19 @@ def set_position(node: object, line: int, column: int) -> None:
     Positions ride outside the dataclass fields (``object.__setattr__`` on
     the frozen instances), so structural equality, hashing and
     ``dataclasses.replace`` are unaffected; a node rebuilt by the optimizer
-    simply loses its stamp and :func:`get_position` returns ``None``.
+    simply loses its stamp and :func:`get_position` returns ``None``.  The
+    pair is kept as one integer, the column alone on the first line (a
+    cached module holds one per stamped node: no tuple, and mostly an
+    integer Python keeps anyway).
     """
-    object.__setattr__(node, "_pos", (line, column))
+    object.__setattr__(node, "_pos", (line - 1) << 32 | column)
 
 
 def get_position(node: object) -> tuple[int, int] | None:
     """The (line, column) stamped by the parser, or ``None``."""
     position = getattr(node, "_pos", None)
-    if isinstance(position, tuple) and len(position) == 2:
-        return position
+    if type(position) is int:
+        return (position >> 32) + 1, position & 0xFFFFFFFF
     return None
 
 

@@ -1,13 +1,16 @@
-"""Streaming tokenizer for the XQuery subset.
+"""Tokenizer for the XQuery subset.
 
-The lexer is *streaming* (pull-based) rather than batch because XQuery's
-grammar is not context free at the lexical level: a ``<`` can start either a
-comparison or a direct element constructor, and inside a constructor the
-input is character data, not tokens — ``<a>it's #1</a>`` is a query, in which
-a tokenizer run up front would find an unterminated string.  The parser
-therefore drives the lexer one token at a time, and for direct constructors
-it temporarily takes over at the character level (via :attr:`Lexer.pos`)
-before resuming token mode.
+XQuery's grammar is not context free at the lexical level: a ``<`` can start
+either a comparison or a direct element constructor, and inside a
+constructor the input is character data, not tokens — ``<a>it's #1</a>`` is
+a query, in which a tokenizer run to the end would find an unterminated
+string.  The parser therefore takes tokens in runs
+(:meth:`Lexer.tokens_ahead`): a run ends behind a ``<`` or a ``}`` — where
+a constructor or its content may begin — and, without an error, wherever
+:meth:`Lexer.next_token` would hand over to the character-level scanners;
+the parser asks :meth:`Lexer.next_token` for that one token.  At a direct
+constructor it discards its look-ahead and takes over at the character
+level (via :attr:`Lexer.pos`) before resuming token mode.
 
 :meth:`Lexer.next_token` matches one compiled alternation (:data:`_TOKEN`)
 at :attr:`Lexer.pos` — blanks, then a QName, a number, a quote-to-quote
@@ -59,7 +62,9 @@ _TOKEN = re.compile(
     r"|(?P<eof>\Z))"
 ).match
 
-_STRING = TokenKind.STRING
+_STRING, _EOF = TokenKind.STRING, TokenKind.EOF
+#: The symbols a run of :meth:`Lexer.tokens_ahead` ends behind.
+_RUN_ENDS = frozenset("<}")
 #: Group of :data:`_TOKEN` → the kind of token (none for a comment).
 _KIND_OF_GROUP = {**{kind.value: kind for kind in TokenKind},
                   "apostrophized": _STRING, "comment": None}
@@ -143,22 +148,43 @@ class Lexer:
 
     def next_token(self) -> Token:
         """Scan and return the next token (EOF token at end of input)."""
-        text = self.text
+        tokens = self.tokens_ahead()
+        if not tokens:
+            return self._scan_token()
+        self.pos = tokens[0].end
+        return tokens[0]
+
+    def tokens_ahead(self) -> list[Token]:
+        """The tokens :meth:`next_token` would return from here on, taken
+        by :data:`_TOKEN` alone up to the end of the text (its EOF token
+        included), up to a ``<`` or ``}`` (included), or up to the first
+        token it would hand over (an open comment too) — never an error."""
+        text, pos, tokens, ascii_text = self.text, self.pos, [], self._ascii
+        append, match_at, kinds = tokens.append, _TOKEN, _KIND_OF_GROUP
         while True:
-            match = _TOKEN(text, self.pos)
-            if match is None or not (
-                    self._ascii or text[match.end():match.end() + 3].isascii()):
-                return self._scan_token()
-            kind = _KIND_OF_GROUP[match.lastgroup]
+            match = match_at(text, pos)
+            if match is None or not (ascii_text or text[match.end():match.end() + 3].isascii()):
+                break
+            kind = kinds[match.lastgroup]
             start, end = match.span(match.lastindex)
             if kind is _STRING:
-                self.pos = end + 1
-                return _new_token(Token, (kind, text[start:end], start - 1, end + 1))
-            if kind is not None:
-                self.pos = end
-                return _new_token(Token, (kind, text[start:end], start, end))
-            self.pos = start
-            self._skip_comment()
+                append(_new_token(Token, (kind, text[start:end], start - 1, end + 1)))
+                pos = end + 1
+            elif kind is None:
+                self.pos = start
+                try:
+                    self._skip_comment()
+                except XQuerySyntaxError:  # (reported if the parser gets there)
+                    break
+                pos = self.pos
+            else:
+                value = text[start:end]
+                append(_new_token(Token, (kind, value, start, end)))
+                pos = end
+                if kind is _EOF or value in _RUN_ENDS:
+                    break
+        self.pos = pos
+        return tokens
 
     def _scan_token(self) -> Token:
         """The next token, a character at a time: what :data:`_TOKEN` declines."""

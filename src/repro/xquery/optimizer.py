@@ -39,10 +39,9 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
   the algebra engine then sees a compile-time constant table, like every
   prolog variable.  The rule runs after unused-function pruning (a helper
   nothing calls must not cost an eager variable), and its walk runs only
-  when the optimizing pass itself saw a loop read a variable bound outside
-  it (:class:`_Scout`): other modules pay about a tenth of
-  :func:`optimize_module` for the rule, modules without prolog variables
-  nothing.  Safety conditions — the expression qualifies only if it
+  when the parser saw a loop read a variable bound outside it or call
+  ``doc()`` (:class:`~repro.xquery.parser.TextFacts`): other modules pay
+  nothing for the rule.  Safety conditions — the expression qualifies only if it
 
   - mentions no ``for``/quantifier, recursion or parameter variable, and no
     ``let`` variable whose value does (so it is invariant in *every*
@@ -70,14 +69,16 @@ Currently implemented (the rewrite catalog, see DESIGN.md §11):
   marked :attr:`~repro.xquery.ast.ForExpr.whole`: Definition 3.1 read right
   to left, the engines evaluate ``R`` once over all of a non-empty ``E``
   instead of once per item.  The bidder closure's ``for $id in $in/@id``
-  is the loop this is for.  The step walks only when the optimizing pass
-  saw a ``for`` and a ``with`` (:class:`_Scout`); where each function is
-  called and how each call's value is consumed comes from the walk that
-  prunes unused functions (:class:`_CallGraph`).
+  is the loop this is for.  The step walks only when the parser saw a
+  ``for`` and a ``with``; where each function is called and how each
+  call's value is consumed comes from the walk that prunes unused
+  functions (:class:`_CallGraph`).
 
-The four local rewrites are one table (:data:`_RULES`): a node class has at
-most one rule, :func:`optimize` applies it once to a node whose children are
-optimized, and leaves are returned as they are.
+The four local rewrites are one table (:data:`RULES`): a node class has at
+most one rule, applied once to a node whose children are optimized — by the
+parser as it builds each node (``parse_query(text, optimize=True)``), or by
+:func:`optimize` over an AST the parser did not optimize — and leaves are
+returned as they are.
 
 Every rewrite is verified item-identical across the interpreter, algebra
 and SQL engines by randomized property tests
@@ -87,6 +88,7 @@ and SQL engines by randomized property tests
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -100,7 +102,7 @@ def optimize(expr: ast.Expr) -> ast.Expr:
     if kind in _LEAVES:
         return expr
     expr = ast.map_children(expr, optimize)
-    rule = _RULES.get(kind)
+    rule = RULES.get(kind)
     return expr if rule is None else rule(expr)
 
 
@@ -115,35 +117,60 @@ def optimize_module(module: ast.Module, hoist: bool = True) -> ast.Module:
     expressions never call a declared function, so hoisting cannot change
     what is reachable.
 
-    Everything hoistable bottoms out in a prolog variable — directly, or as
-    the proof that a ``doc()`` call succeeds.  A module without one has
-    nothing to look for; every module is optimized by a :class:`_Scout`,
-    which notes on the way whether the rule's own walk could find anything,
-    and whether the module has a ``for`` and a ``with`` — without both, no
-    loop can be set-at-a-time and the last step (:func:`_set_at_a_time`)
-    does not walk either."""
-    #: prolog variables with a value, each bound at loop depth 0
-    prolog = {decl.name: 0 for decl in module.variables if decl.value is not None}
-    scout = _Scout(prolog)
-    scout.depth = 1  # a function body runs once per call: a loop body as a whole
-    functions = tuple(
-        replace(function, body=scout.visit(function.body)) for function in module.functions
-    )
-    scout.depth = 0  # initializers and the query body run once
-    variables = tuple(
-        replace(decl, value=scout.visit(decl.value)) if decl.value is not None else decl
-        for decl in module.variables
-    )
-    body = scout.visit(module.body)
-    set_loops = scout.saw_for and scout.saw_with
+    A module the parser optimized (``parse_query(text, optimize=True)``)
+    has its local rewrites already; any other gets them here
+    (:func:`optimize`).  The parser also noted whether the hoisting rule's
+    walk could find anything — everything hoistable bottoms out in a prolog
+    variable a loop reads, or in a ``doc()`` call a loop makes — and
+    whether the text has a ``for`` and a ``with``: without both, no loop can
+    be set-at-a-time and the last step (:func:`_set_at_a_time`) does not
+    walk either.  A module the parser did not build takes every step."""
+    front = module._front
+    functions, variables, body = module.functions, module.variables, module.body
+    if front is None or not front.optimized:
+        functions = tuple(replace(function, body=optimize(function.body))
+                          for function in functions)
+        variables = tuple(replace(decl, value=optimize(decl.value))
+                          if decl.value is not None else decl for decl in variables)
+        body = optimize(body)
+    set_loops = front is None or (front.saw_for and front.saw_with)
     if functions or set_loops:
         graph = _CallGraph(functions, variables, body)
         functions = graph.reachable(functions)
-    if hoist and prolog and scout.found:
+    if hoist and (front is None or front.found) and any(
+            decl.value is not None for decl in variables):
         functions, variables, body = _Hoister(functions, variables).run(body)
     if set_loops:
         functions, variables, body = _set_at_a_time(graph, functions, variables, body)
-    return ast.Module(functions=functions, variables=variables, body=body)
+    optimized = ast.Module(functions=functions, variables=variables, body=body)
+    roots, kept = scope_roots(optimized), scope_roots(module)
+    if front is not None and not (len(roots) == len(kept) and all(map(operator.is_, roots, kept))):
+        # The sites the parser noted stay with a scope kept as it was; a
+        # scope a rewrite changed had none if it had none as written (no
+        # rewrite makes a ``with``); the others are walked.  (A name
+        # declared twice is walked.)
+        before: dict = {}
+        for key, root, found in zip(_scope_keys(module), kept, front.sites):
+            before[key] = (root, found) if key not in before else (None, None)
+        front = front._replace(sites=tuple(
+            found if root is old or found == () else None
+            for root, (old, found) in zip(roots, [before.get(key, (None, None))
+                                                   for key in _scope_keys(optimized)])))
+    object.__setattr__(optimized, "_front", front)
+    return optimized
+
+
+def scope_roots(module: ast.Module) -> tuple[ast.Expr | None, ...]:
+    """The expressions of *module*'s scopes, in the order of
+    :class:`~repro.xquery.parser.TextFacts`: each variable initializer
+    (``None`` if external), each function body, the query body."""
+    return (*(decl.value for decl in module.variables),
+            *(function.body for function in module.functions), module.body)
+
+
+def _scope_keys(module: ast.Module) -> tuple:
+    return (*(decl.name for decl in module.variables),
+            *((function.name, function.arity) for function in module.functions), None)
 
 
 def _fuse_descendant_step(expr: ast.PathExpr) -> ast.Expr:
@@ -476,77 +503,6 @@ def _doc_uri(expr: ast.Expr) -> str | None:
     return None
 
 
-#: Loop forms: the field evaluated once, the one evaluated per iteration or round.
-_LOOP_FIELDS = {ast.ForExpr: ("sequence", "body"), ast.WithExpr: ("seed", "body"),
-                ast.QuantifiedExpr: ("sequence", "satisfies")}
-
-
-class _Scout:
-    """:func:`optimize` over a module's function and query bodies that also
-    answers, without a walk of its own, whether the hoisting rule has
-    anything to look for — so that a module with prolog variables but no
-    invariant in any loop pays (almost) nothing for the rule.
-
-    A hoistable expression reads a variable bound outside the loop it sits
-    in (a prolog variable, or a ``let`` further out) or calls ``doc()``.  The
-    scout keeps the loop depth while it optimizes and sets :attr:`found` at
-    the first such read.  It over-approximates (it does not track shadowing
-    or types, and sees branches the rewrites then delete): a false alarm
-    costs the hoister's walk, a miss would only cost a hoist.  It also notes
-    whether it met a ``for`` and a ``with`` (:attr:`saw_for`,
-    :attr:`saw_with`), the gate of :func:`_set_at_a_time`.
-    """
-
-    __slots__ = ("bound", "depth", "found", "saw_for", "saw_with")
-
-    def __init__(self, bound: dict[str, int]):
-        #: variable name → the lowest loop depth it is bound at
-        self.bound = bound
-        self.depth = 0
-        self.found = False
-        self.saw_for = False
-        self.saw_with = False
-
-    def visit(self, expr: ast.Expr) -> ast.Expr:
-        """:func:`optimize` of *expr*, noting what is read at which depth."""
-        kind = type(expr)
-        if kind in _LEAVES:
-            if kind is ast.VarRef:
-                depth = self.depth
-                if depth and depth > self.bound.get(expr.name, depth):
-                    self.found = True
-            return expr
-        if kind not in _SCOUTED:
-            expr = ast.map_children(expr, self.visit)
-        elif kind is ast.LetExpr:
-            self.bound[expr.var] = min(self.depth, self.bound.get(expr.var, self.depth))
-            expr = ast.map_children(expr, self.visit)
-        elif kind is ast.FunctionCall:
-            if self.depth and _local_name(expr) == "doc":
-                self.found = True
-            expr = ast.map_children(expr, self.visit)
-        else:
-            if kind is ast.ForExpr:
-                self.saw_for = True
-            elif kind is ast.WithExpr:
-                self.saw_with = True
-            # the sequence or seed runs once, at this depth; the body deeper
-            once, repeated = _LOOP_FIELDS[kind]
-            head, body = getattr(expr, once), getattr(expr, repeated)
-            new_head = self.visit(head)
-            self.depth += 1
-            new_body = self.visit(body)
-            self.depth -= 1
-            if new_head is not head or new_body is not body:
-                expr = replace(expr, **{once: new_head, repeated: new_body})
-        rule = _RULES.get(kind)
-        return expr if rule is None else rule(expr)
-
-
-#: The inner nodes a :class:`_Scout` looks at.
-_SCOUTED = frozenset({ast.LetExpr, ast.FunctionCall, *_LOOP_FIELDS})
-
-
 class _Hoister:
     """One run of the invariant-hoisting rule over a module."""
 
@@ -603,15 +559,18 @@ class _Hoister:
         if kind in _LEAVES:
             return expr
         if kind in _CANDIDATES and (self.repeated or depth > 1):
-            # (Not the first half of a ``//`` the fusion left alone: every
-            # node of a document in a variable — in every cached plan — to
-            # save one slice per iteration.)
-            if (self._total_type(expr, scope) is not None and _has_step(expr)
+            # Only what reads stable variables bound further out can move
+            # (a total expression reads nothing else), and only a total one
+            # does.  (Not the first half of a ``//`` the fusion left alone:
+            # every node of a document in a variable — in every cached
+            # plan — to save one slice per iteration.)
+            bindings = [scope.get(name) for name in expr.free_variables()]
+            if (all(binding is not None and binding.stable for binding in bindings)
+                    and (target := max([binding.depth for binding in bindings], default=0))
+                    < depth
+                    and self._total_type(expr, scope) is not None and _has_step(expr)
                     and not (kind is ast.PathExpr and _is_all_nodes_step(expr.right))):
-                target = max((scope[name].depth for name in expr.free_variables()),
-                             default=0)
-                if target < depth:
-                    return ast.VarRef(self._bind(expr, target))
+                return ast.VarRef(self._bind(expr, target))
         if kind is ast.ForExpr:
             inner = dict(scope)
             inner[expr.var] = _VARIANT
@@ -881,7 +840,7 @@ _LEAVES = frozenset(kind for kind, plan in ast.CHILD_FIELDS.items() if not plan)
 
 #: The local rewrites, one per node class it can apply to: the rule sees a
 #: node whose children are optimized already, and what it returns is final.
-_RULES: dict[type[ast.Expr], Callable[..., ast.Expr]] = {
+RULES: dict[type[ast.Expr], Callable[..., ast.Expr]] = {
     ast.UnaryExpr: _fold_unary,
     ast.ArithmeticExpr: _fold_arithmetic,
     ast.GeneralComparison: _fold_comparison,

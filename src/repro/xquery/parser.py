@@ -14,13 +14,30 @@ evaluator and the distributivity analyses only ever see a small core:
 Direct element constructors switch the parser into character mode (see
 :mod:`repro.xquery.lexer`), because inside ``<a>...</a>`` the input is
 character content interleaved with ``{ enclosed expressions }``.
+
+The parser builds the AST bottom-up, and it is the only pass a new text
+gets before the module-level rewrites (:mod:`repro.xquery.optimizer`):
+
+* asked to optimize (``parse_query(text, optimize=True)``), it applies the
+  local rewrites of :data:`~repro.xquery.optimizer.RULES` to each node as
+  it builds it — a node whose children are built, hence optimized, which is
+  the order :func:`~repro.xquery.optimizer.optimize` keeps;
+* either way it notes what later stages would otherwise walk the tree for
+  (DESIGN.md §13): on the module (:class:`TextFacts`) the gates of the
+  hoisting and set-at-a-time rules, and per scope the references the
+  scope check resolves — of the text *as written*, so a rewrite cannot
+  hide a static error — and the ``with`` sites; on each ``with`` body its
+  memo key and calls (:meth:`Parser._key_body`).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.errors import XQuerySyntaxError
 from repro.xquery import ast
 from repro.xquery.lexer import Lexer
+from repro.xquery.optimizer import RULES
 from repro.xquery.tokens import Token, TokenKind
 
 #: Axis names accepted in axis steps.
@@ -80,25 +97,90 @@ _OPERATORS: dict[str, tuple[int, type[ast.Expr] | None, bool]] = {
 }
 
 
-class Parser:
-    """Parses one query module (prolog + body expression)."""
+class TextFacts(NamedTuple):
+    """What the parser notes about a module's text as written, kept on the
+    module (``module._front``; ``None`` on a module it did not build).
 
-    def __init__(self, text: str):
+    * ``optimized`` — the local rewrites were applied while building;
+    * ``found``, ``saw_for``, ``saw_with`` — the gates of the hoisting and
+      set-at-a-time rules (:func:`~repro.xquery.optimizer.optimize_module`):
+      a loop reads a variable bound outside it or calls ``doc()`` (an
+      over-approximation: shadowing and types are not tracked), the text
+      has a ``for``, it has a ``with``;
+    * ``functions``, ``variables`` — the prolog declarations as written;
+    * ``references`` — per scope of the scope check (each variable
+      initializer, each function body, the query body, in that order) the
+      variable references bound nowhere in it and the function calls, in
+      document order;
+    * ``sites`` — per scope, each ``with`` in it (in document order) with
+      the bindings in scope there, outermost first, as ``(name, value)``
+      (:meth:`Parser._binding`); ``None`` for a scope in which a rewrite
+      dropped a part (:func:`~repro.xquery.optimizer.optimize_module`
+      keeps them aligned with the scopes of the module it returns);
+    * ``rebinds_prolog`` — a binding or a parameter somewhere reuses the
+      name of a prolog variable.
+    """
+
+    optimized: bool
+    found: bool
+    saw_for: bool
+    saw_with: bool
+    functions: tuple[ast.FunctionDecl, ...]
+    variables: tuple[ast.VariableDecl, ...]
+    references: tuple[tuple[ast.Expr, ...], ...]
+    sites: tuple[tuple | None, ...]
+    rebinds_prolog: bool
+
+
+class Parser:
+    """Parses one query module (prolog + body expression); *optimize*
+    applies the local rewrites while building."""
+
+    def __init__(self, text: str, optimize: bool = False):
         self.lexer = Lexer(text)
         #: The tokens lexed so far and the cursor into them.  The list is
-        #: filled on demand (see :mod:`repro.xquery.lexer` for why not up
-        #: front); what lies at or after the cursor is look-ahead.
+        #: filled a run at a time (:meth:`Lexer.tokens_ahead`); what lies at
+        #: or after the cursor is look-ahead.
         self._tokens: list[Token] = []
         self._index = 0
+        self._one_line = "\n" not in text
+        self._rules = RULES if optimize else {}
+        #: The ``//`` fusion, the one rewrite of a path (it drops nothing).
+        self._fuse = self._rules.get(ast.PathExpr)
+        #: Loop depth (a function body is one deep), each ``let`` variable's
+        #: lowest depth, the names read below depth 0, whether a loop read
+        #: an outer variable or called ``doc()`` — the hoisting gate.
+        self._depth = 0
+        self._lets: dict[str, int] = {}
+        self._deep: set[str] = set()
+        self._found = self._saw_for = self._saw_with = False
+        #: The bindings in scope where the parser is (each with the level its
+        #: name had before, and its value), the level of each name bound
+        #: there, every name bound anywhere, and the references and the
+        #: ``with`` sites of the scope being parsed (:class:`TextFacts`).
+        self._scope: list[tuple[str, int | None, object]] = []
+        self._levels: dict[str, int] = {}
+        self._bound: set[str] = set()
+        self._refs: list = []
+        self._sites: list = []
+        #: Each variable name in the ``with`` bodies being parsed (their
+        #: count) — ``(start, end, level)``, the level ``None`` where it is
+        #: bound nowhere in scope — and the count of rewrites so far that
+        #: dropped a part (a call, a binding, a ``with`` may go with it).
+        self._bodies = 0
+        self._names: list[tuple[int, int, int | None]] = []
+        self._opaque = 0
 
     # ------------------------------------------------------------------ token plumbing
 
     def _peek(self, offset: int = 0) -> Token:
-        index = self._index + offset
-        tokens = self._tokens
-        while index >= len(tokens):
-            tokens.append(self.lexer.next_token())
-        return tokens[index]
+        try:
+            return self._tokens[self._index + offset]
+        except IndexError:
+            tokens = self._tokens
+            while self._index + offset >= len(tokens):
+                tokens += self.lexer.tokens_ahead() or (self.lexer.next_token(),)
+            return tokens[self._index + offset]
 
     def _advance(self) -> Token:
         token = self._peek()
@@ -115,8 +197,12 @@ class Parser:
         The static analyzer (:mod:`repro.analysis`) reads these stamps to
         report undefined variables/functions with line/column information.
         """
-        line, column = self.lexer.line_column(token.start)
-        ast.set_position(node, line, column)
+        start = token.start
+        if self._one_line:
+            ast.set_position(node, 1, start + 1)
+        else:
+            text = self.lexer.text
+            ast.set_position(node, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
         return node
 
     def _expect_symbol(self, symbol: str) -> Token:
@@ -153,26 +239,83 @@ class Parser:
         del self._tokens[self._index:]
         self.lexer.pos = position
 
+    def _rewritten(self, node: ast.Expr) -> ast.Expr:
+        """*node*, just built, with its local rewrite applied when optimizing
+        (and counted in :attr:`_opaque` if it dropped a part)."""
+        rule = self._rules.get(type(node))
+        if rule is None:
+            return node
+        result = rule(node)
+        if result is not node and type(node) in _DROPPING:
+            self._opaque += 1
+        return result
+
+    def _path(self, left: ast.Expr, right: ast.Expr) -> ast.Expr:
+        """``left/right``, fused if it is the second half of a ``//``."""
+        path = ast.PathExpr(left, right)
+        return path if self._fuse is None else self._fuse(path)
+
+    def _binding(self, token: Token, value: ast.Expr | bool | None = None) -> None:
+        """The variable *token* names is bound from here to the end of the
+        construct being parsed (:meth:`_unbind`), to *value*: a ``let``'s
+        expression, ``True`` for one item of a ``for``, ``None`` for any."""
+        name = token.value
+        self._scope.append((name, self._levels.get(name), value))
+        self._levels[name] = level = len(self._scope) - 1
+        self._bound.add(name)
+        if self._bodies:
+            self._names.append((token.start, token.end, level))
+
+    def _unbind(self, mark: int) -> None:
+        """Leave the bindings made since the scope had *mark* entries."""
+        scope, levels = self._scope, self._levels
+        while len(scope) > mark:
+            name, previous, _ = scope.pop()
+            if previous is None:
+                del levels[name]
+            else:
+                levels[name] = previous
+
     # ------------------------------------------------------------------ module / prolog
 
     def parse_module(self) -> ast.Module:
         functions: list[ast.FunctionDecl] = []
         variables: list[ast.VariableDecl] = []
+        function_scopes: list[tuple] = []
+        variable_scopes: list[tuple] = []
         while self._peek().is_name("declare"):
             keyword = self._peek(1)
+            self._refs, self._sites, opaque = [], [], self._opaque
             if keyword.is_name("function"):
                 functions.append(self._parse_function_decl())
+                function_scopes.append(self._scope_facts(opaque))
             elif keyword.is_name("variable"):
                 variables.append(self._parse_variable_decl())
+                variable_scopes.append(self._scope_facts(opaque))
             else:
                 raise self._error(
                     f"unsupported declaration 'declare {keyword.value}'", keyword
                 )
+        self._refs, self._sites, opaque = [], [], self._opaque
         body = self.parse_expr()
         end = self._peek()
         if end.kind != TokenKind.EOF:
             raise self._error(f"unexpected content after query body: {end.value!r}", end)
-        return ast.Module(functions=tuple(functions), variables=tuple(variables), body=body)
+        module = ast.Module(functions=tuple(functions), variables=tuple(variables), body=body)
+        prolog = {declaration.name for declaration in variables if declaration.value is not None}
+        references, sites = zip(*variable_scopes, *function_scopes, self._scope_facts(opaque))
+        object.__setattr__(module, "_front", TextFacts(
+            bool(self._rules), self._found or not self._deep.isdisjoint(prolog),
+            self._saw_for, self._saw_with, module.functions, module.variables,
+            references, sites,
+            not self._bound.isdisjoint([declaration.name for declaration in variables])))
+        return module
+
+    def _scope_facts(self, opaque: int) -> tuple[tuple, tuple | None]:
+        """The references and ``with`` sites of the scope just parsed; its
+        sites only if no rewrite dropped a part of it (the count was *opaque*
+        when it began)."""
+        return tuple(self._refs), tuple(self._sites) if self._opaque == opaque else None
 
     def _parse_function_decl(self) -> ast.FunctionDecl:
         self._expect_name("declare")
@@ -184,11 +327,12 @@ class Parser:
         if not self._peek().is_symbol(")"):
             while True:
                 self._expect_symbol("$")
-                param_name = self._expect_name().value
+                param_token = self._expect_name()
                 declared_type = None
                 if self._accept_name("as"):
                     declared_type = self._parse_sequence_type()
-                params.append(ast.Param(param_name, declared_type))
+                params.append(ast.Param(param_token.value, declared_type))
+                self._binding(param_token)
                 if not self._accept_symbol(","):
                     break
         self._expect_symbol(")")
@@ -196,7 +340,10 @@ class Parser:
         if self._accept_name("as"):
             return_type = self._parse_sequence_type()
         self._expect_symbol("{")
+        self._depth = 1  # a function body runs once per call: a loop body as a whole
         body = self.parse_expr()
+        self._depth = 0
+        self._unbind(0)
         self._expect_symbol("}")
         self._expect_symbol(";")
         return self._stamp(ast.FunctionDecl(name=name, params=tuple(params), body=body,
@@ -272,6 +419,7 @@ class Parser:
 
     def _parse_flwor(self) -> ast.Expr:
         clauses: list[tuple] = []
+        depth, scope = self._depth, len(self._scope)
         while True:
             keyword = self._peek()
             if not (keyword.is_name("for", "let") and self._peek(1).is_symbol("$")):
@@ -280,15 +428,25 @@ class Parser:
             while True:
                 self._expect_symbol("$")
                 var_token = self._expect_name()
+                var = var_token.value
                 position_var = None
                 if keyword.value == "let":
                     self._expect_symbol(":=")
+                    self._lets[var] = min(self._depth, self._lets.get(var, self._depth))
+                    clauses.append(("let", var_token, None, self.parse_expr_single()))
                 else:
+                    position_token = None
                     if self._accept_name("at"):
                         self._expect_symbol("$")
-                        position_var = self._expect_name().value
+                        position_token = self._expect_name()
+                        position_var = position_token.value
                     self._expect_name("in")
-                clauses.append((keyword.value, var_token, position_var, self.parse_expr_single()))
+                    self._saw_for = True
+                    clauses.append(("for", var_token, position_var, self.parse_expr_single()))
+                    self._depth += 1  # the clauses behind it run per item
+                    if position_token is not None:
+                        self._binding(position_token, True)
+                self._binding(var_token, clauses[-1][3] if keyword.value == "let" else True)
                 if not self._accept_symbol(","):
                     break
         where: ast.Expr | None = None
@@ -298,30 +456,37 @@ class Parser:
             raise self._error("'order by' is not supported by this XQuery subset")
         self._expect_name("return")
         body = self.parse_expr_single()
+        self._depth = depth
+        self._unbind(scope)
         if where is not None:
-            body = ast.IfExpr(where, body, ast.EmptySequence())
+            body = self._rewritten(ast.IfExpr(where, body, ast.EmptySequence()))
         for kind, var_token, position_var, expr in reversed(clauses):
             if kind == "for":
-                body = ast.ForExpr(var=var_token.value, sequence=expr, body=body,
-                                   position_var=position_var)
+                body = self._stamp(ast.ForExpr(var=var_token.value, sequence=expr, body=body,
+                                               position_var=position_var), var_token)
             else:
-                body = ast.LetExpr(var=var_token.value, value=expr, body=body)
-            self._stamp(body, var_token)
+                body = self._rewritten(self._stamp(
+                    ast.LetExpr(var=var_token.value, value=expr, body=body), var_token))
         return body
 
     def _parse_quantified(self) -> ast.Expr:
         quantifier = self._expect_name("some", "every").value
         bindings: list[tuple[str, ast.Expr]] = []
+        depth, scope = self._depth, len(self._scope)
         while True:
             self._expect_symbol("$")
-            var = self._expect_name().value
+            var_token = self._expect_name()
             self._expect_name("in")
             sequence = self.parse_expr_single()
-            bindings.append((var, sequence))
+            bindings.append((var_token.value, sequence))
+            self._depth += 1
+            self._binding(var_token)
             if not self._accept_symbol(","):
                 break
         self._expect_name("satisfies")
         satisfies = self.parse_expr_single()
+        self._depth = depth
+        self._unbind(scope)
         expr = satisfies
         for var, sequence in reversed(bindings):
             expr = ast.QuantifiedExpr(quantifier=quantifier, var=var, sequence=sequence, satisfies=expr)
@@ -336,23 +501,31 @@ class Parser:
         while self._peek().is_name("case"):
             self._advance()
             case_var = None
+            scope = len(self._scope)
             if self._peek().is_symbol("$"):
                 self._advance()
-                case_var = self._expect_name().value
+                case_token = self._expect_name()
+                case_var = case_token.value
                 self._expect_name("as")
+                self._binding(case_token)
             sequence_type = self._parse_sequence_type()
             self._expect_name("return")
             body = self.parse_expr_single()
+            self._unbind(scope)
             cases.append(ast.TypeswitchCase(sequence_type=sequence_type, body=body, var=case_var))
         if not cases:
             raise self._error("typeswitch requires at least one case clause")
         self._expect_name("default")
         default_var = None
+        scope = len(self._scope)
         if self._peek().is_symbol("$"):
             self._advance()
-            default_var = self._expect_name().value
+            default_token = self._expect_name()
+            default_var = default_token.value
+            self._binding(default_token)
         self._expect_name("return")
         default = self.parse_expr_single()
+        self._unbind(scope)
         return ast.TypeswitchExpr(operand=operand, cases=tuple(cases), default=default, default_var=default_var)
 
     def _parse_if(self) -> ast.Expr:
@@ -364,23 +537,65 @@ class Parser:
         then_branch = self.parse_expr_single()
         self._expect_name("else")
         else_branch = self.parse_expr_single()
-        return ast.IfExpr(condition, then_branch, else_branch)
+        return self._rewritten(ast.IfExpr(condition, then_branch, else_branch))
 
     def _parse_with(self) -> ast.Expr:
         with_token = self._expect_name("with")
+        site = len(self._sites)
+        self._sites.append(tuple([(name, value) for name, _, value in self._scope]))
         self._expect_symbol("$")
-        var = self._expect_name().value
+        var_token = self._expect_name()
+        var = var_token.value
         self._expect_name("seeded")
         self._expect_name("by")
         seed = self.parse_expr_single()
         self._expect_name("recurse")
+        self._saw_with = True
+        self._depth += 1
+        base = len(self._scope)
+        self._binding(var_token)
+        start, names, refs, opaque = (self._peek().start, len(self._names), len(self._refs),
+                                      self._opaque)
+        self._bodies += 1
         body = self.parse_expr_single()
+        self._bodies -= 1
+        self._depth -= 1
+        self._unbind(base)
+        if self._opaque == opaque:
+            self._key_body(body, var, base, start, names, refs)
+        if not self._bodies:
+            del self._names[:]
         algorithm = "auto"
         if self._peek().is_name("using"):
             self._advance()
             algorithm = self._expect_name("naive", "delta", "auto").value
-        return self._stamp(
+        expr = self._stamp(
             ast.WithExpr(var=var, seed=seed, body=body, algorithm=algorithm), with_token)
+        self._sites[site] = (expr, self._sites[site])
+        return expr
+
+    def _key_body(self, body: ast.Expr, var: str, base: int, start: int,
+                  names: int, refs: int) -> None:
+        """Note on *body*, the ``recurse`` body of ``$var`` just built from
+        the text from *start* on, its key and its calls
+        (:func:`repro.xquery.pushdown.recognize_step_relation` reads them):
+        the text as written with each variable it binds written by its
+        binding position — ``$var``, at level *base*, as ``$#x`` and each
+        binding inside as ``#`` and its level above *base*, so α-variants
+        share the key — and the calls it makes.  (Only when no rewrite
+        dropped a part of the body.)"""
+        text = self.lexer.text
+        pieces, last = [], start
+        for first, end, level in sorted(self._names[names:]):  # (a binder comes last)
+            if level is not None and level >= base:
+                pieces += (text[last:first], f"#{level - base if level > base else 'x'}")
+                last = end
+        pieces.append(text[last:self._tokens[self._index - 1].end])
+        # (the body itself, if a call, is left out: a node that held itself
+        # would outlive its module until the cycle collector came by)
+        calls = tuple([ref for ref in self._refs[refs:]
+                       if type(ref) is ast.FunctionCall and ref is not body])
+        object.__setattr__(body, "_noted", (var, "".join(pieces), calls))
 
     # -- operator precedence ---------------------------------------------------------
 
@@ -410,6 +625,9 @@ class Parser:
                 self._index += 1
                 right = self._parse_binary(level + 1, self._peek())
                 left = node(value, left, right) if takes_operator else node(left, right)
+                rule = self._rules.get(node)
+                if rule is not None:
+                    left = rule(left)
             elif level == _INSTANCE_OF:
                 if not self._peek(1).is_name("of"):
                     return left
@@ -429,13 +647,12 @@ class Parser:
             value = token.value
             if value == "-" or value == "+":
                 self._index += 1
-                return ast.UnaryExpr(value, self._parse_unary(self._peek()))
+                return self._rewritten(ast.UnaryExpr(value, self._parse_unary(self._peek())))
             if value == "//":
                 self._index += 1
-                return self._parse_relative_path(ast.PathExpr(
-                    ast.RootExpr(),
-                    ast.AxisStep("descendant-or-self", ast.NodeTest("node")),
-                ), self._peek())
+                return self._parse_relative_path(self._path(
+                    ast.RootExpr(), ast.AxisStep("descendant-or-self", ast.NodeTest("node"))),
+                    self._peek())
             if value == "/":
                 self._index += 1
                 token = self._peek()
@@ -449,20 +666,18 @@ class Parser:
     def _parse_relative_path(self, left: ast.Expr | None, token: Token) -> ast.Expr:
         expr = self._parse_step(token)
         if left is not None:
-            expr = ast.PathExpr(left, expr)
+            expr = self._path(left, expr)
         while True:
             token = self._peek()
             if token.kind is not _SYMBOL:
                 return expr
             if token.value == "/":
                 self._index += 1
-                expr = ast.PathExpr(expr, self._parse_step(self._peek()))
+                expr = self._path(expr, self._parse_step(self._peek()))
             elif token.value == "//":
                 self._index += 1
-                expr = ast.PathExpr(
-                    expr, ast.AxisStep("descendant-or-self", ast.NodeTest("node"))
-                )
-                expr = ast.PathExpr(expr, self._parse_step(self._peek()))
+                expr = self._path(expr, ast.AxisStep("descendant-or-self", ast.NodeTest("node")))
+                expr = self._path(expr, self._parse_step(self._peek()))
             else:
                 return expr
 
@@ -537,7 +752,20 @@ class Parser:
             symbol = token.value
             if symbol == "$":
                 self._index += 1
-                return self._stamp(ast.VarRef(self._expect_name().value), token)
+                name_token = self._expect_name()
+                ref = self._stamp(ast.VarRef(name_token.value), token)
+                name, depth = ref.name, self._depth
+                level = self._levels.get(name)
+                if self._bodies:
+                    self._names.append((name_token.start, name_token.end, level))
+                if level is None:
+                    self._refs.append(ref)
+                if depth:
+                    if self._lets.get(name, depth) < depth:
+                        self._found = True
+                    else:
+                        self._deep.add(name)
+                return ref
             if symbol == "(":
                 self._index += 1
                 if self._accept_symbol(")"):
@@ -569,6 +797,11 @@ class Parser:
         name = name_token.value
         if name in RESERVED_FUNCTION_NAMES:
             raise self._error(f"'{name}' may not be used as a function name", name_token)
+        if self._depth and name in ("doc", "fn:doc"):
+            self._found = True
+        refs = self._refs
+        slot = len(refs)
+        refs.append(None)  # (the call comes before its arguments)
         self._expect_symbol("(")
         args: list[ast.Expr] = []
         if not self._peek().is_symbol(")"):
@@ -577,7 +810,8 @@ class Parser:
                 if not self._accept_symbol(","):
                     break
         self._expect_symbol(")")
-        return self._stamp(ast.FunctionCall(name, tuple(args)), name_token)
+        refs[slot] = self._stamp(ast.FunctionCall(name, tuple(args)), name_token)
+        return refs[slot]
 
     def _parse_computed_constructor(self) -> ast.Expr:
         keyword = self._expect_name().value
@@ -744,6 +978,10 @@ class Parser:
             self.lexer.pos += 1
 
 
+#: The rewrites that may drop a part of what they rewrite (a dead branch, an
+#: unused ``let``): what the parser noted inside it may be gone.
+_DROPPING = frozenset({ast.IfExpr, ast.LetExpr})
+
 #: Expression keywords → the symbol that must follow, and the method to call.
 _KEYWORD_EXPRESSIONS = {
     "for": ("$", Parser._parse_flwor), "let": ("$", Parser._parse_flwor),
@@ -765,9 +1003,11 @@ def _starts_step(token: Token) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def parse_query(text: str) -> ast.Module:
-    """Parse a complete query (prolog + body) into a :class:`~repro.xquery.ast.Module`."""
-    return Parser(text).parse_module()
+def parse_query(text: str, optimize: bool = False) -> ast.Module:
+    """Parse a complete query (prolog + body) into a :class:`~repro.xquery.ast.Module`,
+    with the local rewrites applied if *optimize* (then hand it to
+    :func:`~repro.xquery.optimizer.optimize_module` for the rest)."""
+    return Parser(text, optimize).parse_module()
 
 
 def parse_expression(text: str) -> ast.Expr:

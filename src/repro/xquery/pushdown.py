@@ -387,24 +387,25 @@ def recognize_step_relation(body: ast.Expr, var: str,
 
         if not is_distributivity_safe(body, var, declarations):
             return None
-    # One walk renames the recursion variable and finds the calls; the
-    # body's free variables and constructors are known already (computed
-    # once per node), and renaming changes neither but for the one name.
-    calls: list[ast.FunctionCall] = []
-    canonical = ast.substitute_variable(body, var, _CANONICAL_REF, calls)
-    constructs = body.contains_node_constructor()
-    free = body.free_variables() - {var}
+    # The body is judged as it stands — keyed and its calls noted by the
+    # parser, if it built it — and only inlining rebuilds it, with the
+    # recursion variable renamed first so no function body can capture it.
+    noted, key = body._noted, None
+    if noted is not None and noted[0] == var:
+        key, calls = ("text", noted[1]), noted[2]
+        if type(body) is ast.FunctionCall:
+            calls = (body, *calls)
+    else:
+        calls = [sub for sub in body.iter_subexpressions() if type(sub) is ast.FunctionCall]
     if any((call.name, len(call.args)) in declarations for call in calls):
-        canonical = inline_calls(canonical, declarations)
-        if canonical is None:
+        body = inline_calls(ast.substitute_variable(body, var, _CANONICAL_REF), declarations)
+        if body is None:
             return None
-        calls = [sub for sub in canonical.iter_subexpressions()
-                 if type(sub) is ast.FunctionCall]
-        constructs = canonical.contains_node_constructor()
-        free = canonical.free_variables() - {CANONICAL_VARIABLE}
-    if constructs:
+        var, key = CANONICAL_VARIABLE, None
+        calls = [sub for sub in body.iter_subexpressions() if type(sub) is ast.FunctionCall]
+    if body.contains_node_constructor():
         return None
-    return _image_relation(canonical, calls, free, functions, engine, variables or {})
+    return _image_relation(body, var, calls, functions, engine, variables or {}, key)
 
 
 def fixpoint_relation(expr: ast.WithExpr, functions: Container[tuple[str, int]],
@@ -430,11 +431,14 @@ def prolog_variables(module: ast.Module) -> dict[str, ast.VariableDecl]:
     *module* reuses.  Such a binding shadows the prolog variable where it is
     in scope, and the recognizer judges a body, not the scopes around it —
     so a reused name is, to it, a variable of unknown value.  Computed once
-    per module."""
+    per module — without a walk when the parser saw no binding or parameter
+    reuse a prolog variable's name anywhere in the text (the optimizer binds
+    none of them)."""
     found = module._prolog_variables
     if found is None:
         bound: set[str] = set()
-        if module.variables:
+        front = module._front
+        if module.variables and (front is None or front.rebinds_prolog):
             bound.update(param.name for function in module.functions
                          for param in function.params)
             for root in (*(function.body for function in module.functions),
@@ -485,10 +489,10 @@ def node_local(predicate: ast.Expr, functions: Container[tuple[str, int]]) -> bo
 # -- inlining ----------------------------------------------------------------
 
 #: The recursion variable's name in a step relation's memo key: no query
-#: text can spell it, so α-variant bodies (``$v1/…``, ``$v2/…``) share a key.
+#: text can spell it, so α-variant bodies (``$v1/…``, ``$v2/…``) share a
+#: key, and no inlined function body can capture it.
 CANONICAL_VARIABLE = "#x"
 _CANONICAL_REF = ast.VarRef(CANONICAL_VARIABLE)
-_CANONICAL_ONLY = frozenset({CANONICAL_VARIABLE})
 
 #: Declared types a parameter bound to the recursion variable may have:
 #: none, or a ``*`` of any node (what the fixpoint feeds).
@@ -595,18 +599,17 @@ def _scan(expr: ast.Expr, declarations) -> tuple[set[str], bool]:
 IMAGE_BUILTINS = NODE_LOCAL_BUILTINS | {"id", "idref", "position", "last"}
 
 
-def _image_relation(canonical: ast.Expr, calls: list[ast.FunctionCall],
-                    free: Iterable[str], functions: Container[tuple[str, int]],
-                    engine: str, variables: Mapping[str, ast.VariableDecl]
-                    ) -> StepRelation | None:
+def _image_relation(body: ast.Expr, var: str, calls: Iterable[ast.FunctionCall],
+                    functions: Container[tuple[str, int]],
+                    engine: str, variables: Mapping[str, ast.VariableDecl],
+                    key: tuple[str, object] | None) -> StepRelation | None:
     """The relation of :func:`recognize_step_relation`, or ``None``.
 
     A body Figure 5 proves distributive — its caller's check, apart from
     the Naive/Delta decision, so a ``using naive`` closure qualifies too —
     that constructs no node (its caller's check too) is a step relation
-    when its *canonical* form (calls inlined, the recursion variable
-    renamed to :data:`CANONICAL_VARIABLE`), whose *calls* and *free*
-    variables but that one are given:
+    when *body* (its calls inlined, the recursion variable *var*), whose
+    *calls* are given:
 
     * has no free variable but prolog variables whose initializers are
       *document-closed* (:func:`_document_closed`: ``doc(literal)``, paths
@@ -617,9 +620,12 @@ def _image_relation(canonical: ast.Expr, calls: list[ast.FunctionCall],
     * has distinct elements for its value (:func:`_distinct_elements`), so
       a round produces as many pres as the node path produces nodes.
 
-    The memo key is the canonical body plus the prolog declarations it
-    reaches: α-variant texts share it."""
-    if not focus_free(canonical):
+    The memo key is the body's *key* as the parser noted it — its text with
+    the variables it binds written by their binding position — else the
+    body itself with the recursion variable renamed to
+    :data:`CANONICAL_VARIABLE`, each tagged with its form; plus the prolog
+    declarations it reaches.  α-variant texts share it."""
+    if not focus_free(body):
         return None
     uris: set[str] = set()
     uses_ids = False
@@ -636,13 +642,16 @@ def _image_relation(canonical: ast.Expr, calls: list[ast.FunctionCall],
             return None
         uses_ids = uses_ids or local in ("id", "idref")
     reached: dict[str, ast.VariableDecl] = {}
-    for name in free:
+    for name in body.free_variables() - {var}:
         if not _document_closed(ast.VarRef(name), variables, functions, reached, uris):
             return None
-    if not _distinct_elements(canonical, _CANONICAL_ONLY, reached):
+    if not _distinct_elements(body, frozenset({var}), reached):
         return None
-    key = (canonical, tuple(reached[name] for name in sorted(reached)))
-    return StepRelation(key, engine, documents=tuple(sorted(uris)), ids=uses_ids)
+    if key is None:
+        key = ("tree", body if var == CANONICAL_VARIABLE
+               else ast.substitute_variable(body, var, _CANONICAL_REF))
+    prolog = tuple(reached[name] for name in sorted(reached))
+    return StepRelation((*key, prolog), engine, documents=tuple(sorted(uris)), ids=uses_ids)
 
 
 def _local(call: ast.FunctionCall) -> str:

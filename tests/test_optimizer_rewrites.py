@@ -19,7 +19,6 @@ from repro.errors import XQuerySyntaxError
 from repro.xquery import ast, optimizer
 from repro.xquery.optimizer import (
     _COMPARISON_OPS,
-    _LOOP_FIELDS,
     _Hoister,
     _is_all_nodes_step,
     _local_name,
@@ -32,6 +31,7 @@ from repro.xquery.optimizer import (
 )
 from repro.xquery.parser import parse_expression, parse_query
 from tests.conftest import front_end_corpus
+from tests.previous_front_end import _LOOP_FIELDS, _Scout
 
 ENGINES = ("interpreter", "algebra", "sql")
 
@@ -734,7 +734,7 @@ def _prune_unused_let(expr: ast.Expr) -> ast.Expr:
 _SCOUTED = frozenset({ast.VarRef, ast.LetExpr, ast.FunctionCall, *_LOOP_FIELDS})
 
 
-class _OracleScout(optimizer._Scout):
+class _OracleScout(_Scout):
     __slots__ = ()
 
     def visit(self, expr: ast.Expr) -> ast.Expr:

@@ -50,9 +50,9 @@ D = 'doc("g.xml")'
 
 def canonical_key(body: str) -> tuple:
     """The memo key of a relation whose *body* over ``$x`` reaches no prolog
-    variable: the body with ``$x`` renamed."""
-    return (ast.substitute_variable(parse_expression(body), "x",
-                                    ast.VarRef(pushdown.CANONICAL_VARIABLE)), ())
+    variable and that no parser keyed: the body with ``$x`` renamed."""
+    return ("tree", ast.substitute_variable(parse_expression(body), "x",
+                                            ast.VarRef(pushdown.CANONICAL_VARIABLE)), ())
 
 
 #: Bodies of test_not_relations that are relations.
@@ -457,11 +457,11 @@ DIALOG = "$x/following-sibling::S[1][not(k = preceding-sibling::S[1]/k)]"
 DIALOG_QUERY = f'count(with $x seeded by doc("d.xml")//scene[1]/S[1] recurse {DIALOG})'
 
 
-def memo_of(document, engine: str, body: str = DIALOG) -> ImageMemo | None:
-    """The images *engine* keeps for *body* in *document*'s index, if any."""
-    relation = pushdown.recognize_step_relation(parse_expression(body), "x", (),
-                                                engine=engine)
-    return index_for(document)._memos.get(relation)
+def memo_of(document, engine: str) -> ImageMemo | None:
+    """The images *engine* keeps in *document*'s index for the one body the
+    test runs, if any (a parsed text's body is keyed by its text, so the
+    memo is found by its engine, not by recognizing the body again)."""
+    return memos_by_engine(document).get(engine)
 
 
 def speeches(document) -> list:
@@ -535,7 +535,7 @@ class TestImagesPerEngine:
                     session.evaluate(query, settings=REFERENCE)
                 first, second = (index_for(document).pre(speech)
                                  for speech in speeches(document)[:2])
-                memo = memo_of(document, key, body)
+                memo = memo_of(document, key)
                 assert dict(memo) == {first: (second,)}
                 assert second not in memo.missed
 
