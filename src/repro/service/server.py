@@ -78,12 +78,32 @@ node of a tree replied from before is a slice of that tree's text, kept on
 its structural index (:func:`repro.xmlio.serializer.serialize_items`; any
 other node goes through the serializer's one walker), and head and body of
 a reply leave in one write (a buffered ``wfile``, flushed once
-per request).  ``Content-Length`` is a claim, not a fact: anything but
-digits answers ``400``, more than 64 MiB ``413``, a body that has not
-arrived :attr:`_Handler.BODY_TIMEOUT_S` seconds after its headers ``408``,
-and — like an unknown ``POST`` path — the connection closes after the
-reply, because the unread body would otherwise be parsed as the next
-request.
+per request).  The head is read in one pass into a dict (no ``email``
+parser), the ``Date`` header is formatted once per second, and a payload
+without ``"settings"`` reuses the settings resolved for its engine.
+
+Framing follows RFC 9112 (§5.1, §6.1, §6.3), and every refusal is one
+JSON reply after which the connection closes, because whatever follows
+on it cannot be told apart from the next request:
+
+* ``Transfer-Encoding`` of any kind answers ``501`` (only
+  ``Content-Length`` frames a body here);
+* two differing ``Content-Length`` values, whitespace between a header
+  name and its colon, a header line without a colon, and obs-fold (a
+  line that starts with whitespace) answer ``400``;
+* ``HTTP/2.0`` and later answer ``505``, an unknown method ``501``, a
+  malformed version or request line ``400``, a request line over
+  64 KiB ``414``, and a header line that long or 100 header lines
+  ``431`` — as ``http.server`` would, but with a status line and a JSON
+  body.
+
+``Content-Length`` is a claim, not a fact: anything but digits answers
+``400``, more than 64 MiB ``413``, a body that has not arrived
+:attr:`_Handler.BODY_TIMEOUT_S` seconds after its headers ``408``, and —
+like an unknown ``POST`` path, or a ``GET`` that claims a body — the
+connection closes after the reply, because the unread body would
+otherwise be parsed as the next request.  A reply carries ``Date``, no
+``Server`` header, and ``Connection: close`` when the connection closes.
 
 Graceful shutdown: SIGINT/SIGTERM stop the accept loop, then the server
 waits (bounded by ``--drain-timeout``) for in-flight requests to drain,
@@ -94,6 +114,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import email.utils
+import functools
 import json
 import logging
 import os
@@ -103,9 +125,10 @@ import socket
 import sys
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from collections.abc import Mapping
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro import faults
 from repro.errors import (
@@ -199,6 +222,15 @@ class ServiceError(Exception):
 REPLY_EVENTS = ("items_sliced", "items_walked", "tree_texts_built")
 
 
+class _EngineChildren(NamedTuple):
+    """The per-engine children a request records into."""
+
+    requests: Any
+    errors: Any
+    latency: Any
+    rounds: Any
+
+
 class ServiceStats:
     """Request telemetry: named handles on a :class:`MetricsRegistry`.
 
@@ -255,27 +287,45 @@ class ServiceStats:
             "repro_reply_serialization_total",
             "Reply node items sliced out of a tree text or walked, and tree "
             "texts built.", ("event",))
-        for event in REPLY_EVENTS:
-            self._reply.labels(event=event).inc(0.0)
+        #: The children a request touches, bound once: ``labels()`` checks
+        #: the label set and takes the registry lock on every call.
+        self._reply_children = tuple(self._reply.labels(event=event)
+                                     for event in REPLY_EVENTS)
+        for child in self._reply_children:
+            child.inc(0.0)
+        self._in_flight_child = self._in_flight.labels()
+        self._peak_child = self._peak.labels()
+        self._engines: dict[str, _EngineChildren] = {}
+
+    def _children_of(self, engine: str) -> _EngineChildren:
+        children = self._engines.get(engine)
+        if children is None:
+            children = self._engines[engine] = _EngineChildren(
+                self._requests.labels(engine=engine),
+                self._errors.labels(engine=engine),
+                self._latency.labels(engine=engine),
+                self._rounds.labels(engine=engine))
+        return children
 
     @property
     def in_flight(self) -> int:
-        return int(self._in_flight.value)
+        return int(self._in_flight_child.value)
 
     def enter(self) -> None:
-        self._in_flight.inc()
-        self._peak.set_max(self._in_flight.value)
+        self._in_flight_child.inc()
+        self._peak_child.set_max(self._in_flight_child.value)
 
     def exit(self, engine: str, seconds: float, error: bool) -> None:
-        self._in_flight.dec()
-        self._requests.labels(engine=engine).inc()
+        self._in_flight_child.dec()
+        children = self._children_of(engine)
+        children.requests.inc()
         if error:
-            self._errors.labels(engine=engine).inc()
-        self._latency.labels(engine=engine).observe(seconds)
+            children.errors.inc()
+        children.latency.observe(seconds)
 
     def observe_rounds(self, engine: str, rounds: int) -> None:
         """Record one IFP evaluation's recursion depth."""
-        self._rounds.labels(engine=engine).observe(rounds)
+        self._children_of(engine).rounds.observe(rounds)
 
     def rejected(self) -> None:
         """Record one admission rejection (503, server saturated)."""
@@ -306,9 +356,10 @@ class ServiceStats:
     def replied(self, tally: ReplyTally) -> None:
         """Record what one reply's items cost (see :class:`ReplyTally`)."""
         # (the fields read directly: ``dataclasses.astuple`` deep-copies each)
-        for event, count in zip(REPLY_EVENTS, (tally.sliced, tally.walked, tally.built)):
+        for child, count in zip(self._reply_children,
+                                (tally.sliced, tally.walked, tally.built)):
             if count:
-                self._reply.labels(event=event).inc(float(count))
+                child.inc(float(count))
 
     def drained(self) -> bool:
         return self.in_flight == 0
@@ -332,8 +383,8 @@ class ServiceStats:
             "errors": sum(entry["errors"] for entry in engines.values()),
             "rejections": int(self._rejections.value),
             "engines": engines,
-            "reply": {event: int(self._reply.labels(event=event).value)
-                      for event in REPLY_EVENTS},
+            "reply": {event: int(child.value)
+                      for event, child in zip(REPLY_EVENTS, self._reply_children)},
         }
 
 
@@ -395,6 +446,9 @@ class QueryService:
         self._inflight_lock = threading.Lock()
         self._inflight_tokens: dict[int, CancelToken] = {}
         self._inflight_serial = 0
+        #: Engine name (or ``None``) → (the session default it was resolved
+        #: on, the settings of a payload with no ``"settings"`` object).
+        self._resolved: dict[str | None, tuple[EvalSettings, EvalSettings]] = {}
 
     # -- corpus journal ------------------------------------------------------
 
@@ -812,6 +866,23 @@ class QueryService:
 
     def _settings_of(self, payload: Mapping[str, Any]) -> EvalSettings:
         raw = payload.get("settings")
+        engine = payload.get("engine")
+        if raw is None and (engine is None or type(engine) is str):
+            # The common payload names an engine at most: its settings are
+            # resolved once per engine and per session default.
+            base = self.session.settings
+            resolved = self._resolved.get(engine)
+            if resolved is not None and resolved[0] is base:
+                return resolved[1]
+            settings = self._resolve(None, engine, base)
+            self._resolved[engine] = (base, settings)
+            return settings
+        return self._resolve(raw, engine, self.session.settings)
+
+    @staticmethod
+    def _resolve(raw: Any, engine: Any, base: EvalSettings) -> EvalSettings:
+        """*base* with the payload's ``settings`` object and ``engine``
+        applied; a bad field or value is a 400."""
         if raw is not None and not isinstance(raw, Mapping):
             raise ServiceError('"settings" must be an object of '
                                "EvalSettings fields")
@@ -819,8 +890,7 @@ class QueryService:
             if raw is not None and isinstance(raw.get("limits"), Mapping):
                 # JSON clients spell resource limits as a plain object.
                 raw = {**raw, "limits": ResourceLimits(**raw["limits"])}
-            settings = coerce_settings(raw, self.session.settings)
-            engine = payload.get("engine")
+            settings = coerce_settings(raw, base)
             if engine is not None:
                 settings = settings.replace(engine=engine)
         except (TypeError, ValueError) as exc:
@@ -876,8 +946,51 @@ class _ConnectionToken(CancelToken):
         return hung_up
 
 
+#: The longest request or header line read, and the most lines a head may
+#: have after its request line, the blank line that ends it included
+#: (stdlib's limits: 99 header lines pass, 100 are a 431).
+MAX_LINE = 65536
+MAX_HEAD_LINES = 100
+
+#: Every reply's status line, by code.  A reply always speaks HTTP/1.1,
+#: also when it refuses the version the request named.
+_STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+                 for status in HTTPStatus}
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` of a reply sent in *second* (RFC 9110 §6.6.1),
+    formatted once per second."""
+    return email.utils.formatdate(second, usegmt=True)
+
+
+def _http_version(word: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as two integers, or ``None`` if malformed
+    (stdlib's rule: one dot, digits only, at most ten of them each)."""
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[5:].split(".")
+    if len(numbers) != 2 or not all(number.isdigit() and len(number) <= 10
+                                    for number in numbers):
+        return None
+    try:
+        return int(numbers[0]), int(numbers[1])
+    except ValueError:  # a digit int() does not read, such as "²"
+        return None
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP plumbing; all logic lives in :class:`QueryService`."""
+    """JSON-over-HTTP plumbing; all logic lives in :class:`QueryService`.
+
+    The head is read here, not by ``BaseHTTPRequestHandler``: its
+    ``parse_request`` builds an ``email.message.Message`` through the feed
+    parser for every request, which cost more than a warm query evaluates
+    in.  :meth:`parse_request` keeps every check stdlib makes and adds the
+    framing rules of RFC 9112 that stdlib lacks (see the module docstring);
+    ``headers`` is a plain dict of lower-cased names.  Every reply — a
+    refused head included — is JSON, and its head is one string.
+    """
 
     protocol_version = "HTTP/1.1"
     #: Head and body of a reply collect in a buffered ``wfile`` and leave in
@@ -904,13 +1017,120 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def handle_one_request(self):
+        """Read one request head, run its ``do_<METHOD>``, flush the reply."""
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_LINE + 1)
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if len(self.raw_requestline) > MAX_LINE:
+                self.send_error(414)
+            elif self.parse_request():
+                method = getattr(self, "do_" + self.command, None)
+                if method is None:
+                    self.send_error(501, f"unsupported method {self.command!r}")
+                else:
+                    method()
+            self.wfile.flush()
+        except TimeoutError as error:  # a read or a write timed out
+            self.log_error("Request timed out: %r", error)
+            self.close_connection = True
+
+    def parse_request(self) -> bool:
+        """Read the head of the request whose line is ``raw_requestline``.
+
+        Sets ``command``, ``path``, ``headers`` and ``close_connection``;
+        on a head it refuses it sends the error reply and returns ``False``.
+        """
+        self.command = None
+        self.close_connection = True
+        requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        version = (0, 9)
+        if len(words) >= 3:
+            version = _http_version(words[-1])
+            if version is None:
+                self.send_error(400, f"bad request version {words[-1]!r}")
+                return False
+            if version >= (2, 0):
+                self.send_error(505, f"HTTP version {words[-1][5:]} is not supported")
+                return False
+            self.close_connection = version < (1, 1)
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"bad request syntax {requestline!r}")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(400, f"bad HTTP/0.9 request type {command!r}")
+            return False
+        self.command = command
+        # gh-87389: a path that starts with '//' reads as a scheme-less URL
+        # to a client, an open redirect.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        self.headers = headers = {}
+        readline = self.rfile.readline
+        for count in range(1, MAX_HEAD_LINES + 2):
+            line = readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                self.send_error(431, "header line too long")
+                return False
+            if count > MAX_HEAD_LINES:
+                self.send_error(431, f"more than {MAX_HEAD_LINES - 1} header lines")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or " " in name or "\t" in name:
+                # RFC 9112 §5.1 and §5.2: whitespace before the colon, and
+                # obs-fold (a line that starts with whitespace) are 400s.
+                self.send_error(400, f"malformed header line {line[:64]!r}")
+                return False
+            name = name.lower()
+            value = value.strip(" \t\r\n")
+            if name in headers:
+                if name == "content-length" and headers[name] != value:
+                    # RFC 9112 §6.3: which of them frames the body?
+                    self.send_error(400, "conflicting Content-Length values")
+                    return False
+                continue  # the first value counts, as stdlib's Message.get
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            # RFC 9112 §6.1: no transfer coding is understood here, so the
+            # end of the body cannot be found.
+            self.send_error(501, "Transfer-Encoding is not supported; "
+                                 "send Content-Length")
+            return False
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (version >= (1, 1)
+                and headers.get("expect", "").lower() == "100-continue"):
+            return self.handle_expect_100()
+        return True
+
     def handle_expect_100(self):
-        handled = super().handle_expect_100()
+        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         self.wfile.flush()  # the client holds its body back until it reads this
-        return handled
+        return True
+
+    def send_error(self, code, message=None, explain=None):
+        """A refused head: a JSON error reply, and the connection closes
+        after it (what follows on it cannot be framed)."""
+        if message is None:
+            message = self.responses[code][0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._respond(code, {"ok": False, "error": message})
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        # stdlib plumbing messages (expect-100, socket errors): DEBUG only.
+        # stdlib plumbing messages (socket errors, refused heads): DEBUG only.
         if LOGGER.isEnabledFor(logging.DEBUG):
             LOGGER.debug("%s - %s", self.address_string(), format % args)
 
@@ -936,6 +1156,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         started = time.monotonic()
         status = 200
+        if self.headers.get("content-length", "0").strip("0"):
+            self.close_connection = True  # its body stays unread
         if self.path == "/health":
             self._respond(200, self.service.health())
         elif self.path == "/ready":
@@ -1008,7 +1230,7 @@ class _Handler(BaseHTTPRequestHandler):
         socket blocks again once the body is in, so a keep-alive
         connection waits for its next request as long as it always did.
         """
-        claimed = self.headers.get("Content-Length", "0").strip()
+        claimed = self.headers.get("content-length", "0").strip()
         if not (claimed.isascii() and claimed.isdigit()):
             self.close_connection = True
             raise ServiceError("Content-Length must be a non-negative integer")
@@ -1056,13 +1278,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, content_type: str, body: bytes,
               headers: Mapping[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        head = (f"{_STATUS_LINES[status]}Date: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n")
+        if headers:
+            head += "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
 
 class QueryServer(ThreadingHTTPServer):
