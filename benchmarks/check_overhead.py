@@ -13,6 +13,15 @@ Table-2 closure costs at most ``tolerance`` more CPU under A than under B::
     the static analyzer on (fingerprint + analysis-cache lookup per run)
     vs ``analyze=False``.
 
+``limits calls``
+    (the ``limits`` row's deterministic companion, not a timing) the same
+    warm closure counted in Python calls (``sys.setprofile``) under both
+    settings of the ``limits`` row: the untriggered governor may add
+    ``LIMITS_CALLS_PER_QUERY`` (2: the ``Governor`` and its ``Deadline``)
+    plus ``LIMITS_CALLS_PER_ROUND`` (0) per fixpoint round.  A count is
+    immune to the box the 2 % timing rows share; it reads 2 for the 182
+    rounds of the tiny curriculum's 40 closures.
+
 ``hoisting``
     (not a settings pair) ``optimize_module`` with the invariant-hoisting
     rule vs the same pass without it (``hoist=False``), on a module the
@@ -199,7 +208,7 @@ from repro.xdm.items import is_node
 from repro.xmlio.serializer import ReplyTally
 from repro.xquery import ast, pushdown
 from repro.xquery.optimizer import optimize_module
-from repro.xquery.parser import parse_expression, parse_query
+from repro.xquery.parser import parse_query
 
 BASE = EvalSettings(engine="interpreter", ifp_algorithm="delta")
 
@@ -313,6 +322,62 @@ def verdict(name: str, results: list[tuple[float, float]], tolerance: float, aud
 def check(guard: Guard, arguments: argparse.Namespace) -> bool:
     results = measure(guard, arguments.estimates, arguments.pairs, arguments.inner)
     return verdict(guard.name, results, guard.tolerance, guard.audit, arguments)
+
+
+#: What the untriggered governor (``limits`` row, side A) may add to a warm
+#: run, in Python calls: none per fixpoint round — its round check is
+#: compared inline, its interpreter ticks are a C-level counter — and two
+#: per query (the ``Governor`` and its ``Deadline``).
+LIMITS_CALLS_PER_ROUND = 0
+LIMITS_CALLS_PER_QUERY = 2
+
+
+def count_python_calls(function) -> int:
+    """The Python frames (``sys.setprofile`` ``call`` events) *function*
+    runs — a count that repeats exactly, where a timing on a shared box
+    does not."""
+    calls = 0
+
+    def profile(frame, event, argument):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # the frame of *function* itself
+
+
+def check_limits_calls(arguments: argparse.Namespace) -> bool:
+    """The ``limits`` row's deterministic companion: the same warm prepared
+    closure as the row, counted in Python calls under generous limits and
+    under none.  The difference may be at most
+    :data:`LIMITS_CALLS_PER_QUERY` plus :data:`LIMITS_CALLS_PER_ROUND` per
+    fixpoint round the run iterates."""
+    workload = get_workload("curriculum")
+    session = Session()
+    session.register_document(workload.document_uri,
+                              workload.size("tiny").build_document())
+    prepared = session.prepare(workload.ifp_query(algorithm="delta"), settings=BASE)
+    governed = GUARDS[0].a
+    for _ in range(3):  # caches, memos and both paths warm
+        rounds = sum(run.recursion_depth for run in
+                     prepared.run(settings=governed).statistics.runs)
+        prepared.run(settings=BASE)
+    added = (count_python_calls(lambda: prepared.run(settings=governed))
+             - count_python_calls(lambda: prepared.run(settings=BASE)))
+    session.close()
+    allowed = LIMITS_CALLS_PER_QUERY + LIMITS_CALLS_PER_ROUND * rounds
+    passed = added <= allowed
+    print(f"limits calls: the governor adds {added} Python calls to a run of "
+          f"{rounds} rounds ({added / rounds:.2f} per round; allowed ≤ "
+          f"{LIMITS_CALLS_PER_QUERY} + {LIMITS_CALLS_PER_ROUND} per round) — "
+          f"{'ok' if passed else 'FAILED'}")
+    if not passed:
+        print(f"\nlimits calls check FAILED: audit {GUARDS[0].audit}", file=sys.stderr)
+    return passed
 
 
 #: What the hoisting rule may add to ``optimize_module`` on a module with
@@ -541,8 +606,12 @@ def check_cte(arguments: argparse.Namespace) -> bool:
     statement each, over the store's edge table) vs the interpreter."""
     session, closures = curriculum_closures()
     sql = BASE.replace(engine="sql")
-    relation = pushdown.recognize_step_relation(
-        parse_expression(get_workload("curriculum").recursion_body), "x", (), engine="sql")
+    # sql's images are keyed by the relation of the ``with`` node it runs
+    # (its body as the parser keyed it, the engine made "sql"), which every
+    # closure's body shares — not by a body parsed apart, whose key is its
+    # tree: emptying that memo would leave sql's own images in place.
+    relation = dataclasses.replace(
+        pushdown.fixpoint_relation(closures[0].module.body, {}), engine="sql")
     memo = index_for(session.snapshot().resolve(get_workload("curriculum").document_uri)
                      ).memo(relation)
 
@@ -725,7 +794,7 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
     # No short-circuit: every guard reports before the exit status.
     return 0 if all([*(check(guard, arguments) for guard in GUARDS),
-                     check_hoisting(arguments), check_reply(arguments),
+                     check_limits_calls(arguments), check_hoisting(arguments), check_reply(arguments),
                      check_fed_node(arguments), check_pre_space(arguments),
                      check_cte(arguments),
                      check_set_for(arguments), check_write(arguments)]) else 1

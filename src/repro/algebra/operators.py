@@ -36,6 +36,8 @@ from repro.xdm.index import (
     batch_id_path,
     batch_step,
     indexed_step,
+    named_element_test,
+    nth_child,
     nth_sibling,
 )
 from repro.xdm.items import is_node, string_value_of_item
@@ -640,9 +642,14 @@ class StepJoin(Operator):
                              and not isinstance(self.pushed[0], PositionShape)
                              and not self.pushed[0].existence else None)
         #: ``n`` of a sibling step whose first pushed shape is ``[n]``: the
-        #: walk stops at the n-th match (:func:`nth_sibling`).
-        self._nth = (self.pushed[0].nth if axis in SIBLING_AXES and self.pushed
-                     and isinstance(self.pushed[0], PositionShape) else None)
+        #: walk stops at the n-th match (:func:`nth_sibling`); of a
+        #: ``child::name[n]`` step: the n-th entry of the child-by-name map
+        #: (:func:`nth_child`).
+        self._nth = (self.pushed[0].nth if self.pushed
+                     and isinstance(self.pushed[0], PositionShape)
+                     and (axis in SIBLING_AXES or axis == "child"
+                          and named_element_test(node_test_kind, node_test_name))
+                     else None)
 
     def compute(self, inputs, engine):
         per_iteration, order = _group_items_by_iteration(inputs[0], require_nodes=True)
@@ -784,8 +791,10 @@ class StepJoin(Operator):
         """
         if use_index:
             if self._nth is not None:
-                result = nth_sibling(node, self.axis, self.node_test_kind,
-                                     self.node_test_name, self._nth, index_set)
+                result = (nth_child([node], self.node_test_name, self._nth)
+                          if self.axis == "child" else
+                          nth_sibling(node, self.axis, self.node_test_kind,
+                                      self.node_test_name, self._nth, index_set))
                 if result is not None:
                     return apply_shapes(result, self.pushed[1:], values[1:],
                                         use_index=True, index_set=index_set)

@@ -132,9 +132,12 @@ class AnalysisReport:
         settings and the cached report); else a copy whose facts carry
         them.  No decision is taken here.
         """
-        if all(fact.settings.ifp_algorithm == settings.ifp_algorithm
-               and fact.settings.distributivity_checker == settings.distributivity_checker
-               for fact in self.fixpoints):
+        for fact in self.fixpoints:
+            if (fact.settings.ifp_algorithm != settings.ifp_algorithm
+                    or fact.settings.distributivity_checker
+                    != settings.distributivity_checker):
+                break
+        else:
             return self
         return dataclasses.replace(self, fixpoints=tuple(
             dataclasses.replace(fact, settings=settings) for fact in self.fixpoints))

@@ -145,8 +145,10 @@ class FaultPlan:
 
 
 #: The process-global active plan.  ``None`` (the overwhelmingly common
-#: case) makes :func:`trigger` a single attribute test.
-_ACTIVE: FaultPlan | None = None
+#: case) makes :func:`trigger` a single attribute test; a site hot enough
+#: to count its calls (the fixpoint loop's round) reads it inline, as
+#: ``faults.ARMED``, and calls :func:`trigger` only when a plan is armed.
+ARMED: FaultPlan | None = None
 _ACTIVATION_LOCK = threading.Lock()
 
 
@@ -158,7 +160,7 @@ def firing(point: str) -> FaultSpec | None:
     process, ``journal-corrupt`` flips bytes on disk — the call site asks
     :func:`firing` and implements the effect itself.
     """
-    plan = _ACTIVE
+    plan = ARMED
     if plan is None:
         return None
     spec = plan.spec_for(point)
@@ -168,7 +170,10 @@ def firing(point: str) -> FaultSpec | None:
 
 
 def trigger(point: str) -> None:
-    """Fire *point* if a matching fault is armed.  Near-free when idle."""
+    """Fire *point* if a matching fault is armed.  Near-free when idle: one
+    global read, no further call."""
+    if ARMED is None:
+        return
     spec = firing(point)
     if spec is None:
         return
@@ -183,15 +188,15 @@ def trigger(point: str) -> None:
 
 def activate(plan: FaultPlan | None) -> FaultPlan | None:
     """Install *plan* as the process-global fault plan; returns the old one."""
-    global _ACTIVE
+    global ARMED
     with _ACTIVATION_LOCK:
-        previous = _ACTIVE
-        _ACTIVE = plan
+        previous = ARMED
+        ARMED = plan
         return previous
 
 
 def active_plan() -> FaultPlan | None:
-    return _ACTIVE
+    return ARMED
 
 
 class inject:

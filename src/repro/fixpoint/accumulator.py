@@ -99,8 +99,11 @@ class PreAccumulator:
         return len(self.seen)
 
     def add_new(self, candidates: Iterable[int]) -> set[int]:
-        """Add the not-yet-seen *candidates*; return them (the delta)."""
-        fresh = set(candidates)
+        """Add the not-yet-seen *candidates*; return them (the delta).  A
+        set is taken over — the round's image, which
+        :meth:`ImageSpace.image` builds fresh — and reduced in place to the
+        delta instead of copied."""
+        fresh = candidates if type(candidates) is set else set(candidates)
         fresh -= self.seen
         self.seen |= fresh
         return fresh

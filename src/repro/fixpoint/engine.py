@@ -198,54 +198,57 @@ class FixpointEngine:
             rounds, frontier_ceiling, result_ceiling, deadline, token = governor.round_ceilings
             if rounds < ceiling:
                 ceiling = rounds
-        size = 0
-
-        def run_round(iteration: int, fed: list) -> list:
-            """Apply the body to *fed* (a list the body may keep) and fold
-            its output into ``res``; returns the nodes that were new."""
-            nonlocal size
-            fed_count = len(fed)
-            span = trace.begin("round", iteration=iteration) if trace is not None else None
-            produced = body(fed)
-            new = result.add_new(produced)
-            size += len(new)
-            if span is not None:
-                span.set(fed=fed_count, produced=len(produced),
-                         new=len(new), result_size=size)
-                if space is not None:
-                    span.set(filled=space.filled)
-                trace.end(span)
-            statistics.record(iteration, fed_count, len(produced), len(new), size)
-            return new
-
+        # A round makes three calls — the body, folding its output in, what
+        # is fed next — plus what tracing, a governor past a ceiling or an
+        # armed fault asks for; its statistics are a plain tuple.
+        add_new = result.add_new
+        record = statistics.rounds.append
+        iteration = size = 0
+        fed = seed_nodes
+        fed_count = len(fed)
         with maybe_span(trace, "fixpoint", algorithm=algorithm,
                         **(span_attributes or {}), seed=len(seed_nodes)) as span:
             if span is not None and relation is not None:
                 span.set(space="nodes" if space is None else "pre")
-            if seed_is_initial_result:
-                new = result.add_new(seed_nodes)
-                size = len(new)
-                statistics.record(0, 0, len(seed_nodes), len(new), size)
-            else:
-                new = run_round(0, seed_nodes)
-            iteration = 0
-            # Delta stops before a round that would be fed nothing ...
-            while feed_everything or new:
-                fed = result.everything() if feed_everything else result.frontier(new)
+            while True:
+                if iteration or not seed_is_initial_result:
+                    round_span = (trace.begin("round", iteration=iteration)
+                                  if trace is not None else None)
+                    produced = body(fed)
+                else:  # the seed is res_0: no body, no span
+                    round_span, fed_count, produced = None, 0, fed
+                produced_count = len(produced)
+                # (a fresh image set is folded in place: count it first)
+                new = add_new(produced)
+                size += len(new)
+                if round_span is not None:
+                    round_span.set(fed=fed_count, produced=produced_count,
+                                   new=len(new), result_size=size)
+                    if space is not None:
+                        round_span.set(filled=space.filled)
+                    trace.end(round_span)
+                record((iteration, fed_count, produced_count, len(new), size))
+                if feed_everything:
+                    if iteration and not new:
+                        break  # Naive stops after a round that added nothing ...
+                    fed = result.everything()
+                elif new:
+                    fed = result.frontier(new)
+                else:
+                    break  # ... Delta before a round that would be fed nothing
+                fed_count = len(fed)
                 iteration += 1
                 if iteration > ceiling or governor is not None and (
-                        len(fed) > frontier_ceiling or size > result_ceiling
+                        fed_count > frontier_ceiling or size > result_ceiling
                         or monotonic() >= deadline
                         or token is not None and token.cancelled()):
                     if iteration > self.max_iterations:
                         raise FixpointError(
                             "inflationary fixed point did not converge within "
                             f"{self.max_iterations} iterations")
-                    governor.check_round(iteration, frontier=len(fed), result_size=size)
-                faults.trigger("slow-span")
-                new = run_round(iteration, fed)
-                if feed_everything and not new:
-                    break  # ... Naive after a round that added nothing
+                    governor.check_round(iteration, frontier=fed_count, result_size=size)
+                if faults.ARMED is not None:
+                    faults.trigger("slow-span")
             value = result.in_document_order()
             if span is not None:
                 # read again: a fill may have said what it ran

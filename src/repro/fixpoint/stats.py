@@ -13,9 +13,10 @@ from typing import NamedTuple
 
 
 class IterationRecord(NamedTuple):
-    """One round of the fixed point iteration (a tuple: one is made per
-    round, and a round in pre-space costs about as much as building a
-    frozen dataclass would).
+    """One round of the fixed point iteration, as
+    :attr:`FixpointStatistics.iterations` hands it out (the fixpoint loop
+    keeps a plain tuple per round: a round in pre-space costs about as much
+    as building a named one would).
 
     Attributes
     ----------
@@ -44,29 +45,31 @@ class FixpointStatistics:
     """Aggregated statistics for one IFP evaluation."""
 
     algorithm: str = "naive"
-    iterations: list[IterationRecord] = field(default_factory=list)
+    #: One plain tuple per round, in :class:`IterationRecord`'s field order:
+    #: the fixpoint loop appends it without a call (``rounds.append``), and
+    #: :attr:`iterations` names the fields for whoever reads them.
+    rounds: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
-    def record(self, iteration: int, fed_back: int, produced: int,
-               new_nodes: int, result_size: int) -> None:
-        self.iterations.append(
-            IterationRecord(iteration, fed_back, produced, new_nodes, result_size)
-        )
+    @property
+    def iterations(self) -> list[IterationRecord]:
+        """The rounds as :class:`IterationRecord` values."""
+        return list(map(IterationRecord._make, self.rounds))
 
     # -- the quantities reported in Table 2 ----------------------------------
 
     @property
     def total_nodes_fed_back(self) -> int:
         """Total number of items fed into the recursion body, summed over rounds."""
-        return sum(record.fed_back for record in self.iterations)
+        return sum(record[1] for record in self.rounds)
 
     @property
     def recursion_depth(self) -> int:
         """Number of body invocations until the fixed point was reached."""
-        return len(self.iterations)
+        return len(self.rounds)
 
     @property
     def result_size(self) -> int:
-        return self.iterations[-1].result_size if self.iterations else 0
+        return self.rounds[-1][4] if self.rounds else 0
 
     def summary(self) -> dict:
         """A plain-dict summary convenient for reports and JSON output."""

@@ -8,7 +8,7 @@ such queries bounded:
 * :class:`ResourceLimits` — a frozen bundle of limits carried on
   :class:`~repro.settings.EvalSettings` (``settings.limits``).
 * :class:`Deadline` — a monotonic wall-clock deadline.
-* :class:`CancelToken` — a thread-safe flag an outside party (service
+* :class:`CancelToken` — a one-shot flag an outside party (service
   drain, client disconnect) sets to stop an in-flight query.
 * :class:`Governor` — the live per-evaluation object engines consult.  The
   session builds one from the limits + token and hands it to the engines
@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,6 +56,9 @@ from repro.errors import BudgetExceeded, QueryCancelled, QueryTimeout
 #: so cancellation latency is bounded by one fixpoint round or one stride of
 #: steps, whichever comes first.
 CHECKPOINT_STRIDE = 64
+
+#: One stride of :attr:`Governor.tick`'s answers, built once.
+_STRIDE = (False,) * (CHECKPOINT_STRIDE - 1) + (True,)
 
 #: How many SQLite VM instructions run between progress-handler callbacks.
 #: ~4000 keeps the handler overhead well under 1% while still interrupting
@@ -136,30 +138,30 @@ class Deadline:
 
 
 class CancelToken:
-    """Thread-safe cancellation flag with an optional human-readable reason.
+    """Cancellation flag with an optional human-readable reason.
 
     The party that wants a query stopped calls :meth:`cancel`; the
     evaluating thread observes the flag at its next cooperative checkpoint
     and raises :class:`~repro.errors.QueryCancelled`.  Tokens are one-shot:
-    once cancelled they stay cancelled.
+    once cancelled they stay cancelled.  Nothing ever waits on a token, so
+    it is a plain boolean: an attribute store is atomic, and :meth:`cancel`
+    writes the reason before the flag, so a thread that sees the flag set
+    reads the reason that came with it.
     """
 
-    __slots__ = ("_event", "reason")
+    __slots__ = ("_cancelled", "reason")
 
     def __init__(self):
-        self._event = threading.Event()
+        self._cancelled = False
         self.reason: str | None = None
 
     def cancel(self, reason: str | None = None) -> None:
-        if not self._event.is_set():
+        if not self._cancelled:
             self.reason = reason
-        self._event.set()
+            self._cancelled = True
 
     def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
+        return self._cancelled
 
 
 def _rss_kb() -> int | None:
@@ -194,7 +196,7 @@ class Governor:
                  stride: int = CHECKPOINT_STRIDE):
         self.limits = limits
         self.token = token
-        self.deadline = (Deadline.after(limits.timeout_s)
+        self.deadline = (Deadline(time.monotonic() + limits.timeout_s)
                          if limits.timeout_s is not None else None)
         #: A C-level stride counter: calling ``tick()`` returns ``True``
         #: on every ``stride``-th call and ``False`` otherwise, with no
@@ -203,7 +205,8 @@ class Governor:
         #: so governed-but-untriggered evaluation stays within the <2%
         #: budget that ``benchmarks/check_overhead.py`` enforces.
         self.tick = itertools.cycle(
-            (False,) * (stride - 1) + (True,)).__next__
+            _STRIDE if stride == CHECKPOINT_STRIDE
+            else (False,) * (stride - 1) + (True,)).__next__
         unset = sys.maxsize
         #: What the fixpoint driver compares inline before every round:
         #: the round, frontier and result budgets as ceilings (``sys.maxsize``

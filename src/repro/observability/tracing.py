@@ -214,10 +214,15 @@ def current_trace() -> TraceContext | None:
     return getattr(_ACTIVE, "trace", None)
 
 
+#: The one null context :func:`maybe_span` hands out untraced: it holds no
+#: state, so every untraced site shares it instead of building its own.
+NULL_SPAN = nullcontext(None)
+
+
 def maybe_span(trace: TraceContext | None, name: str, **attributes: Any):
-    """``trace.span(...)`` or a null context yielding ``None``."""
+    """``trace.span(...)`` or the shared null context yielding ``None``."""
     if trace is None:
-        return nullcontext(None)
+        return NULL_SPAN
     return trace.span(name, **attributes)
 
 

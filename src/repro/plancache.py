@@ -120,11 +120,15 @@ def module_cache_safe(module: ast.Module) -> bool:
     bindings are baked into the plan (literal tables, pushed predicate
     constants), and the plan key does not cover those values.
     """
-    return not any(
-        declaration.external or (
-            declaration.value is not None and declaration.value.contains_node_constructor())
-        for declaration in module.variables
-    )
+    safe = module._cache_safe
+    if safe is None:
+        safe = not any(
+            declaration.external or (
+                declaration.value is not None
+                and declaration.value.contains_node_constructor())
+            for declaration in module.variables)
+        object.__setattr__(module, "_cache_safe", safe)
+    return safe
 
 
 class DocumentsRead:
@@ -228,4 +232,4 @@ class _Pinned:
 
 def fingerprint(values: Iterable[Any]) -> tuple:
     """Pin arbitrary objects into a hashable, identity-compared key part."""
-    return tuple(_Pinned(value) for value in values)
+    return tuple(map(_Pinned, values))

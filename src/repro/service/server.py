@@ -446,9 +446,6 @@ class QueryService:
         self._inflight_lock = threading.Lock()
         self._inflight_tokens: dict[int, CancelToken] = {}
         self._inflight_serial = 0
-        #: Engine name (or ``None``) → (the session default it was resolved
-        #: on, the settings of a payload with no ``"settings"`` object).
-        self._resolved: dict[str | None, tuple[EvalSettings, EvalSettings]] = {}
 
     # -- corpus journal ------------------------------------------------------
 
@@ -868,15 +865,13 @@ class QueryService:
         raw = payload.get("settings")
         engine = payload.get("engine")
         if raw is None and (engine is None or type(engine) is str):
-            # The common payload names an engine at most: its settings are
-            # resolved once per engine and per session default.
-            base = self.session.settings
-            resolved = self._resolved.get(engine)
-            if resolved is not None and resolved[0] is base:
-                return resolved[1]
-            settings = self._resolve(None, engine, base)
-            self._resolved[engine] = (base, settings)
-            return settings
+            # The common payload names an engine at most: the session keeps
+            # its settings resolved (Session.resolve_settings).
+            try:
+                return self.session.resolve_settings(
+                    None, None if engine is None else {"engine": engine})
+            except (TypeError, ValueError) as exc:
+                raise ServiceError(f"bad settings: {exc}")
         return self._resolve(raw, engine, self.session.settings)
 
     @staticmethod
@@ -926,7 +921,7 @@ class _ConnectionToken(CancelToken):
         self._next_look = time.monotonic() + self.POLL_INTERVAL_S
 
     def cancelled(self) -> bool:
-        if super().cancelled():
+        if self._cancelled:
             return True
         now = time.monotonic()
         if self._connection is None or now < self._next_look:
@@ -980,8 +975,11 @@ def _http_version(word: str) -> tuple[int, int] | None:
         return None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP plumbing; all logic lives in :class:`QueryService`.
+class _JsonHandler(BaseHTTPRequestHandler):
+    """The HTTP/1.1 shell of both ports — the data port's :class:`_Handler`
+    and the prefork supervisor's control port: it reads a head, answers a
+    refused one, and sends JSON or text replies; a subclass adds the
+    ``do_<METHOD>`` routes.
 
     The head is read here, not by ``BaseHTTPRequestHandler``: its
     ``parse_request`` builds an ``email.message.Message`` through the feed
@@ -989,7 +987,8 @@ class _Handler(BaseHTTPRequestHandler):
     in.  :meth:`parse_request` keeps every check stdlib makes and adds the
     framing rules of RFC 9112 that stdlib lacks (see the module docstring);
     ``headers`` is a plain dict of lower-cased names.  Every reply — a
-    refused head included — is JSON, and its head is one string.
+    refused head included — is JSON (``/metrics`` text), its head is one
+    string, and no head names the server or its runtime.
     """
 
     protocol_version = "HTTP/1.1"
@@ -1000,23 +999,6 @@ class _Handler(BaseHTTPRequestHandler):
     #: For those two-write replies: without TCP_NODELAY, Nagle + delayed ACK
     #: stalls a keep-alive response by ~40ms.
     disable_nagle_algorithm = True
-    #: Maximum accepted request body (a corpus re-registration can be big).
-    MAX_BODY = 64 * 1024 * 1024
-    #: Seconds a request body has to arrive in, counted from the end of
-    #: its headers.
-    BODY_TIMEOUT_S = 30.0
-    #: ``POST`` path → the :class:`QueryService` method that answers it.
-    POST_ROUTES = {
-        "/query": "handle_query",
-        "/batch": "handle_batch",
-        "/analyze": "handle_analyze",
-        "/documents": "handle_register",
-    }
-
-    @property
-    def service(self) -> QueryService:
-        return self.server.service  # type: ignore[attr-defined]
-
     def handle_one_request(self):
         """Read one request head, run its ``do_<METHOD>``, flush the reply."""
         try:
@@ -1133,6 +1115,48 @@ class _Handler(BaseHTTPRequestHandler):
         # stdlib plumbing messages (socket errors, refused heads): DEBUG only.
         if LOGGER.isEnabledFor(logging.DEBUG):
             LOGGER.debug("%s - %s", self.address_string(), format % args)
+
+    def _respond(self, status: int, payload: dict,
+                 headers: Mapping[str, str] | None = None) -> None:
+        body = json.dumps(payload).encode()
+        self._send(status, "application/json", body, headers=headers)
+
+    def _respond_text(self, status: int, text: str) -> None:
+        # The Prometheus exposition content type (text format 0.0.4).
+        self._send(status, "text/plain; version=0.0.4; charset=utf-8",
+                   text.encode())
+
+    def _send(self, status: int, content_type: str, body: bytes,
+              headers: Mapping[str, str] | None = None) -> None:
+        head = (f"{_STATUS_LINES[status]}Date: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n")
+        if headers:
+            head += "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
+
+
+class _Handler(_JsonHandler):
+    """JSON-over-HTTP plumbing of the data port; all logic lives in
+    :class:`QueryService`."""
+
+    #: Maximum accepted request body (a corpus re-registration can be big).
+    MAX_BODY = 64 * 1024 * 1024
+    #: Seconds a request body has to arrive in, counted from the end of
+    #: its headers.
+    BODY_TIMEOUT_S = 30.0
+    #: ``POST`` path → the :class:`QueryService` method that answers it.
+    POST_ROUTES = {
+        "/query": "handle_query",
+        "/batch": "handle_batch",
+        "/analyze": "handle_analyze",
+        "/documents": "handle_register",
+    }
+
+    @property
+    def service(self) -> QueryService:
+        return self.server.service  # type: ignore[attr-defined]
 
     def _log_request(self, status: int, started: float,
                      engine: str | None = None) -> None:
@@ -1265,26 +1289,6 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self.connection.settimeout(None)
         return b"".join(chunks)
-
-    def _respond(self, status: int, payload: dict,
-                 headers: Mapping[str, str] | None = None) -> None:
-        body = json.dumps(payload).encode()
-        self._send(status, "application/json", body, headers=headers)
-
-    def _respond_text(self, status: int, text: str) -> None:
-        # The Prometheus exposition content type (text format 0.0.4).
-        self._send(status, "text/plain; version=0.0.4; charset=utf-8",
-                   text.encode())
-
-    def _send(self, status: int, content_type: str, body: bytes,
-              headers: Mapping[str, str] | None = None) -> None:
-        head = (f"{_STATUS_LINES[status]}Date: {_http_date(int(time.time()))}\r\n"
-                f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n")
-        if headers:
-            head += "".join(f"{name}: {value}\r\n" for name, value in headers.items())
-        if self.close_connection:
-            head += "Connection: close\r\n"
-        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
 
 class QueryServer(ThreadingHTTPServer):

@@ -46,10 +46,11 @@ import threading
 import time
 import urllib.request
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 import repro
 from repro.observability import MetricsRegistry, merge_expositions
+from repro.service.server import _JsonHandler
 
 #: Exit summary fields logged per reaped worker.
 _SIGNAL_NAMES = {int(s): s.name for s in signal.Signals}
@@ -182,6 +183,34 @@ def _forwarded_flags(arguments: argparse.Namespace) -> list[str]:
     if arguments.max_timeout is not None:
         flags += ["--max-timeout", str(arguments.max_timeout)]
     return flags
+
+
+class ControlHandler(_JsonHandler):
+    """The control port's routes (``GET /health``, ``/ready``, ``/stats``,
+    ``/metrics``) over the data port's HTTP shell (:class:`~repro.service.
+    server._JsonHandler`): the same head reader and checks, JSON error
+    replies with a status line, no ``Server`` header.  The server it runs
+    under carries the :class:`Supervisor` as ``supervisor``."""
+
+    def do_GET(self):
+        if self.headers.get("content-length", "0").strip("0"):
+            self.close_connection = True  # its body stays unread
+        supervisor = self.server.supervisor  # type: ignore[attr-defined]
+        if self.path == "/health":
+            snapshot = supervisor.status_snapshot()
+            self._respond(200, {
+                "ok": True, "role": "supervisor",
+                "workers_alive": snapshot["workers_alive"],
+                "workers_target": snapshot["workers_target"],
+                "degraded": snapshot["degraded"]})
+        elif self.path == "/ready":
+            self._respond(*supervisor.ready_response())
+        elif self.path == "/stats":
+            self._respond(200, supervisor.status_snapshot())
+        elif self.path == "/metrics":
+            self._respond_text(200, supervisor.metrics_exposition())
+        else:
+            self._respond(404, {"ok": False, "error": f"unknown path {self.path}"})
 
 
 class Supervisor:
@@ -487,44 +516,9 @@ class Supervisor:
         if control_port is None:
             control_port = (0 if self.arguments.port == 0
                             else self.arguments.port + 1)
-        supervisor = self
-
-        class _ControlHandler(BaseHTTPRequestHandler):
-            def _respond(self, status: int, body, content_type="application/json"):
-                data = (body if isinstance(body, bytes)
-                        else json.dumps(body, indent=2).encode("utf-8"))
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def do_GET(self):
-                snapshot = supervisor.status_snapshot()
-                if self.path == "/health":
-                    self._respond(200, {
-                        "ok": True, "role": "supervisor",
-                        "workers_alive": snapshot["workers_alive"],
-                        "workers_target": snapshot["workers_target"],
-                        "degraded": snapshot["degraded"]})
-                elif self.path == "/ready":
-                    status, body = supervisor.ready_response()
-                    self._respond(status, body)
-                elif self.path == "/stats":
-                    self._respond(200, snapshot)
-                elif self.path == "/metrics":
-                    text = supervisor.metrics_exposition()
-                    self._respond(200, text.encode("utf-8"),
-                                  content_type="text/plain; version=0.0.4; "
-                                               "charset=utf-8")
-                else:
-                    self._respond(404, {"error": "not found"})
-
-            def log_message(self, *args):
-                pass
-
         server = ThreadingHTTPServer(
-            (self.arguments.host, control_port), _ControlHandler)
+            (self.arguments.host, control_port), ControlHandler)
+        server.supervisor = self
         server.daemon_threads = True
         self.control_server = server
         threading.Thread(target=server.serve_forever,

@@ -49,7 +49,6 @@ traced query live on its own trace context, not behind a session lock.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, TYPE_CHECKING
@@ -163,6 +162,9 @@ class Session:
         from repro.sqlbackend.pool import SqlStorePool
 
         self.settings = coerce_settings(settings)
+        #: (id of base, id of given settings, overrides) → (base, given,
+        #: resolved): see :meth:`resolve_settings`
+        self._resolved: dict[tuple, tuple] = {}
         self.id_attributes = tuple(id_attributes)
         self._lock = threading.RLock()
         self._documents: dict[str, DocumentNode] = {}
@@ -283,7 +285,7 @@ class Session:
         ``cancel_token`` lets another thread stop the evaluation
         cooperatively (:class:`~repro.limits.CancelToken`).
         """
-        settings = coerce_settings(settings, self.settings, **overrides)
+        settings = self.resolve_settings(settings, overrides)
         trace = (TraceContext("query", engine=str(settings.engine.value))
                  if settings.trace else None)
         module = self._module_for(query, settings, trace)
@@ -305,7 +307,7 @@ class Session:
         (the fresh object cannot be plan-cached); :meth:`prepare` is the
         parse-once path that keeps the plan cache effective.
         """
-        settings = coerce_settings(settings, self.settings, **overrides)
+        settings = self.resolve_settings(settings, overrides)
         return self._evaluate(module, documents, variables, context_item,
                               settings, id_attributes, pre_optimized=False,
                               cancel_token=cancel_token)
@@ -319,29 +321,70 @@ class Session:
         so repeated ``prepared(variables=...)`` calls skip lexing, parsing
         and (on the algebra engine, for cache-safe modules) compilation.
         """
-        settings = coerce_settings(settings, self.settings, **overrides)
+        settings = self.resolve_settings(settings, overrides)
         module = self._module_for(query, settings)
         return PreparedQuery(session=self, query=query, module=module,
                              settings=settings)
 
+    #: How many resolved settings :meth:`resolve_settings` keeps.
+    RESOLVED_SETTINGS = 64
+
+    def resolve_settings(self, settings: EvalSettings | Mapping[str, Any] | None = None,
+                         overrides: Mapping[str, Any] | None = None,
+                         base: EvalSettings | None = None) -> EvalSettings:
+        """*settings* on *base* (default: the session settings), then
+        *overrides* — :func:`~repro.settings.coerce_settings`, resolved once
+        per base object, settings object and override set and kept: a
+        repeated ``evaluate(q, engine="sql")`` reuses the value instead of
+        validating and rebuilding it.  A mapping of fields, or an override
+        value that cannot be hashed, is resolved afresh every time; a bad
+        one raises as :func:`~repro.settings.coerce_settings` does."""
+        if base is None:
+            base = self.settings
+        if not overrides:
+            if settings is None:
+                return base
+            if isinstance(settings, EvalSettings):
+                return settings
+        elif settings is None or isinstance(settings, EvalSettings):
+            try:
+                key = (id(base), id(settings), *overrides.items())
+                entry = self._resolved.get(key)
+            except TypeError:  # an unhashable override value
+                key = entry = None
+            if entry is not None and entry[0] is base and entry[1] is settings:
+                return entry[2]
+            resolved = coerce_settings(settings, base, **overrides)
+            if key is not None:
+                if len(self._resolved) >= self.RESOLVED_SETTINGS:
+                    self._resolved.clear()
+                self._resolved[key] = (base, settings, resolved)
+            return resolved
+        return coerce_settings(settings, base, **(overrides or {}))
+
     def _module_for(self, query: str, settings: EvalSettings,
                     trace: TraceContext | None = None) -> ast.Module:
         """Parse *query*, serving repeated texts from the module cache."""
-        with maybe_span(trace, "parse") as span:
-            if not settings.use_cache:
-                if span is not None:
-                    span.set(module_cache="bypass")
-                return self._parsed(query, settings)
-            key = settings.module_key(query)
-            module = self._module_cache.get(key)
-            if module is None:
-                if span is not None:
-                    span.set(module_cache="miss")
-                module = self._parsed(query, settings)
-                self._module_cache.put(key, module)
-            elif span is not None:
-                span.set(module_cache="hit")
-            return module
+        if trace is None:
+            return self._module(query, settings, None)
+        with trace.span("parse") as span:
+            return self._module(query, settings, span)
+
+    def _module(self, query: str, settings: EvalSettings, span: Span | None) -> ast.Module:
+        if not settings.use_cache:
+            if span is not None:
+                span.set(module_cache="bypass")
+            return self._parsed(query, settings)
+        key = settings.module_key(query)
+        module = self._module_cache.get(key)
+        if module is None:
+            if span is not None:
+                span.set(module_cache="miss")
+            module = self._parsed(query, settings)
+            self._module_cache.put(key, module)
+        elif span is not None:
+            span.set(module_cache="hit")
+        return module
 
     @staticmethod
     def _parsed(query: str, settings: EvalSettings) -> ast.Module:
@@ -376,10 +419,12 @@ class Session:
             # duplicate declaration) raise here — identically for the
             # interpreter, algebra and SQL paths — and the report rides
             # along on the result.
-            with maybe_span(trace, "analyze") as span:
-                analysis = self._analysis_for(module, variables, settings,
-                                              span).under(settings)
-                if span is not None:
+            if trace is None:
+                analysis = self._analysis_for(module, variables, settings).under(settings)
+            else:
+                with trace.span("analyze") as span:
+                    analysis = self._analysis_for(module, variables, settings,
+                                                  span).under(settings)
                     span.set(diagnostics=len(analysis.diagnostics),
                              fixpoints=len(analysis.fixpoints))
             analysis.raise_first()
@@ -402,29 +447,37 @@ class Session:
         if context_item is not None:
             context = context.with_focus(context_item, 1, 1)
 
-        activation = trace.activate() if trace is not None else nullcontext()
-        with activation:
-            if settings.engine is Engine.INTERPRETER:
-                evaluator = Evaluator()
-                with maybe_span(trace, "execute"):
-                    items = evaluator.evaluate_module(module, context)
-                result = QueryResult(items=items, statistics=statistics)
-            elif settings.engine is Engine.SQL:
-                from repro.sqlbackend.executor import SQLEvaluator
-
-                evaluator = SQLEvaluator(store=self._sql_pool.store(resolver))
-                with maybe_span(trace, "execute"):
-                    items = evaluator.evaluate_module(module, context)
-                result = QueryResult(items=items, statistics=statistics)
-            else:
+        if settings.engine is Engine.ALGEBRA:
+            if trace is None:
                 result = self._evaluate_algebra(module, resolver, variables,
-                                                statistics, settings,
-                                                plan_cacheable, trace, governor,
-                                                analysis)
+                                                statistics, settings, plan_cacheable,
+                                                None, governor, analysis)
+            else:
+                with trace.activate():
+                    result = self._evaluate_algebra(module, resolver, variables,
+                                                    statistics, settings, plan_cacheable,
+                                                    trace, governor, analysis)
+        elif trace is None:
+            items = self._evaluator(settings, resolver).evaluate_module(module, context)
+            result = QueryResult(items=items, statistics=statistics)
+        else:
+            with trace.activate():
+                evaluator = self._evaluator(settings, resolver)
+                with trace.span("execute"):
+                    items = evaluator.evaluate_module(module, context)
+            result = QueryResult(items=items, statistics=statistics)
         result.analysis = analysis
         if trace is not None:
             result.trace = trace.finish()
         return result
+
+    def _evaluator(self, settings: EvalSettings, resolver: DocumentResolver):
+        """The interpreter, or the SQL engine over this thread's store."""
+        if settings.engine is Engine.INTERPRETER:
+            return Evaluator()
+        from repro.sqlbackend.executor import SQLEvaluator
+
+        return SQLEvaluator(store=self._sql_pool.store(resolver))
 
     def _analysis_for(self, module: ast.Module, variables,
                       settings: EvalSettings, span=None) -> "AnalysisReport":
@@ -607,7 +660,7 @@ class PreparedQuery:
             settings: EvalSettings | Mapping[str, Any] | None = None,
             cancel_token: CancelToken | None = None,
             **overrides: Any) -> QueryResult:
-        resolved = coerce_settings(settings, self.settings, **overrides)
+        resolved = self.session.resolve_settings(settings, overrides, self.settings)
         return self.session._evaluate(self.module, documents, variables,
                                       context_item, resolved, None,
                                       pre_optimized=True,

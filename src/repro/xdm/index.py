@@ -126,7 +126,7 @@ class StructuralIndex:
 
     __slots__ = ("root", "value_generation", "nodes", "pre_of", "post", "level",
                  "parent_pre", "size", "sib_pos", "name_pres", "elem_pres",
-                 "kind_pres", "_child_pres", "_attr_owner_sets",
+                 "kind_pres", "_child_pres", "_attributes", "_attr_owner_sets",
                  "_attr_value_sets", "_path_value_sets", "_idref_targets",
                  "_memos")
 
@@ -197,6 +197,9 @@ class StructuralIndex:
         #: element name → parent pre → ascending pres of its children of
         #: that name (see :meth:`child_pres_named`)
         self._child_pres: dict[str, dict[int, list[int]]] = {}
+        #: attribute name → owner pre → its attribute node of that name
+        #: (see :meth:`attributes_named`)
+        self._attributes: dict[str, dict[int, Node]] = {}
         self._reset_value_indexes()
 
     # -- value inverted indexes ----------------------------------------------
@@ -522,6 +525,21 @@ class StructuralIndex:
             self._child_pres[name] = children
         return children
 
+    def attributes_named(self, name: str) -> dict[int, Node]:
+        """The attribute-by-name map of *name*: owner pre → the owner's
+        attribute node called *name* (owners without one are absent).
+        Built once per name, in one pass over the elements; structural like
+        the child-by-name map — a value edit keeps the node it names — and
+        shared: callers must not mutate it."""
+        attributes = self._attributes.get(name)
+        if attributes is None:
+            nodes = self.nodes
+            attributes = {pre: attribute for pre in self.elem_pres
+                          for attribute in nodes[pre].attributes
+                          if attribute.name == name}
+            self._attributes[name] = attributes
+        return attributes
+
     def child_name_parent_pres(self, name: str) -> KeysView[int]:
         """Pres of nodes having an element child called *name*."""
         return self.child_pres_named(name).keys()
@@ -839,6 +857,31 @@ def nth_sibling(node: Node, axis: str, kind: str, name: str | None, n: int,
     return []
 
 
+def nth_child(nodes: list[Node], name: str, n: int) -> list[Node] | None:
+    """``nodes/child::name[n]`` for ``n ≥ 1``: each context node's *n*-th
+    element child called *name* — the ``n``-th entry of its list in the
+    child-by-name map (:meth:`StructuralIndex.child_pres_named`), as
+    :func:`nth_sibling` answers the sibling axes — duplicate-free and in
+    document order (children of distinct parents are distinct, and their
+    pres sort as integers).  A node with fewer such children contributes
+    nothing.  ``None`` — the per-node path — for a column that does not lie
+    in one tree (:func:`_one_tree`)."""
+    if not nodes:
+        return []
+    column = _one_tree(nodes)
+    if column is None:
+        return None
+    idx, pres = column
+    at = n - 1
+    picked = [children[at] for children in
+              map(idx.child_pres_named(name).get, dict.fromkeys(pres))
+              if children is not None and len(children) > at]
+    if len(picked) > 1:
+        picked.sort()
+    tree_nodes = idx.nodes
+    return [tree_nodes[pre] for pre in picked]
+
+
 class IndexSet:
     """Resolves nodes to their tree's index, walking to a root only once
     per distinct tree rather than once per context node.
@@ -895,6 +938,10 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
         return []
     if axis == "child" and named_element_test(kind, name):
         result = _child_named_in_one_tree(nodes, name)
+        if result is not None:
+            return result
+    elif axis == "attribute" and kind == "name" and name != "*":
+        result = _attribute_named_in_one_tree(nodes, name)
         if result is not None:
             return result
     distinct = nodes
@@ -954,23 +1001,46 @@ def batch_step(nodes: list[Node], axis: str, kind: str,
     return doc_order(collected)
 
 
-def _child_named_in_one_tree(nodes: list[Node], name: str) -> list[Node] | None:
-    """``nodes/child::name`` in pre-space, for a column that lies in one
-    tree: pres in, the child-by-name map, sorted pres out, one gather.
-    Children of distinct parents are distinct, so once the input's repeats
-    are gone nothing needs an identity set, and integers sort without a key.
-    ``None`` — the general path — for a column with an attribute or nodes
-    of a second tree."""
+def _one_tree(nodes: list[Node]) -> tuple[StructuralIndex, list[int]] | None:
+    """The index of a non-empty column that lies in one tree, and the
+    column's pres (one C-level pass through ``pre_of``); ``None`` — the
+    general path — for a column with an attribute or nodes of a second
+    tree."""
     first = nodes[0]
     if isinstance(first, AttributeNode):
         return None
     idx = index_for(first)
     pres = list(map(idx.pre_of.get, map(id, nodes)))
-    if None in pres:
+    return None if None in pres else (idx, pres)
+
+
+def _child_named_in_one_tree(nodes: list[Node], name: str) -> list[Node] | None:
+    """``nodes/child::name`` in pre-space, for a column that lies in one
+    tree (:func:`_one_tree`): pres in, the child-by-name map, sorted pres
+    out, one gather.  Children of distinct parents are distinct, so once
+    the input's repeats are gone nothing needs an identity set, and
+    integers sort without a key."""
+    column = _one_tree(nodes)
+    if column is None:
         return None
+    idx, pres = column
     tree_nodes = idx.nodes
     return [tree_nodes[child] for child in sorted(
         _mapped(idx.child_pres_named(name), dict.fromkeys(pres)))]
+
+
+def _attribute_named_in_one_tree(nodes: list[Node], name: str) -> list[Node] | None:
+    """``nodes/attribute::name`` for a column that lies in one tree
+    (:func:`_one_tree`), in one C-level pass: distinct owner pres, the
+    attribute-by-name map (:meth:`StructuralIndex.attributes_named`), one
+    sort.  An element has at most one attribute of a name, so the
+    attributes are distinct."""
+    column = _one_tree(nodes)
+    if column is None:
+        return None
+    idx, pres = column
+    return doc_order(list(filter(None, map(idx.attributes_named(name).get, set(pres)))),
+                     distinct=True)
 
 
 def _merged(per_tree: list[list[Node]]) -> list[Node]:

@@ -18,17 +18,24 @@ written in:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from operator import attrgetter
 from typing import Any
 
 from repro.errors import XQueryTypeError
-from repro.xdm.items import atomize_item, is_node, is_numeric
-from repro.xdm.node import Node
+from repro.xdm.items import UntypedAtomic, atomize_item, is_node, is_numeric
+from repro.xdm.node import AttributeNode, Node
+
+#: ``all(map(isinstance, items, NODES))`` asks :func:`is_node` of a whole
+#: sequence in one C-level pass: no Python frame per item.
+NODES = repeat(Node)
+_ATTRIBUTES = repeat(AttributeNode)
+_VALUE = attrgetter("value")
 
 
 def nodes_only(sequence: Iterable[Any]) -> bool:
     """Return ``True`` if every item in *sequence* is a node."""
-    return all(is_node(item) for item in sequence)
+    return all(map(isinstance, sequence, NODES))
 
 
 def ensure_node_sequence(sequence: Sequence[Any], operation: str) -> list[Node]:
@@ -39,11 +46,10 @@ def ensure_node_sequence(sequence: Sequence[Any], operation: str) -> list[Node]:
     step) is applied to atomic values.
     """
     items = list(sequence)
-    for item in items:
-        if not is_node(item):
-            raise XQueryTypeError(
-                f"{operation} requires a sequence of nodes, got {type(item).__name__}"
-            )
+    if not all(map(isinstance, items, NODES)):
+        item = next(item for item in items if not is_node(item))
+        raise XQueryTypeError(
+            f"{operation} requires a sequence of nodes, got {type(item).__name__}")
     return items
 
 
@@ -68,11 +74,9 @@ def doc_order(nodes: list[Node], distinct: bool = False) -> list[Node]:
 def ddo(sequence: Iterable[Any]) -> list[Node]:
     """``fs:distinct-doc-order``: deduplicate by identity, sort by doc order."""
     items = sequence if isinstance(sequence, list) else list(sequence)
-    for item in items:
-        if not is_node(item):
-            raise XQueryTypeError(
-                f"fs:ddo requires nodes, got {type(item).__name__}"
-            )
+    if not all(map(isinstance, items, NODES)):
+        item = next(item for item in items if not is_node(item))
+        raise XQueryTypeError(f"fs:ddo requires nodes, got {type(item).__name__}")
     return doc_order(items)
 
 
@@ -127,8 +131,12 @@ def _atomic_multiset(items: Sequence[Any]) -> set:
 
 
 def atomize(sequence: Iterable[Any]) -> list[Any]:
-    """Atomize a sequence (``fn:data``): nodes become their typed values."""
-    return [atomize_item(item) for item in sequence]
+    """Atomize a sequence (``fn:data``): nodes become their typed values —
+    an attribute column (``data(E/@a)``) in one C-level pass."""
+    items = sequence if isinstance(sequence, list) else list(sequence)
+    if items and all(map(isinstance, items, _ATTRIBUTES)):
+        return list(map(UntypedAtomic, map(_VALUE, items)))
+    return [atomize_item(item) for item in items]
 
 
 def effective_boolean_value(sequence: Sequence[Any]) -> bool:

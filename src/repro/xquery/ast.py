@@ -76,6 +76,15 @@ class Expr:
     #: What the parser noted on the ``recurse`` body of a ``with`` it built
     #: (:meth:`repro.xquery.parser.Parser._key_body`).
     _noted: tuple[str, str, tuple] | None = None
+    #: What :mod:`repro.xquery.pushdown` decided about this node, kept on
+    #: it once decided (``False``: not yet), so a cached module decides it
+    #: once: a predicate's shape (:func:`~repro.xquery.pushdown.
+    #: recognize_predicate`), an axis step's column form
+    #: (:func:`~repro.xquery.pushdown.step_form`) and a call's ``id`` chain
+    #: (:func:`~repro.xquery.pushdown.recognize_id_step`).
+    _shape = False
+    _form = False
+    _id_chain = False
 
     def children(self) -> list[tuple["Expr", frozenset[str]]]:
         """Child expressions paired with the variables bound for each child:
@@ -574,6 +583,9 @@ class Module:
     #: (:func:`repro.xquery.pushdown.prolog_variables`); ``None`` for "not
     #: yet".  Kept outside the fields, like :attr:`WithExpr._relation`.
     _prolog_variables = None
+    #: :func:`repro.plancache.module_cache_safe` of the module, once
+    #: computed (``None``: not yet).
+    _cache_safe = None
     #: What the parser noted about the text as written
     #: (:class:`repro.xquery.parser.TextFacts`); ``None`` for a module it
     #: did not build.

@@ -18,7 +18,6 @@ from __future__ import annotations
 import sys
 import threading
 from time import perf_counter
-from contextlib import contextmanager
 from collections.abc import Callable
 from typing import Any
 
@@ -40,6 +39,7 @@ from repro.xdm.index import (
     batch_id_path,
     batch_step,
     indexed_step,
+    nth_child,
     nth_sibling,
 )
 from repro.xdm.items import (
@@ -62,6 +62,7 @@ from repro.xdm.node import (
     TextNode,
 )
 from repro.xdm.sequence import (
+    NODES,
     atomize,
     ddo,
     effective_boolean_value,
@@ -94,29 +95,36 @@ _RECURSION_HOLDERS = 0
 _RECURSION_SAVED: int | None = None
 
 
-@contextmanager
-def recursion_headroom(limit: int = PYTHON_RECURSION_LIMIT):
-    """Temporarily raise the Python recursion limit to *limit*.
+class recursion_headroom:
+    """Temporarily raise the Python recursion limit to *limit* (a context
+    manager).
 
     Ref-counted across threads: the first holder saves the process limit
     and raises it, the last one restores the saved value — unless someone
     else changed the limit in between, in which case their value wins and
     we leave it alone.  A no-op when the process limit is already high
-    enough.
+    enough.  A class, not a generator: entered once per evaluation.
     """
-    global _RECURSION_HOLDERS, _RECURSION_SAVED
-    with _RECURSION_LOCK:
-        if _RECURSION_HOLDERS == 0 and sys.getrecursionlimit() < limit:
-            _RECURSION_SAVED = sys.getrecursionlimit()
-            sys.setrecursionlimit(limit)
-        _RECURSION_HOLDERS += 1
-    try:
-        yield
-    finally:
+
+    __slots__ = ("limit",)
+
+    def __init__(self, limit: int = PYTHON_RECURSION_LIMIT):
+        self.limit = limit
+
+    def __enter__(self) -> None:
+        global _RECURSION_HOLDERS, _RECURSION_SAVED
+        with _RECURSION_LOCK:
+            if _RECURSION_HOLDERS == 0 and sys.getrecursionlimit() < self.limit:
+                _RECURSION_SAVED = sys.getrecursionlimit()
+                sys.setrecursionlimit(self.limit)
+            _RECURSION_HOLDERS += 1
+
+    def __exit__(self, *exc_info) -> None:
+        global _RECURSION_HOLDERS, _RECURSION_SAVED
         with _RECURSION_LOCK:
             _RECURSION_HOLDERS -= 1
             if _RECURSION_HOLDERS == 0 and _RECURSION_SAVED is not None:
-                if sys.getrecursionlimit() == limit:
+                if sys.getrecursionlimit() == self.limit:
                     sys.setrecursionlimit(_RECURSION_SAVED)
                 _RECURSION_SAVED = None
 
@@ -485,59 +493,59 @@ class Evaluator:
         # always flows through a fixpoint round, a FLWOR iteration or a
         # user-function call, all of which do checkpoint.
         left = self.evaluate(expr.left, context)
+        step = expr.right
+        static = context.static
+        settings = static.settings
         # Vectorized fast path: an axis step applied to a whole node column
         # is one batch kernel call (dedup + document order included),
         # skipping the per-node focus loop and the final ddo.  Predicates
-        # ride along when every one is a recognized *non-positional* shape:
+        # ride along when the step's form allows (pushdown.step_form):
         # value/existence tests depend only on the candidate node, so
-        # filtering the merged column equals filtering per context node.
-        # (Positional shapes count per context node — the per-node loop
-        # below still batch-slices them inside _eval_axis_step.)
-        if (isinstance(expr.right, ast.AxisStep)
-                and context.static.settings.use_index
-                and all(is_node(item) for item in left)):
-            step = expr.right
-            shapes: list = []
-            fusible = not step.predicates
-            if not fusible and context.static.settings.use_pushdown:
-                shapes = [pushdown.recognize_predicate(p) for p in step.predicates]
-                fusible = all(shape is not None
-                              and not isinstance(shape, PositionShape)
-                              for shape in shapes)
-            if fusible:
-                trace = context.static.trace
-                timer = perf_counter() if trace is not None else 0.0
-                result = None
-                predicates = step.predicates[1:]
-                if shapes:
-                    # Index-side probing: the first predicate's few owners
-                    # instead of every candidate of the step.
-                    first = shapes[0]
-                    result = pushdown.probe_step(
-                        left, step.axis, step.node_test.kind, step.node_test.name,
-                        first, lambda: pushdown.resolve_rhs(
-                            first, lambda rhs: self.evaluate(rhs, context)),
-                        trace=trace)
-                if result is None:
-                    result = batch_step(left, step.axis, step.node_test.kind,
-                                        step.node_test.name)
+        # filtering the merged column equals filtering per context node;
+        # ``child::name[n]`` picks each context node's n-th child from the
+        # index.  (Other positional shapes count per context node — the
+        # per-node loop below still batch-slices them inside
+        # _eval_axis_step.)
+        if isinstance(step, ast.AxisStep):
+            if settings.use_index and all(map(isinstance, left, NODES)):
+                form, shapes = pushdown.step_form(step)
+                if form is pushdown.PLAIN or (form is not None and settings.use_pushdown):
+                    trace = static.trace
+                    timer = perf_counter() if trace is not None else 0.0
+                    test = step.node_test
                     predicates = step.predicates
-                if result is not None:
-                    if predicates:
-                        result = self._apply_predicates(result, predicates, context)
+                    result = None
+                    if form is pushdown.NTH_CHILD:
+                        result = nth_child(left, test.name, shapes[0].value)
+                        predicates = predicates[1:]
+                    elif shapes:
+                        # Index-side probing: the first predicate's few
+                        # owners instead of every candidate of the step.
+                        first = shapes[0]
+                        result = pushdown.probe_step(
+                            left, step.axis, test.kind, test.name,
+                            first, lambda: pushdown.resolve_rhs(
+                                first, lambda rhs: self.evaluate(rhs, context)),
+                            trace=trace)
+                        predicates = predicates[1:]
+                    if result is None and form is not pushdown.NTH_CHILD:
+                        result = batch_step(left, step.axis, test.kind, test.name)
+                        predicates = step.predicates
+                    if result is not None:
+                        if predicates:
+                            result = self._apply_predicates(result, predicates, context)
+                        if trace is not None:
+                            trace.record_kernel(f"step:{step.axis}", True,
+                                                perf_counter() - timer)
+                        return result
                     if trace is not None:
-                        trace.record_kernel(f"step:{step.axis}", True,
-                                            perf_counter() - timer)
-                    return result
-                if trace is not None:
-                    trace.record_kernel(f"step:{step.axis}", False)
-        elif (isinstance(expr.right, ast.FunctionCall)
-                and context.static.settings.use_index):
+                        trace.record_kernel(f"step:{step.axis}", False)
+        elif isinstance(step, ast.FunctionCall) and settings.use_index:
             # The same for ``E/id(p)``: the chain *p* and the ID lookup run
             # once over the whole column instead of once per node of E.
-            steps = pushdown.recognize_id_step(expr.right, context.static.functions)
+            steps = pushdown.recognize_id_step(step, static.functions)
             if steps is not None:
-                trace = context.static.trace
+                trace = static.trace
                 timer = perf_counter() if trace is not None else 0.0
                 result = self._batch_id(left, steps, context)
                 if trace is not None:
@@ -551,10 +559,10 @@ class Evaluator:
             if not is_node(item):
                 raise XQueryTypeError("path steps require node input", code="XPTY0019")
             focused = context.with_focus(item, position, size)
-            results.extend(self.evaluate(expr.right, focused))
-        if all(is_node(item) for item in results):
+            results.extend(self.evaluate(step, focused))
+        if all(map(isinstance, results, NODES)):
             return ddo(results)
-        if any(is_node(item) for item in results):
+        if any(map(isinstance, results, NODES)):
             raise XQueryTypeError(
                 "path result mixes nodes and atomic values", code="XPTY0018"
             )
@@ -630,6 +638,13 @@ class Evaluator:
                 if n is not None:
                     matched = nth_sibling(node, expr.axis, expr.node_test.kind,
                                           expr.node_test.name, n)
+                    if matched is not None:
+                        predicates = predicates[1:]
+            elif predicates and settings.use_pushdown:
+                # child::name[n]: the n-th entry of the child-by-name map
+                form, shapes = pushdown.step_form(expr)
+                if form is pushdown.NTH_CHILD:
+                    matched = nth_child([node], expr.node_test.name, shapes[0].value)
                     if matched is not None:
                         predicates = predicates[1:]
             if matched is None:
@@ -746,7 +761,7 @@ class Evaluator:
             if trace is not None:
                 trace.record_kernel("pred:positional", True, perf_counter() - timer)
             return result, index_set
-        if not all(is_node(item) for item in items):
+        if not all(map(isinstance, items, NODES)):
             return None  # the focus loop raises the proper type error
         values = pushdown.resolve_rhs(
             shape, lambda rhs: self.evaluate(rhs, context))

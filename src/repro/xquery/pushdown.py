@@ -95,7 +95,7 @@ Semantics notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 
 from repro.xdm.index import (
@@ -135,10 +135,12 @@ class ValueShape:
     rhs: ast.Expr | None = None
     values: tuple[str, ...] | None = None
     path: tuple[str, ...] = ()
+    #: A bare existence test: no right-hand side (set once, read per
+    #: application).
+    existence: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def existence(self) -> bool:
-        return self.rhs is None and self.values is None
+    def __post_init__(self):
+        object.__setattr__(self, "existence", self.rhs is None and self.values is None)
 
     @property
     def kind(self) -> str:
@@ -272,7 +274,57 @@ def _integer_literal(expr: ast.Expr) -> int | None:
 
 
 def recognize_predicate(expr: ast.Expr) -> Shape | None:
-    """Classify *expr* into a pushable shape, or ``None`` (fall back)."""
+    """Classify *expr* into a pushable shape, or ``None`` (fall back) —
+    decided once per node and kept on it."""
+    shape = expr._shape
+    if shape is False:
+        shape = _shape_of(expr)
+        object.__setattr__(expr, "_shape", shape)
+    return shape
+
+
+#: :func:`step_form` of a step without predicates.
+PLAIN = "plain"
+#: … of a step whose predicates are all value or existence shapes.
+VALUES = "values"
+#: … of ``child::name[n]`` (``n ≥ 1``) with value shapes after it.
+NTH_CHILD = "nth-child"
+
+
+def step_form(step: ast.AxisStep) -> tuple[str | None, tuple[Shape | None, ...]]:
+    """How a path applies *step* to a whole column of context nodes at once,
+    with its predicates' shapes — decided once per node and kept on it:
+
+    * :data:`PLAIN` — no predicate;
+    * :data:`VALUES` — every predicate a value or existence shape, which
+      depends on the candidate alone, so filtering the merged column equals
+      filtering per context node;
+    * :data:`NTH_CHILD` — ``child::name[n]`` with ``n ≥ 1``, then value
+      shapes: each context node contributes at most its *n*-th such child
+      (:func:`~repro.xdm.index.nth_child`), so the predicates after it
+      filter single candidates and may run on the merged column too;
+    * ``None`` — a predicate counts per context node (or is no shape): the
+      per-node focus loop.
+
+    The last three need pushdown on."""
+    form = step._form
+    if form is False:
+        shapes = tuple(map(recognize_predicate, step.predicates))
+        kind, rest = VALUES, shapes
+        if not shapes:
+            kind = PLAIN
+        elif (isinstance(shapes[0], PositionShape) and shapes[0].nth is not None
+                and step.axis == "child"
+                and named_element_test(step.node_test.kind, step.node_test.name)):
+            kind, rest = NTH_CHILD, shapes[1:]
+        if not all(isinstance(shape, ValueShape) for shape in rest):
+            kind = None
+        form = (kind, shapes)
+        object.__setattr__(step, "_form", form)
+    return form
+
+
+def _shape_of(expr: ast.Expr) -> Shape | None:
     # [N] — a bare integer literal.
     n = _integer_literal(expr)
     if n is not None:
@@ -328,6 +380,15 @@ def recognize_id_step(expr: ast.Expr, functions: Container[tuple[str, int]]
     if not (isinstance(expr, ast.FunctionCall) and expr.name in ("id", "fn:id")
             and len(expr.args) == 1 and (expr.name, 1) not in functions):
         return None
+    chain = expr._id_chain
+    if chain is False:
+        chain = _id_chain(expr)
+        object.__setattr__(expr, "_id_chain", chain)
+    return chain
+
+
+def _id_chain(expr: ast.FunctionCall) -> tuple[ast.AxisStep, ...] | None:
+    """The steps of :func:`recognize_id_step`, whatever the functions."""
     steps: list[ast.AxisStep] = []
     argument = expr.args[0]
     while isinstance(argument, ast.PathExpr) and isinstance(argument.right, ast.AxisStep):

@@ -61,15 +61,18 @@ def benchmark_modules():
     return corpus, ops, check_overhead
 
 
-def count_calls(function) -> int:
+def count_calls(function, python_only: bool = False) -> int:
     """Function calls made while *function* runs, Python-level and built-in
-    alike (``call`` and ``c_call`` events of ``sys.setprofile``) — a count
-    that repeats exactly, where a timing on a shared box does not."""
+    alike (``call`` and ``c_call`` events of ``sys.setprofile``; ``call``
+    alone — Python frames, a generator's resumptions included — with
+    *python_only*) — a count that repeats exactly, where a timing on a
+    shared box does not."""
     calls = 0
+    events = ("call",) if python_only else ("call", "c_call")
 
     def profile(frame, event, argument):
         nonlocal calls
-        calls += event in ("call", "c_call")
+        calls += event in events
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -77,7 +80,9 @@ def count_calls(function) -> int:
         function()
     finally:
         sys.setprofile(previous)
-    return calls - 1  # (the ``sys.setprofile`` that ends the count)
+    # less the ``sys.setprofile`` that ends the count — or, with
+    # *python_only*, less the frame of *function* itself
+    return calls - 1
 
 
 @functools.lru_cache(maxsize=None)

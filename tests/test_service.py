@@ -926,6 +926,36 @@ def head_request(*lines: str, method: str = "POST", path: str = "/query",
 ONE_PLUS_ONE = json.dumps({"query": "1 + 1"}).encode()
 
 
+class StubSupervisor:
+    """What the control port asks of a :class:`~repro.service.supervisor.
+    Supervisor`."""
+
+    def status_snapshot(self) -> dict:
+        return {"workers_alive": 2, "workers_target": 2, "degraded": False}
+
+    def ready_response(self) -> tuple[int, dict]:
+        return 200, {"ready": True}
+
+    def metrics_exposition(self) -> str:
+        return "repro_up 1\n"
+
+
+@pytest.fixture()
+def control_port():
+    """The prefork supervisor's control port over a stub supervisor."""
+    from http.server import ThreadingHTTPServer
+
+    from repro.service.supervisor import ControlHandler
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ControlHandler)
+    server.daemon_threads = True
+    server.supervisor = StubSupervisor()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server.server_address[:2]
+    server.shutdown()
+    server.server_close()
+
+
 class TestHostileHead:
     """Framing the server cannot trust (RFC 9112 §5.1, §6.1, §6.3) gets one
     JSON reply and a closed connection: its body is never read as the next
@@ -967,6 +997,52 @@ class TestHostileHead:
             assert payload["status"] == "ok"
         else:
             assert payload["ok"] is False and payload["error"], payload
+
+    # The prefork supervisor's control port reads heads with the same shell
+    # (server._JsonHandler): no Server header naming the runtime, a JSON
+    # reply with a status line for every refused head, JSON 404s.
+
+    def test_control_port_health_names_no_server(self, control_port):
+        received = whole_exchange(control_port, head_request(
+            "Host: t", "Connection: close", method="GET", path="/health"))
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 "), received
+        assert b"\r\nserver:" not in head.lower(), head
+        assert b"\r\ndate:" in head.lower(), head
+        assert json.loads(body)["role"] == "supervisor"
+
+    def test_control_port_http_2_is_a_json_505_with_a_status_line(self, control_port):
+        received = whole_exchange(control_port, head_request(
+            "Host: t", method="GET", path="/health", version="HTTP/2.0"))
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 505 "), received
+        assert json.loads(body)["ok"] is False
+
+    def test_control_port_unknown_path_is_a_json_404(self, control_port):
+        received = whole_exchange(control_port, head_request(
+            "Host: t", "Connection: close", method="GET", path="/nope"))
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 "), received
+        assert b"application/json" in head
+        assert json.loads(body)["ok"] is False
+
+    def test_control_port_metrics_stay_text(self, control_port):
+        received = whole_exchange(control_port, head_request(
+            "Host: t", "Connection: close", method="GET", path="/metrics"))
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ") and b"text/plain" in head
+        assert body == b"repro_up 1\n"
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case, (_, status) in CASES.items() if status != 200))
+    def test_the_control_port_refuses_alike(self, control_port, case):
+        request, expected = self.CASES[case]
+        received = whole_exchange(control_port, request)
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % expected), received
+        assert b"\r\nconnection: close" in head.lower(), head
+        payload = json.loads(body)
+        assert payload["ok"] is False and payload["error"], payload
 
 
 def stdlib_head_handler():

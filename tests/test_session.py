@@ -214,6 +214,86 @@ class TestSessionEvaluate:
         assert result.items == [7]
 
 
+class TestResolvedSettings:
+    """``Session.resolve_settings`` keeps what ``evaluate(q, **overrides)``
+    resolves, per session settings object and override set."""
+
+    def test_a_repeated_override_set_reuses_its_value(self, session):
+        first = session.resolve_settings(None, {"engine": "sql"})
+        assert first.engine.value == "sql"
+        assert session.resolve_settings(None, {"engine": "sql"}) is first
+        assert session.resolve_settings() is session.settings
+
+    def test_new_session_settings_are_resolved_again(self, session):
+        first = session.resolve_settings(None, {"engine": "sql"})
+        session.settings = EvalSettings(use_index=False)
+        again = session.resolve_settings(None, {"engine": "sql"})
+        assert again is not first and again.use_index is False
+
+    def test_bad_and_unhashable_overrides(self, session):
+        with pytest.raises(ValueError):
+            session.resolve_settings(None, {"engine": "nope"})
+        with pytest.raises(TypeError):
+            session.resolve_settings(None, {"no_such_field": 1})
+        limits = ResourceLimits(timeout_s=5.0)
+        resolved = session.resolve_settings({"limits": limits}, {"engine": "sql"})
+        assert resolved.limits is limits and resolved.engine.value == "sql"
+
+
+class TestWarmCost:
+    """What one warm ``Session.evaluate`` of a ledger closure costs, in
+    Python calls (``sys.setprofile`` ``call`` events: a count repeats
+    exactly, a timing on a shared box does not), with the module, the
+    analysis, the plan and the image memo cached.  Each bound is a share of
+    what this harness counted (CPython 3.11) before settings were resolved
+    once per override set, per-node decisions kept on the AST, idle hooks
+    made callless, the round loop cut to three calls and the
+    ``child::name[n]`` / ``@name`` / ``data()`` column kernels added — a
+    bound, not an exact pin: CI runs another CPython."""
+
+    #: engine → the earlier count per class, and the share allowed of it
+    BEFORE = {
+        "interpreter": ({"hospital": 265, "dialogs": 384, "curriculum": 306,
+                         "bidder": 461}, 0.70),
+        "sql": ({"hospital": 283, "dialogs": 394, "curriculum": 330,
+                 "bidder": 471}, 0.75),
+        "algebra": ({"hospital": 313, "dialogs": 407, "curriculum": 343,
+                     "bidder": 468}, 1.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def ledger_sessions(self):
+        from tests.conftest import benchmark_modules
+
+        corpus, ops, _ = benchmark_modules()
+        documents, _ = corpus.build("full")
+        scenarios = ops.Scenarios(documents)
+        sessions = {}
+        for cls in ops.CLOSURE_CLASSES:
+            uri = corpus.DOCUMENT_OF[cls]
+            session = Session(id_attributes=corpus.ID_ATTRIBUTES)
+            session.register_document(
+                uri, parse_xml(documents[uri], id_attributes=corpus.ID_ATTRIBUTES))
+            start = scenarios.start_nodes(cls, random.Random(7))[0]
+            sessions[cls] = (session, ops.closure_text(cls, start))
+        yield sessions
+        for session, _ in sessions.values():
+            session.close()
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("cls", ["hospital", "dialogs", "curriculum", "bidder"])
+    def test_a_warm_closure_costs_its_kernels(self, ledger_sessions, cls, engine):
+        from tests.conftest import count_calls
+
+        session, text = ledger_sessions[cls]
+        for _ in range(3):  # module, analysis, plan, stores and images warm
+            session.evaluate(text, engine=engine)
+        calls = count_calls(lambda: session.evaluate(text, engine=engine),
+                            python_only=True)
+        before, share = self.BEFORE[engine]
+        assert calls <= share * before[cls], (calls, before[cls])
+
+
 class TestPreparedQuery:
     def test_prepare_skips_reparse(self, session):
         prepared = session.prepare(TC_QUERY)
